@@ -4,6 +4,10 @@
 CARGO ?= cargo
 
 # PR number stamped into the bench trajectory file (BENCH_$(BENCH_PR).json).
+# 10 is the newest committed point, not the current PR: a PR that records
+# a new point passes its own number (`make bench-json BENCH_PR=<n>`).
+# Since PR 13, perf claims are BENCHMARK.json metrics measured by
+# benchmark/ (see `benchmark-smoke` below), not rows of this trajectory.
 BENCH_PR ?= 10
 BENCH_JSONL ?= $(CURDIR)/target/criterion-run.jsonl
 # The perf-critical suites the trajectory tracks (the full figure
@@ -12,9 +16,9 @@ BENCH_JSONL ?= $(CURDIR)/target/criterion-run.jsonl
 BENCH_SUITES = --bench pipeline_throughput --bench fleet_ingest --bench live_latency --bench policy_overhead --bench propagation_massive --bench classifier_mining
 
 .PHONY: check fmt fmt-check build test test-release clippy doc quickstart bench bench-check \
-	bench-json bench-baseline bench-compare
+	bench-json bench-baseline bench-compare benchmark-smoke
 
-check: fmt-check build test clippy bench-check doc quickstart bench-compare
+check: fmt-check build test clippy bench-check doc quickstart bench-compare benchmark-smoke
 
 fmt:
 	$(CARGO) fmt --all
@@ -52,6 +56,13 @@ bench:
 # cannot silently rot: clippy lints them, this proves they still link.
 bench-check:
 	$(CARGO) bench -p bh-bench --no-run
+
+# The standalone benchmark/ crate is outside the workspace, so nothing
+# above compiles it: build it and run its tests (unit tests plus every
+# workload `--smoke` in both trace modes, metric names/units checked
+# against BENCHMARK.json), so an API change under its adapter cannot rot.
+benchmark-smoke:
+	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Record the perf-critical suites into the trajectory file's "current"
 # section (BENCH_$(BENCH_PR).json at the repo root). Run bench-baseline

@@ -19,7 +19,7 @@ use bh_core::{
 use bh_routing::elem::DataSource;
 use bh_routing::live::{Clock, LiveArchive, LiveMerge, TailingSource};
 
-use crate::query::{LiveStatus, QueryRunner, SharedState};
+use crate::query::{write_shared, LiveStatus, QueryRunner, SharedState};
 
 /// Daemon tunables.
 #[derive(Debug, Clone, Copy)]
@@ -222,7 +222,7 @@ impl LiveFleet {
         self.last_checkpoint = Some(checkpoint.clone());
         let report = self.pipeline.snapshot();
         {
-            let mut shared = self.shared.write().expect("live shared state poisoned");
+            let mut shared = write_shared(&self.shared);
             shared.report = Some(report);
         }
         self.publish_status();
@@ -268,7 +268,7 @@ impl LiveFleet {
         }
         let now = self.clock.now();
         let shared = Arc::clone(&self.shared);
-        let mut shared = shared.write().expect("live shared state poisoned");
+        let mut shared = write_shared(&shared);
         for event in closed {
             self.sequence_into(&mut shared, event, now);
         }
@@ -302,7 +302,7 @@ impl LiveFleet {
             checkpoints: self.checkpoints,
             drained: self.merge.all_ended(),
         };
-        self.shared.write().expect("live shared state poisoned").status = status;
+        write_shared(&self.shared).status = status;
     }
 
     /// Finish the drained stream: flush remaining closed events, emit
@@ -326,7 +326,7 @@ impl LiveFleet {
         };
         let report = self.pipeline.snapshot();
         {
-            let mut shared = self.shared.write().expect("live shared state poisoned");
+            let mut shared = write_shared(&self.shared);
             for se in emitted {
                 if let Some(end) = se.event.end {
                     self.max_latency_seen = self.max_latency_seen.max(now.since(end));

@@ -6,7 +6,7 @@
 //! without ever touching the inference state itself.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::{AnalyticsReport, SequencedEvent};
@@ -44,6 +44,14 @@ pub(crate) struct SharedState {
     pub(crate) events: BTreeMap<u64, SequencedEvent>,
 }
 
+/// Lock `shared` for writing. Every write replaces a whole field or
+/// moves one ring entry, so the state is valid at every step and a lock
+/// poisoned by a panicking holder is recovered, not propagated: the
+/// query plane keeps answering from the last published state.
+pub(crate) fn write_shared(shared: &RwLock<SharedState>) -> RwLockWriteGuard<'_, SharedState> {
+    shared.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Read-side handle over the daemon's shared state. Cloning is cheap;
 /// all clones observe the same live state.
 #[derive(Debug, Clone)]
@@ -56,8 +64,9 @@ impl QueryRunner {
         QueryRunner { shared }
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, SharedState> {
-        self.shared.read().expect("live shared state poisoned")
+    /// Poison is recovered for the reason [`write_shared`] gives.
+    fn read(&self) -> RwLockReadGuard<'_, SharedState> {
+        self.shared.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The daemon's current liveness counters.

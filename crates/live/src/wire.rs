@@ -111,3 +111,31 @@ pub fn serve_connection<R: BufRead, W: Write>(
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, RwLock};
+
+    use super::*;
+    use crate::query::{write_shared, SharedState};
+
+    #[test]
+    fn a_poisoned_lock_still_answers_status() {
+        let shared = Arc::new(RwLock::new(SharedState::default()));
+        write_shared(&shared).status.elems = 7;
+        let poisoner = Arc::clone(&shared);
+        let died = std::thread::spawn(move || {
+            let _guard = poisoner.write().expect("not yet poisoned");
+            panic!("die holding the write lock");
+        })
+        .join();
+        assert!(died.is_err() && shared.is_poisoned());
+
+        let q = QueryRunner::new(Arc::clone(&shared));
+        let reply = handle_command(&q, "status");
+        assert!(reply.starts_with("ok status elems=7 "), "{reply}");
+        // The write side recovers too: the daemon keeps publishing.
+        write_shared(&shared).status.elems = 8;
+        assert_eq!(q.status().elems, 8);
+    }
+}

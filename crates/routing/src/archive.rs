@@ -208,6 +208,11 @@ impl<M: MessageStream> MrtElemSource<M> {
 
 impl<M: MessageStream> ElemSource for MrtElemSource<M> {
     fn next_elem(&mut self) -> Option<&BgpElem> {
+        self.current = self.next_owned();
+        self.current.as_ref()
+    }
+
+    fn next_owned(&mut self) -> Option<BgpElem> {
         while self.queue.is_empty() {
             if self.error.is_some() {
                 return None;
@@ -223,8 +228,7 @@ impl<M: MessageStream> ElemSource for MrtElemSource<M> {
                 }
             }
         }
-        self.current = self.queue.pop_front();
-        self.current.as_ref()
+        self.queue.pop_front()
     }
 }
 

@@ -123,14 +123,18 @@ impl ChannelSource {
 
 impl ElemSource for ChannelSource {
     fn next_elem(&mut self) -> Option<&BgpElem> {
+        self.current = self.next_owned();
+        self.current.as_ref()
+    }
+
+    fn next_owned(&mut self) -> Option<BgpElem> {
         while self.queue.is_empty() {
             match self.receiver.recv() {
                 Ok(batch) => self.queue.extend(batch),
                 Err(_) => return None, // sender done (or reader stopped)
             }
         }
-        self.current = self.queue.pop_front();
-        self.current.as_ref()
+        self.queue.pop_front()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -31,7 +31,8 @@
 //! production.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use bh_bgp_types::time::{SimDuration, SimTime};
@@ -39,6 +40,7 @@ use bh_mrt::{MessageStream, MrtError, TailingReader};
 
 use crate::archive::elems_of_message;
 use crate::elem::{BgpElem, DataSource};
+use crate::merge::MergeHeap;
 
 /// The daemon's notion of time: virtual in tests, wall in production.
 ///
@@ -67,12 +69,16 @@ impl Clock for WallClock {
     }
 }
 
-/// Snapshot of a [`LiveArchive`] tail: bytes appended past an offset,
-/// plus the archive's current watermark and closed flag.
-struct ArchiveInner {
-    bytes: Vec<u8>,
-    watermark: SimTime,
-    closed: bool,
+/// The state behind a [`LiveArchive`] handle: the bytes under a lock,
+/// and what an idle reader needs to know published beside it.
+struct ArchiveShared {
+    bytes: Mutex<Vec<u8>>,
+    /// `bytes.len()`, stored (Release) before the appending writer
+    /// releases the lock.
+    len: AtomicUsize,
+    /// Unix seconds; only ever raised (`fetch_max`).
+    watermark: AtomicU64,
+    closed: AtomicBool,
 }
 
 /// A shared handle to one collector's *growing* updates archive.
@@ -85,9 +91,23 @@ struct ArchiveInner {
 /// The watermark contract: advancing to `w` promises every record with
 /// `time ≤ w` is already appended, and all future appends are strictly
 /// later than `w`. Watermarks are monotonic (stale advances are ignored).
+///
+/// ## Memory ordering
+///
+/// An idle poll takes no lock: length, watermark and closed flag are
+/// atomics beside the locked bytes. The writer publishes in the order
+/// *append (under the lock) → `len` (Release) → watermark (`fetch_max`,
+/// Release) → closed (Release)*; a reader loads in the opposite order,
+/// *closed → watermark → `len`* (all Acquire), and locks only when
+/// `len` is past its offset. Each Acquire load that observes a value
+/// also observes everything the writer did before storing it, so a
+/// reader that saw watermark `w` then sees a `len` covering every
+/// record with `time ≤ w`, and one that saw `closed` sees the final
+/// `len` — a [`LivePoll::Pending`] bound never runs ahead of the bytes,
+/// and [`LivePoll::End`] is never reported with bytes unread.
 #[derive(Clone)]
 pub struct LiveArchive {
-    inner: Arc<Mutex<ArchiveInner>>,
+    shared: Arc<ArchiveShared>,
 }
 
 impl Default for LiveArchive {
@@ -100,40 +120,44 @@ impl LiveArchive {
     /// An empty, open archive with watermark [`SimTime::ZERO`].
     pub fn new() -> Self {
         LiveArchive {
-            inner: Arc::new(Mutex::new(ArchiveInner {
-                bytes: Vec::new(),
-                watermark: SimTime::ZERO,
-                closed: false,
-            })),
+            shared: Arc::new(ArchiveShared {
+                bytes: Mutex::new(Vec::new()),
+                len: AtomicUsize::new(0),
+                watermark: AtomicU64::new(SimTime::ZERO.unix()),
+                closed: AtomicBool::new(false),
+            }),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ArchiveInner> {
-        self.inner.lock().expect("live archive lock poisoned")
+    /// A writer that panicked mid-append (only the closed-archive
+    /// assertion can, before touching the bytes) leaves the buffer
+    /// valid, so a poisoned lock is recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Vec<u8>> {
+        self.shared.bytes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Append bytes (any fragmentation — record boundaries not required).
     /// Appending after [`close`](Self::close) is a writer bug and panics.
     pub fn append(&self, chunk: &[u8]) {
-        let mut inner = self.lock();
-        assert!(!inner.closed, "append to a closed LiveArchive");
-        inner.bytes.extend_from_slice(chunk);
+        let mut bytes = self.lock();
+        assert!(!self.is_closed(), "append to a closed LiveArchive");
+        bytes.extend_from_slice(chunk);
+        self.shared.len.store(bytes.len(), Ordering::Release);
     }
 
     /// Advance the watermark (monotonic; stale values are ignored).
     pub fn advance_watermark(&self, to: SimTime) {
-        let mut inner = self.lock();
-        inner.watermark = inner.watermark.max(to);
+        self.shared.watermark.fetch_max(to.unix(), Ordering::Release);
     }
 
     /// Declare the archive complete: no further appends will happen.
     pub fn close(&self) {
-        self.lock().closed = true;
+        self.shared.closed.store(true, Ordering::Release);
     }
 
     /// Total bytes appended so far.
     pub fn len(&self) -> usize {
-        self.lock().bytes.len()
+        self.shared.len.load(Ordering::Acquire)
     }
 
     /// Has anything been appended?
@@ -143,28 +167,35 @@ impl LiveArchive {
 
     /// Current watermark.
     pub fn watermark(&self) -> SimTime {
-        self.lock().watermark
+        SimTime::from_unix(self.shared.watermark.load(Ordering::Acquire))
     }
 
     /// Has the writer closed the archive?
     pub fn is_closed(&self) -> bool {
-        self.lock().closed
+        self.shared.closed.load(Ordering::Acquire)
     }
 
-    /// Copy out everything appended at or past `offset`, with the
-    /// watermark and closed flag observed under the same lock.
-    fn read_from(&self, offset: usize) -> (Vec<u8>, SimTime, bool) {
-        let inner = self.lock();
-        let chunk = inner.bytes.get(offset..).unwrap_or_default().to_vec();
-        (chunk, inner.watermark, inner.closed)
+    /// Feed everything appended at or past `offset` straight into
+    /// `reader` (one copy, none when idle). Returns the bytes fed plus
+    /// the watermark and closed flag, loaded *before* the length — see
+    /// the memory-ordering contract on [`LiveArchive`].
+    fn read_into(&self, offset: usize, reader: &mut TailingReader) -> (usize, SimTime, bool) {
+        let closed = self.is_closed();
+        let watermark = self.watermark();
+        if self.len() <= offset {
+            return (0, watermark, closed);
+        }
+        let bytes = self.lock();
+        reader.extend(&bytes[offset..]);
+        (bytes.len() - offset, watermark, closed)
     }
 }
 
 /// One poll of a [`TailingSource`].
 #[derive(Debug)]
-pub enum LivePoll<'a> {
+pub enum LivePoll {
     /// The next element, in archive order.
-    Elem(&'a BgpElem),
+    Elem(BgpElem),
     /// Nothing decodable yet; the archive's watermark at poll time (the
     /// merge's safety bound — nothing earlier can still arrive).
     Pending(SimTime),
@@ -189,7 +220,6 @@ pub struct TailingSource {
     reader: TailingReader,
     offset: usize,
     queue: VecDeque<BgpElem>,
-    current: Option<BgpElem>,
     error: Option<MrtError>,
     done: bool,
     skip: u64,
@@ -213,7 +243,6 @@ impl TailingSource {
             reader: TailingReader::new(),
             offset: 0,
             queue: VecDeque::new(),
-            current: None,
             error: None,
             done: false,
             skip,
@@ -244,7 +273,7 @@ impl TailingSource {
 
     /// Poll for the next element. See [`LivePoll`] for the three
     /// outcomes; `Pending` is retriable, `End` is final.
-    pub fn poll(&mut self) -> LivePoll<'_> {
+    pub fn poll(&mut self) -> LivePoll {
         loop {
             if self.done {
                 return LivePoll::End;
@@ -255,18 +284,17 @@ impl TailingSource {
                     self.skip -= 1;
                     continue;
                 }
-                self.current = Some(elem);
-                return LivePoll::Elem(self.current.as_ref().expect("just set"));
+                return LivePoll::Elem(elem);
             }
             match self.reader.next_message() {
                 Ok(Some((time, msg))) => {
                     elems_of_message(time, &msg, self.dataset, self.collector, &mut self.queue);
                 }
                 Ok(None) => {
-                    let (chunk, watermark, closed) = self.archive.read_from(self.offset);
-                    if !chunk.is_empty() {
-                        self.offset += chunk.len();
-                        self.reader.extend(&chunk);
+                    let (fed, watermark, closed) =
+                        self.archive.read_into(self.offset, &mut self.reader);
+                    if fed > 0 {
+                        self.offset += fed;
                         continue; // re-frame: the partial tail may now complete
                     }
                     if closed {
@@ -292,6 +320,42 @@ impl TailingSource {
     }
 }
 
+/// The tailing sources with their per-source state — the half of
+/// [`LiveMerge`] the core's refill callback borrows. A source is in one
+/// of three states: its head is buffered in the core, it is *pending*
+/// (headless and open), or it has ended.
+struct Lanes {
+    sources: Vec<TailingSource>,
+    /// For a pending source, the watermark its last poll observed.
+    pending: Vec<Option<SimTime>>,
+    /// The safety gate: a lower bound on the minimum watermark over
+    /// pending sources (`None`: none is pending). Lowered when a source
+    /// starts pending, recomputed exactly by every sweep.
+    gate: Option<SimTime>,
+    ended: usize,
+    polls: u64,
+}
+
+impl Lanes {
+    /// Poll source `index` once and record what it said.
+    fn poll(&mut self, index: usize) -> Option<BgpElem> {
+        self.polls += 1;
+        self.pending[index] = None;
+        match self.sources[index].poll() {
+            LivePoll::Elem(elem) => Some(elem),
+            LivePoll::Pending(watermark) => {
+                self.pending[index] = Some(watermark);
+                self.gate = Some(self.gate.map_or(watermark, |g| g.min(watermark)));
+                None
+            }
+            LivePoll::End => {
+                self.ended += 1;
+                None
+            }
+        }
+    }
+}
+
 /// The live k-way merge: yields elements in the batch
 /// `(time, dataset, collector, source index)` order, but only when the
 /// watermarks prove no earlier element can still arrive.
@@ -299,48 +363,50 @@ impl TailingSource {
 /// [`next_ready`](LiveMerge::next_ready) returning `None` means "nothing
 /// *safe* yet", not end of stream — poll again after the feeds make
 /// progress; [`all_ended`](LiveMerge::all_ended) is the end-of-stream
-/// signal. One element per source is buffered as its head, exactly like
-/// [`MergedSource`](crate::merge::MergedSource)(crate::merge::MergedSource).
+/// signal. One element per source is buffered as its head in the same
+/// heap core as [`MergedSource`](crate::merge::MergedSource).
 pub struct LiveMerge {
-    sources: Vec<TailingSource>,
-    heads: Vec<Option<BgpElem>>,
-    ended: Vec<bool>,
-    watermarks: Vec<SimTime>,
-    current: Option<BgpElem>,
+    lanes: Lanes,
+    core: MergeHeap,
+    sweep_due: bool,
 }
 
 impl LiveMerge {
     /// Merge `sources`; index order is the tie-break, so a resumed
     /// daemon must rebuild its sources in the original order.
     pub fn new(sources: Vec<TailingSource>) -> Self {
-        let n = sources.len();
+        let k = sources.len();
         LiveMerge {
-            sources,
-            heads: vec![None; n],
-            ended: vec![false; n],
-            watermarks: vec![SimTime::ZERO; n],
-            current: None,
+            lanes: Lanes {
+                sources,
+                pending: vec![Some(SimTime::ZERO); k],
+                gate: None,
+                ended: 0,
+                polls: 0,
+            },
+            core: MergeHeap::new(k),
+            sweep_due: true,
         }
     }
 
     /// Number of input sources.
     pub fn source_count(&self) -> usize {
-        self.sources.len()
+        self.lanes.sources.len()
     }
 
     /// Number of sources that reached [`LivePoll::End`].
     pub fn sources_ended(&self) -> usize {
-        self.ended.iter().filter(|e| **e).count()
+        self.lanes.ended
     }
 
     /// Have all sources ended? (The merged stream is complete.)
     pub fn all_ended(&self) -> bool {
-        self.ended.iter().all(|e| *e) && self.heads.iter().all(|h| h.is_none())
+        self.lanes.ended == self.lanes.sources.len() && self.core.buffered() == 0
     }
 
     /// The first decode error across sources, if any.
     pub fn first_error(&self) -> Option<&MrtError> {
-        self.sources.iter().find_map(|s| s.error())
+        self.lanes.sources.iter().find_map(|s| s.error())
     }
 
     /// Per-source delivery positions, labelled `(dataset, collector)` —
@@ -349,53 +415,67 @@ impl LiveMerge {
     /// buffered head was consumed from its source but **not** delivered,
     /// so it is not counted: the resume re-reads it.
     pub fn delivered(&self) -> Vec<((DataSource, u16), u64)> {
-        self.sources
+        self.lanes
+            .sources
             .iter()
-            .zip(&self.heads)
-            .map(|(s, head)| {
-                ((s.dataset(), s.collector()), s.consumed() - u64::from(head.is_some()))
+            .enumerate()
+            .map(|(i, s)| {
+                ((s.dataset(), s.collector()), s.consumed() - u64::from(self.core.has_head(i)))
             })
             .collect()
     }
 
+    /// Source polls made so far — the cost the sweep rule bounds.
+    #[doc(hidden)]
+    pub fn polls(&self) -> u64 {
+        self.lanes.polls
+    }
+
+    /// Poll every pending source once, then recompute the gate over the
+    /// ones still pending.
+    fn sweep(&mut self) {
+        for index in 0..self.lanes.sources.len() {
+            if self.lanes.pending[index].is_some() {
+                if let Some(elem) = self.lanes.poll(index) {
+                    self.core.offer(index, elem);
+                }
+            }
+        }
+        self.lanes.gate = self.lanes.pending.iter().flatten().min().copied();
+    }
+
     /// Yield the next element if one is provably safe to emit.
+    ///
+    /// **Sweep rule.** Pending sources are polled only by the first call
+    /// after a `None` (and the first call ever); every later call of the
+    /// same step polls just the source whose head it yields. So one
+    /// step — calling until `None` — costs one O(k) sweep plus O(log k)
+    /// and one poll per yielded element, and `None` means "nothing safe
+    /// *as of the last sweep* — call again". Holding on a stale
+    /// `Pending(w)` is sound because `w` and the absence of bytes were
+    /// observed together ([`LiveArchive`], memory ordering): whatever
+    /// the source appends later is strictly after `w`, so the bound
+    /// never expires — it can only be improved by the next sweep.
     pub fn next_ready(&mut self) -> Option<&BgpElem> {
-        for i in 0..self.sources.len() {
-            if self.heads[i].is_none() && !self.ended[i] {
-                match self.sources[i].poll() {
-                    LivePoll::Elem(e) => {
-                        let e = e.clone();
-                        self.heads[i] = Some(e);
-                    }
-                    LivePoll::Pending(w) => {
-                        self.watermarks[i] = self.watermarks[i].max(w);
-                    }
-                    LivePoll::End => self.ended[i] = true,
-                }
-            }
+        if self.sweep_due {
+            self.sweep_due = false;
+            self.sweep();
         }
-        let mut best: Option<((SimTime, DataSource, u16, usize), usize)> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some(e) = head {
-                let key = (e.time, e.dataset, e.collector, i);
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, i));
-                }
-            }
-        }
-        let (key, index) = best?;
         // Safety gate: a headless, still-open source whose watermark is
         // behind the candidate could yet produce an earlier element
         // (or an equal-time one that ties ahead) — hold until its
         // watermark passes. Watermarks promise future records are
-        // *strictly* later, so `>= key time` suffices even on ties.
-        for i in 0..self.sources.len() {
-            if self.heads[i].is_none() && !self.ended[i] && self.watermarks[i] < key.0 {
-                return None;
-            }
+        // *strictly* later, so `>= candidate time` suffices even on ties.
+        let safe = self
+            .core
+            .peek_time()
+            .is_some_and(|time| self.lanes.gate.is_none_or(|gate| gate >= time));
+        if !safe {
+            self.sweep_due = true;
+            return None;
         }
-        self.current = self.heads[index].take();
-        self.current.as_ref()
+        let lanes = &mut self.lanes;
+        self.core.pop_with(|index| lanes.poll(index))
     }
 }
 
@@ -521,10 +601,9 @@ mod tests {
         a.advance_watermark(SimTime::from_unix(100));
         assert!(merge.next_ready().is_none(), "quiet collector blocks until its watermark");
 
-        // b's watermark reaches 99: still unsafe (b could emit t=100 and
-        // tie-break ahead is impossible — but t<100... no wait, =100 ties
-        // are resolved by dataset; strict-future watermarks make >= the
-        // exact bound, so 99 < 100 still holds the element).
+        // b's watermark reaches 99: b may still append a record at
+        // t=100, and the gate compares times only (it does not reason
+        // about which way a tie would break), so the element stays held.
         b.advance_watermark(SimTime::from_unix(99));
         assert!(merge.next_ready().is_none());
 
@@ -609,6 +688,74 @@ mod tests {
         }
         prefix.extend(rest);
         assert_eq!(prefix, all, "prefix + resumed remainder == uninterrupted drain");
+    }
+
+    #[test]
+    fn concurrent_writer_never_outruns_its_watermark_or_its_close() {
+        // The lock-free poll's contract, against a live writer thread:
+        // the writer appends record t, *then* advances the watermark to
+        // t, and closes last; the reader must never see a watermark
+        // whose records it has not been handed, nor End with bytes
+        // unread. The writer stays at most two records ahead of the
+        // reader, so nearly every poll is an idle (lock-free) one racing
+        // an append.
+        const RECORDS: u64 = 4_000;
+        let records: Vec<Vec<u8>> =
+            (1..=RECORDS).map(|t| archive_of(&[elem(t, DataSource::Ris, 0, 9)])).collect();
+        let archive = LiveArchive::new();
+        let mut src = TailingSource::new(archive.clone(), DataSource::Ris, 0);
+        let start = std::sync::Barrier::new(2);
+        let seen = AtomicU64::new(0);
+        // Set when the reader leaves — also by a failed assertion, so
+        // the writer stops waiting for it and the test fails, not hangs.
+        struct Gone<'a>(&'a AtomicBool);
+        impl Drop for Gone<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let reader_gone = AtomicBool::new(false);
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for (record, t) in records.iter().zip(1u64..) {
+                    while seen.load(Ordering::Acquire) + 2 < t
+                        && !reader_gone.load(Ordering::Acquire)
+                    {
+                        std::thread::yield_now();
+                    }
+                    archive.append(record);
+                    archive.advance_watermark(SimTime::from_unix(t));
+                }
+                archive.close();
+            });
+
+            let _gone = Gone(&reader_gone);
+            start.wait();
+            let mut idle_polls = 0u64;
+            loop {
+                let given = seen.load(Ordering::Relaxed);
+                match src.poll() {
+                    LivePoll::Elem(e) => {
+                        assert_eq!(e.time.unix(), given + 1, "archive order, nothing skipped");
+                        seen.store(given + 1, Ordering::Release);
+                    }
+                    LivePoll::Pending(w) => {
+                        idle_polls += 1;
+                        assert!(
+                            w.unix() <= given,
+                            "watermark {} promised records the reader was not given (at {given})",
+                            w.unix()
+                        );
+                    }
+                    LivePoll::End => break,
+                }
+            }
+            assert_eq!(seen.load(Ordering::Relaxed), RECORDS, "End reported with bytes unread");
+            assert!(idle_polls > 0, "the reader never caught up: the idle path went untested");
+        });
+        assert!(src.error().is_none());
     }
 
     #[test]

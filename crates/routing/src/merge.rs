@@ -4,9 +4,21 @@
 //! The paper's pipeline consumes a time-ordered merge of ~180 RIS and
 //! Route Views collector feeds. [`MergedSource`] reproduces that merge
 //! *without materializing*: it holds exactly one buffered element per
-//! input source (a k-entry binary heap) and yields the globally ordered
-//! stream one element at a time, so merging hundreds of archive streams
-//! costs O(k) memory and O(log k) per element.
+//! input source and yields the globally ordered stream one element at a
+//! time, so merging hundreds of archive streams costs O(k) memory and
+//! O(log k) per element.
+//!
+//! ## One core, two merges
+//!
+//! The crate-private `MergeHeap` is the only heap/refill implementation: a
+//! min-heap of `(time, dataset, collector, source index)` keys over one
+//! owned head per source. Heads are *moved* in
+//! ([`ElemSource::next_owned`]) and moved out again when yielded — never
+//! cloned — and yielding refills **only the source whose head was just
+//! yielded**, replacing the heap's top in place (one sift-down) instead
+//! of a pop plus a push. [`MergedSource`] is that core over sources
+//! that never pend; [`LiveMerge`](crate::live::LiveMerge) is the same
+//! core plus per-source pending/ended state and the watermark gate.
 //!
 //! ## Ordering contract
 //!
@@ -20,6 +32,7 @@
 //! source; release builds trust the input.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use bh_bgp_types::time::SimTime;
@@ -34,6 +47,72 @@ fn key_of(elem: &BgpElem, index: usize) -> MergeKey {
     (elem.time, elem.dataset, elem.collector, index)
 }
 
+/// The shared k-way merge core: one owned head per source under a
+/// min-heap of their [`MergeKey`]s. See the [module docs](self).
+pub(crate) struct MergeHeap {
+    heads: Vec<Option<BgpElem>>,
+    heap: BinaryHeap<Reverse<MergeKey>>,
+    current: Option<BgpElem>,
+}
+
+impl MergeHeap {
+    /// A core over `k` sources, all headless.
+    pub(crate) fn new(k: usize) -> Self {
+        MergeHeap { heads: vec![None; k], heap: BinaryHeap::with_capacity(k), current: None }
+    }
+
+    /// Buffer `elem` as the head of the headless source `index`.
+    pub(crate) fn offer(&mut self, index: usize, elem: BgpElem) {
+        debug_assert!(self.heads[index].is_none(), "source {index} already has a head");
+        self.heap.push(Reverse(key_of(&elem, index)));
+        self.heads[index] = Some(elem);
+    }
+
+    /// Does source `index` have a buffered head?
+    pub(crate) fn has_head(&self, index: usize) -> bool {
+        self.heads[index].is_some()
+    }
+
+    /// Number of buffered heads.
+    pub(crate) fn buffered(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Timestamp of the smallest buffered head.
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(key)| key.0)
+    }
+
+    /// Yield the smallest head. `refill(index)` is asked for the next
+    /// element of the source that owned it — and of no other source; a
+    /// `None` leaves that source headless until the next
+    /// [`offer`](Self::offer).
+    pub(crate) fn pop_with(
+        &mut self,
+        refill: impl FnOnce(usize) -> Option<BgpElem>,
+    ) -> Option<&BgpElem> {
+        let mut top = self.heap.peek_mut()?;
+        let index = top.0 .3;
+        self.current = self.heads[index].take();
+        match refill(index) {
+            Some(elem) => {
+                let key = key_of(&elem, index);
+                debug_assert!(
+                    top.0 <= key,
+                    "source {index} is not (time, dataset, collector)-ordered"
+                );
+                // Replace-top: one sift-down when `top` drops.
+                *top = Reverse(key);
+                self.heads[index] = Some(elem);
+            }
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        self.current.as_ref()
+    }
+}
+
 /// A stable k-way timestamp merge over any set of [`ElemSource`]s.
 ///
 /// Buffers one element per source; see the module docs for the ordering
@@ -41,9 +120,7 @@ fn key_of(elem: &BgpElem, index: usize) -> MergeKey {
 /// `MergedSource<Box<dyn ElemSource>>`.
 pub struct MergedSource<S: ElemSource> {
     sources: Vec<S>,
-    heads: Vec<Option<BgpElem>>,
-    heap: BinaryHeap<Reverse<MergeKey>>,
-    current: Option<BgpElem>,
+    core: MergeHeap,
     primed: bool,
 }
 
@@ -51,8 +128,8 @@ impl<S: ElemSource> MergedSource<S> {
     /// Merge `sources`; index order is the tie-break order, matching the
     /// stream order `merge_streams` would have flattened.
     pub fn new(sources: Vec<S>) -> Self {
-        let heads = sources.iter().map(|_| None).collect();
-        MergedSource { sources, heads, heap: BinaryHeap::new(), current: None, primed: false }
+        let core = MergeHeap::new(sources.len());
+        MergedSource { sources, core, primed: false }
     }
 
     /// Number of input sources.
@@ -66,41 +143,24 @@ impl<S: ElemSource> MergedSource<S> {
     pub fn into_sources(self) -> Vec<S> {
         self.sources
     }
-
-    /// Pull the next element of source `index` into its head slot.
-    fn refill(&mut self, index: usize) {
-        if let Some(elem) = self.sources[index].next_elem() {
-            let key = key_of(elem, index);
-            debug_assert!(
-                self.heads[index].as_ref().is_none_or(|prev| key_of(prev, index) <= key)
-                    && self.current.as_ref().is_none_or(|prev| {
-                        // The popped element bounds every successor.
-                        (prev.time, prev.dataset, prev.collector) <= (key.0, key.1, key.2)
-                    }),
-                "source {index} is not (time, dataset, collector)-ordered"
-            );
-            self.heads[index] = Some(elem.clone());
-            self.heap.push(Reverse(key));
-        }
-    }
 }
 
 impl<S: ElemSource> ElemSource for MergedSource<S> {
     fn next_elem(&mut self) -> Option<&BgpElem> {
         if !self.primed {
             self.primed = true;
-            for index in 0..self.sources.len() {
-                self.refill(index);
+            for (index, source) in self.sources.iter_mut().enumerate() {
+                if let Some(elem) = source.next_owned() {
+                    self.core.offer(index, elem);
+                }
             }
         }
-        let Reverse((_, _, _, index)) = self.heap.pop()?;
-        self.current = self.heads[index].take();
-        self.refill(index);
-        self.current.as_ref()
+        let sources = &mut self.sources;
+        self.core.pop_with(|index| sources[index].next_owned())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let buffered = self.heads.iter().filter(|h| h.is_some()).count();
+        let buffered = self.core.buffered();
         let mut lower = buffered;
         let mut upper = Some(buffered);
         for source in &self.sources {

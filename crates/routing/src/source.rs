@@ -23,6 +23,15 @@ pub trait ElemSource {
     /// consumers process it (or clone it) before advancing.
     fn next_elem(&mut self) -> Option<&BgpElem>;
 
+    /// The next element by value — what a consumer that must *keep* the
+    /// element (the k-way merge buffering one head per source) calls.
+    /// Sources that own their elements override this to move the
+    /// element out; the default clones the borrow, which is all a
+    /// slice-backed source can do.
+    fn next_owned(&mut self) -> Option<BgpElem> {
+        self.next_elem().cloned()
+    }
+
     /// Bounds on the number of elements remaining, `Iterator`-style:
     /// `(lower, upper)` with `None` meaning unbounded/unknown.
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -37,6 +46,10 @@ impl<S: ElemSource + ?Sized> ElemSource for &mut S {
         (**self).next_elem()
     }
 
+    fn next_owned(&mut self) -> Option<BgpElem> {
+        (**self).next_owned()
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
         (**self).size_hint()
     }
@@ -48,6 +61,10 @@ impl<S: ElemSource + ?Sized> ElemSource for &mut S {
 impl<S: ElemSource + ?Sized> ElemSource for Box<S> {
     fn next_elem(&mut self) -> Option<&BgpElem> {
         (**self).next_elem()
+    }
+
+    fn next_owned(&mut self) -> Option<BgpElem> {
+        (**self).next_owned()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -118,6 +135,10 @@ impl<I: Iterator<Item = BgpElem>> ElemSource for IterSource<I> {
     fn next_elem(&mut self) -> Option<&BgpElem> {
         self.current = self.iter.next();
         self.current.as_ref()
+    }
+
+    fn next_owned(&mut self) -> Option<BgpElem> {
+        self.iter.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

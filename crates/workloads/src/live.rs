@@ -101,6 +101,8 @@ struct Lane {
 /// appends are strictly later — and a fully replayed lane is closed.
 pub struct ReplayFeed {
     lanes: Vec<Lane>,
+    /// Lanes not yet closed, so `finished` need not rescan them.
+    open: usize,
 }
 
 impl ReplayFeed {
@@ -121,7 +123,8 @@ impl ReplayFeed {
                 closed: false,
             });
         }
-        (ReplayFeed { lanes }, handles)
+        let open = lanes.len();
+        (ReplayFeed { lanes, open }, handles)
     }
 
     /// Append every record due by `now`, advance open-lane watermarks to
@@ -147,6 +150,7 @@ impl ReplayFeed {
             if lane.next == lane.spans.len() {
                 lane.archive.close();
                 lane.closed = true;
+                self.open -= 1;
             } else {
                 lane.archive.advance_watermark(now);
             }
@@ -156,7 +160,7 @@ impl ReplayFeed {
 
     /// Have all lanes been fully replayed and closed?
     pub fn finished(&self) -> bool {
-        self.lanes.iter().all(|l| l.closed)
+        self.open == 0
     }
 
     /// The earliest timestamp of any not-yet-appended record — what a

@@ -16,7 +16,7 @@ BENCH_JSONL ?= $(CURDIR)/target/criterion-run.jsonl
 BENCH_SUITES = --bench pipeline_throughput --bench fleet_ingest --bench live_latency --bench policy_overhead --bench propagation_massive --bench classifier_mining
 
 .PHONY: check fmt fmt-check build test test-release clippy doc quickstart bench bench-check \
-	bench-json bench-baseline bench-compare benchmark-smoke
+	bench-json bench-baseline bench-compare benchmark-smoke loc
 
 check: fmt-check build test clippy bench-check doc quickstart bench-compare benchmark-smoke
 
@@ -85,3 +85,14 @@ bench-baseline:
 # points; a no-op while fewer than two BENCH_*.json files exist.
 bench-compare:
 	$(CARGO) run --release -p bh-bench --bin bench_compare -- check .
+
+# Non-test lines per crate: every file under crates/*/src counted up to
+# its first `#[cfg(test)]`. The number a consolidation PR quotes before
+# and after ("~35k lines is the budget to shrink"); not a CI gate.
+loc:
+	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
+		FNR == 1 { in_tests = 0; split(FILENAME, path, "/"); crate = path[2] } \
+		/#\[cfg\(test\)\]/ { in_tests = 1 } \
+		!in_tests { lines[crate]++; total++ } \
+		END { for (c in lines) printf "%-10s %6d\n", c, lines[c] | "sort"; \
+		      close("sort"); printf "%-10s %6d\n", "total", total }'

@@ -16,7 +16,6 @@
 //!   how measurement pipelines must treat arbitrary archive data.
 
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -356,21 +355,6 @@ impl AttrCache {
         self.map.insert(raw, attrs.clone());
         Ok(attrs)
     }
-}
-
-/// An [`AttrCache`] shared by several readers — typically one per
-/// collector archive of the same fleet. Collectors overwhelmingly carry
-/// the same attribute blocks (the same paths reach every vantage point),
-/// so a fleet-wide cache decodes each distinct block once and every
-/// reader's elements alias the same Arc-backed values. Readers lock only
-/// for the duration of one block probe; share across threads with care
-/// (parallel decoders serialize on it — per-reader caches are better
-/// there).
-pub type SharedAttrCache = Arc<Mutex<AttrCache>>;
-
-/// A fresh, empty [`SharedAttrCache`].
-pub fn shared_attr_cache() -> SharedAttrCache {
-    Arc::new(Mutex::new(AttrCache::new()))
 }
 
 /// Encode a full BGP UPDATE *message* (header + body) for the IPv4 routes

@@ -18,16 +18,21 @@
 //! [`MrtRecordBody::Unknown`] so tolerant consumers can skip them, matching
 //! how real pipelines must handle archive noise.
 //!
-//! The reader is incremental and framing-safe: records are length-prefixed,
-//! reads never over-consume, and torn/corrupt records produce typed errors
-//! that callers may either propagate or skip ([`ReadMode::Tolerant`]).
+//! Reading is incremental and framing-safe: records are length-prefixed,
+//! torn/corrupt records produce typed errors that callers may either
+//! propagate or skip ([`ReadMode::Tolerant`]), and a reader's first error
+//! ends its stream. One crate-private core frames and decodes; the public
+//! readers only differ in where its bytes come from — [`MrtReader`] (any
+//! [`std::io::Read`]), [`MrtBytesReader`] (an in-memory archive, sliced
+//! without copying) and [`TailingReader`] (an archive still growing).
 
+mod frame;
 pub mod read;
 pub mod record;
 pub mod tail;
 pub mod write;
 
-pub use bh_bgp_types::wire::{shared_attr_cache, AttrCache, SharedAttrCache};
+pub use bh_bgp_types::wire::AttrCache;
 pub use read::{MessageStream, MrtBytesReader, MrtReader, ReadMode};
 pub use record::{
     Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtRecord, MrtRecordBody, PeerEntry,

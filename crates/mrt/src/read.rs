@@ -1,6 +1,14 @@
-//! MRT reader: incremental, framing-safe parsing of archive bytes.
+//! MRT readers over complete archives, and the record payload decoder.
+//!
+//! Framing lives in one place, the crate-private `frame` core; the two
+//! readers here only differ in how they hand it bytes. [`MrtBytesReader`]
+//! gives it the in-memory archive itself, so record bodies and attribute
+//! blocks are refcounted slices; [`MrtReader`] pulls chunks from any
+//! [`Read`] into a growable window and declares it complete at EOF.
+//! (`TailingReader` is the third feeder: the same window, grown by the
+//! caller.)
 
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use bytes::{Buf, Bytes};
@@ -8,8 +16,9 @@ use bytes::{Buf, Bytes};
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::error::CodecError;
 use bh_bgp_types::time::SimTime;
-use bh_bgp_types::wire::{self, AttrCache, SharedAttrCache};
+use bh_bgp_types::wire::{self, AttrCache};
 
+use crate::frame::{Framer, Tail};
 use crate::record::{
     bgp4mp_subtype, mrt_type, td2_subtype, Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError,
     MrtRecord, MrtRecordBody, PeerEntry, PeerIndexTable, RibEntry, RibPeerEntry,
@@ -18,6 +27,9 @@ use crate::record::{
 /// Upper bound on a single MRT record body; anything larger is treated as
 /// corruption rather than allocating unbounded memory (defensive parsing).
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+
+/// Bytes [`MrtReader`] asks its source for per `read` call.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// How the reader reacts to malformed records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,398 +44,178 @@ pub enum ReadMode {
     Tolerant,
 }
 
-/// A source of BGP4MP *messages* — the record type that carries routing
-/// updates — decoded from an MRT archive.
+/// A stream of decoded MRT records — what [`MrtReader`],
+/// [`MrtBytesReader`] and [`TailingReader`](crate::tail::TailingReader)
+/// have in common. Consumers like `bh_routing::MrtElemSource` are generic
+/// over this trait, so the same element stream runs over any of them.
 ///
-/// Implemented by [`MrtReader`] (incremental reads from any [`Read`]
-/// source) and [`MrtBytesReader`] (zero-copy slicing of an in-memory
-/// archive buffer). Consumers like `bh_routing::MrtElemSource` are generic
-/// over this trait, so the same element stream runs over either framing
-/// strategy.
+/// Every implementation ends the stream at its first error: the `Err` is
+/// returned once, and every later call yields `Ok(None)`.
 pub trait MessageStream {
-    /// Next BGP4MP message, or `Ok(None)` at EOF. Non-message records
-    /// (state changes, RIB dumps, unknown types) are skipped without
-    /// buffering.
-    fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError>;
+    /// Decode the next record. `Ok(None)` is end of stream — or, for a
+    /// reader over a still growing archive, "nothing complete yet".
+    fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError>;
 
     /// Records successfully decoded so far.
     fn records_read(&self) -> u64;
 
     /// Records skipped (tolerant mode only).
     fn records_skipped(&self) -> u64;
+
+    /// Decode records until the next BGP4MP *message* — the record type
+    /// that carries routing updates. State changes, RIB records and
+    /// unknown record types are skipped without buffering, so archives of
+    /// any size are read with constant memory.
+    fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
+        while let Some(record) = self.next_record()? {
+            if let MrtRecordBody::Message(msg) = record.body {
+                return Ok(Some((record.timestamp, msg)));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The read-side surface both complete-archive readers share, written
+/// once: counters, mode, cache, the inherent `next_message`, and the
+/// [`MessageStream`] and [`Iterator`] impls over `next_record`.
+macro_rules! complete_archive_reader {
+    ([$($generics:tt)*] $reader:ty) => {
+        impl<$($generics)*> $reader {
+            /// Records successfully decoded so far.
+            pub fn records_read(&self) -> u64 {
+                self.framer.records_read
+            }
+
+            /// Records skipped (tolerant mode only).
+            pub fn records_skipped(&self) -> u64 {
+                self.framer.records_skipped
+            }
+
+            /// The reader's error-handling mode.
+            pub fn mode(&self) -> ReadMode {
+                self.framer.mode
+            }
+
+            /// The attribute-block memo table (hit/miss counters for
+            /// diagnostics).
+            pub fn attr_cache(&self) -> &AttrCache {
+                &self.framer.cache
+            }
+
+            /// Decode records until the next BGP4MP *message*, or
+            /// `Ok(None)` at EOF. See [`MessageStream::next_message`].
+            pub fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
+                MessageStream::next_message(self)
+            }
+        }
+
+        impl<$($generics)*> MessageStream for $reader {
+            fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+                <$reader>::next_record(self)
+            }
+
+            fn records_read(&self) -> u64 {
+                self.framer.records_read
+            }
+
+            fn records_skipped(&self) -> u64 {
+                self.framer.records_skipped
+            }
+        }
+
+        impl<$($generics)*> Iterator for $reader {
+            type Item = Result<MrtRecord, MrtError>;
+
+            fn next(&mut self) -> Option<Self::Item> {
+                self.next_record().transpose()
+            }
+        }
+    };
 }
 
 /// Streaming MRT reader over any [`Read`] source; iterates
 /// [`MrtRecord`]s.
+///
+/// Reads the source in chunks into a window that holds at most one
+/// partial record plus one chunk, so archives of any size (a file, a
+/// socket, a decompressor) are read with constant memory.
 pub struct MrtReader<R: Read> {
     source: R,
-    mode: ReadMode,
-    records_read: u64,
-    records_skipped: u64,
-    finished: bool,
-    cache: AttrCache,
+    chunk: Box<[u8]>,
+    framer: Framer<Tail>,
 }
 
 impl<R: Read> MrtReader<R> {
     /// Strict reader.
     pub fn new(source: R) -> Self {
-        MrtReader {
-            source,
-            mode: ReadMode::Strict,
-            records_read: 0,
-            records_skipped: 0,
-            finished: false,
-            cache: AttrCache::new(),
-        }
+        Self::with_mode(source, ReadMode::Strict)
     }
 
     /// Tolerant reader (skips undecodable payloads).
     pub fn tolerant(source: R) -> Self {
-        MrtReader { mode: ReadMode::Tolerant, ..Self::new(source) }
+        Self::with_mode(source, ReadMode::Tolerant)
     }
 
-    /// Records successfully decoded so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_read
-    }
-
-    /// Records skipped (tolerant mode only).
-    pub fn records_skipped(&self) -> u64 {
-        self.records_skipped
-    }
-
-    /// The reader's error-handling mode.
-    pub fn mode(&self) -> ReadMode {
-        self.mode
-    }
-
-    /// The attribute-block memo table (hit/miss counters for diagnostics).
-    pub fn attr_cache(&self) -> &AttrCache {
-        &self.cache
-    }
-
-    /// Read the 12-byte common header; `Ok(None)` at clean EOF.
-    fn read_header(&mut self) -> Result<Option<(SimTime, u16, u16, u32)>, MrtError> {
-        let mut header = [0u8; 12];
-        let mut filled = 0;
-        while filled < header.len() {
-            let n = self.source.read(&mut header[filled..])?;
-            if n == 0 {
-                if filled == 0 {
-                    return Ok(None); // clean EOF between records
-                }
-                return Err(CodecError::Truncated {
-                    what: "mrt header",
-                    needed: header.len(),
-                    available: filled,
-                }
-                .into());
-            }
-            filled += n;
-        }
-        let ts = u32::from_be_bytes(header[0..4].try_into().unwrap());
-        let ty = u16::from_be_bytes(header[4..6].try_into().unwrap());
-        let subtype = u16::from_be_bytes(header[6..8].try_into().unwrap());
-        let len = u32::from_be_bytes(header[8..12].try_into().unwrap());
-        Ok(Some((SimTime::from_unix(ts as u64), ty, subtype, len)))
-    }
-
-    fn read_body(&mut self, len: u32) -> Result<Bytes, MrtError> {
-        if len > MAX_RECORD_LEN {
-            return Err(MrtError::OversizedRecord(len));
-        }
-        let mut body = vec![0u8; len as usize];
-        let mut filled = 0;
-        while filled < body.len() {
-            let n = self.source.read(&mut body[filled..])?;
-            if n == 0 {
-                return Err(CodecError::Truncated {
-                    what: "mrt body",
-                    needed: body.len(),
-                    available: filled,
-                }
-                .into());
-            }
-            filled += n;
-        }
-        Ok(Bytes::from(body))
-    }
-
-    /// Decode records until the next BGP4MP *message* (the record type
-    /// that carries routing updates), or `Ok(None)` at EOF.
-    ///
-    /// This is the streaming entry point for updates-file consumers:
-    /// state changes, RIB records, and unknown record types are skipped
-    /// without buffering, so archives of any size are read with constant
-    /// memory.
-    pub fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
-        while let Some(record) = self.next_record()? {
-            if let MrtRecordBody::Message(msg) = record.body {
-                return Ok(Some((record.timestamp, msg)));
-            }
-        }
-        Ok(None)
+    fn with_mode(source: R, mode: ReadMode) -> Self {
+        let chunk = vec![0; READ_CHUNK].into_boxed_slice();
+        MrtReader { source, chunk, framer: Framer::new(Tail::default(), mode, false) }
     }
 
     /// Decode the next record, or `Ok(None)` at EOF.
     pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
         loop {
-            if self.finished {
+            if let Some(record) = self.framer.next_record()? {
+                return Ok(Some(record));
+            }
+            if !self.framer.wants_input() {
                 return Ok(None);
             }
-            let Some((timestamp, ty, subtype, len)) = self.read_header()? else {
-                self.finished = true;
-                return Ok(None);
-            };
-            let body = self.read_body(len)?;
-            match decode_body(ty, subtype, body, Some(&mut self.cache)) {
-                Ok(body) => {
-                    self.records_read += 1;
-                    return Ok(Some(MrtRecord { timestamp, body }));
-                }
-                Err(e) => match self.mode {
-                    ReadMode::Strict => return Err(e),
-                    ReadMode::Tolerant => {
-                        self.records_skipped += 1;
-                        continue;
-                    }
-                },
+            match self.source.read(&mut self.chunk) {
+                Ok(0) => self.framer.closed = true,
+                Ok(n) => self.framer.window.extend(&self.chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return self.framer.fail(e.into()),
             }
         }
     }
 }
 
-impl<R: Read> Iterator for MrtReader<R> {
-    type Item = Result<MrtRecord, MrtError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.next_record() {
-            Ok(Some(rec)) => Some(Ok(rec)),
-            Ok(None) => None,
-            Err(e) => {
-                // After a framing error the stream offset is unreliable;
-                // stop rather than emit garbage.
-                self.finished = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-impl<R: Read> MessageStream for MrtReader<R> {
-    fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
-        MrtReader::next_message(self)
-    }
-
-    fn records_read(&self) -> u64 {
-        MrtReader::records_read(self)
-    }
-
-    fn records_skipped(&self) -> u64 {
-        MrtReader::records_skipped(self)
-    }
-}
+complete_archive_reader!([R: Read] MrtReader<R>);
 
 /// Zero-copy MRT reader over an in-memory archive buffer.
 ///
-/// Where [`MrtReader`] copies every record body out of its [`Read`] source
-/// into a fresh allocation, this reader holds the whole archive as one
-/// [`Bytes`] and frames records by *slicing*: each body is an O(1)
-/// refcounted view of the archive buffer, and the attribute blocks handed
-/// to the wire decoder (and memoized in the [`AttrCache`]) alias the same
-/// allocation. The only per-record copies left are the decoded structured
-/// values themselves.
+/// Where [`MrtReader`] copies every record body out of its window, this
+/// reader holds the whole archive as one [`Bytes`] and frames records by
+/// *slicing*: each body is an O(1) refcounted view of the archive buffer,
+/// and the attribute blocks handed to the wire decoder (and memoized in
+/// the [`AttrCache`]) alias the same allocation. The only per-record
+/// copies left are the decoded structured values themselves.
 ///
 /// Reads the same format, honors the same [`ReadMode`] semantics, and
 /// yields bit-identical records to `MrtReader` over the same bytes.
 pub struct MrtBytesReader {
-    buf: Bytes,
-    mode: ReadMode,
-    records_read: u64,
-    records_skipped: u64,
-    finished: bool,
-    cache: CacheSlot,
-}
-
-/// The reader's attribute-block memo: its own table, or a handle shared
-/// with sibling readers (one fleet-wide decode per distinct block).
-enum CacheSlot {
-    Owned(AttrCache),
-    Shared(SharedAttrCache),
+    framer: Framer<Bytes>,
 }
 
 impl MrtBytesReader {
     /// Strict reader over `archive`.
     pub fn new(archive: impl Into<Bytes>) -> Self {
-        MrtBytesReader {
-            buf: archive.into(),
-            mode: ReadMode::Strict,
-            records_read: 0,
-            records_skipped: 0,
-            finished: false,
-            cache: CacheSlot::Owned(AttrCache::new()),
-        }
+        MrtBytesReader { framer: Framer::new(archive.into(), ReadMode::Strict, true) }
     }
 
     /// Tolerant reader (skips undecodable payloads).
     pub fn tolerant(archive: impl Into<Bytes>) -> Self {
-        MrtBytesReader { mode: ReadMode::Tolerant, ..Self::new(archive) }
-    }
-
-    /// Strict reader whose attribute-block memo is `cache`, shared with
-    /// other readers of the same fleet: a block already decoded by any
-    /// sibling is served from the shared table, so every collector's
-    /// copy of the same path aliases one allocation.
-    pub fn with_shared_cache(archive: impl Into<Bytes>, cache: SharedAttrCache) -> Self {
-        MrtBytesReader { cache: CacheSlot::Shared(cache), ..Self::new(archive) }
-    }
-
-    /// Records successfully decoded so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_read
-    }
-
-    /// Records skipped (tolerant mode only).
-    pub fn records_skipped(&self) -> u64 {
-        self.records_skipped
-    }
-
-    /// The reader's error-handling mode.
-    pub fn mode(&self) -> ReadMode {
-        self.mode
-    }
-
-    /// The attribute-block memo table (hit/miss counters for diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`MrtBytesReader::with_shared_cache`] reader — inspect
-    /// the shared handle itself instead.
-    pub fn attr_cache(&self) -> &AttrCache {
-        match &self.cache {
-            CacheSlot::Owned(cache) => cache,
-            CacheSlot::Shared(_) => {
-                panic!("attr_cache(): reader uses a shared cache; inspect the shared handle")
-            }
-        }
-    }
-
-    /// Slice the 12-byte common header off the buffer; `Ok(None)` at clean
-    /// EOF.
-    fn read_header(&mut self) -> Result<Option<(SimTime, u16, u16, u32)>, MrtError> {
-        if self.buf.is_empty() {
-            return Ok(None);
-        }
-        if self.buf.remaining() < 12 {
-            return Err(CodecError::Truncated {
-                what: "mrt header",
-                needed: 12,
-                available: self.buf.remaining(),
-            }
-            .into());
-        }
-        let ts = self.buf.get_u32();
-        let ty = self.buf.get_u16();
-        let subtype = self.buf.get_u16();
-        let len = self.buf.get_u32();
-        Ok(Some((SimTime::from_unix(ts as u64), ty, subtype, len)))
-    }
-
-    fn read_body(&mut self, len: u32) -> Result<Bytes, MrtError> {
-        if len > MAX_RECORD_LEN {
-            return Err(MrtError::OversizedRecord(len));
-        }
-        let len = len as usize;
-        if self.buf.remaining() < len {
-            return Err(CodecError::Truncated {
-                what: "mrt body",
-                needed: len,
-                available: self.buf.remaining(),
-            }
-            .into());
-        }
-        Ok(self.buf.split_to(len))
-    }
-
-    /// Decode records until the next BGP4MP *message*, or `Ok(None)` at
-    /// EOF. See [`MrtReader::next_message`].
-    pub fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
-        while let Some(record) = self.next_record()? {
-            if let MrtRecordBody::Message(msg) = record.body {
-                return Ok(Some((record.timestamp, msg)));
-            }
-        }
-        Ok(None)
+        MrtBytesReader { framer: Framer::new(archive.into(), ReadMode::Tolerant, true) }
     }
 
     /// Decode the next record, or `Ok(None)` at EOF.
     pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        loop {
-            if self.finished {
-                return Ok(None);
-            }
-            let Some((timestamp, ty, subtype, len)) = self.read_header()? else {
-                self.finished = true;
-                return Ok(None);
-            };
-            let body = self.read_body(len)?;
-            let decoded = match &mut self.cache {
-                CacheSlot::Owned(cache) => decode_body(ty, subtype, body, Some(cache)),
-                CacheSlot::Shared(cache) => {
-                    // A poisoned lock only means a sibling reader panicked
-                    // mid-probe; the memo table itself stays coherent
-                    // (probes are read-or-insert, never partial writes).
-                    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-                    decode_body(ty, subtype, body, Some(&mut guard))
-                }
-            };
-            match decoded {
-                Ok(body) => {
-                    self.records_read += 1;
-                    return Ok(Some(MrtRecord { timestamp, body }));
-                }
-                Err(e) => match self.mode {
-                    ReadMode::Strict => return Err(e),
-                    ReadMode::Tolerant => {
-                        self.records_skipped += 1;
-                        continue;
-                    }
-                },
-            }
-        }
+        self.framer.next_record()
     }
 }
 
-impl Iterator for MrtBytesReader {
-    type Item = Result<MrtRecord, MrtError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.next_record() {
-            Ok(Some(rec)) => Some(Ok(rec)),
-            Ok(None) => None,
-            Err(e) => {
-                // After a framing error the stream offset is unreliable;
-                // stop rather than emit garbage.
-                self.finished = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-impl MessageStream for MrtBytesReader {
-    fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
-        MrtBytesReader::next_message(self)
-    }
-
-    fn records_read(&self) -> u64 {
-        MrtBytesReader::records_read(self)
-    }
-
-    fn records_skipped(&self) -> u64 {
-        MrtBytesReader::records_skipped(self)
-    }
-}
+complete_archive_reader!([] MrtBytesReader);
 
 fn get_addr(buf: &mut Bytes, afi: u16) -> Result<IpAddr, MrtError> {
     match afi {
@@ -620,6 +412,58 @@ mod tests {
         buf.extend_from_slice(&(MAX_RECORD_LEN + 1).to_be_bytes());
         let mut r = MrtReader::new(&buf[..]);
         assert!(matches!(r.next_record(), Err(MrtError::OversizedRecord(_))));
+    }
+
+    #[test]
+    fn every_feeder_ends_the_stream_at_its_first_error() {
+        // After an error the stream offset is unreliable (the header is
+        // consumed, the body is not): a second call must not frame the
+        // leftover body bytes as a header. One rule, in the core, so all
+        // three feeders are driven through `next_record` directly.
+        let record = one_update_archive();
+        let header = |ty: u16, len: u32| {
+            let mut h = 9u32.to_be_bytes().to_vec();
+            h.extend_from_slice(&ty.to_be_bytes());
+            h.extend_from_slice(&bgp4mp_subtype::MESSAGE_AS4.to_be_bytes());
+            h.extend_from_slice(&len.to_be_bytes());
+            h
+        };
+        let after_one_record = |tail: &[u8]| [&record[..], tail].concat();
+        let corrupt_payload =
+            [&header(mrt_type::BGP4MP, 4)[..], &[0xde, 0xad, 0xbe, 0xef]].concat();
+        let cases = [
+            ("torn header", after_one_record(&record[..6])),
+            ("torn body", after_one_record(&record[..record.len() - 3])),
+            (
+                "oversized",
+                after_one_record(&[header(99, MAX_RECORD_LEN + 1), record.clone()].concat()),
+            ),
+            (
+                "corrupt payload, strict",
+                after_one_record(&[corrupt_payload, record.clone()].concat()),
+            ),
+        ];
+        for (case, bytes) in &cases {
+            let mut tailing = crate::tail::TailingReader::new();
+            tailing.extend(bytes);
+            tailing.close();
+            let feeders: [(&str, Box<dyn MessageStream + '_>); 3] = [
+                ("MrtReader", Box::new(MrtReader::new(&bytes[..]))),
+                ("MrtBytesReader", Box::new(MrtBytesReader::new(bytes.clone()))),
+                ("TailingReader", Box::new(tailing)),
+            ];
+            for (feeder, mut reader) in feeders {
+                assert!(reader.next_record().unwrap().is_some(), "{feeder}, {case}: intact record");
+                assert!(reader.next_record().is_err(), "{feeder}, {case}: the error surfaces once");
+                for _ in 0..3 {
+                    assert!(
+                        matches!(reader.next_record(), Ok(None)),
+                        "{feeder}, {case}: the stream stays ended"
+                    );
+                }
+                assert_eq!((reader.records_read(), reader.records_skipped()), (1, 0));
+            }
+        }
     }
 
     #[test]

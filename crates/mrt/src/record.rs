@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::io;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::IpAddr;
 
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::attrs::PathAttributes;
@@ -265,12 +265,6 @@ pub struct MrtRecord {
     pub timestamp: SimTime,
     /// Decoded body.
     pub body: MrtRecordBody,
-}
-
-/// Default IPv4 address used for collector-side fields when callers don't
-/// care (documentation range).
-pub fn default_local_ip() -> IpAddr {
-    IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1))
 }
 
 #[cfg(test)]

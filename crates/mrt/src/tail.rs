@@ -15,18 +15,13 @@
 //! finished archive.
 //!
 //! The reader implements [`MessageStream`], so
-//! `bh_routing::MrtElemSource` drives it like any other framing
-//! strategy; consumers distinguish "pending" from "end of stream" by
-//! whether the reader [`is_closed`](TailingReader::is_closed).
+//! `bh_routing::MrtElemSource` drives it like any other reader;
+//! consumers distinguish "pending" from "end of stream" by whether the
+//! reader [`is_closed`](TailingReader::is_closed).
 
-use bytes::Bytes;
-
-use bh_bgp_types::error::CodecError;
-use bh_bgp_types::time::SimTime;
-use bh_bgp_types::wire::AttrCache;
-
-use crate::read::{decode_body, MessageStream, ReadMode, MAX_RECORD_LEN};
-use crate::record::{Bgp4mpMessage, MrtError, MrtRecord, MrtRecordBody};
+use crate::frame::{Framer, Tail, Window};
+use crate::read::{MessageStream, ReadMode};
+use crate::record::{MrtError, MrtRecord};
 
 /// An incremental MRT reader over an archive that is still growing.
 ///
@@ -35,15 +30,7 @@ use crate::record::{Bgp4mpMessage, MrtError, MrtRecord, MrtRecordBody};
 /// records are compacted away), so tailing an unbounded feed costs
 /// memory proportional to one partial record plus one append chunk.
 pub struct TailingReader {
-    buf: Vec<u8>,
-    pos: usize,
-    mode: ReadMode,
-    closed: bool,
-    failed: bool,
-    records_read: u64,
-    records_skipped: u64,
-    bytes_consumed: u64,
-    cache: AttrCache,
+    framer: Framer<Tail>,
 }
 
 impl Default for TailingReader {
@@ -55,59 +42,43 @@ impl Default for TailingReader {
 impl TailingReader {
     /// Strict tailing reader (the first malformed *payload* is an error).
     pub fn new() -> Self {
-        TailingReader {
-            buf: Vec::new(),
-            pos: 0,
-            mode: ReadMode::Strict,
-            closed: false,
-            failed: false,
-            records_read: 0,
-            records_skipped: 0,
-            bytes_consumed: 0,
-            cache: AttrCache::new(),
-        }
+        TailingReader { framer: Framer::new(Tail::default(), ReadMode::Strict, false) }
     }
 
     /// Tolerant tailing reader (skips undecodable payloads; framing
     /// stays strict, and a partial tail is still "pending", not a skip).
     pub fn tolerant() -> Self {
-        TailingReader { mode: ReadMode::Tolerant, ..Self::new() }
+        TailingReader { framer: Framer::new(Tail::default(), ReadMode::Tolerant, false) }
     }
 
     /// Append newly observed archive bytes. Appending after
     /// [`TailingReader::close`] is a caller bug and panics.
     pub fn extend(&mut self, chunk: &[u8]) {
-        assert!(!self.closed, "extend() after close(): the archive was declared complete");
-        // Compact the consumed prefix before growing, so the buffer
-        // holds only the pending tail plus the new chunk.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(chunk);
+        assert!(!self.is_closed(), "extend() after close(): the archive was declared complete");
+        self.framer.window.extend(chunk);
     }
 
     /// Declare the archive complete: no more bytes will arrive. After
     /// this, a leftover partial record is reported as the truncation
     /// error a finished archive would produce.
     pub fn close(&mut self) {
-        self.closed = true;
+        self.framer.closed = true;
     }
 
     /// Has [`TailingReader::close`] been called?
     pub fn is_closed(&self) -> bool {
-        self.closed
+        self.framer.closed
     }
 
     /// Bytes framed into records so far (complete records only — a
     /// pending partial tail is not consumed).
     pub fn bytes_consumed(&self) -> u64 {
-        self.bytes_consumed
+        self.framer.bytes_consumed
     }
 
     /// Bytes buffered but not yet framed (the partial tail, if any).
     pub fn bytes_pending(&self) -> usize {
-        self.buf.len() - self.pos
+        self.framer.window.pending().len()
     }
 
     /// Decode the next complete record. `Ok(None)` means "no complete
@@ -115,91 +86,21 @@ impl TailingReader {
     /// called and everything framed cleanly, otherwise "pending — call
     /// again after [`extend`](Self::extend)".
     pub fn try_next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        loop {
-            if self.failed {
-                return Ok(None);
-            }
-            let avail = self.buf.len() - self.pos;
-            if avail == 0 {
-                return Ok(None); // fully framed: clean EOF or pending
-            }
-            if avail < 12 {
-                if self.closed {
-                    self.failed = true;
-                    return Err(CodecError::Truncated {
-                        what: "mrt header",
-                        needed: 12,
-                        available: avail,
-                    }
-                    .into());
-                }
-                return Ok(None); // partial header: retry after growth
-            }
-            let header = &self.buf[self.pos..self.pos + 12];
-            let ts = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes"));
-            let ty = u16::from_be_bytes(header[4..6].try_into().expect("2 bytes"));
-            let subtype = u16::from_be_bytes(header[6..8].try_into().expect("2 bytes"));
-            let len = u32::from_be_bytes(header[8..12].try_into().expect("4 bytes"));
-            if len > MAX_RECORD_LEN {
-                self.failed = true;
-                return Err(MrtError::OversizedRecord(len));
-            }
-            let need = 12 + len as usize;
-            if avail < need {
-                if self.closed {
-                    self.failed = true;
-                    return Err(CodecError::Truncated {
-                        what: "mrt body",
-                        needed: len as usize,
-                        available: avail - 12,
-                    }
-                    .into());
-                }
-                // The partial trailing record stays buffered; the next
-                // poll after the archive grew re-frames it from the
-                // same offset instead of skipping it as corrupt.
-                return Ok(None);
-            }
-            let timestamp = SimTime::from_unix(ts as u64);
-            let body = Bytes::from(&self.buf[self.pos + 12..self.pos + need]);
-            self.pos += need;
-            self.bytes_consumed += need as u64;
-            match decode_body(ty, subtype, body, Some(&mut self.cache)) {
-                Ok(body) => {
-                    self.records_read += 1;
-                    return Ok(Some(MrtRecord { timestamp, body }));
-                }
-                Err(e) => match self.mode {
-                    ReadMode::Strict => {
-                        self.failed = true;
-                        return Err(e);
-                    }
-                    ReadMode::Tolerant => {
-                        self.records_skipped += 1;
-                        continue;
-                    }
-                },
-            }
-        }
+        self.framer.next_record()
     }
 }
 
 impl MessageStream for TailingReader {
-    fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
-        while let Some(record) = self.try_next_record()? {
-            if let MrtRecordBody::Message(msg) = record.body {
-                return Ok(Some((record.timestamp, msg)));
-            }
-        }
-        Ok(None)
+    fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+        self.try_next_record()
     }
 
     fn records_read(&self) -> u64 {
-        self.records_read
+        self.framer.records_read
     }
 
     fn records_skipped(&self) -> u64 {
-        self.records_skipped
+        self.framer.records_skipped
     }
 }
 
@@ -207,9 +108,11 @@ impl MessageStream for TailingReader {
 mod tests {
     use bh_bgp_types::asn::Asn;
     use bh_bgp_types::attrs::PathAttributes;
+    use bh_bgp_types::time::SimTime;
     use bh_bgp_types::update::BgpUpdate;
 
     use super::*;
+    use crate::read::MAX_RECORD_LEN;
     use crate::write::MrtWriter;
 
     fn update_record(t: u64) -> Vec<u8> {

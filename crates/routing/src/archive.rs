@@ -7,25 +7,30 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
+use bh_bgp_types::asn::Asn;
 use bh_bgp_types::attrs::PathAttributes;
+use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_mrt::{
-    Bgp4mpMessage, MessageStream, MrtBytesReader, MrtError, MrtReader, MrtWriter, SharedAttrCache,
-};
+use bh_mrt::{Bgp4mpMessage, MessageStream, MrtBytesReader, MrtError, MrtReader, MrtWriter};
 use bytes::Bytes;
 
 use crate::elem::{BgpElem, DataSource, ElemType};
-use crate::source::ElemSource;
+use crate::source::{collect_source, ElemSource};
+
+/// Local side of every written session: a synthetic collector address
+/// (documentation range) and a private-use ASN.
+const COLLECTOR_IP: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 254));
+const COLLECTOR_ASN: Asn = Asn::new(64_512);
 
 /// Write a stream of elems as `BGP4MP/MESSAGE_AS4` records, one archive
 /// per call (callers typically split by platform).
 pub fn write_updates<W: Write>(sink: W, elems: &[BgpElem]) -> Result<u64, MrtError> {
     let mut writer = MrtWriter::new(sink);
     for elem in elems {
-        let mut update = match elem.elem_type {
+        let update = match elem.elem_type {
             ElemType::Announce => {
                 let attrs = PathAttributes {
                     as_path: elem.as_path.clone(),
@@ -39,16 +44,13 @@ pub fn write_updates<W: Write>(sink: W, elems: &[BgpElem]) -> Result<u64, MrtErr
             }
             ElemType::Withdraw => BgpUpdate::withdraw(elem.prefix.into()),
         };
-        // Local side of the session: a synthetic collector address.
-        let local_ip: IpAddr = "192.0.2.254".parse().expect("static address");
-        let update_taken = std::mem::replace(&mut update, BgpUpdate::withdraw(elem.prefix.into()));
         writer.write_update(
             elem.time,
             elem.peer_asn,
             elem.peer_ip,
-            bh_bgp_types::asn::Asn::new(64_512),
-            local_ip,
-            &update_taken,
+            COLLECTOR_ASN,
+            COLLECTOR_IP,
+            &update,
         )?;
     }
     Ok(writer.records_written())
@@ -64,70 +66,53 @@ pub(crate) fn elems_of_message(
     out: &mut VecDeque<BgpElem>,
 ) {
     let Some(update) = &msg.update else { return };
-    for prefix in update.announced_v4() {
-        out.push_back(BgpElem {
-            time,
-            dataset,
-            collector,
-            peer_asn: msg.peer_asn,
-            peer_ip: msg.peer_ip,
-            elem_type: ElemType::Announce,
-            prefix: *prefix,
-            as_path: update.attrs.as_path.clone(),
-            communities: update.attrs.communities.clone(),
-            next_hop: update.attrs.next_hop,
-        });
-    }
-    for prefix in update.withdrawn_v4() {
-        out.push_back(BgpElem {
-            time,
-            dataset,
-            collector,
-            peer_asn: msg.peer_asn,
-            peer_ip: msg.peer_ip,
-            elem_type: ElemType::Withdraw,
-            prefix: *prefix,
-            as_path: Default::default(),
-            communities: Default::default(),
-            next_hop: None,
-        });
-    }
+    // A withdrawal carries no attributes: empty path, no communities.
+    let elem = |elem_type, prefix: &Ipv4Prefix, attrs: Option<&PathAttributes>| BgpElem {
+        time,
+        dataset,
+        collector,
+        peer_asn: msg.peer_asn,
+        peer_ip: msg.peer_ip,
+        elem_type,
+        prefix: *prefix,
+        as_path: attrs.map(|a| a.as_path.clone()).unwrap_or_default(),
+        communities: attrs.map(|a| a.communities.clone()).unwrap_or_default(),
+        next_hop: attrs.and_then(|a| a.next_hop),
+    };
+    out.extend(update.announced_v4().map(|p| elem(ElemType::Announce, p, Some(&update.attrs))));
+    out.extend(update.withdrawn_v4().map(|p| elem(ElemType::Withdraw, p, None)));
 }
 
 /// A streaming [`ElemSource`] over an MRT updates archive: records are
 /// decoded one at a time from any [`MessageStream`] — an [`MrtReader`]
-/// over any [`Read`] (a file, a socket, a decompressor), so archives of
-/// any size are consumed with constant memory, or an [`MrtBytesReader`]
-/// slicing an in-memory archive buffer with zero per-record copies — the
-/// historical-path equivalent of a live BGPStream feed.
+/// over any [`Read`] (a file, a socket, a decompressor), an
+/// [`MrtBytesReader`] slicing an in-memory archive with zero per-record
+/// copies, or a [`bh_mrt::TailingReader`] over an archive still being
+/// written — the historical-path equivalent of a live BGPStream feed.
 ///
 /// The MRT wire format does not carry the platform/collector labels, so
 /// the caller supplies them (matching how real pipelines know which
-/// archive belongs to which collector).
+/// archive belongs to which collector). Strict or tolerant decoding is
+/// the reader's property: build the reader in the mode wanted and wrap
+/// it with [`MrtElemSource::from_reader`].
 ///
 /// Decode errors end the stream; inspect [`MrtElemSource::error`] (or
 /// recover it with [`MrtElemSource::take_error`]) after exhaustion to
 /// distinguish clean EOF from a torn archive.
 pub struct MrtElemSource<M> {
     reader: M,
-    dataset: DataSource,
-    collector: u16,
+    pub(crate) dataset: DataSource,
+    pub(crate) collector: u16,
     queue: VecDeque<BgpElem>,
     current: Option<BgpElem>,
     error: Option<MrtError>,
 }
 
 impl<R: Read> MrtElemSource<MrtReader<R>> {
-    /// Strict streaming reader (the first malformed record ends the
-    /// stream with an error).
+    /// Strict streaming source over any [`Read`] (the first malformed
+    /// record ends the stream with an error).
     pub fn new(source: R, dataset: DataSource, collector: u16) -> Self {
         Self::from_reader(MrtReader::new(source), dataset, collector)
-    }
-
-    /// Tolerant streaming reader (skips undecodable payloads, like
-    /// production pipelines surviving archive noise).
-    pub fn tolerant(source: R, dataset: DataSource, collector: u16) -> Self {
-        Self::from_reader(MrtReader::tolerant(source), dataset, collector)
     }
 }
 
@@ -137,28 +122,6 @@ impl MrtElemSource<MrtBytesReader> {
     /// copies (`Bytes::from(Vec<u8>)` is itself zero-copy).
     pub fn from_bytes(archive: impl Into<Bytes>, dataset: DataSource, collector: u16) -> Self {
         Self::from_reader(MrtBytesReader::new(archive), dataset, collector)
-    }
-
-    /// Strict zero-copy source whose attribute-block memo is shared with
-    /// sibling sources (see [`MrtBytesReader::with_shared_cache`]): a
-    /// fleet of collector archives decodes each distinct block once, and
-    /// every collector's copy aliases the same Arc-backed attributes.
-    pub fn from_bytes_shared(
-        archive: impl Into<Bytes>,
-        dataset: DataSource,
-        collector: u16,
-        cache: SharedAttrCache,
-    ) -> Self {
-        Self::from_reader(MrtBytesReader::with_shared_cache(archive, cache), dataset, collector)
-    }
-
-    /// Tolerant zero-copy source (skips undecodable payloads).
-    pub fn from_bytes_tolerant(
-        archive: impl Into<Bytes>,
-        dataset: DataSource,
-        collector: u16,
-    ) -> Self {
-        Self::from_reader(MrtBytesReader::tolerant(archive), dataset, collector)
     }
 }
 
@@ -214,9 +177,6 @@ impl<M: MessageStream> ElemSource for MrtElemSource<M> {
 
     fn next_owned(&mut self) -> Option<BgpElem> {
         while self.queue.is_empty() {
-            if self.error.is_some() {
-                return None;
-            }
             match self.reader.next_message() {
                 Ok(Some((time, msg))) => {
                     elems_of_message(time, &msg, self.dataset, self.collector, &mut self.queue);
@@ -245,16 +205,10 @@ pub fn read_updates<R: Read>(
     collector: u16,
 ) -> Result<Vec<BgpElem>, MrtError> {
     let mut archive = Vec::new();
-    source.read_to_end(&mut archive).map_err(bh_mrt::MrtError::from)?;
+    source.read_to_end(&mut archive)?;
     let mut src = MrtElemSource::from_bytes(archive, dataset, collector);
-    let mut out = Vec::new();
-    while let Some(elem) = src.next_elem() {
-        out.push(elem.clone());
-    }
-    match src.take_error() {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
+    let out = collect_source(&mut src);
+    src.take_error().map_or(Ok(out), Err)
 }
 
 /// Split elems by platform — the coarse shape real archives come in.
@@ -301,8 +255,8 @@ pub fn merge_streams(mut streams: Vec<Vec<BgpElem>>) -> Vec<BgpElem> {
 pub fn mrt_round_trip(elems: &[BgpElem]) -> Result<Vec<BgpElem>, MrtError> {
     let mut buf = Vec::new();
     write_updates(&mut buf, elems)?;
-    let dataset = elems.first().map(|e| e.dataset).unwrap_or(DataSource::Ris);
-    let collector = elems.first().map(|e| e.collector).unwrap_or(0);
+    let (dataset, collector) =
+        elems.first().map_or((DataSource::Ris, 0), |e| (e.dataset, e.collector));
     read_updates(&buf[..], dataset, collector)
 }
 
@@ -327,7 +281,7 @@ mod tests {
             time: SimTime::from_unix(t),
             dataset: DataSource::Ris,
             collector: 3,
-            peer_asn: bh_bgp_types::asn::Asn::new(6939),
+            peer_asn: Asn::new(6939),
             peer_ip: "80.81.192.1".parse().unwrap(),
             elem_type: ty,
             prefix: "130.149.1.1/32".parse().unwrap(),
@@ -398,7 +352,8 @@ mod tests {
 
         // Torn archives surface the same way through both paths.
         buf.truncate(buf.len() - 4);
-        let mut torn = MrtElemSource::from_bytes_tolerant(buf, DataSource::Ris, 3);
+        let mut torn =
+            MrtElemSource::from_reader(MrtBytesReader::tolerant(buf), DataSource::Ris, 3);
         let mut n = 0;
         while torn.next_elem().is_some() {
             n += 1;
@@ -450,7 +405,7 @@ mod tests {
             let mut e = sample_elems()[0].clone();
             e.time = SimTime::from_unix(t);
             e.collector = collector;
-            e.peer_asn = bh_bgp_types::asn::Asn::new(peer);
+            e.peer_asn = Asn::new(peer);
             elems.push(e);
         }
         let streams = vec![elems[..2].to_vec(), elems[2..].to_vec()];

@@ -14,12 +14,13 @@
 //! exists.
 //!
 //! ```no_run
-//! use bh_routing::{CollectorFleet, DataSource, ElemSource};
+//! use bh_routing::{CollectorFleet, DataSource, ElemSource, MrtElemSource};
 //! # fn archive_bytes() -> Vec<u8> { Vec::new() }
+//! # fn archive_file() -> std::io::Cursor<Vec<u8>> { Default::default() }
 //!
 //! let mut fleet = CollectorFleet::new();
-//! fleet.add_archive(std::io::Cursor::new(archive_bytes()), DataSource::Ris, 0);
-//! fleet.add_archive(std::io::Cursor::new(archive_bytes()), DataSource::RouteViews, 1);
+//! fleet.add_archive_bytes(archive_bytes(), DataSource::Ris, 0);
+//! fleet.add(MrtElemSource::new(archive_file(), DataSource::RouteViews, 1));
 //! let mut stream = fleet.start();
 //! while let Some(elem) = stream.next_elem() {
 //!     /* feed an InferenceSession / ShardedSession */
@@ -28,9 +29,7 @@
 //! assert!(report.is_clean());
 //! ```
 
-use std::collections::VecDeque;
-use std::io::Read;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::Receiver;
 use std::thread::JoinHandle;
 use std::{sync::mpsc, thread};
 
@@ -110,14 +109,14 @@ impl FleetReport {
 /// half of one fleet reader, usable standalone for any producer thread.
 pub struct ChannelSource {
     receiver: Receiver<Vec<BgpElem>>,
-    queue: VecDeque<BgpElem>,
+    batch: std::vec::IntoIter<BgpElem>,
     current: Option<BgpElem>,
 }
 
 impl ChannelSource {
     /// Wrap the receiving end of a batch channel.
     pub fn new(receiver: Receiver<Vec<BgpElem>>) -> Self {
-        ChannelSource { receiver, queue: VecDeque::new(), current: None }
+        ChannelSource { receiver, batch: Vec::new().into_iter(), current: None }
     }
 }
 
@@ -128,40 +127,48 @@ impl ElemSource for ChannelSource {
     }
 
     fn next_owned(&mut self) -> Option<BgpElem> {
-        while self.queue.is_empty() {
-            match self.receiver.recv() {
-                Ok(batch) => self.queue.extend(batch),
-                Err(_) => return None, // sender done (or reader stopped)
+        loop {
+            if let Some(elem) = self.batch.next() {
+                return Some(elem);
             }
+            // `Err`: the sender is done (or the reader stopped).
+            self.batch = self.receiver.recv().ok()?.into_iter();
         }
-        self.queue.pop_front()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.queue.len(), None)
+        (self.batch.len(), None)
     }
 }
 
 /// A fleet of MRT archive readers, one thread per archive.
 ///
-/// Add archives with [`CollectorFleet::add_archive`] (strict decoding)
-/// or [`CollectorFleet::add_archive_tolerant`] (production-style noise
-/// survival); each call spawns its reader immediately, so decoding
-/// overlaps with fleet assembly. [`CollectorFleet::start`] hands back
-/// the merged stream.
+/// Add archives with [`CollectorFleet::add`] (any [`MrtElemSource`]:
+/// the reader it wraps decides `Read` vs in-memory and strict vs
+/// tolerant) or the [`CollectorFleet::add_archive_bytes`] shorthand;
+/// each call spawns its reader immediately, so decoding overlaps with
+/// fleet assembly. [`CollectorFleet::start`] hands back the merged
+/// stream.
 pub struct CollectorFleet {
     config: FleetConfig,
-    labels: Vec<(DataSource, u16)>,
-    readers: Vec<JoinHandle<ReaderTail>>,
     receivers: Vec<ChannelSource>,
+    readers: Readers,
 }
 
-/// What a reader thread returns to be joined into an [`ArchiveReport`].
-struct ReaderTail {
-    elems: u64,
-    records_read: u64,
-    records_skipped: u64,
-    error: Option<MrtError>,
+/// The reader threads of a fleet; dropping joins them, so neither an
+/// abandoned fleet nor an abandoned stream leaks threads. Every owner
+/// declares its receiving channel ends in a field *before* this one:
+/// fields drop in declaration order, and with the receivers gone first a
+/// reader blocked on a bounded send fails fast instead of deadlocking
+/// the join.
+struct Readers(Vec<JoinHandle<ArchiveReport>>);
+
+impl Drop for Readers {
+    fn drop(&mut self) {
+        for handle in self.0.drain(..) {
+            let _ = handle.join();
+        }
+    }
 }
 
 impl Default for CollectorFleet {
@@ -183,37 +190,14 @@ impl CollectorFleet {
                 batch_elems: config.batch_elems.max(1),
                 channel_batches: config.channel_batches.max(1),
             },
-            labels: Vec::new(),
-            readers: Vec::new(),
             receivers: Vec::new(),
+            readers: Readers(Vec::new()),
         }
     }
 
     /// Archives added so far.
     pub fn archive_count(&self) -> usize {
-        self.readers.len()
-    }
-
-    /// Add one strict-decoded archive labelled `(dataset, collector)`
-    /// and spawn its reader thread.
-    pub fn add_archive<R: Read + Send + 'static>(
-        &mut self,
-        source: R,
-        dataset: DataSource,
-        collector: u16,
-    ) {
-        self.spawn(MrtElemSource::new(source, dataset, collector), dataset, collector);
-    }
-
-    /// Add one tolerant-decoded archive (undecodable payloads are
-    /// skipped and counted, mirroring [`bh_mrt::MrtReader::tolerant`]).
-    pub fn add_archive_tolerant<R: Read + Send + 'static>(
-        &mut self,
-        source: R,
-        dataset: DataSource,
-        collector: u16,
-    ) {
-        self.spawn(MrtElemSource::tolerant(source, dataset, collector), dataset, collector);
+        self.readers.0.len()
     }
 
     /// Add one strict-decoded *in-memory* archive; the reader thread
@@ -226,98 +210,44 @@ impl CollectorFleet {
         dataset: DataSource,
         collector: u16,
     ) {
-        self.spawn(MrtElemSource::from_bytes(archive, dataset, collector), dataset, collector);
+        self.add(MrtElemSource::from_bytes(archive, dataset, collector));
     }
 
-    /// Tolerant variant of [`CollectorFleet::add_archive_bytes`].
-    pub fn add_archive_bytes_tolerant(
-        &mut self,
-        archive: impl Into<Bytes>,
-        dataset: DataSource,
-        collector: u16,
-    ) {
-        self.spawn(
-            MrtElemSource::from_bytes_tolerant(archive, dataset, collector),
-            dataset,
-            collector,
-        );
-    }
-
-    /// Close all receive channels, then join every reader. With the
-    /// receivers gone first, a reader blocked on a bounded send fails
-    /// fast instead of deadlocking the join.
-    fn shut_down(receivers: &mut Vec<ChannelSource>, readers: &mut Vec<JoinHandle<ReaderTail>>) {
-        receivers.clear();
-        for handle in readers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    fn spawn<M: MessageStream + Send + 'static>(
-        &mut self,
-        mut source: MrtElemSource<M>,
-        dataset: DataSource,
-        collector: u16,
-    ) {
-        let (sender, receiver): (SyncSender<Vec<BgpElem>>, _) =
-            mpsc::sync_channel(self.config.channel_batches);
+    /// Add one archive — whatever reader `source` wraps, under the
+    /// labels it carries — and spawn its reader thread.
+    pub fn add<M: MessageStream + Send + 'static>(&mut self, mut source: MrtElemSource<M>) {
+        let (sender, receiver) = mpsc::sync_channel(self.config.channel_batches);
         let batch_elems = self.config.batch_elems;
         let handle = thread::spawn(move || {
-            let mut batch: Vec<BgpElem> = Vec::with_capacity(batch_elems);
             let mut elems = 0u64;
-            let mut consumer_alive = true;
-            while let Some(elem) = source.next_elem() {
-                batch.push(elem.clone());
-                if batch.len() >= batch_elems {
-                    // Bounded send: blocks when the window is full — the
-                    // backpressure that keeps a fast reader from racing
-                    // ahead of the merge. Only shipped batches count.
-                    let shipped = batch.len() as u64;
-                    if sender
-                        .send(std::mem::replace(&mut batch, Vec::with_capacity(batch_elems)))
-                        .is_err()
-                    {
-                        consumer_alive = false;
-                        break; // consumer hung up: stop decoding
-                    }
-                    elems += shipped;
-                }
-            }
-            if consumer_alive && !batch.is_empty() {
+            loop {
+                let mut batch = Vec::with_capacity(batch_elems);
+                batch.extend(std::iter::from_fn(|| source.next_owned()).take(batch_elems));
                 let shipped = batch.len() as u64;
-                if sender.send(batch).is_ok() {
-                    elems += shipped;
+                // Bounded send: blocks when the window is full — the
+                // backpressure that keeps a fast reader from racing
+                // ahead of the merge. Only shipped batches count.
+                if batch.is_empty() || sender.send(batch).is_err() {
+                    break; // archive drained, or the consumer hung up
                 }
+                elems += shipped;
             }
-            ReaderTail {
+            ArchiveReport {
+                dataset: source.dataset,
+                collector: source.collector,
                 elems,
                 records_read: source.records_read(),
                 records_skipped: source.records_skipped(),
                 error: source.take_error(),
             }
         });
-        self.labels.push((dataset, collector));
-        self.readers.push(handle);
+        self.readers.0.push(handle);
         self.receivers.push(ChannelSource::new(receiver));
     }
 
     /// Merge the readers into one time-ordered [`FleetSource`].
-    pub fn start(mut self) -> FleetSource {
-        FleetSource {
-            merged: Some(MergedSource::new(std::mem::take(&mut self.receivers))),
-            labels: std::mem::take(&mut self.labels),
-            readers: std::mem::take(&mut self.readers),
-        }
-    }
-}
-
-impl Drop for CollectorFleet {
-    /// A fleet abandoned before [`CollectorFleet::start`] still owns its
-    /// reader threads: close the channels and join them so a dropped
-    /// fleet never leaks blocked readers. ([`CollectorFleet::start`]
-    /// empties both vectors first, so this is a no-op afterwards.)
-    fn drop(&mut self) {
-        Self::shut_down(&mut self.receivers, &mut self.readers);
+    pub fn start(self) -> FleetSource {
+        FleetSource { merged: MergedSource::new(self.receivers), readers: self.readers }
     }
 }
 
@@ -331,63 +261,37 @@ impl Drop for CollectorFleet {
 /// the readers down (the channels close, then every reader is joined),
 /// but discards the reports.
 pub struct FleetSource {
-    merged: Option<MergedSource<ChannelSource>>,
-    labels: Vec<(DataSource, u16)>,
-    readers: Vec<JoinHandle<ReaderTail>>,
+    merged: MergedSource<ChannelSource>,
+    readers: Readers,
 }
 
 impl FleetSource {
     /// Number of archives feeding the merge.
     pub fn archive_count(&self) -> usize {
-        self.labels.len()
+        self.readers.0.len()
     }
 
     /// Join every reader and report per-archive accounting. Safe to call
     /// mid-stream: the channels close first, so blocked readers unblock
     /// and wind down.
-    pub fn finish(mut self) -> FleetReport {
-        drop(self.merged.take()); // close the receivers: blocked senders fail fast
-        let labels = std::mem::take(&mut self.labels);
-        let readers = std::mem::take(&mut self.readers);
-        let archives = labels
+    pub fn finish(self) -> FleetReport {
+        let FleetSource { merged, mut readers } = self;
+        drop(merged); // close the receivers: blocked senders fail fast
+        let archives = std::mem::take(&mut readers.0)
             .into_iter()
-            .zip(readers)
-            .map(|((dataset, collector), handle)| {
-                let tail = handle.join().expect("fleet reader panicked");
-                ArchiveReport {
-                    dataset,
-                    collector,
-                    elems: tail.elems,
-                    records_read: tail.records_read,
-                    records_skipped: tail.records_skipped,
-                    error: tail.error,
-                }
-            })
+            .map(|handle| handle.join().expect("fleet reader panicked"))
             .collect();
         FleetReport { archives }
     }
 }
 
-impl Drop for FleetSource {
-    /// Abandoning the stream mid-flight (without [`FleetSource::finish`])
-    /// must not leak reader threads blocked on a full channel: close the
-    /// receivers, then join every reader. `finish` empties `readers`
-    /// first, so this is a no-op afterwards.
-    fn drop(&mut self) {
-        drop(self.merged.take());
-        for handle in self.readers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 impl ElemSource for FleetSource {
     fn next_elem(&mut self) -> Option<&BgpElem> {
-        self.merged.as_mut()?.next_elem()
+        self.merged.next_elem()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.merged.as_ref().map_or((0, Some(0)), |m| m.size_hint())
+        self.merged.size_hint()
     }
 }
 
@@ -397,6 +301,8 @@ mod tests {
 
     use bh_bgp_types::community::{Community, CommunitySet};
     use bh_bgp_types::time::SimTime;
+
+    use bh_mrt::{MrtBytesReader, MrtReader};
 
     use super::*;
     use crate::archive::{merge_streams, write_updates};
@@ -435,9 +341,9 @@ mod tests {
             batch_elems: 7, // force multiple batches per archive
             channel_batches: 2,
         });
-        fleet.add_archive(Cursor::new(archive_of(&a)), DataSource::Ris, 0);
-        fleet.add_archive(Cursor::new(archive_of(&b)), DataSource::RouteViews, 1);
-        fleet.add_archive(Cursor::new(archive_of(&c)), DataSource::Pch, 2);
+        fleet.add(MrtElemSource::new(Cursor::new(archive_of(&a)), DataSource::Ris, 0));
+        fleet.add(MrtElemSource::new(Cursor::new(archive_of(&b)), DataSource::RouteViews, 1));
+        fleet.add(MrtElemSource::new(Cursor::new(archive_of(&c)), DataSource::Pch, 2));
         assert_eq!(fleet.archive_count(), 3);
 
         let mut stream = fleet.start();
@@ -463,7 +369,11 @@ mod tests {
         let mut fleet =
             CollectorFleet::with_config(FleetConfig { batch_elems: 7, channel_batches: 2 });
         fleet.add_archive_bytes(archive_of(&a), DataSource::Ris, 0);
-        fleet.add_archive_bytes_tolerant(archive_of(&b), DataSource::RouteViews, 1);
+        fleet.add(MrtElemSource::from_reader(
+            MrtBytesReader::tolerant(archive_of(&b)),
+            DataSource::RouteViews,
+            1,
+        ));
         let mut stream = fleet.start();
         let streamed = collect_source(&mut stream);
         let report = stream.finish();
@@ -475,7 +385,7 @@ mod tests {
     #[test]
     fn empty_archives_stream_nothing_but_report() {
         let mut fleet = CollectorFleet::new();
-        fleet.add_archive(Cursor::new(Vec::new()), DataSource::Cdn, 7);
+        fleet.add(MrtElemSource::new(Cursor::new(Vec::new()), DataSource::Cdn, 7));
         let mut stream = fleet.start();
         assert!(stream.next_elem().is_none());
         let report = stream.finish();
@@ -491,7 +401,7 @@ mod tests {
         torn.truncate(torn.len() - 4);
 
         let mut fleet = CollectorFleet::new();
-        fleet.add_archive(Cursor::new(torn), DataSource::Ris, 0);
+        fleet.add(MrtElemSource::new(Cursor::new(torn), DataSource::Ris, 0));
         let mut stream = fleet.start();
         let streamed = collect_source(&mut stream);
         assert_eq!(streamed.len(), 4, "intact records still stream");
@@ -507,7 +417,7 @@ mod tests {
         let elems: Vec<BgpElem> = (0..2_000).map(|k| elem(k, DataSource::Ris, 0, 9)).collect();
         let mut fleet =
             CollectorFleet::with_config(FleetConfig { batch_elems: 16, channel_batches: 1 });
-        fleet.add_archive(Cursor::new(archive_of(&elems)), DataSource::Ris, 0);
+        fleet.add(MrtElemSource::new(Cursor::new(archive_of(&elems)), DataSource::Ris, 0));
         let mut stream = fleet.start();
         for _ in 0..10 {
             assert!(stream.next_elem().is_some());
@@ -528,7 +438,7 @@ mod tests {
         let mut fleet =
             CollectorFleet::with_config(FleetConfig { batch_elems: 16, channel_batches: 1 });
         for collector in 0..4u16 {
-            fleet.add_archive(Cursor::new(archive.clone()), DataSource::Ris, collector);
+            fleet.add(MrtElemSource::new(Cursor::new(archive.clone()), DataSource::Ris, collector));
         }
         let stream = fleet.start();
         drop(stream); // never called next_elem(): all readers are mid-send
@@ -536,12 +446,12 @@ mod tests {
 
     #[test]
     fn dropping_unstarted_fleet_joins_readers() {
-        // Readers spawn at add_archive time, so a fleet abandoned before
+        // Readers spawn at add() time, so a fleet abandoned before
         // start() already owns blocked threads.
         let elems: Vec<BgpElem> = (0..2_000).map(|k| elem(k, DataSource::Ris, 0, 9)).collect();
         let mut fleet =
             CollectorFleet::with_config(FleetConfig { batch_elems: 16, channel_batches: 1 });
-        fleet.add_archive(Cursor::new(archive_of(&elems)), DataSource::Ris, 0);
+        fleet.add(MrtElemSource::new(Cursor::new(archive_of(&elems)), DataSource::Ris, 0));
         drop(fleet);
     }
 
@@ -559,7 +469,11 @@ mod tests {
         noisy.extend_from_slice(&archive_of(&elems));
 
         let mut fleet = CollectorFleet::new();
-        fleet.add_archive_tolerant(Cursor::new(noisy.clone()), DataSource::Ris, 0);
+        fleet.add(MrtElemSource::from_reader(
+            MrtReader::tolerant(Cursor::new(noisy.clone())),
+            DataSource::Ris,
+            0,
+        ));
         let mut stream = fleet.start();
         assert_eq!(collect_source(&mut stream).len(), 3);
         let report = stream.finish();
@@ -567,7 +481,7 @@ mod tests {
         assert_eq!(report.records_skipped(), 1);
 
         let mut strict = CollectorFleet::new();
-        strict.add_archive(Cursor::new(noisy), DataSource::Ris, 0);
+        strict.add(MrtElemSource::new(Cursor::new(noisy), DataSource::Ris, 0));
         let mut stream = strict.start();
         assert!(collect_source(&mut stream).is_empty());
         assert!(!stream.finish().is_clean());

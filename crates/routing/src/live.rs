@@ -1,7 +1,7 @@
 //! Live ingestion substrate: tailing *growing* archives with bounded
 //! merge latency.
 //!
-//! The batch pipeline ([`MrtElemSource`](crate::archive::MrtElemSource) → [`MergedSource`](crate::merge::MergedSource)) assumes
+//! The batch pipeline ([`MrtElemSource`] → [`MergedSource`](crate::merge::MergedSource)) assumes
 //! complete archives: a source that returns `None` is finished forever.
 //! A near-real-time service instead tails archives that collectors are
 //! still writing, so this module provides the three live primitives the
@@ -30,17 +30,17 @@
 //! virtual clock in tests (`bh-workloads`) and [`WallClock`] in
 //! production.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_mrt::{MessageStream, MrtError, TailingReader};
+use bh_mrt::{MrtError, TailingReader};
 
-use crate::archive::elems_of_message;
+use crate::archive::MrtElemSource;
 use crate::elem::{BgpElem, DataSource};
 use crate::merge::MergeHeap;
+use crate::source::ElemSource;
 
 /// The daemon's notion of time: virtual in tests, wall in production.
 ///
@@ -204,9 +204,10 @@ pub enum LivePoll {
     End,
 }
 
-/// Tails one [`LiveArchive`], decoding appended records incrementally.
+/// Tails one [`LiveArchive`]: an [`MrtElemSource`] over a
+/// [`TailingReader`], fed the archive's growth between polls.
 ///
-/// Unlike [`MrtElemSource`](crate::archive::MrtElemSource) over a complete archive, exhaustion is not
+/// Unlike a source over a complete archive, exhaustion is not
 /// final: a poll that finds no new complete record reports
 /// [`LivePoll::Pending`] and the next poll re-frames from the same
 /// offset — including a *partial trailing record*, which stays buffered
@@ -215,13 +216,7 @@ pub enum LivePoll {
 /// does a leftover partial record become a decode error.
 pub struct TailingSource {
     archive: LiveArchive,
-    dataset: DataSource,
-    collector: u16,
-    reader: TailingReader,
-    offset: usize,
-    queue: VecDeque<BgpElem>,
-    error: Option<MrtError>,
-    done: bool,
+    source: MrtElemSource<TailingReader>,
     skip: u64,
     consumed: u64,
 }
@@ -238,13 +233,7 @@ impl TailingSource {
     pub fn with_skip(archive: LiveArchive, dataset: DataSource, collector: u16, skip: u64) -> Self {
         TailingSource {
             archive,
-            dataset,
-            collector,
-            reader: TailingReader::new(),
-            offset: 0,
-            queue: VecDeque::new(),
-            error: None,
-            done: false,
+            source: MrtElemSource::from_reader(TailingReader::new(), dataset, collector),
             skip,
             consumed: 0,
         }
@@ -252,12 +241,12 @@ impl TailingSource {
 
     /// Platform label.
     pub fn dataset(&self) -> DataSource {
-        self.dataset
+        self.source.dataset
     }
 
     /// Collector label.
     pub fn collector(&self) -> u16 {
-        self.collector
+        self.source.collector
     }
 
     /// Elements dequeued so far (including skipped ones), i.e. the
@@ -268,54 +257,38 @@ impl TailingSource {
 
     /// The decode error that ended the stream, if any.
     pub fn error(&self) -> Option<&MrtError> {
-        self.error.as_ref()
+        self.source.error()
     }
 
     /// Poll for the next element. See [`LivePoll`] for the three
     /// outcomes; `Pending` is retriable, `End` is final.
     pub fn poll(&mut self) -> LivePoll {
         loop {
-            if self.done {
+            while let Some(elem) = self.source.next_owned() {
+                self.consumed += 1;
+                if self.consumed > self.skip {
+                    return LivePoll::Elem(elem);
+                }
+            }
+            if self.source.error().is_some() {
                 return LivePoll::End;
             }
-            if let Some(elem) = self.queue.pop_front() {
-                self.consumed += 1;
-                if self.skip > 0 {
-                    self.skip -= 1;
-                    continue;
-                }
-                return LivePoll::Elem(elem);
+            let reader = self.source.reader_mut();
+            // Everything fed so far is either framed or still pending.
+            let offset = reader.bytes_consumed() as usize + reader.bytes_pending();
+            let (fed, watermark, closed) = self.archive.read_into(offset, reader);
+            if fed > 0 {
+                continue; // re-frame: the partial tail may now complete
             }
-            match self.reader.next_message() {
-                Ok(Some((time, msg))) => {
-                    elems_of_message(time, &msg, self.dataset, self.collector, &mut self.queue);
-                }
-                Ok(None) => {
-                    let (fed, watermark, closed) =
-                        self.archive.read_into(self.offset, &mut self.reader);
-                    if fed > 0 {
-                        self.offset += fed;
-                        continue; // re-frame: the partial tail may now complete
-                    }
-                    if closed {
-                        if !self.reader.is_closed() {
-                            // Declare EOF to the framer so a leftover
-                            // partial record surfaces as the truncation
-                            // error it now is.
-                            self.reader.close();
-                            continue;
-                        }
-                        self.done = true;
-                        return LivePoll::End;
-                    }
-                    return LivePoll::Pending(watermark);
-                }
-                Err(e) => {
-                    self.error = Some(e);
-                    self.done = true;
-                    return LivePoll::End;
-                }
+            if !closed {
+                return LivePoll::Pending(watermark);
             }
+            if reader.is_closed() {
+                return LivePoll::End;
+            }
+            // Declare EOF to the framer so a leftover partial record
+            // surfaces as the truncation error it now is.
+            reader.close();
         }
     }
 }

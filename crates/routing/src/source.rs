@@ -150,8 +150,8 @@ impl<I: Iterator<Item = BgpElem>> ElemSource for IterSource<I> {
 /// constant-memory point for large ones).
 pub fn collect_source(mut source: impl ElemSource) -> Vec<BgpElem> {
     let mut out = Vec::with_capacity(source.size_hint().0);
-    while let Some(elem) = source.next_elem() {
-        out.push(elem.clone());
+    while let Some(elem) = source.next_owned() {
+        out.push(elem);
     }
     out
 }

@@ -10,8 +10,6 @@
 //! RIS + RV + PCH + CDN fleet can be written out and re-ingested end to
 //! end through a [`CollectorFleet`].
 
-use std::io::Cursor;
-
 use bh_mrt::MrtError;
 use bh_routing::archive::{archive_stamp, split_by_collector, write_updates};
 use bh_routing::{BgpElem, CollectorDeployment, CollectorFleet, DataSource, FleetConfig};
@@ -34,16 +32,6 @@ pub struct CollectorArchive {
     pub bytes: Bytes,
     /// Elements serialized into the archive.
     pub elems: u64,
-}
-
-impl CollectorArchive {
-    /// A fresh reader over the archive bytes, suitable for
-    /// [`CollectorFleet::add_archive`]. The clone is a refcount bump,
-    /// not a copy; prefer [`CollectorFleet::add_archive_bytes`] with
-    /// `bytes.clone()` directly for the zero-copy slicing path.
-    pub fn reader(&self) -> Cursor<Bytes> {
-        Cursor::new(self.bytes.clone())
-    }
 }
 
 fn archive_of(

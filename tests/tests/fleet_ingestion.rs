@@ -17,7 +17,7 @@ use bh_core::EventAccumulator;
 use bh_routing::archive::write_updates;
 use bh_routing::{
     collect_source, merge_streams, split_by_collector, BgpElem, CollectorFleet, DataSource,
-    ElemSource, ElemType, FleetConfig, MergedSource, SliceSource,
+    ElemSource, ElemType, FleetConfig, MergedSource, MrtElemSource, SliceSource,
 };
 use bh_workloads::{fleet_archives_for, fleet_of};
 
@@ -126,7 +126,7 @@ proptest! {
             let mut bytes = Vec::new();
             write_updates(&mut bytes, stream).expect("archive serializes");
             let (dataset, collector) = LABELS[index];
-            fleet.add_archive(Cursor::new(bytes), dataset, collector);
+            fleet.add(MrtElemSource::new(Cursor::new(bytes), dataset, collector));
         }
         let mut merged_stream = fleet.start();
         let streamed = collect_source(&mut merged_stream);

@@ -1,10 +1,16 @@
 //! MRT codec round-trip properties: arbitrary update, withdrawal, and
-//! state-change records must survive `MrtWriter` → `MrtReader`
+//! state-change records must survive `MrtWriter` → reader
 //! **byte-exactly** (decode to equal values, and re-encode to the exact
 //! same archive bytes), and tolerant-mode readers must account for
-//! every skipped record without misaligning the stream.
+//! every skipped record without misaligning the stream. *The reader* is
+//! an input: every property holds for whichever of the three feeders
+//! ([`common::Feeder`]) the case draws, under whatever chunking.
+
+mod common;
 
 use proptest::prelude::*;
+
+use common::{arb_feeder, Feeder, Transport};
 
 use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
@@ -13,7 +19,7 @@ use bh_bgp_types::community::{Community, CommunitySet, LargeCommunity};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_mrt::{BgpState, MrtError, MrtReader, MrtRecordBody, MrtWriter};
+use bh_mrt::{BgpState, MrtError, MrtRecordBody, MrtWriter, ReadMode};
 
 /// One archive record in writable form.
 #[derive(Debug, Clone)]
@@ -175,6 +181,27 @@ fn rewrite(records: &[(SimTime, MrtRecordBody)]) -> Vec<u8> {
     buf
 }
 
+/// An independent walk of the length fields: how many complete records
+/// a reader can frame out of `bytes` before the end, a tear, or an
+/// oversized length.
+fn framed_records(bytes: &[u8]) -> u64 {
+    let (mut offset, mut framed) = (0usize, 0u64);
+    while bytes.len() - offset >= 12 {
+        let len = u32::from_be_bytes(bytes[offset + 8..offset + 12].try_into().unwrap());
+        if len > bh_mrt::read::MAX_RECORD_LEN || bytes.len() - offset - 12 < len as usize {
+            break;
+        }
+        offset += 12 + len as usize;
+        framed += 1;
+    }
+    framed
+}
+
+/// The whole-archive reader: what every other feeder must agree with.
+fn reference() -> Feeder {
+    Feeder { transport: Transport::Bytes, chunks: vec![1] }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48 })]
 
@@ -182,12 +209,13 @@ proptest! {
     /// round trip, and re-encoding the decoded records reproduces the
     /// original archive bytes exactly.
     #[test]
-    fn records_round_trip_byte_exactly(records in arb_records()) {
+    fn records_round_trip_byte_exactly(records in arb_records(), feeder in arb_feeder()) {
         let bytes = write_all(&records);
-        let decoded: Vec<(SimTime, MrtRecordBody)> = MrtReader::new(&bytes[..])
-            .map(|r| r.map(|rec| (rec.timestamp, rec.body)))
-            .collect::<Result<_, _>>()
-            .expect("own archives decode cleanly");
+        let outcome = feeder.decode(ReadMode::Strict, &bytes);
+        prop_assert!(outcome.error.is_none(), "own archives decode cleanly: {:?}", outcome.error);
+        prop_assert_eq!(outcome.records_read, records.len() as u64);
+        let decoded: Vec<(SimTime, MrtRecordBody)> =
+            outcome.records.into_iter().map(|rec| (rec.timestamp, rec.body)).collect();
         prop_assert_eq!(decoded.len(), records.len());
 
         // Field-level equality against the inputs.
@@ -229,6 +257,7 @@ proptest! {
     fn truncated_tail_loses_records_or_errors_in_both_modes(
         records in arb_records(),
         cut in 1usize..40,
+        feeder in arb_feeder(),
     ) {
         let bytes = write_all(&records);
         if bytes.is_empty() {
@@ -249,26 +278,22 @@ proptest! {
         let intact = boundaries.iter().filter(|b| **b + 12 <= torn.len()).count();
         let clean_cut = boundaries.binary_search(&torn.len()).is_ok();
 
-        for mut reader in [MrtReader::new(torn), MrtReader::tolerant(torn)] {
-            let mut decoded = 0u64;
-            let error = loop {
-                match reader.next_record() {
-                    Ok(Some(_)) => decoded += 1,
-                    Ok(None) => break None,
-                    Err(e) => break Some(e),
-                }
-            };
+        for mode in [ReadMode::Strict, ReadMode::Tolerant] {
+            let outcome = feeder.decode(mode, torn);
+            let decoded = outcome.records.len() as u64;
             if clean_cut {
-                prop_assert!(error.is_none(), "a boundary cut is a clean (shorter) archive");
+                prop_assert!(outcome.error.is_none(), "a boundary cut is a clean (shorter) archive");
                 prop_assert_eq!(decoded, boundaries.len() as u64 - 1);
             } else {
-                prop_assert!(error.is_some(), "a mid-record tear must surface an error");
-                prop_assert!(matches!(error, Some(MrtError::Codec(_))));
+                prop_assert!(outcome.error.is_some(), "a mid-record tear must surface an error");
+                prop_assert!(matches!(outcome.error, Some(MrtError::Codec(_))));
                 prop_assert!(decoded < intact as u64 + 1);
             }
             prop_assert!(decoded < records.len() as u64);
-            prop_assert_eq!(reader.records_read(), decoded);
-            prop_assert_eq!(reader.records_skipped(), 0);
+            prop_assert_eq!(outcome.records_read, decoded);
+            prop_assert_eq!(outcome.records_skipped, 0);
+            prop_assert_eq!(decoded, framed_records(torn)); // every framed record is accounted for
+            prop_assert_eq!(outcome.summary(), reference().decode(mode, torn).summary());
         }
     }
 
@@ -283,33 +308,39 @@ proptest! {
     fn corrupted_length_field_never_reads_back_as_the_clean_stream(
         records in arb_records(),
         extra in 1u32..64,
+        feeder in arb_feeder(),
     ) {
         if records.is_empty() {
             return Ok(());
         }
         let bytes = write_all(&records);
-        let clean: Vec<_> = MrtReader::new(&bytes[..])
-            .collect::<Result<_, _>>()
-            .expect("clean archive decodes");
+        let clean = feeder.decode(ReadMode::Strict, &bytes);
+        prop_assert!(clean.error.is_none(), "clean archive decodes");
+        let clean = clean.records;
 
         // Inflate the first record's length field (bytes 8..12).
         let mut corrupted = bytes.clone();
         let len = u32::from_be_bytes(corrupted[8..12].try_into().unwrap());
         corrupted[8..12].copy_from_slice(&(len + extra).to_be_bytes());
 
-        for mut reader in [MrtReader::new(&corrupted[..]), MrtReader::tolerant(&corrupted[..])] {
-            let mut decoded = Vec::new();
-            let error = loop {
-                match reader.next_record() {
-                    Ok(Some(rec)) => decoded.push(rec),
-                    Ok(None) => break None,
-                    Err(e) => break Some(e),
-                }
-            };
+        let framed = framed_records(&corrupted);
+        for mode in [ReadMode::Strict, ReadMode::Tolerant] {
+            let outcome = feeder.decode(mode, &corrupted);
             prop_assert!(
-                error.is_some() || reader.records_skipped() > 0 || decoded != clean,
+                outcome.error.is_some() || outcome.records_skipped > 0 || outcome.records != clean,
                 "corruption read back as the clean stream"
             );
+            // However framing desynchronized, every record framed is
+            // decoded or skipped; only a strict reader may stop short, at
+            // the payload it refused.
+            let accounted = outcome.records_read + outcome.records_skipped;
+            prop_assert_eq!(outcome.records_read, outcome.records.len() as u64);
+            if mode == ReadMode::Tolerant || outcome.error.is_none() {
+                prop_assert_eq!(accounted, framed);
+            } else {
+                prop_assert!(accounted <= framed);
+            }
+            prop_assert_eq!(outcome.summary(), reference().decode(mode, &corrupted).summary());
         }
     }
 }
@@ -348,17 +379,21 @@ fn tolerant_mode_accounts_for_skips_between_valid_records() {
     corrupt_record(&mut noisy);
     corrupt_record(&mut noisy);
 
-    let mut reader = MrtReader::tolerant(&noisy[..]);
-    let mut decoded = 0;
-    while reader.next_record().expect("tolerant reader survives noise").is_some() {
-        decoded += 1;
-    }
-    assert_eq!(decoded, 2, "both valid records decode");
-    assert_eq!(reader.records_read(), 2);
-    assert_eq!(reader.records_skipped(), 3, "every corrupt record is counted");
+    for (transport, chunks) in [
+        (Transport::Bytes, vec![1]),
+        (Transport::Read, vec![1, 5, 33]),
+        (Transport::Tail, vec![7, 2, 40]),
+    ] {
+        let feeder = Feeder { transport, chunks };
+        let tolerant = feeder.decode(ReadMode::Tolerant, &noisy);
+        assert!(tolerant.error.is_none(), "tolerant reader survives noise: {:?}", tolerant.error);
+        assert_eq!(tolerant.records.len(), 2, "both valid records decode");
+        assert_eq!(tolerant.records_read, 2);
+        assert_eq!(tolerant.records_skipped, 3, "every corrupt record is counted");
 
-    // Strict mode refuses at the first corrupt record.
-    let mut strict = MrtReader::new(&noisy[..]);
-    assert!(strict.next_record().is_err());
-    assert_eq!(strict.records_skipped(), 0);
+        // Strict mode refuses at the first corrupt record.
+        let strict = feeder.decode(ReadMode::Strict, &noisy);
+        assert!(strict.error.is_some() && strict.records.is_empty(), "{feeder:?}");
+        assert_eq!(strict.records_skipped, 0);
+    }
 }

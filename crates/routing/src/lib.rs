@@ -57,8 +57,6 @@ pub use live::{Clock, LiveArchive, LiveMerge, LivePoll, TailingSource, WallClock
 pub use merge::MergedSource;
 pub use paths::ForwardingTree;
 pub use policy::{ImportDecision, ImportOutcome, RejectReason, SessionBehavior};
-pub use sim::{
-    AnnounceOutcome, AnnounceScope, Announcement, BgpSimulator, EngineMode, PropagationError,
-};
+pub use sim::{AnnounceOutcome, AnnounceScope, Announcement, BgpSimulator, PropagationError};
 pub use source::{collect_source, ElemSource, IterSource, SliceSource};
 pub use stats::{table1, table1_totals, DatasetStats, DatasetTotals};

@@ -15,10 +15,13 @@
 //! * IXP route-server redistribution with PCH route-server views
 //!   (peer-ip inside the peering LAN),
 //! * providers that strip their trigger community or suppress propagation.
+//!
+//! One engine: work is scheduled in three valley-free phases by
+//! propagation rank, and every AS ingests all of its pending input
+//! before it advertises once (see [`BgpSimulator`]'s `run_phases`).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::net::IpAddr;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,36 +88,14 @@ impl Announcement {
 }
 
 /// What happened to a blackhole request at each triggered provider.
-/// Both vectors are in canonical (ASN-sorted) order, so the queue and
-/// phased engines report identical outcomes.
+/// Both vectors are in canonical (ASN-sorted) order, independent of the
+/// order propagation visited the providers in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnnounceOutcome {
     /// Providers that accepted and installed the blackhole.
     pub accepted_by: Vec<Asn>,
     /// Providers where a trigger matched but the request was rejected.
     pub rejected_by: Vec<(Asn, RejectReason)>,
-}
-
-/// Propagation engine selection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EngineMode {
-    /// The original single FIFO work queue — sequential, trajectory
-    /// exactly as the seed engine.
-    #[default]
-    Queue,
-    /// Three valley-free phases scheduled by propagation rank — up to
-    /// providers in ascending rank order, across peers and route
-    /// servers in waves, down to customers in descending rank order —
-    /// with the work *within* each rank processed by `threads` workers
-    /// and merged in deterministic ASN order. Emits a bit-identical
-    /// elem stream to [`EngineMode::Queue`] (property-tested), and does
-    /// strictly less redundant work: rank order delivers
-    /// highest-preference customer routes first, so an AS's best route
-    /// never flips mid-flood the way FIFO churn makes it.
-    Phased {
-        /// Worker threads per rank group (clamped to ≥ 1).
-        threads: usize,
-    },
 }
 
 /// Typed propagation failure — the graceful replacement for the old
@@ -234,18 +215,17 @@ pub struct BgpSimulator<'a> {
     /// Per-reason / per-extension rejection accounting, kept even when
     /// no policies are installed (counters never perturb routing).
     stats: RunStats,
-    /// Which propagation engine `announce`/`withdraw` run.
-    mode: EngineMode,
-    /// Customer-cone depth ranks, computed lazily on the first phased
-    /// run (or injected via [`BgpSimulator::set_propagation_ranks`] so
-    /// benchmarks amortize the computation across simulator instances).
-    ranks: Option<Arc<PropagationRanks>>,
+    /// Customer-cone depth ranks of `topology`, the schedule key of the
+    /// three propagation phases.
+    ranks: PropagationRanks,
+    /// Set only by [`BgpSimulator::fifo_reference`].
+    fifo: bool,
     /// route-server ASN → index into `topology.ixps()` (replaces the
     /// linear `ixp_by_route_server` scan on the hot path).
     rs_index: HashMap<Asn, usize>,
     /// (AS, prefix) pairs whose visible state may have changed since the
     /// last flush. Emissions are reconstructed from final state at
-    /// flush time, which is what makes both engines emit identically.
+    /// flush time, so transient adverts never reach the elem stream.
     dirty: BTreeSet<(Asn, Ipv4Prefix)>,
     /// Reused seed-neighbor scratch buffer (no per-announce alloc).
     scratch_neighbors: Vec<Asn>,
@@ -280,30 +260,26 @@ impl<'a> BgpSimulator<'a> {
             bogons: BogonFilter::new(),
             policies: None,
             stats: RunStats::default(),
-            mode: EngineMode::Queue,
-            ranks: None,
+            ranks: topology.propagation_ranks(),
+            fifo: false,
             rs_index,
             dirty: BTreeSet::new(),
             scratch_neighbors: Vec::new(),
         }
     }
 
-    /// Select the propagation engine. Both modes produce bit-identical
-    /// collector elems and outcomes; `Phased` is the fast path at
-    /// `Massive` scale.
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
-    }
-
-    /// The propagation engine currently selected.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Inject precomputed propagation ranks (must be for this topology).
-    /// The phased engine otherwise computes them lazily on first use.
-    pub fn set_propagation_ranks(&mut self, ranks: Arc<PropagationRanks>) {
-        self.ranks = Some(ranks);
+    /// The reference the engine is property-tested against
+    /// (`tests/tests/phased_propagation.rs`): the same per-item import
+    /// and advertisement rules driven by one FIFO queue, every work item
+    /// ingested and re-advertised on its own. Slower, and never the
+    /// product path.
+    #[doc(hidden)]
+    pub fn fifo_reference(
+        topology: &'a Topology,
+        deployment: CollectorDeployment,
+        seed: u64,
+    ) -> Self {
+        BgpSimulator { fifo: true, ..Self::new(topology, deployment, seed) }
     }
 
     /// Install (compile) a policy table. An empty table uninstalls:
@@ -515,124 +491,48 @@ impl<'a> BgpSimulator<'a> {
         seeds: Vec<Work>,
         outcome: &mut AnnounceOutcome,
     ) -> Result<(), PropagationError> {
-        let result = match self.mode {
-            EngineMode::Queue => self.run_queue(seeds, outcome),
-            EngineMode::Phased { threads } => self.run_phased(seeds, outcome, threads),
-        };
+        let result =
+            if self.fifo { self.run_fifo(seeds, outcome) } else { self.run_phases(seeds, outcome) };
         if result.is_err() {
             self.stats.convergence_failures += 1;
         }
         result
     }
 
-    /// The sequential engine: one FIFO work queue.
-    fn run_queue(
-        &mut self,
-        seeds: Vec<Work>,
-        outcome: &mut AnnounceOutcome,
-    ) -> Result<(), PropagationError> {
-        let ctx = SimCtx {
-            topology: self.topology,
-            origin_index: &self.origin_index,
-            behaviors: &self.behaviors,
-            policies: self.policies.as_ref(),
-            rs_index: &self.rs_index,
-        };
-        let cap = (self.topology.as_count() as u64 + 10) * 10_000;
-        let mut steps: u64 = 0;
-        let mut queue: VecDeque<Work> = seeds.into();
-        let mut generated: Vec<Work> = Vec::new();
-        while let Some(work) = queue.pop_front() {
-            steps += 1;
-            if steps >= cap {
-                return Err(PropagationError::NoConvergence { steps });
-            }
-            let me = work.target();
-            let mut node = NodeState {
-                me,
-                prefixes: self.state.entry(me).or_default(),
-                out: &mut generated,
-                stats: &mut self.stats,
-                outcome,
-                dirty: &mut self.dirty,
-            };
-            process_work(&ctx, &mut node, work);
-            queue.extend(generated.drain(..));
-        }
-        Ok(())
-    }
-
-    /// The rank-scheduled engine: three valley-free phases per round —
-    /// customer→provider work in ascending rank order, peer/route-server
-    /// work in waves, provider→customer work in descending rank order —
+    /// The engine: three valley-free phases per round — work arriving
+    /// from customers in ascending rank order, peer/route-server work in
+    /// waves, work arriving from providers in descending rank order —
     /// repeated until quiescent. Rank order delivers the
-    /// highest-preference customer routes first, so an AS's best route
-    /// settles without the withdraw/re-announce churn a FIFO trajectory
-    /// produces. Work within one rank group targets distinct ASes, so
-    /// it is farmed out to `threads` workers over disjoint per-AS state
-    /// and merged back in ASN order — the result is independent of both
-    /// thread count and completion order.
-    fn run_phased(
+    /// highest-preference customer routes first, and each AS ingests
+    /// everything a sweep has queued for it before advertising, so a
+    /// best route settles once per sweep instead of flipping (and
+    /// re-flooding the customer cone) on every input.
+    fn run_phases(
         &mut self,
         seeds: Vec<Work>,
         outcome: &mut AnnounceOutcome,
-        threads: usize,
     ) -> Result<(), PropagationError> {
-        let ranks = match &self.ranks {
-            Some(r) => Arc::clone(r),
-            None => {
-                let r = Arc::new(self.topology.propagation_ranks());
-                self.ranks = Some(Arc::clone(&r));
-                r
-            }
-        };
-        let max_rank = ranks.max_rank() as usize;
-        let mut up: Vec<Vec<Work>> = vec![Vec::new(); max_rank + 1];
-        let mut across: Vec<Work> = Vec::new();
-        let mut down: Vec<Vec<Work>> = vec![Vec::new(); max_rank + 1];
-        let cap = (self.topology.as_count() as u64 + 10) * 10_000;
-        let mut steps: u64 = 0;
-        classify_works(self.topology, &ranks, seeds, &mut up, &mut across, &mut down);
+        // One slot per (phase, rank) in sweep order; work generated for
+        // a later slot joins this round, for an earlier one the next.
+        let mut slots: Vec<Vec<Work>> = vec![Vec::new(); 2 * self.ranks.max_rank() as usize + 3];
+        for work in seeds {
+            slots[self.slot_of(&work)].push(work);
+        }
+        let mut steps = 0;
+        let mut out = Vec::new();
         loop {
             let mut progressed = false;
-            // Phase 1: up. Routes climbing to providers, lowest rank
-            // first; work generated for higher ranks joins this sweep.
-            for r in 0..=max_rank {
-                while !up[r].is_empty() {
-                    let works = std::mem::take(&mut up[r]);
+            for slot in 0..slots.len() {
+                while !slots[slot].is_empty() {
                     progressed = true;
-                    steps += works.len() as u64;
-                    if steps >= cap {
-                        return Err(PropagationError::NoConvergence { steps });
+                    let mut works = std::mem::take(&mut slots[slot]);
+                    self.spend(&mut steps, works.len())?;
+                    // Stable: two items from one sender keep their order.
+                    works.sort_by_key(|w| w.target());
+                    self.process_group(works, outcome, &mut out);
+                    for work in out.drain(..) {
+                        slots[self.slot_of(&work)].push(work);
                     }
-                    let out = self.process_group(works, outcome, threads);
-                    classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
-                }
-            }
-            // Phase 2: across. Peer and route-server redistribution, in
-            // waves until locally quiescent (route-server chains).
-            while !across.is_empty() {
-                let works = std::mem::take(&mut across);
-                progressed = true;
-                steps += works.len() as u64;
-                if steps >= cap {
-                    return Err(PropagationError::NoConvergence { steps });
-                }
-                let out = self.process_group(works, outcome, threads);
-                classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
-            }
-            // Phase 3: down. Routes descending to customers, highest
-            // rank first; lower-rank work joins this sweep.
-            for r in (0..=max_rank).rev() {
-                while !down[r].is_empty() {
-                    let works = std::mem::take(&mut down[r]);
-                    progressed = true;
-                    steps += works.len() as u64;
-                    if steps >= cap {
-                        return Err(PropagationError::NoConvergence { steps });
-                    }
-                    let out = self.process_group(works, outcome, threads);
-                    classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
                 }
             }
             if !progressed {
@@ -641,115 +541,98 @@ impl<'a> BgpSimulator<'a> {
         }
     }
 
-    /// Process one rank group of work items. Items are grouped per
-    /// target AS (a *unit*); units are independent because processing a
-    /// work item touches only the target's own per-prefix state, so
-    /// units run on worker threads and merge deterministically in ASN
-    /// order afterwards.
+    /// The sweep slot of a work item, by the role of the *sender* as
+    /// seen from the receiver: a route arriving from a customer is
+    /// climbing (slots `0..=top`, the receiver's rank ascending), one
+    /// from a provider is descending (the last `top + 1` slots, rank
+    /// descending), and anything else — peers, route servers, unknown
+    /// senders — is lateral (the slot between).
+    fn slot_of(&self, work: &Work) -> usize {
+        let top = self.ranks.max_rank() as usize;
+        let rank = self.ranks.rank_of(work.target()).unwrap_or(0) as usize;
+        match self.topology.rel_between(work.target(), work.source()) {
+            Some(Relationship::Customer) => rank,
+            Some(Relationship::Provider) => 2 * top + 2 - rank,
+            _ => top + 1,
+        }
+    }
+
+    /// The FIFO reference: every work item is a group of its own.
+    fn run_fifo(
+        &mut self,
+        seeds: Vec<Work>,
+        outcome: &mut AnnounceOutcome,
+    ) -> Result<(), PropagationError> {
+        let mut queue: VecDeque<Work> = seeds.into();
+        let mut steps = 0;
+        let mut out = Vec::new();
+        while let Some(work) = queue.pop_front() {
+            self.spend(&mut steps, 1)?;
+            self.process_group([work], outcome, &mut out);
+            queue.extend(out.drain(..));
+        }
+        Ok(())
+    }
+
+    /// Count `n` more work items against a run's step cap (a policy
+    /// dispute wheel, e.g. dueling leakers, can oscillate forever).
+    fn spend(&mut self, steps: &mut u64, n: usize) -> Result<(), PropagationError> {
+        self.stats.work_items += n as u64;
+        *steps += n as u64;
+        if *steps >= (self.topology.as_count() as u64 + 10) * 10_000 {
+            return Err(PropagationError::NoConvergence { steps: *steps });
+        }
+        Ok(())
+    }
+
+    /// Process work items grouped by target: each target AS first
+    /// ingests all of its items into its candidate sets, then advertises
+    /// once per prefix whose candidates changed. Generated work is
+    /// appended to `out`.
     fn process_group(
         &mut self,
-        works: Vec<Work>,
+        works: impl IntoIterator<Item = Work>,
         outcome: &mut AnnounceOutcome,
-        threads: usize,
-    ) -> Vec<Work> {
-        struct Unit {
-            me: Asn,
-            prefixes: HashMap<Ipv4Prefix, PrefixState>,
-            works: Vec<Work>,
-            out: Vec<Work>,
-            stats: RunStats,
-            outcome: AnnounceOutcome,
-            dirty: BTreeSet<(Asn, Ipv4Prefix)>,
-        }
-        let mut by_target: BTreeMap<Asn, Vec<Work>> = BTreeMap::new();
-        for work in works {
-            by_target.entry(work.target()).or_default().push(work);
-        }
-        let mut units: Vec<Unit> = by_target
-            .into_iter()
-            .map(|(me, works)| Unit {
+        out: &mut Vec<Work>,
+    ) {
+        let ctx = SimCtx {
+            topology: self.topology,
+            origin_index: &self.origin_index,
+            behaviors: &self.behaviors,
+            policies: self.policies.as_ref(),
+            rs_index: &self.rs_index,
+        };
+        let mut touched: Vec<Ipv4Prefix> = Vec::new();
+        let mut works = works.into_iter().peekable();
+        while let Some(me) = works.peek().map(Work::target) {
+            let mut node = NodeState {
                 me,
-                prefixes: self.state.remove(&me).unwrap_or_default(),
-                works,
-                out: Vec::new(),
-                stats: RunStats::default(),
-                outcome: AnnounceOutcome::default(),
-                dirty: BTreeSet::new(),
-            })
-            .collect();
-        {
-            let ctx = SimCtx {
-                topology: self.topology,
-                origin_index: &self.origin_index,
-                behaviors: &self.behaviors,
-                policies: self.policies.as_ref(),
-                rs_index: &self.rs_index,
+                prefixes: self.state.entry(me).or_default(),
+                out: &mut *out,
+                stats: &mut self.stats,
+                outcome: &mut *outcome,
+                dirty: &mut self.dirty,
             };
-            let run_unit = |unit: &mut Unit| {
-                let todo = std::mem::take(&mut unit.works);
-                let mut node = NodeState {
-                    me: unit.me,
-                    prefixes: &mut unit.prefixes,
-                    out: &mut unit.out,
-                    stats: &mut unit.stats,
-                    outcome: &mut unit.outcome,
-                    dirty: &mut unit.dirty,
-                };
-                for work in todo {
-                    process_work(&ctx, &mut node, work);
+            while let Some(work) = works.next_if(|w| w.target() == me) {
+                touched.extend(ingest(&ctx, &mut node, work));
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            for prefix in touched.drain(..) {
+                match ctx.ixp_of(me) {
+                    Some(ixp) => rs_redistribute(&mut node, ixp, prefix),
+                    None => after_change(&ctx, &mut node, prefix),
                 }
-            };
-            // Spawning scoped threads costs more than processing a
-            // small group; only parallelize when there are enough
-            // units to amortize it. Never affects results — the merge
-            // below is ASN-ordered either way.
-            const MIN_UNITS_PER_WORKER: usize = 256;
-            let workers = threads.max(1).min(units.len() / MIN_UNITS_PER_WORKER);
-            if workers <= 1 {
-                for unit in &mut units {
-                    run_unit(unit);
-                }
-            } else {
-                let run_unit = &run_unit;
-                let chunk = units.len().div_ceil(workers);
-                std::thread::scope(|s| {
-                    for group in units.chunks_mut(chunk) {
-                        s.spawn(move || {
-                            for unit in group {
-                                run_unit(unit);
-                            }
-                        });
-                    }
-                });
             }
         }
-        // Deterministic merge: unit (ASN) order, never completion order.
-        let mut generated: Vec<Work> = Vec::new();
-        for unit in units {
-            self.state.insert(unit.me, unit.prefixes);
-            generated.extend(unit.out);
-            self.stats.absorb(unit.stats);
-            for asn in unit.outcome.accepted_by {
-                if !outcome.accepted_by.contains(&asn) {
-                    outcome.accepted_by.push(asn);
-                }
-            }
-            for (asn, reason) in unit.outcome.rejected_by {
-                if !outcome.rejected_by.iter().any(|(a, _)| *a == asn) {
-                    outcome.rejected_by.push((asn, reason));
-                }
-            }
-            self.dirty.extend(unit.dirty);
-        }
-        generated
     }
 
     /// Reconstruct collector emissions from final state for every
     /// (AS, prefix) pair dirtied since the last flush. Emitting from
     /// the converged state (rather than along the propagation
-    /// trajectory) is what makes the queue and phased engines produce
-    /// bit-identical elem streams: propagation order affects only
-    /// transient state, and the best-path fixpoint is unique.
+    /// trajectory) is what makes the elem stream independent of the
+    /// schedule: propagation order affects only transient state, and
+    /// the best-path fixpoint is unique.
     fn flush_emissions(&mut self, time: SimTime) {
         if self.dirty.is_empty() {
             return;
@@ -793,84 +676,59 @@ impl<'a> BgpSimulator<'a> {
                     }
                 }
             } else {
-                let best = ps.and_then(|p| p.best());
+                let held = ps.and_then(|ps| ps.best().map(|best| (ps, best)));
                 for session in self.deployment.sessions_at(me) {
-                    match session.feed {
-                        FeedKind::RouteServerView(_) => {
-                            // only meaningful at route-server nodes
+                    let visible: Option<&RouteEntry> = match (session.feed, held) {
+                        // only meaningful at route-server nodes
+                        (FeedKind::RouteServerView(_), _) => continue,
+                        (_, None) => None,
+                        (FeedKind::Full, Some((_, b))) => {
+                            (!b.communities.has_no_export()).then_some(b)
                         }
-                        FeedKind::Full | FeedKind::CustomerOnly | FeedKind::Internal => {
-                            let visible: Option<&RouteEntry> = match (session.feed, best) {
-                                (_, None) => None,
-                                (FeedKind::Full, Some(b)) => {
-                                    if b.communities.has_no_export() {
-                                        None
-                                    } else {
-                                        Some(b)
-                                    }
-                                }
-                                (FeedKind::CustomerOnly, Some(b)) => {
-                                    if b.communities.has_no_export()
-                                        || b.learned_rel != Relationship::Customer
-                                    {
-                                        None
-                                    } else {
-                                        Some(b)
-                                    }
-                                }
-                                (FeedKind::Internal, Some(b)) => {
-                                    // Internal sessions prefer the blackhole
-                                    // candidate when one exists (it is the
-                                    // operationally interesting route).
-                                    Some(
-                                        ps.expect("best implies state")
-                                            .candidates
-                                            .values()
-                                            .find(|r| r.is_blackhole)
-                                            .unwrap_or(b),
-                                    )
-                                }
-                                (FeedKind::RouteServerView(_), Some(_)) => unreachable!(),
-                            };
-                            // The peer prepends itself when exporting to
-                            // the collector, exactly like any other eBGP
-                            // export.
-                            let exported = visible.map(|r| {
-                                let mut out = r.clone();
-                                out.as_path.prepend(me, 1);
-                                out
-                            });
-                            let key: EmitKey =
-                                (session.dataset, session.collector, session.peer_asn, prefix, me);
-                            emit_diff(
-                                &mut self.emitted,
-                                &mut self.elems,
-                                time,
-                                key,
-                                session,
-                                session.peer_ip,
-                                prefix,
-                                me,
-                                exported.as_ref(),
-                            );
+                        (FeedKind::CustomerOnly, Some((_, b))) => (!b.communities.has_no_export()
+                            && b.learned_rel == Relationship::Customer)
+                            .then_some(b),
+                        // Internal sessions prefer the blackhole candidate
+                        // when one exists (it is the operationally
+                        // interesting route).
+                        (FeedKind::Internal, Some((ps, b))) => {
+                            Some(ps.candidates.values().find(|r| r.is_blackhole).unwrap_or(b))
                         }
-                    }
+                    };
+                    // The peer prepends itself when exporting to
+                    // the collector, exactly like any other eBGP
+                    // export.
+                    let exported = visible.map(|r| {
+                        let mut out = r.clone();
+                        out.as_path.prepend(me, 1);
+                        out
+                    });
+                    let key: EmitKey =
+                        (session.dataset, session.collector, session.peer_asn, prefix, me);
+                    emit_diff(
+                        &mut self.emitted,
+                        &mut self.elems,
+                        time,
+                        key,
+                        session,
+                        session.peer_ip,
+                        prefix,
+                        me,
+                        exported.as_ref(),
+                    );
                 }
             }
         }
     }
 }
 
-// ---- shared propagation core -------------------------------------------
+// ---- propagation core ---------------------------------------------------
 //
-// Both engines run the exact same per-work processing; the functions
-// below take an explicit read-only context plus a per-AS state view
-// instead of `&mut self`, so the phased engine can hand disjoint state
-// to worker threads while the queue engine threads its own fields
-// through unchanged.
+// The functions below take an explicit read-only context plus a view of
+// the one AS being processed instead of `&mut self`, so `process_group`
+// can borrow the simulator's fields disjointly.
 
-/// Read-only propagation context (all fields `Sync`), shared by every
-/// worker of a phased rank group.
+/// Read-only propagation context.
 struct SimCtx<'a> {
     topology: &'a Topology,
     origin_index: &'a OriginIndex,
@@ -887,8 +745,7 @@ impl SimCtx<'_> {
 }
 
 /// Mutable state of the one AS a work item targets. Processing a work
-/// item touches nothing outside this view — that unit isolation is what
-/// makes within-rank parallelism sound.
+/// item touches nothing outside this view.
 struct NodeState<'a> {
     me: Asn,
     prefixes: &'a mut HashMap<Ipv4Prefix, PrefixState>,
@@ -898,82 +755,69 @@ struct NodeState<'a> {
     dirty: &'a mut BTreeSet<(Asn, Ipv4Prefix)>,
 }
 
-/// Sort generated work into the three valley-free phases by the role of
-/// the *sender* as seen from the receiver: a route arriving from a
-/// customer is climbing (up), one from a provider is descending (down),
-/// and anything else — peers, route servers, unknown senders — is
-/// lateral.
-fn classify_works(
-    topology: &Topology,
-    ranks: &PropagationRanks,
-    works: Vec<Work>,
-    up: &mut [Vec<Work>],
-    across: &mut Vec<Work>,
-    down: &mut [Vec<Work>],
-) {
-    for work in works {
-        match topology.rel_between(work.target(), work.source()) {
-            Some(Relationship::Customer) => {
-                let r = ranks.rank_of(work.target()).unwrap_or(0) as usize;
-                up[r.min(up.len() - 1)].push(work);
-            }
-            Some(Relationship::Provider) => {
-                let r = ranks.rank_of(work.target()).unwrap_or(0) as usize;
-                down[r.min(down.len() - 1)].push(work);
-            }
-            _ => across.push(work),
-        }
-    }
-}
-
-fn process_work(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, work: Work) {
-    match work {
+/// Apply one work item to the target's candidate set — import filters,
+/// outcome and stat recording included — without advertising anything.
+/// Returns the prefix when the candidate set changed.
+fn ingest(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, work: Work) -> Option<Ipv4Prefix> {
+    let me = node.me;
+    let (from, prefix, candidate) = match work {
+        Work::Withdraw { from, prefix, .. } => (from, prefix, None),
         Work::Announce { from, prefix, route, .. } => {
-            process_announce(ctx, node, from, prefix, route);
+            let candidate = if route.as_path.contains(me) {
+                // Loop prevention is treat-as-withdraw: any previously
+                // held candidate from this neighbor is gone, which keeps
+                // the converged state independent of delivery order.
+                node.stats.record_import_reject(RejectReason::LoopDetected);
+                None
+            } else {
+                // A targeted announce to a non-neighbor is silently dropped.
+                let rel = ctx.topology.rel_between(me, from)?;
+                // Route-server node? Special redistribution semantics.
+                // Policy extensions deliberately do not hook route
+                // servers: they are transparent redistribution points,
+                // not policy actors, and PCH visibility depends on that
+                // transparency.
+                match ctx.ixp_of(me) {
+                    // only members speak to the route server
+                    Some(ixp) if !ixp.has_member(from) => return None,
+                    Some(_) => import_at_route_server(ctx, node, from, prefix, route),
+                    None => import_at_router(ctx, node, from, rel, prefix, route),
+                }
+            };
+            (from, prefix, candidate)
         }
-        Work::Withdraw { from, prefix, .. } => {
-            process_withdraw(ctx, node, from, prefix);
+    };
+    let changed = match candidate {
+        Some(route) => {
+            let ps = node.prefixes.entry(prefix).or_default();
+            let unchanged = ps.candidates.get(&from) == Some(&route);
+            ps.candidates.insert(from, route);
+            !unchanged
         }
-    }
+        // No (longer a) candidate from this neighbor.
+        None => {
+            node.prefixes.get_mut(&prefix).is_some_and(|ps| ps.candidates.remove(&from).is_some())
+        }
+    };
+    changed.then_some(prefix)
 }
 
-fn process_announce(
+/// Import at an ordinary AS: the candidate `me` holds from `from` after
+/// this announcement, `None` when an ingress filter rejects it.
+fn import_at_router(
     ctx: &SimCtx<'_>,
     node: &mut NodeState<'_>,
     from: Asn,
+    rel: Relationship,
     prefix: Ipv4Prefix,
     mut route: RouteEntry,
-) {
+) -> Option<RouteEntry> {
     let me = node.me;
-    if route.as_path.contains(me) {
-        node.stats.record_import_reject(RejectReason::LoopDetected);
-        // Loop prevention is treat-as-withdraw: any previously held
-        // candidate from this neighbor is gone, which keeps the
-        // converged state independent of delivery order.
-        match ctx.ixp_of(me) {
-            Some(ixp) => rs_remove_candidate(ctx, node, ixp, from, prefix),
-            None => remove_candidate(ctx, node, from, prefix),
-        }
-        return;
-    }
-    let Some(rel) = ctx.topology.rel_between(me, from) else {
-        return; // targeted announce to a non-neighbor: silently dropped
-    };
-
-    // Route-server node? Special redistribution semantics. Policy
-    // extensions deliberately do not hook route servers: they are
-    // transparent redistribution points, not policy actors, and PCH
-    // visibility depends on that transparency.
-    if let Some(ixp) = ctx.ixp_of(me) {
-        process_at_route_server(ctx, node, ixp, from, prefix, route);
-        return;
-    }
-
     // Policy-extension import hooks run before the Gao-Rexford
     // import — they model the ingress filters (ROV, peerlock,
     // path-end, OTC) a router applies ahead of route acceptance.
     if let Some(engine) = ctx.policies {
-        if engine
+        engine
             .import(
                 ctx.topology,
                 node.stats,
@@ -985,11 +829,7 @@ fn process_announce(
                 &route.communities,
                 &mut route.leak_marked,
             )
-            .is_err()
-        {
-            remove_candidate(ctx, node, from, prefix);
-            return;
-        }
+            .ok()?;
     }
 
     let behavior = ctx.behaviors.get(&me).copied().unwrap_or_default();
@@ -1015,9 +855,7 @@ fn process_announce(
     match import.decision {
         ImportDecision::Reject(reason) => {
             node.stats.record_import_reject(reason);
-            // A previously held candidate from this neighbor is gone.
-            remove_candidate(ctx, node, from, prefix);
-            return;
+            return None;
         }
         ImportDecision::Blackhole => {
             route.is_blackhole = true;
@@ -1037,31 +875,7 @@ fn process_announce(
     }
     route.learned_rel = rel;
     route.local_pref = local_pref_for(rel);
-
-    let ps = node.prefixes.entry(prefix).or_default();
-    let unchanged = ps.candidates.get(&from) == Some(&route);
-    ps.candidates.insert(from, route);
-    if unchanged {
-        return; // no state change: stop propagation
-    }
-    after_change(ctx, node, prefix);
-}
-
-fn remove_candidate(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, from: Asn, prefix: Ipv4Prefix) {
-    let Some(ps) = node.prefixes.get_mut(&prefix) else {
-        return;
-    };
-    if ps.candidates.remove(&from).is_none() {
-        return;
-    }
-    after_change(ctx, node, prefix);
-}
-
-fn process_withdraw(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, from: Asn, prefix: Ipv4Prefix) {
-    match ctx.ixp_of(node.me) {
-        Some(ixp) => rs_remove_candidate(ctx, node, ixp, from, prefix),
-        None => remove_candidate(ctx, node, from, prefix),
-    }
+    Some(route)
 }
 
 /// After a candidate change at `me`: recompute best, update neighbor
@@ -1219,50 +1033,43 @@ fn emit_diff(
 
 // ---- route servers --------------------------------------------------
 
-fn process_at_route_server(
+/// Import at a route server: the candidate it holds from member `from`
+/// after this announcement, `None` when its import filter rejects it.
+fn import_at_route_server(
     ctx: &SimCtx<'_>,
     node: &mut NodeState<'_>,
-    ixp: &Ixp,
     from: Asn,
     prefix: Ipv4Prefix,
     mut route: RouteEntry,
-) {
+) -> Option<RouteEntry> {
     let me = node.me;
-    if !ixp.has_member(from) {
-        return; // only members speak to the route server
-    }
-    let offering = ctx.topology.as_info(me).and_then(|i| i.blackhole_offering.as_ref());
-
-    // Import filter at the route server.
-    let triggered = offering.is_some_and(|o| {
-        route.communities.iter().any(|c| o.is_trigger(c))
-            || o.large_community.is_some_and(|l| route.communities.contains_large(l))
-    });
-    if triggered {
-        let o = offering.expect("triggered implies offering");
-        if !o.accepts_length(prefix.length()) {
-            if !node.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
-                node.outcome.rejected_by.push((me, RejectReason::LengthRejected));
-            }
-            rs_remove_candidate(ctx, node, ixp, from, prefix);
-            return;
-        }
+    let triggered =
+        ctx.topology.as_info(me).and_then(|i| i.blackhole_offering.as_ref()).filter(|o| {
+            route.communities.iter().any(|c| o.is_trigger(c))
+                || o.large_community.is_some_and(|l| route.communities.contains_large(l))
+        });
+    if let Some(o) = triggered {
         // Route servers filter on IRR registration: misconfigured
         // users' blackhole requests are not redistributed (§10).
-        let origin = route.as_path.origin().unwrap_or(from);
         let auth_ctx = AuthContext {
             topology: ctx.topology,
-            origin,
+            origin: route.as_path.origin().unwrap_or(from),
             sender: from,
             allocation_owner: ctx.origin_index.origin_of(&prefix),
             irr_registered: route.irr_registered,
         };
-        if !crate::policy::auth_ok(o.auth, &auth_ctx) {
+        let rejection = if !o.accepts_length(prefix.length()) {
+            Some(RejectReason::LengthRejected)
+        } else if !crate::policy::auth_ok(o.auth, &auth_ctx) {
+            Some(RejectReason::AuthFailed)
+        } else {
+            None
+        };
+        if let Some(reason) = rejection {
             if !node.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
-                node.outcome.rejected_by.push((me, RejectReason::AuthFailed));
+                node.outcome.rejected_by.push((me, reason));
             }
-            rs_remove_candidate(ctx, node, ixp, from, prefix);
-            return;
+            return None;
         }
         route.is_blackhole = true;
         route.next_hop = o.blackhole_ip.map(IpAddr::V4);
@@ -1271,35 +1078,11 @@ fn process_at_route_server(
         }
     } else if prefix.is_more_specific_than(24) {
         // Untagged host routes are not redistributed by route servers.
-        rs_remove_candidate(ctx, node, ixp, from, prefix);
-        return;
+        return None;
     }
     route.learned_rel = Relationship::RouteServer;
     route.local_pref = local_pref_for(Relationship::RouteServer);
-
-    let ps = node.prefixes.entry(prefix).or_default();
-    let unchanged = ps.candidates.get(&from) == Some(&route);
-    ps.candidates.insert(from, route);
-    if unchanged {
-        return;
-    }
-    rs_redistribute(node, ixp, prefix);
-}
-
-fn rs_remove_candidate(
-    _ctx: &SimCtx<'_>,
-    node: &mut NodeState<'_>,
-    ixp: &Ixp,
-    from: Asn,
-    prefix: Ipv4Prefix,
-) {
-    let Some(ps) = node.prefixes.get_mut(&prefix) else {
-        return;
-    };
-    if ps.candidates.remove(&from).is_none() {
-        return;
-    }
-    rs_redistribute(node, ixp, prefix);
+    Some(route)
 }
 
 /// Re-advertise the route server's choice to every member after any
@@ -1311,8 +1094,8 @@ fn rs_remove_candidate(
 /// what keeps the members' view a pure function of the route server's
 /// final candidate set: a member holds exactly one candidate per route
 /// server session, so forwarding every contribution would leave
-/// whichever arrived last, an artifact of delivery order that the queue
-/// and phased engines would disagree on. The PCH route-server views are
+/// whichever arrived last, an artifact of delivery order the elem
+/// stream must not depend on. The PCH route-server views are
 /// reconstructed from the final candidate set at flush time;
 /// propagation only marks the pair dirty.
 fn rs_redistribute(node: &mut NodeState<'_>, ixp: &Ixp, prefix: Ipv4Prefix) {

@@ -1081,7 +1081,7 @@ mod tests {
                 pair[1]
             );
         }
-        // The rank invariant the phased engine relies on, at scale.
+        // The rank invariant the propagation engine relies on, at scale.
         let ranks = t.propagation_ranks();
         for info in t.ases() {
             for &(neighbor, rel) in t.neighbors(info.asn) {

@@ -105,10 +105,10 @@ impl Topology {
     /// Compute per-AS propagation ranks (customer-cone depth): the rank
     /// of an AS is the length of the longest customer chain below it, so
     /// every provider edge strictly increases rank. Stubs are rank 0;
-    /// tier-1s sit at the top. Phased propagation engines use this to
+    /// tier-1s sit at the top. The propagation engine uses this to
     /// schedule the valley-free passes (up in ascending rank order, down
-    /// in descending order) and to parallelize within a rank, because no
-    /// two ASes at the same rank are in a provider/customer relation.
+    /// in descending order): no two ASes at the same rank are in a
+    /// provider/customer relation, so one rank is one batch.
     ///
     /// Computed by Kahn-style longest-path over the customer→provider
     /// DAG. Relationship cycles (which the generator never emits, but a
@@ -388,11 +388,8 @@ impl AsnIndex {
 }
 
 /// Per-AS propagation ranks (customer-cone depth), plus the dense
-/// [`AsnIndex`] they are keyed by. Built once per topology by
-/// [`Topology::propagation_ranks`] and shared (it is cheap to clone the
-/// Arc'd wrapper callers usually put around it) across simulator
-/// instances — at 75k ASes the Kahn pass is the expensive part, not the
-/// lookups.
+/// [`AsnIndex`] they are keyed by. Built by
+/// [`Topology::propagation_ranks`], once per simulator.
 #[derive(Debug, Clone)]
 pub struct PropagationRanks {
     index: AsnIndex,
@@ -597,7 +594,7 @@ mod tests {
         assert_eq!(ranks.max_rank(), 2);
         assert_eq!(ranks.len(), 5);
         assert!(ranks.rank_of(Asn::new(999)).is_none());
-        // The invariant the phased engine relies on.
+        // The invariant the propagation engine relies on.
         for info in t.ases() {
             for &(neighbor, rel) in t.neighbors(info.asn) {
                 if rel == Relationship::Provider {

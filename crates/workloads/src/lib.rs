@@ -31,6 +31,4 @@ pub use reaction::{
     capable_providers, plan_reaction, Action, CapableProvider, GroundTruthEvent, ReactionConfig,
     TimedAction,
 };
-pub use scenario::{
-    run, run_with_engine, run_with_policies, spike_table, ScenarioConfig, ScenarioOutput,
-};
+pub use scenario::{run, run_on, run_with_policies, spike_table, ScenarioConfig, ScenarioOutput};

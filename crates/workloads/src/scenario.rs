@@ -11,7 +11,7 @@ use bh_bgp_types::community::CommunitySet;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_routing::{
-    AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorDeployment, EngineMode, RunStats,
+    AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorDeployment, RunStats,
 };
 use bh_topology::{NetworkType, PolicyTable, Tier, Topology};
 
@@ -85,12 +85,16 @@ impl ScenarioConfig {
     /// The `Massive` tier: a short, low-rate calendar sized for the
     /// CAIDA-scale (~75k-AS) topology, where every announcement floods
     /// the whole graph. Pair with
-    /// [`bh_topology::TopologyConfig::massive`] and the phased engine
-    /// via [`run_with_engine`].
+    /// [`bh_topology::TopologyConfig::massive`].
     pub fn massive(seed: u64) -> Self {
         let mut config = Self::short(seed, 1, 2.0);
         config.base_prefix_sample = 8;
         config
+    }
+
+    /// The seed [`run`] builds its simulator with.
+    pub fn simulator_seed(&self) -> u64 {
+        self.seed ^ 0x5151
     }
 }
 
@@ -124,7 +128,7 @@ pub fn run(
     deployment: CollectorDeployment,
     config: &ScenarioConfig,
 ) -> ScenarioOutput {
-    run_inner(topology, deployment, config, None, EngineMode::Queue)
+    run_on(BgpSimulator::new(topology, deployment, config.simulator_seed()), config)
 }
 
 /// [`run`], with a per-AS [`PolicyTable`] installed on the simulator
@@ -136,35 +140,16 @@ pub fn run_with_policies(
     config: &ScenarioConfig,
     policies: &PolicyTable,
 ) -> ScenarioOutput {
-    run_inner(topology, deployment, config, Some(policies), EngineMode::Queue)
+    let mut sim = BgpSimulator::new(topology, deployment, config.simulator_seed());
+    sim.install_policies(policies);
+    run_on(sim, config)
 }
 
-/// [`run`], selecting the propagation engine (and optionally a policy
-/// table). Both engines produce bit-identical output; `Phased` is the
-/// fast path at `Massive` scale.
-pub fn run_with_engine(
-    topology: &Topology,
-    deployment: CollectorDeployment,
-    config: &ScenarioConfig,
-    policies: Option<&PolicyTable>,
-    engine: EngineMode,
-) -> ScenarioOutput {
-    run_inner(topology, deployment, config, policies, engine)
-}
-
-fn run_inner(
-    topology: &Topology,
-    deployment: CollectorDeployment,
-    config: &ScenarioConfig,
-    policies: Option<&PolicyTable>,
-    engine: EngineMode,
-) -> ScenarioOutput {
+/// Run a scenario on `sim`, which must be freshly built (nothing
+/// announced yet) and seeded with [`ScenarioConfig::simulator_seed`].
+pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOutput {
+    let topology = sim.topology();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut sim = BgpSimulator::new(topology, deployment, config.seed ^ 0x5151);
-    sim.set_engine_mode(engine);
-    if let Some(table) = policies {
-        sim.install_policies(table);
-    }
     let mut truths: Vec<GroundTruthEvent> = Vec::new();
     let mut actions: Vec<TimedAction> = Vec::new();
 

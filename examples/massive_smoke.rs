@@ -1,17 +1,19 @@
 //! Bounded-time smoke test of the `Massive` scale path: build the
-//! CAIDA-shaped ~75k-AS topology, compute propagation ranks, and run one
-//! announce/withdraw propagation step through both engines, checking
-//! they agree. CI runs this under a hard timeout so the scale path
-//! cannot silently rot; `MASSIVE_AS_COUNT` shrinks it for quick local
-//! runs.
+//! CAIDA-shaped ~75k-AS topology and flood it from one stub origin —
+//! its allocation, which reaches the whole graph, then a blackhole
+//! request for a host inside it (tagged with a provider's trigger
+//! community), each announced and withdrawn. CI runs this under a hard
+//! timeout so the scale path cannot silently rot; `MASSIVE_AS_COUNT`
+//! shrinks it for quick local runs.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use bh_bgp_types::community::CommunitySet;
+use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_routing::{deploy, Announcement, BgpSimulator, CollectorConfig, EngineMode};
+use bh_routing::{deploy, Announcement, BgpSimulator, CollectorConfig};
 use bh_topology::{Tier, TopologyBuilder, TopologyConfig};
+use bh_workloads::capable_providers;
 
 fn main() {
     let as_count: usize =
@@ -24,37 +26,48 @@ fn main() {
         topology.ixps().len(),
         t0.elapsed()
     );
-    let t1 = Instant::now();
-    let ranks = Arc::new(topology.propagation_ranks());
-    println!("ranks: max_rank {} in {:?}", ranks.max_rank(), t1.elapsed());
     let edges: usize = topology.ases().map(|i| topology.neighbors(i.asn).len()).sum();
     println!("adjacency entries: {edges}");
 
-    // One announce/withdraw flood through both engines from a stub
-    // origin; the element streams must be bit-identical.
-    let (origin, prefix) = topology
+    let (origin, space, host, trigger) = topology
         .ases()
-        .find(|i| i.tier == Tier::Stub && !i.prefixes.is_empty())
-        .map(|i| (i.asn, i.prefixes[0]))
-        .expect("massive topology has a stub origin with a prefix");
+        .filter(|i| i.tier == Tier::Stub && !i.prefixes.is_empty())
+        .find_map(|i| {
+            let provider = capable_providers(&topology, i.asn).into_iter().next()?;
+            let host = Ipv4Prefix::host(i.prefixes[0].nth_addr(1)?);
+            Some((i.asn, i.prefixes[0], host, *provider.communities.first()?))
+        })
+        .expect("massive topology has a stub origin with a blackholing provider");
     let collector_config = CollectorConfig { seed: 7, ..Default::default() };
-    let flood = |mode: EngineMode| {
+    let t1 = Instant::now();
+    let mut sim = BgpSimulator::new(&topology, deploy(&topology, &collector_config), 7);
+    println!("simulator (sessions, propagation ranks) in {:?}", t1.elapsed());
+
+    let floods = [(space, CommunitySet::new()), (host, CommunitySet::from_classic(vec![trigger]))];
+    for (prefix, communities) in floods {
         let t = Instant::now();
-        let mut sim = BgpSimulator::new(&topology, deploy(&topology, &collector_config), 7);
-        sim.set_engine_mode(mode);
-        sim.set_propagation_ranks(Arc::clone(&ranks));
-        sim.announce(
-            SimTime::from_unix(1_000),
-            &Announcement::simple(origin, prefix, CommunitySet::new()),
-        );
-        sim.withdraw(SimTime::from_unix(2_000), origin, prefix);
+        let tagged = !communities.is_empty();
+        let outcome = sim
+            .try_announce(
+                SimTime::from_unix(1_000),
+                &Announcement::simple(origin, prefix, communities),
+            )
+            .expect("announce converges");
+        let blackholing = sim.blackholing_ases_for(&prefix).len();
+        assert_eq!(tagged, !outcome.accepted_by.is_empty(), "blackhole acceptance of {prefix}");
+        assert_eq!(tagged, blackholing > 0, "blackholing of {prefix}");
+        sim.try_withdraw(SimTime::from_unix(2_000), origin, prefix).expect("withdraw converges");
         let elems = sim.drain_elems();
-        println!("{mode:?}: {} elems in {:?}", elems.len(), t.elapsed());
-        elems
-    };
-    let queue = flood(EngineMode::Queue);
-    let phased = flood(EngineMode::Phased { threads: 4 });
-    assert_eq!(queue, phased, "queue and phased engines must emit identically");
-    assert!(!queue.is_empty(), "flood produced no collector elements");
-    println!("engines agree on {} elems", queue.len());
+        println!(
+            "flood of {prefix} from {origin}: {} elems, {blackholing} ASes blackholing, in {:?}",
+            elems.len(),
+            t.elapsed()
+        );
+        assert!(!elems.is_empty(), "flood produced no collector elements");
+        assert!(
+            sim.blackholing_ases_for(&prefix).is_empty(),
+            "somebody still blackholes {prefix} after the withdraw"
+        );
+    }
+    println!("work items: {}", sim.run_stats().work_items);
 }

@@ -1,10 +1,11 @@
-//! Engine-equivalence properties: the three-phase rank-parallel
-//! propagation engine must be *bit-identical* to the sequential queue
-//! engine — same collector elements, same ground truth, same
-//! announcement counts — on any scenario, with or without a policy
-//! table installed, and regardless of worker count. These properties
-//! are what lets `Massive`-scale runs switch engines for speed without
-//! re-validating any analysis downstream.
+//! Engine-equivalence properties: the simulator's rank-phased,
+//! ingest-then-advertise-once propagation engine must be
+//! *bit-identical* to the FIFO reference
+//! (`BgpSimulator::fifo_reference`: one queue, every work item ingested
+//! and re-advertised on its own) — same collector elements, same
+//! outcomes, same ground truth — on whole scenarios and on random
+//! operation sequences, with or without a policy table installed. The
+//! reference exists for this file only; nothing else constructs it.
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -12,11 +13,18 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use bh_bench::StudyScale;
-use bh_routing::{deploy, CollectorConfig, EngineMode};
-use bh_topology::{
-    PolicyTable, Relationship, Roa, RoaTable, Topology, TopologyBuilder, TopologyConfig,
+use bh_bgp_types::asn::Asn;
+use bh_bgp_types::community::{Community, CommunitySet};
+use bh_bgp_types::prefix::Ipv4Prefix;
+use bh_bgp_types::time::SimTime;
+use bh_routing::{
+    deploy, AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorConfig,
+    CollectorDeployment,
 };
-use bh_workloads::{run_with_engine, ScenarioConfig, ScenarioOutput};
+use bh_topology::{
+    PolicyTable, Relationship, Roa, RoaTable, Tier, Topology, TopologyBuilder, TopologyConfig,
+};
+use bh_workloads::{capable_providers, run_on, ScenarioConfig, ScenarioOutput};
 
 /// Full ROA coverage of every originated prefix at its exact length:
 /// the announcements themselves validate `Valid`, while the /32
@@ -47,8 +55,8 @@ fn otc_leaker_table(topology: &Topology) -> PolicyTable {
     let mut leaker_picked = false;
     for info in topology.ases() {
         match info.tier {
-            bh_topology::Tier::Tier1 => table.entry(info.asn).only_to_customers = true,
-            bh_topology::Tier::Transit if !leaker_picked => {
+            Tier::Tier1 => table.entry(info.asn).only_to_customers = true,
+            Tier::Transit if !leaker_picked => {
                 table.entry(info.asn).leaker = true;
                 leaker_picked = true;
             }
@@ -58,10 +66,51 @@ fn otc_leaker_table(topology: &Topology) -> PolicyTable {
     table
 }
 
-fn run_tiny(seed: u64, policies: Option<&PolicyTable>, engine: EngineMode) -> ScenarioOutput {
-    let topology = TopologyBuilder::new(TopologyConfig::tiny(55)).build();
-    let deployment = deploy(&topology, &CollectorConfig::tiny(6));
-    run_with_engine(&topology, deployment, &ScenarioConfig::short(seed, 2, 5.0), policies, engine)
+/// Which simulator a run is driven on.
+#[derive(Clone, Copy)]
+enum Side {
+    Engine,
+    Reference,
+}
+
+fn simulator<'a>(
+    side: Side,
+    topology: &'a Topology,
+    deployment: CollectorDeployment,
+    seed: u64,
+    policies: Option<&PolicyTable>,
+) -> BgpSimulator<'a> {
+    let mut sim = match side {
+        Side::Engine => BgpSimulator::new(topology, deployment, seed),
+        Side::Reference => BgpSimulator::fifo_reference(topology, deployment, seed),
+    };
+    if let Some(table) = policies {
+        sim.install_policies(table);
+    }
+    sim
+}
+
+fn run_scenario(
+    side: Side,
+    topology: &Topology,
+    deployment: CollectorDeployment,
+    policies: Option<&PolicyTable>,
+    seed: u64,
+) -> ScenarioOutput {
+    let config = ScenarioConfig::short(seed, 2, 5.0);
+    run_on(simulator(side, topology, deployment, config.simulator_seed(), policies), &config)
+}
+
+fn tiny_env() -> &'static (Topology, CollectorConfig) {
+    static ENV: OnceLock<(Topology, CollectorConfig)> = OnceLock::new();
+    ENV.get_or_init(|| {
+        (TopologyBuilder::new(TopologyConfig::tiny(55)).build(), CollectorConfig::tiny(6))
+    })
+}
+
+fn run_tiny(seed: u64, policies: Option<&PolicyTable>, side: Side) -> ScenarioOutput {
+    let (topology, collector_config) = tiny_env();
+    run_scenario(side, topology, deploy(topology, collector_config), policies, seed)
 }
 
 fn assert_identical(a: &ScenarioOutput, b: &ScenarioOutput) {
@@ -74,34 +123,123 @@ fn assert_identical(a: &ScenarioOutput, b: &ScenarioOutput) {
     }
 }
 
+/// One step of a random operation sequence, drawn as raw numbers and
+/// decoded against the topology: `(user, host route?, kind, scope mask)`.
+type RawOp = (usize, bool, u8, u8);
+
+enum Op {
+    Announce(Announcement),
+    Withdraw(Asn, Ipv4Prefix),
+}
+
+/// Decode a raw draw. Three users and two overlapping prefixes each (a
+/// /24 of the user's space and the first host route inside it) keep the
+/// sequence colliding with itself: re-announcements with other
+/// communities or another scope, and withdrawals of what is — or is
+/// not — currently announced.
+fn decode_op(topology: &Topology, (user, host, kind, mask): RawOp) -> Op {
+    let users: Vec<_> = topology
+        .ases()
+        .filter(|i| i.tier == Tier::Stub && !i.prefixes.is_empty())
+        .filter(|i| !capable_providers(topology, i.asn).is_empty())
+        .take(3)
+        .collect();
+    let info = users[user % users.len()];
+    let space = info.prefixes[0];
+    let prefix = match host {
+        true => Ipv4Prefix::host(space.nth_addr(1).expect("space has a host")),
+        false => Ipv4Prefix::new(space.nth_addr(0).expect("space has a network"), 24)
+            .expect("a /24 inside the allocation"),
+    };
+    let triggers: Vec<Community> = capable_providers(topology, info.asn)
+        .iter()
+        .flat_map(|p| p.communities.first().copied())
+        .collect();
+    let communities = match kind {
+        0 => return Op::Withdraw(info.asn, prefix),
+        1 => Vec::new(),
+        2 => triggers, // bundled
+        3 => triggers[..1].to_vec(),
+        _ => triggers.into_iter().chain([Community::NO_EXPORT]).collect(),
+    };
+    let neighbors = topology.neighbors(info.asn);
+    let scope = match mask {
+        0..=127 => AnnounceScope::AllNeighbors,
+        _ => AnnounceScope::Neighbors(
+            neighbors
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask >> (i % 7) & 1 == 1)
+                .map(|(_, n)| n.0)
+                .collect(),
+        ),
+    };
+    Op::Announce(Announcement {
+        scope,
+        ..Announcement::simple(info.asn, prefix, CommunitySet::from_classic(communities))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 6, // each case runs four full Tiny scenarios
     })]
 
-    /// Queue and phased engines are bit-identical on random Tiny
+    /// Engine and FIFO reference are bit-identical on random Tiny
     /// scenarios, bare and under an ROV deployment.
     #[test]
     fn engines_agree_on_tiny_scenarios(seed in 0u64..500) {
-        let queue = run_tiny(seed, None, EngineMode::Queue);
-        let phased = run_tiny(seed, None, EngineMode::Phased { threads: 4 });
-        assert_identical(&queue, &phased);
-        prop_assert!(!queue.elems.is_empty(), "scenario produced no elems");
+        let engine = run_tiny(seed, None, Side::Engine);
+        let reference = run_tiny(seed, None, Side::Reference);
+        assert_identical(&reference, &engine);
+        prop_assert!(!engine.elems.is_empty(), "scenario produced no elems");
 
-        let topology = TopologyBuilder::new(TopologyConfig::tiny(55)).build();
-        let rov = rov_table(&topology);
-        let queue = run_tiny(seed, Some(&rov), EngineMode::Queue);
-        let phased = run_tiny(seed, Some(&rov), EngineMode::Phased { threads: 4 });
-        assert_identical(&queue, &phased);
+        let rov = rov_table(&tiny_env().0);
+        let engine = run_tiny(seed, Some(&rov), Side::Engine);
+        let reference = run_tiny(seed, Some(&rov), Side::Reference);
+        assert_identical(&reference, &engine);
     }
+}
 
-    /// The phased schedule is deterministic in the worker count: one
-    /// worker and four workers produce the same stream.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// Engine and FIFO reference agree after *every* operation of a
+    /// random sequence on one simulator pair — announce, re-announce
+    /// with changed communities or scope, withdraw, over two overlapping
+    /// prefixes per user — under a bare, an ROV and an OTC+leaker table:
+    /// same drained elems, same `AnnounceOutcome`, same blackholing set.
     #[test]
-    fn phased_is_thread_count_invariant(seed in 0u64..500) {
-        let one = run_tiny(seed, None, EngineMode::Phased { threads: 1 });
-        let four = run_tiny(seed, None, EngineMode::Phased { threads: 4 });
-        assert_identical(&one, &four);
+    fn engines_agree_on_operation_sequences(
+        table in 0usize..3,
+        ops in proptest::collection::vec((0usize..3, any::<bool>(), 0u8..5, any::<u8>()), 4..16),
+    ) {
+        let (topology, collector_config) = tiny_env();
+        let policies = match table {
+            0 => None,
+            1 => Some(rov_table(topology)),
+            _ => Some(otc_leaker_table(topology)),
+        };
+        let mut pair = [Side::Engine, Side::Reference].map(|side| {
+            simulator(side, topology, deploy(topology, collector_config), 7, policies.as_ref())
+        });
+        let mut elems = 0;
+        for (step, raw) in ops.into_iter().enumerate() {
+            let time = SimTime::from_unix(1_000 + step as u64);
+            let op = decode_op(topology, raw);
+            let [engine, reference] = pair.each_mut().map(|sim| {
+                let (outcome, prefix) = match &op {
+                    Op::Announce(a) => (sim.try_announce(time, a).map(Some), a.prefix),
+                    Op::Withdraw(origin, prefix) => {
+                        (sim.try_withdraw(time, *origin, *prefix).map(|()| None), *prefix)
+                    }
+                };
+                (outcome, sim.drain_elems(), sim.blackholing_ases_for(&prefix))
+            });
+            elems += engine.1.len();
+            prop_assert_eq!((step, engine), (step, reference));
+        }
+        prop_assert!(elems > 0, "sequence produced no elems");
     }
 }
 
@@ -114,18 +252,17 @@ fn small_env() -> &'static (Topology, CollectorConfig) {
     })
 }
 
-fn run_small(policies: Option<&PolicyTable>, engine: EngineMode) -> ScenarioOutput {
+fn run_small(policies: Option<&PolicyTable>, side: Side) -> ScenarioOutput {
     let (topology, collector_config) = small_env();
-    let deployment = deploy(topology, collector_config);
-    run_with_engine(topology, deployment, &ScenarioConfig::short(42, 2, 5.0), policies, engine)
+    run_scenario(side, topology, deploy(topology, collector_config), policies, 42)
 }
 
 #[test]
 fn engines_agree_at_small_scale() {
-    let queue = run_small(None, EngineMode::Queue);
-    let phased = run_small(None, EngineMode::Phased { threads: 4 });
-    assert_identical(&queue, &phased);
-    assert!(!queue.elems.is_empty());
+    let engine = run_small(None, Side::Engine);
+    let reference = run_small(None, Side::Reference);
+    assert_identical(&reference, &engine);
+    assert!(!engine.elems.is_empty());
 }
 
 #[test]
@@ -133,11 +270,11 @@ fn engines_agree_at_small_scale_with_rov() {
     let (topology, _) = small_env();
     let rov = rov_table(topology);
     assert!(rov.deployed_count() > 0, "ROV table deployed nowhere");
-    let queue = run_small(Some(&rov), EngineMode::Queue);
-    let phased = run_small(Some(&rov), EngineMode::Phased { threads: 4 });
-    assert_identical(&queue, &phased);
+    let engine = run_small(Some(&rov), Side::Engine);
+    let reference = run_small(Some(&rov), Side::Reference);
+    assert_identical(&reference, &engine);
     // The policy actually bit: the ROV extension rejected imports.
-    let extension_rejects: u64 = queue.run_stats.extension_rejects.values().sum();
+    let extension_rejects: u64 = engine.run_stats.extension_rejects.values().sum();
     assert!(extension_rejects > 0, "ROV never rejected anything");
 }
 
@@ -146,12 +283,69 @@ fn engines_agree_at_small_scale_with_otc_and_leaker() {
     let (topology, _) = small_env();
     let table = otc_leaker_table(topology);
     assert!(table.deployed_count() >= 2, "need OTC deployers and a leaker");
-    let queue = run_small(Some(&table), EngineMode::Queue);
-    let phased = run_small(Some(&table), EngineMode::Phased { threads: 4 });
-    assert_identical(&queue, &phased);
+    let engine = run_small(Some(&table), Side::Engine);
+    let reference = run_small(Some(&table), Side::Reference);
+    assert_identical(&reference, &engine);
 }
 
-/// The rank order the phased schedule relies on: a provider always
+/// The first stub origin with address space: where the scale tests flood from.
+fn stub_origin(topology: &Topology) -> (Asn, Ipv4Prefix) {
+    topology
+        .ases()
+        .find(|i| i.tier == Tier::Stub && !i.prefixes.is_empty())
+        .map(|i| (i.asn, i.prefixes[0]))
+        .expect("topology has a stub origin with a prefix")
+}
+
+/// One announce + withdraw flood of `origin`'s `prefix`; the elems of both.
+fn flood(sim: &mut BgpSimulator<'_>, origin: Asn, prefix: Ipv4Prefix) -> Vec<BgpElem> {
+    let announcement = Announcement::simple(origin, prefix, CommunitySet::new());
+    sim.try_announce(SimTime::from_unix(1_000), &announcement).expect("announce converges");
+    sim.try_withdraw(SimTime::from_unix(2_000), origin, prefix).expect("withdraw converges");
+    sim.drain_elems()
+}
+
+/// The oracle exercised at scale: one full flood of a CAIDA-shaped
+/// 15k-AS topology through the engine and the FIFO reference. Release
+/// only (a debug flood is ~50x slower); the CI `massive-smoke` job runs
+/// this file with `--release`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run with `cargo test --release`")]
+fn engines_agree_at_15k_ases() {
+    let topology = TopologyBuilder::new(TopologyConfig::massive_scaled(7, 15_000)).build();
+    let collector_config = CollectorConfig { seed: 7, ..Default::default() };
+    let (origin, prefix) = stub_origin(&topology);
+    let [engine, reference] = [Side::Engine, Side::Reference].map(|side| {
+        let deployment = deploy(&topology, &collector_config);
+        flood(&mut simulator(side, &topology, deployment, 7, None), origin, prefix)
+    });
+    assert_eq!(engine, reference, "engine and FIFO reference must emit identically");
+    assert!(!engine.is_empty(), "flood produced no collector elements");
+}
+
+/// The property that pins ingest-then-advertise-once: a single-prefix
+/// flood costs at most two work items per directed adjacency entry —
+/// each AS advertises to each neighbor about once per sweep, not once
+/// per input. An engine that re-advertises after every input breaks
+/// this with one rank group alone (a provider re-floods its customer
+/// cone each time its best route improves during the down sweep).
+#[test]
+fn flood_work_is_bounded_by_adjacency() {
+    let topology = TopologyBuilder::new(TopologyConfig::massive_scaled(42, 7_000)).build();
+    let adjacency: u64 = topology.ases().map(|i| topology.neighbors(i.asn).len() as u64).sum();
+    let collector_config = CollectorConfig { seed: 42, ..Default::default() };
+    let mut sim = BgpSimulator::new(&topology, deploy(&topology, &collector_config), 42);
+    let (origin, prefix) = stub_origin(&topology);
+    assert!(!flood(&mut sim, origin, prefix).is_empty(), "flood produced no collector elements");
+    let work = sim.run_stats().work_items;
+    assert!(work >= adjacency / 4, "flood of {work} items never covered the graph ({adjacency})");
+    assert!(
+        work <= 2 * adjacency,
+        "flood processed {work} work items for {adjacency} adjacency entries"
+    );
+}
+
+/// The rank order the engine's schedule relies on: a provider always
 /// ranks strictly above each of its customers (customer-cone depth),
 /// and every AS is ranked.
 #[test]

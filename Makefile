@@ -1,24 +1,13 @@
 # Offline mirror of .github/workflows/ci.yml — `make check` runs the
-# same gates CI does.
+# same gates CI does. Perf questions go to the benchmark (BENCHMARK.json,
+# benchmark/run.sh); `benchmark-smoke` below is its gate here.
 
 CARGO ?= cargo
 
-# PR number stamped into the bench trajectory file (BENCH_$(BENCH_PR).json).
-# 10 is the newest committed point, not the current PR: a PR that records
-# a new point passes its own number (`make bench-json BENCH_PR=<n>`).
-# Since PR 13, perf claims are BENCHMARK.json metrics measured by
-# benchmark/ (see `benchmark-smoke` below), not rows of this trajectory.
-BENCH_PR ?= 10
-BENCH_JSONL ?= $(CURDIR)/target/criterion-run.jsonl
-# The perf-critical suites the trajectory tracks (the full figure
-# suite is minutes-scale; these cover the ingest hot path and the
-# live-service overhead).
-BENCH_SUITES = --bench pipeline_throughput --bench fleet_ingest --bench live_latency --bench policy_overhead --bench classifier_mining
-
 .PHONY: check fmt fmt-check build test test-release clippy doc quickstart bench bench-check \
-	bench-json bench-baseline bench-compare benchmark-smoke loc
+	benchmark-smoke loc
 
-check: fmt-check build test clippy bench-check doc quickstart bench-compare benchmark-smoke
+check: fmt-check build test clippy bench-check doc quickstart benchmark-smoke
 
 fmt:
 	$(CARGO) fmt --all
@@ -52,8 +41,9 @@ quickstart:
 bench:
 	$(CARGO) bench -p bh-bench
 
-# Compile (but do not run) the 21 harness=false bench targets, so they
-# cannot silently rot: clippy lints them, this proves they still link.
+# Compile (but do not run) the 18 harness=false figure/table bench
+# targets, so they cannot silently rot: clippy lints them, this proves
+# they still link.
 bench-check:
 	$(CARGO) bench -p bh-bench --no-run
 
@@ -63,28 +53,6 @@ bench-check:
 # against BENCHMARK.json), so an API change under its adapter cannot rot.
 benchmark-smoke:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
-
-# Record the perf-critical suites into the trajectory file's "current"
-# section (BENCH_$(BENCH_PR).json at the repo root). Run bench-baseline
-# BEFORE a perf change and bench-json after it, so the file carries the
-# before/after pair.
-bench-json:
-	rm -f $(BENCH_JSONL)
-	CRITERION_JSON=$(BENCH_JSONL) $(CARGO) bench -p bh-bench $(BENCH_SUITES)
-	$(CARGO) run --release -p bh-bench --bin bench_compare -- \
-		collect $(BENCH_JSONL) BENCH_$(BENCH_PR).json --pr $(BENCH_PR) --section current
-
-# Record the pre-change baseline section of the trajectory file.
-bench-baseline:
-	rm -f $(BENCH_JSONL)
-	CRITERION_JSON=$(BENCH_JSONL) $(CARGO) bench -p bh-bench $(BENCH_SUITES)
-	$(CARGO) run --release -p bh-bench --bin bench_compare -- \
-		collect $(BENCH_JSONL) BENCH_$(BENCH_PR).json --pr $(BENCH_PR) --section baseline
-
-# Gate gross regressions across the two newest committed trajectory
-# points; a no-op while fewer than two BENCH_*.json files exist.
-bench-compare:
-	$(CARGO) run --release -p bh-bench --bin bench_compare -- check .
 
 # Non-test lines per crate: every file under crates/*/src counted up to
 # its first `#[cfg(test)]`. The number a consolidation PR quotes before

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use bh_analysis::{render_series, Series};
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::study as window;
-use bh_core::{daily_series, DailySeriesAccumulator, EventAccumulator};
+use bh_core::{DailySeriesAccumulator, EventAccumulator};
 use bh_workloads::SPIKES;
 
 fn bench(c: &mut Criterion) {
@@ -14,9 +14,7 @@ fn bench(c: &mut Criterion) {
     // Tiny topology but the full 2.3-year calendar, scaled attack rate.
     let StudyRun { output, result, report, .. } = study.longitudinal_run(2.0);
 
-    let series =
-        daily_series(&result.events, window::longitudinal_start(), window::longitudinal_end());
-    assert_eq!(series, report.daily, "streamed accumulator must equal the batch series");
+    let series = &report.daily;
     let to_points = |f: fn(&bh_core::DailyPoint) -> usize| -> Vec<(f64, f64)> {
         series.iter().map(|p| (p.day.day_index() as f64, f(p) as f64)).collect()
     };
@@ -78,21 +76,8 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("fig4/daily_series", |b| {
         b.iter(|| {
-            daily_series(&result.events, window::longitudinal_start(), window::longitudinal_end())
-        })
-    });
-    // One-pass form: the same fold as an explicit mergeable accumulator
-    // (the shape each shard runs before the barrier merge).
-    c.bench_function("fig4/streaming_accumulator", |b| {
-        b.iter(|| {
-            let mut acc = DailySeriesAccumulator::new(
-                window::longitudinal_start(),
-                window::longitudinal_end(),
-            );
-            for event in &result.events {
-                acc.observe(event);
-            }
-            acc.finalize()
+            DailySeriesAccumulator::new(window::longitudinal_start(), window::longitudinal_end())
+                .fold(&result.events)
         })
     });
 }

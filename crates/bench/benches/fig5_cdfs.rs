@@ -5,10 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bh_analysis::{render_series, Ecdf, Series};
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::{
-    prefixes_per_provider, prefixes_per_user, EventAccumulator, ProviderPrefixAccumulator,
-    UserPrefixAccumulator,
-};
+use bh_core::{EventAccumulator, ProviderPrefixAccumulator, UserPrefixAccumulator};
 use bh_topology::NetworkType;
 
 fn bench(c: &mut Criterion) {
@@ -16,8 +13,7 @@ fn bench(c: &mut Criterion) {
     let StudyRun { result, refdata, report, .. } = study.visibility_run(10, 8.0);
 
     // Fig. 5(a): per-provider counts, transit/access vs IXP.
-    let per_provider = prefixes_per_provider(&result.events, &refdata);
-    assert_eq!(per_provider, report.prefixes_per_provider, "streamed == batch (providers)");
+    let per_provider = &report.prefixes_per_provider;
     let transit: Vec<f64> = per_provider
         .iter()
         .filter(|(_, ty, _)| *ty == NetworkType::TransitAccess)
@@ -61,8 +57,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // Fig. 5(b): per-user counts, split by user type.
-    let per_user = prefixes_per_user(&result.events, &refdata);
-    assert_eq!(per_user, report.prefixes_per_user, "streamed == batch (users)");
+    let per_user = &report.prefixes_per_user;
     let mut series = Vec::new();
     let mut content_prefixes = 0usize;
     let mut total_prefixes = 0usize;
@@ -74,7 +69,7 @@ fn bench(c: &mut Criterion) {
             series.push(Series::new(ty.label(), Ecdf::new(values).points()));
         }
     }
-    for (_, ty, n) in &per_user {
+    for (_, ty, n) in per_user {
         total_prefixes += n;
         if *ty == NetworkType::Content {
             content_prefixes += n;
@@ -94,20 +89,9 @@ fn bench(c: &mut Criterion) {
     c.bench_function("fig5/per_provider_and_user", |b| {
         b.iter(|| {
             (
-                prefixes_per_provider(&result.events, &refdata),
-                prefixes_per_user(&result.events, &refdata),
+                ProviderPrefixAccumulator::new(refdata.clone()).fold(&result.events),
+                UserPrefixAccumulator::new(refdata.clone()).fold(&result.events),
             )
-        })
-    });
-    c.bench_function("fig5/streaming_accumulators", |b| {
-        b.iter(|| {
-            let mut providers = ProviderPrefixAccumulator::new(refdata.clone());
-            let mut users = UserPrefixAccumulator::new(refdata.clone());
-            for event in &result.events {
-                providers.observe(event);
-                users.observe(event);
-            }
-            (providers.finalize(), users.finalize())
         })
     });
 }

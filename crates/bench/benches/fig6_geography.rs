@@ -4,26 +4,20 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bh_analysis::Table;
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::{per_country, CountryAccumulator, EventAccumulator};
+use bh_core::{CountryAccumulator, EventAccumulator};
 
 fn bench(c: &mut Criterion) {
     let study = Study::build(StudyScale::Small, 42);
     let StudyRun { result, refdata, report, .. } = study.visibility_run(10, 8.0);
 
-    let (providers, users) = per_country(&result.events, &refdata);
-    assert_eq!(
-        (providers.clone(), users.clone()),
-        (report.provider_countries.clone(), report.user_countries.clone()),
-        "streamed accumulator must equal the batch maps"
-    );
     let top = |map: &std::collections::BTreeMap<&'static str, usize>| -> Vec<(String, usize)> {
         let mut v: Vec<(String, usize)> = map.iter().map(|(c, n)| (c.to_string(), *n)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(8);
         v
     };
-    let top_providers = top(&providers);
-    let top_users = top(&users);
+    let top_providers = top(&report.provider_countries);
+    let top_users = top(&report.user_countries);
 
     let mut table = Table::new(
         "Fig 6: top countries (providers | users)",
@@ -51,15 +45,8 @@ fn bench(c: &mut Criterion) {
         top5_users
     );
 
-    c.bench_function("fig6/per_country", |b| b.iter(|| per_country(&result.events, &refdata)));
-    c.bench_function("fig6/streaming_accumulator", |b| {
-        b.iter(|| {
-            let mut acc = CountryAccumulator::new(refdata.clone());
-            for event in &result.events {
-                acc.observe(event);
-            }
-            acc.finalize()
-        })
+    c.bench_function("fig6/per_country", |b| {
+        b.iter(|| CountryAccumulator::new(refdata.clone()).fold(&result.events))
     });
 }
 

@@ -4,18 +4,17 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bh_analysis::{pct, Table};
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::{providers_per_event, EventAccumulator, ProvidersPerEventAccumulator};
+use bh_core::{EventAccumulator, ProvidersPerEventAccumulator};
 
 fn bench(c: &mut Criterion) {
     let study = Study::build(StudyScale::Small, 42);
     let StudyRun { result, report, .. } = study.visibility_run(10, 8.0);
 
-    let hist = providers_per_event(&result.events);
-    assert_eq!(hist, report.providers_per_event, "streamed accumulator must equal the batch");
+    let hist = &report.providers_per_event;
     let total: usize = hist.values().sum();
     let mut table =
         Table::new("Fig 7b: #blackholing providers per event", &["#Providers", "#Events", "Share"]);
-    for (k, n) in &hist {
+    for (k, n) in hist {
         table.row(vec![k.to_string(), n.to_string(), pct(*n as f64 / total.max(1) as f64)]);
     }
     println!("{}", table.render());
@@ -29,15 +28,8 @@ fn bench(c: &mut Criterion) {
         max_providers
     );
 
-    c.bench_function("fig7b/histogram", |b| b.iter(|| providers_per_event(&result.events)));
-    c.bench_function("fig7b/streaming_accumulator", |b| {
-        b.iter(|| {
-            let mut acc = ProvidersPerEventAccumulator::default();
-            for event in &result.events {
-                acc.observe(event);
-            }
-            acc.finalize()
-        })
+    c.bench_function("fig7b/histogram", |b| {
+        b.iter(|| ProvidersPerEventAccumulator::default().fold(&result.events))
     });
 }
 

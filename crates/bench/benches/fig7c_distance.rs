@@ -6,22 +6,20 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bh_analysis::{pct, Table};
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::{
-    distance_histogram, DetectionDistance, DistanceAccumulator, EngineConfig, EventAccumulator,
-};
+use bh_core::{DetectionDistance, DistanceAccumulator, EventAccumulator};
+use bh_routing::SliceSource;
 
 fn bench(c: &mut Criterion) {
     let study = Study::build(StudyScale::Small, 42);
     let StudyRun { output, result, refdata, report, .. } = study.visibility_run(10, 8.0);
 
-    let hist = distance_histogram(&result.events);
-    assert_eq!(hist, report.distance_histogram, "streamed accumulator must equal the batch");
+    let hist = &report.distance_histogram;
     let total: usize = hist.values().sum();
     let mut table = Table::new(
         "Fig 7c: AS distance collector <-> blackholing provider",
         &["Distance", "#Detections", "Share"],
     );
-    for (d, n) in &hist {
+    for (d, n) in hist {
         let label = match d {
             DetectionDistance::NoPath => "no-path (bundled)".to_string(),
             DetectionDistance::Hops(h) => format!("{h}"),
@@ -40,11 +38,12 @@ fn bench(c: &mut Criterion) {
     );
 
     // Ablation: disable bundling detection and compare event counts.
-    let ablated = study.infer_with_config(
-        &refdata,
-        &output.elems,
-        EngineConfig { bundling_detection: false, ..Default::default() },
-    );
+    let infer_no_bundling = || {
+        let mut session = study.session(&refdata).bundling_detection(false).build();
+        session.ingest(&mut SliceSource::new(&output.elems));
+        session.finish()
+    };
+    let ablated = infer_no_bundling();
     println!(
         "ablation: events with bundling {} vs without {} -> bundling contributes {} \
          (paper: ~half of inferences)\n",
@@ -53,25 +52,10 @@ fn bench(c: &mut Criterion) {
         pct(1.0 - ablated.events.len() as f64 / result.events.len().max(1) as f64)
     );
 
-    c.bench_function("fig7c/distance_histogram", |b| b.iter(|| distance_histogram(&result.events)));
-    c.bench_function("fig7c/streaming_accumulator", |b| {
-        b.iter(|| {
-            let mut acc = DistanceAccumulator::default();
-            for event in &result.events {
-                acc.observe(event);
-            }
-            acc.finalize()
-        })
+    c.bench_function("fig7c/distance_histogram", |b| {
+        b.iter(|| DistanceAccumulator::default().fold(&result.events))
     });
-    c.bench_function("fig7c/inference_no_bundling", |b| {
-        b.iter(|| {
-            study.infer_with_config(
-                &refdata,
-                &output.elems,
-                EngineConfig { bundling_detection: false, ..Default::default() },
-            )
-        })
-    });
+    c.bench_function("fig7c/inference_no_bundling", |b| b.iter(infer_no_bundling));
 }
 
 criterion_group! {

@@ -6,25 +6,18 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bh_analysis::{pct, render_series, Ecdf, Histogram, Series};
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_core::{durations, group_events, EngineConfig, EventAccumulator, PeriodAccumulator};
+use bh_bgp_types::time::SimDuration;
+use bh_core::{DurationAccumulator, EventAccumulator, PeriodAccumulator};
+use bh_routing::SliceSource;
 
 fn bench(c: &mut Criterion) {
     let study = Study::build(StudyScale::Small, 42);
-    let StudyRun { output, result, refdata, report, .. } = study.visibility_run(10, 8.0);
-    let now = SimTime::from_unix(
-        (bh_bgp_types::time::study::visibility_start().day_index() + 10) * 86_400,
-    );
+    let StudyRun { output, result, refdata, analytics, report } = study.visibility_run(10, 8.0);
+    let now = analytics.now;
 
     // Fig. 8(a): CDFs.
-    let ungrouped: Vec<f64> =
-        durations(&result.events, now).iter().map(|d| d.as_mins_f64()).collect();
-    let grouped_periods = group_events(&result.events, SimDuration::mins(5));
-    assert_eq!(
-        grouped_periods, report.periods,
-        "streamed period accumulator must equal the batch grouping"
-    );
-    let grouped: Vec<f64> = grouped_periods.iter().map(|p| p.duration(now).as_mins_f64()).collect();
+    let ungrouped: Vec<f64> = report.durations.iter().map(|d| d.as_mins_f64()).collect();
+    let grouped: Vec<f64> = report.periods.iter().map(|p| p.duration(now).as_mins_f64()).collect();
     let ungrouped_cdf = Ecdf::new(ungrouped);
     let grouped_cdf = Ecdf::new(grouped);
     println!(
@@ -49,7 +42,7 @@ fn bench(c: &mut Criterion) {
 
     // Fig. 8(b): histogram regimes (hours, log bins).
     let mut hist = Histogram::logarithmic(1.0 / 60.0, 24.0 * 95.0, 16);
-    hist.record_all(durations(&result.events, now).iter().map(|d| d.as_hours_f64()));
+    hist.record_all(report.durations.iter().map(|d| d.as_hours_f64()));
     println!("# Fig 8b: duration histogram (hours, log bins)");
     for (lo, hi, count) in hist.bins() {
         if count > 0 {
@@ -60,7 +53,7 @@ fn bench(c: &mut Criterion) {
 
     // Grouping-timeout sweep (ablation #3).
     for timeout_mins in [1u64, 5, 15, 60] {
-        let periods = group_events(&result.events, SimDuration::mins(timeout_mins));
+        let periods = PeriodAccumulator::new(SimDuration::mins(timeout_mins)).fold(&result.events);
         println!(
             "sweep: timeout {timeout_mins:>2}min -> {} periods from {} events",
             periods.len(),
@@ -70,13 +63,11 @@ fn bench(c: &mut Criterion) {
 
     // Per-peer-state ablation (ablation #2): collapsing peers shortens
     // events because the first de-activation closes them.
-    let ablated = study.infer_with_config(
-        &refdata,
-        &output.elems,
-        EngineConfig { per_peer_state: false, ..Default::default() },
-    );
+    let mut session = study.session(&refdata).per_peer_state(false).build();
+    session.ingest(&mut SliceSource::new(&output.elems));
+    let ablated = session.finish();
     let mean = |events: &[bh_core::BlackholeEvent]| -> f64 {
-        let ds = durations(events, now);
+        let ds = DurationAccumulator::new(now).fold(events);
         if ds.is_empty() {
             0.0
         } else {
@@ -89,19 +80,8 @@ fn bench(c: &mut Criterion) {
         mean(&ablated.events)
     );
 
-    c.bench_function("fig8/group_events", |b| {
-        b.iter(|| group_events(&result.events, SimDuration::mins(5)))
-    });
-    // One-pass form: the gap-tolerant coalescing accumulator, fed event
-    // by event (what drains out of a streaming session).
-    c.bench_function("fig8/streaming_period_accumulator", |b| {
-        b.iter(|| {
-            let mut acc = PeriodAccumulator::new(SimDuration::mins(5));
-            for event in &result.events {
-                acc.observe(event);
-            }
-            acc.finalize()
-        })
+    c.bench_function("fig8/period_accumulator", |b| {
+        b.iter(|| PeriodAccumulator::new(SimDuration::mins(5)).fold(&result.events))
     });
 }
 

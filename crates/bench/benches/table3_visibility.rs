@@ -8,14 +8,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bh_analysis::{count, pct, Table};
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::{table3, EventAccumulator, VisibilityAccumulator};
+use bh_core::{EventAccumulator, InferenceResult, VisibilityAccumulator};
 
 fn bench(c: &mut Criterion) {
     let study = Study::build(StudyScale::Small, 42);
     let StudyRun { output, result, refdata, report, .. } = study.visibility_run(10, 8.0);
 
-    let rows = table3(&result, &refdata);
-    assert_eq!(rows, report.table3, "streamed accumulator must equal the batch rows");
+    let rows = &report.table3;
     let mut table = Table::new(
         "Table 3: Blackhole dataset overview (IPv4)",
         &[
@@ -29,7 +28,7 @@ fn bench(c: &mut Criterion) {
             "Direct feeds",
         ],
     );
-    for row in &rows {
+    for row in rows {
         table.row(vec![
             row.source.clone(),
             count(row.providers),
@@ -64,21 +63,17 @@ fn bench(c: &mut Criterion) {
         result.events.len()
     );
 
+    // Fold the session's visibility map through the mergeable
+    // accumulator (what the streaming pipeline does inline).
+    let table = |result: &InferenceResult| {
+        let mut acc = VisibilityAccumulator::new(refdata.clone());
+        acc.observe_visibility(&result.per_dataset);
+        acc.finalize()
+    };
     c.bench_function("table3/inference_plus_table", |b| {
-        b.iter(|| {
-            let result = study.infer(&refdata, &output.elems);
-            table3(&result, &refdata)
-        })
+        b.iter(|| table(&study.infer(&refdata, &output.elems)))
     });
-    // One-pass form: fold the session's visibility map through the
-    // mergeable accumulator (what the streaming pipeline does inline).
-    c.bench_function("table3/streaming_accumulator", |b| {
-        b.iter(|| {
-            let mut acc = VisibilityAccumulator::new(refdata.clone());
-            acc.observe_visibility(&result.per_dataset);
-            acc.finalize()
-        })
-    });
+    c.bench_function("table3/accumulator", |b| b.iter(|| table(&result)));
 }
 
 criterion_group! {

@@ -4,20 +4,19 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bh_analysis::{count, pct, Table};
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::{table4, EventAccumulator, TypeAccumulator};
+use bh_core::{EventAccumulator, TypeAccumulator};
 use bh_topology::NetworkType;
 
 fn bench(c: &mut Criterion) {
     let study = Study::build(StudyScale::Small, 42);
     let StudyRun { result, refdata, report, .. } = study.visibility_run(10, 8.0);
 
-    let rows = table4(&result.events, &refdata);
-    assert_eq!(rows, report.table4, "streamed accumulator must equal the batch rows");
+    let rows = &report.table4;
     let mut table = Table::new(
         "Table 4: Blackhole visibility by provider type (IPv4)",
         &["Network Type", "#Bh prov.", "#Bh users", "#Bh pref.", "Direct feed"],
     );
-    for row in &rows {
+    for row in rows {
         table.row(vec![
             row.network_type.label().to_string(),
             count(row.providers),
@@ -47,15 +46,8 @@ fn bench(c: &mut Criterion) {
         ixp.providers, transit.providers, ixp.users
     );
 
-    c.bench_function("table4/compute", |b| b.iter(|| table4(&result.events, &refdata)));
-    c.bench_function("table4/streaming_accumulator", |b| {
-        b.iter(|| {
-            let mut acc = TypeAccumulator::new(refdata.clone());
-            for event in &result.events {
-                acc.observe(event);
-            }
-            acc.finalize()
-        })
+    c.bench_function("table4/compute", |b| {
+        b.iter(|| TypeAccumulator::new(refdata.clone()).fold(&result.events))
     });
 }
 

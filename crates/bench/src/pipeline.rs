@@ -19,15 +19,14 @@ use std::sync::Arc;
 use bh_bgp_types::time::SimTime;
 use bh_core::{
     score_events, AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, ConfusionReport,
-    EngineConfig, EventAccumulator, InferenceResult, InferenceSession, ReferenceData,
-    SessionBuilder, ShardedSession, StreamSummary,
+    EventAccumulator, InferenceResult, ReferenceData, SessionBuilder,
 };
 use bh_irr::{BlackholeDictionary, Corpus, CorpusGenerator, NegativeControls};
-use bh_routing::{deploy, BgpElem, CollectorConfig, CollectorDeployment, ElemSource, SliceSource};
+use bh_routing::{deploy, BgpElem, CollectorConfig, CollectorDeployment, SliceSource};
 use bh_topology::{PolicyTable, Topology, TopologyBuilder, TopologyConfig};
 use bh_workloads::{
-    fleet_of, run, run_adversarial, run_with_policies, AdversarialConfig, AdversarialOutput,
-    CollectorArchive, ScenarioConfig, ScenarioOutput,
+    run, run_adversarial, run_with_policies, AdversarialConfig, AdversarialOutput, ScenarioConfig,
+    ScenarioOutput,
 };
 
 /// Pipeline scale: trade fidelity for wall-clock.
@@ -120,8 +119,7 @@ pub struct StudyRun {
     /// scenario calendar, with the paper's 5-minute grouping timeout).
     pub analytics: AnalyticsConfig,
     /// Every paper table/figure of this run, computed by the
-    /// [`AnalyticsPipeline`] accumulators — field for field equal to the
-    /// batch functions over `result`.
+    /// [`AnalyticsPipeline`] accumulators over `result`.
     pub report: AnalyticsReport,
 }
 
@@ -169,95 +167,11 @@ impl Study {
         SessionBuilder::new(self.dict.clone(), refdata.clone())
     }
 
-    /// A sharded session over `shards` prefix-partitioned workers.
-    pub fn sharded_session(&self, refdata: &Arc<ReferenceData>, shards: usize) -> ShardedSession {
-        self.session(refdata).build_sharded(shards)
-    }
-
     /// One-shot inference over an in-memory element stream.
     pub fn infer(&self, refdata: &Arc<ReferenceData>, elems: &[BgpElem]) -> InferenceResult {
-        self.infer_with_config(refdata, elems, EngineConfig::default())
-    }
-
-    /// Inference with explicit session configuration (ablations).
-    pub fn infer_with_config(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        elems: &[BgpElem],
-        config: EngineConfig,
-    ) -> InferenceResult {
-        let mut session: InferenceSession = self.session(refdata).config(config).build();
-        session.ingest(&mut SliceSource::new(elems));
-        session.finish()
-    }
-
-    /// Sharded inference over an in-memory element stream.
-    pub fn infer_sharded(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        elems: &[BgpElem],
-        shards: usize,
-    ) -> InferenceResult {
-        let mut session = self.sharded_session(refdata, shards);
-        session.ingest(&mut SliceSource::new(elems));
-        session.finish()
-    }
-
-    /// One-shot inference over any element source — e.g. a
-    /// [`MergedSource`](bh_routing::MergedSource) over many archives, or
-    /// a running [`CollectorFleet`](bh_routing::CollectorFleet) stream.
-    pub fn infer_source<S: ElemSource + ?Sized>(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        source: &mut S,
-    ) -> InferenceResult {
         let mut session = self.session(refdata).build();
-        session.ingest(source);
+        session.ingest(&mut SliceSource::new(elems));
         session.finish()
-    }
-
-    /// Sharded inference over any element source.
-    pub fn infer_sharded_source<S: ElemSource + ?Sized>(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        source: &mut S,
-        shards: usize,
-    ) -> InferenceResult {
-        let mut session = self.sharded_session(refdata, shards);
-        session.ingest(source);
-        session.finish()
-    }
-
-    /// The full multi-collector historical path: per-collector MRT
-    /// archives → [`CollectorFleet`](bh_routing::CollectorFleet) (one
-    /// reader thread per archive, bounded channels) → merged stream →
-    /// one inference session. Panics if any archive fails to decode
-    /// cleanly — benches and tests want that loud.
-    pub fn infer_fleet(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        archives: &[CollectorArchive],
-    ) -> InferenceResult {
-        let mut stream = fleet_of(archives).start();
-        let result = self.infer_source(refdata, &mut stream);
-        let report = stream.finish();
-        assert!(report.is_clean(), "fleet archive error: {:?}", report.first_error());
-        result
-    }
-
-    /// The fleet path fanned out across a sharded session: N archive
-    /// readers pipelined into M prefix-partitioned inference workers.
-    pub fn infer_fleet_sharded(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        archives: &[CollectorArchive],
-        shards: usize,
-    ) -> InferenceResult {
-        let mut stream = fleet_of(archives).start();
-        let result = self.infer_sharded_source(refdata, &mut stream, shards);
-        let report = stream.finish();
-        assert!(report.is_clean(), "fleet archive error: {:?}", report.first_error());
-        result
     }
 
     /// An [`AnalyticsPipeline`] with every paper-metric accumulator
@@ -268,50 +182,6 @@ impl Study {
         config: AnalyticsConfig,
     ) -> AnalyticsPipeline {
         AnalyticsPipeline::new(refdata.clone(), config)
-    }
-
-    /// One-pass streaming inference **and** analytics: closed events are
-    /// drained into the pipeline every `drain_every` elements and the
-    /// session finishes straight into it, so the full event `Vec` is
-    /// never materialized. Returns the summary (census, counters,
-    /// visibility) and the finalized report.
-    pub fn infer_streaming_analytics(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        elems: &[BgpElem],
-        config: AnalyticsConfig,
-        drain_every: u64,
-    ) -> (StreamSummary, AnalyticsReport) {
-        let mut session = self.session(refdata).build();
-        let mut pipeline = self.analytics_pipeline(refdata, config);
-        let mut source = SliceSource::new(elems);
-        let mut n = 0u64;
-        while let Some(elem) = source.next_elem() {
-            session.push(elem);
-            n += 1;
-            if n.is_multiple_of(drain_every.max(1)) {
-                session.drain_closed_into(&mut pipeline);
-            }
-        }
-        let summary = session.finish_with(&mut pipeline);
-        (summary, pipeline.finalize())
-    }
-
-    /// Sharded one-pass inference and analytics: each worker streams its
-    /// closed events through its own pipeline clone; the per-shard
-    /// pipelines merge deterministically at the barrier.
-    pub fn infer_sharded_analytics(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        elems: &[BgpElem],
-        config: AnalyticsConfig,
-        shards: usize,
-    ) -> (StreamSummary, AnalyticsReport) {
-        let pipeline = self.analytics_pipeline(refdata, config);
-        let mut session = self.session(refdata).build_sharded_with(shards, pipeline);
-        session.ingest(&mut SliceSource::new(elems));
-        let (summary, merged) = session.finish_parts();
-        (summary, merged.finalize())
     }
 
     /// Run a scenario and infer over its stream with ONE deployment:
@@ -470,28 +340,32 @@ mod tests {
     fn sharded_infer_matches_batch() {
         let study = Study::build(StudyScale::Tiny, 11);
         let run = study.visibility_run(2, 4.0);
-        let sharded = study.infer_sharded(&run.refdata, &run.output.elems, 4);
-        assert_eq!(sharded, run.result);
+        let mut sharded = study.session(&run.refdata).build_sharded(4);
+        sharded.ingest(&mut SliceSource::new(&run.output.elems));
+        assert_eq!(sharded.finish(), run.result);
     }
 
+    /// The pipeline hands each accumulator the parameter of
+    /// `run.analytics` it needs and each report field its output.
     #[test]
     fn run_report_matches_batch_analytics() {
-        use bh_core::{daily_series, group_events, table3, table4};
+        use bh_core::{
+            DailySeriesAccumulator, PeriodAccumulator, TypeAccumulator, VisibilityAccumulator,
+        };
 
         let study = Study::build(StudyScale::Tiny, 13);
         let run = study.visibility_run(3, 6.0);
-        assert!(!run.result.events.is_empty());
-        // The report the run carries equals the batch functions.
-        assert_eq!(run.report.table3, table3(&run.result, &run.refdata));
-        assert_eq!(run.report.table4, table4(&run.result.events, &run.refdata));
-        assert_eq!(
-            run.report.daily,
-            daily_series(&run.result.events, run.analytics.window_start, run.analytics.window_end)
-        );
-        assert_eq!(
-            run.report.periods,
-            group_events(&run.result.events, run.analytics.grouping_timeout)
-        );
+        let events = &run.result.events;
+        assert!(!events.is_empty());
+        let mut visibility = VisibilityAccumulator::new(run.refdata.clone());
+        visibility.observe_visibility(&run.result.per_dataset);
+        assert_eq!(run.report.table3, visibility.finalize());
+        assert_eq!(run.report.table4, TypeAccumulator::new(run.refdata.clone()).fold(events));
+        let daily =
+            DailySeriesAccumulator::new(run.analytics.window_start, run.analytics.window_end);
+        assert_eq!(run.report.daily, daily.fold(events));
+        let periods = PeriodAccumulator::new(run.analytics.grouping_timeout);
+        assert_eq!(run.report.periods, periods.fold(events));
     }
 
     #[test]
@@ -507,21 +381,41 @@ mod tests {
             bh_routing::split_by_collector(&run.output.elems).into_values().collect(),
         );
         let expected = study.infer(&run.refdata, &merged);
-        assert_eq!(study.infer_fleet(&run.refdata, &archives), expected);
-        assert_eq!(study.infer_fleet_sharded(&run.refdata, &archives, 4), expected);
+
+        let mut stream = bh_workloads::fleet_of(&archives).start();
+        let mut session = study.session(&run.refdata).build();
+        session.ingest(&mut stream);
+        assert!(stream.finish().is_clean());
+        assert_eq!(session.finish(), expected);
+
+        let mut stream = bh_workloads::fleet_of(&archives).start();
+        let mut sharded = study.session(&run.refdata).build_sharded(4);
+        sharded.ingest(&mut stream);
+        assert!(stream.finish().is_clean());
+        assert_eq!(sharded.finish(), expected);
     }
 
     #[test]
     fn streaming_analytics_match_run_report() {
         let study = Study::build(StudyScale::Tiny, 17);
         let run = study.visibility_run(2, 5.0);
-        let (summary, report) =
-            study.infer_streaming_analytics(&run.refdata, &run.output.elems, run.analytics, 512);
+        let mut session = study.session(&run.refdata).build();
+        let mut pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
+        for (n, elem) in run.output.elems.iter().enumerate() {
+            session.push(elem);
+            if n % 512 == 511 {
+                session.drain_closed_into(&mut pipeline);
+            }
+        }
+        let summary = session.finish_with(&mut pipeline);
         assert_eq!(summary.stats, run.result.stats);
-        assert_eq!(report, run.report);
-        let (sharded_summary, sharded_report) =
-            study.infer_sharded_analytics(&run.refdata, &run.output.elems, run.analytics, 4);
-        assert_eq!(sharded_summary.per_dataset, run.result.per_dataset);
-        assert_eq!(sharded_report, run.report);
+        assert_eq!(pipeline.finalize(), run.report);
+
+        let pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
+        let mut sharded = study.session(&run.refdata).build_sharded_with(4, pipeline);
+        sharded.ingest(&mut SliceSource::new(&run.output.elems));
+        let (summary, merged) = sharded.finish_parts();
+        assert_eq!(summary.per_dataset, run.result.per_dataset);
+        assert_eq!(merged.finalize(), run.report);
     }
 }

@@ -96,11 +96,6 @@ impl BogonFilter {
         self.flat.push((prefix.network_bits(), mask_of(prefix.length()), prefix));
     }
 
-    /// Number of blocks currently loaded.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Check a prefix; `Err` carries the reason for rejection.
     pub fn check(&self, prefix: &Ipv4Prefix) -> Result<(), BogonReason> {
         if prefix.length() < self.min_length {

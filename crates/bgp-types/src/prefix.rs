@@ -256,11 +256,6 @@ impl Prefix {
         }
     }
 
-    /// Is this an IPv4 prefix?
-    pub fn is_ipv4(&self) -> bool {
-        matches!(self, Prefix::V4(_))
-    }
-
     /// Is this a host route (/32 or /128)?
     pub fn is_host_route(&self) -> bool {
         match self {
@@ -275,14 +270,6 @@ impl Prefix {
         match self {
             Prefix::V4(p) => p.is_more_specific_than(24),
             Prefix::V6(p) => p.length() > 48,
-        }
-    }
-
-    /// The IPv4 prefix, if this is one.
-    pub fn as_v4(&self) -> Option<&Ipv4Prefix> {
-        match self {
-            Prefix::V4(p) => Some(p),
-            Prefix::V6(_) => None,
         }
     }
 }

@@ -6,7 +6,8 @@
 //! [`BlackholeEvent`]s (plus the session's per-dataset visibility) into
 //! a paper metric, can be **merged** with a sibling accumulator fed a
 //! disjoint part of the stream, and **finalizes** into exactly what the
-//! corresponding batch function returns.
+//! [`fold`](EventAccumulator::fold) over the materialized event list
+//! returns.
 //!
 //! The contract every implementation upholds:
 //!
@@ -16,11 +17,10 @@
 //!   `tests/tests/analytics_streaming.rs` asserts this), so per-shard
 //!   accumulators can be folded in any grouping at the
 //!   [`ShardedSession`](crate::ShardedSession) barrier.
-//! * `finalize` of a streamed/merged accumulator is **equal** to the
-//!   batch function over the materialized event list — the batch
-//!   functions in [`analytics`](crate::analytics) and
-//!   [`events`](crate::events) are thin wrappers over these
-//!   accumulators, so each paper metric has exactly one implementation.
+//! * `finalize` of a streamed/merged accumulator is **equal** to
+//!   [`fold`](EventAccumulator::fold) over the materialized event list —
+//!   the one batch form, provided by the trait, so each paper metric has
+//!   exactly one implementation.
 //!
 //! [`AnalyticsPipeline`] multiplexes one event stream into every
 //! registered paper-metric accumulator;
@@ -46,9 +46,9 @@ use crate::session::{DatasetVisibility, InferenceResult};
 /// A mergeable, one-pass fold over a stream of blackholing events.
 ///
 /// See the [module docs](self) for the order-insensitivity /
-/// merge-associativity / batch-equality contract.
+/// merge-associativity / fold-equality contract.
 pub trait EventAccumulator {
-    /// What `finalize` produces (the batch function's return type).
+    /// What `finalize` (and `fold`) produces.
     type Output;
 
     /// Fold one event into the accumulator.
@@ -75,6 +75,18 @@ pub trait EventAccumulator {
     fn finalize(self) -> Self::Output
     where
         Self: Sized;
+
+    /// The batch form: `observe` every event of a materialized slice,
+    /// then `finalize`.
+    fn fold(mut self, events: &[BlackholeEvent]) -> Self::Output
+    where
+        Self: Sized,
+    {
+        for event in events {
+            self.observe(event);
+        }
+        self.finalize()
+    }
 }
 
 /// The identity accumulator: collects the events themselves.
@@ -152,7 +164,8 @@ impl AnalyticsConfig {
 }
 
 /// Everything the pipeline computes: one field per paper table/figure,
-/// each exactly equal to the corresponding batch function's output.
+/// each exactly what its accumulator's `fold` over the whole event list
+/// (Table 3: `observe_visibility` of the whole run) produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticsReport {
     /// Table 3 rows (per-dataset visibility).

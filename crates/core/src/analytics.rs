@@ -2,14 +2,12 @@
 //! Figures 4–8.
 //!
 //! Each metric exists exactly once, as a mergeable
-//! [`EventAccumulator`]; the batch
-//! functions (`table3`, `table4`, `daily_series`, …) are thin wrappers
-//! that fold a materialized event slice through the same accumulator.
-//! Accumulators can instead be fed incrementally — from
+//! [`EventAccumulator`]. Over a materialized event slice it is
+//! [`EventAccumulator::fold`]; fed incrementally — from
 //! [`InferenceSession::drain_closed_into`](crate::InferenceSession::drain_closed_into)
 //! or per shard via
 //! [`SessionBuilder::build_sharded_with`](crate::SessionBuilder::build_sharded_with)
-//! — and produce identical output (see
+//! — it produces identical output (see
 //! `tests/tests/analytics_streaming.rs`).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,7 +23,7 @@ use bh_topology::NetworkType;
 use crate::accumulate::EventAccumulator;
 use crate::events::{BlackholeEvent, DetectionDistance, ProviderId};
 use crate::refdata::ReferenceData;
-use crate::session::{DatasetVisibility, InferenceResult};
+use crate::session::DatasetVisibility;
 
 /// One row of Table 3: per-platform blackholing visibility.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +46,8 @@ pub struct VisibilityRow {
     pub direct_feed_fraction: f64,
 }
 
-/// The single implementation behind Table 3: rows from a per-dataset
-/// visibility map (which the session maintains incrementally).
+/// Table 3's rows (one per platform plus the ALL row) from a
+/// per-dataset visibility map, which the session maintains incrementally.
 fn visibility_rows(
     per_dataset: &BTreeMap<DataSource, DatasetVisibility>,
     refdata: &ReferenceData,
@@ -135,12 +133,6 @@ fn visibility_rows(
     rows
 }
 
-/// Compute Table 3 from the engine result: one row per platform plus the
-/// ALL row. Thin wrapper over [`VisibilityAccumulator`].
-pub fn table3(result: &InferenceResult, refdata: &ReferenceData) -> Vec<VisibilityRow> {
-    visibility_rows(&result.per_dataset, refdata)
-}
-
 /// Table 3 as a mergeable accumulator.
 ///
 /// The per-source breakdown comes from the session's per-dataset
@@ -212,26 +204,41 @@ pub struct TypeRow {
     pub direct_feed_fraction: f64,
 }
 
-/// The per-type sets behind Table 4 (shared by the batch function and
-/// the accumulator).
-#[derive(Debug, Clone, Default)]
-struct TypeSets {
+/// Table 4 as a mergeable accumulator: per-type provider, user and
+/// prefix sets.
+#[derive(Debug, Clone)]
+pub struct TypeAccumulator {
+    refdata: Arc<ReferenceData>,
     providers: BTreeMap<NetworkType, BTreeSet<ProviderId>>,
     users: BTreeMap<NetworkType, BTreeSet<Asn>>,
     prefixes: BTreeMap<NetworkType, BTreeSet<Ipv4Prefix>>,
 }
 
-impl TypeSets {
-    fn observe(&mut self, event: &BlackholeEvent, refdata: &ReferenceData) {
+impl TypeAccumulator {
+    /// An empty accumulator over the given reference data.
+    pub fn new(refdata: Arc<ReferenceData>) -> Self {
+        TypeAccumulator {
+            refdata,
+            providers: BTreeMap::new(),
+            users: BTreeMap::new(),
+            prefixes: BTreeMap::new(),
+        }
+    }
+}
+
+impl EventAccumulator for TypeAccumulator {
+    type Output = Vec<TypeRow>;
+
+    fn observe(&mut self, event: &BlackholeEvent) {
         for provider in &event.providers {
-            let ty = provider_type(provider, refdata);
+            let ty = provider_type(provider, &self.refdata);
             self.providers.entry(ty).or_default().insert(*provider);
             self.users.entry(ty).or_default().extend(event.users.iter().copied());
             self.prefixes.entry(ty).or_default().insert(event.prefix);
         }
     }
 
-    fn merge(&mut self, other: TypeSets) {
+    fn merge(&mut self, other: Self) {
         for (ty, set) in other.providers {
             self.providers.entry(ty).or_default().extend(set);
         }
@@ -243,7 +250,8 @@ impl TypeSets {
         }
     }
 
-    fn rows(&self, refdata: &ReferenceData) -> Vec<TypeRow> {
+    fn finalize(self) -> Vec<TypeRow> {
+        let refdata = &self.refdata;
         let mut rows = Vec::new();
         for ty in NetworkType::ALL {
             let provs = self.providers.get(&ty).cloned().unwrap_or_default();
@@ -269,45 +277,6 @@ impl TypeSets {
     }
 }
 
-/// Compute Table 4. Thin wrapper over [`TypeAccumulator`]'s fold.
-pub fn table4(events: &[BlackholeEvent], refdata: &ReferenceData) -> Vec<TypeRow> {
-    let mut sets = TypeSets::default();
-    for event in events {
-        sets.observe(event, refdata);
-    }
-    sets.rows(refdata)
-}
-
-/// Table 4 as a mergeable accumulator.
-#[derive(Debug, Clone)]
-pub struct TypeAccumulator {
-    refdata: Arc<ReferenceData>,
-    sets: TypeSets,
-}
-
-impl TypeAccumulator {
-    /// An empty accumulator over the given reference data.
-    pub fn new(refdata: Arc<ReferenceData>) -> Self {
-        TypeAccumulator { refdata, sets: TypeSets::default() }
-    }
-}
-
-impl EventAccumulator for TypeAccumulator {
-    type Output = Vec<TypeRow>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        self.sets.observe(event, &self.refdata);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.sets.merge(other.sets);
-    }
-
-    fn finalize(self) -> Vec<TypeRow> {
-        self.sets.rows(&self.refdata)
-    }
-}
-
 /// One day of the Fig. 4 longitudinal series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DailyPoint {
@@ -319,20 +288,6 @@ pub struct DailyPoint {
     pub users: usize,
     /// Distinct concurrently blackholed prefixes.
     pub prefixes: usize,
-}
-
-/// Compute the daily activity series over `[window_start, window_end)`.
-/// Thin wrapper over [`DailySeriesAccumulator`].
-pub fn daily_series(
-    events: &[BlackholeEvent],
-    window_start: SimTime,
-    window_end: SimTime,
-) -> Vec<DailyPoint> {
-    let mut acc = DailySeriesAccumulator::new(window_start, window_end);
-    for event in events {
-        acc.observe(event);
-    }
-    acc.finalize()
 }
 
 /// Fig. 4 as a mergeable accumulator: per-day distinct-entity sets over
@@ -347,11 +302,12 @@ pub struct DailySeriesAccumulator {
 }
 
 impl DailySeriesAccumulator {
-    /// An empty accumulator over `[window_start, window_end)`.
+    /// An empty accumulator over `[window_start, window_end)`; an
+    /// inverted or zero-length window is an empty series.
     pub fn new(window_start: SimTime, window_end: SimTime) -> Self {
         let first_day = window_start.day_index();
         let last_day = window_end.day_index();
-        let days = (last_day - first_day) as usize;
+        let days = last_day.saturating_sub(first_day) as usize;
         DailySeriesAccumulator {
             first_day,
             last_day,
@@ -416,41 +372,8 @@ impl EventAccumulator for DailySeriesAccumulator {
     }
 }
 
-/// Per-provider blackholed-prefix counts (Fig. 5(a) input). Thin wrapper
-/// over [`ProviderPrefixAccumulator`]'s fold.
-pub fn prefixes_per_provider(
-    events: &[BlackholeEvent],
-    refdata: &ReferenceData,
-) -> Vec<(ProviderId, NetworkType, usize)> {
-    let mut map: BTreeMap<ProviderId, BTreeSet<Ipv4Prefix>> = BTreeMap::new();
-    for event in events {
-        provider_prefix_observe(&mut map, event);
-    }
-    provider_prefix_rows(map, refdata)
-}
-
-fn provider_prefix_observe(
-    map: &mut BTreeMap<ProviderId, BTreeSet<Ipv4Prefix>>,
-    event: &BlackholeEvent,
-) {
-    for provider in &event.providers {
-        map.entry(*provider).or_default().insert(event.prefix);
-    }
-}
-
-fn provider_prefix_rows(
-    map: BTreeMap<ProviderId, BTreeSet<Ipv4Prefix>>,
-    refdata: &ReferenceData,
-) -> Vec<(ProviderId, NetworkType, usize)> {
-    map.into_iter()
-        .map(|(p, set)| {
-            let ty = provider_type(&p, refdata);
-            (p, ty, set.len())
-        })
-        .collect()
-}
-
-/// Fig. 5(a) as a mergeable accumulator.
+/// Fig. 5(a) as a mergeable accumulator: per-provider distinct
+/// blackholed-prefix counts.
 #[derive(Debug, Clone)]
 pub struct ProviderPrefixAccumulator {
     refdata: Arc<ReferenceData>,
@@ -468,7 +391,9 @@ impl EventAccumulator for ProviderPrefixAccumulator {
     type Output = Vec<(ProviderId, NetworkType, usize)>;
 
     fn observe(&mut self, event: &BlackholeEvent) {
-        provider_prefix_observe(&mut self.map, event);
+        for provider in &event.providers {
+            self.map.entry(*provider).or_default().insert(event.prefix);
+        }
     }
 
     fn merge(&mut self, other: Self) {
@@ -478,37 +403,19 @@ impl EventAccumulator for ProviderPrefixAccumulator {
     }
 
     fn finalize(self) -> Vec<(ProviderId, NetworkType, usize)> {
-        provider_prefix_rows(self.map, &self.refdata)
+        let refdata = &self.refdata;
+        self.map
+            .into_iter()
+            .map(|(p, set)| {
+                let ty = provider_type(&p, refdata);
+                (p, ty, set.len())
+            })
+            .collect()
     }
 }
 
-/// Per-user blackholed-prefix counts with user network type (Fig. 5(b)).
-/// Thin wrapper over [`UserPrefixAccumulator`]'s fold.
-pub fn prefixes_per_user(
-    events: &[BlackholeEvent],
-    refdata: &ReferenceData,
-) -> Vec<(Asn, NetworkType, usize)> {
-    let mut map: BTreeMap<Asn, BTreeSet<Ipv4Prefix>> = BTreeMap::new();
-    for event in events {
-        user_prefix_observe(&mut map, event);
-    }
-    user_prefix_rows(map, refdata)
-}
-
-fn user_prefix_observe(map: &mut BTreeMap<Asn, BTreeSet<Ipv4Prefix>>, event: &BlackholeEvent) {
-    for user in &event.users {
-        map.entry(*user).or_default().insert(event.prefix);
-    }
-}
-
-fn user_prefix_rows(
-    map: BTreeMap<Asn, BTreeSet<Ipv4Prefix>>,
-    refdata: &ReferenceData,
-) -> Vec<(Asn, NetworkType, usize)> {
-    map.into_iter().map(|(asn, set)| (asn, refdata.network_type(asn), set.len())).collect()
-}
-
-/// Fig. 5(b) as a mergeable accumulator.
+/// Fig. 5(b) as a mergeable accumulator: per-user distinct
+/// blackholed-prefix counts, with the user's network type.
 #[derive(Debug, Clone)]
 pub struct UserPrefixAccumulator {
     refdata: Arc<ReferenceData>,
@@ -526,7 +433,9 @@ impl EventAccumulator for UserPrefixAccumulator {
     type Output = Vec<(Asn, NetworkType, usize)>;
 
     fn observe(&mut self, event: &BlackholeEvent) {
-        user_prefix_observe(&mut self.map, event);
+        for user in &event.users {
+            self.map.entry(*user).or_default().insert(event.prefix);
+        }
     }
 
     fn merge(&mut self, other: Self) {
@@ -536,27 +445,38 @@ impl EventAccumulator for UserPrefixAccumulator {
     }
 
     fn finalize(self) -> Vec<(Asn, NetworkType, usize)> {
-        user_prefix_rows(self.map, &self.refdata)
+        let refdata = &self.refdata;
+        self.map.into_iter().map(|(asn, set)| (asn, refdata.network_type(asn), set.len())).collect()
     }
 }
 
-/// The provider/user ASN sets behind Fig. 6 (shared by the batch
-/// function and the accumulator).
-#[derive(Debug, Clone, Default)]
-struct CountrySets {
+/// Fig. 6 as a mergeable accumulator: the provider and user ASN sets,
+/// counted per country (providers, users) at `finalize`.
+#[derive(Debug, Clone)]
+pub struct CountryAccumulator {
+    refdata: Arc<ReferenceData>,
     providers: BTreeSet<Asn>,
     users: BTreeSet<Asn>,
 }
 
-impl CountrySets {
-    fn observe(&mut self, event: &BlackholeEvent, refdata: &ReferenceData) {
+impl CountryAccumulator {
+    /// An empty accumulator over the given reference data.
+    pub fn new(refdata: Arc<ReferenceData>) -> Self {
+        CountryAccumulator { refdata, providers: BTreeSet::new(), users: BTreeSet::new() }
+    }
+}
+
+impl EventAccumulator for CountryAccumulator {
+    type Output = (BTreeMap<&'static str, usize>, BTreeMap<&'static str, usize>);
+
+    fn observe(&mut self, event: &BlackholeEvent) {
         for provider in &event.providers {
             match provider {
                 ProviderId::As(asn) => {
                     self.providers.insert(*asn);
                 }
                 ProviderId::Ixp(id) => {
-                    if let Some(asn) = refdata.route_server_of(*id) {
+                    if let Some(asn) = self.refdata.route_server_of(*id) {
                         self.providers.insert(asn);
                     }
                 }
@@ -565,10 +485,13 @@ impl CountrySets {
         self.users.extend(event.users.iter().copied());
     }
 
-    fn counts(
-        &self,
-        refdata: &ReferenceData,
-    ) -> (BTreeMap<&'static str, usize>, BTreeMap<&'static str, usize>) {
+    fn merge(&mut self, other: Self) {
+        self.providers.extend(other.providers);
+        self.users.extend(other.users);
+    }
+
+    fn finalize(self) -> Self::Output {
+        let refdata = &self.refdata;
         let count = |set: &BTreeSet<Asn>| {
             let mut map: BTreeMap<&'static str, usize> = BTreeMap::new();
             for asn in set {
@@ -580,61 +503,8 @@ impl CountrySets {
     }
 }
 
-/// Per-country counts of providers and users (Fig. 6). Thin wrapper over
-/// [`CountryAccumulator`]'s fold.
-pub fn per_country(
-    events: &[BlackholeEvent],
-    refdata: &ReferenceData,
-) -> (BTreeMap<&'static str, usize>, BTreeMap<&'static str, usize>) {
-    let mut sets = CountrySets::default();
-    for event in events {
-        sets.observe(event, refdata);
-    }
-    sets.counts(refdata)
-}
-
-/// Fig. 6 as a mergeable accumulator.
-#[derive(Debug, Clone)]
-pub struct CountryAccumulator {
-    refdata: Arc<ReferenceData>,
-    sets: CountrySets,
-}
-
-impl CountryAccumulator {
-    /// An empty accumulator over the given reference data.
-    pub fn new(refdata: Arc<ReferenceData>) -> Self {
-        CountryAccumulator { refdata, sets: CountrySets::default() }
-    }
-}
-
-impl EventAccumulator for CountryAccumulator {
-    type Output = (BTreeMap<&'static str, usize>, BTreeMap<&'static str, usize>);
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        self.sets.observe(event, &self.refdata);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.sets.providers.extend(other.sets.providers);
-        self.sets.users.extend(other.sets.users);
-    }
-
-    fn finalize(self) -> Self::Output {
-        self.sets.counts(&self.refdata)
-    }
-}
-
-/// Histogram of #providers per event (Fig. 7(b)). Thin wrapper over
-/// [`ProvidersPerEventAccumulator`].
-pub fn providers_per_event(events: &[BlackholeEvent]) -> BTreeMap<usize, usize> {
-    let mut acc = ProvidersPerEventAccumulator::default();
-    for event in events {
-        acc.observe(event);
-    }
-    acc.finalize()
-}
-
-/// Fig. 7(b) as a mergeable accumulator.
+/// Fig. 7(b) as a mergeable accumulator: histogram of #providers per
+/// event.
 #[derive(Debug, Clone, Default)]
 pub struct ProvidersPerEventAccumulator {
     hist: BTreeMap<usize, usize>,
@@ -658,18 +528,9 @@ impl EventAccumulator for ProvidersPerEventAccumulator {
     }
 }
 
-/// Histogram of collector↔provider AS distances (Fig. 7(c)); the
-/// `NoPath` bucket is the bundling share. Thin wrapper over
-/// [`DistanceAccumulator`].
-pub fn distance_histogram(events: &[BlackholeEvent]) -> BTreeMap<DetectionDistance, usize> {
-    let mut acc = DistanceAccumulator::default();
-    for event in events {
-        acc.observe(event);
-    }
-    acc.finalize()
-}
-
-/// Fig. 7(c) as a mergeable accumulator.
+/// Fig. 7(c) as a mergeable accumulator: histogram of
+/// collector↔provider AS distances; the `NoPath` bucket is the bundling
+/// share.
 #[derive(Debug, Clone, Default)]
 pub struct DistanceAccumulator {
     hist: BTreeMap<DetectionDistance, usize>,
@@ -695,17 +556,8 @@ impl EventAccumulator for DistanceAccumulator {
     }
 }
 
-/// Event durations (Fig. 8 inputs), ascending; open events are measured
-/// to `now`. Thin wrapper over [`DurationAccumulator`].
-pub fn durations(events: &[BlackholeEvent], now: SimTime) -> Vec<SimDuration> {
-    let mut acc = DurationAccumulator::new(now);
-    for event in events {
-        acc.observe(event);
-    }
-    acc.finalize()
-}
-
-/// Fig. 8(a) as a mergeable accumulator. The sample list is sorted at
+/// Fig. 8(a) as a mergeable accumulator: event durations, ascending,
+/// open events measured to `now`. The sample list is sorted at
 /// `finalize` so the output is independent of observation order.
 #[derive(Debug, Clone)]
 pub struct DurationAccumulator {
@@ -738,17 +590,8 @@ impl EventAccumulator for DurationAccumulator {
     }
 }
 
-/// Distinct blackholed prefixes (the Fig. 7(a) scan census and §8
-/// reputation input). Thin wrapper over [`PrefixSetAccumulator`].
-pub fn blackholed_prefixes(events: &[BlackholeEvent]) -> BTreeSet<Ipv4Prefix> {
-    let mut acc = PrefixSetAccumulator::default();
-    for event in events {
-        acc.observe(event);
-    }
-    acc.finalize()
-}
-
-/// The blackholed-prefix census as a mergeable accumulator.
+/// The distinct blackholed prefixes (the Fig. 7(a) scan census and §8
+/// reputation input) as a mergeable accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixSetAccumulator {
     prefixes: BTreeSet<Ipv4Prefix>,
@@ -779,10 +622,10 @@ mod tests {
 
     use super::*;
 
-    fn refdata() -> ReferenceData {
+    fn refdata() -> Arc<ReferenceData> {
         let t = TopologyBuilder::new(TopologyConfig::tiny(31)).build();
         let d = deploy(&t, &CollectorConfig::tiny(4));
-        ReferenceData::build(&t, &d)
+        Arc::new(ReferenceData::build(&t, &d))
     }
 
     fn event(
@@ -822,7 +665,8 @@ mod tests {
             // Open event: active from day 2 to the end of the window.
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(1))], vec![10], 2 * day + 5, None),
         ];
-        let series = daily_series(&events, SimTime::ZERO, SimTime::from_unix(4 * day));
+        let series =
+            DailySeriesAccumulator::new(SimTime::ZERO, SimTime::from_unix(4 * day)).fold(&events);
         assert_eq!(series.len(), 4);
         assert_eq!((series[0].providers, series[0].users, series[0].prefixes), (1, 1, 1));
         assert_eq!((series[1].providers, series[1].users, series[1].prefixes), (2, 2, 2));
@@ -838,7 +682,8 @@ mod tests {
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(2))], vec![11], day, Some(2 * day)),
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(1))], vec![10], 2 * day, None),
         ];
-        let batch = daily_series(&events, SimTime::ZERO, SimTime::from_unix(4 * day));
+        let batch =
+            DailySeriesAccumulator::new(SimTime::ZERO, SimTime::from_unix(4 * day)).fold(&events);
         // Split the stream 1 / 2 and merge — in reversed merge order.
         let mut a = DailySeriesAccumulator::new(SimTime::ZERO, SimTime::from_unix(4 * day));
         a.observe(&events[0]);
@@ -847,6 +692,21 @@ mod tests {
         b.observe(&events[2]);
         b.merge(a);
         assert_eq!(b.finalize(), batch);
+    }
+
+    #[test]
+    fn daily_series_inverted_or_empty_window_is_an_empty_series() {
+        let day = 86_400u64;
+        let e = event("1.1.1.1/32", vec![ProviderId::As(Asn::new(1))], vec![10], 10, Some(day));
+        for (start, end) in [(3 * day, day), (2 * day, 2 * day)] {
+            let window =
+                || DailySeriesAccumulator::new(SimTime::from_unix(start), SimTime::from_unix(end));
+            assert!(window().finalize().is_empty());
+            let mut a = window();
+            a.observe(&e);
+            a.merge(window());
+            assert!(a.finalize().is_empty());
+        }
     }
 
     #[test]
@@ -862,7 +722,7 @@ mod tests {
             ),
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(3))], vec![], 0, Some(1)),
         ];
-        let hist = providers_per_event(&events);
+        let hist = ProvidersPerEventAccumulator::default().fold(&events);
         assert_eq!(hist.get(&1), Some(&2));
         assert_eq!(hist.get(&2), Some(&1));
     }
@@ -875,7 +735,7 @@ mod tests {
             event("1.1.1.1/32", vec![ProviderId::Ixp(IxpId(0))], vec![10, 11], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::Ixp(IxpId(0))], vec![10], 0, Some(1)),
         ];
-        let rows = table4(&events, &r);
+        let rows = TypeAccumulator::new(r).fold(&events);
         let ixp_row = rows.iter().find(|row| row.network_type == NetworkType::Ixp).unwrap();
         assert_eq!(ixp_row.providers, 1);
         assert_eq!(ixp_row.users, 2);
@@ -887,7 +747,7 @@ mod tests {
 
     #[test]
     fn table4_accumulator_matches_batch() {
-        let r = Arc::new(refdata());
+        let r = refdata();
         let events = vec![
             event("1.1.1.1/32", vec![ProviderId::Ixp(IxpId(0))], vec![10, 11], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(9))], vec![10], 0, Some(1)),
@@ -897,7 +757,7 @@ mod tests {
         let mut b = TypeAccumulator::new(r.clone());
         b.observe(&events[0]);
         a.merge(b);
-        assert_eq!(a.finalize(), table4(&events, &r));
+        assert_eq!(a.finalize(), TypeAccumulator::new(r).fold(&events));
     }
 
     #[test]
@@ -925,13 +785,9 @@ mod tests {
                 ]),
             },
         );
-        let result = InferenceResult {
-            events: vec![],
-            census: Default::default(),
-            stats: Default::default(),
-            per_dataset,
-        };
-        let rows = table3(&result, &r);
+        let mut whole = VisibilityAccumulator::new(r.clone());
+        whole.observe_visibility(&per_dataset);
+        let rows = whole.finalize();
         let ris = rows.iter().find(|row| row.source == "RIS").unwrap();
         assert_eq!(ris.providers, 2);
         assert_eq!(ris.unique_providers, 1); // p2 only at RIS
@@ -944,10 +800,10 @@ mod tests {
         assert_eq!(all.users, 2);
         assert_eq!(all.prefixes, 2);
 
-        // The accumulator path produces the identical rows, including
-        // when the visibility map arrives split across two observations.
-        let mut acc = VisibilityAccumulator::new(Arc::new(refdata()));
-        for (dataset, vis) in &result.per_dataset {
+        // The identical rows come out when the visibility map arrives
+        // split across two observations.
+        let mut acc = VisibilityAccumulator::new(r);
+        for (dataset, vis) in &per_dataset {
             let single = BTreeMap::from([(*dataset, vis.clone())]);
             acc.observe_visibility(&single);
         }
@@ -958,7 +814,7 @@ mod tests {
     fn per_country_uses_refdata() {
         let t = TopologyBuilder::new(TopologyConfig::tiny(31)).build();
         let d = deploy(&t, &CollectorConfig::tiny(4));
-        let r = ReferenceData::build(&t, &d);
+        let r = Arc::new(ReferenceData::build(&t, &d));
         let some_as = t.ases().next().unwrap().asn;
         let events = vec![event(
             "1.1.1.1/32",
@@ -967,7 +823,7 @@ mod tests {
             0,
             Some(1),
         )];
-        let (providers, users) = per_country(&events, &r);
+        let (providers, users) = CountryAccumulator::new(r.clone()).fold(&events);
         assert_eq!(providers.values().sum::<usize>(), 1);
         assert_eq!(users.values().sum::<usize>(), 1);
         assert!(providers.contains_key(r.country(some_as)));
@@ -981,14 +837,14 @@ mod tests {
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![10], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![10], 5, Some(6)),
         ];
-        let per_provider = prefixes_per_provider(&events, &r);
+        let per_provider = ProviderPrefixAccumulator::new(r.clone()).fold(&events);
         assert_eq!(per_provider.len(), 1);
         assert_eq!(per_provider[0].2, 2); // distinct prefixes
-        let per_user = prefixes_per_user(&events, &r);
+        let per_user = UserPrefixAccumulator::new(r).fold(&events);
         assert_eq!(per_user.len(), 1);
         assert_eq!(per_user[0].2, 2);
         assert_eq!(
-            blackholed_prefixes(&events),
+            PrefixSetAccumulator::default().fold(&events),
             BTreeSet::from(["1.1.1.1/32".parse().unwrap(), "2.2.2.2/32".parse().unwrap()])
         );
     }
@@ -998,7 +854,7 @@ mod tests {
         let mut e1 = event("1.1.1.1/32", vec![ProviderId::As(Asn::new(1))], vec![], 0, Some(1));
         e1.distances = BTreeSet::from([DetectionDistance::NoPath, DetectionDistance::Hops(1)]);
         let e2 = event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![], 0, Some(1));
-        let hist = distance_histogram(&[e1, e2]);
+        let hist = DistanceAccumulator::default().fold(&[e1, e2]);
         assert_eq!(hist.get(&DetectionDistance::NoPath), Some(&1));
         assert_eq!(hist.get(&DetectionDistance::Hops(1)), Some(&2));
     }
@@ -1010,7 +866,7 @@ mod tests {
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![], 0, Some(10)),
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(1))], vec![], 100, None),
         ];
-        let ds = durations(&events, SimTime::from_unix(1_100));
+        let ds = DurationAccumulator::new(SimTime::from_unix(1_100)).fold(&events);
         assert_eq!(
             ds,
             vec![SimDuration::secs(10), SimDuration::secs(500), SimDuration::secs(1_000)]

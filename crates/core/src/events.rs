@@ -137,19 +137,8 @@ impl BlackholePeriod {
     }
 }
 
-/// Group events into periods with the given timeout. Events must belong
-/// to one run of the engine; grouping is per prefix. Thin wrapper over
-/// [`PeriodAccumulator`], the incremental form.
-pub fn group_events(events: &[BlackholeEvent], timeout: SimDuration) -> Vec<BlackholePeriod> {
-    let mut acc = PeriodAccumulator::new(timeout);
-    for event in events {
-        use crate::accumulate::EventAccumulator;
-        acc.observe(event);
-    }
-    crate::accumulate::EventAccumulator::finalize(acc)
-}
-
-/// The §9 grouping as a mergeable accumulator: per prefix it maintains a
+/// The §9 grouping as a mergeable accumulator (events must belong to one
+/// run of the engine; grouping is per prefix): per prefix it maintains a
 /// set of disjoint periods (pairwise separated by more than the
 /// timeout), coalescing each incoming event interval with every period
 /// it overlaps or comes within the timeout of. Gap-tolerant interval
@@ -210,11 +199,6 @@ impl PeriodAccumulator {
         keep.sort_by_key(|p| p.start);
         *runs = keep;
     }
-
-    /// Periods accumulated so far.
-    pub fn period_count(&self) -> usize {
-        self.by_prefix.values().map(Vec::len).sum()
-    }
 }
 
 impl crate::accumulate::EventAccumulator for PeriodAccumulator {
@@ -251,8 +235,8 @@ impl crate::accumulate::EventAccumulator for PeriodAccumulator {
         }
     }
 
-    /// All periods, ordered by `(prefix, start)` — identical to the
-    /// batch sweep over sorted events.
+    /// All periods, ordered by `(prefix, start)` — identical to a
+    /// sort-by-`(prefix, start)` sweep over the events.
     fn finalize(self) -> Vec<BlackholePeriod> {
         self.by_prefix.into_values().flatten().collect()
     }
@@ -260,6 +244,8 @@ impl crate::accumulate::EventAccumulator for PeriodAccumulator {
 
 #[cfg(test)]
 mod tests {
+    use crate::accumulate::EventAccumulator;
+
     use super::*;
 
     fn event(prefix: &str, start: u64, end: Option<u64>) -> BlackholeEvent {
@@ -304,14 +290,14 @@ mod tests {
             event("1.2.3.4/32", 180, Some(240)),
             event("1.2.3.4/32", 360, Some(420)),
         ];
-        let grouped = group_events(&events, SimDuration::mins(5));
+        let grouped = PeriodAccumulator::new(SimDuration::mins(5)).fold(&events);
         assert_eq!(grouped.len(), 1);
         assert_eq!(grouped[0].event_count, 3);
         assert_eq!(grouped[0].start, SimTime::from_unix(0));
         assert_eq!(grouped[0].end, Some(SimTime::from_unix(420)));
         assert_eq!(grouped[0].duration(SimTime::ZERO).as_secs(), 420);
 
-        let tight = group_events(&events, SimDuration::secs(30));
+        let tight = PeriodAccumulator::new(SimDuration::secs(30)).fold(&events);
         assert_eq!(tight.len(), 3);
         assert!(tight.iter().all(|p| p.event_count == 1));
     }
@@ -319,27 +305,26 @@ mod tests {
     #[test]
     fn grouping_is_per_prefix() {
         let events = vec![event("1.2.3.4/32", 0, Some(60)), event("5.6.7.8/32", 30, Some(90))];
-        let grouped = group_events(&events, SimDuration::mins(5));
+        let grouped = PeriodAccumulator::new(SimDuration::mins(5)).fold(&events);
         assert_eq!(grouped.len(), 2);
     }
 
     #[test]
     fn open_events_keep_period_open() {
         let events = vec![event("1.2.3.4/32", 0, Some(60)), event("1.2.3.4/32", 120, None)];
-        let grouped = group_events(&events, SimDuration::mins(5));
+        let grouped = PeriodAccumulator::new(SimDuration::mins(5)).fold(&events);
         assert_eq!(grouped.len(), 1);
         assert_eq!(grouped[0].end, None);
         // A later event for the same prefix joins the open period.
         let events =
             vec![event("1.2.3.4/32", 0, None), event("1.2.3.4/32", 100_000, Some(100_060))];
-        let grouped = group_events(&events, SimDuration::mins(5));
+        let grouped = PeriodAccumulator::new(SimDuration::mins(5)).fold(&events);
         assert_eq!(grouped.len(), 1);
         assert_eq!(grouped[0].event_count, 2);
     }
 
     #[test]
     fn period_accumulator_is_order_insensitive_and_mergeable() {
-        use crate::accumulate::EventAccumulator;
         let events = vec![
             event("1.2.3.4/32", 0, Some(60)),
             event("1.2.3.4/32", 180, Some(240)),
@@ -347,14 +332,14 @@ mod tests {
             event("5.6.7.8/32", 30, None),
             event("5.6.7.8/32", 100_000, Some(100_060)),
         ];
-        let batch = group_events(&events, SimDuration::mins(5));
+        let batch = PeriodAccumulator::new(SimDuration::mins(5)).fold(&events);
 
         // Reversed observation order.
         let mut reversed = PeriodAccumulator::new(SimDuration::mins(5));
         for e in events.iter().rev() {
             reversed.observe(e);
         }
-        assert_eq!(EventAccumulator::finalize(reversed), batch);
+        assert_eq!(reversed.finalize(), batch);
 
         // Split across two accumulators and merged (both merge orders).
         for flip in [false, true] {
@@ -368,7 +353,7 @@ mod tests {
                 }
             }
             a.merge(b);
-            assert_eq!(EventAccumulator::finalize(a), batch);
+            assert_eq!(a.finalize(), batch);
         }
     }
 
@@ -379,7 +364,7 @@ mod tests {
         a.providers = BTreeSet::from([ProviderId::As(Asn::new(1))]);
         b.providers = BTreeSet::from([ProviderId::Ixp(IxpId(7))]);
         b.users = BTreeSet::from([Asn::new(9)]);
-        let grouped = group_events(&[a, b], SimDuration::mins(5));
+        let grouped = PeriodAccumulator::new(SimDuration::mins(5)).fold(&[a, b]);
         assert_eq!(grouped[0].providers.len(), 2);
         assert_eq!(grouped[0].users.len(), 2);
     }

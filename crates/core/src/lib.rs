@@ -23,8 +23,8 @@
 //!    provider/user), Fig. 6 (per-country), Fig. 7(b) (providers per
 //!    event), Fig. 7(c) (AS-distance incl. the bundling "no-path"
 //!    share), Fig. 8 (durations and §9 grouped periods). Every metric
-//!    is a mergeable one-pass [`accumulate::EventAccumulator`]; the
-//!    batch functions are thin wrappers, and the
+//!    is a mergeable one-pass [`accumulate::EventAccumulator`] (its
+//!    `fold` is the batch form), and the
 //!    [`accumulate::AnalyticsPipeline`] multiplexes one event stream
 //!    into all of them — from `drain_closed_into` mid-stream or per
 //!    shard with a deterministic merge at the barrier.
@@ -54,8 +54,6 @@ pub use accumulate::{
     AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator, EventCollector,
 };
 pub use analytics::{
-    blackholed_prefixes, daily_series, distance_histogram, durations, per_country,
-    prefixes_per_provider, prefixes_per_user, providers_per_event, table3, table4,
     CountryAccumulator, DailyPoint, DailySeriesAccumulator, DistanceAccumulator,
     DurationAccumulator, PrefixSetAccumulator, ProviderPrefixAccumulator,
     ProvidersPerEventAccumulator, TypeAccumulator, TypeRow, UserPrefixAccumulator,
@@ -65,8 +63,8 @@ pub use confusion::{
     score_events, ConfusionAccumulator, ConfusionConfig, ConfusionReport, LabelKind, TruthLabel,
 };
 pub use events::{
-    group_events, BlackholeEvent, BlackholePeriod, DetectionDistance, PeriodAccumulator,
-    ProviderId, SequencedEvent,
+    BlackholeEvent, BlackholePeriod, DetectionDistance, PeriodAccumulator, ProviderId,
+    SequencedEvent,
 };
 pub use refdata::ReferenceData;
 pub use session::{
@@ -74,32 +72,3 @@ pub use session::{
     SessionBuilder, SessionCheckpoint, StreamSummary,
 };
 pub use shard::ShardedSession;
-
-/// Everything a pipeline consumer needs, in one import:
-/// `use bh_core::prelude::*;`.
-pub mod prelude {
-    pub use crate::accumulate::{
-        AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator, EventCollector,
-    };
-    pub use crate::analytics::{
-        blackholed_prefixes, daily_series, distance_histogram, durations, per_country,
-        prefixes_per_provider, prefixes_per_user, providers_per_event, table3, table4,
-        CountryAccumulator, DailyPoint, DailySeriesAccumulator, DistanceAccumulator,
-        DurationAccumulator, PrefixSetAccumulator, ProviderPrefixAccumulator,
-        ProvidersPerEventAccumulator, TypeAccumulator, TypeRow, UserPrefixAccumulator,
-        VisibilityAccumulator, VisibilityRow,
-    };
-    pub use crate::confusion::{
-        score_events, ConfusionAccumulator, ConfusionConfig, ConfusionReport, LabelKind, TruthLabel,
-    };
-    pub use crate::events::{
-        group_events, BlackholeEvent, BlackholePeriod, DetectionDistance, PeriodAccumulator,
-        ProviderId, SequencedEvent,
-    };
-    pub use crate::refdata::ReferenceData;
-    pub use crate::session::{
-        DatasetVisibility, Detection, EngineConfig, EngineStats, InferenceResult, InferenceSession,
-        SessionBuilder, SessionCheckpoint, StreamSummary,
-    };
-    pub use crate::shard::ShardedSession;
-}

@@ -418,11 +418,6 @@ impl InferenceSession {
         &self.state.census
     }
 
-    /// Per-dataset visibility accumulators.
-    pub fn dataset_visibility(&self) -> &BTreeMap<DataSource, DatasetVisibility> {
-        &self.state.per_dataset
-    }
-
     /// Events currently open (active, not yet ended).
     pub fn open_event_count(&self) -> usize {
         self.state.open.len()
@@ -840,38 +835,6 @@ pub struct InferenceResult {
     pub stats: EngineStats,
     /// Per-dataset visibility (Table 3 inputs).
     pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
-}
-
-impl InferenceResult {
-    /// Fold another result into this one: events concatenate and
-    /// re-sort canonically via the [`EventCollector`], the summary
-    /// halves merge commutatively via [`StreamSummary::merge`] — so
-    /// shard-merge semantics live in exactly one place each.
-    pub fn merge(&mut self, other: InferenceResult) {
-        let mut collector = EventCollector::default();
-        for event in std::mem::take(&mut self.events) {
-            collector.observe_owned(event);
-        }
-        for event in other.events {
-            collector.observe_owned(event);
-        }
-        let mut summary = StreamSummary {
-            census: std::mem::take(&mut self.census),
-            stats: self.stats,
-            per_dataset: std::mem::take(&mut self.per_dataset),
-            ..StreamSummary::empty()
-        };
-        summary.merge(StreamSummary {
-            census: other.census,
-            stats: other.stats,
-            per_dataset: other.per_dataset,
-            ..StreamSummary::empty()
-        });
-        self.events = collector.finalize();
-        self.census = summary.census;
-        self.stats = summary.stats;
-        self.per_dataset = summary.per_dataset;
-    }
 }
 
 #[cfg(test)]
@@ -1427,35 +1390,6 @@ mod tests {
         let result = resumed.finish();
         assert_eq!(result.events.len(), 1);
         assert_eq!(result.events[0].end, Some(SimTime::from_unix(150)));
-    }
-
-    #[test]
-    fn result_merge_equals_one_session_over_prefix_disjoint_streams() {
-        let s = setup();
-        // Two prefix-disjoint streams (the shard-partition property).
-        let elems_a = vec![
-            announce("9.9.9.9/32", 100, "100 64777 64999", vec![s.community], 100),
-            withdraw("9.9.9.9/32", 160, 100),
-        ];
-        let elems_b = vec![announce("8.8.8.8/32", 120, "100 64777 64999", vec![s.community], 100)];
-
-        let mut combined = s.session();
-        for e in elems_a.iter().chain(&elems_b) {
-            combined.push(e);
-        }
-        let expected = combined.finish();
-
-        let mut session_a = s.session();
-        for e in &elems_a {
-            session_a.push(e);
-        }
-        let mut merged = session_a.finish();
-        let mut session_b = s.session();
-        for e in &elems_b {
-            session_b.push(e);
-        }
-        merged.merge(session_b.finish());
-        assert_eq!(merged, expected);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, LargeCommunity};
 
-use crate::corpus::{Corpus, IrrObject, WebPage};
+use crate::corpus::{Corpus, IrrObject};
 
 /// What a mined community appears to be used for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -277,11 +277,6 @@ impl DictionaryMiner {
     pub fn mine_irr(&self, obj: &IrrObject, out: &mut Vec<MinedCommunity>) {
         let remarks = obj.lines.iter().filter_map(|l| l.strip_prefix("remarks:")).map(str::trim);
         self.mine_lines(obj.asn, remarks, false, out);
-    }
-
-    /// Mine one web page.
-    pub fn mine_web(&self, page: &WebPage, out: &mut Vec<MinedCommunity>) {
-        self.mine_lines(page.asn, page.paragraphs.iter().map(String::as_str), false, out);
     }
 
     fn mine_lines<'a>(

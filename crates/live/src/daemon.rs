@@ -308,8 +308,8 @@ impl LiveFleet {
     /// Finish the drained stream: flush remaining closed events, emit
     /// the still-open ones (`end: None`, latency zero by definition),
     /// publish the final report, and return the session summary plus the
-    /// final [`AnalyticsReport`] — the pair a batch
-    /// `infer_streaming_analytics` run over the same stream produces.
+    /// final [`AnalyticsReport`] — the pair one session's `finish_with`
+    /// into an `AnalyticsPipeline` over the same stream produces.
     pub fn finish(mut self) -> (StreamSummary, AnalyticsReport) {
         self.step();
         debug_assert!(self.drained(), "finish() on an undrained daemon emits open events early");

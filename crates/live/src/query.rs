@@ -86,9 +86,4 @@ impl QueryRunner {
     pub fn events_since(&self, since: u64) -> Vec<SequencedEvent> {
         self.read().events.range(since..).map(|(_, e)| e.clone()).collect()
     }
-
-    /// The lowest sequence number still retained, if any.
-    pub fn oldest_retained(&self) -> Option<u64> {
-        self.read().events.keys().next().copied()
-    }
 }

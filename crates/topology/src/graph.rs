@@ -61,11 +61,6 @@ impl Topology {
         self.ases.get(&asn)
     }
 
-    /// Mutable AS lookup (scenario drivers adjust offerings).
-    pub fn as_info_mut(&mut self, asn: Asn) -> Option<&mut AsInfo> {
-        self.ases.get_mut(&asn)
-    }
-
     /// All IXPs.
     pub fn ixps(&self) -> &[Ixp] {
         &self.ixps
@@ -411,11 +406,6 @@ impl PropagationRanks {
     /// The dense index ranks are keyed by.
     pub fn index(&self) -> &AsnIndex {
         &self.index
-    }
-
-    /// Rank at a dense index (panics if out of range).
-    pub fn rank_at(&self, idx: usize) -> u32 {
-        self.ranks[idx]
     }
 
     /// Number of ranked ASes.

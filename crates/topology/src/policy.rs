@@ -96,19 +96,6 @@ impl RoaTable {
         table
     }
 
-    /// One ROA per registered allocation with `max_length = 32` — the
-    /// *loose* issuance style that keeps host-route blackholing
-    /// RPKI-Valid while still flagging off-cone origins as Invalid.
-    pub fn loose_from_topology(topology: &Topology) -> Self {
-        let mut table = Self::new();
-        for info in topology.ases() {
-            for prefix in &info.prefixes {
-                table.insert(Roa { prefix: *prefix, origin: info.asn, max_length: 32 });
-            }
-        }
-        table
-    }
-
     /// RFC 6811 validation: `NotFound` when no ROA covers the prefix,
     /// `Valid` when some covering ROA matches both origin and length,
     /// `Invalid` otherwise.

@@ -12,7 +12,7 @@
 
 use bh_mrt::MrtError;
 use bh_routing::archive::{archive_stamp, split_by_collector, write_updates};
-use bh_routing::{BgpElem, CollectorDeployment, CollectorFleet, DataSource, FleetConfig};
+use bh_routing::{BgpElem, CollectorDeployment, CollectorFleet, DataSource};
 use bytes::Bytes;
 
 use crate::scenario::ScenarioOutput;
@@ -86,13 +86,7 @@ pub fn fleet_archives_for(
 /// Assemble a [`CollectorFleet`] over a set of archives (strict
 /// decoding, default tunables).
 pub fn fleet_of(archives: &[CollectorArchive]) -> CollectorFleet {
-    fleet_with_config(archives, FleetConfig::default())
-}
-
-/// Assemble a [`CollectorFleet`] over a set of archives with explicit
-/// tunables.
-pub fn fleet_with_config(archives: &[CollectorArchive], config: FleetConfig) -> CollectorFleet {
-    let mut fleet = CollectorFleet::with_config(config);
+    let mut fleet = CollectorFleet::new();
     for archive in archives {
         fleet.add_archive_bytes(archive.bytes.clone(), archive.dataset, archive.collector);
     }

@@ -162,21 +162,6 @@ impl ReplayFeed {
     pub fn finished(&self) -> bool {
         self.open == 0
     }
-
-    /// The earliest timestamp of any not-yet-appended record — what a
-    /// pacer would fast-forward the clock to when idle.
-    pub fn next_due(&self) -> Option<SimTime> {
-        self.lanes
-            .iter()
-            .filter(|l| !l.closed)
-            .filter_map(|l| l.spans.get(l.next).map(|(t, _)| *t))
-            .min()
-    }
-
-    /// Total records across all lanes.
-    pub fn total_records(&self) -> usize {
-        self.lanes.iter().map(|l| l.spans.len()).sum()
-    }
 }
 
 /// Appends one archive's bytes in caller-chosen chunk sizes, ignoring

@@ -7,7 +7,6 @@
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::study as window;
-use bh_core::daily_series;
 use bh_examples::section;
 use bh_workloads::SPIKES;
 
@@ -24,12 +23,8 @@ fn main() {
 
     section("monthly activity (mean per day)");
     // The run's report already carries the daily series, computed by the
-    // one-pass accumulator — identical to the batch fold.
+    // one-pass accumulator.
     let series = &report.daily;
-    assert_eq!(
-        *series,
-        daily_series(&result.events, window::longitudinal_start(), window::longitudinal_end())
-    );
     println!("{:<9} {:>10} {:>8} {:>10}", "month", "providers", "users", "prefixes");
     let mut month_key = (0i64, 0u32);
     let mut acc = (0usize, 0usize, 0usize, 0usize);

@@ -14,9 +14,9 @@
 //! result is bit-identical to the materialized baseline.
 
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::prelude::*;
+use bh_core::EventAccumulator;
 use bh_examples::section;
-use bh_routing::{merge_streams, split_by_collector};
+use bh_routing::{merge_streams, split_by_collector, SliceSource};
 use bh_workloads::fleet_of;
 
 fn main() {
@@ -60,8 +60,11 @@ fn main() {
 
     section("3. golden check vs the materialized baseline");
     let merged = merge_streams(split_by_collector(&output.elems).into_values().collect());
-    let (batch_summary, batch_report) =
-        study.infer_sharded_analytics(&refdata, &merged, analytics, 4);
+    let pipeline = study.analytics_pipeline(&refdata, analytics);
+    let mut baseline = study.session(&refdata).build_sharded_with(4, pipeline);
+    baseline.ingest(&mut SliceSource::new(&merged));
+    let (batch_summary, batch_pipeline) = baseline.finish_parts();
+    let batch_report = batch_pipeline.finalize();
     assert_eq!(batch_summary.stats, summary.stats, "stats diverged");
     assert_eq!(batch_report, fleet_report, "analytics diverged");
     println!("fleet AnalyticsReport == materialized AnalyticsReport ✓");

@@ -10,7 +10,7 @@ use bh_bench::{Study, StudyScale};
 use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_core::prelude::*;
+use bh_core::ProviderId;
 use bh_dataplane::FlowSim;
 use bh_examples::section;
 use bh_routing::{AnnounceScope, Announcement, BgpSimulator, DataSource};

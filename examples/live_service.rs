@@ -15,9 +15,10 @@
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::SimDuration;
+use bh_core::EventAccumulator;
 use bh_examples::section;
 use bh_live::{handle_command, LiveFleetConfig, LiveNode};
-use bh_routing::{merge_streams, read_updates};
+use bh_routing::{merge_streams, read_updates, SliceSource};
 
 fn main() {
     section("1. record a workload: per-collector MRT archives");
@@ -103,8 +104,11 @@ fn main() {
         .map(|a| read_updates(&a.bytes[..], a.dataset, a.collector).expect("archive decodes"))
         .collect();
     let merged = merge_streams(streams);
-    let (batch_summary, batch_report) =
-        study.infer_streaming_analytics(&refdata, &merged, analytics, 1_000);
+    let mut session = study.session(&refdata).build();
+    let mut pipeline = study.analytics_pipeline(&refdata, analytics);
+    session.ingest(&mut SliceSource::new(&merged));
+    let batch_summary = session.finish_with(&mut pipeline);
+    let batch_report = pipeline.finalize();
     let (summary, report) = node.finish();
     assert_eq!(summary.stats, batch_summary.stats, "stats diverged");
     assert_eq!(report, batch_report, "analytics diverged");

@@ -1,19 +1,22 @@
-//! Streaming-analytics equivalence: every paper table/figure computed
-//! by a mergeable [`EventAccumulator`] — fed mid-stream, out of order,
-//! split across accumulators and merged in any grouping, or run per
-//! shard with a barrier merge — equals the batch function over the
-//! materialized event list.
+//! Streaming-analytics equivalence. The report every run carries equals
+//! a deliberately naive recomputation of the paper's definitions over
+//! the materialized event list; and every metric's mergeable
+//! [`EventAccumulator`] — fed mid-stream, out of order, split across
+//! accumulators and merged in any grouping, or run per shard with a
+//! barrier merge — equals its `fold` over that list.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::asn::Asn;
+use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_core::prelude::*;
-use bh_routing::DataSource;
+use bh_core::*;
+use bh_routing::{DataSource, SliceSource};
+use bh_topology::NetworkType;
 
 /// One Small-scale environment shared by the golden tests: building the
 /// ~230-AS topology and corpus dominates wall-clock.
@@ -22,49 +25,154 @@ fn small_study() -> &'static Study {
     STUDY.get_or_init(|| Study::build(StudyScale::Small, 42))
 }
 
-/// The golden acceptance test: on a Small-scale scenario, the streamed
+/// §9 grouping by the textbook sweep: events sorted by `(prefix, start)`,
+/// each joining the running period of its prefix when it starts within
+/// `timeout` of that period's end (an open period never ends).
+fn naive_periods(events: &[BlackholeEvent], timeout: SimDuration) -> Vec<BlackholePeriod> {
+    let mut sorted: Vec<&BlackholeEvent> = events.iter().collect();
+    sorted.sort_by_key(|e| (e.prefix, e.start));
+    let mut periods: Vec<BlackholePeriod> = Vec::new();
+    for event in sorted {
+        match periods.last_mut() {
+            Some(p)
+                if p.prefix == event.prefix
+                    && p.end.is_none_or(|end| event.start <= end + timeout) =>
+            {
+                p.end = p.end.zip(event.end).map(|(a, b)| a.max(b));
+                p.event_count += 1;
+                p.providers.extend(&event.providers);
+                p.users.extend(&event.users);
+            }
+            _ => periods.push(BlackholePeriod {
+                prefix: event.prefix,
+                start: event.start,
+                end: event.end,
+                event_count: 1,
+                providers: event.providers.clone(),
+                users: event.users.clone(),
+            }),
+        }
+    }
+    periods
+}
+
+/// The report against the paper's definitions, recomputed the slow
+/// obvious way over the event list — no accumulator, no shared helper.
+fn assert_report_equals_naive_recomputation(
+    report: &AnalyticsReport,
+    events: &[BlackholeEvent],
+    refdata: &ReferenceData,
+    analytics: AnalyticsConfig,
+) {
+    // Table 4: per provider network type, the distinct providers of that
+    // type, and the distinct users and prefixes of the events they are in.
+    let type_of = |p: &ProviderId| match p {
+        ProviderId::Ixp(_) => NetworkType::Ixp,
+        ProviderId::As(asn) => refdata.network_type(*asn),
+    };
+    for row in &report.table4 {
+        let of_type =
+            |e: &&BlackholeEvent| e.providers.iter().any(|p| type_of(p) == row.network_type);
+        let providers: BTreeSet<ProviderId> = events
+            .iter()
+            .flat_map(|e| &e.providers)
+            .filter(|p| type_of(p) == row.network_type)
+            .copied()
+            .collect();
+        let users: BTreeSet<&Asn> = events.iter().filter(of_type).flat_map(|e| &e.users).collect();
+        let prefixes: BTreeSet<Ipv4Prefix> =
+            events.iter().filter(of_type).map(|e| e.prefix).collect();
+        assert_eq!(
+            (row.providers, row.users, row.prefixes),
+            (providers.len(), users.len(), prefixes.len()),
+            "table 4, {:?}",
+            row.network_type
+        );
+    }
+    assert_eq!(report.table4.iter().map(|r| r.network_type).collect::<Vec<_>>(), NetworkType::ALL);
+
+    // Fig. 4: every (event, day) pair — an event counts on each day from
+    // the day it starts to the day it ends (to the window's end if open).
+    let days = analytics.window_start.day_index()..analytics.window_end.day_index();
+    assert_eq!(report.daily.len(), days.clone().count());
+    for (day, point) in days.zip(&report.daily) {
+        let active: Vec<&BlackholeEvent> = events
+            .iter()
+            .filter(|e| {
+                e.start.day_index() <= day && e.end.is_none_or(|end| day <= end.day_index())
+            })
+            .collect();
+        let providers: BTreeSet<&ProviderId> = active.iter().flat_map(|e| &e.providers).collect();
+        let users: BTreeSet<&Asn> = active.iter().flat_map(|e| &e.users).collect();
+        let prefixes: BTreeSet<Ipv4Prefix> = active.iter().map(|e| e.prefix).collect();
+        assert_eq!(
+            (point.day, point.providers, point.users, point.prefixes),
+            (SimTime::from_unix(day * 86_400), providers.len(), users.len(), prefixes.len())
+        );
+    }
+
+    // Fig. 7(b): events per provider count. Fig. 7(c): events per
+    // detection distance.
+    let mut per_count: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut per_distance: BTreeMap<DetectionDistance, usize> = BTreeMap::new();
+    for event in events {
+        *per_count.entry(event.providers.len()).or_default() += 1;
+        for distance in &event.distances {
+            *per_distance.entry(*distance).or_default() += 1;
+        }
+    }
+    assert_eq!(report.providers_per_event, per_count);
+    assert_eq!(report.distance_histogram, per_distance);
+
+    // Fig. 8(a): durations ascending, open events measured to `now`.
+    let mut durations: Vec<SimDuration> = events
+        .iter()
+        .map(|e| SimDuration::secs(e.end.unwrap_or(analytics.now).unix() - e.start.unix()))
+        .collect();
+    durations.sort();
+    assert_eq!(report.durations, durations);
+
+    assert_eq!(report.blackholed_prefixes, events.iter().map(|e| e.prefix).collect());
+    assert_eq!(analytics.grouping_timeout, SimDuration::mins(5));
+    assert_eq!(report.periods, naive_periods(events, SimDuration::mins(5)));
+}
+
+/// The golden acceptance test: on a Small-scale scenario, the run's
+/// report equals the naive recomputation, and the streamed
 /// single-session report and the 4- and 8-shard barrier-merged reports
-/// are field-for-field equal to every batch function.
+/// are field-for-field equal to it.
 #[test]
 fn streamed_and_sharded_reports_equal_batch_functions() {
     let study = small_study();
     let StudyRun { output, result, refdata, analytics, report } = study.visibility_run(4, 6.0);
     assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
-
-    // The report (computed by the accumulators) against each batch fn.
-    assert_eq!(report.table3, table3(&result, &refdata));
-    assert_eq!(report.table4, table4(&result.events, &refdata));
-    assert_eq!(
-        report.daily,
-        daily_series(&result.events, analytics.window_start, analytics.window_end)
-    );
-    assert_eq!(report.prefixes_per_provider, prefixes_per_provider(&result.events, &refdata));
-    assert_eq!(report.prefixes_per_user, prefixes_per_user(&result.events, &refdata));
-    let (provider_countries, user_countries) = per_country(&result.events, &refdata);
-    assert_eq!(report.provider_countries, provider_countries);
-    assert_eq!(report.user_countries, user_countries);
-    assert_eq!(report.providers_per_event, providers_per_event(&result.events));
-    assert_eq!(report.distance_histogram, distance_histogram(&result.events));
-    assert_eq!(report.durations, durations(&result.events, analytics.now));
-    assert_eq!(report.periods, group_events(&result.events, analytics.grouping_timeout));
-    assert_eq!(report.blackholed_prefixes, blackholed_prefixes(&result.events));
+    assert_report_equals_naive_recomputation(&report, &result.events, &refdata, analytics);
 
     // One-pass streaming (drain mid-stream, finish into the pipeline,
     // never materializing the event Vec) produces the identical report.
-    let (summary, streamed) =
-        study.infer_streaming_analytics(&refdata, &output.elems, analytics, 1_000);
+    let mut session = study.session(&refdata).build();
+    let mut pipeline = study.analytics_pipeline(&refdata, analytics);
+    for (n, elem) in output.elems.iter().enumerate() {
+        session.push(elem);
+        if n % 1_000 == 999 {
+            session.drain_closed_into(&mut pipeline);
+        }
+    }
+    let summary = session.finish_with(&mut pipeline);
     assert_eq!(summary.stats, result.stats);
     assert_eq!(summary.census, result.census);
     assert_eq!(summary.per_dataset, result.per_dataset);
-    assert_eq!(streamed, report);
+    assert_eq!(pipeline.finalize(), report);
 
     // Sharded with per-worker pipelines merged at the barrier.
     for shards in [4usize, 8] {
-        let (sharded_summary, sharded) =
-            study.infer_sharded_analytics(&refdata, &output.elems, analytics, shards);
+        let pipeline = study.analytics_pipeline(&refdata, analytics);
+        let mut session = study.session(&refdata).build_sharded_with(shards, pipeline);
+        session.ingest(&mut SliceSource::new(&output.elems));
+        let (sharded_summary, merged) = session.finish_parts();
         assert_eq!(sharded_summary.stats, result.stats);
         assert_eq!(sharded_summary.per_dataset, result.per_dataset);
-        assert_eq!(sharded, report, "{shards} shards diverged");
+        assert_eq!(merged.finalize(), report, "{shards} shards diverged");
     }
 }
 
@@ -181,8 +289,8 @@ proptest! {
     }
 
     /// The period accumulator (the trickiest merge: gap-tolerant
-    /// interval coalescing) independently agrees with the batch sweep
-    /// under arbitrary splits.
+    /// interval coalescing) agrees with the sorted sweep under
+    /// arbitrary splits.
     #[test]
     fn period_accumulator_matches_batch_grouping(
         events in arb_events(),
@@ -190,7 +298,7 @@ proptest! {
         split in 0usize..40,
     ) {
         let timeout = SimDuration::secs(timeout_secs);
-        let batch = group_events(&events, timeout);
+        let batch = naive_periods(&events, timeout);
 
         let cut = split % (events.len() + 1);
         let (a, b) = events.split_at(cut);

@@ -3,14 +3,13 @@
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_core::group_events;
 
 #[test]
 fn grouping_collapses_probing_pulses() {
     let study = Study::build(StudyScale::Tiny, 41);
-    let StudyRun { output, result, .. } = study.visibility_run(4, 8.0);
-
-    let periods = group_events(&result.events, SimDuration::mins(5));
+    // The run's report groups at the paper's 5-minute timeout.
+    let StudyRun { output, result, report, .. } = study.visibility_run(4, 8.0);
+    let periods = report.periods;
     assert!(periods.len() <= result.events.len(), "grouping must never create periods");
     // The probing pattern dominates the reaction model, so grouping must
     // shrink the count substantially when multi-phase truths exist.
@@ -69,8 +68,8 @@ fn ungrouped_durations_reflect_probing_pulse_lengths() {
 #[test]
 fn grouped_period_counts_match_ground_truth_reactions() {
     let study = Study::build(StudyScale::Tiny, 47);
-    let StudyRun { output, result, .. } = study.visibility_run(3, 6.0);
-    let periods = group_events(&result.events, SimDuration::mins(5));
+    let StudyRun { output, report, .. } = study.visibility_run(3, 6.0);
+    let periods = report.periods;
 
     // Each visible ground-truth reaction (prefix) produces at least one
     // period and no more periods than distinct reactions + 1 (reactions

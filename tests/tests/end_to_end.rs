@@ -92,7 +92,9 @@ fn mrt_archive_round_trip_preserves_inference() {
         .iter()
         .map(|(dataset, collector, buf)| MrtElemSource::new(&buf[..], *dataset, *collector))
         .collect();
-    let mrt_result = study.infer_source(&refdata, &mut MergedSource::new(sources));
+    let mut session = study.session(&refdata).build();
+    session.ingest(&mut MergedSource::new(sources));
+    let mrt_result = session.finish();
 
     // Against the same merged order materialized, the round trip is
     // bit-identical (MRT only normalizes NEXT_HOP, which the inference

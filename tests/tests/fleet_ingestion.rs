@@ -160,13 +160,17 @@ proptest! {
 
         // Sequential k-way merge over in-memory sources.
         let sources: Vec<SliceSource<'_>> = streams.iter().map(SliceSource::from).collect();
-        let via_merge = study.infer_source(&refdata, &mut MergedSource::new(sources));
-        prop_assert_eq!(&via_merge, &expected);
+        let mut session = study.session(&refdata).build();
+        session.ingest(&mut MergedSource::new(sources));
+        prop_assert_eq!(&session.finish(), &expected);
 
         // Parallel fleet over MRT archives.
         let archives = output.fleet_archives().expect("archives serialize");
-        let via_fleet = study.infer_fleet(&refdata, &archives);
-        prop_assert_eq!(&via_fleet, &expected);
+        let mut stream = fleet_of(&archives).start();
+        let mut session = study.session(&refdata).build();
+        session.ingest(&mut stream);
+        prop_assert!(stream.finish().is_clean());
+        prop_assert_eq!(&session.finish(), &expected);
     }
 }
 
@@ -179,7 +183,11 @@ fn checkpoint_resume_mid_fleet_ingest_equals_uninterrupted_run() {
     let archives = output.fleet_archives().expect("archives serialize");
 
     // Uninterrupted fleet run.
-    let expected = study.infer_fleet(&refdata, &archives);
+    let mut stream = fleet_of(&archives).start();
+    let mut uninterrupted = study.session(&refdata).build();
+    uninterrupted.ingest(&mut stream);
+    assert!(stream.finish().is_clean());
+    let expected = uninterrupted.finish();
 
     // Same fleet stream, suspended mid-ingest: checkpoint the session,
     // drop it, resume in a fresh one, and drain the *same* live stream.
@@ -232,8 +240,11 @@ fn small_scale_fleet_to_sharded_analytics_matches_materialized_path() {
     // Materialized path: decode-merge into a Vec, sharded inference with
     // inline analytics.
     let merged = merge_streams(split_by_collector(&output.elems).into_values().collect());
-    let (batch_summary, batch_report) =
-        study.infer_sharded_analytics(&refdata, &merged, analytics, 4);
+    let pipeline = study.analytics_pipeline(&refdata, analytics);
+    let mut materialized = study.session(&refdata).build_sharded_with(4, pipeline);
+    materialized.ingest(&mut SliceSource::new(&merged));
+    let (batch_summary, batch_pipeline) = materialized.finish_parts();
+    let batch_report = batch_pipeline.finalize();
 
     // Fleet path: archive readers → merge → sharded session, per-shard
     // pipelines merged at the barrier. No stream-sized Vec anywhere.

@@ -24,9 +24,9 @@ use proptest::prelude::*;
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_core::{AnalyticsReport, SequencedEvent, StreamSummary};
+use bh_core::{AnalyticsReport, EventAccumulator, SequencedEvent, StreamSummary};
 use bh_live::{handle_command, serve_connection, LiveFleetConfig, LiveNode, QueryRunner};
-use bh_routing::{merge_streams, read_updates};
+use bh_routing::{merge_streams, read_updates, SliceSource};
 use bh_workloads::CollectorArchive;
 
 /// One prebuilt world per scale: the study, a scenario run, its
@@ -54,8 +54,11 @@ fn build_world(scale: StudyScale, seed: u64, days: u64, rate: f64) -> LiveWorld 
         .collect();
     let merged = merge_streams(streams);
     assert_eq!(merged.len(), run.output.elems.len(), "archives lost elements");
-    let (batch_summary, batch_report) =
-        study.infer_streaming_analytics(&run.refdata, &merged, run.analytics, 1_000);
+    let mut session = study.session(&run.refdata).build();
+    let mut pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
+    session.ingest(&mut SliceSource::new(&merged));
+    let batch_summary = session.finish_with(&mut pipeline);
+    let batch_report = pipeline.finalize();
     let start = merged.first().expect("non-empty scenario").time;
     let total_elems = merged.len() as u64;
     LiveWorld { study, run, archives, batch_summary, batch_report, start, total_elems }

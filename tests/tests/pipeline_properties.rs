@@ -8,7 +8,8 @@ use proptest::prelude::*;
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::SimDuration;
-use bh_core::group_events;
+use bh_core::{EventAccumulator, PeriodAccumulator};
+use bh_routing::SliceSource;
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -37,7 +38,8 @@ proptest! {
 
         // 3. Grouping invariants at any timeout.
         for timeout in [0u64, 60, 300, 3600] {
-            let periods = group_events(&result.events, SimDuration::secs(timeout));
+            let periods =
+                PeriodAccumulator::new(SimDuration::secs(timeout)).fold(&result.events);
             prop_assert!(periods.len() <= result.events.len());
             let period_events: usize = periods.iter().map(|p| p.event_count).sum();
             prop_assert_eq!(period_events, result.events.len());
@@ -97,7 +99,9 @@ proptest! {
         let StudyRun { output, result, refdata, .. } = study.visibility_run(days, rate);
         prop_assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
 
-        let sharded = study.infer_sharded(&refdata, &output.elems, shards);
+        let mut session = study.session(&refdata).build_sharded(shards);
+        session.ingest(&mut SliceSource::new(&output.elems));
+        let sharded = session.finish();
         prop_assert_eq!(&sharded.events, &result.events);
         prop_assert_eq!(&sharded.census, &result.census);
         prop_assert_eq!(sharded.stats, result.stats);

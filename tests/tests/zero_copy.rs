@@ -197,18 +197,25 @@ fn zero_copy_inference_equals_read_path_inference() {
     let archives = run.output.fleet_archives().expect("archives serialize");
     assert!(archives.len() >= 2, "need a real fleet");
 
+    let infer = |source: &mut dyn ElemSource| {
+        let mut session = study.session(&refdata).build();
+        session.ingest(source);
+        session.finish()
+    };
     let read_sources: Vec<_> =
         archives.iter().map(|a| MrtElemSource::new(&a.bytes[..], a.dataset, a.collector)).collect();
-    let via_read = study.infer_source(&refdata, &mut MergedSource::new(read_sources));
+    let via_read = infer(&mut MergedSource::new(read_sources));
 
     let bytes_sources: Vec<_> = archives
         .iter()
         .map(|a| MrtElemSource::from_bytes(a.bytes.clone(), a.dataset, a.collector))
         .collect();
-    let via_bytes = study.infer_source(&refdata, &mut MergedSource::new(bytes_sources));
+    let via_bytes = infer(&mut MergedSource::new(bytes_sources));
     assert_eq!(via_read, via_bytes, "zero-copy merged stream diverged");
 
-    let via_fleet = study.infer_fleet(&refdata, &archives);
+    let mut stream = bh_workloads::fleet_of(&archives).start();
+    let via_fleet = infer(&mut stream);
+    assert!(stream.finish().is_clean());
     assert_eq!(via_read, via_fleet, "zero-copy fleet diverged");
 
     assert!(!via_read.events.is_empty(), "degenerate run: nothing inferred");

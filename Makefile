@@ -4,10 +4,10 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt fmt-check build test test-release clippy doc quickstart bench bench-check \
-	benchmark-smoke loc
+.PHONY: check fmt fmt-check build test test-release clippy doc quickstart reproduce \
+	reproduce-check benchmark-smoke loc
 
-check: fmt-check build test clippy bench-check doc quickstart benchmark-smoke
+check: fmt-check build test clippy doc quickstart reproduce-check benchmark-smoke
 
 fmt:
 	$(CARGO) fmt --all
@@ -38,14 +38,17 @@ doc:
 quickstart:
 	$(CARGO) run --release -p bh-examples --example quickstart
 
-bench:
-	$(CARGO) bench -p bh-bench
+# Regenerate every table and figure of the paper from one shared world
+# and check the paper's claims against it (bh_bench::reproduce); the
+# report is committed as EXPERIMENTS.md.
+reproduce:
+	$(CARGO) run --release -p bh-examples --example reproduce > EXPERIMENTS.md
 
-# Compile (but do not run) the 18 harness=false figure/table bench
-# targets, so they cannot silently rot: clippy lints them, this proves
-# they still link.
-bench-check:
-	$(CARGO) bench -p bh-bench --no-run
+# The gate: a broken claim fails the run, a stale EXPERIMENTS.md fails
+# the diff (two steps, not a pipe, so /bin/sh sees both exit codes).
+reproduce-check:
+	$(CARGO) run --release -p bh-examples --example reproduce > target/EXPERIMENTS.md
+	diff target/EXPERIMENTS.md EXPERIMENTS.md
 
 # The standalone benchmark/ crate is outside the workspace, so nothing
 # above compiles it: build it and run its tests (unit tests plus every

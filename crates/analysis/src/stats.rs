@@ -18,7 +18,7 @@ impl Ecdf {
     /// Build from samples (NaNs are dropped).
     pub fn new(mut samples: Vec<f64>) -> Self {
         samples.retain(|v| !v.is_nan());
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs left"));
+        samples.sort_by(f64::total_cmp);
         Ecdf { sorted: samples }
     }
 
@@ -165,8 +165,11 @@ impl Histogram {
         Histogram { edges, counts: vec![0; n], underflow: 0, overflow: 0 }
     }
 
-    /// Record one sample.
+    /// Record one sample (NaNs are dropped, as in [`Ecdf`]).
     pub fn record(&mut self, x: f64) {
+        if x.is_nan() {
+            return;
+        }
         if x < self.edges[0] {
             self.underflow += 1;
             return;
@@ -280,6 +283,18 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 7);
+    }
+
+    #[test]
+    fn histogram_drops_nan() {
+        let mut h = Histogram::linear(0.0, 10.0, 5);
+        h.record_all([1.0, f64::NAN, 9.5]);
+        assert_eq!(h.total(), 2);
+        assert_eq!(h.bins()[4].2, 1, "a NaN must not land in the top bin");
+        let mut other = Histogram::linear(0.0, 10.0, 5);
+        other.record(f64::NAN);
+        h.merge(other);
+        assert_eq!(h.total(), 2);
     }
 
     #[test]

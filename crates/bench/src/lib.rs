@@ -1,11 +1,13 @@
-//! # bh-bench — shared pipeline harness + Criterion benches
+//! # bh-bench — the study harness and the checked reproduction
 //!
-//! One bench target per table/figure of the paper (see
-//! `bh_analysis::experiments::registry`). The [`pipeline`] module builds
-//! the full study end-to-end — topology → corpus → dictionary → scenario
-//! → collector stream → inference — at several scales, so benches,
-//! examples, and integration tests share one code path.
+//! The [`pipeline`] module builds the full study end-to-end — topology →
+//! corpus → dictionary → scenario → collector stream → inference — at
+//! several scales, so examples, integration tests and the benchmark
+//! share one code path. The [`reproduce`] module regenerates every
+//! table and figure of the paper from one such study and checks the
+//! paper's headline claims against the result (`EXPERIMENTS.md`).
 
 pub mod pipeline;
+pub mod reproduce;
 
 pub use pipeline::{AdversarialRun, Study, StudyRun, StudyScale};

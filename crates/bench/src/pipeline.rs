@@ -34,14 +34,14 @@ use bh_workloads::{
 pub enum StudyScale {
     /// ~60 ASes — unit-test speed.
     Tiny,
-    /// ~230 ASes — bench default: minutes-scale full runs, shape-faithful.
+    /// ~230 ASes — the `reproduce` default: shape-faithful, seconds per run.
     Small,
     /// The full Table-2-scale Internet (~1,150 ASes) — example/demo runs.
     Full,
     /// The CAIDA-shaped ~75k-AS internet with power-law customer degrees
     /// — the propagation-engine scale tier. Whole-study runs at this
-    /// scale are hours; it exists for the propagation benches and the
-    /// massive smoke path.
+    /// scale are hours; it exists for the massive smoke path
+    /// (`examples/massive_smoke.rs`).
     Massive,
 }
 
@@ -214,7 +214,7 @@ impl Study {
         StudyRun { output, result, refdata, analytics, report }
     }
 
-    /// The standard short visibility run used by most benches: `days`
+    /// The standard short visibility run: `days`
     /// days at `rate` attacks/day inside the Aug-2016+ window.
     pub fn visibility_run(&self, days: u64, rate: f64) -> StudyRun {
         let mut config = ScenarioConfig::visibility_window(self.seed ^ 0x7777, rate);
@@ -226,7 +226,7 @@ impl Study {
     /// [`visibility_run`](Self::visibility_run) with a per-AS
     /// [`PolicyTable`] installed on the simulator. An empty table is
     /// property-tested bit-identical to the plain run — this is the
-    /// policy-overhead bench's comparison axis.
+    /// policy-extensions ablation's comparison axis.
     pub fn visibility_run_with_policies(
         &self,
         days: u64,

@@ -138,7 +138,7 @@ struct OpenEvent {
     bundled: bool,
 }
 
-/// Configuration toggles — the ablation switches called out in DESIGN.md.
+/// Configuration toggles — the switches the `EXPERIMENTS.md` ablation sections turn off.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Detect via community bundling when the provider is absent from the

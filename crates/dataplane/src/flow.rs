@@ -146,7 +146,7 @@ impl FlowSim {
         }
         let mut out: Vec<(Asn, f64)> =
             ignorers.iter().map(|m| (m.asn, m.mean_rate / total)).collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("rates are finite"));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
 }

@@ -8,14 +8,12 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 
-use serde::{Deserialize, Serialize};
-
 use crate::as_path::AsPath;
 use crate::asn::Asn;
 use crate::community::CommunitySet;
 
 /// RFC 4271 ORIGIN attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Origin {
     /// Learned from an IGP (most deliberate announcements).
     Igp,
@@ -77,7 +75,7 @@ pub mod type_code {
 }
 
 /// The parsed path attributes of one announcement.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathAttributes {
     /// ORIGIN.
     pub origin: Origin,

@@ -9,7 +9,7 @@
 
 use std::net::Ipv4Addr;
 
-use crate::prefix::{Ipv4Prefix, Prefix};
+use crate::prefix::Ipv4Prefix;
 use crate::trie::PrefixTrie;
 
 /// The reason an announcement was rejected by cleaning.
@@ -126,24 +126,6 @@ impl BogonFilter {
         self.check(prefix).is_ok()
     }
 
-    /// Family-generic convenience: IPv6 gets a minimal sanity check
-    /// (documentation/link-local ranges), IPv4 the full pipeline.
-    pub fn is_routable_any(&self, prefix: &Prefix) -> bool {
-        match prefix {
-            Prefix::V4(p) => self.is_routable(p),
-            Prefix::V6(p) => {
-                let net = u128::from(p.network());
-                // 2001:db8::/32 documentation, fe80::/10 link-local,
-                // fc00::/7 ULA, ff00::/8 multicast.
-                let doc = 0x2001_0db8_u128 << 96;
-                !(net >> 96 == doc >> 96
-                    || (net >> 118) == (0xfe80_u128 << 112) >> 118
-                    || (net >> 121) == (0xfc00_u128 << 112) >> 121
-                    || (net >> 120) == (0xff00_u128 << 112) >> 120)
-            }
-        }
-    }
-
     /// Is a single address inside a bogon block?
     pub fn is_bogon_addr(&self, addr: Ipv4Addr) -> bool {
         self.blocks.matches_addr(addr)
@@ -221,18 +203,6 @@ mod tests {
         let f = BogonFilter::permissive();
         assert!(f.is_routable(&p4("10.0.0.0/8")));
         assert!(f.is_routable(&p4("0.0.0.0/0")));
-    }
-
-    #[test]
-    fn ipv6_sanity() {
-        let f = BogonFilter::new();
-        assert!(!f.is_routable_any(&"2001:db8::/32".parse().unwrap()));
-        assert!(!f.is_routable_any(&"fe80::/10".parse().unwrap()));
-        assert!(!f.is_routable_any(&"fc00::/7".parse().unwrap()));
-        assert!(!f.is_routable_any(&"ff00::/8".parse().unwrap()));
-        assert!(f.is_routable_any(&"2400:cb00::/32".parse().unwrap()));
-        assert!(f.is_routable_any(&"130.149.0.0/16".parse().unwrap()));
-        assert!(!f.is_routable_any(&"10.0.0.0/8".parse().unwrap()));
     }
 
     #[test]

@@ -13,14 +13,11 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::asn::Asn;
 use crate::error::ParseError;
 
 /// A classic RFC 1997 32-bit community, displayed as `high:low`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Community(pub u32);
 
 impl Community {
@@ -103,7 +100,7 @@ impl FromStr for Community {
 }
 
 /// An RFC 4360 extended community (8 bytes: type, subtype, 6 value bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExtendedCommunity {
     /// High-order type byte (IANA transitive/non-transitive etc.).
     pub type_high: u8,
@@ -153,7 +150,7 @@ impl fmt::Display for ExtendedCommunity {
 /// An RFC 8092 large community: `GlobalAdmin:LocalData1:LocalData2`,
 /// each 32 bits — introduced for 32-bit ASNs. One network in the paper's
 /// dictionary blackholes with these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LargeCommunity {
     /// Global administrator, conventionally the operator's (32-bit) ASN.
     pub global_admin: u32,
@@ -204,7 +201,7 @@ impl FromStr for LargeCommunity {
 }
 
 /// Any of the three community families on one announcement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AnyCommunity {
     /// Classic RFC 1997.
     Classic(Community),

@@ -8,15 +8,13 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 use std::str::FromStr;
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::ParseError;
 
 /// An IPv4 CIDR prefix, stored canonically (host bits zeroed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Prefix {
     network: u32,
     length: u8,
@@ -160,153 +158,6 @@ impl PartialOrd for Ipv4Prefix {
     }
 }
 
-/// An IPv6 CIDR prefix, stored canonically (host bits zeroed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Ipv6Prefix {
-    network: u128,
-    length: u8,
-}
-
-impl Ipv6Prefix {
-    /// Construct a prefix, masking host bits.
-    pub fn new(addr: Ipv6Addr, length: u8) -> Result<Self, ParseError> {
-        if length > 128 {
-            return Err(ParseError::new(format!("IPv6 prefix length {length} > 128")));
-        }
-        let raw = u128::from(addr);
-        Ok(Ipv6Prefix { network: raw & Self::mask(length), length })
-    }
-
-    /// Construct from raw bits; panics if `length > 128`.
-    pub fn from_raw(network: u128, length: u8) -> Self {
-        assert!(length <= 128, "IPv6 prefix length {length} > 128");
-        Ipv6Prefix { network: network & Self::mask(length), length }
-    }
-
-    /// The network address.
-    pub fn network(&self) -> Ipv6Addr {
-        Ipv6Addr::from(self.network)
-    }
-
-    /// The prefix length.
-    pub fn length(&self) -> u8 {
-        self.length
-    }
-
-    fn mask(length: u8) -> u128 {
-        if length == 0 {
-            0
-        } else {
-            u128::MAX << (128 - length as u32)
-        }
-    }
-
-    /// Does this prefix fully contain `other`?
-    pub fn contains(&self, other: &Ipv6Prefix) -> bool {
-        self.length <= other.length && (other.network & Self::mask(self.length)) == self.network
-    }
-
-    /// Is this a host route (`/128`)?
-    pub fn is_host_route(&self) -> bool {
-        self.length == 128
-    }
-}
-
-impl fmt::Display for Ipv6Prefix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.network(), self.length)
-    }
-}
-
-impl FromStr for Ipv6Prefix {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (addr, len) = s
-            .split_once('/')
-            .ok_or_else(|| ParseError::new(format!("missing '/' in prefix: {s:?}")))?;
-        let addr: Ipv6Addr = addr
-            .parse()
-            .map_err(|_| ParseError::new(format!("bad IPv6 address in prefix: {s:?}")))?;
-        let len: u8 =
-            len.parse().map_err(|_| ParseError::new(format!("bad prefix length in: {s:?}")))?;
-        Ipv6Prefix::new(addr, len)
-    }
-}
-
-/// Either an IPv4 or an IPv6 prefix.
-///
-/// The study reports that 96.6% of observed prefixes are IPv4 and the
-/// evaluation focuses on IPv4, but the data model carries both families so
-/// the dictionary (`dead:beef` next-hops) and codecs stay faithful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Prefix {
-    /// An IPv4 prefix.
-    V4(Ipv4Prefix),
-    /// An IPv6 prefix.
-    V6(Ipv6Prefix),
-}
-
-impl Prefix {
-    /// The prefix length.
-    pub fn length(&self) -> u8 {
-        match self {
-            Prefix::V4(p) => p.length(),
-            Prefix::V6(p) => p.length(),
-        }
-    }
-
-    /// Is this a host route (/32 or /128)?
-    pub fn is_host_route(&self) -> bool {
-        match self {
-            Prefix::V4(p) => p.is_host_route(),
-            Prefix::V6(p) => p.is_host_route(),
-        }
-    }
-
-    /// The paper's key predicate: more specific than /24 (IPv4) or /48
-    /// (IPv6, the conventional equivalent boundary).
-    pub fn is_blackhole_specific(&self) -> bool {
-        match self {
-            Prefix::V4(p) => p.is_more_specific_than(24),
-            Prefix::V6(p) => p.length() > 48,
-        }
-    }
-}
-
-impl fmt::Display for Prefix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Prefix::V4(p) => p.fmt(f),
-            Prefix::V6(p) => p.fmt(f),
-        }
-    }
-}
-
-impl From<Ipv4Prefix> for Prefix {
-    fn from(p: Ipv4Prefix) -> Self {
-        Prefix::V4(p)
-    }
-}
-
-impl From<Ipv6Prefix> for Prefix {
-    fn from(p: Ipv6Prefix) -> Self {
-        Prefix::V6(p)
-    }
-}
-
-impl FromStr for Prefix {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.contains(':') {
-            s.parse::<Ipv6Prefix>().map(Prefix::V6)
-        } else {
-            s.parse::<Ipv4Prefix>().map(Prefix::V4)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,8 +214,6 @@ mod tests {
         assert!(p4("1.2.3.4/32").is_more_specific_than(24));
         assert!(p4("1.2.3.0/25").is_more_specific_than(24));
         assert!(!p4("1.2.3.0/24").is_more_specific_than(24));
-        assert!(Prefix::from(p4("1.2.3.4/32")).is_blackhole_specific());
-        assert!(!Prefix::from(p4("1.2.3.0/24")).is_blackhole_specific());
     }
 
     #[test]
@@ -398,23 +247,6 @@ mod tests {
         assert_eq!(p.nth_addr(0).unwrap(), Ipv4Addr::new(192, 0, 2, 0));
         assert_eq!(p.nth_addr(3).unwrap(), Ipv4Addr::new(192, 0, 2, 3));
         assert!(p.nth_addr(4).is_none());
-    }
-
-    #[test]
-    fn ipv6_basics() {
-        let p: Ipv6Prefix = "2001:db8::/32".parse().unwrap();
-        assert_eq!(p.to_string(), "2001:db8::/32");
-        let host: Ipv6Prefix = "2001:db8::dead:beef/128".parse().unwrap();
-        assert!(host.is_host_route());
-        assert!(p.contains(&host));
-        assert!(!host.contains(&p));
-    }
-
-    #[test]
-    fn mixed_prefix_parsing() {
-        assert!(matches!("10.0.0.0/8".parse::<Prefix>().unwrap(), Prefix::V4(_)));
-        assert!(matches!("2001:db8::/32".parse::<Prefix>().unwrap(), Prefix::V6(_)));
-        assert!("nonsense".parse::<Prefix>().is_err());
     }
 
     #[test]

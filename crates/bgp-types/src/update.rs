@@ -5,76 +5,37 @@
 //! operates. Collector metadata (which peer saw it, when) is layered on top
 //! by `bh-routing`/`bh-mrt`, mirroring how MRT archives wrap raw messages.
 
-use serde::{Deserialize, Serialize};
-
 use crate::attrs::PathAttributes;
-use crate::prefix::{Ipv4Prefix, Ipv6Prefix, Prefix};
+use crate::prefix::Ipv4Prefix;
 
 /// One BGP UPDATE: zero or more announced prefixes sharing `attrs`, plus
-/// zero or more withdrawn prefixes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// zero or more withdrawn prefixes. IPv4 unicast only — the family the
+/// wire codec carries and every stage downstream consumes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpUpdate {
     /// Path attributes for the announced NLRI.
     pub attrs: PathAttributes,
     announced_v4: Vec<Ipv4Prefix>,
-    announced_v6: Vec<Ipv6Prefix>,
     withdrawn_v4: Vec<Ipv4Prefix>,
-    withdrawn_v6: Vec<Ipv6Prefix>,
 }
 
 impl BgpUpdate {
     /// A new, empty update carrying the given attributes.
     pub fn new(attrs: PathAttributes) -> Self {
-        BgpUpdate {
-            attrs,
-            announced_v4: Vec::new(),
-            announced_v6: Vec::new(),
-            withdrawn_v4: Vec::new(),
-            withdrawn_v6: Vec::new(),
-        }
-    }
-
-    /// Convenience: an announcement of a single prefix.
-    pub fn announce(attrs: PathAttributes, prefix: Prefix) -> Self {
-        let mut update = BgpUpdate::new(attrs);
-        update.add_announced(prefix);
-        update
+        BgpUpdate { attrs, announced_v4: Vec::new(), withdrawn_v4: Vec::new() }
     }
 
     /// Convenience: a withdrawal of a single prefix (no attributes).
-    pub fn withdraw(prefix: Prefix) -> Self {
+    pub fn withdraw(prefix: Ipv4Prefix) -> Self {
         let mut update = BgpUpdate::new(PathAttributes::default());
-        update.add_withdrawn(prefix);
+        update.withdraw_v4(prefix);
         update
-    }
-
-    /// Add an announced prefix of either family.
-    pub fn add_announced(&mut self, prefix: Prefix) {
-        match prefix {
-            Prefix::V4(p) => self.announce_v4(p),
-            Prefix::V6(p) => self.announce_v6(p),
-        }
-    }
-
-    /// Add a withdrawn prefix of either family.
-    pub fn add_withdrawn(&mut self, prefix: Prefix) {
-        match prefix {
-            Prefix::V4(p) => self.withdraw_v4(p),
-            Prefix::V6(p) => self.withdraw_v6(p),
-        }
     }
 
     /// Announce an IPv4 prefix (deduplicated).
     pub fn announce_v4(&mut self, prefix: Ipv4Prefix) {
         if !self.announced_v4.contains(&prefix) {
             self.announced_v4.push(prefix);
-        }
-    }
-
-    /// Announce an IPv6 prefix (deduplicated).
-    pub fn announce_v6(&mut self, prefix: Ipv6Prefix) {
-        if !self.announced_v6.contains(&prefix) {
-            self.announced_v6.push(prefix);
         }
     }
 
@@ -85,21 +46,9 @@ impl BgpUpdate {
         }
     }
 
-    /// Withdraw an IPv6 prefix (deduplicated).
-    pub fn withdraw_v6(&mut self, prefix: Ipv6Prefix) {
-        if !self.withdrawn_v6.contains(&prefix) {
-            self.withdrawn_v6.push(prefix);
-        }
-    }
-
     /// Announced IPv4 prefixes.
     pub fn announced_v4(&self) -> impl Iterator<Item = &Ipv4Prefix> {
         self.announced_v4.iter()
-    }
-
-    /// Announced IPv6 prefixes.
-    pub fn announced_v6(&self) -> impl Iterator<Item = &Ipv6Prefix> {
-        self.announced_v6.iter()
     }
 
     /// Withdrawn IPv4 prefixes.
@@ -107,37 +56,14 @@ impl BgpUpdate {
         self.withdrawn_v4.iter()
     }
 
-    /// Withdrawn IPv6 prefixes.
-    pub fn withdrawn_v6(&self) -> impl Iterator<Item = &Ipv6Prefix> {
-        self.withdrawn_v6.iter()
-    }
-
-    /// Every announced prefix of both families.
-    pub fn announced(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.announced_v4
-            .iter()
-            .copied()
-            .map(Prefix::V4)
-            .chain(self.announced_v6.iter().copied().map(Prefix::V6))
-    }
-
-    /// Every withdrawn prefix of both families.
-    pub fn withdrawn(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.withdrawn_v4
-            .iter()
-            .copied()
-            .map(Prefix::V4)
-            .chain(self.withdrawn_v6.iter().copied().map(Prefix::V6))
-    }
-
     /// Does this update announce anything?
     pub fn has_announcements(&self) -> bool {
-        !self.announced_v4.is_empty() || !self.announced_v6.is_empty()
+        !self.announced_v4.is_empty()
     }
 
     /// Does this update withdraw anything?
     pub fn has_withdrawals(&self) -> bool {
-        !self.withdrawn_v4.is_empty() || !self.withdrawn_v6.is_empty()
+        !self.withdrawn_v4.is_empty()
     }
 
     /// Is this update completely empty (a no-op)?
@@ -176,25 +102,14 @@ mod tests {
             as_path: AsPath::from_sequence(vec![Asn::new(1)]),
             ..Default::default()
         };
-        let a = BgpUpdate::announce(attrs, Prefix::V4(p4("10.0.0.0/8")));
+        let mut a = BgpUpdate::new(attrs);
+        a.announce_v4(p4("10.0.0.0/8"));
         assert!(a.has_announcements());
         assert!(!a.has_withdrawals());
 
-        let w = BgpUpdate::withdraw(Prefix::V4(p4("10.0.0.0/8")));
+        let w = BgpUpdate::withdraw(p4("10.0.0.0/8"));
         assert!(!w.has_announcements());
         assert!(w.has_withdrawals());
-    }
-
-    #[test]
-    fn mixed_families() {
-        let mut u = BgpUpdate::new(PathAttributes::default());
-        u.add_announced("10.0.0.0/8".parse().unwrap());
-        u.add_announced("2001:db8::/32".parse().unwrap());
-        u.add_withdrawn("2001:db8:1::/48".parse().unwrap());
-        assert_eq!(u.announced().count(), 2);
-        assert_eq!(u.withdrawn().count(), 1);
-        assert_eq!(u.announced_v6().count(), 1);
-        assert_eq!(u.withdrawn_v6().count(), 1);
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! One [`step`](LiveFleet::step) = drain everything the watermark-gated
 //! merge proves safe, push it through the session, emit newly closed
 //! events (sequence-numbered, latency-stamped), and checkpoint when due.
+//! Time is an argument: whoever drives the daemon passes `now` to every
+//! call that stamps or publishes something (`LiveNode` passes its
+//! replay time, a deployment would pass wall time).
 //! The daemon is single-threaded by design: a single
 //! [`InferenceSession`] closes events in deterministic stream order,
 //! which is what makes sequence numbers stable across a kill/resume —
@@ -17,7 +20,7 @@ use bh_core::{
     SequencedEvent, SessionBuilder, SessionCheckpoint, StreamSummary,
 };
 use bh_routing::elem::DataSource;
-use bh_routing::live::{Clock, LiveArchive, LiveMerge, TailingSource};
+use bh_routing::live::{LiveArchive, LiveMerge, TailingSource};
 
 use crate::query::{write_shared, LiveStatus, QueryRunner, SharedState};
 
@@ -30,9 +33,6 @@ pub struct LiveFleetConfig {
     /// per `max_latency`; [`LiveStatus::max_latency_seen`] records the
     /// worst case actually observed so deployments can verify.
     pub max_latency: SimDuration,
-    /// How long [`LiveFleet::run_until_drained`] sleeps when a step
-    /// ingested nothing.
-    pub poll_interval: SimDuration,
     /// Checkpoint after this many ingested elements.
     pub checkpoint_every: u64,
     /// How many recent events the query ring retains.
@@ -43,7 +43,6 @@ impl Default for LiveFleetConfig {
     fn default() -> Self {
         LiveFleetConfig {
             max_latency: SimDuration::mins(5),
-            poll_interval: SimDuration::secs(1),
             checkpoint_every: 8_192,
             events_capacity: 65_536,
         }
@@ -84,44 +83,93 @@ impl LiveCheckpoint {
 pub struct LiveFleet {
     merge: LiveMerge,
     session: InferenceSession,
-    pipeline: AnalyticsPipeline,
-    clock: Arc<dyn Clock>,
+    out: Publisher,
     config: LiveFleetConfig,
-    shared: Arc<RwLock<SharedState>>,
-    next_seq: u64,
     since_checkpoint: u64,
-    total_elems: u64,
-    checkpoints: u64,
-    max_latency_seen: SimDuration,
     last_checkpoint: Option<LiveCheckpoint>,
 }
 
+/// The daemon's write side — what it has sequenced and counted so far,
+/// and the shared state queries read. Kept apart from the session so
+/// [`LiveFleet::finish`], which consumes the session, publishes its
+/// events the way every step does.
+struct Publisher {
+    pipeline: AnalyticsPipeline,
+    shared: Arc<RwLock<SharedState>>,
+    events_capacity: usize,
+    next_seq: u64,
+    total_elems: u64,
+    checkpoints: u64,
+    max_latency_seen: SimDuration,
+}
+
+impl Publisher {
+    /// Sequence and publish `events` in order: each gets the next
+    /// sequence number, is folded into analytics and retained for
+    /// `events-since`. Re-emissions after a resume overwrite their ring
+    /// slot with an identical event.
+    fn emit(&mut self, events: Vec<BlackholeEvent>, now: SimTime) {
+        if events.is_empty() {
+            return;
+        }
+        let mut shared = write_shared(&self.shared);
+        for event in events {
+            if let Some(end) = event.end {
+                self.max_latency_seen = self.max_latency_seen.max(now.since(end));
+            }
+            self.pipeline.observe(&event);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            shared.events.insert(seq, SequencedEvent { seq, emitted_at: now, event });
+            while shared.events.len() > self.events_capacity {
+                shared.events.pop_first();
+            }
+        }
+    }
+
+    fn publish_status(&self, now: SimTime, open_events: usize, merge: &LiveMerge) {
+        let status = LiveStatus {
+            elems: self.total_elems,
+            events_emitted: self.next_seq,
+            open_events,
+            now,
+            sources_ended: merge.sources_ended(),
+            sources_total: merge.source_count(),
+            max_latency_seen: self.max_latency_seen,
+            checkpoints: self.checkpoints,
+            drained: merge.all_ended(),
+        };
+        write_shared(&self.shared).status = status;
+    }
+}
+
 impl LiveFleet {
-    /// Boot a fresh daemon over `feeds` (one labelled [`LiveArchive`]
-    /// per collector; label order is the merge tie-break order).
+    /// Boot a fresh daemon at time `start` over `feeds` (one labelled
+    /// [`LiveArchive`] per collector; label order is the merge
+    /// tie-break order).
     pub fn new(
         builder: SessionBuilder,
         pipeline: AnalyticsPipeline,
         feeds: &[(DataSource, u16, LiveArchive)],
-        clock: Arc<dyn Clock>,
+        start: SimTime,
         config: LiveFleetConfig,
     ) -> Self {
         let sources =
             feeds.iter().map(|(d, c, a)| TailingSource::new(a.clone(), *d, *c)).collect::<Vec<_>>();
-        Self::assemble(builder.build(), pipeline, sources, clock, config, 0, 0, 0)
+        Self::assemble(builder.build(), pipeline, sources, start, config, 0, 0, 0)
     }
 
-    /// Resume from a predecessor's [`LiveCheckpoint`]. `feeds` must
-    /// describe the same archives in the same order; each source skips
-    /// what the checkpoint says was already delivered, the session
-    /// resumes its open state, and sequence numbering continues — any
-    /// events that closed after the checkpoint but before the crash are
-    /// re-emitted under their original numbers, so consumers dedup by
-    /// sequence and observe no gap.
+    /// Resume at time `start` from a predecessor's [`LiveCheckpoint`].
+    /// `feeds` must describe the same archives in the same order; each
+    /// source skips what the checkpoint says was already delivered, the
+    /// session resumes its open state, and sequence numbering continues
+    /// — any events that closed after the checkpoint but before the
+    /// crash are re-emitted under their original numbers, so consumers
+    /// dedup by sequence and observe no gap.
     pub fn resume(
         builder: SessionBuilder,
         feeds: &[(DataSource, u16, LiveArchive)],
-        clock: Arc<dyn Clock>,
+        start: SimTime,
         config: LiveFleetConfig,
         checkpoint: LiveCheckpoint,
     ) -> Self {
@@ -141,7 +189,7 @@ impl LiveFleet {
             builder.resume(checkpoint.session.clone()),
             checkpoint.pipeline.clone(),
             sources,
-            clock,
+            start,
             config,
             checkpoint.next_seq,
             checkpoint.total_elems,
@@ -154,37 +202,39 @@ impl LiveFleet {
         session: InferenceSession,
         pipeline: AnalyticsPipeline,
         sources: Vec<TailingSource>,
-        clock: Arc<dyn Clock>,
+        start: SimTime,
         config: LiveFleetConfig,
         next_seq: u64,
         total_elems: u64,
         checkpoints: u64,
     ) -> Self {
-        let mut daemon = LiveFleet {
+        let daemon = LiveFleet {
             merge: LiveMerge::new(sources),
             session,
-            pipeline,
-            clock,
+            out: Publisher {
+                pipeline,
+                shared: Arc::new(RwLock::new(SharedState::default())),
+                events_capacity: config.events_capacity.max(1),
+                next_seq,
+                total_elems,
+                checkpoints,
+                max_latency_seen: SimDuration::ZERO,
+            },
             config: LiveFleetConfig {
                 checkpoint_every: config.checkpoint_every.max(1),
                 events_capacity: config.events_capacity.max(1),
                 ..config
             },
-            shared: Arc::new(RwLock::new(SharedState::default())),
-            next_seq,
             since_checkpoint: 0,
-            total_elems,
-            checkpoints,
-            max_latency_seen: SimDuration::ZERO,
             last_checkpoint: None,
         };
-        daemon.publish_status();
+        daemon.publish_status(start);
         daemon
     }
 
     /// A read-side handle for queries; clone freely.
     pub fn query_runner(&self) -> QueryRunner {
-        QueryRunner::new(self.shared.clone())
+        QueryRunner::new(self.out.shared.clone())
     }
 
     /// Daemon tunables in effect.
@@ -204,105 +254,49 @@ impl LiveFleet {
     }
 
     /// Force a checkpoint now (also resets the cadence counter).
-    pub fn checkpoint_now(&mut self) -> LiveCheckpoint {
+    pub fn checkpoint_now(&mut self, now: SimTime) -> LiveCheckpoint {
         // Emit first so the session checkpoint carries no pending closed
         // events: everything closed has a sequence number, and the
         // successor's numbering continues from a clean boundary.
-        self.emit_closed();
+        self.out.emit(self.session.drain_closed(), now);
+        self.out.checkpoints += 1;
         let checkpoint = LiveCheckpoint {
             session: self.session.checkpoint(),
-            pipeline: self.pipeline.clone(),
-            next_seq: self.next_seq,
+            pipeline: self.out.pipeline.clone(),
+            next_seq: self.out.next_seq,
             delivered: self.merge.delivered(),
-            total_elems: self.total_elems,
-            checkpoints: self.checkpoints + 1,
+            total_elems: self.out.total_elems,
+            checkpoints: self.out.checkpoints,
         };
-        self.checkpoints += 1;
         self.since_checkpoint = 0;
         self.last_checkpoint = Some(checkpoint.clone());
-        let report = self.pipeline.snapshot();
-        {
-            let mut shared = write_shared(&self.shared);
-            shared.report = Some(report);
-        }
-        self.publish_status();
+        write_shared(&self.out.shared).report = Some(self.out.pipeline.snapshot());
+        self.publish_status(now);
         checkpoint
     }
 
-    /// One daemon iteration: ingest everything the merge proves safe,
-    /// emit newly closed events, checkpoint if the cadence is due.
-    /// Returns the number of elements ingested.
-    pub fn step(&mut self) -> u64 {
+    /// One daemon iteration at time `now`: ingest everything the merge
+    /// proves safe, emit newly closed events, checkpoint if the cadence
+    /// is due. Returns the number of elements ingested.
+    pub fn step(&mut self, now: SimTime) -> u64 {
         let mut ingested = 0u64;
         while let Some(elem) = self.merge.next_ready() {
             self.session.push(elem);
             ingested += 1;
         }
-        self.total_elems += ingested;
+        self.out.total_elems += ingested;
         self.since_checkpoint += ingested;
-        self.emit_closed();
+        self.out.emit(self.session.drain_closed(), now);
         if self.since_checkpoint >= self.config.checkpoint_every {
-            self.checkpoint_now();
+            self.checkpoint_now(now);
         } else {
-            self.publish_status();
+            self.publish_status(now);
         }
         ingested
     }
 
-    /// Run until the stream drains, sleeping `poll_interval` on idle
-    /// steps — the production loop shape (with a wall clock, the sleep
-    /// blocks; with a virtual clock it advances time).
-    pub fn run_until_drained(&mut self) {
-        while !self.drained() {
-            if self.step() == 0 && !self.drained() {
-                self.clock.sleep(self.config.poll_interval);
-            }
-        }
-    }
-
-    /// Sequence and publish every event the session has closed.
-    fn emit_closed(&mut self) {
-        let closed = self.session.drain_closed();
-        if closed.is_empty() {
-            return;
-        }
-        let now = self.clock.now();
-        let shared = Arc::clone(&self.shared);
-        let mut shared = write_shared(&shared);
-        for event in closed {
-            self.sequence_into(&mut shared, event, now);
-        }
-    }
-
-    /// Assign the next sequence number, fold into analytics, retain for
-    /// `events-since`. Re-emissions after a resume overwrite their ring
-    /// slot with an identical event.
-    fn sequence_into(&mut self, shared: &mut SharedState, event: BlackholeEvent, now: SimTime) {
-        if let Some(end) = event.end {
-            self.max_latency_seen = self.max_latency_seen.max(now.since(end));
-        }
-        self.pipeline.observe(&event);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        shared.events.insert(seq, SequencedEvent { seq, emitted_at: now, event });
-        while shared.events.len() > self.config.events_capacity {
-            shared.events.pop_first();
-        }
-    }
-
-    fn publish_status(&mut self) {
-        let status = LiveStatus {
-            elems: self.total_elems,
-            events_emitted: self.next_seq,
-            open_events: self.session.open_event_count(),
-            now: self.clock.now(),
-            sources_ended: self.merge.sources_ended(),
-            sources_total: self.merge.source_count(),
-            max_latency_seen: self.max_latency_seen,
-            checkpoints: self.checkpoints,
-            drained: self.merge.all_ended(),
-        };
-        write_shared(&self.shared).status = status;
+    fn publish_status(&self, now: SimTime) {
+        self.out.publish_status(now, self.session.open_event_count(), &self.merge);
     }
 
     /// Finish the drained stream: flush remaining closed events, emit
@@ -310,82 +304,42 @@ impl LiveFleet {
     /// publish the final report, and return the session summary plus the
     /// final [`AnalyticsReport`] — the pair one session's `finish_with`
     /// into an `AnalyticsPipeline` over the same stream produces.
-    pub fn finish(mut self) -> (StreamSummary, AnalyticsReport) {
-        self.step();
+    pub fn finish(mut self, now: SimTime) -> (StreamSummary, AnalyticsReport) {
+        self.step(now);
         debug_assert!(self.drained(), "finish() on an undrained daemon emits open events early");
-        let now = self.clock.now();
-        let mut emitted = Vec::new();
-        let summary = {
-            let mut tee = SequencingTee {
-                pipeline: &mut self.pipeline,
-                emitted: &mut emitted,
-                next_seq: &mut self.next_seq,
-                emitted_at: now,
-            };
-            self.session.finish_with(&mut tee)
-        };
-        let report = self.pipeline.snapshot();
-        {
-            let mut shared = write_shared(&self.shared);
-            for se in emitted {
-                if let Some(end) = se.event.end {
-                    self.max_latency_seen = self.max_latency_seen.max(now.since(end));
-                }
-                shared.events.insert(se.seq, se);
-                while shared.events.len() > self.config.events_capacity {
-                    shared.events.pop_first();
-                }
-            }
-            shared.report = Some(report.clone());
-            shared.status = LiveStatus {
-                elems: self.total_elems,
-                events_emitted: self.next_seq,
-                open_events: 0,
-                now,
-                sources_ended: self.merge.sources_ended(),
-                sources_total: self.merge.source_count(),
-                max_latency_seen: self.max_latency_seen,
-                checkpoints: self.checkpoints,
-                drained: true,
-            };
-        }
+        let mut rest = InObservedOrder::default();
+        let summary = self.session.finish_with(&mut rest);
+        self.out.emit(rest.0, now);
+        self.out.pipeline.observe_visibility(&summary.per_dataset);
+        let report = self.out.pipeline.snapshot();
+        write_shared(&self.out.shared).report = Some(report.clone());
+        self.out.publish_status(now, 0, &self.merge);
         (summary, report)
     }
 }
 
-/// The finish-path adapter: an accumulator that forwards every event to
-/// the analytics pipeline while capturing it as a [`SequencedEvent`].
-struct SequencingTee<'a> {
-    pipeline: &'a mut AnalyticsPipeline,
-    emitted: &'a mut Vec<SequencedEvent>,
-    next_seq: &'a mut u64,
-    emitted_at: SimTime,
-}
+/// What `finish_with` hands over, kept in the order it was observed —
+/// the order the sequence numbers follow (`EventCollector` would
+/// re-sort by start time).
+#[derive(Default)]
+struct InObservedOrder(Vec<BlackholeEvent>);
 
-impl EventAccumulator for SequencingTee<'_> {
-    type Output = ();
+impl EventAccumulator for InObservedOrder {
+    type Output = Vec<BlackholeEvent>;
 
     fn observe(&mut self, event: &BlackholeEvent) {
-        self.pipeline.observe(event);
-        let seq = *self.next_seq;
-        *self.next_seq += 1;
-        self.emitted.push(SequencedEvent {
-            seq,
-            emitted_at: self.emitted_at,
-            event: event.clone(),
-        });
+        self.0.push(event.clone());
     }
 
-    fn observe_visibility(
-        &mut self,
-        per_dataset: &std::collections::BTreeMap<DataSource, bh_core::DatasetVisibility>,
-    ) {
-        self.pipeline.observe_visibility(per_dataset);
+    fn observe_owned(&mut self, event: BlackholeEvent) {
+        self.0.push(event);
     }
 
-    fn merge(&mut self, _other: Self) {
-        unreachable!("the finish tee never runs sharded");
+    fn merge(&mut self, other: Self) {
+        self.0.extend(other.0);
     }
 
-    fn finalize(self) {}
+    fn finalize(self) -> Vec<BlackholeEvent> {
+        self.0
+    }
 }

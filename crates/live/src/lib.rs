@@ -20,9 +20,10 @@
 //! * [`wire`] is the thin line-protocol front-end over a
 //!   [`QueryRunner`] (one command per line, `ok`/`err` replies).
 //! * [`LiveNode`] ([`node`]) is the container-style harness that boots
-//!   the whole service against a replayed workload on a
-//!   [`VirtualClock`](bh_workloads::VirtualClock) — what the e2e tests,
-//!   benches and examples drive.
+//!   the whole service against a replayed workload and advances its
+//!   time in fixed quanta — what the e2e tests, the benchmark and the
+//!   examples drive. The daemon itself reads no clock: `now` is an
+//!   argument of [`LiveFleet::step`], `checkpoint_now` and `finish`.
 //!
 //! ## Latency semantics
 //!
@@ -30,8 +31,8 @@
 //! between the update that closed the event arriving at the collector
 //! and the daemon publishing it. A deployment bounds this with
 //! [`LiveFleetConfig::max_latency`]; the daemon satisfies the bound
-//! whenever it polls at least once per `max_latency` and feeds advance
-//! their watermarks with the clock (a due element is delivered on the
+//! whenever it is stepped at least once per `max_latency` and feeds
+//! advance their watermarks with time (a due element is delivered on the
 //! first poll after its watermark clears — see
 //! [`bh_routing::LiveMerge`]).
 

@@ -1,33 +1,32 @@
-//! `LiveNode`: the whole service in one box, on a virtual clock.
+//! `LiveNode`: the whole service in one box, on replayed time.
 //!
-//! The container-style harness the e2e suite, benches and examples
-//! boot: a [`ReplayFeed`] paces a recorded [`CollectorArchive`] fleet, a
-//! [`VirtualClock`] drives time in fixed quanta, and a [`LiveFleet`]
-//! daemon consumes the growing archives. One [`tick`](LiveNode::tick)
-//! is one quantum of simulated wall time; [`kill`](LiveNode::kill) and
-//! [`LiveNode::resume`] model a crash and supervised restart.
-
-use std::sync::Arc;
+//! The container-style harness the e2e suite, the benchmark and the
+//! examples boot: a [`ReplayFeed`] paces a recorded [`CollectorArchive`]
+//! fleet, the node's own `now` moves in fixed quanta, and a
+//! [`LiveFleet`] daemon consumes the growing archives. One
+//! [`tick`](LiveNode::tick) is one quantum of simulated wall time;
+//! [`kill`](LiveNode::kill) and [`LiveNode::resume`] model a crash and
+//! supervised restart.
 
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::{AnalyticsPipeline, AnalyticsReport, SessionBuilder, StreamSummary};
-use bh_routing::live::Clock;
-use bh_workloads::{CollectorArchive, ReplayFeed, VirtualClock};
+use bh_workloads::{CollectorArchive, ReplayFeed};
 
 use crate::daemon::{LiveCheckpoint, LiveFleet, LiveFleetConfig};
 use crate::query::QueryRunner;
 
-/// A booted node: feed + clock + daemon. See the [module docs](self).
+/// A booted node: feed + daemon + the time they share. See the
+/// [module docs](self).
 pub struct LiveNode {
     feed: ReplayFeed,
     daemon: LiveFleet,
-    clock: VirtualClock,
+    now: SimTime,
     quantum: SimDuration,
 }
 
 impl LiveNode {
     /// Boot the full node: build the replay lanes from `archives`, start
-    /// the clock at `start`, and bring up a fresh daemon.
+    /// time at `start`, and bring up a fresh daemon.
     pub fn boot(
         builder: SessionBuilder,
         pipeline: AnalyticsPipeline,
@@ -37,15 +36,14 @@ impl LiveNode {
         config: LiveFleetConfig,
     ) -> Self {
         let (feed, handles) = ReplayFeed::new(archives);
-        let clock = VirtualClock::new(start);
-        let daemon = LiveFleet::new(builder, pipeline, &handles, Arc::new(clock.clone()), config);
-        LiveNode { feed, daemon, clock, quantum }
+        let daemon = LiveFleet::new(builder, pipeline, &handles, start, config);
+        LiveNode { feed, daemon, now: start, quantum }
     }
 
     /// Boot a successor node from a crashed predecessor's checkpoint.
     /// The replay starts over from the same `archives` (a real
     /// supervisor re-opens the same files); the daemon skips everything
-    /// the checkpoint says was delivered. The clock starts at `start` —
+    /// the checkpoint says was delivered. Time starts at `start` —
     /// pass the predecessor's time of death for realistic replays.
     pub fn resume(
         builder: SessionBuilder,
@@ -56,18 +54,16 @@ impl LiveNode {
         checkpoint: LiveCheckpoint,
     ) -> Self {
         let (feed, handles) = ReplayFeed::new(archives);
-        let clock = VirtualClock::new(start);
-        let daemon =
-            LiveFleet::resume(builder, &handles, Arc::new(clock.clone()), config, checkpoint);
-        LiveNode { feed, daemon, clock, quantum }
+        let daemon = LiveFleet::resume(builder, &handles, start, config, checkpoint);
+        LiveNode { feed, daemon, now: start, quantum }
     }
 
     /// One quantum: pump every record now due into the archives, step
-    /// the daemon, advance the clock. Returns the elements ingested.
+    /// the daemon, advance time. Returns the elements ingested.
     pub fn tick(&mut self) -> u64 {
-        self.feed.pump(self.clock.now());
-        let ingested = self.daemon.step();
-        self.clock.advance(self.quantum);
+        self.feed.pump(self.now);
+        let ingested = self.daemon.step(self.now);
+        self.now += self.quantum;
         ingested
     }
 
@@ -77,21 +73,16 @@ impl LiveNode {
     }
 
     /// Run ticks until [`done`](LiveNode::done) (bounded by the replay
-    /// length — every tick advances the clock).
+    /// length — every tick advances time).
     pub fn run_to_completion(&mut self) {
         while !self.done() {
             self.tick();
         }
     }
 
-    /// The node's clock (shared with the daemon).
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.now
     }
 
     /// Read-side query handle (works across threads).
@@ -108,6 +99,6 @@ impl LiveNode {
 
     /// Finish the drained stream; see [`LiveFleet::finish`].
     pub fn finish(self) -> (StreamSummary, AnalyticsReport) {
-        self.daemon.finish()
+        self.daemon.finish(self.now)
     }
 }

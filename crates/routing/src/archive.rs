@@ -42,7 +42,7 @@ pub fn write_updates<W: Write>(sink: W, elems: &[BgpElem]) -> Result<u64, MrtErr
                 u.announce_v4(elem.prefix);
                 u
             }
-            ElemType::Withdraw => BgpUpdate::withdraw(elem.prefix.into()),
+            ElemType::Withdraw => BgpUpdate::withdraw(elem.prefix),
         };
         writer.write_update(
             elem.time,

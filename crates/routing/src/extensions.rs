@@ -1,29 +1,31 @@
-//! Pluggable per-AS policy extensions over the Gao-Rexford core.
+//! Per-AS policy on top of the Gao-Rexford core.
 //!
 //! [`crate::policy`] is the *invariant* layer: relationship preferences,
 //! valley-free exports, and blackhole trigger evaluation, identical at
-//! every AS. This module is the *configurable* layer on top: a
-//! [`PolicyExtension`] trait with hooks at the three places a real
+//! every AS. This module is the *configurable* layer: what one AS's
+//! [`AsPolicy`] (from `bh-topology`) adds at the two places a real
 //! router's policy config attaches —
 //!
-//! * **origin** (`on_origin`): rewrite communities / prepending as the
-//!   route is first announced,
-//! * **import** (`on_import`): accept or reject a route *before* the
-//!   Gao-Rexford import runs, optionally mutating route state,
-//! * **export** (`on_export`): veto ([`ExportAction::Suppress`]) or
-//!   override ([`ExportAction::Force`]) the valley-free `may_export`
-//!   verdict and scrub outgoing communities.
+//! * **import** ([`PolicyEngine::import`]): the ingress filters, run
+//!   *before* the Gao-Rexford import, in a fixed order — ROV (against
+//!   the table's [`RoaTable`]), peerlock-lite, path-end validation,
+//!   RFC 9234-style only-to-customers. The first one to object rejects
+//!   the route and is charged with it in
+//!   [`RunStats::extension_rejects`]; an accepted route may leave with
+//!   its only-to-customers mark set.
+//! * **export** ([`PolicyEngine::export`]): over the valley-free
+//!   `may_export` verdict the core already computed — the
+//!   only-to-customers mark, community strip/rewrite on the outgoing
+//!   copy, and the deliberately misbehaving route leaker, which
+//!   overrides a "no".
 //!
-//! Concrete extensions ship for ROV (against a [`RoaTable`]),
-//! peerlock-lite, RFC 9234-style only-to-customers, community
-//! strip/rewrite, path-end validation, and a deliberately misbehaving
-//! route leaker. A [`PolicyEngine`] compiles a declarative
-//! [`PolicyTable`] (from `bh-topology`) into per-AS hook chains; ASes
-//! absent from the table pay nothing, and an empty table compiles to an
-//! engine the simulator refuses to install — keeping the extensions-off
-//! path bit-identical to the pre-extension baseline.
+//! A [`PolicyEngine`] holds the non-empty entries of a declarative
+//! [`PolicyTable`]; ASes absent from it pay one hash probe per site, and
+//! an empty table compiles to an engine the simulator refuses to
+//! install — keeping the policies-off path bit-identical to the
+//! pre-policy baseline.
 //!
-//! Hooks run at regular ASes only. IXP route servers keep their own
+//! Policies apply at regular ASes only. IXP route servers keep their own
 //! fixed redistribution semantics (`sim.rs`): they are transparent
 //! multipliers, not policy actors, and the paper's PCH visibility
 //! depends on that transparency.
@@ -35,289 +37,25 @@ use bh_bgp_types::community::CommunitySet;
 use bh_bgp_types::hash::FxHashMap;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::Asn;
-use bh_topology::{AsPolicy, CommunityScrub, PolicyTable, Relationship, RoaTable, RpkiValidity};
-use bh_topology::{Tier, Topology};
+use bh_topology::{AsPolicy, PolicyTable, Relationship, RoaTable, RpkiValidity, Tier, Topology};
 
 use crate::policy::RejectReason;
 
-/// Context handed to [`PolicyExtension::on_origin`]: the announcement
-/// as the origin AS is about to push it to its neighbors.
-pub struct OriginCx<'a> {
-    pub origin: Asn,
-    pub prefix: &'a Ipv4Prefix,
-    /// Communities attached to the announcement; mutable so origin-side
-    /// scrubbing/rewriting applies before the first export.
-    pub communities: &'a mut CommunitySet,
-    /// Extra origin prepends (0 = announce the plain path).
-    pub prepend: &'a mut usize,
-    pub topology: &'a Topology,
-}
-
-/// Context handed to [`PolicyExtension::on_import`]: a route arriving
-/// at `me` from neighbor `from`, before the Gao-Rexford import runs.
-pub struct ImportCx<'a> {
-    pub me: Asn,
-    pub from: Asn,
-    /// `me`'s relationship to `from` (`Customer` means the sender is
-    /// `me`'s customer — the `local_pref_for` convention).
-    pub rel: Relationship,
-    pub prefix: &'a Ipv4Prefix,
-    pub as_path: &'a AsPath,
-    pub communities: &'a CommunitySet,
-    /// The route's only-to-customers mark (RFC 9234's OTC attribute);
-    /// extensions may read it to detect leaks and set it to contain
-    /// them downstream.
-    pub leak_marked: &'a mut bool,
-    pub topology: &'a Topology,
-    pub roas: &'a RoaTable,
-}
-
-/// Context handed to [`PolicyExtension::on_export`]: `me`'s best route
-/// about to be advertised to neighbor `to`.
-pub struct ExportCx<'a> {
-    pub me: Asn,
-    pub to: Asn,
-    /// `me`'s relationship to `to` (`Customer` means the receiver is
-    /// `me`'s customer).
-    pub to_rel: Relationship,
-    /// How the best route was learned.
-    pub learned_rel: Relationship,
-    pub prefix: &'a Ipv4Prefix,
-    pub as_path: &'a AsPath,
-    /// Outgoing copy of the route's communities; scrub extensions edit
-    /// this without touching the stored route.
-    pub communities: &'a mut CommunitySet,
-    /// Outgoing copy of the only-to-customers mark.
-    pub leak_marked: &'a mut bool,
-    /// The valley-free `may_export` verdict the core already computed.
-    pub default_allowed: bool,
-    pub topology: &'a Topology,
-}
-
-/// What an export hook wants done with the advertisement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExportAction {
-    /// Defer to the core verdict (and any other extension).
-    Default,
-    /// Never advertise to this neighbor. Dominates `Force`.
-    Suppress,
-    /// Advertise even where valley-free export forbids it (leaks).
-    Force,
-}
-
-/// A per-AS policy hook. All hooks default to no-ops so an extension
-/// implements only the phases it cares about.
-pub trait PolicyExtension: Send + Sync {
-    /// Stable name used for per-extension rejection accounting.
-    fn name(&self) -> &'static str;
-
-    fn on_origin(&self, _cx: &mut OriginCx<'_>) {}
-
-    /// `Err(reason)` rejects the route before the Gao-Rexford import.
-    fn on_import(&self, _cx: &mut ImportCx<'_>) -> Result<(), RejectReason> {
-        Ok(())
-    }
-
-    fn on_export(&self, _cx: &mut ExportCx<'_>) -> ExportAction {
-        ExportAction::Default
-    }
-}
-
-/// RFC 6811 route-origin validation: drop RPKI-Invalid routes. Under a
-/// strict ROA table (max_length = allocation length) this filters every
-/// RTBH host route at deploying ASes — the blackholing-vs-ROV tension
-/// the adversarial workloads quantify.
-pub struct Rov;
-
-impl PolicyExtension for Rov {
-    fn name(&self) -> &'static str {
-        "rov"
-    }
-
-    fn on_import(&self, cx: &mut ImportCx<'_>) -> Result<(), RejectReason> {
-        let Some(origin) = cx.as_path.origin() else {
-            return Ok(());
-        };
-        match cx.roas.validity(cx.prefix, origin) {
-            RpkiValidity::Invalid => Err(RejectReason::RovInvalid),
-            RpkiValidity::Valid | RpkiValidity::NotFound => Ok(()),
-        }
-    }
-}
-
-/// Peerlock-lite: a route learned from a customer or peer that carries
-/// a Tier-1 ASN (other than the sender itself) must be a leak — under
-/// valley-free export no Tier-1 ever appears downstream of a non-Tier-1
-/// on a legitimate customer/peer path.
-pub struct PeerlockLite;
-
-impl PolicyExtension for PeerlockLite {
-    fn name(&self) -> &'static str {
-        "peerlock-lite"
-    }
-
-    fn on_import(&self, cx: &mut ImportCx<'_>) -> Result<(), RejectReason> {
-        if !matches!(
-            cx.rel,
-            Relationship::Customer | Relationship::Peer | Relationship::RouteServer
-        ) {
-            return Ok(());
-        }
-        for asn in cx.as_path.iter_asns() {
-            if asn == cx.from {
-                continue;
-            }
-            if cx.topology.as_info(asn).is_some_and(|info| info.tier == Tier::Tier1) {
-                return Err(RejectReason::PeerlockViolation);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// RFC 9234-style only-to-customers: mark routes learned from providers
-/// or peers; a *marked* route arriving from a customer or peer means a
-/// leak already happened upstream, so drop it. Exports to customers and
-/// peers also set the mark, containing leaks one hop out even when the
-/// leaker itself deploys nothing.
-pub struct OnlyToCustomers;
-
-impl PolicyExtension for OnlyToCustomers {
-    fn name(&self) -> &'static str {
-        "only-to-customers"
-    }
-
-    fn on_import(&self, cx: &mut ImportCx<'_>) -> Result<(), RejectReason> {
-        match cx.rel {
-            Relationship::Customer | Relationship::Peer | Relationship::RouteServer => {
-                if *cx.leak_marked {
-                    return Err(RejectReason::RouteLeak);
-                }
-                if cx.rel != Relationship::Customer {
-                    // Learned from a lateral peer: may only go to my
-                    // customers from here on.
-                    *cx.leak_marked = true;
-                }
-                Ok(())
-            }
-            Relationship::Provider => {
-                *cx.leak_marked = true;
-                Ok(())
-            }
-        }
-    }
-
-    fn on_export(&self, cx: &mut ExportCx<'_>) -> ExportAction {
-        if matches!(cx.to_rel, Relationship::Customer | Relationship::Peer) {
-            *cx.leak_marked = true;
-        }
-        ExportAction::Default
-    }
-}
-
-/// Path-end validation (the lightweight BGPsec alternative): the hop
-/// adjacent to the origin must be a real topology neighbor of the
-/// origin. Catches forged-origin hijacks that graft a victim origin
-/// onto an attacker path.
-pub struct PathEnd;
-
-impl PolicyExtension for PathEnd {
-    fn name(&self) -> &'static str {
-        "path-end"
-    }
-
-    fn on_import(&self, cx: &mut ImportCx<'_>) -> Result<(), RejectReason> {
-        let Some(origin) = cx.as_path.origin() else {
-            return Ok(());
-        };
-        if cx.topology.as_info(origin).is_none() {
-            return Ok(()); // unknown origin: nothing to validate against
-        }
-        let hops: Vec<Asn> = cx.as_path.iter_asns().collect();
-        let Some(last_hop) = hops.iter().rev().find(|a| **a != origin) else {
-            return Ok(()); // origin-only path: a direct session
-        };
-        if cx.topology.neighbors(origin).iter().any(|(n, _)| n == last_hop) {
-            Ok(())
-        } else {
-            Err(RejectReason::PathEndInvalid)
-        }
-    }
-}
-
-/// Community strip/rewrite on export, from the per-AS
-/// [`CommunityScrub`] config. Models transit networks that launder
-/// customer-attached informational communities — the behavior that
-/// erodes community-based inference visibility.
-pub struct CommunityScrubExt {
-    scrub: CommunityScrub,
-}
-
-impl CommunityScrubExt {
-    pub fn new(scrub: CommunityScrub) -> Self {
-        Self { scrub }
-    }
-}
-
-impl PolicyExtension for CommunityScrubExt {
-    fn name(&self) -> &'static str {
-        "community-scrub"
-    }
-
-    fn on_export(&self, cx: &mut ExportCx<'_>) -> ExportAction {
-        if self.scrub.strip_all {
-            cx.communities.retain(|_| false);
-        } else {
-            for c in &self.scrub.strip {
-                cx.communities.remove(*c);
-            }
-        }
-        for (from, to) in &self.scrub.rewrite {
-            if cx.communities.remove(*from) {
-                cx.communities.insert(*to);
-            }
-        }
-        ExportAction::Default
-    }
-}
-
-/// Deliberate misbehavior: export every best route to every neighbor,
-/// ignoring the valley-free rule. The route-leak workloads install this
-/// at chosen transit ASes to create the leak traffic the inference must
-/// not misread as blackholing. NO_EXPORT and RFC 7999 suppression are
-/// hard rules in the simulator and are never leaked through.
-pub struct Leaker;
-
-impl PolicyExtension for Leaker {
-    fn name(&self) -> &'static str {
-        "leaker"
-    }
-
-    fn on_export(&self, cx: &mut ExportCx<'_>) -> ExportAction {
-        if cx.default_allowed {
-            ExportAction::Default
-        } else {
-            ExportAction::Force
-        }
-    }
-}
-
-/// Per-`RejectReason` and per-extension accounting for one simulator
+/// Per-`RejectReason` and per-filter accounting for one simulator
 /// run. Counters only — recording a rejection never perturbs routing,
 /// which the empty-table bit-identity property depends on.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Routes actually rejected on import (candidate removed), by
     /// reason. Includes the Gao-Rexford core reasons (`LoopDetected`,
-    /// `TooSpecific`) and every extension reason.
+    /// `TooSpecific`) and every policy-filter reason.
     pub import_rejects: BTreeMap<RejectReason, u64>,
     /// Blackhole triggers that matched but did not fire (`AuthFailed`,
     /// `LengthRejected`); the route itself still imported normally.
     pub trigger_rejects: BTreeMap<RejectReason, u64>,
-    /// Import rejections attributed to a named policy extension.
+    /// Import rejections by the [`AsPolicy`] filter that raised them
+    /// (`"rov"`, `"peerlock-lite"`, `"path-end"`, `"only-to-customers"`).
     pub extension_rejects: BTreeMap<&'static str, u64>,
-    /// Advertisements vetoed by an export hook.
-    pub exports_suppressed: u64,
     /// Advertisements forced past the valley-free rule (leaks).
     pub exports_forced: u64,
     /// Propagation runs that hit the step cap and were abandoned
@@ -351,94 +89,72 @@ impl RunStats {
     }
 }
 
-/// One AS's compiled hook chain, in a fixed deterministic order:
-/// validation first (ROV, peerlock, path-end, OTC), then mutation
-/// (scrub), then misbehavior (leaker).
-struct Compiled {
-    extensions: Vec<Box<dyn PolicyExtension>>,
+/// RFC 6811 route-origin validation: is the route RPKI-Invalid? Under a
+/// strict ROA table (max_length = allocation length) this is every RTBH
+/// host route — the blackholing-vs-ROV tension the adversarial
+/// workloads quantify.
+fn rov_invalid(roas: &RoaTable, prefix: &Ipv4Prefix, as_path: &AsPath) -> bool {
+    as_path.origin().is_some_and(|origin| roas.validity(prefix, origin) == RpkiValidity::Invalid)
 }
 
-impl Compiled {
-    fn from_policy(policy: &AsPolicy) -> Option<Self> {
-        let mut extensions: Vec<Box<dyn PolicyExtension>> = Vec::new();
-        if policy.rov {
-            extensions.push(Box::new(Rov));
-        }
-        if policy.peerlock_lite {
-            extensions.push(Box::new(PeerlockLite));
-        }
-        if policy.path_end {
-            extensions.push(Box::new(PathEnd));
-        }
-        if policy.only_to_customers {
-            extensions.push(Box::new(OnlyToCustomers));
-        }
-        if let Some(scrub) = &policy.scrub {
-            if !scrub.is_noop() {
-                extensions.push(Box::new(CommunityScrubExt::new(scrub.clone())));
-            }
-        }
-        if policy.leaker {
-            extensions.push(Box::new(Leaker));
-        }
-        if extensions.is_empty() {
-            None
-        } else {
-            Some(Self { extensions })
-        }
+/// Peerlock-lite: does the path carry a Tier-1 ASN other than the
+/// sender itself? On a route learned from a customer or peer that must
+/// be a leak — under valley-free export no Tier-1 ever appears
+/// downstream of a non-Tier-1 on a legitimate customer/peer path.
+fn carries_foreign_tier1(topology: &Topology, as_path: &AsPath, from: Asn) -> bool {
+    as_path
+        .iter_asns()
+        .any(|asn| asn != from && topology.as_info(asn).is_some_and(|i| i.tier == Tier::Tier1))
+}
+
+/// Path-end validation (the lightweight BGPsec alternative): the hop
+/// adjacent to the origin must be a real topology neighbor of the
+/// origin. Catches forged-origin hijacks that graft a victim origin
+/// onto an attacker path.
+fn path_end_valid(topology: &Topology, as_path: &AsPath) -> bool {
+    let Some(origin) = as_path.origin() else {
+        return true;
+    };
+    if topology.as_info(origin).is_none() {
+        return true; // unknown origin: nothing to validate against
     }
+    let Some(last_hop) = as_path.iter_asns().filter(|asn| *asn != origin).last() else {
+        return true; // origin-only path: a direct session
+    };
+    topology.neighbors(origin).iter().any(|(n, _)| *n == last_hop)
 }
 
-/// A [`PolicyTable`] compiled into per-AS hook chains, ready for the
-/// simulator. ASes without policies are absent from the map and pay a
-/// single hash probe per hook site.
+/// The non-empty entries of a [`PolicyTable`] plus its ROA registry,
+/// ready for the simulator. ASes without a policy are absent from the
+/// map and pay a single hash probe per site.
 pub struct PolicyEngine {
-    per_as: FxHashMap<Asn, Compiled>,
+    per_as: FxHashMap<Asn, AsPolicy>,
     roas: RoaTable,
 }
 
 impl PolicyEngine {
     /// Compile a declarative table. Returns `None` when the table is
     /// empty — the simulator then skips installation entirely, keeping
-    /// the extensions-off fast path byte-for-byte identical.
+    /// the policies-off fast path byte-for-byte identical.
     pub fn compile(table: &PolicyTable) -> Option<Self> {
         if table.is_empty() {
             return None;
         }
-        let mut per_as = FxHashMap::default();
-        for (asn, policy) in table.iter() {
-            if let Some(compiled) = Compiled::from_policy(policy) {
-                per_as.insert(asn, compiled);
-            }
-        }
+        let per_as = table
+            .iter()
+            .filter(|(_, policy)| !policy.is_empty())
+            .map(|(asn, policy)| (asn, policy.clone()))
+            .collect();
         Some(Self { per_as, roas: table.roas().clone() })
     }
 
-    /// Number of ASes with at least one compiled extension.
-    pub fn deployed_count(&self) -> usize {
-        self.per_as.len()
-    }
-
-    /// Run the origin hooks of `origin`'s extensions.
-    pub fn origin(
-        &self,
-        topology: &Topology,
-        origin: Asn,
-        prefix: &Ipv4Prefix,
-        communities: &mut CommunitySet,
-        prepend: &mut usize,
-    ) {
-        let Some(compiled) = self.per_as.get(&origin) else {
-            return;
-        };
-        let mut cx = OriginCx { origin, prefix, communities, prepend, topology };
-        for ext in &compiled.extensions {
-            ext.on_origin(&mut cx);
-        }
-    }
-
-    /// Run `me`'s import hooks; the first `Err` rejects the route and
-    /// is recorded against the extension that raised it.
+    /// `me`'s ingress filters over a route arriving from neighbor
+    /// `from`, before the Gao-Rexford import. `rel` is `me`'s
+    /// relationship to `from` (`Customer` means the sender is `me`'s
+    /// customer — the `local_pref_for` convention); `leak_marked` is
+    /// the route's only-to-customers mark (RFC 9234's OTC attribute).
+    /// The first filter to object rejects the route and is recorded in
+    /// `stats` under its name.
     #[allow(clippy::too_many_arguments)] // one parameter per BGP attribute of the event
     pub fn import(
         &self,
@@ -449,86 +165,93 @@ impl PolicyEngine {
         rel: Relationship,
         prefix: &Ipv4Prefix,
         as_path: &AsPath,
-        communities: &CommunitySet,
         leak_marked: &mut bool,
     ) -> Result<(), RejectReason> {
-        let Some(compiled) = self.per_as.get(&me) else {
+        let Some(policy) = self.per_as.get(&me) else {
             return Ok(());
         };
-        let mut cx = ImportCx {
-            me,
-            from,
-            rel,
-            prefix,
-            as_path,
-            communities,
-            leak_marked,
-            topology,
-            roas: &self.roas,
+        // Learned from a customer, peer or route server — where a leak
+        // shows up; what a provider sends is never one.
+        let from_provider = rel == Relationship::Provider;
+        let rejected = if policy.rov && rov_invalid(&self.roas, prefix, as_path) {
+            Some((RejectReason::RovInvalid, "rov"))
+        } else if policy.peerlock_lite
+            && !from_provider
+            && carries_foreign_tier1(topology, as_path, from)
+        {
+            Some((RejectReason::PeerlockViolation, "peerlock-lite"))
+        } else if policy.path_end && !path_end_valid(topology, as_path) {
+            Some((RejectReason::PathEndInvalid, "path-end"))
+        } else if policy.only_to_customers && !from_provider && *leak_marked {
+            // A marked route arriving from a customer or peer: a leak
+            // already happened upstream.
+            Some((RejectReason::RouteLeak, "only-to-customers"))
+        } else {
+            None
         };
-        for ext in &compiled.extensions {
-            if let Err(reason) = ext.on_import(&mut cx) {
-                stats.record_extension_reject(reason, ext.name());
-                return Err(reason);
-            }
+        if let Some((reason, name)) = rejected {
+            stats.record_extension_reject(reason, name);
+            return Err(reason);
+        }
+        if policy.only_to_customers && rel != Relationship::Customer {
+            // Learned from a provider or a lateral peer: may only go to
+            // my customers from here on.
+            *leak_marked = true;
         }
         Ok(())
     }
 
-    /// Run `me`'s export hooks over the core's valley-free verdict.
-    /// `Suppress` dominates `Force` dominates the default.
-    #[allow(clippy::too_many_arguments)] // one parameter per BGP attribute of the event
+    /// `me`'s export policy for its best route towards a neighbor it
+    /// has relationship `to_rel` to (`Customer` means the receiver is
+    /// `me`'s customer), over the valley-free verdict `default_allowed`.
+    /// `communities` and `leak_marked` are the *outgoing copy*: marking
+    /// and scrubbing never touch the stored route. Returns whether to
+    /// advertise.
     pub fn export(
         &self,
-        topology: &Topology,
         stats: &mut RunStats,
         me: Asn,
-        to: Asn,
         to_rel: Relationship,
-        learned_rel: Relationship,
-        prefix: &Ipv4Prefix,
-        as_path: &AsPath,
         communities: &mut CommunitySet,
         leak_marked: &mut bool,
         default_allowed: bool,
     ) -> bool {
-        let Some(compiled) = self.per_as.get(&me) else {
+        let Some(policy) = self.per_as.get(&me) else {
             return default_allowed;
         };
-        let mut cx = ExportCx {
-            me,
-            to,
-            to_rel,
-            learned_rel,
-            prefix,
-            as_path,
-            communities,
-            leak_marked,
-            default_allowed,
-            topology,
-        };
-        let mut suppressed = false;
-        let mut forced = false;
-        for ext in &compiled.extensions {
-            match ext.on_export(&mut cx) {
-                ExportAction::Default => {}
-                ExportAction::Suppress => suppressed = true,
-                ExportAction::Force => forced = true,
+        // Only-to-customers also marks on the way out to customers and
+        // peers, containing leaks one hop out even when the leaker
+        // itself deploys nothing.
+        if policy.only_to_customers && matches!(to_rel, Relationship::Customer | Relationship::Peer)
+        {
+            *leak_marked = true;
+        }
+        // Community strip/rewrite: transit networks laundering
+        // customer-attached informational communities — the behavior
+        // that erodes community-based inference visibility.
+        if let Some(scrub) = &policy.scrub {
+            if scrub.strip_all {
+                communities.retain(|_| false);
+            } else {
+                for c in &scrub.strip {
+                    communities.remove(*c);
+                }
+            }
+            for (from, to) in &scrub.rewrite {
+                if communities.remove(*from) {
+                    communities.insert(*to);
+                }
             }
         }
-        if suppressed {
-            if default_allowed {
-                stats.exports_suppressed += 1;
-            }
-            false
-        } else if forced {
-            if !default_allowed {
-                stats.exports_forced += 1;
-            }
-            true
-        } else {
-            default_allowed
+        // Deliberate misbehavior: export every best route to every
+        // neighbor, ignoring the valley-free rule. NO_EXPORT and
+        // RFC 7999 suppression are hard rules in the simulator and are
+        // never leaked through.
+        if policy.leaker && !default_allowed {
+            stats.exports_forced += 1;
+            return true;
         }
+        default_allowed
     }
 }
 
@@ -536,6 +259,52 @@ impl PolicyEngine {
 mod tests {
     use super::*;
     use bh_bgp_types::community::Community;
+    use bh_topology::{AsInfo, CommunityScrub, NetworkType, Roa};
+
+    const T1: Asn = Asn(10);
+    const ME: Asn = Asn(20);
+    const ORIGIN: Asn = Asn(30);
+    const PEER: Asn = Asn(40);
+
+    /// `T1` (Tier-1) is `ME`'s provider, `ME` is `ORIGIN`'s, and
+    /// `ORIGIN` peers with `PEER`.
+    fn topology() -> Topology {
+        let mk = |asn: Asn, tier: Tier| AsInfo {
+            asn,
+            tier,
+            network_type: NetworkType::TransitAccess,
+            country: "DE",
+            prefixes: vec![],
+            blackhole_offering: None,
+            tag_communities: vec![],
+            tag_classes: vec![],
+            tag_large_communities: vec![],
+            in_peeringdb: true,
+        };
+        let ases = [
+            (T1, mk(T1, Tier::Tier1)),
+            (ME, mk(ME, Tier::Transit)),
+            (ORIGIN, mk(ORIGIN, Tier::Stub)),
+            (PEER, mk(PEER, Tier::Stub)),
+        ];
+        let edges = vec![
+            (T1, ME, Relationship::Customer),
+            (ME, ORIGIN, Relationship::Customer),
+            (ORIGIN, PEER, Relationship::Peer),
+        ];
+        Topology::assemble(ases.into_iter().collect(), edges, vec![])
+    }
+
+    /// An engine with `policy` at `ME` and one ROA: `ORIGIN` may
+    /// announce 30.0.0.0/16 and nothing more specific.
+    fn engine_at_me(policy: AsPolicy) -> PolicyEngine {
+        let mut table = PolicyTable::new();
+        let mut roas = RoaTable::new();
+        roas.insert(Roa { prefix: "30.0.0.0/16".parse().unwrap(), origin: ORIGIN, max_length: 16 });
+        table.set_roas(roas);
+        table.set(ME, policy);
+        PolicyEngine::compile(&table).expect("ROAs make the table non-empty")
+    }
 
     #[test]
     fn empty_table_compiles_to_nothing() {
@@ -546,84 +315,218 @@ mod tests {
         assert!(PolicyEngine::compile(&table).is_none());
         table.entry(Asn(65001)).rov = true;
         let engine = PolicyEngine::compile(&table).expect("non-empty table compiles");
-        assert_eq!(engine.deployed_count(), 1);
+        assert_eq!(engine.per_as.len(), 1);
+    }
+
+    #[test]
+    fn import_filters_and_leaker_accept_and_reject() {
+        use Relationship::{Customer, Peer, Provider};
+        let rov = AsPolicy { rov: true, ..AsPolicy::default() };
+        let peerlock = AsPolicy { peerlock_lite: true, ..AsPolicy::default() };
+        let path_end = AsPolicy { path_end: true, ..AsPolicy::default() };
+        let otc = AsPolicy { only_to_customers: true, ..AsPolicy::default() };
+        let leaker = AsPolicy { leaker: true, ..AsPolicy::default() };
+        const NET: &str = "30.0.0.0/16";
+        const HOST: &str = "30.0.1.1/32";
+        /// One import at `ME`: (case, policy, from, rel, prefix, path,
+        /// marked on arrival, `Ok(marked afterwards)` or
+        /// `Err((reason, filter charged))`).
+        type Row<'a> = (
+            &'a str,
+            &'a AsPolicy,
+            Asn,
+            Relationship,
+            &'a str,
+            &'a [Asn],
+            bool,
+            Result<bool, (RejectReason, &'a str)>,
+        );
+        #[rustfmt::skip]
+        let rows: &[Row<'_>] = &[
+            ("rov: covered length",          &rov, ORIGIN, Customer, NET,           &[ORIGIN], false, Ok(false)),
+            ("rov: no covering ROA",         &rov, ORIGIN, Customer, "31.0.0.1/32", &[ORIGIN], false, Ok(false)),
+            ("rov: host route, strict ROA",  &rov, ORIGIN, Customer, HOST,          &[ORIGIN], false, Err((RejectReason::RovInvalid, "rov"))),
+            ("peerlock: clean customer path",    &peerlock, ORIGIN, Customer, NET, &[ORIGIN],           false, Ok(false)),
+            ("peerlock: Tier-1 is the sender",   &peerlock, T1,     Peer,     NET, &[T1, ORIGIN],       false, Ok(false)),
+            ("peerlock: providers send anything", &peerlock, T1,    Provider, NET, &[PEER, T1, ORIGIN], false, Ok(false)),
+            ("peerlock: Tier-1 behind a customer", &peerlock, ORIGIN, Customer, NET, &[ORIGIN, T1, PEER], false, Err((RejectReason::PeerlockViolation, "peerlock-lite"))),
+            ("path-end: direct session",     &path_end, ORIGIN, Customer, NET, &[ORIGIN],               false, Ok(false)),
+            ("path-end: real neighbor",      &path_end, PEER,   Peer,     NET, &[PEER, ORIGIN],         false, Ok(false)),
+            ("path-end: prepended origin",   &path_end, PEER,   Peer,     NET, &[PEER, ORIGIN, ORIGIN], false, Ok(false)),
+            ("path-end: unknown origin",     &path_end, T1,     Provider, NET, &[T1, Asn(999)],         false, Ok(false)),
+            ("path-end: forged adjacency",   &path_end, T1,     Provider, NET, &[T1, ORIGIN],           false, Err((RejectReason::PathEndInvalid, "path-end"))),
+            ("otc: from a provider, marks",  &otc, T1,     Provider, NET, &[T1, ORIGIN],   false, Ok(true)),
+            ("otc: from a peer, marks",      &otc, PEER,   Peer,     NET, &[PEER, ORIGIN], false, Ok(true)),
+            ("otc: from a customer, no mark", &otc, ORIGIN, Customer, NET, &[ORIGIN],      false, Ok(false)),
+            ("otc: marked, from a customer", &otc, ORIGIN, Customer, NET, &[ORIGIN, T1],   true,  Err((RejectReason::RouteLeak, "only-to-customers"))),
+            ("otc: marked, from a peer",     &otc, PEER,   Peer,     NET, &[PEER, ORIGIN], true,  Err((RejectReason::RouteLeak, "only-to-customers"))),
+            ("leaker alone filters nothing", &leaker, ORIGIN, Customer, HOST, &[ORIGIN, T1], true, Ok(true)),
+        ];
+        let topology = topology();
+        for &(case, policy, from, rel, prefix, path, marked_before, expect) in rows {
+            let engine = engine_at_me(policy.clone());
+            let mut stats = RunStats::default();
+            let mut marked = marked_before;
+            let verdict = engine.import(
+                &topology,
+                &mut stats,
+                ME,
+                from,
+                rel,
+                &prefix.parse().unwrap(),
+                &AsPath::from_sequence(path.to_vec()),
+                &mut marked,
+            );
+            match expect {
+                Ok(marked_after) => {
+                    assert_eq!(verdict, Ok(()), "{case}");
+                    assert_eq!(marked, marked_after, "{case}: only-to-customers mark");
+                    assert_eq!(stats, RunStats::default(), "{case}: accepted yet counted");
+                }
+                Err((reason, filter)) => {
+                    assert_eq!(verdict, Err(reason), "{case}");
+                    assert_eq!(stats.import_rejects_for(reason), 1, "{case}");
+                    assert_eq!(stats.total_import_rejects(), 1, "{case}");
+                    assert_eq!(stats.extension_rejects, BTreeMap::from([(filter, 1)]), "{case}");
+                }
+            }
+        }
+
+        // The leaker on export: (leaker on?, valley-free verdict) →
+        // (advertise?, counted as forced).
+        for (leaker, default_allowed, advertise, forced) in [
+            (true, false, true, 1),
+            (true, true, true, 0),
+            (false, false, false, 0),
+            (false, true, true, 0),
+        ] {
+            // ROV keeps the non-leaker's policy non-empty.
+            let engine = engine_at_me(AsPolicy { leaker, rov: true, ..AsPolicy::default() });
+            let mut stats = RunStats::default();
+            let (mut communities, mut marked) = (CommunitySet::new(), false);
+            let verdict = engine.export(
+                &mut stats,
+                ME,
+                Relationship::Provider,
+                &mut communities,
+                &mut marked,
+                default_allowed,
+            );
+            assert_eq!(verdict, advertise, "leaker {leaker}, valley-free {default_allowed}");
+            assert_eq!(
+                stats.exports_forced, forced,
+                "leaker {leaker}, valley-free {default_allowed}"
+            );
+            assert!(!marked && communities.is_empty());
+        }
     }
 
     #[test]
     fn scrub_strips_and_rewrites() {
-        let scrub = CommunityScrub {
-            strip_all: false,
-            strip: vec![Community::from_parts(65001, 666)],
-            rewrite: vec![(Community::from_parts(65001, 100), Community::from_parts(65002, 200))],
-        };
-        let ext = CommunityScrubExt::new(scrub);
+        let engine = engine_at_me(AsPolicy {
+            scrub: Some(CommunityScrub {
+                strip_all: false,
+                strip: vec![Community::from_parts(65001, 666)],
+                rewrite: vec![(
+                    Community::from_parts(65001, 100),
+                    Community::from_parts(65002, 200),
+                )],
+            }),
+            ..AsPolicy::default()
+        });
         let mut communities = CommunitySet::new();
         communities.insert(Community::from_parts(65001, 666));
         communities.insert(Community::from_parts(65001, 100));
         communities.insert(Community::from_parts(65001, 300));
-        let prefix: Ipv4Prefix = "10.0.0.1/32".parse().unwrap();
-        let path = AsPath::from_sequence(vec![Asn(65001)]);
-        let topology = Topology::assemble(std::collections::BTreeMap::new(), vec![], vec![]);
+        let mut stats = RunStats::default();
         let mut leak_marked = false;
-        let mut cx = ExportCx {
-            me: Asn(65009),
-            to: Asn(65010),
-            to_rel: Relationship::Customer,
-            learned_rel: Relationship::Customer,
-            prefix: &prefix,
-            as_path: &path,
-            communities: &mut communities,
-            leak_marked: &mut leak_marked,
-            default_allowed: true,
-            topology: &topology,
-        };
-        assert_eq!(ext.on_export(&mut cx), ExportAction::Default);
+        // Scrubbing never changes the verdict, either way.
+        for default_allowed in [true, false] {
+            let verdict = engine.export(
+                &mut stats,
+                ME,
+                Relationship::Customer,
+                &mut communities,
+                &mut leak_marked,
+                default_allowed,
+            );
+            assert_eq!(verdict, default_allowed);
+        }
         assert!(!communities.contains(Community::from_parts(65001, 666)));
         assert!(!communities.contains(Community::from_parts(65001, 100)));
         assert!(communities.contains(Community::from_parts(65002, 200)));
         assert!(communities.contains(Community::from_parts(65001, 300)));
+        assert!(!leak_marked);
+        assert_eq!(stats, RunStats::default());
+
+        // Another AS's routes leave untouched.
+        communities.insert(Community::from_parts(65001, 666));
+        engine.export(
+            &mut stats,
+            ORIGIN,
+            Relationship::Peer,
+            &mut communities,
+            &mut leak_marked,
+            true,
+        );
+        assert!(communities.contains(Community::from_parts(65001, 666)));
     }
 
     #[test]
     fn otc_marks_and_rejects() {
-        let ext = OnlyToCustomers;
-        let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let path = AsPath::from_sequence(vec![Asn(65001)]);
-        let communities = CommunitySet::new();
-        let topology = Topology::assemble(std::collections::BTreeMap::new(), vec![], vec![]);
-        let roas = RoaTable::new();
+        let engine = engine_at_me(AsPolicy { only_to_customers: true, ..AsPolicy::default() });
+        let topology = topology();
+        let prefix: Ipv4Prefix = "30.0.0.0/16".parse().unwrap();
+        let path = AsPath::from_sequence(vec![T1, ORIGIN]);
+        let mut stats = RunStats::default();
 
         // Learned from a provider: mark set, accepted.
         let mut leak_marked = false;
-        let mut cx = ImportCx {
-            me: Asn(65002),
-            from: Asn(65001),
-            rel: Relationship::Provider,
-            prefix: &prefix,
-            as_path: &path,
-            communities: &communities,
-            leak_marked: &mut leak_marked,
-            topology: &topology,
-            roas: &roas,
-        };
-        assert!(ext.on_import(&mut cx).is_ok());
+        let verdict = engine.import(
+            &topology,
+            &mut stats,
+            ME,
+            T1,
+            Relationship::Provider,
+            &prefix,
+            &path,
+            &mut leak_marked,
+        );
+        assert!(verdict.is_ok());
         assert!(leak_marked);
 
         // A marked route arriving from a customer is a leak.
-        let mut leak_marked = true;
-        let mut cx = ImportCx {
-            me: Asn(65002),
-            from: Asn(65003),
-            rel: Relationship::Customer,
-            prefix: &prefix,
-            as_path: &path,
-            communities: &communities,
-            leak_marked: &mut leak_marked,
-            topology: &topology,
-            roas: &roas,
-        };
-        assert_eq!(cx.me, Asn(65002));
-        assert_eq!(ext.on_import(&mut cx), Err(RejectReason::RouteLeak));
+        let verdict = engine.import(
+            &topology,
+            &mut stats,
+            ME,
+            ORIGIN,
+            Relationship::Customer,
+            &prefix,
+            &path,
+            &mut leak_marked,
+        );
+        assert_eq!(verdict, Err(RejectReason::RouteLeak));
+
+        // Exports to customers and peers carry the mark; a
+        // customer-learned route sent up to a provider does not.
+        for (to_rel, marked_after) in [
+            (Relationship::Customer, true),
+            (Relationship::Peer, true),
+            (Relationship::Provider, false),
+            (Relationship::RouteServer, false),
+        ] {
+            let (mut communities, mut leak_marked) = (CommunitySet::new(), false);
+            assert!(engine.export(
+                &mut stats,
+                ME,
+                to_rel,
+                &mut communities,
+                &mut leak_marked,
+                true
+            ));
+            assert_eq!(leak_marked, marked_after, "export to a {to_rel:?}");
+        }
     }
 
     #[test]

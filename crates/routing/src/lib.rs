@@ -46,14 +46,11 @@ pub use archive::{
 };
 pub use collector::{deploy, CollectorConfig, CollectorDeployment, CollectorSession, FeedKind};
 pub use elem::{BgpElem, DataSource, ElemType, PeerKey};
-pub use extensions::{
-    CommunityScrubExt, ExportAction, ExportCx, ImportCx, Leaker, OnlyToCustomers, OriginCx,
-    PathEnd, PeerlockLite, PolicyEngine, PolicyExtension, Rov, RunStats,
-};
+pub use extensions::{PolicyEngine, RunStats};
 pub use fleet::{
     ArchiveReport, ChannelSource, CollectorFleet, FleetConfig, FleetReport, FleetSource,
 };
-pub use live::{Clock, LiveArchive, LiveMerge, LivePoll, TailingSource, WallClock};
+pub use live::{LiveArchive, LiveMerge, LivePoll, TailingSource};
 pub use merge::MergedSource;
 pub use paths::ForwardingTree;
 pub use policy::{ImportDecision, ImportOutcome, RejectReason, SessionBehavior};

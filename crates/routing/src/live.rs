@@ -26,48 +26,19 @@
 //!   [`merge_streams`](crate::archive::merge_streams) order, so a
 //!   drained live run reproduces the batch stream bit for bit.
 //!
-//! [`Clock`] abstracts time so the daemon's pacing logic runs against a
-//! virtual clock in tests (`bh-workloads`) and [`WallClock`] in
-//! production.
+//! None of them reads a clock: watermarks are set by the writer, and the
+//! `bh-live` daemon is handed the current time by whoever steps it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use bh_bgp_types::time::{SimDuration, SimTime};
+use bh_bgp_types::time::SimTime;
 use bh_mrt::{MrtError, TailingReader};
 
 use crate::archive::MrtElemSource;
 use crate::elem::{BgpElem, DataSource};
 use crate::merge::MergeHeap;
 use crate::source::ElemSource;
-
-/// The daemon's notion of time: virtual in tests, wall in production.
-///
-/// `now` drives watermarks, event `emitted_at` stamps and latency
-/// accounting; `sleep` paces the poll loop.
-pub trait Clock: Send + Sync {
-    /// The current time.
-    fn now(&self) -> SimTime;
-    /// Block (or, for a virtual clock, advance) for `d`.
-    fn sleep(&self, d: SimDuration);
-}
-
-/// The production clock: Unix wall time, real sleeps.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WallClock;
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        let secs =
-            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or_default();
-        SimTime::from_unix(secs)
-    }
-
-    fn sleep(&self, d: SimDuration) {
-        std::thread::sleep(Duration::from_secs(d.as_secs()));
-    }
-}
 
 /// The state behind a [`LiveArchive`] handle: the bytes under a lock,
 /// and what an idle reader needs to know published beside it.
@@ -729,11 +700,5 @@ mod tests {
             assert!(idle_polls > 0, "the reader never caught up: the idle path went untested");
         });
         assert!(src.error().is_none());
-    }
-
-    #[test]
-    fn wall_clock_reports_present_time() {
-        let now = WallClock.now();
-        assert!(now.unix() > 1_600_000_000, "the wall clock is past 2020");
     }
 }

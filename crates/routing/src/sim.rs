@@ -137,8 +137,8 @@ struct RouteEntry {
     is_blackhole: bool,
     irr_registered: bool,
     next_hop: Option<IpAddr>,
-    /// RFC 9234-style only-to-customers mark, set and read by the
-    /// `OnlyToCustomers` policy extension. Always `false` when no
+    /// RFC 9234-style only-to-customers mark, set and read where
+    /// `AsPolicy::only_to_customers` is on. Always `false` when no
     /// policies are installed, so route equality (and therefore
     /// propagation and emission) is unchanged on the extensions-off
     /// path.
@@ -208,7 +208,7 @@ pub struct BgpSimulator<'a> {
     emitted: HashMap<EmitKey, (AsPath, CommunitySet)>,
     elems: Vec<BgpElem>,
     bogons: BogonFilter,
-    /// Compiled per-AS policy extensions; `None` (the default, and the
+    /// The installed per-AS policies; `None` (the default, and the
     /// result of installing an empty [`PolicyTable`]) runs the exact
     /// pre-extension code path.
     policies: Option<PolicyEngine>,
@@ -285,7 +285,7 @@ impl<'a> BgpSimulator<'a> {
     /// Install (compile) a policy table. An empty table uninstalls:
     /// the simulator then runs the extensions-off fast path, which is
     /// property-tested bit-identical to the pre-extension baseline.
-    /// Returns `true` when at least one extension was installed.
+    /// Returns `true` when the table was non-empty and is now installed.
     pub fn install_policies(&mut self, table: &PolicyTable) -> bool {
         self.policies = PolicyEngine::compile(table);
         self.policies.is_some()
@@ -389,23 +389,11 @@ impl<'a> BgpSimulator<'a> {
             return (outcome, Ok(()));
         }
         let origin = announcement.origin;
-        let mut communities = announcement.communities.clone();
-        let mut prepend = announcement.prepend.max(1);
-        if let Some(engine) = &self.policies {
-            engine.origin(
-                self.topology,
-                origin,
-                &announcement.prefix,
-                &mut communities,
-                &mut prepend,
-            );
-            prepend = prepend.max(1);
-        }
         let mut path = AsPath::empty();
-        path.prepend(origin, prepend);
+        path.prepend(origin, announcement.prepend.max(1));
         let route = RouteEntry {
             as_path: path,
-            communities,
+            communities: announcement.communities.clone(),
             learned_from: origin,
             learned_rel: Relationship::Peer, // placeholder; set per receiver
             local_pref: 0,
@@ -773,7 +761,7 @@ fn ingest(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, work: Work) -> Option<Ipv4
                 // A targeted announce to a non-neighbor is silently dropped.
                 let rel = ctx.topology.rel_between(me, from)?;
                 // Route-server node? Special redistribution semantics.
-                // Policy extensions deliberately do not hook route
+                // Per-AS policies deliberately do not apply at route
                 // servers: they are transparent redistribution points,
                 // not policy actors, and PCH visibility depends on that
                 // transparency.
@@ -813,9 +801,9 @@ fn import_at_router(
     mut route: RouteEntry,
 ) -> Option<RouteEntry> {
     let me = node.me;
-    // Policy-extension import hooks run before the Gao-Rexford
-    // import — they model the ingress filters (ROV, peerlock,
-    // path-end, OTC) a router applies ahead of route acceptance.
+    // The per-AS policy filters run before the Gao-Rexford import —
+    // they model the ingress filters (ROV, peerlock, path-end, OTC) a
+    // router applies ahead of route acceptance.
     if let Some(engine) = ctx.policies {
         engine
             .import(
@@ -826,7 +814,6 @@ fn import_at_router(
                 rel,
                 &prefix,
                 &route.as_path,
-                &route.communities,
                 &mut route.leak_marked,
             )
             .ok()?;
@@ -909,25 +896,20 @@ fn after_change(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, prefix: Ipv4Prefix) 
                 } else if best.is_blackhole && offering.is_some_and(|o| o.honors_no_export) {
                     None // RFC 7999-compliant provider suppresses
                 } else {
-                    // Valley-free verdict, then policy-extension
-                    // export hooks (scrub / OTC marking / leaker
-                    // override). The hard suppressions above are
-                    // never overridable — NO_EXPORT and RFC 7999
-                    // compliance hold even at a leaker.
+                    // Valley-free verdict, then the per-AS export
+                    // policy (OTC marking / scrub / leaker override).
+                    // The hard suppressions above are never
+                    // overridable — NO_EXPORT and RFC 7999 compliance
+                    // hold even at a leaker.
                     let default_allowed = may_export(Some(best.learned_rel), to_rel);
                     let decided = match ctx.policies {
                         None => default_allowed.then(|| best.clone()),
                         Some(engine) => {
                             let mut out = best.clone();
                             let allowed = engine.export(
-                                topology,
                                 node.stats,
                                 me,
-                                n,
                                 to_rel,
-                                best.learned_rel,
-                                &prefix,
-                                &best.as_path,
                                 &mut out.communities,
                                 &mut out.leak_marked,
                                 default_allowed,

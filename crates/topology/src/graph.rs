@@ -5,8 +5,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::net::{IpAddr, Ipv4Addr};
 
-use serde::Serialize;
-
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::trie::PrefixTrie;
@@ -14,7 +12,7 @@ use bh_bgp_types::trie::PrefixTrie;
 use crate::types::{AsInfo, Ixp, IxpId, NetworkType, Relationship};
 
 /// The synthetic Internet: ASes, edges, IXPs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     ases: BTreeMap<Asn, AsInfo>,
     /// Adjacency: for each AS, its neighbors with the relationship as seen

@@ -6,10 +6,10 @@
 //! [`AsPolicy`] knob sets (ROV, peerlock-lite, only-to-customers,
 //! community scrubbing, path-end validation, and the deliberately
 //! misbehaving route leaker), and carries the [`RoaTable`] that ROV
-//! validates against. `bh-routing` compiles the table into concrete
-//! `PolicyExtension` hooks at simulator install time; an empty table
-//! compiles to nothing and the simulator is bit-identical to the
-//! pre-extension baseline (property-tested at Small scale).
+//! validates against. `bh-routing` evaluates each AS's knobs directly on
+//! import and export once the table is installed on a simulator; an
+//! empty table installs nothing and the simulator is bit-identical to
+//! the pre-extension baseline (property-tested at Small scale).
 //!
 //! The table is *data*, not behavior: it lives here next to the rest of
 //! the ground truth so workloads can describe a deployment ("strict

@@ -3,8 +3,6 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, LargeCommunity};
 use bh_bgp_types::prefix::Ipv4Prefix;
@@ -13,7 +11,7 @@ use bh_bgp_types::prefix::Ipv4Prefix;
 ///
 /// Matches the paper's convention: PeeringDB's NSP and Cable/DSL/ISP are
 /// folded into `TransitAccess` (as CAIDA's classification does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NetworkType {
     /// Transit and access providers (NSP + Cable/DSL/ISP).
     TransitAccess,
@@ -55,7 +53,7 @@ impl NetworkType {
 
 /// Position in the transit hierarchy (generator-internal, but useful for
 /// tests and probe selection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Member of the top clique (settlement-free core).
     Tier1,
@@ -67,7 +65,7 @@ pub enum Tier {
 
 /// Business relationship on an AS-AS edge, from the perspective of the
 /// first AS (Gao-Rexford model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relationship {
     /// The neighbor pays us: we are their provider.
     Customer,
@@ -93,7 +91,7 @@ impl Relationship {
 
 /// How a blackhole offering is documented — determines whether the
 /// dictionary builder can discover it and through which channel (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DocumentationChannel {
     /// Documented in an IRR `aut-num` record (largest source: 172
     /// communities for 209 networks in the paper).
@@ -110,7 +108,7 @@ pub enum DocumentationChannel {
 /// Ground-truth usage class of a non-blackhole tag community (the
 /// Krenc et al. taxonomy the multi-class dictionary is validated
 /// against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TagClass {
     /// Geographic ingress tagging ("route learned at FRA").
     Location,
@@ -123,7 +121,7 @@ pub enum TagClass {
 
 /// A tag community in RFC 8092 large form, with its usage class — the
 /// only representable form when the tagging AS has a 32-bit ASN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LargeTag {
     /// The large community.
     pub community: LargeCommunity,
@@ -142,7 +140,7 @@ pub fn classic_community(asn: Asn, value: u16) -> Option<Community> {
 
 /// Authentication the provider applies before honoring a blackhole
 /// request (§2: origin/customer-cone, RPKI, or IRR registration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlackholeAuth {
     /// Accept if the requester originates the prefix or has it in its
     /// customer cone (the common practice).
@@ -154,7 +152,7 @@ pub enum BlackholeAuth {
 }
 
 /// Ground truth: one network's blackholing service offering.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlackholeOffering {
     /// Trigger communities. First entry is the global community; any
     /// additional entries are regional variants (e.g. blackhole only in
@@ -202,7 +200,7 @@ impl BlackholeOffering {
 }
 
 /// One autonomous system in the synthetic Internet.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AsInfo {
     /// The AS number.
     pub asn: Asn,
@@ -260,11 +258,11 @@ impl AsInfo {
 }
 
 /// Identifier for an IXP (index into [`crate::Topology::ixps`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IxpId(pub u32);
 
 /// An Internet exchange point with a route server.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ixp {
     /// Identifier.
     pub id: IxpId,

@@ -56,7 +56,9 @@ use bh_routing::{
 use bh_topology::{DocumentationChannel, NetworkType, PolicyTable, RoaTable, Tier, Topology};
 
 use crate::attacks::poisson;
-use crate::reaction::{capable_providers, Action, CapableProvider, GroundTruthEvent, TimedAction};
+use crate::reaction::{
+    capable_providers, execute, Action, CapableProvider, GroundTruthEvent, TimedAction,
+};
 
 /// One adversarial workload: daily Poisson rates per event family plus
 /// the policy deployment active during the run.
@@ -595,26 +597,7 @@ pub fn run_adversarial(
     }
 
     let Planner { mut truths, labels, mut actions, .. } = planner;
-    actions.sort_by_key(|a| a.time.unix());
-    let announcements =
-        actions.iter().filter(|a| matches!(a.action, Action::Announce(_))).count() as u64;
-    for timed in &actions {
-        match &timed.action {
-            Action::Announce(a) => {
-                let outcome = sim.announce(timed.time, a);
-                if let Some(idx) = timed.truth {
-                    for asn in outcome.accepted_by {
-                        if !truths[idx].accepted.contains(&asn) {
-                            truths[idx].accepted.push(asn);
-                        }
-                    }
-                }
-            }
-            Action::Withdraw { origin, prefix } => {
-                sim.withdraw(timed.time, *origin, *prefix);
-            }
-        }
-    }
+    let announcements = execute(&mut sim, &mut actions, &mut truths);
 
     AdversarialOutput {
         run_stats: sim.run_stats().clone(),

@@ -1,9 +1,8 @@
-//! Deterministic live-feed drivers: replay recorded workloads against a
-//! virtual clock.
+//! Deterministic live-feed drivers: replay recorded workloads against
+//! a time the caller advances.
 //!
-//! Live tests must never sleep on wall time. [`VirtualClock`] is a
-//! shared, manually advanced [`Clock`] whose `sleep` *advances* instead
-//! of blocking, and the two feeds turn a recorded
+//! Live tests must never sleep on wall time, so nothing here reads a
+//! clock: the driver passes `now` in. The two feeds turn a recorded
 //! [`CollectorArchive`] set into growing [`LiveArchive`]s:
 //!
 //! * [`ReplayFeed`] paces whole records by their MRT timestamps — each
@@ -17,52 +16,13 @@
 //!   vacuous with one source).
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use bh_bgp_types::time::{SimDuration, SimTime};
+use bh_bgp_types::time::SimTime;
 use bh_routing::elem::DataSource;
-use bh_routing::live::{Clock, LiveArchive};
+use bh_routing::live::LiveArchive;
 use bytes::Bytes;
 
 use crate::fleet::CollectorArchive;
-
-/// A shared, manually driven clock for deterministic live tests.
-///
-/// Clones share the same instant. `sleep` advances the clock instead of
-/// blocking, so a daemon's poll loop runs at CPU speed while its pacing
-/// logic behaves exactly as it would against [`bh_routing::WallClock`].
-#[derive(Debug, Clone)]
-pub struct VirtualClock {
-    now: Arc<AtomicU64>,
-}
-
-impl VirtualClock {
-    /// A clock frozen at `start` until advanced.
-    pub fn new(start: SimTime) -> Self {
-        VirtualClock { now: Arc::new(AtomicU64::new(start.unix())) }
-    }
-
-    /// Jump to `to` (monotonic: earlier instants are ignored).
-    pub fn set(&self, to: SimTime) {
-        self.now.fetch_max(to.unix(), Ordering::SeqCst);
-    }
-
-    /// Advance by `d`.
-    pub fn advance(&self, d: SimDuration) {
-        self.now.fetch_add(d.as_secs(), Ordering::SeqCst);
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_unix(self.now.load(Ordering::SeqCst))
-    }
-
-    fn sleep(&self, d: SimDuration) {
-        self.advance(d);
-    }
-}
 
 /// Frame an MRT byte buffer into `(timestamp, byte range)` spans, one
 /// per record, without decoding payloads (12-byte header scan). Panics
@@ -213,6 +173,8 @@ mod tests {
     use bh_routing::{deploy, merge_streams, CollectorConfig};
     use bh_topology::{TopologyBuilder, TopologyConfig};
 
+    use bh_bgp_types::time::SimDuration;
+
     use super::*;
     use crate::scenario::{run, ScenarioConfig};
 
@@ -222,18 +184,6 @@ mod tests {
         let output = run(&t, d, &ScenarioConfig::short(3, 3, 6.0));
         let archives = output.fleet_archives().expect("serialization succeeds");
         (archives, output.elems)
-    }
-
-    #[test]
-    fn virtual_clock_is_shared_and_sleep_advances() {
-        let clock = VirtualClock::new(SimTime::from_unix(1_000));
-        let other = clock.clone();
-        clock.advance(SimDuration::secs(5));
-        assert_eq!(other.now().unix(), 1_005);
-        other.sleep(SimDuration::mins(1));
-        assert_eq!(clock.now().unix(), 1_065);
-        clock.set(SimTime::from_unix(1_000)); // stale: ignored
-        assert_eq!(clock.now().unix(), 1_065);
     }
 
     #[test]
@@ -259,19 +209,19 @@ mod tests {
         let mut merge = LiveMerge::new(sources);
 
         let start = elems.first().expect("nonempty workload").time;
-        let clock = VirtualClock::new(start);
+        let mut now = start;
         let quantum = SimDuration::mins(10);
         let mut got = Vec::new();
         let mut pumps = 0;
         while !(feed.finished() && merge.all_ended()) {
-            feed.pump(clock.now());
+            feed.pump(now);
             while let Some(e) = merge.next_ready() {
                 // Watermark guarantee: nothing already due is held back
                 // past the pump that made it safe.
-                assert!(e.time <= clock.now());
+                assert!(e.time <= now);
                 got.push(e.clone());
             }
-            clock.advance(quantum);
+            now += quantum;
             pumps += 1;
             assert!(pumps < 100_000, "replay must terminate");
         }

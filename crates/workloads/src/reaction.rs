@@ -23,7 +23,7 @@ use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_routing::{AnnounceScope, Announcement};
+use bh_routing::{AnnounceScope, Announcement, BgpSimulator};
 use bh_topology::Topology;
 
 /// One scheduled routing action.
@@ -85,6 +85,38 @@ impl GroundTruthEvent {
     pub fn end(&self) -> SimTime {
         self.phases.last().map(|(_, e)| *e).unwrap_or(SimTime::ZERO)
     }
+}
+
+/// Run `actions` through `sim` in time order (stable, so same-second
+/// actions keep their scheduling order), recording in `truths` which
+/// providers accepted each blackholing reaction. Returns the number of
+/// announcements injected.
+pub(crate) fn execute(
+    sim: &mut BgpSimulator<'_>,
+    actions: &mut [TimedAction],
+    truths: &mut [GroundTruthEvent],
+) -> u64 {
+    actions.sort_by_key(|a| a.time.unix());
+    let mut announcements = 0;
+    for timed in actions.iter() {
+        match &timed.action {
+            Action::Announce(a) => {
+                announcements += 1;
+                let outcome = sim.announce(timed.time, a);
+                if let Some(idx) = timed.truth {
+                    for asn in outcome.accepted_by {
+                        if !truths[idx].accepted.contains(&asn) {
+                            truths[idx].accepted.push(asn);
+                        }
+                    }
+                }
+            }
+            Action::Withdraw { origin, prefix } => {
+                sim.withdraw(timed.time, *origin, *prefix);
+            }
+        }
+    }
+    announcements
 }
 
 /// A provider available to a user, with the communities that trigger it.

@@ -17,7 +17,8 @@ use bh_topology::{NetworkType, PolicyTable, Tier, Topology};
 
 use crate::attacks::{AttackCalendar, SPIKES};
 use crate::reaction::{
-    capable_providers, plan_reaction, Action, GroundTruthEvent, ReactionConfig, TimedAction,
+    capable_providers, execute, plan_reaction, Action, GroundTruthEvent, ReactionConfig,
+    TimedAction,
 };
 
 /// Scenario configuration.
@@ -252,27 +253,7 @@ pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOut
         }
     }
 
-    // ---- execute ----------------------------------------------------------
-    actions.sort_by_key(|a| a.time.unix());
-    let announcements =
-        actions.iter().filter(|a| matches!(a.action, Action::Announce(_))).count() as u64;
-    for timed in &actions {
-        match &timed.action {
-            Action::Announce(a) => {
-                let outcome = sim.announce(timed.time, a);
-                if let Some(idx) = timed.truth {
-                    for asn in outcome.accepted_by {
-                        if !truths[idx].accepted.contains(&asn) {
-                            truths[idx].accepted.push(asn);
-                        }
-                    }
-                }
-            }
-            Action::Withdraw { origin, prefix } => {
-                sim.withdraw(timed.time, *origin, *prefix);
-            }
-        }
-    }
+    let announcements = execute(&mut sim, &mut actions, &mut truths);
 
     ScenarioOutput {
         run_stats: sim.run_stats().clone(),

@@ -16,7 +16,8 @@ use std::sync::OnceLock;
 use bh_bench::{Study, StudyScale};
 use bh_core::LabelKind;
 use bh_routing::RejectReason;
-use bh_workloads::AdversarialConfig;
+use bh_topology::{CommunityScrub, PolicyTable, RoaTable};
+use bh_workloads::{AdversarialConfig, AdversarialOutput};
 
 fn study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
@@ -101,4 +102,58 @@ fn rov_deployment_monotonically_suppresses_detection() {
         *detected.last().unwrap() < detected[0],
         "full ROV deployment did not suppress anything: {detected:?}"
     );
+}
+
+/// Everything the per-AS policy layer can change about a run, as one
+/// line: the elem count, an order-sensitive FNV-1a digest of the elem
+/// stream (over each elem's `Debug` rendering), and the simulator's
+/// reject / forced-export / work accounting.
+fn policy_fingerprint(out: &AdversarialOutput) -> String {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for elem in &out.elems {
+        for byte in format!("{elem:?}").bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let stats = &out.run_stats;
+    format!(
+        "elems={} digest={digest:016x} import_rejects={:?} extension_rejects={:?} \
+         exports_forced={} work_items={}",
+        out.elems.len(),
+        stats.import_rejects,
+        stats.extension_rejects,
+        stats.exports_forced,
+        stats.work_items
+    )
+}
+
+/// Golden pin of the policy layer, recorded before `PolicyEngine` was
+/// rewritten from hook chains to plain `AsPolicy` tests: the engine and
+/// the FIFO reference of `phased_propagation.rs` share the policy code,
+/// so only values recorded from the old implementation catch a semantic
+/// slip in it. The third deployment turns every `AsPolicy` field on
+/// somewhere, which the two catalog workloads do not.
+#[test]
+fn policy_layer_golden_pin() {
+    let topology = &study().topology;
+
+    let rov = AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, 0.5);
+    assert_eq!(policy_fingerprint(&study().adversarial_run(&rov).output), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} extension_rejects={\"rov\": 41} exports_forced=0 work_items=1387");
+
+    let leak = AdversarialConfig::route_leak(topology, 43, 3, 4.0);
+    assert_eq!(policy_fingerprint(&study().adversarial_run(&leak).output), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} extension_rejects={} exports_forced=181784 work_items=1329077");
+
+    let mut every_field = leak.clone();
+    every_field.policy.set_roas(RoaTable::strict_from_topology(topology));
+    for (k, asn) in PolicyTable::rov_candidates(topology).into_iter().enumerate() {
+        let policy = every_field.policy.entry(asn);
+        policy.peerlock_lite = k % 2 == 0;
+        policy.path_end = k % 2 == 1;
+        policy.rov = k % 4 == 0;
+        policy.only_to_customers |= k % 3 == 2;
+        if k % 3 == 1 {
+            policy.scrub = Some(CommunityScrub { strip_all: true, ..CommunityScrub::default() });
+        }
+    }
+    assert_eq!(policy_fingerprint(&study().adversarial_run(&every_field).output), "elems=956 digest=fffe4d3cc73b1f1c import_rejects={LoopDetected: 16711, RovInvalid: 83, PeerlockViolation: 53, PathEndInvalid: 7, RouteLeak: 18} extension_rejects={\"only-to-customers\": 18, \"path-end\": 7, \"peerlock-lite\": 53, \"rov\": 83} exports_forced=82746 work_items=668449");
 }

@@ -1,6 +1,7 @@
-# Offline mirror of .github/workflows/ci.yml — `make check` runs the
-# same gates CI does. Perf questions go to the benchmark (BENCHMARK.json,
-# benchmark/run.sh); `benchmark-smoke` below is its gate here.
+# The gates, defined once: `make check` runs them offline and the `check`
+# job of .github/workflows/ci.yml runs these same targets. Perf questions
+# go to the benchmark (BENCHMARK.json, benchmark/run.sh);
+# `benchmark-smoke` below is its gate here.
 
 CARGO ?= cargo
 

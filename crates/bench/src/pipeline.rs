@@ -25,8 +25,7 @@ use bh_irr::{BlackholeDictionary, Corpus, CorpusGenerator, NegativeControls};
 use bh_routing::{deploy, BgpElem, CollectorConfig, CollectorDeployment, SliceSource};
 use bh_topology::{PolicyTable, Topology, TopologyBuilder, TopologyConfig};
 use bh_workloads::{
-    run, run_adversarial, run_with_policies, AdversarialConfig, AdversarialOutput, ScenarioConfig,
-    ScenarioOutput,
+    run, run_adversarial, AdversarialConfig, AdversarialOutput, ScenarioConfig, ScenarioOutput,
 };
 
 /// Pipeline scale: trade fidelity for wall-clock.
@@ -184,29 +183,19 @@ impl Study {
         AnalyticsPipeline::new(refdata.clone(), config)
     }
 
-    /// Run a scenario and infer over its stream with ONE deployment:
-    /// the same collector set observes and parameterizes the refdata.
-    /// The analytics report comes from the same accumulators the
-    /// streaming paths use, fed from the materialized result; the fold
-    /// is one pass over the events — milliseconds against the
-    /// multi-second simulation — so every run carries its report.
-    fn scenario_run(&self, config: &ScenarioConfig) -> StudyRun {
-        self.scenario_run_with(config, None)
-    }
-
-    fn scenario_run_with(
-        &self,
-        config: &ScenarioConfig,
-        policies: Option<&PolicyTable>,
-    ) -> StudyRun {
+    /// Run a scenario — with `policies`, if any, installed on the
+    /// simulator — and infer over its stream with ONE deployment: the
+    /// same collector set observes and parameterizes the refdata. The
+    /// analytics report comes from the same accumulators the streaming
+    /// paths use, fed from the materialized result; the fold is one pass
+    /// over the events — milliseconds against the multi-second
+    /// simulation — so every run carries its report.
+    fn scenario_run(&self, config: &ScenarioConfig, policies: Option<&PolicyTable>) -> StudyRun {
         let deployment = self.deployment();
         let refdata = self.refdata_for(&deployment);
         let analytics =
             AnalyticsConfig::window(config.calendar.window_start, config.calendar.window_end);
-        let output = match policies {
-            None => run(&self.topology, deployment, config),
-            Some(table) => run_with_policies(&self.topology, deployment, config, table),
-        };
+        let output = run(&self.topology, deployment, config, policies);
         let result = self.infer(&refdata, &output.elems);
         let mut pipeline = self.analytics_pipeline(&refdata, analytics);
         pipeline.observe_result(&result);
@@ -214,29 +203,26 @@ impl Study {
         StudyRun { output, result, refdata, analytics, report }
     }
 
-    /// The standard short visibility run: `days`
-    /// days at `rate` attacks/day inside the Aug-2016+ window.
-    pub fn visibility_run(&self, days: u64, rate: f64) -> StudyRun {
+    /// The configuration of the standard short visibility run.
+    fn visibility_config(&self, days: u64, rate: f64) -> ScenarioConfig {
         let mut config = ScenarioConfig::visibility_window(self.seed ^ 0x7777, rate);
         config.calendar.window_end =
             SimTime::from_unix((config.calendar.window_start.day_index() + days) * 86_400);
-        self.scenario_run(&config)
+        config
+    }
+
+    /// The standard short visibility run: `days`
+    /// days at `rate` attacks/day inside the Aug-2016+ window.
+    pub fn visibility_run(&self, days: u64, rate: f64) -> StudyRun {
+        self.scenario_run(&self.visibility_config(days, rate), None)
     }
 
     /// [`visibility_run`](Self::visibility_run) with a per-AS
     /// [`PolicyTable`] installed on the simulator. An empty table is
     /// property-tested bit-identical to the plain run — this is the
     /// policy-extensions ablation's comparison axis.
-    pub fn visibility_run_with_policies(
-        &self,
-        days: u64,
-        rate: f64,
-        policies: &PolicyTable,
-    ) -> StudyRun {
-        let mut config = ScenarioConfig::visibility_window(self.seed ^ 0x7777, rate);
-        config.calendar.window_end =
-            SimTime::from_unix((config.calendar.window_start.day_index() + days) * 86_400);
-        self.scenario_run_with(&config, Some(policies))
+    pub fn visibility_run_under(&self, days: u64, rate: f64, policies: &PolicyTable) -> StudyRun {
+        self.scenario_run(&self.visibility_config(days, rate), Some(policies))
     }
 
     /// Run an adversarial workload end to end: simulate, infer over the
@@ -288,8 +274,7 @@ impl Study {
     /// The longitudinal run (Fig. 4): the full Dec 2014 – Mar 2017 window
     /// at `rate` attacks/day (scaled down vs. reality; shape-preserving).
     pub fn longitudinal_run(&self, rate: f64) -> StudyRun {
-        let config = ScenarioConfig::study(self.seed ^ 0x9999, rate);
-        self.scenario_run(&config)
+        self.scenario_run(&ScenarioConfig::study(self.seed ^ 0x9999, rate), None)
     }
 }
 

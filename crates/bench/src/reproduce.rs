@@ -840,7 +840,7 @@ fn render_bundling(w: &World) -> String {
 /// Elements the collectors see when the world's scenario runs with
 /// `table` installed on the simulator.
 fn elems_with(w: &World, table: &PolicyTable) -> usize {
-    w.study.visibility_run_with_policies(VISIBILITY.0, VISIBILITY.1, table).output.elems.len()
+    w.study.visibility_run_under(VISIBILITY.0, VISIBILITY.1, table).output.elems.len()
 }
 
 fn render_policy_overhead(w: &World) -> String {
@@ -875,7 +875,7 @@ fn render_classifier(w: &World) -> String {
             census.record_repeated(&[entry.community, rider], 20, 30);
         }
     }
-    let classifier = CommunityClassifier::default();
+    let classifier = CommunityClassifier;
     format!(
         "{} dictionary communities, {} census communities -> {} classified, {} negative controls",
         dict.community_count(),
@@ -1109,7 +1109,7 @@ pub fn registry() -> Vec<Section> {
         })
         .diverges(
             (9.2, 13.8),
-            "bundled reactions (`bundling_probability` 0.5) add only ~4 pp — a bundled tag is a \
+            "bundled reactions (`BUNDLING_PROBABILITY` 0.5) add only ~4 pp — a bundled tag is a \
              no-path detection only at peers whose path misses the provider — and the other ~7 pp \
              are announcements tagged for several providers at once",
         ),
@@ -1127,7 +1127,7 @@ pub fn registry() -> Vec<Section> {
         })
         .diverges(
             (44.9, 54.9),
-            "probing reactions (`probing_probability` 0.7) pulse ON for 20–100 s, so half of the \
+            "probing reactions (`PROBING_PROBABILITY` 0.7) pulse ON for 20–100 s, so half of the \
              pulses end just above the one-minute mark",
         ),
         holds("≤4% of 5-minute-grouped periods are that short", "%", (0.0, 4.0), |w| {

@@ -9,14 +9,8 @@
 //! themselves, so interning also *deduplicates storage*: every element
 //! whose path was seen before shares the first occurrence's allocation.
 //!
-//! Tables are per-shard in a [`ShardedSession`]-style run and merged
-//! with [`InternTable::absorb`], which returns the id remapping so a
-//! shard's ids stay resolvable after the merge. Two tables that interned
-//! the same values in different orders compare equal (`PartialEq` is
-//! set-based), which is what makes single-threaded and sharded runs of
-//! the same stream produce identical summaries.
-//!
-//! [`ShardedSession`]: ../../bh_core/struct.ShardedSession.html
+//! Ids are dense in first-seen order and never move, so a table can key
+//! side vectors (the session's per-set detection plans) by id.
 
 use std::hash::Hash;
 
@@ -105,8 +99,7 @@ impl<T: Internable> InternTable<T> {
     /// Resolve an id back to its value.
     ///
     /// # Panics
-    /// If `id` was not produced by this table (or by a table this one
-    /// absorbed).
+    /// If `id` was not produced by this table.
     pub fn resolve(&self, id: T::Id) -> &T {
         &self.values[T::index_of(id) as usize]
     }
@@ -125,33 +118,13 @@ impl<T: Internable> InternTable<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.values.iter()
     }
-
-    /// Merge `other` into `self`, returning, for each of `other`'s ids
-    /// (in dense order), the id it now maps to in `self`. Values already
-    /// present keep their existing id, so absorb order cannot perturb
-    /// ids already handed out by `self` — the id-stability contract the
-    /// sharded merge relies on.
-    pub fn absorb(&mut self, other: &InternTable<T>) -> Vec<T::Id> {
-        other.values.iter().map(|value| self.intern(value)).collect()
-    }
 }
-
-/// Set-based equality: same distinct values, regardless of id order.
-impl<T: Internable> PartialEq for InternTable<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.values.len() == other.values.len()
-            && self.values.iter().all(|v| other.ids.contains_key(v))
-    }
-}
-
-impl<T: Internable> Eq for InternTable<T> {}
 
 #[cfg(test)]
 mod tests {
     use std::str::FromStr;
 
     use super::*;
-    use crate::community::Community;
 
     fn path(s: &str) -> AsPath {
         AsPath::from_str(s).unwrap()
@@ -180,59 +153,5 @@ mod tests {
         let canonical = table.canonical(&copy).expect("interned");
         assert!(canonical.shares_allocation(&first));
         assert!(table.canonical(&path("174 1")).is_none());
-    }
-
-    #[test]
-    fn absorb_remaps_ids_and_keeps_existing_ones_stable() {
-        // Two shards intern overlapping values in different orders.
-        let mut left = CommunitySetTable::new();
-        let shared = CommunitySet::from_classic(vec![Community::BLACKHOLE]);
-        let only_left = CommunitySet::from_classic(vec![Community::from_parts(3356, 9999)]);
-        let only_right = CommunitySet::from_classic(vec![Community::from_parts(1299, 666)]);
-        let id_shared = left.intern(&shared);
-        let id_left = left.intern(&only_left);
-
-        let mut right = CommunitySetTable::new();
-        let r_only = right.intern(&only_right);
-        let r_shared = right.intern(&shared);
-
-        let remap = left.absorb(&right);
-        assert_eq!(left.len(), 3);
-        // Pre-existing ids survive the absorb untouched.
-        assert_eq!(left.intern(&shared), id_shared);
-        assert_eq!(left.intern(&only_left), id_left);
-        // The remap carries each right-id to its left-id.
-        assert_eq!(remap[CommunitySet::index_of(r_shared) as usize], id_shared);
-        let new_id = remap[CommunitySet::index_of(r_only) as usize];
-        assert_eq!(left.resolve(new_id), &only_right);
-    }
-
-    #[test]
-    fn equality_ignores_id_order() {
-        let mut forward = PathTable::new();
-        let mut backward = PathTable::new();
-        forward.intern(&path("1 2"));
-        forward.intern(&path("3 4"));
-        backward.intern(&path("3 4"));
-        backward.intern(&path("1 2"));
-        assert_eq!(forward, backward);
-        backward.intern(&path("5 6"));
-        assert_ne!(forward, backward);
-    }
-
-    #[test]
-    fn absorb_is_commutative_up_to_set_equality() {
-        let mut a = PathTable::new();
-        a.intern(&path("1"));
-        a.intern(&path("2"));
-        let mut b = PathTable::new();
-        b.intern(&path("2"));
-        b.intern(&path("3"));
-        let mut ab = a.clone();
-        ab.absorb(&b);
-        let mut ba = b.clone();
-        ba.absorb(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.len(), 3);
     }
 }

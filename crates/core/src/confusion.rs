@@ -15,9 +15,10 @@
 //!   nothing at all;
 //! * precision/recall fall out of the counts.
 //!
-//! Matching is exact on prefix and overlap-with-slack on time: the
-//! detector closes events at the last tagged update it saw, which can
-//! trail the planned withdraw by one propagation round.
+//! Matching is exact on prefix and overlap-with-slack on time
+//! ([`LABEL_SLACK`], a constant): the detector closes events at the last
+//! tagged update it saw, which can trail the planned withdraw by one
+//! propagation round.
 //!
 //! [`ConfusionAccumulator`] implements [`EventAccumulator`], so scoring
 //! streams through the same one-pass machinery as every paper metric
@@ -78,32 +79,21 @@ pub struct TruthLabel {
 }
 
 impl TruthLabel {
-    fn overlaps(&self, event: &BlackholeEvent, slack: SimDuration) -> bool {
+    fn overlaps(&self, event: &BlackholeEvent) -> bool {
         if event.prefix != self.prefix {
             return false;
         }
         let event_end = event.end.unwrap_or(SimTime(u64::MAX));
-        let label_start = SimTime(self.start.0.saturating_sub(slack.0));
-        let label_end = SimTime(self.end.0.saturating_add(slack.0));
+        let label_start = SimTime(self.start.0.saturating_sub(LABEL_SLACK.0));
+        let label_end = SimTime(self.end.0.saturating_add(LABEL_SLACK.0));
         event.start <= label_end && event_end >= label_start
     }
 }
 
-/// Matching tolerances for [`ConfusionAccumulator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfusionConfig {
-    /// Time slack added to both ends of each label window before
-    /// overlap matching.
-    pub slack: SimDuration,
-}
-
-impl Default for ConfusionConfig {
-    fn default() -> Self {
-        // One propagation round plus the session's event-coalescing
-        // horizon comfortably fit in ten minutes at every study scale.
-        ConfusionConfig { slack: SimDuration::mins(10) }
-    }
-}
+/// Time slack added to both ends of each label window before overlap
+/// matching: one propagation round plus the session's event-coalescing
+/// horizon comfortably fit in ten minutes at every study scale.
+pub const LABEL_SLACK: SimDuration = SimDuration::mins(10);
 
 /// The scored outcome of one scenario run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,7 +184,6 @@ impl fmt::Display for ConfusionReport {
 pub struct ConfusionAccumulator {
     scenario: String,
     labels: Vec<TruthLabel>,
-    config: ConfusionConfig,
     matched: Vec<bool>,
     detected_events: usize,
     false_positives: usize,
@@ -204,19 +193,10 @@ pub struct ConfusionAccumulator {
 
 impl ConfusionAccumulator {
     pub fn new(scenario: impl Into<String>, labels: Vec<TruthLabel>) -> Self {
-        Self::with_config(scenario, labels, ConfusionConfig::default())
-    }
-
-    pub fn with_config(
-        scenario: impl Into<String>,
-        labels: Vec<TruthLabel>,
-        config: ConfusionConfig,
-    ) -> Self {
         let matched = vec![false; labels.len()];
         ConfusionAccumulator {
             scenario: scenario.into(),
             labels,
-            config,
             matched,
             detected_events: 0,
             false_positives: 0,
@@ -234,7 +214,7 @@ impl EventAccumulator for ConfusionAccumulator {
         let mut hit_expected = false;
         let mut overlapped_kind: Option<LabelKind> = None;
         for (idx, label) in self.labels.iter().enumerate() {
-            if !label.overlaps(event, self.config.slack) {
+            if !label.overlaps(event) {
                 continue;
             }
             if label.expect_detection {

@@ -59,9 +59,7 @@ pub use analytics::{
     ProvidersPerEventAccumulator, TypeAccumulator, TypeRow, UserPrefixAccumulator,
     VisibilityAccumulator, VisibilityRow,
 };
-pub use confusion::{
-    score_events, ConfusionAccumulator, ConfusionConfig, ConfusionReport, LabelKind, TruthLabel,
-};
+pub use confusion::{score_events, ConfusionAccumulator, ConfusionReport, LabelKind, TruthLabel};
 pub use events::{
     BlackholeEvent, BlackholePeriod, DetectionDistance, PeriodAccumulator, ProviderId,
     SequencedEvent,

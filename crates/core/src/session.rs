@@ -146,8 +146,10 @@ pub struct EngineConfig {
     /// credits bundling with ~half of all inferences).
     pub bundling_detection: bool,
     /// Track state per (prefix, peer) and correlate (the paper's method).
-    /// Disabled, state collapses to per-prefix only — the Fig. 8
-    /// ablation showing why per-peer tracking matters.
+    /// Disabled, each platform's peers collapse into one logical peer, so
+    /// the first de-activation any of them sees ends the platform's
+    /// observation — the Fig. 8 ablation showing why per-peer tracking
+    /// matters.
     pub per_peer_state: bool,
 }
 
@@ -530,8 +532,6 @@ impl InferenceSession {
             census: self.state.census,
             stats: self.state.stats,
             per_dataset: self.state.per_dataset,
-            paths: self.state.paths,
-            community_sets: self.state.community_sets,
         }
     }
 
@@ -708,19 +708,13 @@ impl InferenceSession {
         let detections = self.detect_planned(elem, set_id, plan);
         let detections: &[Detection] =
             detections.as_ref().map(|o| o.detections.as_slice()).unwrap_or(&[]);
-        let peer = elem.peer_key();
+        let peer = self.state_peer(elem);
 
         if detections.is_empty() {
             // Implicit withdrawal: previously blackholed at this peer,
             // now announced without tags (§4.2).
-            if let Some(oe) = self.state.open.get_mut(&elem.prefix) {
-                if oe.open_peers.remove(&peer) {
-                    self.state.stats.implicit_withdrawals += 1;
-                    if oe.open_peers.is_empty() {
-                        let oe = self.state.open.remove(&elem.prefix).expect("open event exists");
-                        self.state.closed.push(Self::to_event(elem.prefix, oe, Some(elem.time)));
-                    }
-                }
+            if self.deactivate(elem.prefix, peer, elem.time) {
+                self.state.stats.implicit_withdrawals += 1;
             }
             return;
         }
@@ -731,18 +725,8 @@ impl InferenceSession {
             .open
             .entry(elem.prefix)
             .or_insert_with(|| OpenEvent { start: start_time, ..Default::default() });
-        if self.config.per_peer_state {
-            oe.open_peers.insert(peer);
-        } else {
-            // Ablation: single logical peer — de-activations seen by any
-            // peer close the event.
-            oe.open_peers.insert(PeerKey {
-                dataset: peer.dataset,
-                collector: 0,
-                peer_asn: Asn::new(0),
-            });
-        }
-        oe.all_peers.insert(peer);
+        oe.open_peers.insert(peer);
+        oe.all_peers.insert(elem.peer_key());
         oe.datasets.insert(elem.dataset);
         let vis = self.state.per_dataset.entry(elem.dataset).or_default();
         vis.prefixes.insert(elem.prefix);
@@ -762,20 +746,36 @@ impl InferenceSession {
 
     fn process_withdraw(&mut self, elem: &BgpElem) {
         self.state.stats.elems += 1;
-        let peer = if self.config.per_peer_state {
+        if self.deactivate(elem.prefix, self.state_peer(elem), elem.time) {
+            self.state.stats.explicit_withdrawals += 1;
+        }
+    }
+
+    /// The peer whose state `elem` updates: its collector session, or —
+    /// in the per-peer-state ablation — the one logical peer of its
+    /// dataset, so a de-activation seen by any peer closes the event.
+    fn state_peer(&self, elem: &BgpElem) -> PeerKey {
+        if self.config.per_peer_state {
             elem.peer_key()
         } else {
             PeerKey { dataset: elem.dataset, collector: 0, peer_asn: Asn::new(0) }
-        };
-        if let Some(oe) = self.state.open.get_mut(&elem.prefix) {
-            if oe.open_peers.remove(&peer) {
-                self.state.stats.explicit_withdrawals += 1;
-                if oe.open_peers.is_empty() {
-                    let oe = self.state.open.remove(&elem.prefix).expect("open event exists");
-                    self.state.closed.push(Self::to_event(elem.prefix, oe, Some(elem.time)));
-                }
-            }
         }
+    }
+
+    /// `peer` no longer sees `prefix` blackholed (explicit or implicit
+    /// withdrawal at `time`). Returns whether it did before; the last
+    /// open peer to leave closes the event.
+    fn deactivate(&mut self, prefix: Ipv4Prefix, peer: PeerKey, time: SimTime) -> bool {
+        let Some(oe) = self.state.open.get_mut(&prefix) else { return false };
+        if !oe.open_peers.remove(&peer) {
+            return false;
+        }
+        if oe.open_peers.is_empty() {
+            // The `get_mut` above found this key and nothing removed it.
+            let oe = self.state.open.remove(&prefix).expect("open event exists");
+            self.state.closed.push(Self::to_event(prefix, oe, Some(time)));
+        }
+        true
     }
 }
 
@@ -790,11 +790,6 @@ pub struct StreamSummary {
     pub stats: EngineStats,
     /// Per-dataset visibility (Table 3 inputs).
     pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
-    /// Every distinct AS path the session observed, interned. Compares
-    /// as a *set* (id assignment order is a sharding artifact).
-    pub paths: PathTable,
-    /// Every distinct community set the session observed, interned.
-    pub community_sets: CommunitySetTable,
 }
 
 impl StreamSummary {
@@ -804,23 +799,17 @@ impl StreamSummary {
             census: CommunityPrefixCensus::new(),
             stats: EngineStats::default(),
             per_dataset: BTreeMap::new(),
-            paths: PathTable::new(),
-            community_sets: CommunitySetTable::new(),
         }
     }
 
     /// Fold another summary in: census/stats/visibility all merge
-    /// commutatively (the shard barrier's summary half), and the intern
-    /// tables absorb the other side's values — ids already handed out by
-    /// `self` stay stable, new values get fresh ids.
+    /// commutatively (the shard barrier's summary half).
     pub fn merge(&mut self, other: StreamSummary) {
         self.census.merge(&other.census);
         self.stats.merge(other.stats);
         for (dataset, vis) in &other.per_dataset {
             self.per_dataset.entry(*dataset).or_default().merge(vis);
         }
-        self.paths.absorb(&other.paths);
-        self.community_sets.absorb(&other.community_sets);
     }
 }
 
@@ -976,7 +965,7 @@ mod tests {
         let s = setup();
         let mut session = s.session();
         // Three announcements, two distinct paths / community sets: the
-        // intern tables dedup, and the summary carries them out.
+        // intern tables dedup.
         let a1 = announce("130.149.1.66/32", 10, "100 64777 200", vec![s.community], 100);
         let a2 = announce("130.149.1.67/32", 11, "100 64777 200", vec![s.community], 100);
         let a3 = announce("130.149.1.68/32", 12, "300 64777 200", vec![], 100);
@@ -987,18 +976,6 @@ mod tests {
         assert_eq!(session.interned_community_sets().len(), 2);
         let canonical = session.interned_paths().canonical(&a1.as_path).unwrap().clone();
         assert_eq!(canonical, a2.as_path, "equal paths share one canonical entry");
-
-        let summary = session.finish_with(&mut EventCollector::default());
-        assert_eq!(summary.paths.len(), 2);
-        assert_eq!(summary.community_sets.len(), 2);
-
-        // Merging two summaries with overlapping tables keeps existing
-        // ids stable and dedups: the merged table is the set union.
-        let mut merged = StreamSummary::empty();
-        merged.merge(summary.clone());
-        merged.merge(summary);
-        assert_eq!(merged.paths.len(), 2);
-        assert_eq!(merged.community_sets.len(), 2);
     }
 
     #[test]
@@ -1138,6 +1115,19 @@ mod tests {
         let result = session.finish();
         // Collapsed state: the early withdrawal ends the event.
         assert_eq!(result.events[0].end, Some(SimTime::from_unix(150)));
+    }
+
+    #[test]
+    fn per_peer_ablation_closes_on_implicit_withdrawal() {
+        let s = setup();
+        let mut session = s.builder().per_peer_state(false).build();
+        session.push(&announce("9.9.9.9/32", 100, "100 64777 64999", vec![s.community], 100));
+        // Untagged re-announcement: the collapsed state must close on
+        // it exactly as it does on an explicit withdrawal.
+        session.push(&announce("9.9.9.9/32", 150, "100 64777 64999", vec![], 100));
+        let result = session.finish();
+        assert_eq!(result.events[0].end, Some(SimTime::from_unix(150)));
+        assert_eq!(result.stats.implicit_withdrawals, 1);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! trigger community sits in the control set is suppressed. Stolen-tag
 //! hijacks — attacker announcements decorated with a victim provider's
 //! harmless tag communities — are the headline beneficiary.
+//!
+//! The two thresholds ([`MIN_OCCURRENCES`], [`COARSE_FRACTION`]) are
+//! part of the method and fixed here, not per-run options.
 
 use std::collections::BTreeSet;
 
@@ -23,22 +26,13 @@ use crate::dictionary::BlackholeDictionary;
 use crate::inference::CommunityPrefixCensus;
 use crate::mining::CommunityClass;
 
-/// Classifier thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifierConfig {
-    /// Minimum observations before an undocumented community is
-    /// classified at all (guards against noise).
-    pub min_occurrences: u64,
-    /// Fraction of occurrences on /24-or-coarser prefixes above which a
-    /// community counts as "coarse" (ordinary routing, not blackholing).
-    pub coarse_fraction: f64,
-}
-
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig { min_occurrences: 5, coarse_fraction: 0.5 }
-    }
-}
+/// Minimum observations before an undocumented community is classified
+/// at all (guards against noise). Part of the method, as in Krenc et
+/// al.'s usage classification — not a per-run option.
+pub const MIN_OCCURRENCES: u64 = 5;
+/// Fraction of occurrences on /24-or-coarser prefixes above which a
+/// community counts as "coarse" (ordinary routing, not blackholing).
+pub const COARSE_FRACTION: f64 = 0.5;
 
 /// One classified community.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,17 +50,9 @@ pub struct ClassifiedCommunity {
 
 /// Classifies census communities by documentation-first, usage-second.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CommunityClassifier {
-    /// Thresholds.
-    pub config: ClassifierConfig,
-}
+pub struct CommunityClassifier;
 
 impl CommunityClassifier {
-    /// A classifier with explicit thresholds.
-    pub fn new(config: ClassifierConfig) -> Self {
-        CommunityClassifier { config }
-    }
-
     /// Classify every community the census observed.
     ///
     /// Documentation wins outright. Undocumented communities are
@@ -95,7 +81,7 @@ impl CommunityClassifier {
                 });
                 continue;
             }
-            if occurrences < self.config.min_occurrences {
+            if occurrences < MIN_OCCURRENCES {
                 continue;
             }
             let specific = census.fraction_more_specific_than_24(c);
@@ -107,7 +93,7 @@ impl CommunityClassifier {
                     // pin the trigger on, so it stays informational.
                     CommunityClass::Informational
                 }
-            } else if specific <= 1.0 - self.config.coarse_fraction {
+            } else if specific <= 1.0 - COARSE_FRACTION {
                 self.class_by_cooccurrence(dict, census, c)
             } else {
                 CommunityClass::Informational
@@ -246,7 +232,7 @@ mod tests {
         for _ in 0..50 {
             census.record(&[loc], 32);
         }
-        let classified = CommunityClassifier::default().classify_census(&dict, &census);
+        let classified = CommunityClassifier.classify_census(&dict, &census);
         let hit = classified.iter().find(|c| c.community == loc).unwrap();
         assert_eq!(hit.class, CommunityClass::Location);
         assert!(hit.documented);
@@ -261,7 +247,7 @@ mod tests {
         for _ in 0..10 {
             census.record(&[hidden, documented_bh], 32);
         }
-        let classified = CommunityClassifier::default().classify_census(&dict, &census);
+        let classified = CommunityClassifier.classify_census(&dict, &census);
         let hit = classified.iter().find(|c| c.community == hidden).unwrap();
         assert_eq!(hit.class, CommunityClass::Blackhole);
         assert!(!hit.documented);
@@ -283,7 +269,7 @@ mod tests {
         for _ in 0..10 {
             census.record(&[lonely], 20);
         }
-        let classified = CommunityClassifier::default().classify_census(&dict, &census);
+        let classified = CommunityClassifier.classify_census(&dict, &census);
         let rider_hit = classified.iter().find(|c| c.community == rider).unwrap();
         assert_eq!(rider_hit.class, CommunityClass::Location);
         let lonely_hit = classified.iter().find(|c| c.community == lonely).unwrap();
@@ -295,14 +281,14 @@ mod tests {
         let (dict, mut census) = fixture();
         let rare = Community::from_parts(4996, 9);
         census.record(&[rare], 32);
-        let classified = CommunityClassifier::default().classify_census(&dict, &census);
+        let classified = CommunityClassifier.classify_census(&dict, &census);
         assert!(classified.iter().all(|c| c.community != rare));
     }
 
     #[test]
     fn negative_controls_exclude_every_blackhole_trigger() {
         let (dict, census) = fixture();
-        let controls = CommunityClassifier::default().negative_controls(&dict, &census);
+        let controls = CommunityClassifier.negative_controls(&dict, &census);
         assert!(!controls.is_empty(), "documented tags should produce controls");
         for c in controls.iter() {
             assert!(!dict.is_blackhole_community(c), "{c} is a trigger yet listed as control");

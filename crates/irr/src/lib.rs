@@ -38,9 +38,7 @@ pub mod dictionary;
 pub mod inference;
 pub mod mining;
 
-pub use classifier::{
-    ClassifiedCommunity, ClassifierConfig, CommunityClassifier, NegativeControls,
-};
+pub use classifier::{ClassifiedCommunity, CommunityClassifier, NegativeControls};
 pub use corpus::{Corpus, CorpusGenerator, IrrObject, PrivateNote, WebPage};
 pub use dictionary::{
     BlackholeDictionary, ClassScore, ClassValidation, DictEntry, DictionaryValidation, ProviderMeta,

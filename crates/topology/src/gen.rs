@@ -21,6 +21,9 @@
 //! public ASN; one network blackholes via an RFC 8092 large community; and
 //! one tier-1 uses `ASN:666` as a *peering tag* while blackholing with
 //! `ASN:9999` (the Level3 decoy).
+//!
+//! Every `rng` draw of [`TopologyBuilder::build`] happens in a fixed order:
+//! `tests/tests/adversarial.rs::generator_golden_pin` pins the result.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +41,7 @@ use crate::geo::{
 use crate::graph::Topology;
 use crate::types::{
     classic_community, AsInfo, BlackholeAuth, BlackholeOffering, DocumentationChannel, Ixp, IxpId,
-    LargeTag, NetworkType, Relationship, TagClass, Tier,
+    NetworkType, Relationship, TagClass, Tier,
 };
 
 /// Per-type counts of blackholing providers, split documented/undocumented.
@@ -195,6 +198,26 @@ impl TopologyConfig {
     }
 }
 
+/// The world under construction, as the builder's steps hand it on.
+#[derive(Default)]
+struct Parts {
+    ases: BTreeMap<Asn, AsInfo>,
+    edges: Vec<(Asn, Asn, Relationship)>,
+    ixps: Vec<Ixp>,
+    tier1: Vec<Asn>,
+    transits: Vec<Asn>,
+    /// Preferential-attachment endpoint pool (massive shape only): every
+    /// transit appears once at creation plus once per customer edge it
+    /// acquires, so a uniform draw from the pool is degree-proportional —
+    /// the Barabási–Albert process that gives the AS graph its power-law
+    /// customer degrees.
+    attach_pool: Vec<Asn>,
+    contents: Vec<Asn>,
+    enterprises: Vec<Asn>,
+    edus: Vec<Asn>,
+    unknowns: Vec<Asn>,
+}
+
 /// The generator.
 pub struct TopologyBuilder {
     config: TopologyConfig,
@@ -251,47 +274,28 @@ impl TopologyBuilder {
     /// Build the topology.
     pub fn build(mut self) -> Topology {
         let cfg = self.config.clone();
-        let mut ases: BTreeMap<Asn, AsInfo> = BTreeMap::new();
-        let mut edges: Vec<(Asn, Asn, Relationship)> = Vec::new();
+        let mut parts = Parts::default();
 
         // ---- Tier-1 clique -------------------------------------------------
-        let mut tier1 = Vec::with_capacity(cfg.tier1_count);
         for _ in 0..cfg.tier1_count {
             let asn = self.fresh_asn();
             let prefix_count = self.rng.gen_range(3..=6);
             let prefixes =
                 (0..prefix_count).map(|_| self.alloc.alloc(self.rng.gen_range(11..=14))).collect();
-            ases.insert(
-                asn,
-                AsInfo {
-                    asn,
-                    tier: Tier::Tier1,
-                    network_type: NetworkType::TransitAccess,
-                    country: sample_country(&mut self.rng, PROVIDER_COUNTRY_WEIGHTS),
-                    prefixes,
-                    blackhole_offering: None,
-                    tag_communities: vec![],
-                    tag_classes: vec![],
-                    tag_large_communities: vec![],
-                    in_peeringdb: true, // tier-1s always have records
-                },
-            );
-            tier1.push(asn);
+            let country = sample_country(&mut self.rng, PROVIDER_COUNTRY_WEIGHTS);
+            // Tier-1s always have PeeringDB records.
+            let info =
+                AsInfo::new(asn, Tier::Tier1, NetworkType::TransitAccess, country, prefixes, true);
+            parts.ases.insert(asn, info);
+            parts.tier1.push(asn);
         }
-        for i in 0..tier1.len() {
-            for j in (i + 1)..tier1.len() {
-                edges.push((tier1[i], tier1[j], Relationship::Peer));
+        for (i, a) in parts.tier1.iter().enumerate() {
+            for b in &parts.tier1[i + 1..] {
+                parts.edges.push((*a, *b, Relationship::Peer));
             }
         }
 
         // ---- Mid-tier transit ----------------------------------------------
-        let mut transits = Vec::with_capacity(cfg.transit_count);
-        // Preferential-attachment endpoint pool (massive shape only):
-        // every transit appears once at creation plus once per customer
-        // edge it acquires, so a uniform draw from the pool is
-        // degree-proportional — the Barabási–Albert process that gives
-        // the AS graph its power-law customer degrees.
-        let mut attach_pool: Vec<Asn> = Vec::new();
         for _ in 0..cfg.transit_count {
             let asn = self.fresh_asn();
             let prefix_count = self.rng.gen_range(1..=3);
@@ -302,16 +306,16 @@ impl TopologyBuilder {
                 })
                 .collect();
             // Providers: preferential mix of tier-1 and earlier transits.
-            let provider_count = self.rng.gen_range(1..=3).min(1 + transits.len());
+            let provider_count = self.rng.gen_range(1..=3).min(1 + parts.transits.len());
             let mut providers: Vec<Asn> = Vec::new();
             for _ in 0..provider_count {
-                let from_tier1 = transits.len() < 4 || self.rng.gen_bool(0.45);
+                let from_tier1 = parts.transits.len() < 4 || self.rng.gen_bool(0.45);
                 let pool: &[Asn] = if from_tier1 {
-                    &tier1
+                    &parts.tier1
                 } else if cfg.power_law_degrees {
-                    &attach_pool
+                    &parts.attach_pool
                 } else {
-                    &transits
+                    &parts.transits
                 };
                 if let Some(&p) = pool.choose(&mut self.rng) {
                     if !providers.contains(&p) && p != asn {
@@ -320,150 +324,47 @@ impl TopologyBuilder {
                 }
             }
             for p in &providers {
-                edges.push((*p, asn, Relationship::Customer));
-                if cfg.power_law_degrees && !tier1.contains(p) {
-                    attach_pool.push(*p);
+                parts.edges.push((*p, asn, Relationship::Customer));
+                if cfg.power_law_degrees && !parts.tier1.contains(p) {
+                    parts.attach_pool.push(*p);
                 }
             }
             // Occasional lateral peering among transits.
-            if !transits.is_empty() && self.rng.gen_bool(0.35) {
-                if let Some(&peer) = transits.choose(&mut self.rng) {
+            if !parts.transits.is_empty() && self.rng.gen_bool(0.35) {
+                if let Some(&peer) = parts.transits.choose(&mut self.rng) {
                     if peer != asn {
-                        edges.push((asn, peer, Relationship::Peer));
+                        parts.edges.push((asn, peer, Relationship::Peer));
                     }
                 }
             }
-            ases.insert(
+            let info = AsInfo::new(
                 asn,
-                AsInfo {
-                    asn,
-                    tier: Tier::Transit,
-                    network_type: NetworkType::TransitAccess,
-                    country: sample_country(&mut self.rng, PROVIDER_COUNTRY_WEIGHTS),
-                    prefixes,
-                    blackhole_offering: None,
-                    tag_communities: vec![],
-                    tag_classes: vec![],
-                    tag_large_communities: vec![],
-                    in_peeringdb: self.rng.gen_bool(cfg.peeringdb_coverage),
-                },
+                Tier::Transit,
+                NetworkType::TransitAccess,
+                sample_country(&mut self.rng, PROVIDER_COUNTRY_WEIGHTS),
+                prefixes,
+                self.rng.gen_bool(cfg.peeringdb_coverage),
             );
-            transits.push(asn);
-            attach_pool.push(asn);
+            parts.ases.insert(asn, info);
+            parts.transits.push(asn);
+            parts.attach_pool.push(asn);
         }
 
         // ---- Stubs of each type --------------------------------------------
-        let stub_of = |builder: &mut Self,
-                       ty: NetworkType,
-                       count: usize,
-                       ases: &mut BTreeMap<Asn, AsInfo>,
-                       edges: &mut Vec<(Asn, Asn, Relationship)>,
-                       attach_pool: &mut Vec<Asn>|
-         -> Vec<Asn> {
-            let mut out = Vec::with_capacity(count);
-            let power_law = builder.config.power_law_degrees;
-            for _ in 0..count {
-                let asn = builder.fresh_asn();
-                let (min_len, max_len, max_prefixes) = match ty {
-                    NetworkType::Content => (17, 21, 2), // hosters: midsize blocks
-                    NetworkType::EducationResearchNfp => (15, 17, 1),
-                    _ => (19, 23, 2),
-                };
-                let prefix_count = builder.rng.gen_range(1..=max_prefixes);
-                let prefixes = (0..prefix_count)
-                    .map(|_| {
-                        let len = builder.rng.gen_range(min_len..=max_len);
-                        builder.alloc_prefix(len)
-                    })
-                    .collect();
-                let provider_count = builder.rng.gen_range(1..=3usize);
-                let mut chosen = Vec::new();
-                for _ in 0..provider_count {
-                    let pool: &[Asn] = if power_law { &attach_pool[..] } else { &transits[..] };
-                    if let Some(&p) = pool.choose(&mut builder.rng) {
-                        if !chosen.contains(&p) {
-                            chosen.push(p);
-                        }
-                    }
-                }
-                for p in &chosen {
-                    edges.push((*p, asn, Relationship::Customer));
-                    if power_law {
-                        attach_pool.push(*p);
-                    }
-                }
-                let weights = if ty == NetworkType::TransitAccess {
-                    PROVIDER_COUNTRY_WEIGHTS
-                } else {
-                    USER_COUNTRY_WEIGHTS
-                };
-                ases.insert(
-                    asn,
-                    AsInfo {
-                        asn,
-                        tier: Tier::Stub,
-                        network_type: ty,
-                        country: sample_country(&mut builder.rng, weights),
-                        prefixes,
-                        blackhole_offering: None,
-                        tag_communities: vec![],
-                        tag_classes: vec![],
-                        tag_large_communities: vec![],
-                        in_peeringdb: builder.rng.gen_bool(if ty == NetworkType::Unknown {
-                            0.0 // unknowns are unknown *because* they lack records
-                        } else {
-                            cfg.peeringdb_coverage
-                        }),
-                    },
-                );
-                out.push(asn);
-            }
-            out
-        };
-
-        let contents = stub_of(
-            &mut self,
-            NetworkType::Content,
-            cfg.content_count,
-            &mut ases,
-            &mut edges,
-            &mut attach_pool,
-        );
-        let enterprises = stub_of(
-            &mut self,
-            NetworkType::Enterprise,
-            cfg.enterprise_count,
-            &mut ases,
-            &mut edges,
-            &mut attach_pool,
-        );
-        let edus = stub_of(
-            &mut self,
-            NetworkType::EducationResearchNfp,
-            cfg.edu_count,
-            &mut ases,
-            &mut edges,
-            &mut attach_pool,
-        );
-        let unknowns = stub_of(
-            &mut self,
-            NetworkType::Unknown,
-            cfg.unknown_count,
-            &mut ases,
-            &mut edges,
-            &mut attach_pool,
-        );
+        parts.contents = self.stubs(&mut parts, NetworkType::Content, cfg.content_count);
+        parts.enterprises = self.stubs(&mut parts, NetworkType::Enterprise, cfg.enterprise_count);
+        parts.edus = self.stubs(&mut parts, NetworkType::EducationResearchNfp, cfg.edu_count);
+        parts.unknowns = self.stubs(&mut parts, NetworkType::Unknown, cfg.unknown_count);
 
         // ---- IXPs ----------------------------------------------------------
-        let mut ixps = Vec::with_capacity(cfg.ixp_count);
         // Candidate members: content networks peer most aggressively, then
         // transit/access; enterprises rarely.
         let mut member_pool: Vec<Asn> = Vec::new();
-        member_pool.extend(&contents);
-        member_pool.extend(&transits);
-        member_pool.extend(&contents); // double weight for content
-        member_pool.extend(&edus);
-        member_pool.extend(&enterprises);
+        member_pool.extend(&parts.contents);
+        member_pool.extend(&parts.transits);
+        member_pool.extend(&parts.contents); // double weight for content
+        member_pool.extend(&parts.edus);
+        member_pool.extend(&parts.enterprises);
         for i in 0..cfg.ixp_count {
             let rs_asn = self.fresh_rs_asn();
             let lan = self.alloc.alloc_lan();
@@ -482,25 +383,12 @@ impl TopologyBuilder {
                 .collect();
             members.sort_unstable();
             members.dedup();
-            let id = IxpId(i as u32);
-            // Route-server AS entry.
-            ases.insert(
-                rs_asn,
-                AsInfo {
-                    asn: rs_asn,
-                    tier: Tier::Stub,
-                    network_type: NetworkType::Ixp,
-                    country,
-                    prefixes: vec![],
-                    blackhole_offering: None,
-                    tag_communities: vec![],
-                    tag_classes: vec![],
-                    tag_large_communities: vec![],
-                    in_peeringdb: true, // IXPs maintain records (LANs are published)
-                },
-            );
+            // Route-server AS entry; IXPs maintain PeeringDB records (LANs
+            // are published).
+            let info = AsInfo::new(rs_asn, Tier::Stub, NetworkType::Ixp, country, vec![], true);
+            parts.ases.insert(rs_asn, info);
             for m in &members {
-                edges.push((*m, rs_asn, Relationship::RouteServer));
+                parts.edges.push((*m, rs_asn, Relationship::RouteServer));
             }
             // Some bilateral peering among members of the same IXP.
             let bilateral = members.len() / 4;
@@ -509,12 +397,12 @@ impl TopologyBuilder {
                     (members.choose(&mut self.rng), members.choose(&mut self.rng))
                 {
                     if a != b {
-                        edges.push((a, b, Relationship::Peer));
+                        parts.edges.push((a, b, Relationship::Peer));
                     }
                 }
             }
-            ixps.push(Ixp {
-                id,
+            parts.ixps.push(Ixp {
+                id: IxpId(i as u32),
                 name: format!("IX-{i:02}-{country}"),
                 route_server_asn: rs_asn,
                 route_server_in_path: self.rng.gen_bool(0.7),
@@ -525,23 +413,13 @@ impl TopologyBuilder {
         }
 
         // ---- Blackhole offerings (ground truth) ----------------------------
-        self.assign_offerings(
-            &mut ases,
-            &ixps,
-            &tier1,
-            &transits,
-            &contents,
-            &edus,
-            &enterprises,
-            &unknowns,
-        );
+        self.assign_offerings(&mut parts);
 
         // ---- Non-blackhole tag communities ----------------------------------
         // Transit networks tag customer/peer routes; this census is the
         // "other communities" population of Fig. 2.
-        let transit_asns: Vec<Asn> = tier1.iter().chain(&transits).copied().collect();
-        for asn in &transit_asns {
-            let info = ases.get_mut(asn).expect("transit AS exists");
+        for asn in parts.tier1.iter().chain(&parts.transits) {
+            let info = parts.ases.get_mut(asn).expect("transit AS exists");
             let n_tags = self.rng.gen_range(1..=4);
             for k in 0..n_tags {
                 let (value, class) = match k {
@@ -552,21 +430,69 @@ impl TopologyBuilder {
                     // TE tags
                     _ => (3000 + self.rng.gen_range(0..100), TagClass::Action),
                 };
-                match classic_community(*asn, value as u16) {
-                    Some(c) => {
-                        info.tag_communities.push(c);
-                        info.tag_classes.push(class);
-                    }
-                    // 32-bit ASN (massive topologies): RFC 8092 form.
-                    None => info.tag_large_communities.push(LargeTag {
-                        community: LargeCommunity::new(asn.value(), value as u32, k as u32),
-                        class,
-                    }),
-                }
+                info.push_tag(value as u16, k as u32, class);
             }
         }
 
-        Topology::assemble(ases, edges, ixps)
+        Topology::assemble(parts.ases, parts.edges, parts.ixps)
+    }
+
+    /// Create `count` stub networks of type `ty`, each buying transit
+    /// from one to three mid-tier providers.
+    fn stubs(&mut self, parts: &mut Parts, ty: NetworkType, count: usize) -> Vec<Asn> {
+        let mut out = Vec::with_capacity(count);
+        let power_law = self.config.power_law_degrees;
+        for _ in 0..count {
+            let asn = self.fresh_asn();
+            let (min_len, max_len, max_prefixes) = match ty {
+                NetworkType::Content => (17, 21, 2), // hosters: midsize blocks
+                NetworkType::EducationResearchNfp => (15, 17, 1),
+                _ => (19, 23, 2),
+            };
+            let prefix_count = self.rng.gen_range(1..=max_prefixes);
+            let prefixes = (0..prefix_count)
+                .map(|_| {
+                    let len = self.rng.gen_range(min_len..=max_len);
+                    self.alloc_prefix(len)
+                })
+                .collect();
+            let provider_count = self.rng.gen_range(1..=3usize);
+            let mut chosen = Vec::new();
+            for _ in 0..provider_count {
+                let pool = if power_law { &parts.attach_pool } else { &parts.transits };
+                if let Some(&p) = pool.choose(&mut self.rng) {
+                    if !chosen.contains(&p) {
+                        chosen.push(p);
+                    }
+                }
+            }
+            for p in &chosen {
+                parts.edges.push((*p, asn, Relationship::Customer));
+                if power_law {
+                    parts.attach_pool.push(*p);
+                }
+            }
+            let weights = if ty == NetworkType::TransitAccess {
+                PROVIDER_COUNTRY_WEIGHTS
+            } else {
+                USER_COUNTRY_WEIGHTS
+            };
+            let info = AsInfo::new(
+                asn,
+                Tier::Stub,
+                ty,
+                sample_country(&mut self.rng, weights),
+                prefixes,
+                self.rng.gen_bool(if ty == NetworkType::Unknown {
+                    0.0 // unknowns are unknown *because* they lack records
+                } else {
+                    self.config.peeringdb_coverage
+                }),
+            );
+            parts.ases.insert(asn, info);
+            out.push(asn);
+        }
+        out
     }
 
     /// Pick a blackhole community value following the §4.1 conventions.
@@ -596,18 +522,10 @@ impl TopologyBuilder {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn assign_offerings(
-        &mut self,
-        ases: &mut BTreeMap<Asn, AsInfo>,
-        ixps: &[Ixp],
-        tier1: &[Asn],
-        transits: &[Asn],
-        contents: &[Asn],
-        edus: &[Asn],
-        enterprises: &[Asn],
-        unknowns: &[Asn],
-    ) {
+    /// Give the Table-2 populations their blackholing offerings.
+    fn assign_offerings(&mut self, parts: &mut Parts) {
+        let Parts { ases, ixps, tier1, transits, contents, edus, enterprises, unknowns, .. } =
+            parts;
         let cfg = self.config.clone();
 
         // Shared ambiguous communities: a handful of transit providers
@@ -689,16 +607,7 @@ impl TopologyBuilder {
             });
             if i == 0 {
                 // Attach the decoy peering tag.
-                match classic_community(*asn, 666) {
-                    Some(c) => {
-                        info.tag_communities.push(c);
-                        info.tag_classes.push(TagClass::Informational);
-                    }
-                    None => info.tag_large_communities.push(LargeTag {
-                        community: LargeCommunity::new(asn.value(), 666, 1),
-                        class: TagClass::Informational,
-                    }),
-                }
+                info.push_tag(666, 1, TagClass::Informational);
             }
         }
 

@@ -235,6 +235,46 @@ pub struct AsInfo {
 }
 
 impl AsInfo {
+    /// An AS with no blackholing offering and no tag communities yet
+    /// (the generator assigns both after the graph is built).
+    pub fn new(
+        asn: Asn,
+        tier: Tier,
+        network_type: NetworkType,
+        country: &'static str,
+        prefixes: Vec<Ipv4Prefix>,
+        in_peeringdb: bool,
+    ) -> Self {
+        AsInfo {
+            asn,
+            tier,
+            network_type,
+            country,
+            prefixes,
+            blackhole_offering: None,
+            tag_communities: vec![],
+            tag_classes: vec![],
+            tag_large_communities: vec![],
+            in_peeringdb,
+        }
+    }
+
+    /// Attach the tag `ASN:value` of usage class `class`: a classic
+    /// community, or — for a 32-bit ASN, which has no classic encoding —
+    /// the RFC 8092 large community `ASN:value:slot`.
+    pub fn push_tag(&mut self, value: u16, slot: u32, class: TagClass) {
+        match classic_community(self.asn, value) {
+            Some(c) => {
+                self.tag_communities.push(c);
+                self.tag_classes.push(class);
+            }
+            None => self.tag_large_communities.push(LargeTag {
+                community: LargeCommunity::new(self.asn.value(), u32::from(value), slot),
+                class,
+            }),
+        }
+    }
+
     /// Does this AS offer blackholing?
     pub fn offers_blackholing(&self) -> bool {
         self.blackhole_offering.is_some()

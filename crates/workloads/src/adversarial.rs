@@ -27,6 +27,10 @@
 //!   ([`LabelKind::Tagged`]): bait for a trap-poisoned dictionary, and
 //!   the population the classifier's negative controls suppress.
 //!
+//! Each family is one `Planner` method that decides who announces
+//! which prefix when and with which tags; the announce/withdraw pair
+//! and the label are written by
+//! [`Schedule::labelled_pulse`](crate::reaction::Schedule::labelled_pulse).
 //! Every scheduled event also emits a [`TruthLabel`], so
 //! [`bh_core::score_events`] can turn an
 //! [`InferenceResult`](bh_core::InferenceResult) into a confusion
@@ -39,6 +43,7 @@
 //! that export past the valley-free rule.
 
 use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -50,14 +55,14 @@ use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::{LabelKind, TruthLabel};
 use bh_routing::{
-    AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorDeployment, RunStats,
-    SessionBehavior,
+    Announcement, BgpElem, BgpSimulator, CollectorDeployment, RunStats, SessionBehavior,
 };
 use bh_topology::{DocumentationChannel, NetworkType, PolicyTable, RoaTable, Tier, Topology};
 
 use crate::attacks::poisson;
 use crate::reaction::{
-    capable_providers, execute, Action, CapableProvider, GroundTruthEvent, TimedAction,
+    capable_providers, eligible_users, sampled_tags, slash24_of, triggers, CapableProvider,
+    GroundTruthEvent, Schedule,
 };
 
 /// One adversarial workload: daily Poisson rates per event family plus
@@ -197,13 +202,6 @@ pub struct AdversarialOutput {
     pub announcements: u64,
 }
 
-impl AdversarialOutput {
-    /// The collector stream as an [`bh_routing::ElemSource`].
-    pub fn elem_source(&self) -> bh_routing::SliceSource<'_> {
-        bh_routing::SliceSource::new(&self.elems)
-    }
-}
-
 /// Providers whose detections the dictionary can actually attribute:
 /// documented offerings that do not strip the trigger community on
 /// propagation. Cooperative events use only these so the baseline is
@@ -219,21 +217,6 @@ fn clean_providers(topology: &Topology, user: Asn) -> Vec<CapableProvider> {
         .collect()
 }
 
-/// Users eligible for cooperative events: edge/transit networks with
-/// address space and at least one clean provider.
-fn cooperative_users(topology: &Topology) -> Vec<Asn> {
-    let mut users: Vec<Asn> = topology
-        .ases()
-        .filter(|i| matches!(i.tier, Tier::Stub | Tier::Transit))
-        .filter(|i| i.network_type != NetworkType::Ixp)
-        .filter(|i| !i.prefixes.is_empty())
-        .filter(|i| !clean_providers(topology, i.asn).is_empty())
-        .map(|i| i.asn)
-        .collect();
-    users.sort_unstable();
-    users
-}
-
 /// Stub networks usable as hijackers (any upstream will do — the
 /// stolen communities are someone else's).
 fn attacker_pool(topology: &Topology) -> Vec<Asn> {
@@ -247,94 +230,62 @@ fn attacker_pool(topology: &Topology) -> Vec<Asn> {
     pool
 }
 
-/// An unused /32 inside one of `user`'s allocations, so no two events
-/// ever share a prefix (exact-prefix label matching stays unambiguous).
-fn fresh_host_route(
+/// An event window inside the day: a uniformly drawn start, then a
+/// duration of `minutes`.
+fn window(
     rng: &mut StdRng,
-    topology: &Topology,
-    user: Asn,
-    used: &mut BTreeSet<Ipv4Prefix>,
-) -> Option<Ipv4Prefix> {
-    let info = topology.as_info(user)?;
-    let allocation = info.prefixes.choose(rng)?;
-    for _ in 0..64 {
-        let offset = rng.gen_range(0..allocation.address_count());
-        let addr = allocation.nth_addr(offset)?;
-        let host = Ipv4Prefix::host(addr);
-        if used.insert(host) {
-            return Some(host);
-        }
-    }
-    None
+    day_start: SimTime,
+    minutes: RangeInclusive<u64>,
+) -> (SimTime, SimTime) {
+    let start = day_start + SimDuration::secs(rng.gen_range(0..80_000));
+    (start, start + SimDuration::mins(rng.gen_range(minutes)))
 }
 
+/// What the catalog's event families share: the world, the hijacker
+/// pool, the /32s already used and the schedule they write to. Each
+/// method plans one event for the `user` (or victim) the driver drew.
 struct Planner<'a> {
     topology: &'a Topology,
-    users: Vec<Asn>,
     attackers: Vec<Asn>,
     used: BTreeSet<Ipv4Prefix>,
-    truths: Vec<GroundTruthEvent>,
-    labels: Vec<TruthLabel>,
-    actions: Vec<TimedAction>,
+    schedule: Schedule,
 }
 
+/// One event family of the catalog, as the driver calls it.
+type PlanEvent<'a> = fn(&mut Planner<'a>, &mut StdRng, Asn, SimTime);
+
 impl Planner<'_> {
+    /// An unused /32 inside one of `user`'s allocations, so no two events
+    /// ever share a prefix (exact-prefix label matching stays unambiguous).
+    fn fresh_host_route(&mut self, rng: &mut StdRng, user: Asn) -> Option<Ipv4Prefix> {
+        let info = self.topology.as_info(user)?;
+        let allocation = info.prefixes.choose(rng)?;
+        for _ in 0..64 {
+            let offset = rng.gen_range(0..allocation.address_count());
+            let host = Ipv4Prefix::host(allocation.nth_addr(offset)?);
+            if self.used.insert(host) {
+                return Some(host);
+            }
+        }
+        None
+    }
+
+    /// A stub other than `victim` to originate a hijack.
+    fn attacker(&self, rng: &mut StdRng, victim: Asn) -> Option<Asn> {
+        self.attackers.choose_multiple(rng, self.attackers.len()).find(|&&a| a != victim).copied()
+    }
+
     /// A well-formed RTBH event: /32 inside the user's space, triggers
     /// of every clean provider bundled to all neighbors, IRR in order,
     /// no NO_EXPORT, one sustained phase.
-    fn blackhole(&mut self, rng: &mut StdRng, day_start: SimTime) {
-        let user = *self.users.choose(rng).expect("non-empty user pool");
+    fn blackhole(&mut self, rng: &mut StdRng, user: Asn, day_start: SimTime) {
         let providers = clean_providers(self.topology, user);
-        let Some(prefix) = fresh_host_route(rng, self.topology, user, &mut self.used) else {
-            return;
-        };
-        let start = day_start + SimDuration::secs(rng.gen_range(0..80_000));
-        let end = start + SimDuration::mins(rng.gen_range(30..=150));
-        let mut communities = CommunitySet::new();
-        for p in &providers {
-            for c in &p.communities {
-                communities.insert(*c);
-            }
-            if let Some(l) = p.large {
-                communities.insert_large(l);
-            }
-        }
-        let truth_index = self.truths.len();
-        self.truths.push(GroundTruthEvent {
-            prefix,
-            user,
-            requested: providers.iter().map(|p| p.provider).collect(),
-            accepted: Vec::new(),
-            phases: vec![(start, end)],
-            bundled: true,
-            no_export: false,
-            irr_registered: true,
-            implicit_withdraw: false,
-        });
-        self.labels.push(TruthLabel {
-            prefix,
-            start,
-            end,
-            kind: LabelKind::Blackhole,
-            expect_detection: true,
-        });
-        self.actions.push(TimedAction {
-            time: start,
-            action: Action::Announce(Announcement {
-                origin: user,
-                prefix,
-                communities,
-                scope: AnnounceScope::AllNeighbors,
-                irr_registered: true,
-                prepend: 1,
-            }),
-            truth: Some(truth_index),
-        });
-        self.actions.push(TimedAction {
-            time: end,
-            action: Action::Withdraw { origin: user, prefix },
-            truth: Some(truth_index),
-        });
+        let Some(prefix) = self.fresh_host_route(rng, user) else { return };
+        let window = window(rng, day_start, 30..=150);
+        let truth =
+            self.schedule.truth(GroundTruthEvent::bundled(prefix, user, &providers, window));
+        let route = Announcement::simple(user, prefix, triggers(&providers));
+        self.schedule.labelled_pulse(route, window, LabelKind::Blackhole, Some(truth));
     }
 
     /// A subprefix hijack: an unrelated stub originates a /32 inside
@@ -342,49 +293,16 @@ impl Planner<'_> {
     /// The trigger fails authentication everywhere (off-allocation
     /// origin), but the tagged host route propagates — bait for the
     /// bundling heuristic.
-    fn hijack(&mut self, rng: &mut StdRng, day_start: SimTime) {
-        let victim = *self.users.choose(rng).expect("non-empty user pool");
-        let Some(&attacker) =
-            self.attackers.choose_multiple(rng, self.attackers.len()).find(|&&a| a != victim)
-        else {
-            return;
+    fn hijack(&mut self, rng: &mut StdRng, victim: Asn, day_start: SimTime) {
+        let Some(attacker) = self.attacker(rng, victim) else { return };
+        let communities = triggers(&clean_providers(self.topology, victim));
+        let Some(prefix) = self.fresh_host_route(rng, victim) else { return };
+        let window = window(rng, day_start, 20..=90);
+        let route = Announcement {
+            irr_registered: false,
+            ..Announcement::simple(attacker, prefix, communities)
         };
-        let providers = clean_providers(self.topology, victim);
-        let Some(prefix) = fresh_host_route(rng, self.topology, victim, &mut self.used) else {
-            return;
-        };
-        let start = day_start + SimDuration::secs(rng.gen_range(0..80_000));
-        let end = start + SimDuration::mins(rng.gen_range(20..=90));
-        let mut communities = CommunitySet::new();
-        for p in &providers {
-            for c in &p.communities {
-                communities.insert(*c);
-            }
-        }
-        self.labels.push(TruthLabel {
-            prefix,
-            start,
-            end,
-            kind: LabelKind::Hijack,
-            expect_detection: false,
-        });
-        self.actions.push(TimedAction {
-            time: start,
-            action: Action::Announce(Announcement {
-                origin: attacker,
-                prefix,
-                communities,
-                scope: AnnounceScope::AllNeighbors,
-                irr_registered: false,
-                prepend: 1,
-            }),
-            truth: None,
-        });
-        self.actions.push(TimedAction {
-            time: end,
-            action: Action::Withdraw { origin: attacker, prefix },
-            truth: None,
-        });
+        self.schedule.labelled_pulse(route, window, LabelKind::Hijack, None);
     }
 
     /// A stolen-tag hijack: like [`Planner::hijack`], but the attacker
@@ -393,92 +311,35 @@ impl Planner<'_> {
     /// triggers. No correct dictionary should ever bite; one poisoned by
     /// weak-`discard` trap phrasing does, and the negative controls are
     /// scored by how many of these they suppress.
-    fn stolen_tag(&mut self, rng: &mut StdRng, day_start: SimTime) {
-        let victim = *self.users.choose(rng).expect("non-empty user pool");
-        let Some(&attacker) =
-            self.attackers.choose_multiple(rng, self.attackers.len()).find(|&&a| a != victim)
-        else {
-            return;
-        };
-        let mut communities = CommunitySet::new();
-        for p in clean_providers(self.topology, victim) {
-            if let Some(info) = self.topology.as_info(p.provider) {
-                for &tag in info.tag_communities.iter().take(2) {
-                    communities.insert(tag);
-                }
-            }
-        }
+    fn stolen_tag(&mut self, rng: &mut StdRng, victim: Asn, day_start: SimTime) {
+        let Some(attacker) = self.attacker(rng, victim) else { return };
+        let providers = clean_providers(self.topology, victim);
+        let communities = sampled_tags(self.topology, providers.iter().map(|p| p.provider));
         if communities.is_empty() {
             return; // no provider documents classic tags: nothing to steal
         }
-        let Some(prefix) = fresh_host_route(rng, self.topology, victim, &mut self.used) else {
-            return;
+        let Some(prefix) = self.fresh_host_route(rng, victim) else { return };
+        let window = window(rng, day_start, 20..=90);
+        let route = Announcement {
+            irr_registered: false,
+            ..Announcement::simple(attacker, prefix, communities)
         };
-        let start = day_start + SimDuration::secs(rng.gen_range(0..80_000));
-        let end = start + SimDuration::mins(rng.gen_range(20..=90));
-        self.labels.push(TruthLabel {
-            prefix,
-            start,
-            end,
-            kind: LabelKind::Tagged,
-            expect_detection: false,
-        });
-        self.actions.push(TimedAction {
-            time: start,
-            action: Action::Announce(Announcement {
-                origin: attacker,
-                prefix,
-                communities,
-                scope: AnnounceScope::AllNeighbors,
-                irr_registered: false,
-                prepend: 1,
-            }),
-            truth: None,
-        });
-        self.actions.push(TimedAction {
-            time: end,
-            action: Action::Withdraw { origin: attacker, prefix },
-            truth: None,
-        });
+        self.schedule.labelled_pulse(route, window, LabelKind::Tagged, None);
     }
 
     /// Prepend-based re-routing: the victim re-announces its own /24
     /// with heavy prepending and no communities at all. The negative
     /// control — nothing here should ever look like blackholing.
-    fn reroute(&mut self, rng: &mut StdRng, day_start: SimTime) {
-        let user = *self.users.choose(rng).expect("non-empty user pool");
+    fn reroute(&mut self, rng: &mut StdRng, user: Asn, day_start: SimTime) {
         let Some(info) = self.topology.as_info(user) else { return };
-        let Some(allocation) = info.prefixes.iter().find(|p| p.length() <= 24) else {
-            return;
+        let Some(allocation) = info.prefixes.iter().find(|p| p.length() <= 24) else { return };
+        let Some(prefix) = slash24_of(allocation, 0) else { return };
+        let window = window(rng, day_start, 60..=300);
+        let route = Announcement {
+            prepend: rng.gen_range(3..=5),
+            ..Announcement::simple(user, prefix, CommunitySet::new())
         };
-        let Some(base) = allocation.nth_addr(0) else { return };
-        let Ok(prefix) = Ipv4Prefix::new(base, 24) else { return };
-        let start = day_start + SimDuration::secs(rng.gen_range(0..80_000));
-        let end = start + SimDuration::mins(rng.gen_range(60..=300));
-        self.labels.push(TruthLabel {
-            prefix,
-            start,
-            end,
-            kind: LabelKind::Reroute,
-            expect_detection: false,
-        });
-        self.actions.push(TimedAction {
-            time: start,
-            action: Action::Announce(Announcement {
-                origin: user,
-                prefix,
-                communities: CommunitySet::new(),
-                scope: AnnounceScope::AllNeighbors,
-                irr_registered: true,
-                prepend: rng.gen_range(3..=5),
-            }),
-            truth: None,
-        });
-        self.actions.push(TimedAction {
-            time: end,
-            action: Action::Withdraw { origin: user, prefix },
-            truth: None,
-        });
+        self.schedule.labelled_pulse(route, window, LabelKind::Reroute, None);
     }
 
     /// A leak-shaped tagged route: the user announces an allocation
@@ -487,8 +348,7 @@ impl Planner<'_> {
     /// (`LengthRejected`) yet the tagged route propagates with the
     /// provider on-path — exactly what a blackhole detection looks
     /// like from a collector.
-    fn leak(&mut self, rng: &mut StdRng, day_start: SimTime) {
-        let user = *self.users.choose(rng).expect("non-empty user pool");
+    fn leak(&mut self, rng: &mut StdRng, user: Asn, day_start: SimTime) {
         let Some(info) = self.topology.as_info(user) else { return };
         let providers = clean_providers(self.topology, user);
         let pair = info.prefixes.iter().find_map(|alloc| {
@@ -503,36 +363,9 @@ impl Planner<'_> {
                 .map(|cp| (*alloc, cp))
         });
         let Some((prefix, provider)) = pair else { return };
-        let start = day_start + SimDuration::secs(rng.gen_range(0..80_000));
-        let end = start + SimDuration::mins(rng.gen_range(60..=240));
-        let mut communities = CommunitySet::new();
-        for c in &provider.communities {
-            communities.insert(*c);
-        }
-        self.labels.push(TruthLabel {
-            prefix,
-            start,
-            end,
-            kind: LabelKind::RouteLeak,
-            expect_detection: false,
-        });
-        self.actions.push(TimedAction {
-            time: start,
-            action: Action::Announce(Announcement {
-                origin: user,
-                prefix,
-                communities,
-                scope: AnnounceScope::AllNeighbors,
-                irr_registered: true,
-                prepend: 1,
-            }),
-            truth: None,
-        });
-        self.actions.push(TimedAction {
-            time: end,
-            action: Action::Withdraw { origin: user, prefix },
-            truth: None,
-        });
+        let window = window(rng, day_start, 60..=240);
+        let route = Announcement::simple(user, prefix, triggers([provider]));
+        self.schedule.labelled_pulse(route, window, LabelKind::RouteLeak, None);
     }
 }
 
@@ -542,6 +375,9 @@ impl Planner<'_> {
 /// Session behaviors are pinned to accept host routes on every session
 /// type: the workloads measure what *policies and adversaries* do to
 /// the detector, so per-AS behavioral noise is deliberately removed.
+///
+/// A world without a cooperative user (nobody has a clean provider)
+/// schedules nothing: the output is empty, not a panic.
 pub fn run_adversarial(
     topology: &Topology,
     deployment: CollectorDeployment,
@@ -560,57 +396,50 @@ pub fn run_adversarial(
     }
 
     let window_start = bh_bgp_types::time::study::visibility_start();
+    let users = eligible_users(topology, clean_providers);
     let mut planner = Planner {
         topology,
-        users: cooperative_users(topology),
         attackers: attacker_pool(topology),
         used: BTreeSet::new(),
-        truths: Vec::new(),
-        labels: Vec::new(),
-        actions: Vec::new(),
+        schedule: Schedule::default(),
     };
-    assert!(!planner.users.is_empty(), "topology has no cooperative blackholing users");
+    let families: [(f64, PlanEvent<'_>); 5] = [
+        (config.blackholes_per_day, Planner::blackhole),
+        (config.hijacks_per_day, Planner::hijack),
+        (config.reroutes_per_day, Planner::reroute),
+        (config.leaks_per_day, Planner::leak),
+        (config.tagged_per_day, Planner::stolen_tag),
+    ];
 
     let total_days = config.days.max(1);
     for d in 0..total_days {
         let day_start = SimTime::from_unix((window_start.day_index() + d) * 86_400);
-        // At least one event of each enabled family on day 0, so short
-        // runs exercise every labelled population deterministically.
-        let floor = |rate: f64| usize::from(d == 0 && rate > 0.0);
-        for _ in
-            0..poisson(&mut rng, config.blackholes_per_day).max(floor(config.blackholes_per_day))
-        {
-            planner.blackhole(&mut rng, day_start);
-        }
-        for _ in 0..poisson(&mut rng, config.hijacks_per_day).max(floor(config.hijacks_per_day)) {
-            planner.hijack(&mut rng, day_start);
-        }
-        for _ in 0..poisson(&mut rng, config.reroutes_per_day).max(floor(config.reroutes_per_day)) {
-            planner.reroute(&mut rng, day_start);
-        }
-        for _ in 0..poisson(&mut rng, config.leaks_per_day).max(floor(config.leaks_per_day)) {
-            planner.leak(&mut rng, day_start);
-        }
-        for _ in 0..poisson(&mut rng, config.tagged_per_day).max(floor(config.tagged_per_day)) {
-            planner.stolen_tag(&mut rng, day_start);
+        for (rate, plan) in families {
+            // At least one event of each enabled family on day 0, so short
+            // runs exercise every labelled population deterministically.
+            let floor = usize::from(d == 0 && rate > 0.0);
+            for _ in 0..poisson(&mut rng, rate).max(floor) {
+                let Some(&user) = users.choose(&mut rng) else { break };
+                plan(&mut planner, &mut rng, user, day_start);
+            }
         }
     }
 
-    let Planner { mut truths, labels, mut actions, .. } = planner;
-    let announcements = execute(&mut sim, &mut actions, &mut truths);
+    let mut schedule = planner.schedule;
+    let announcements = schedule.run(&mut sim);
 
     AdversarialOutput {
         run_stats: sim.run_stats().clone(),
         elems: sim.drain_elems(),
-        ground_truth: truths,
-        labels,
+        ground_truth: schedule.truths,
+        labels: schedule.labels,
         days: total_days,
         announcements,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use bh_routing::{deploy, CollectorConfig};
     use bh_topology::{TopologyBuilder, TopologyConfig};
 
@@ -620,6 +449,29 @@ mod tests {
         let t = TopologyBuilder::new(TopologyConfig::tiny(55)).build();
         let d = deploy(&t, &CollectorConfig::tiny(6));
         run_adversarial(&t, d, config)
+    }
+
+    /// `TopologyConfig::tiny(seed)` with every blackholing population at
+    /// zero: public input under which no user is eligible.
+    pub(crate) fn no_offerings(seed: u64) -> TopologyConfig {
+        let none = bh_topology::ProviderCounts { documented: 0, undocumented: 0 };
+        TopologyConfig {
+            bh_transit: none,
+            bh_ixp: 0,
+            bh_content: none,
+            bh_edu: none,
+            bh_enterprise: none,
+            bh_unknown: none,
+            ..TopologyConfig::tiny(seed)
+        }
+    }
+
+    #[test]
+    fn world_without_cooperative_users_schedules_nothing() {
+        let t = TopologyBuilder::new(no_offerings(3)).build();
+        let d = deploy(&t, &CollectorConfig::tiny(6));
+        let out = run_adversarial(&t, d, &AdversarialConfig::subprefix_hijack(1, 2, 4.0));
+        assert!(out.labels.is_empty() && out.ground_truth.is_empty() && out.elems.is_empty());
     }
 
     #[test]

@@ -112,7 +112,7 @@ mod tests {
     fn scenario() -> (CollectorDeployment, ScenarioOutput) {
         let t = TopologyBuilder::new(TopologyConfig::tiny(55)).build();
         let d = deploy(&t, &CollectorConfig::tiny(6));
-        let output = run(&t, d.clone(), &ScenarioConfig::short(3, 3, 6.0));
+        let output = run(&t, d.clone(), &ScenarioConfig::short(3, 3, 6.0), None);
         (d, output)
     }
 

@@ -26,7 +26,7 @@ pub use attacks::{mirai_era_start, poisson, AttackCalendar, Spike, SPIKES};
 pub use fleet::{fleet_archives, fleet_archives_for, fleet_of, CollectorArchive};
 pub use live::{record_spans, ReplayFeed, ScriptedFeed};
 pub use reaction::{
-    capable_providers, plan_reaction, Action, CapableProvider, GroundTruthEvent, ReactionConfig,
-    TimedAction,
+    capable_providers, eligible_users, plan_reaction, triggers, Action, CapableProvider,
+    GroundTruthEvent, Schedule, TimedAction,
 };
-pub use scenario::{run, run_on, run_with_policies, spike_table, ScenarioConfig, ScenarioOutput};
+pub use scenario::{run, run_on, ScenarioConfig, ScenarioOutput};

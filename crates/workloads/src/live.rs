@@ -31,11 +31,17 @@ pub fn record_spans(bytes: &[u8]) -> Vec<(SimTime, Range<usize>)> {
     let mut spans = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
+        // Unreachable because replay inputs are whole archives written by
+        // `fleet_archives`, never a tail cut mid-header.
         assert!(pos + 12 <= bytes.len(), "torn MRT header in replay archive");
+        // Unreachable because the slice is four bytes by construction.
         let ts = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
+        // Unreachable because the slice is four bytes by construction.
         let len =
             u32::from_be_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes")) as usize;
         let end = pos + 12 + len;
+        // Unreachable because the writer emits each body in full after
+        // its header (same whole-archive inputs).
         assert!(end <= bytes.len(), "torn MRT body in replay archive");
         spans.push((SimTime::from_unix(ts as u64), pos..end));
         pos = end;
@@ -181,7 +187,7 @@ mod tests {
     fn small_world() -> (Vec<CollectorArchive>, Vec<bh_routing::BgpElem>) {
         let t = TopologyBuilder::new(TopologyConfig::tiny(55)).build();
         let d = deploy(&t, &CollectorConfig::tiny(6));
-        let output = run(&t, d, &ScenarioConfig::short(3, 3, 6.0));
+        let output = run(&t, d, &ScenarioConfig::short(3, 3, 6.0), None);
         let archives = output.fleet_archives().expect("serialization succeeds");
         (archives, output.elems)
     }

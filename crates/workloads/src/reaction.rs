@@ -14,6 +14,17 @@
 //! * RFC 7999 NO_EXPORT compliance by a minority of users,
 //! * misconfigurations: missing IRR registration (route servers refuse to
 //!   redistribute) and wrong communities.
+//!
+//! How often each practice occurs is a constant below, not an option:
+//! no run of this repository ever used a second value, and a fidelity
+//! fix (an `expected-divergence` of `EXPERIMENTS.md`) edits the constant
+//! and the one planner that reads it.
+//!
+//! Everything a scenario plans goes through one [`Schedule`]: planners
+//! ([`plan_reaction`], the Spike-A accident, the adversarial catalog)
+//! decide *who* announces *which* prefix *when* with *which* tags, and
+//! [`Schedule::pulse`] is the only place that spells the
+//! announce-then-take-back pair.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -23,8 +34,30 @@ use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
+use bh_core::{LabelKind, TruthLabel};
 use bh_routing::{AnnounceScope, Announcement, BgpSimulator};
-use bh_topology::Topology;
+use bh_topology::{NetworkType, Tier, Topology};
+
+/// Probability a reaction uses the ON/OFF probing pattern (Fig. 8:
+/// > 70 % of ungrouped events last ≤ 1 minute).
+pub const PROBING_PROBABILITY: f64 = 0.7;
+/// Probability a reaction bundles its communities to all neighbors
+/// (Fig. 7(c): bundling accounts for ~half of all detections).
+pub const BUNDLING_PROBABILITY: f64 = 0.5;
+/// Probability the user attaches NO_EXPORT (RFC 7999 compliance).
+pub const NO_EXPORT_PROBABILITY: f64 = 0.2;
+/// Probability the user's IRR registration is missing (§10
+/// misconfiguration).
+pub const UNREGISTERED_PROBABILITY: f64 = 0.12;
+/// Probability of a long-lived (multi-day) blackhole.
+pub const LONG_LIVED_PROBABILITY: f64 = 0.04;
+/// Probability a /24 is blackholed instead of /32s ("blackhole the
+/// whole prefix" strategy).
+pub const WHOLE_PREFIX_PROBABILITY: f64 = 0.02;
+/// Probability a withdrawal is implicit (re-announce without tags).
+pub const IMPLICIT_WITHDRAW_PROBABILITY: f64 = 0.3;
+/// Mean attacked hosts per attack, beyond the first.
+pub const ATTACK_INTENSITY: f64 = 1.5;
 
 /// One scheduled routing action.
 #[derive(Debug, Clone)]
@@ -47,7 +80,7 @@ pub struct TimedAction {
     pub time: SimTime,
     /// What happens.
     pub action: Action,
-    /// Index into the scenario's ground-truth vector, when this action
+    /// Index into the schedule's ground-truth vector, when this action
     /// belongs to a blackholing reaction.
     pub truth: Option<usize>,
 }
@@ -76,6 +109,28 @@ pub struct GroundTruthEvent {
 }
 
 impl GroundTruthEvent {
+    /// The well-formed request: one sustained phase, every provider of
+    /// `providers` asked, bundled to all neighbors, IRR in order, no
+    /// NO_EXPORT, explicit withdrawal.
+    pub(crate) fn bundled(
+        prefix: Ipv4Prefix,
+        user: Asn,
+        providers: &[CapableProvider],
+        window: (SimTime, SimTime),
+    ) -> Self {
+        GroundTruthEvent {
+            prefix,
+            user,
+            requested: providers.iter().map(|p| p.provider).collect(),
+            accepted: Vec::new(),
+            phases: vec![window],
+            bundled: true,
+            no_export: false,
+            irr_registered: true,
+            implicit_withdraw: false,
+        }
+    }
+
     /// Overall start (first phase).
     pub fn start(&self) -> SimTime {
         self.phases.first().map(|(s, _)| *s).unwrap_or(SimTime::ZERO)
@@ -87,36 +142,97 @@ impl GroundTruthEvent {
     }
 }
 
-/// Run `actions` through `sim` in time order (stable, so same-second
-/// actions keep their scheduling order), recording in `truths` which
-/// providers accepted each blackholing reaction. Returns the number of
-/// announcements injected.
-pub(crate) fn execute(
-    sim: &mut BgpSimulator<'_>,
-    actions: &mut [TimedAction],
-    truths: &mut [GroundTruthEvent],
-) -> u64 {
-    actions.sort_by_key(|a| a.time.unix());
-    let mut announcements = 0;
-    for timed in actions.iter() {
-        match &timed.action {
-            Action::Announce(a) => {
-                announcements += 1;
-                let outcome = sim.announce(timed.time, a);
-                if let Some(idx) = timed.truth {
-                    for asn in outcome.accepted_by {
-                        if !truths[idx].accepted.contains(&asn) {
-                            truths[idx].accepted.push(asn);
+/// Everything a scenario plans before the simulator runs: the timed
+/// actions, the ground truth of the cooperative reactions among them
+/// and, for adversarial runs, the label of every scheduled event.
+#[derive(Debug, Default)]
+pub struct Schedule {
+    /// Actions in scheduling order ([`Schedule::run`] sorts them by time).
+    pub actions: Vec<TimedAction>,
+    /// Ground truth, indexed by [`TimedAction::truth`].
+    pub truths: Vec<GroundTruthEvent>,
+    /// Confusion-scoring labels (adversarial catalog only).
+    pub labels: Vec<TruthLabel>,
+}
+
+impl Schedule {
+    /// Record a reaction's ground truth; the returned index links its
+    /// pulses to it.
+    pub fn truth(&mut self, event: GroundTruthEvent) -> usize {
+        self.truths.push(event);
+        self.truths.len() - 1
+    }
+
+    /// Announce `route` at `on` and take it back at `off` — by an
+    /// explicit withdrawal or, when `implicit`, by re-announcing it
+    /// without communities or prepending (§4.2's implicit withdrawal).
+    pub fn pulse(
+        &mut self,
+        route: Announcement,
+        (on, off): (SimTime, SimTime),
+        implicit: bool,
+        truth: Option<usize>,
+    ) {
+        let take_back = if implicit {
+            Action::Announce(Announcement {
+                communities: CommunitySet::new(),
+                prepend: 1,
+                ..route.clone()
+            })
+        } else {
+            Action::Withdraw { origin: route.origin, prefix: route.prefix }
+        };
+        self.actions.push(TimedAction { time: on, action: Action::Announce(route), truth });
+        self.actions.push(TimedAction { time: off, action: take_back, truth });
+    }
+
+    /// A [`pulse`](Self::pulse) with an explicit withdrawal, labelled for
+    /// confusion scoring: only [`LabelKind::Blackhole`] is something the
+    /// detector is expected to find.
+    pub fn labelled_pulse(
+        &mut self,
+        route: Announcement,
+        (start, end): (SimTime, SimTime),
+        kind: LabelKind,
+        truth: Option<usize>,
+    ) {
+        self.labels.push(TruthLabel {
+            prefix: route.prefix,
+            start,
+            end,
+            kind,
+            expect_detection: kind == LabelKind::Blackhole,
+        });
+        self.pulse(route, (start, end), false, truth);
+    }
+
+    /// Run the actions through `sim` in time order (stable, so
+    /// same-second actions keep their scheduling order), recording in
+    /// `truths` which providers accepted each blackholing reaction.
+    /// Returns the number of announcements injected.
+    pub fn run(&mut self, sim: &mut BgpSimulator<'_>) -> u64 {
+        self.actions.sort_by_key(|a| a.time.unix());
+        let mut announcements = 0;
+        for timed in &self.actions {
+            match &timed.action {
+                Action::Announce(a) => {
+                    announcements += 1;
+                    let outcome = sim.announce(timed.time, a);
+                    if let Some(idx) = timed.truth {
+                        for asn in outcome.accepted_by {
+                            if !self.truths[idx].accepted.contains(&asn) {
+                                self.truths[idx].accepted.push(asn);
+                            }
                         }
                     }
                 }
-            }
-            Action::Withdraw { origin, prefix } => {
-                sim.withdraw(timed.time, *origin, *prefix);
+                Action::Withdraw { origin, prefix } => {
+                    sim.withdraw(timed.time, *origin, *prefix);
+                }
             }
         }
+        announcements
     }
-    announcements
 }
 
 /// A provider available to a user, with the communities that trigger it.
@@ -135,116 +251,119 @@ pub struct CapableProvider {
 /// Find the blackholing-capable providers of a user: direct providers
 /// with an offering plus route servers of IXPs the user is a member of.
 pub fn capable_providers(topology: &Topology, user: Asn) -> Vec<CapableProvider> {
-    let mut out = Vec::new();
-    for &p in &topology.providers_of(user) {
-        if let Some(info) = topology.as_info(p) {
-            if let Some(o) = &info.blackhole_offering {
-                out.push(CapableProvider {
-                    announce_to: p,
-                    provider: p,
-                    communities: o.communities.clone(),
-                    large: o.large_community,
-                });
-            }
-        }
-    }
-    for ixp in topology.ixps() {
-        if !ixp.has_member(user) {
-            continue;
-        }
-        if let Some(info) = topology.as_info(ixp.route_server_asn) {
-            if let Some(o) = &info.blackhole_offering {
-                out.push(CapableProvider {
-                    announce_to: ixp.route_server_asn,
-                    provider: ixp.route_server_asn,
-                    communities: o.communities.clone(),
-                    large: o.large_community,
-                });
-            }
-        }
-    }
-    out
+    let direct = topology.providers_of(user);
+    let route_servers =
+        topology.ixps().iter().filter(|ixp| ixp.has_member(user)).map(|ixp| ixp.route_server_asn);
+    direct
+        .into_iter()
+        .chain(route_servers)
+        .filter_map(|asn| {
+            let offering = topology.as_info(asn)?.blackhole_offering.as_ref()?;
+            Some(CapableProvider {
+                announce_to: asn,
+                provider: asn,
+                communities: offering.communities.clone(),
+                large: offering.large_community,
+            })
+        })
+        .collect()
 }
 
-/// Reaction-model tunables (defaults follow the paper's findings).
-#[derive(Debug, Clone)]
-pub struct ReactionConfig {
-    /// Probability an event uses the ON/OFF probing pattern.
-    pub probing_probability: f64,
-    /// Probability a reaction bundles communities to all neighbors.
-    pub bundling_probability: f64,
-    /// Probability the user attaches NO_EXPORT (RFC 7999 compliance).
-    pub no_export_probability: f64,
-    /// Probability the user's IRR registration is missing (§10
-    /// misconfiguration).
-    pub unregistered_probability: f64,
-    /// Probability of a long-lived (multi-day) blackhole.
-    pub long_lived_probability: f64,
-    /// Probability a /24 is blackholed instead of /32s ("blackhole the
-    /// whole prefix" strategy).
-    pub whole_prefix_probability: f64,
-    /// Probability a withdrawal is implicit (re-announce without tags).
-    pub implicit_withdraw_probability: f64,
-}
-
-impl Default for ReactionConfig {
-    fn default() -> Self {
-        ReactionConfig {
-            probing_probability: 0.7,
-            bundling_probability: 0.5,
-            no_export_probability: 0.2,
-            unregistered_probability: 0.12,
-            long_lived_probability: 0.04,
-            whole_prefix_probability: 0.02,
-            implicit_withdraw_probability: 0.3,
+/// The union of the providers' trigger communities (classic and RFC 8092
+/// large) — what a user attaches to ask all of them at once.
+pub fn triggers<'a>(providers: impl IntoIterator<Item = &'a CapableProvider>) -> CommunitySet {
+    let mut communities = CommunitySet::new();
+    for p in providers {
+        for c in &p.communities {
+            communities.insert(*c);
+        }
+        if let Some(l) = p.large {
+            communities.insert_large(l);
         }
     }
+    communities
+}
+
+/// Up to two of each network's classic *tag* communities (relationship,
+/// location, TE — never a trigger): what routes crossing `networks`
+/// carry beside any blackhole request.
+pub(crate) fn sampled_tags(
+    topology: &Topology,
+    networks: impl IntoIterator<Item = Asn>,
+) -> CommunitySet {
+    let mut communities = CommunitySet::new();
+    for info in networks.into_iter().filter_map(|asn| topology.as_info(asn)) {
+        for c in info.tag_communities.iter().take(2) {
+            communities.insert(*c);
+        }
+    }
+    communities
+}
+
+/// The networks that can play the blackholing user: edge and transit
+/// networks with address space and at least one provider `providers_of`
+/// finds for them. Sorted by ASN.
+pub fn eligible_users(
+    topology: &Topology,
+    providers_of: impl Fn(&Topology, Asn) -> Vec<CapableProvider>,
+) -> Vec<Asn> {
+    let mut users: Vec<Asn> = topology
+        .ases()
+        .filter(|i| matches!(i.tier, Tier::Stub | Tier::Transit))
+        .filter(|i| i.network_type != NetworkType::Ixp)
+        .filter(|i| !i.prefixes.is_empty())
+        .filter(|i| !providers_of(topology, i.asn).is_empty())
+        .map(|i| i.asn)
+        .collect();
+    users.sort_unstable();
+    users
+}
+
+/// The `k`-th /24 of `allocation`, if it has one.
+pub(crate) fn slash24_of(allocation: &Ipv4Prefix, k: u64) -> Option<Ipv4Prefix> {
+    Ipv4Prefix::new(allocation.nth_addr(k * 256)?, 24).ok()
 }
 
 /// Plan the reaction of `user` to an attack starting at `start` and
-/// lasting `attack_duration`; `intensity` scales the number of attacked
-/// hosts. Appends ground truth to `truths` and returns the actions.
-#[allow(clippy::too_many_arguments)]
+/// lasting `attack_duration`: which prefixes it blackholes, at which
+/// providers, how tagged and in which ON phases. Appends the ground
+/// truth and the pulses to `schedule`; a user without capable providers
+/// or address space does nothing.
 pub fn plan_reaction(
     rng: &mut StdRng,
     topology: &Topology,
-    config: &ReactionConfig,
     user: Asn,
     start: SimTime,
     attack_duration: SimDuration,
-    intensity: f64,
-    truths: &mut Vec<GroundTruthEvent>,
-) -> Vec<TimedAction> {
-    let mut actions = Vec::new();
+    schedule: &mut Schedule,
+) {
     let providers = capable_providers(topology, user);
     if providers.is_empty() {
-        return actions;
+        return;
     }
-    let Some(info) = topology.as_info(user) else {
-        return actions;
-    };
+    let Some(info) = topology.as_info(user) else { return };
     if info.prefixes.is_empty() {
-        return actions;
+        return;
     }
     let allocation = info.prefixes[rng.gen_range(0..info.prefixes.len())];
 
     // Victim prefixes: usually 1..k /32s, rarely a whole /24.
-    let mut victim_prefixes: Vec<Ipv4Prefix> = Vec::new();
-    if rng.gen_bool(config.whole_prefix_probability) && allocation.length() <= 24 {
-        let base = allocation.nth_addr(0).expect("allocation non-empty");
-        victim_prefixes.push(Ipv4Prefix::new(base, 24).expect("/24 inside allocation"));
-    } else {
-        let host_count = 1 + crate::attacks::poisson(rng, intensity.clamp(0.0, 12.0));
-        for _ in 0..host_count {
-            let offset = rng.gen_range(0..allocation.address_count());
-            if let Some(addr) = allocation.nth_addr(offset) {
-                let host = Ipv4Prefix::host(addr);
-                if !victim_prefixes.contains(&host) {
-                    victim_prefixes.push(host);
+    let whole_prefix = rng.gen_bool(WHOLE_PREFIX_PROBABILITY) && allocation.length() <= 24;
+    let victim_prefixes = match slash24_of(&allocation, 0) {
+        Some(p24) if whole_prefix => vec![p24],
+        _ => {
+            let mut hosts: Vec<Ipv4Prefix> = Vec::new();
+            for _ in 0..1 + crate::attacks::poisson(rng, ATTACK_INTENSITY) {
+                let offset = rng.gen_range(0..allocation.address_count());
+                if let Some(host) = allocation.nth_addr(offset).map(Ipv4Prefix::host) {
+                    if !hosts.contains(&host) {
+                        hosts.push(host);
+                    }
                 }
             }
+            hosts
         }
-    }
+    };
 
     // Provider selection: 72% single, multi otherwise (heavy tail).
     let selected: Vec<&CapableProvider> = {
@@ -259,21 +378,12 @@ pub fn plan_reaction(
         picked
     };
 
-    let bundled = rng.gen_bool(config.bundling_probability);
-    let no_export = rng.gen_bool(config.no_export_probability);
-    let irr_registered = !rng.gen_bool(config.unregistered_probability);
-    let implicit_withdraw = rng.gen_bool(config.implicit_withdraw_probability);
+    let bundled = rng.gen_bool(BUNDLING_PROBABILITY);
+    let no_export = rng.gen_bool(NO_EXPORT_PROBABILITY);
+    let irr_registered = !rng.gen_bool(UNREGISTERED_PROBABILITY);
+    let implicit_withdraw = rng.gen_bool(IMPLICIT_WITHDRAW_PROBABILITY);
 
-    // Trigger communities for the announcement.
-    let mut communities = CommunitySet::new();
-    for p in &selected {
-        for c in &p.communities {
-            communities.insert(*c);
-        }
-        if let Some(l) = p.large {
-            communities.insert_large(l);
-        }
-    }
+    let mut communities = triggers(selected.iter().copied());
     if no_export {
         communities.insert(Community::NO_EXPORT);
     }
@@ -284,11 +394,11 @@ pub fn plan_reaction(
     };
 
     // Phase plan.
-    let phases: Vec<(SimTime, SimTime)> = if rng.gen_bool(config.long_lived_probability) {
+    let phases: Vec<(SimTime, SimTime)> = if rng.gen_bool(LONG_LIVED_PROBABILITY) {
         // Long-lived regime: days to ~2 months, single phase.
         let days = rng.gen_range(2..=60);
         vec![(start, start + SimDuration::days(days))]
-    } else if rng.gen_bool(config.probing_probability) {
+    } else if rng.gen_bool(PROBING_PROBABILITY) {
         // ON/OFF probing until the attack ends.
         let mut phases = Vec::new();
         let mut t = start;
@@ -308,8 +418,7 @@ pub fn plan_reaction(
     };
 
     for prefix in victim_prefixes {
-        let truth_index = truths.len();
-        truths.push(GroundTruthEvent {
+        let truth = schedule.truth(GroundTruthEvent {
             prefix,
             user,
             requested: selected.iter().map(|p| p.provider).collect(),
@@ -320,40 +429,18 @@ pub fn plan_reaction(
             irr_registered,
             implicit_withdraw,
         });
-        for &(on, off) in &phases {
-            actions.push(TimedAction {
-                time: on,
-                action: Action::Announce(Announcement {
-                    origin: user,
-                    prefix,
-                    communities: communities.clone(),
-                    scope: scope.clone(),
-                    irr_registered,
-                    prepend: if rng.gen_bool(0.1) { rng.gen_range(2..=4) } else { 1 },
-                }),
-                truth: Some(truth_index),
-            });
-            let withdraw_action = if implicit_withdraw {
-                // Implicit: re-announce without the blackhole tags.
-                Action::Announce(Announcement {
-                    origin: user,
-                    prefix,
-                    communities: CommunitySet::new(),
-                    scope: scope.clone(),
-                    irr_registered,
-                    prepend: 1,
-                })
-            } else {
-                Action::Withdraw { origin: user, prefix }
+        for &phase in &phases {
+            let route = Announcement {
+                origin: user,
+                prefix,
+                communities: communities.clone(),
+                scope: scope.clone(),
+                irr_registered,
+                prepend: if rng.gen_bool(0.1) { rng.gen_range(2..=4) } else { 1 },
             };
-            actions.push(TimedAction {
-                time: off,
-                action: withdraw_action,
-                truth: Some(truth_index),
-            });
+            schedule.pulse(route, phase, implicit_withdraw, Some(truth));
         }
     }
-    actions
 }
 
 #[cfg(test)]
@@ -401,17 +488,10 @@ mod tests {
         let t = topology();
         let user = a_user(&t);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut truths = Vec::new();
-        let actions = plan_reaction(
-            &mut rng,
-            &t,
-            &ReactionConfig::default(),
-            user,
-            SimTime::from_unix(1000),
-            SimDuration::mins(30),
-            2.0,
-            &mut truths,
-        );
+        let mut schedule = Schedule::default();
+        let (start, duration) = (SimTime::from_unix(1000), SimDuration::mins(30));
+        plan_reaction(&mut rng, &t, user, start, duration, &mut schedule);
+        let Schedule { actions, truths, .. } = schedule;
         assert!(!actions.is_empty());
         assert!(!truths.is_empty());
         // Every action is linked to a truth record; counts per truth are
@@ -430,21 +510,13 @@ mod tests {
     fn phases_are_ordered_and_disjoint() {
         let t = topology();
         let user = a_user(&t);
-        let mut truths = Vec::new();
+        let mut schedule = Schedule::default();
         for seed in 0..30 {
             let mut rng = StdRng::seed_from_u64(seed);
-            plan_reaction(
-                &mut rng,
-                &t,
-                &ReactionConfig::default(),
-                user,
-                SimTime::from_unix(5000),
-                SimDuration::mins(20),
-                1.0,
-                &mut truths,
-            );
+            let (start, duration) = (SimTime::from_unix(5000), SimDuration::mins(20));
+            plan_reaction(&mut rng, &t, user, start, duration, &mut schedule);
         }
-        for truth in &truths {
+        for truth in &schedule.truths {
             for w in truth.phases.windows(2) {
                 assert!(w[0].1 < w[1].0, "phases overlap: {:?}", truth.phases);
             }
@@ -459,20 +531,13 @@ mod tests {
     fn probing_dominates_with_default_config() {
         let t = topology();
         let user = a_user(&t);
-        let mut truths = Vec::new();
+        let mut schedule = Schedule::default();
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..60 {
-            plan_reaction(
-                &mut rng,
-                &t,
-                &ReactionConfig::default(),
-                user,
-                SimTime::from_unix(5000),
-                SimDuration::mins(30),
-                1.0,
-                &mut truths,
-            );
+            let (start, duration) = (SimTime::from_unix(5000), SimDuration::mins(30));
+            plan_reaction(&mut rng, &t, user, start, duration, &mut schedule);
         }
+        let truths = schedule.truths;
         let multi_phase = truths.iter().filter(|t| t.phases.len() > 1).count();
         assert!(
             multi_phase * 2 > truths.len(),
@@ -489,21 +554,13 @@ mod tests {
         let t = topology();
         let user = a_user(&t);
         let alloc = &t.as_info(user).unwrap().prefixes;
-        let mut truths = Vec::new();
+        let mut schedule = Schedule::default();
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..20 {
-            plan_reaction(
-                &mut rng,
-                &t,
-                &ReactionConfig::default(),
-                user,
-                SimTime::from_unix(5000),
-                SimDuration::mins(10),
-                3.0,
-                &mut truths,
-            );
+            let (start, duration) = (SimTime::from_unix(5000), SimDuration::mins(10));
+            plan_reaction(&mut rng, &t, user, start, duration, &mut schedule);
         }
-        for truth in &truths {
+        for truth in &schedule.truths {
             assert!(
                 alloc.iter().any(|a| a.contains(&truth.prefix)),
                 "{} outside allocation",
@@ -519,19 +576,11 @@ mod tests {
         let t = topology();
         // A route-server ASN has no providers.
         let rs = t.ixps()[0].route_server_asn;
-        let mut truths = Vec::new();
+        let mut schedule = Schedule::default();
         let mut rng = StdRng::seed_from_u64(1);
-        let actions = plan_reaction(
-            &mut rng,
-            &t,
-            &ReactionConfig::default(),
-            rs,
-            SimTime::from_unix(0),
-            SimDuration::mins(5),
-            1.0,
-            &mut truths,
-        );
-        assert!(actions.is_empty());
-        assert!(truths.is_empty());
+        let (start, duration) = (SimTime::from_unix(0), SimDuration::mins(5));
+        plan_reaction(&mut rng, &t, rs, start, duration, &mut schedule);
+        assert!(schedule.actions.is_empty());
+        assert!(schedule.truths.is_empty());
     }
 }

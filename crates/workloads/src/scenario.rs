@@ -1,5 +1,13 @@
 //! The end-to-end scenario driver: attack calendar → operator reactions →
 //! BGP simulation → collector element stream + ground truth.
+//!
+//! [`run`] is the one entry point (an optional per-AS [`PolicyTable`] is
+//! its only variation); [`run_on`] is the same run on a simulator the
+//! caller built. The driver decides *when* attacks happen and *who* is
+//! hit; what the victim then does is [`plan_reaction`]'s, and every
+//! announce/withdraw pair is written by [`Schedule::pulse`].
+
+use std::collections::BTreeMap;
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
@@ -7,18 +15,15 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use bh_bgp_types::asn::Asn;
-use bh_bgp_types::community::CommunitySet;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_routing::{
-    AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorDeployment, RunStats,
-};
-use bh_topology::{NetworkType, PolicyTable, Tier, Topology};
+use bh_routing::{Announcement, BgpElem, BgpSimulator, CollectorDeployment, RunStats};
+use bh_topology::{NetworkType, PolicyTable, Topology};
 
-use crate::attacks::{AttackCalendar, SPIKES};
+use crate::attacks::AttackCalendar;
 use crate::reaction::{
-    capable_providers, execute, plan_reaction, Action, GroundTruthEvent, ReactionConfig,
-    TimedAction,
+    capable_providers, eligible_users, plan_reaction, sampled_tags, slash24_of, triggers, Action,
+    GroundTruthEvent, Schedule, TimedAction,
 };
 
 /// Scenario configuration.
@@ -28,16 +33,12 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// The attack calendar.
     pub calendar: AttackCalendar,
-    /// Reaction tunables.
-    pub reaction: ReactionConfig,
     /// Fraction of potential users already using blackholing at window
     /// start (the paper's user population grew ×4 → ~0.25).
     pub initial_adoption: f64,
     /// How many base prefixes to announce at start (they carry the
     /// providers' tag communities and anchor the Fig. 2 census).
     pub base_prefix_sample: usize,
-    /// Mean attacked hosts per attack.
-    pub attack_intensity: f64,
     /// Include the Fig. 4(c) named spikes (incl. the spike-A
     /// misconfiguration).
     pub include_spikes: bool,
@@ -53,10 +54,8 @@ impl ScenarioConfig {
         ScenarioConfig {
             seed,
             calendar,
-            reaction: ReactionConfig::default(),
             initial_adoption: 0.6,
             base_prefix_sample: 40,
-            attack_intensity: 1.5,
             include_spikes: false,
         }
     }
@@ -67,10 +66,8 @@ impl ScenarioConfig {
         ScenarioConfig {
             seed,
             calendar: AttackCalendar::study(attacks_per_day),
-            reaction: ReactionConfig::default(),
             initial_adoption: 0.25,
             base_prefix_sample: 120,
-            attack_intensity: 1.5,
             include_spikes: true,
         }
     }
@@ -115,34 +112,19 @@ pub struct ScenarioOutput {
     pub run_stats: RunStats,
 }
 
-impl ScenarioOutput {
-    /// The collector stream as an [`bh_routing::ElemSource`] — the
-    /// simulator-backed producer for streaming inference sessions.
-    pub fn elem_source(&self) -> bh_routing::SliceSource<'_> {
-        bh_routing::SliceSource::new(&self.elems)
-    }
-}
-
-/// Run a scenario on a fresh simulator over `topology`.
+/// Run a scenario on a fresh simulator over `topology`, with `policies`
+/// (if any) installed before the first announcement. An empty table
+/// installs nothing and is property-tested bit-identical to `None`.
 pub fn run(
     topology: &Topology,
     deployment: CollectorDeployment,
     config: &ScenarioConfig,
-) -> ScenarioOutput {
-    run_on(BgpSimulator::new(topology, deployment, config.simulator_seed()), config)
-}
-
-/// [`run`], with a per-AS [`PolicyTable`] installed on the simulator
-/// before any announcement. An empty table installs nothing and is
-/// property-tested bit-identical to [`run`].
-pub fn run_with_policies(
-    topology: &Topology,
-    deployment: CollectorDeployment,
-    config: &ScenarioConfig,
-    policies: &PolicyTable,
+    policies: Option<&PolicyTable>,
 ) -> ScenarioOutput {
     let mut sim = BgpSimulator::new(topology, deployment, config.simulator_seed());
-    sim.install_policies(policies);
+    if let Some(table) = policies {
+        sim.install_policies(table);
+    }
     run_on(sim, config)
 }
 
@@ -151,25 +133,14 @@ pub fn run_with_policies(
 pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOutput {
     let topology = sim.topology();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut truths: Vec<GroundTruthEvent> = Vec::new();
-    let mut actions: Vec<TimedAction> = Vec::new();
+    let mut schedule = Schedule::default();
 
     // ---- candidate users with adoption dates ---------------------------
-    // Content networks are over-represented among blackholing users
-    // (18% of users originate 43% of blackholed prefixes).
-    let mut users: Vec<(Asn, NetworkType)> = topology
-        .ases()
-        .filter(|i| i.tier == Tier::Stub || i.tier == Tier::Transit)
-        .filter(|i| i.network_type != NetworkType::Ixp)
-        .filter(|i| !i.prefixes.is_empty())
-        .filter(|i| !capable_providers(topology, i.asn).is_empty())
-        .map(|i| (i.asn, i.network_type))
-        .collect();
-    users.sort_by_key(|(asn, _)| *asn);
+    let users = eligible_users(topology, capable_providers);
     let total_days = config.calendar.days().max(1);
-    let adoption_day: std::collections::BTreeMap<Asn, u64> = users
+    let adoption_day: BTreeMap<Asn, u64> = users
         .iter()
-        .map(|(asn, _)| {
+        .map(|asn| {
             let day = if rng.gen_bool(config.initial_adoption) {
                 0
             } else {
@@ -178,17 +149,16 @@ pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOut
             (*asn, day)
         })
         .collect();
+    // Content networks are over-represented among blackholing users
+    // (18% of users originate 43% of blackholed prefixes).
     let weights: Vec<u32> = users
         .iter()
-        .map(|(_, ty)| match ty {
-            NetworkType::Content => 6,
-            NetworkType::TransitAccess => 2,
-            NetworkType::Enterprise => 2,
-            NetworkType::EducationResearchNfp => 1,
+        .map(|asn| match topology.as_info(*asn).map(|i| i.network_type) {
+            Some(NetworkType::Content) => 6,
+            Some(NetworkType::TransitAccess | NetworkType::Enterprise) => 2,
             _ => 1,
         })
         .collect();
-    let picker = WeightedIndex::new(&weights).expect("non-empty user pool");
 
     // ---- base prefixes (census anchoring) --------------------------------
     let mut base: Vec<(Asn, Ipv4Prefix)> =
@@ -202,15 +172,8 @@ pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOut
         // The origin's providers tag customer routes; carry a sample of
         // those tags so the census sees "other" communities on coarse
         // prefixes (Fig. 2's red-cross population).
-        let mut communities = CommunitySet::new();
-        for p in topology.providers_of(*origin) {
-            if let Some(info) = topology.as_info(p) {
-                for c in info.tag_communities.iter().take(2) {
-                    communities.insert(*c);
-                }
-            }
-        }
-        actions.push(TimedAction {
+        let communities = sampled_tags(topology, topology.providers_of(*origin));
+        schedule.actions.push(TimedAction {
             time: config.calendar.window_start,
             action: Action::Announce(Announcement::simple(*origin, *prefix, communities)),
             truth: None,
@@ -218,47 +181,41 @@ pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOut
     }
 
     // ---- attacks ---------------------------------------------------------
-    for day in 0..total_days {
-        let n_attacks = config.calendar.sample_attacks(&mut rng, day);
-        let day_start = config.calendar.day(day);
-        for _ in 0..n_attacks {
-            let (user, _) = users[picker.sample(&mut rng)];
-            if adoption_day[&user] > day {
-                continue; // victim has not adopted blackholing yet
+    // A world without a capable user has no reactions to plan (`NoItem`):
+    // only the base prefixes are announced and the ground truth is empty.
+    if let Ok(picker) = WeightedIndex::new(&weights) {
+        for day in 0..total_days {
+            let n_attacks = config.calendar.sample_attacks(&mut rng, day);
+            let day_start = config.calendar.day(day);
+            for _ in 0..n_attacks {
+                let user = users[picker.sample(&mut rng)];
+                if adoption_day[&user] > day {
+                    continue; // victim has not adopted blackholing yet
+                }
+                let start = day_start + SimDuration::secs(rng.gen_range(0..86_000));
+                let duration = SimDuration::mins(rng.gen_range(5..240));
+                plan_reaction(&mut rng, topology, user, start, duration, &mut schedule);
             }
-            let start = day_start + SimDuration::secs(rng.gen_range(0..86_000));
-            let duration = SimDuration::mins(rng.gen_range(5..240));
-            let reaction_actions = plan_reaction(
-                &mut rng,
-                topology,
-                &config.reaction,
-                user,
-                start,
-                duration,
-                config.attack_intensity,
-                &mut truths,
-            );
-            actions.extend(reaction_actions);
-        }
 
-        // Spike A: the accidental full-table blackholing (<2 minutes).
-        if config.include_spikes {
-            if let Some(spike) = config.calendar.spike_on(day) {
-                if spike.is_misconfiguration
-                    && config.calendar.day(day).ymd() == (spike.year, spike.month, spike.day)
-                {
-                    actions.extend(plan_accident(&mut rng, topology, day_start, &mut truths));
+            // Spike A: the accidental full-table blackholing (<2 minutes).
+            if config.include_spikes {
+                if let Some(spike) = config.calendar.spike_on(day) {
+                    if spike.is_misconfiguration
+                        && config.calendar.day(day).ymd() == (spike.year, spike.month, spike.day)
+                    {
+                        plan_accident(&mut rng, topology, day_start, &mut schedule);
+                    }
                 }
             }
         }
     }
 
-    let announcements = execute(&mut sim, &mut actions, &mut truths);
+    let announcements = schedule.run(&mut sim);
 
     ScenarioOutput {
         run_stats: sim.run_stats().clone(),
         elems: sim.drain_elems(),
-        ground_truth: truths,
+        ground_truth: schedule.truths,
         days: total_days,
         announcements,
     }
@@ -270,79 +227,33 @@ fn plan_accident(
     rng: &mut StdRng,
     topology: &Topology,
     day_start: SimTime,
-    truths: &mut Vec<GroundTruthEvent>,
-) -> Vec<TimedAction> {
-    let mut actions = Vec::new();
+    schedule: &mut Schedule,
+) {
     // Pick an education network in Europe with capable providers.
+    let capable = |i: &&bh_topology::AsInfo| {
+        !i.prefixes.is_empty() && !capable_providers(topology, i.asn).is_empty()
+    };
     let candidate = topology
         .ases()
-        .find(|i| {
-            i.network_type == NetworkType::EducationResearchNfp
-                && !i.prefixes.is_empty()
-                && !capable_providers(topology, i.asn).is_empty()
-        })
-        .or_else(|| {
-            topology
-                .ases()
-                .find(|i| !i.prefixes.is_empty() && !capable_providers(topology, i.asn).is_empty())
-        });
-    let Some(info) = candidate else { return actions };
+        .find(|i| i.network_type == NetworkType::EducationResearchNfp && capable(i))
+        .or_else(|| topology.ases().find(capable));
+    let Some(info) = candidate else { return };
     let providers = capable_providers(topology, info.asn);
-    let mut communities = CommunitySet::new();
-    for p in &providers {
-        for c in &p.communities {
-            communities.insert(*c);
-        }
-    }
+    let communities = triggers(&providers);
     let start = day_start + SimDuration::hours(10);
-    let end = start + SimDuration::secs(rng.gen_range(60..115));
+    let window = (start, start + SimDuration::secs(rng.gen_range(60..115)));
 
     // "Entire routing table": every constituent /24 of its space (capped).
-    let mut count = 0;
     for allocation in &info.prefixes {
         let slices = 1u64 << (24u8.saturating_sub(allocation.length()) as u32);
         for k in 0..slices.min(160) {
-            let Some(addr) = allocation.nth_addr(k * 256) else { break };
-            let Ok(p24) = Ipv4Prefix::new(addr, 24) else { break };
-            let truth_index = truths.len();
-            truths.push(GroundTruthEvent {
-                prefix: p24,
-                user: info.asn,
-                requested: providers.iter().map(|p| p.provider).collect(),
-                accepted: Vec::new(),
-                phases: vec![(start, end)],
-                bundled: true,
-                no_export: false,
-                irr_registered: true,
-                implicit_withdraw: false,
-            });
-            actions.push(TimedAction {
-                time: start,
-                action: Action::Announce(Announcement {
-                    origin: info.asn,
-                    prefix: p24,
-                    communities: communities.clone(),
-                    scope: AnnounceScope::AllNeighbors,
-                    irr_registered: true,
-                    prepend: 1,
-                }),
-                truth: Some(truth_index),
-            });
-            actions.push(TimedAction {
-                time: end,
-                action: Action::Withdraw { origin: info.asn, prefix: p24 },
-                truth: Some(truth_index),
-            });
-            count += 1;
+            let Some(p24) = slash24_of(allocation, k) else { break };
+            let truth =
+                schedule.truth(GroundTruthEvent::bundled(p24, info.asn, &providers, window));
+            let route = Announcement::simple(info.asn, p24, communities.clone());
+            schedule.pulse(route, window, false, Some(truth));
         }
     }
-    let _ = count;
-    actions
-}
-
-/// The named spikes, re-exported for reporting.
-pub fn spike_table() -> &'static [crate::attacks::Spike] {
-    SPIKES
 }
 
 #[cfg(test)]
@@ -355,7 +266,7 @@ mod tests {
     fn run_short(seed: u64, days: u64, rate: f64) -> ScenarioOutput {
         let t = TopologyBuilder::new(TopologyConfig::tiny(55)).build();
         let d = deploy(&t, &CollectorConfig::tiny(6));
-        run(&t, d, &ScenarioConfig::short(seed, days, rate))
+        run(&t, d, &ScenarioConfig::short(seed, days, rate), None)
     }
 
     #[test]
@@ -365,6 +276,17 @@ mod tests {
         assert!(!out.ground_truth.is_empty(), "no blackholing events generated");
         assert!(!out.elems.is_empty(), "collectors saw nothing");
         assert_eq!(out.days, 3);
+    }
+
+    /// A world where nobody offers blackholing has no capable user: the
+    /// run announces its base prefixes and plans no reaction.
+    #[test]
+    fn world_without_blackholing_providers_has_no_reactions() {
+        let t = TopologyBuilder::new(crate::adversarial::tests::no_offerings(3)).build();
+        let d = deploy(&t, &CollectorConfig::tiny(6));
+        let out = run(&t, d, &ScenarioConfig::short(1, 2, 6.0), None);
+        assert!(!out.elems.is_empty(), "base prefixes were not announced");
+        assert!(out.ground_truth.is_empty());
     }
 
     #[test]

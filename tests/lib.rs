@@ -1,7 +1,11 @@
-//! # bh-integration — shared builders for the cross-crate tests
+//! # bh-integration — shared builders and oracles for the cross-crate tests
 //!
 //! The actual tests live in `tests/`; this small library holds the
-//! hand-built Fig. 3 scenario used by several of them.
+//! hand-built Fig. 3 scenario used by several of them and the naive
+//! transcriptions of the paper's method ([`oracle`]) that the
+//! implementation is checked against.
+
+pub mod oracle;
 
 use std::collections::BTreeMap;
 

@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 use bh_bench::{Study, StudyScale};
 use bh_core::LabelKind;
 use bh_routing::RejectReason;
-use bh_topology::{CommunityScrub, PolicyTable, RoaTable};
-use bh_workloads::{AdversarialConfig, AdversarialOutput};
+use bh_topology::{CommunityScrub, PolicyTable, RoaTable, TopologyBuilder, TopologyConfig};
+use bh_workloads::{AdversarialConfig, AdversarialOutput, ScenarioConfig, ScenarioOutput};
 
 fn study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
@@ -104,26 +104,58 @@ fn rov_deployment_monotonically_suppresses_detection() {
     );
 }
 
-/// Everything the per-AS policy layer can change about a run, as one
-/// line: the elem count, an order-sensitive FNV-1a digest of the elem
-/// stream (over each elem's `Debug` rendering), and the simulator's
-/// reject / forced-export / work accounting.
-fn policy_fingerprint(out: &AdversarialOutput) -> String {
+/// Order-sensitive FNV-1a digest over each item's `Debug` rendering.
+fn debug_digest<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for elem in &out.elems {
-        for byte in format!("{elem:?}").bytes() {
+    for item in items {
+        for byte in format!("{item:?}").bytes() {
             digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+    digest
+}
+
+/// Everything the per-AS policy layer can change about a run, as one
+/// line: the elem count, an order-sensitive digest of the elem stream,
+/// and the simulator's reject / forced-export / work accounting.
+fn policy_fingerprint(out: &AdversarialOutput) -> String {
     let stats = &out.run_stats;
     format!(
-        "elems={} digest={digest:016x} import_rejects={:?} extension_rejects={:?} \
+        "elems={} digest={:016x} import_rejects={:?} extension_rejects={:?} \
          exports_forced={} work_items={}",
         out.elems.len(),
+        debug_digest(&out.elems),
         stats.import_rejects,
         stats.extension_rejects,
         stats.exports_forced,
         stats.work_items
+    )
+}
+
+/// A generated world as one line: AS and edge counts plus a digest over
+/// every AS record (offering and tags included), its sorted adjacency,
+/// and the IXPs.
+fn topology_fingerprint(config: TopologyConfig) -> String {
+    let t = TopologyBuilder::new(config).build();
+    let edges: usize = t.ases().map(|i| t.neighbors(i.asn).len()).sum();
+    let ases = debug_digest(t.ases().map(|i| (i, t.neighbors(i.asn))));
+    format!(
+        "ases={} edges={} digest={ases:016x} ixps={:016x}",
+        t.as_count(),
+        edges / 2,
+        debug_digest(t.ixps())
+    )
+}
+
+/// A cooperative scenario run as one line.
+fn scenario_fingerprint(out: &ScenarioOutput) -> String {
+    format!(
+        "elems={} digest={:016x} announcements={} truths={} truth_digest={:016x}",
+        out.elems.len(),
+        debug_digest(&out.elems),
+        out.announcements,
+        out.ground_truth.len(),
+        debug_digest(&out.ground_truth)
     )
 }
 
@@ -156,4 +188,59 @@ fn policy_layer_golden_pin() {
         }
     }
     assert_eq!(policy_fingerprint(&study().adversarial_run(&every_field).output), "elems=956 digest=fffe4d3cc73b1f1c import_rejects={LoopDetected: 16711, RovInvalid: 83, PeerlockViolation: 53, PathEndInvalid: 7, RouteLeak: 18} extension_rejects={\"only-to-customers\": 18, \"path-end\": 7, \"peerlock-lite\": 53, \"rov\": 83} exports_forced=82746 work_items=668449");
+}
+
+/// Golden pin of the world generator, recorded at 2e64d5d before the
+/// scenario layer was folded onto one `Schedule`: topologies, a
+/// cooperative study run, a bare scenario run and the whole adversarial
+/// catalog are deterministic functions of the generator's RNG stream,
+/// so one reordered or dropped draw moves a digest here.
+#[test]
+fn generator_golden_pin() {
+    for (config, expected) in [
+        (
+            TopologyConfig::tiny(7),
+            "ases=56 edges=189 digest=f964f7a990ac9d4a ixps=e6866e3c3ffe59e7",
+        ),
+        (
+            StudyScale::Small.topology_config(42),
+            "ases=230 edges=899 digest=96249ab61791ce1e ixps=04e46687d7f87830",
+        ),
+        (
+            TopologyConfig::massive_scaled(42, 7000),
+            "ases=7017 edges=15195 digest=49c1e838f485e744 ixps=a90e02d087aea4f8",
+        ),
+    ] {
+        assert_eq!(topology_fingerprint(config), expected);
+    }
+
+    let run = Study::build(StudyScale::Tiny, 5).visibility_run(4, 6.0);
+    assert_eq!(scenario_fingerprint(&run.output), "elems=74543 digest=d5bd80ebe28f62b9 announcements=6013 truths=173 truth_digest=a64b5cc56ae749ce");
+    let short = bh_workloads::run(
+        &study().topology,
+        study().deployment(),
+        &ScenarioConfig::short(3, 3, 6.0),
+        None,
+    );
+    assert_eq!(scenario_fingerprint(&short), "elems=17795 digest=18989ad918634e8a announcements=2405 truths=89 truth_digest=b621f179566e2cf7");
+
+    let topology = &study().topology;
+    for (config, expected) in [
+        (AdversarialConfig::baseline(41, 3, 4.0), "elems=748 digest=ba4e2eaf134e736b import_rejects={LoopDetected: 34} extension_rejects={} exports_forced=0 work_items=4162 labels=16 label_digest=64d785f5b32fe163 truth_digest=98771920be8d7731"),
+        (AdversarialConfig::stolen_tag_hijack(46, 3, 4.0), "elems=936 digest=1f336bb8cd0fabab import_rejects={LoopDetected: 52} extension_rejects={} exports_forced=0 work_items=5010 labels=20 label_digest=71104a3dbf23fb64 truth_digest=5b151ae55087e85f"),
+        (AdversarialConfig::subprefix_hijack(42, 3, 4.0), "elems=1188 digest=d1b6f44d2aef9e36 import_rejects={LoopDetected: 97} extension_rejects={} exports_forced=0 work_items=6164 labels=23 label_digest=2bc6bb848a0a41d4 truth_digest=15045b6cac844536"),
+        (AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, 0.5), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} extension_rejects={\"rov\": 41} exports_forced=0 work_items=1387 labels=8 label_digest=056cf5848616114e truth_digest=d42c675c6ddc8fdd"),
+        (AdversarialConfig::prepend_reroute(44, 3, 4.0), "elems=1140 digest=9fedec95b14d04ac import_rejects={LoopDetected: 83} extension_rejects={} exports_forced=0 work_items=7006 labels=22 label_digest=05474f1cac3ddfd4 truth_digest=0e30937ebc7545b9"),
+        (AdversarialConfig::route_leak(topology, 43, 3, 4.0), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} extension_rejects={} exports_forced=181784 work_items=1329077 labels=19 label_digest=da0893d753d13c87 truth_digest=4893beace23e2bd8"),
+    ] {
+        let out = study().adversarial_run(&config).output;
+        let fingerprint = format!(
+            "{} labels={} label_digest={:016x} truth_digest={:016x}",
+            policy_fingerprint(&out),
+            out.labels.len(),
+            debug_digest(&out.labels),
+            debug_digest(&out.ground_truth)
+        );
+        assert_eq!(fingerprint, expected, "{}", config.name);
+    }
 }

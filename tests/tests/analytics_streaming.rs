@@ -1,140 +1,27 @@
 //! Streaming-analytics equivalence. The report every run carries equals
 //! a deliberately naive recomputation of the paper's definitions over
-//! the materialized event list; and every metric's mergeable
+//! the materialized event list (`bh_integration::oracle`); and every metric's mergeable
 //! [`EventAccumulator`] — fed mid-stream, out of order, split across
 //! accumulators and merged in any grouping, or run per shard with a
 //! barrier merge — equals its `fold` over that list.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::asn::Asn;
-use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::*;
+use bh_integration::oracle::{assert_report_equals_naive_recomputation, naive_periods};
 use bh_routing::{DataSource, SliceSource};
-use bh_topology::NetworkType;
 
 /// One Small-scale environment shared by the golden tests: building the
 /// ~230-AS topology and corpus dominates wall-clock.
 fn small_study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(|| Study::build(StudyScale::Small, 42))
-}
-
-/// §9 grouping by the textbook sweep: events sorted by `(prefix, start)`,
-/// each joining the running period of its prefix when it starts within
-/// `timeout` of that period's end (an open period never ends).
-fn naive_periods(events: &[BlackholeEvent], timeout: SimDuration) -> Vec<BlackholePeriod> {
-    let mut sorted: Vec<&BlackholeEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| (e.prefix, e.start));
-    let mut periods: Vec<BlackholePeriod> = Vec::new();
-    for event in sorted {
-        match periods.last_mut() {
-            Some(p)
-                if p.prefix == event.prefix
-                    && p.end.is_none_or(|end| event.start <= end + timeout) =>
-            {
-                p.end = p.end.zip(event.end).map(|(a, b)| a.max(b));
-                p.event_count += 1;
-                p.providers.extend(&event.providers);
-                p.users.extend(&event.users);
-            }
-            _ => periods.push(BlackholePeriod {
-                prefix: event.prefix,
-                start: event.start,
-                end: event.end,
-                event_count: 1,
-                providers: event.providers.clone(),
-                users: event.users.clone(),
-            }),
-        }
-    }
-    periods
-}
-
-/// The report against the paper's definitions, recomputed the slow
-/// obvious way over the event list — no accumulator, no shared helper.
-fn assert_report_equals_naive_recomputation(
-    report: &AnalyticsReport,
-    events: &[BlackholeEvent],
-    refdata: &ReferenceData,
-    analytics: AnalyticsConfig,
-) {
-    // Table 4: per provider network type, the distinct providers of that
-    // type, and the distinct users and prefixes of the events they are in.
-    let type_of = |p: &ProviderId| match p {
-        ProviderId::Ixp(_) => NetworkType::Ixp,
-        ProviderId::As(asn) => refdata.network_type(*asn),
-    };
-    for row in &report.table4 {
-        let of_type =
-            |e: &&BlackholeEvent| e.providers.iter().any(|p| type_of(p) == row.network_type);
-        let providers: BTreeSet<ProviderId> = events
-            .iter()
-            .flat_map(|e| &e.providers)
-            .filter(|p| type_of(p) == row.network_type)
-            .copied()
-            .collect();
-        let users: BTreeSet<&Asn> = events.iter().filter(of_type).flat_map(|e| &e.users).collect();
-        let prefixes: BTreeSet<Ipv4Prefix> =
-            events.iter().filter(of_type).map(|e| e.prefix).collect();
-        assert_eq!(
-            (row.providers, row.users, row.prefixes),
-            (providers.len(), users.len(), prefixes.len()),
-            "table 4, {:?}",
-            row.network_type
-        );
-    }
-    assert_eq!(report.table4.iter().map(|r| r.network_type).collect::<Vec<_>>(), NetworkType::ALL);
-
-    // Fig. 4: every (event, day) pair — an event counts on each day from
-    // the day it starts to the day it ends (to the window's end if open).
-    let days = analytics.window_start.day_index()..analytics.window_end.day_index();
-    assert_eq!(report.daily.len(), days.clone().count());
-    for (day, point) in days.zip(&report.daily) {
-        let active: Vec<&BlackholeEvent> = events
-            .iter()
-            .filter(|e| {
-                e.start.day_index() <= day && e.end.is_none_or(|end| day <= end.day_index())
-            })
-            .collect();
-        let providers: BTreeSet<&ProviderId> = active.iter().flat_map(|e| &e.providers).collect();
-        let users: BTreeSet<&Asn> = active.iter().flat_map(|e| &e.users).collect();
-        let prefixes: BTreeSet<Ipv4Prefix> = active.iter().map(|e| e.prefix).collect();
-        assert_eq!(
-            (point.day, point.providers, point.users, point.prefixes),
-            (SimTime::from_unix(day * 86_400), providers.len(), users.len(), prefixes.len())
-        );
-    }
-
-    // Fig. 7(b): events per provider count. Fig. 7(c): events per
-    // detection distance.
-    let mut per_count: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut per_distance: BTreeMap<DetectionDistance, usize> = BTreeMap::new();
-    for event in events {
-        *per_count.entry(event.providers.len()).or_default() += 1;
-        for distance in &event.distances {
-            *per_distance.entry(*distance).or_default() += 1;
-        }
-    }
-    assert_eq!(report.providers_per_event, per_count);
-    assert_eq!(report.distance_histogram, per_distance);
-
-    // Fig. 8(a): durations ascending, open events measured to `now`.
-    let mut durations: Vec<SimDuration> = events
-        .iter()
-        .map(|e| SimDuration::secs(e.end.unwrap_or(analytics.now).unix() - e.start.unix()))
-        .collect();
-    durations.sort();
-    assert_eq!(report.durations, durations);
-
-    assert_eq!(report.blackholed_prefixes, events.iter().map(|e| e.prefix).collect());
-    assert_eq!(analytics.grouping_timeout, SimDuration::mins(5));
-    assert_eq!(report.periods, naive_periods(events, SimDuration::mins(5)));
 }
 
 /// The golden acceptance test: on a Small-scale scenario, the run's

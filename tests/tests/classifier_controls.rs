@@ -31,8 +31,8 @@ fn study() -> &'static Study {
 /// Negative controls from the class-aware dictionary's documentation
 /// (no census: the documented location/informational tags alone).
 fn documented_controls(study: &Study) -> Arc<NegativeControls> {
-    let controls = CommunityClassifier::default()
-        .negative_controls(&study.dict, &CommunityPrefixCensus::new());
+    let controls =
+        CommunityClassifier.negative_controls(&study.dict, &CommunityPrefixCensus::new());
     assert!(!controls.is_empty(), "no documented tags became controls");
     Arc::new(controls)
 }
@@ -170,7 +170,7 @@ proptest! {
     fn controls_never_suppress_a_genuine_blackhole(seed in 0u64..500, days in 2u64..4) {
         let study = Study::build(StudyScale::Tiny, seed);
         let controls = Arc::new(
-            CommunityClassifier::default()
+            CommunityClassifier
                 .negative_controls(&study.dict, &CommunityPrefixCensus::new()),
         );
         let config = AdversarialConfig::baseline(seed ^ 0x99, days, 4.0);

@@ -122,7 +122,7 @@ proptest! {
         let study = small_study();
         let baseline = study.visibility_run(days, rate);
         let with_table =
-            study.visibility_run_with_policies(days, rate, &bh_topology::PolicyTable::new());
+            study.visibility_run_under(days, rate, &bh_topology::PolicyTable::new());
 
         prop_assert_eq!(&with_table.output.elems, &baseline.output.elems);
         prop_assert_eq!(

@@ -143,7 +143,7 @@ fn scenario_output_is_an_elem_source() {
     let study = Study::build(StudyScale::Tiny, 75);
     let StudyRun { output, result: expected, refdata, .. } = study.visibility_run(2, 6.0);
     let mut session = study.session(&refdata).build();
-    let mut source = output.elem_source();
+    let mut source = SliceSource::new(&output.elems);
     assert_eq!(source.size_hint().0, output.elems.len());
     session.ingest(&mut source);
     assert_eq!(session.finish(), expected);

@@ -113,4 +113,12 @@ mod tests {
         assert_eq!(m.get(&vec![1, 2, 3]), Some(&1));
         assert_eq!(m.get(&vec![]), Some(&2));
     }
+
+    #[test]
+    fn bytes_keys_are_found_from_borrowed_slices() {
+        let mut m: FxHashMap<bytes::Bytes, u32> = FxHashMap::default();
+        m.insert(bytes::Bytes::from(vec![0, 1, 2, 3]).slice(1..), 7);
+        assert_eq!(m.get(&[1u8, 2, 3][..]), Some(&7));
+        assert_eq!(m.get(&[1u8, 2][..]), None);
+    }
 }

@@ -5,8 +5,91 @@
 //! operates. Collector metadata (which peer saw it, when) is layered on top
 //! by `bh-routing`/`bh-mrt`, mirroring how MRT archives wrap raw messages.
 
+use std::collections::BTreeSet;
+
 use crate::attrs::PathAttributes;
 use crate::prefix::Ipv4Prefix;
+
+/// Up to this many prefixes, membership is a scan of the list; past it, a
+/// sorted index takes over. Almost every UPDATE carries one prefix, and a
+/// scan that short is cheaper than any index.
+const SCAN_LIMIT: usize = 16;
+
+/// Prefixes in first-seen order without duplicates — the NLRI list of one
+/// UPDATE. Inserting `n` prefixes costs O(n log n), however many repeat: a
+/// maximum-size UPDATE (≈ 1 350 /16s) must not cost a million comparisons.
+#[derive(Debug, Clone, Default)]
+pub struct PrefixList {
+    order: Vec<Ipv4Prefix>,
+    /// Every prefix of `order`, once it has grown past [`SCAN_LIMIT`];
+    /// empty before.
+    index: BTreeSet<Ipv4Prefix>,
+}
+
+impl PrefixList {
+    /// An empty list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append `prefix` unless it is already listed; returns whether it was
+    /// new.
+    pub fn insert(&mut self, prefix: Ipv4Prefix) -> bool {
+        if self.order.len() < SCAN_LIMIT {
+            if self.order.contains(&prefix) {
+                return false;
+            }
+        } else {
+            if self.index.is_empty() {
+                self.index.extend(self.order.iter().copied());
+            }
+            if !self.index.insert(prefix) {
+                return false;
+            }
+        }
+        self.order.push(prefix);
+        true
+    }
+
+    /// Empty the list, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.order.clear();
+        if !self.index.is_empty() {
+            self.index.clear();
+        }
+    }
+
+    /// The prefixes, in first-seen order.
+    pub fn as_slice(&self) -> &[Ipv4Prefix] {
+        &self.order
+    }
+
+    /// Number of distinct prefixes.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// True when nothing is listed.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+}
+
+impl Extend<Ipv4Prefix> for PrefixList {
+    fn extend<I: IntoIterator<Item = Ipv4Prefix>>(&mut self, prefixes: I) {
+        for prefix in prefixes {
+            self.insert(prefix);
+        }
+    }
+}
+
+impl PartialEq for PrefixList {
+    fn eq(&self, other: &Self) -> bool {
+        self.order == other.order
+    }
+}
+
+impl Eq for PrefixList {}
 
 /// One BGP UPDATE: zero or more announced prefixes sharing `attrs`, plus
 /// zero or more withdrawn prefixes. IPv4 unicast only — the family the
@@ -15,14 +98,14 @@ use crate::prefix::Ipv4Prefix;
 pub struct BgpUpdate {
     /// Path attributes for the announced NLRI.
     pub attrs: PathAttributes,
-    announced_v4: Vec<Ipv4Prefix>,
-    withdrawn_v4: Vec<Ipv4Prefix>,
+    announced_v4: PrefixList,
+    withdrawn_v4: PrefixList,
 }
 
 impl BgpUpdate {
     /// A new, empty update carrying the given attributes.
     pub fn new(attrs: PathAttributes) -> Self {
-        BgpUpdate { attrs, announced_v4: Vec::new(), withdrawn_v4: Vec::new() }
+        BgpUpdate { attrs, announced_v4: PrefixList::new(), withdrawn_v4: PrefixList::new() }
     }
 
     /// Convenience: a withdrawal of a single prefix (no attributes).
@@ -34,26 +117,22 @@ impl BgpUpdate {
 
     /// Announce an IPv4 prefix (deduplicated).
     pub fn announce_v4(&mut self, prefix: Ipv4Prefix) {
-        if !self.announced_v4.contains(&prefix) {
-            self.announced_v4.push(prefix);
-        }
+        self.announced_v4.insert(prefix);
     }
 
     /// Withdraw an IPv4 prefix (deduplicated).
     pub fn withdraw_v4(&mut self, prefix: Ipv4Prefix) {
-        if !self.withdrawn_v4.contains(&prefix) {
-            self.withdrawn_v4.push(prefix);
-        }
+        self.withdrawn_v4.insert(prefix);
     }
 
     /// Announced IPv4 prefixes.
     pub fn announced_v4(&self) -> impl Iterator<Item = &Ipv4Prefix> {
-        self.announced_v4.iter()
+        self.announced_v4.as_slice().iter()
     }
 
     /// Withdrawn IPv4 prefixes.
     pub fn withdrawn_v4(&self) -> impl Iterator<Item = &Ipv4Prefix> {
-        self.withdrawn_v4.iter()
+        self.withdrawn_v4.as_slice().iter()
     }
 
     /// Does this update announce anything?
@@ -94,6 +173,25 @@ mod tests {
         assert!(u.has_announcements());
         assert!(u.has_withdrawals());
         assert!(!u.is_empty());
+    }
+
+    #[test]
+    fn prefix_list_keeps_first_seen_order_past_the_scan_limit() {
+        // Distinct prefixes in a scrambled order, each one repeated at
+        // once and again later, across the switch to the sorted index.
+        let distinct: Vec<Ipv4Prefix> =
+            (0..200u32).map(|i| Ipv4Prefix::from_raw((i * 7919 % 200) << 16, 16)).collect();
+        let mut list = PrefixList::new();
+        for (i, &p) in distinct.iter().enumerate() {
+            assert!(list.insert(p), "{p} is new");
+            assert!(!list.insert(p), "{p} repeats at once");
+            assert!(!list.insert(distinct[i / 2]), "an earlier prefix repeats");
+        }
+        assert_eq!(list.as_slice(), &distinct[..]);
+        list.clear();
+        assert!(list.is_empty());
+        assert!(list.insert(distinct[0]));
+        assert_eq!(list.len(), 1);
     }
 
     #[test]

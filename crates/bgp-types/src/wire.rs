@@ -57,17 +57,20 @@ pub fn encode_nlri(buf: &mut BytesMut, prefix: &Ipv4Prefix) {
     buf.put_slice(&octets[..nbytes]);
 }
 
-/// Decode one IPv4 NLRI element.
-pub fn decode_nlri(buf: &mut Bytes) -> Result<Ipv4Prefix, CodecError> {
-    CodecError::ensure("nlri length", buf.remaining(), 1)?;
-    let len = buf.get_u8();
+/// Decode one IPv4 NLRI element from the front of `buf`, advancing it.
+pub fn decode_nlri(buf: &mut &[u8]) -> Result<Ipv4Prefix, CodecError> {
+    let Some((&len, rest)) = buf.split_first() else {
+        return Err(CodecError::Truncated { what: "nlri length", needed: 1, available: 0 });
+    };
     if len > 32 {
         return Err(CodecError::BadLength { what: "nlri prefix length", value: len as usize });
     }
     let nbytes = len.div_ceil(8) as usize;
-    CodecError::ensure("nlri network", buf.remaining(), nbytes)?;
+    CodecError::ensure("nlri network", rest.len(), nbytes)?;
+    let (network, rest) = rest.split_at(nbytes);
     let mut octets = [0u8; 4];
-    buf.copy_to_slice(&mut octets[..nbytes]);
+    octets[..nbytes].copy_from_slice(network);
+    *buf = rest;
     Ok(Ipv4Prefix::from_raw(u32::from_be_bytes(octets), len))
 }
 
@@ -99,7 +102,7 @@ fn encode_as_path(path: &AsPath) -> BytesMut {
     body
 }
 
-fn decode_as_path(mut body: Bytes) -> Result<AsPath, CodecError> {
+fn decode_as_path(mut body: &[u8]) -> Result<AsPath, CodecError> {
     let mut segments = Vec::new();
     while body.has_remaining() {
         CodecError::ensure("as-path segment header", body.remaining(), 2)?;
@@ -201,8 +204,14 @@ pub fn encode_attributes(attrs: &PathAttributes) -> BytesMut {
     out
 }
 
-/// Decode a path attributes section.
-pub fn decode_attributes(mut buf: Bytes) -> Result<PathAttributes, CodecError> {
+/// Decode a path attributes section ([`decode_attribute_block`] over an
+/// owned buffer).
+pub fn decode_attributes(buf: Bytes) -> Result<PathAttributes, CodecError> {
+    decode_attribute_block(&buf)
+}
+
+/// Decode a path attributes section from borrowed bytes.
+pub fn decode_attribute_block(mut buf: &[u8]) -> Result<PathAttributes, CodecError> {
     let mut attrs = PathAttributes::default();
     let mut seen = [false; 256];
     while buf.has_remaining() {
@@ -220,7 +229,8 @@ pub fn decode_attributes(mut buf: Bytes) -> Result<PathAttributes, CodecError> {
             return Err(CodecError::DuplicateAttribute(code));
         }
         seen[code as usize] = true;
-        let mut body = buf.split_to(len);
+        let (mut body, rest) = buf.split_at(len);
+        buf = rest;
         match code {
             type_code::ORIGIN => {
                 CodecError::ensure("origin", body.remaining(), 1)?;
@@ -302,12 +312,13 @@ pub const ATTR_CACHE_CAP: usize = 4096;
 ///
 /// BGP UPDATE streams are heavily repetitive: the same serialized attribute
 /// block (path + communities + next hop) arrives once per announced prefix.
-/// The cache keys on the *raw attribute bytes* — an O(1)-sliced [`Bytes`]
-/// view of the archive buffer, hashed by content — and stores the decoded
-/// [`PathAttributes`]. Because `AsPath` and `CommunitySet` are Arc-backed
-/// handles, a cache hit clones in O(1) and every element decoded from the
-/// same block *shares* one allocation, which is what makes downstream
-/// interning and hashing cheap.
+/// The cache keys on the *raw attribute bytes*, hashed by content, and
+/// stores the decoded [`PathAttributes`]. A probe borrows the bytes (one
+/// hash, no allocation); only a miss takes an owned key — an O(1) slice of
+/// the archive buffer when the caller has one. Because `AsPath` and
+/// `CommunitySet` are Arc-backed handles, a cache hit clones in O(1) and
+/// every element decoded from the same block *shares* one allocation,
+/// which is what makes downstream interning and hashing cheap.
 #[derive(Debug, Default)]
 pub struct AttrCache {
     map: crate::hash::FxHashMap<Bytes, PathAttributes>,
@@ -341,20 +352,155 @@ impl AttrCache {
         self.map.is_empty()
     }
 
-    /// Decode `raw`, serving repeats from the memo table.
-    pub fn decode(&mut self, raw: Bytes) -> Result<PathAttributes, CodecError> {
-        if let Some(hit) = self.map.get(&raw) {
+    /// Decode the attribute block `raw`, serving repeats from the memo
+    /// table. On a miss the decoded block is stored under `own()`, which
+    /// must hold the same bytes as `raw`.
+    pub fn decode(
+        &mut self,
+        raw: &[u8],
+        own: impl FnOnce() -> Bytes,
+    ) -> Result<PathAttributes, CodecError> {
+        if let Some(hit) = self.map.get(raw) {
             self.hits += 1;
             return Ok(hit.clone());
         }
-        let attrs = decode_attributes(raw.clone())?;
+        let attrs = decode_attribute_block(raw)?;
         self.misses += 1;
         if self.map.len() >= ATTR_CACHE_CAP {
             self.map.clear();
         }
-        self.map.insert(raw, attrs.clone());
+        let key = own();
+        debug_assert_eq!(&key[..], raw, "an AttrCache key must hold the probed bytes");
+        self.map.insert(key, attrs.clone());
         Ok(attrs)
     }
+}
+
+/// One BGP message, checked whole, over borrowed bytes — the one parser of
+/// the UPDATE body (RFC 4271 §4.3).
+///
+/// [`UpdateView::parse`] reads the header, the withdrawn-routes and
+/// attribute lengths and every NLRI before it returns, so the prefix
+/// iterators cannot fail. The attribute block is decoded on demand by
+/// [`UpdateView::attributes`], through an [`AttrCache`] or not. Every
+/// consumer materializes from here: [`decode_update_message`] into a
+/// [`BgpUpdate`], the MRT elem path straight into elems.
+#[derive(Debug, Clone, Copy)]
+pub struct UpdateView<'a> {
+    withdrawn: &'a [u8],
+    attributes: &'a [u8],
+    announced: &'a [u8],
+}
+
+impl<'a> UpdateView<'a> {
+    /// Parse the BGP message at the front of `msg` (bytes past its length
+    /// field are ignored). `Ok(None)` for a well-formed non-UPDATE message
+    /// (KEEPALIVEs inside archives are legal and skipped).
+    pub fn parse(msg: &'a [u8]) -> Result<Option<Self>, CodecError> {
+        let Some((header, rest)) = msg.split_first_chunk::<BGP_HEADER_LEN>() else {
+            return Err(CodecError::Truncated {
+                what: "bgp header",
+                needed: BGP_HEADER_LEN,
+                available: msg.len(),
+            });
+        };
+        let [marker @ .., l0, l1, kind] = header;
+        if *marker != [0xFF; 16] {
+            return Err(CodecError::BadValue { what: "bgp marker", value: marker[0] as u64 });
+        }
+        let msg_len = u16::from_be_bytes([*l0, *l1]) as usize;
+        if !(BGP_HEADER_LEN..=BGP_MAX_MESSAGE_LEN).contains(&msg_len) {
+            return Err(CodecError::BadLength { what: "bgp message length", value: msg_len });
+        }
+        let body_len = msg_len - BGP_HEADER_LEN;
+        CodecError::ensure("bgp body", rest.len(), body_len)?;
+        if *kind != msg_type::UPDATE {
+            return Ok(None);
+        }
+        let mut body = &rest[..body_len];
+        let withdrawn = length_prefixed(&mut body, "withdrawn length", "withdrawn routes")?;
+        validate_nlri(withdrawn)?;
+        let attributes = length_prefixed(&mut body, "attributes length", "attributes")?;
+        validate_nlri(body)?;
+        Ok(Some(UpdateView { withdrawn, attributes, announced: body }))
+    }
+
+    /// The decoded path attributes, `None` for an empty block. With a
+    /// `cache`, repeats are served from it and a miss stores the key
+    /// `own(block)` makes.
+    pub fn attributes(
+        &self,
+        cache: Option<&mut AttrCache>,
+        own: impl FnOnce(&'a [u8]) -> Bytes,
+    ) -> Result<Option<PathAttributes>, CodecError> {
+        let raw = self.attributes;
+        if raw.is_empty() {
+            return Ok(None);
+        }
+        match cache {
+            Some(cache) => cache.decode(raw, || own(raw)),
+            None => decode_attribute_block(raw),
+        }
+        .map(Some)
+    }
+
+    /// The announced prefixes, in wire order (repeats included).
+    pub fn announced(&self) -> Nlri<'a> {
+        Nlri(self.announced)
+    }
+
+    /// The withdrawn prefixes, in wire order (repeats included).
+    pub fn withdrawn(&self) -> Nlri<'a> {
+        Nlri(self.withdrawn)
+    }
+
+    /// Materialize as a [`BgpUpdate`] carrying `attrs`.
+    pub fn to_update(&self, attrs: PathAttributes) -> BgpUpdate {
+        let mut update = BgpUpdate::new(attrs);
+        self.announced().for_each(|p| update.announce_v4(p));
+        self.withdrawn().for_each(|p| update.withdraw_v4(p));
+        update
+    }
+}
+
+/// The prefixes of an NLRI block [`UpdateView::parse`] validated.
+#[derive(Debug, Clone)]
+pub struct Nlri<'a>(&'a [u8]);
+
+impl Iterator for Nlri<'_> {
+    type Item = Ipv4Prefix;
+
+    fn next(&mut self) -> Option<Ipv4Prefix> {
+        if self.0.is_empty() {
+            return None;
+        }
+        // Validated by `UpdateView::parse`: `ok()` never drops an error.
+        decode_nlri(&mut self.0).ok()
+    }
+}
+
+/// Split a block with a 2-byte length prefix off the front of `body`.
+fn length_prefixed<'a>(
+    body: &mut &'a [u8],
+    length: &'static str,
+    block: &'static str,
+) -> Result<&'a [u8], CodecError> {
+    let Some((len, rest)) = body.split_first_chunk::<2>() else {
+        return Err(CodecError::Truncated { what: length, needed: 2, available: body.len() });
+    };
+    let len = u16::from_be_bytes(*len) as usize;
+    CodecError::ensure(block, rest.len(), len)?;
+    let (head, rest) = rest.split_at(len);
+    *body = rest;
+    Ok(head)
+}
+
+/// Check that `block` is a whole number of well-formed NLRI.
+fn validate_nlri(mut block: &[u8]) -> Result<(), CodecError> {
+    while !block.is_empty() {
+        decode_nlri(&mut block)?;
+    }
+    Ok(())
 }
 
 /// Encode a full BGP UPDATE *message* (header + body) for the IPv4 routes
@@ -403,57 +549,12 @@ pub fn decode_update_message(buf: Bytes) -> Result<Option<BgpUpdate>, CodecError
 /// *sharing* (equal blocks yield Arc-shared `PathAttributes`), never the
 /// decoded values.
 pub fn decode_update_message_cached(
-    mut buf: Bytes,
+    buf: Bytes,
     cache: Option<&mut AttrCache>,
 ) -> Result<Option<BgpUpdate>, CodecError> {
-    CodecError::ensure("bgp header", buf.remaining(), BGP_HEADER_LEN)?;
-    if buf[..16] != [0xFF; 16] {
-        return Err(CodecError::BadValue { what: "bgp marker", value: buf[0] as u64 });
-    }
-    buf.advance(16);
-    let msg_len = buf.get_u16() as usize;
-    if !(BGP_HEADER_LEN..=BGP_MAX_MESSAGE_LEN).contains(&msg_len) {
-        return Err(CodecError::BadLength { what: "bgp message length", value: msg_len });
-    }
-    let kind = buf.get_u8();
-    let body_len = msg_len - BGP_HEADER_LEN;
-    CodecError::ensure("bgp body", buf.remaining(), body_len)?;
-    let mut body = buf.split_to(body_len);
-    if kind != msg_type::UPDATE {
-        return Ok(None);
-    }
-
-    CodecError::ensure("withdrawn length", body.remaining(), 2)?;
-    let withdrawn_len = body.get_u16() as usize;
-    CodecError::ensure("withdrawn routes", body.remaining(), withdrawn_len)?;
-    let mut withdrawn_buf = body.split_to(withdrawn_len);
-    let mut withdrawn = Vec::new();
-    while withdrawn_buf.has_remaining() {
-        withdrawn.push(decode_nlri(&mut withdrawn_buf)?);
-    }
-
-    CodecError::ensure("attributes length", body.remaining(), 2)?;
-    let attrs_len = body.get_u16() as usize;
-    CodecError::ensure("attributes", body.remaining(), attrs_len)?;
-    let attrs_buf = body.split_to(attrs_len);
-    let attrs = if attrs_len > 0 {
-        match cache {
-            Some(cache) => cache.decode(attrs_buf)?,
-            None => decode_attributes(attrs_buf)?,
-        }
-    } else {
-        PathAttributes::default()
-    };
-
-    let mut update = BgpUpdate::new(attrs);
-    while body.has_remaining() {
-        let p = decode_nlri(&mut body)?;
-        update.announce_v4(p);
-    }
-    for p in withdrawn {
-        update.withdraw_v4(p);
-    }
-    Ok(Some(update))
+    let Some(view) = UpdateView::parse(&buf)? else { return Ok(None) };
+    let attrs = view.attributes(cache, |raw| buf.slice_ref(raw))?;
+    Ok(Some(view.to_update(attrs.unwrap_or_default())))
 }
 
 #[cfg(test)]
@@ -494,22 +595,23 @@ mod tests {
             let p: Ipv4Prefix = s.parse().unwrap();
             let mut buf = BytesMut::new();
             encode_nlri(&mut buf, &p);
-            let mut bytes = buf.freeze();
+            let mut bytes = &buf[..];
             assert_eq!(decode_nlri(&mut bytes).unwrap(), p, "{s}");
-            assert!(!bytes.has_remaining());
+            assert!(bytes.is_empty());
         }
     }
 
     #[test]
     fn nlri_rejects_bad_length() {
-        let mut bytes = Bytes::from_static(&[40, 1, 2, 3, 4, 5]);
+        let mut bytes = &[40u8, 1, 2, 3, 4, 5][..];
         assert!(matches!(decode_nlri(&mut bytes), Err(CodecError::BadLength { .. })));
     }
 
     #[test]
     fn nlri_rejects_truncation() {
-        let mut bytes = Bytes::from_static(&[24, 1]);
-        assert!(matches!(decode_nlri(&mut bytes), Err(CodecError::Truncated { .. })));
+        for mut bytes in [&[24u8, 1][..], &[]] {
+            assert!(matches!(decode_nlri(&mut bytes), Err(CodecError::Truncated { .. })));
+        }
     }
 
     #[test]
@@ -575,6 +677,45 @@ mod tests {
         assert_eq!(decoded.announced_v4().count(), 0);
     }
 
+    /// A maximum-size UPDATE whose NLRI mix distinct /16s with repeats:
+    /// the view yields them all in wire order, the materialized update
+    /// keeps the first of each in that order.
+    #[test]
+    fn maximum_size_update_with_repeated_nlri() {
+        let attrs = encode_attributes(&sample_attrs());
+        let room = BGP_MAX_MESSAGE_LEN - BGP_HEADER_LEN - 4 - attrs.len();
+        let wire: Vec<Ipv4Prefix> = (0..room / 3)
+            .map(|i| Ipv4Prefix::from_raw(((i * 5 % 1024) as u32) << 16, 16))
+            .collect();
+        let mut msg = BytesMut::new();
+        msg.put_slice(&[0xFF; 16]);
+        msg.put_u16(BGP_MAX_MESSAGE_LEN as u16);
+        msg.put_u8(msg_type::UPDATE);
+        msg.put_u16(0);
+        msg.put_u16(attrs.len() as u16);
+        msg.put_slice(&attrs);
+        wire.iter().for_each(|p| encode_nlri(&mut msg, p));
+        let pad = room % 3; // one byte each: 0.0.0.0/0
+        (0..pad).for_each(|_| encode_nlri(&mut msg, &Ipv4Prefix::from_raw(0, 0)));
+        let msg = msg.freeze();
+        assert_eq!(msg.len(), BGP_MAX_MESSAGE_LEN);
+
+        let view = UpdateView::parse(&msg).unwrap().unwrap();
+        assert_eq!(view.announced().take(wire.len()).collect::<Vec<_>>(), wire);
+        assert_eq!(view.announced().count(), wire.len() + pad);
+        let mut first_seen = Vec::new();
+        for p in view.announced() {
+            if !first_seen.contains(&p) {
+                first_seen.push(p);
+            }
+        }
+        // Five is coprime with 1024: every /16 of the cycle shows up.
+        assert_eq!(first_seen.len(), 1024 + usize::from(pad > 0));
+        let update = decode_update_message(msg).unwrap().unwrap();
+        assert_eq!(update.announced_v4().copied().collect::<Vec<_>>(), first_seen);
+        assert_eq!(update.attrs, sample_attrs());
+    }
+
     #[test]
     fn attr_cache_decodes_identically_and_shares_allocations() {
         let mut update = BgpUpdate::new(sample_attrs());
@@ -605,10 +746,21 @@ mod tests {
         for i in 0..(ATTR_CACHE_CAP + 10) {
             let attrs = PathAttributes { med: Some(i as u32), ..Default::default() };
             let raw = encode_attributes(&attrs).freeze();
-            assert_eq!(cache.decode(raw).unwrap(), attrs);
+            assert_eq!(cache.decode(&raw, || raw.clone()).unwrap(), attrs);
         }
         assert!(cache.len() <= ATTR_CACHE_CAP, "cache exceeded its cap");
         assert_eq!(cache.hits(), 0);
+    }
+
+    #[test]
+    fn attr_cache_hits_are_probed_by_borrowed_bytes() {
+        let raw = encode_attributes(&sample_attrs()).freeze();
+        let mut cache = AttrCache::new();
+        cache.decode(&raw, || raw.clone()).unwrap();
+        let copy = raw.to_vec();
+        let hit = cache.decode(&copy, || panic!("a hit takes no owned key")).unwrap();
+        assert_eq!(hit, sample_attrs());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

@@ -49,6 +49,11 @@ use crate::session::{InferenceResult, SessionBuilder, StreamSummary};
 /// Elements buffered per shard before a batch crosses the channel.
 const BATCH: usize = 512;
 
+/// Batches a shard's channel holds before `push` blocks: the
+/// backpressure that bounds memory when the feed outruns the workers
+/// (a fast archive decode otherwise queues most of the stream here).
+const QUEUE_BATCHES: usize = 4;
+
 enum ShardMsg {
     /// Live stream elements, in per-prefix arrival order.
     Elems(Vec<BgpElem>),
@@ -70,7 +75,7 @@ enum ShardMsg {
 /// single-session features — the sharded runner targets offline archive
 /// scans where only the final result matters.
 pub struct ShardedSession<A: EventAccumulator = EventCollector> {
-    senders: Vec<mpsc::Sender<ShardMsg>>,
+    senders: Vec<mpsc::SyncSender<ShardMsg>>,
     workers: Vec<JoinHandle<(StreamSummary, A)>>,
     buffers: Vec<Vec<BgpElem>>,
     pushed: u64,
@@ -87,7 +92,7 @@ where
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = mpsc::channel::<ShardMsg>();
+            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(QUEUE_BATCHES);
             let worker_builder = builder.clone();
             let mut acc = accumulator.clone();
             workers.push(thread::spawn(move || {

@@ -4,10 +4,11 @@
 //! (timestamp, type, subtype, body length) and a body. [`Framer`] is the
 //! only code that parses that header, bounds the length, decides whether
 //! a short read means "not yet" or "torn", applies the [`ReadMode`], and
-//! counts what it framed. The public readers differ only in how bytes
-//! reach it — a [`Window`]: `MrtBytesReader` hands over the archive
-//! itself (bodies are refcounted slices of it), `TailingReader` and
-//! `MrtReader` a [`Tail`] that grows as bytes arrive.
+//! counts what it framed. Each body is handed to the record parser as a
+//! slice borrowed from the reader's [`Window`] — `MrtBytesReader` frames
+//! the archive itself, `TailingReader` and `MrtReader` a [`Tail`] that
+//! grows as bytes arrive — so nothing is copied or refcounted per record;
+//! only an attribute block the cache has not seen is taken as an owned key.
 
 use bytes::{Buf, Bytes};
 
@@ -15,8 +16,8 @@ use bh_bgp_types::error::CodecError;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::wire::AttrCache;
 
-use crate::read::{decode_body, ReadMode, MAX_RECORD_LEN};
-use crate::record::{MrtError, MrtRecord};
+use crate::read::{parse_body, BodyView, ReadMode, MAX_RECORD_LEN};
+use crate::record::{MrtError, MrtRecord, UpdateRecord};
 
 /// Length of the MRT common header.
 const HEADER_LEN: usize = 12;
@@ -26,20 +27,27 @@ pub(crate) trait Window {
     /// Everything not yet framed into a record.
     fn pending(&self) -> &[u8];
 
-    /// Consume one record — header plus `len` body bytes, all of which
-    /// are in [`pending`](Window::pending) — and return its body.
-    fn take_body(&mut self, len: usize) -> Bytes;
+    /// Consume `len` framed bytes from the front of
+    /// [`pending`](Window::pending).
+    fn consume(&mut self, len: usize);
+
+    /// An owned buffer holding `part`, a slice of
+    /// [`pending`](Window::pending).
+    fn share(&self, part: &[u8]) -> Bytes;
 }
 
-/// A complete in-memory archive: bodies are O(1) slices of it.
+/// A complete in-memory archive: shared parts are O(1) slices of it.
 impl Window for Bytes {
     fn pending(&self) -> &[u8] {
         self
     }
 
-    fn take_body(&mut self, len: usize) -> Bytes {
-        self.advance(HEADER_LEN);
-        self.split_to(len)
+    fn consume(&mut self, len: usize) {
+        self.advance(len);
+    }
+
+    fn share(&self, part: &[u8]) -> Bytes {
+        self.slice_ref(part)
     }
 }
 
@@ -66,11 +74,22 @@ impl Window for Tail {
         &self.buf[self.pos..]
     }
 
-    fn take_body(&mut self, len: usize) -> Bytes {
-        let body = &self.buf[self.pos + HEADER_LEN..][..len];
-        self.pos += HEADER_LEN + len;
-        Bytes::from(body)
+    fn consume(&mut self, len: usize) {
+        self.pos += len;
     }
+
+    fn share(&self, part: &[u8]) -> Bytes {
+        Bytes::from(part)
+    }
+}
+
+/// One framed record: its header fields and its body, borrowed from the
+/// window.
+pub(crate) struct Frame<'a> {
+    pub(crate) timestamp: SimTime,
+    pub(crate) ty: u16,
+    pub(crate) subtype: u16,
+    pub(crate) body: &'a [u8],
 }
 
 /// The framing and decoding core: a [`Window`] plus everything the
@@ -105,7 +124,7 @@ impl<W: Window> Framer<W> {
         }
     }
 
-    /// Can more input still change what [`Framer::next_record`] returns?
+    /// Can more input still change what the framer returns?
     pub(crate) fn wants_input(&self) -> bool {
         !self.closed && !self.failed
     }
@@ -119,28 +138,34 @@ impl<W: Window> Framer<W> {
 
     /// The window holds `available` of the `needed` bytes of a header or
     /// body: "not yet" while the archive grows, torn once it is closed.
-    fn short(
+    fn short<T>(
         &mut self,
         what: &'static str,
         needed: usize,
         available: usize,
-    ) -> Result<Option<MrtRecord>, MrtError> {
+    ) -> Result<Option<T>, MrtError> {
         if !self.closed {
             return Ok(None);
         }
         self.fail(CodecError::Truncated { what, needed, available }.into())
     }
 
-    /// Frame and decode the next record of the window. `Ok(None)` means
+    /// Frame records and hand each to `decode` until it yields a value.
+    /// `decode` returning `Ok(None)` passes over a well-formed record
+    /// (counted as read); its error is counted as a skip in tolerant
+    /// mode and ends the stream in strict mode. `Ok(None)` from here means
     /// no complete record is buffered: clean EOF if the framer is closed,
     /// otherwise "pending — call again after the window grew".
-    pub(crate) fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+    fn frame<T>(
+        &mut self,
+        mut decode: impl FnMut(Frame<'_>, &W, &mut AttrCache) -> Result<Option<T>, MrtError>,
+    ) -> Result<Option<T>, MrtError> {
         loop {
             let pending = self.window.pending();
             if self.failed || pending.is_empty() {
                 return Ok(None);
             }
-            let Some(header) = pending.first_chunk::<HEADER_LEN>() else {
+            let Some((header, rest)) = pending.split_first_chunk::<HEADER_LEN>() else {
                 let available = pending.len();
                 return self.short("mrt header", HEADER_LEN, available);
             };
@@ -150,22 +175,61 @@ impl<W: Window> Framer<W> {
                 return self.fail(MrtError::OversizedRecord(len));
             }
             let len = len as usize;
-            let available = pending.len() - HEADER_LEN;
-            if available < len {
+            let Some(body) = rest.get(..len) else {
+                let available = rest.len();
                 return self.short("mrt body", len, available);
-            }
-            let timestamp = SimTime::from_unix(u32::from_be_bytes([t0, t1, t2, t3]) as u64);
-            let (ty, subtype) = (u16::from_be_bytes([y0, y1]), u16::from_be_bytes([s0, s1]));
-            let body = self.window.take_body(len);
+            };
+            let frame = Frame {
+                timestamp: SimTime::from_unix(u32::from_be_bytes([t0, t1, t2, t3]) as u64),
+                ty: u16::from_be_bytes([y0, y1]),
+                subtype: u16::from_be_bytes([s0, s1]),
+                body,
+            };
+            let decoded = decode(frame, &self.window, &mut self.cache);
+            self.window.consume(HEADER_LEN + len);
             self.bytes_consumed += (HEADER_LEN + len) as u64;
-            match decode_body(ty, subtype, body, Some(&mut self.cache)) {
-                Ok(body) => {
+            match decoded {
+                Ok(Some(value)) => {
                     self.records_read += 1;
-                    return Ok(Some(MrtRecord { timestamp, body }));
+                    return Ok(Some(value));
                 }
+                Ok(None) => self.records_read += 1,
                 Err(_) if self.mode == ReadMode::Tolerant => self.records_skipped += 1,
                 Err(e) => return self.fail(e),
             }
         }
+    }
+
+    /// Frame and decode the next record, whatever its type.
+    pub(crate) fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+        self.frame(|frame, window, cache| {
+            let body = parse_body(frame.ty, frame.subtype, frame.body)?
+                .materialize(cache, |raw| window.share(raw))?;
+            Ok(Some(MrtRecord { timestamp: frame.timestamp, body }))
+        })
+    }
+
+    /// Frame records until the next BGP4MP UPDATE and decode it into
+    /// `into`. Every other record is decoded and counted as
+    /// [`next_record`](Self::next_record) would, then dropped; the UPDATE
+    /// is checked whole before `into` is touched.
+    pub(crate) fn next_update(&mut self, into: &mut UpdateRecord) -> Result<Option<()>, MrtError> {
+        self.frame(|frame, window, cache| {
+            let BodyView::Message(envelope, Some(update)) =
+                parse_body(frame.ty, frame.subtype, frame.body)?
+            else {
+                return Ok(None);
+            };
+            let attrs = update.attributes(Some(cache), |raw| window.share(raw))?;
+            into.timestamp = frame.timestamp;
+            into.peer_asn = envelope.peer_asn;
+            into.peer_ip = envelope.peer_ip;
+            into.attrs = attrs;
+            into.announced.clear();
+            into.announced.extend(update.announced());
+            into.withdrawn.clear();
+            into.withdrawn.extend(update.withdrawn());
+            Ok(Some(()))
+        })
     }
 }

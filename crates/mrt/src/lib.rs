@@ -25,6 +25,10 @@
 //! readers only differ in where its bytes come from — [`MrtReader`] (any
 //! [`std::io::Read`]), [`MrtBytesReader`] (an in-memory archive, sliced
 //! without copying) and [`TailingReader`] (an archive still growing).
+//! Each reads a record two ways over the same checks:
+//! [`MessageStream::next_record`] builds an [`MrtRecord`],
+//! [`MessageStream::next_update`] fills a reused [`UpdateRecord`] — the
+//! elem path, which builds no per-record message.
 
 mod frame;
 pub mod read;
@@ -36,7 +40,7 @@ pub use bh_bgp_types::wire::AttrCache;
 pub use read::{MessageStream, MrtBytesReader, MrtReader, ReadMode};
 pub use record::{
     Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtRecord, MrtRecordBody, PeerEntry,
-    PeerIndexTable, RibEntry, RibPeerEntry,
+    PeerIndexTable, RibEntry, RibPeerEntry, UpdateRecord,
 };
 pub use tail::TailingReader;
 pub use write::MrtWriter;

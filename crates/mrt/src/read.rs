@@ -1,9 +1,9 @@
-//! MRT readers over complete archives, and the record payload decoder.
+//! MRT readers over complete archives, and the record payload parser.
 //!
 //! Framing lives in one place, the crate-private `frame` core; the two
 //! readers here only differ in how they hand it bytes. [`MrtBytesReader`]
-//! gives it the in-memory archive itself, so record bodies and attribute
-//! blocks are refcounted slices; [`MrtReader`] pulls chunks from any
+//! gives it the in-memory archive itself, so the attribute blocks its
+//! cache keeps are refcounted slices; [`MrtReader`] pulls chunks from any
 //! [`Read`] into a growable window and declares it complete at EOF.
 //! (`TailingReader` is the third feeder: the same window, grown by the
 //! caller.)
@@ -16,12 +16,12 @@ use bytes::{Buf, Bytes};
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::error::CodecError;
 use bh_bgp_types::time::SimTime;
-use bh_bgp_types::wire::{self, AttrCache};
+use bh_bgp_types::wire::{self, AttrCache, UpdateView};
 
 use crate::frame::{Framer, Tail};
 use crate::record::{
     bgp4mp_subtype, mrt_type, td2_subtype, Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError,
-    MrtRecord, MrtRecordBody, PeerEntry, PeerIndexTable, RibEntry, RibPeerEntry,
+    MrtRecord, MrtRecordBody, PeerEntry, PeerIndexTable, RibEntry, RibPeerEntry, UpdateRecord,
 };
 
 /// Upper bound on a single MRT record body; anything larger is treated as
@@ -50,11 +50,19 @@ pub enum ReadMode {
 /// over this trait, so the same element stream runs over any of them.
 ///
 /// Every implementation ends the stream at its first error: the `Err` is
-/// returned once, and every later call yields `Ok(None)`.
+/// returned once, and every later call yields `Ok(None)` (`Ok(false)`).
 pub trait MessageStream {
     /// Decode the next record. `Ok(None)` is end of stream — or, for a
     /// reader over a still growing archive, "nothing complete yet".
     fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError>;
+
+    /// Decode records until the next BGP4MP UPDATE and fill `into` with
+    /// it — the elem path: no `MrtRecord` or `BgpUpdate` is built for the
+    /// UPDATE. Every record passed over is checked exactly as
+    /// [`next_record`](MessageStream::next_record) checks it, and an
+    /// UPDATE is checked whole before `into` changes. `Ok(false)` is end
+    /// of stream (or "nothing complete yet"), as `Ok(None)` above.
+    fn next_update(&mut self, into: &mut UpdateRecord) -> Result<bool, MrtError>;
 
     /// Records successfully decoded so far.
     fn records_read(&self) -> u64;
@@ -77,11 +85,17 @@ pub trait MessageStream {
 }
 
 /// The read-side surface both complete-archive readers share, written
-/// once: counters, mode, cache, the inherent `next_message`, and the
-/// [`MessageStream`] and [`Iterator`] impls over `next_record`.
+/// once over their `pull`: counters, mode, cache, the inherent
+/// `next_record` / `next_message`, and the [`MessageStream`] and
+/// [`Iterator`] impls.
 macro_rules! complete_archive_reader {
     ([$($generics:tt)*] $reader:ty) => {
         impl<$($generics)*> $reader {
+            /// Decode the next record, or `Ok(None)` at EOF.
+            pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+                self.pull(Framer::next_record)
+            }
+
             /// Records successfully decoded so far.
             pub fn records_read(&self) -> u64 {
                 self.framer.records_read
@@ -113,6 +127,10 @@ macro_rules! complete_archive_reader {
         impl<$($generics)*> MessageStream for $reader {
             fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
                 <$reader>::next_record(self)
+            }
+
+            fn next_update(&mut self, into: &mut UpdateRecord) -> Result<bool, MrtError> {
+                Ok(self.pull(|framer| framer.next_update(into))?.is_some())
             }
 
             fn records_read(&self) -> u64 {
@@ -162,11 +180,15 @@ impl<R: Read> MrtReader<R> {
         MrtReader { source, chunk, framer: Framer::new(Tail::default(), mode, false) }
     }
 
-    /// Decode the next record, or `Ok(None)` at EOF.
-    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+    /// Run `step` on the framer, reading more of the source whenever it
+    /// finds no complete record, until it yields or the source ends.
+    fn pull<T>(
+        &mut self,
+        mut step: impl FnMut(&mut Framer<Tail>) -> Result<Option<T>, MrtError>,
+    ) -> Result<Option<T>, MrtError> {
         loop {
-            if let Some(record) = self.framer.next_record()? {
-                return Ok(Some(record));
+            if let Some(value) = step(&mut self.framer)? {
+                return Ok(Some(value));
             }
             if !self.framer.wants_input() {
                 return Ok(None);
@@ -185,12 +207,12 @@ complete_archive_reader!([R: Read] MrtReader<R>);
 
 /// Zero-copy MRT reader over an in-memory archive buffer.
 ///
-/// Where [`MrtReader`] copies every record body out of its window, this
-/// reader holds the whole archive as one [`Bytes`] and frames records by
-/// *slicing*: each body is an O(1) refcounted view of the archive buffer,
-/// and the attribute blocks handed to the wire decoder (and memoized in
-/// the [`AttrCache`]) alias the same allocation. The only per-record
-/// copies left are the decoded structured values themselves.
+/// Where [`MrtReader`] copies the archive into its window chunk by chunk,
+/// this reader frames the archive itself, held as one [`Bytes`]: record
+/// bodies are parsed in place, and the attribute blocks its
+/// [`AttrCache`] keeps are O(1) refcounted slices of the same
+/// allocation. The only per-record copies left are the decoded
+/// structured values themselves.
 ///
 /// Reads the same format, honors the same [`ReadMode`] semantics, and
 /// yields bit-identical records to `MrtReader` over the same bytes.
@@ -209,91 +231,124 @@ impl MrtBytesReader {
         MrtBytesReader { framer: Framer::new(archive.into(), ReadMode::Tolerant, true) }
     }
 
-    /// Decode the next record, or `Ok(None)` at EOF.
-    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        self.framer.next_record()
+    /// The whole archive is buffered: one `step` is the answer.
+    fn pull<T>(
+        &mut self,
+        mut step: impl FnMut(&mut Framer<Bytes>) -> Result<Option<T>, MrtError>,
+    ) -> Result<Option<T>, MrtError> {
+        step(&mut self.framer)
     }
 }
 
 complete_archive_reader!([] MrtBytesReader);
 
-fn get_addr(buf: &mut Bytes, afi: u16) -> Result<IpAddr, MrtError> {
+/// Split `N` bytes off the front of `body`.
+fn take<const N: usize>(body: &mut &[u8], what: &'static str) -> Result<[u8; N], CodecError> {
+    let Some((head, rest)) = body.split_first_chunk::<N>() else {
+        return Err(CodecError::Truncated { what, needed: N, available: body.len() });
+    };
+    *body = rest;
+    Ok(*head)
+}
+
+fn get_addr(buf: &mut &[u8], afi: u16) -> Result<IpAddr, MrtError> {
     match afi {
-        1 => {
-            CodecError::ensure("ipv4 address", buf.remaining(), 4)?;
-            let mut o = [0u8; 4];
-            buf.copy_to_slice(&mut o);
-            Ok(IpAddr::V4(Ipv4Addr::from(o)))
-        }
-        2 => {
-            CodecError::ensure("ipv6 address", buf.remaining(), 16)?;
-            let mut o = [0u8; 16];
-            buf.copy_to_slice(&mut o);
-            Ok(IpAddr::V6(Ipv6Addr::from(o)))
-        }
+        1 => Ok(IpAddr::V4(Ipv4Addr::from(take::<4>(buf, "ipv4 address")?))),
+        2 => Ok(IpAddr::V6(Ipv6Addr::from(take::<16>(buf, "ipv6 address")?))),
         other => Err(CodecError::BadValue { what: "afi", value: other as u64 }.into()),
     }
 }
 
-pub(crate) fn decode_body(
-    ty: u16,
-    subtype: u16,
-    mut body: Bytes,
-    cache: Option<&mut AttrCache>,
-) -> Result<MrtRecordBody, MrtError> {
+/// The session fields of a BGP4MP record.
+pub(crate) struct Envelope {
+    pub(crate) peer_asn: Asn,
+    pub(crate) local_asn: Asn,
+    pub(crate) peer_ip: IpAddr,
+    pub(crate) local_ip: IpAddr,
+}
+
+/// A record body as [`parse_body`] leaves it.
+pub(crate) enum BodyView<'a> {
+    /// BGP4MP MESSAGE(_AS4): the envelope and, for an UPDATE, its checked
+    /// view (`None` for any other BGP message). Only the attribute block
+    /// is left to decode.
+    Message(Envelope, Option<UpdateView<'a>>),
+    /// Every other record type, decoded.
+    Decoded(MrtRecordBody),
+}
+
+impl<'a> BodyView<'a> {
+    /// The decoded body, attribute block included (through `cache`;
+    /// `own` makes the key of a miss).
+    pub(crate) fn materialize(
+        self,
+        cache: &mut AttrCache,
+        own: impl FnOnce(&'a [u8]) -> Bytes,
+    ) -> Result<MrtRecordBody, MrtError> {
+        let (envelope, view) = match self {
+            BodyView::Decoded(body) => return Ok(body),
+            BodyView::Message(envelope, view) => (envelope, view),
+        };
+        let update = match view {
+            Some(view) => {
+                Some(view.to_update(view.attributes(Some(cache), own)?.unwrap_or_default()))
+            }
+            None => None,
+        };
+        let Envelope { peer_asn, local_asn, peer_ip, local_ip } = envelope;
+        Ok(MrtRecordBody::Message(Bgp4mpMessage { peer_asn, local_asn, peer_ip, local_ip, update }))
+    }
+}
+
+/// The one record-body parser: every check a record must pass, over the
+/// body borrowed from the framer's window. A BGP4MP message is left as a
+/// view (see [`BodyView`]); every other record type is decoded here.
+pub(crate) fn parse_body(ty: u16, subtype: u16, mut body: &[u8]) -> Result<BodyView<'_>, MrtError> {
     let original_len = body.len();
     match (ty, subtype) {
         (mrt_type::BGP4MP | mrt_type::BGP4MP_ET, sub) => {
             if ty == mrt_type::BGP4MP_ET {
-                CodecError::ensure("et microseconds", body.remaining(), 4)?;
-                let _micros = body.get_u32();
+                let _micros = take::<4>(&mut body, "et microseconds")?;
             }
             let as4 = matches!(sub, bgp4mp_subtype::MESSAGE_AS4 | bgp4mp_subtype::STATE_CHANGE_AS4);
+            // Peer and local ASN, then the interface index.
             let (peer_asn, local_asn) = if as4 {
-                CodecError::ensure("as4 header", body.remaining(), 10)?;
-                (Asn::new(body.get_u32()), Asn::new(body.get_u32()))
+                let [p0, p1, p2, p3, l0, l1, l2, l3, _, _] = take(&mut body, "as4 header")?;
+                (u32::from_be_bytes([p0, p1, p2, p3]), u32::from_be_bytes([l0, l1, l2, l3]))
             } else {
-                CodecError::ensure("as2 header", body.remaining(), 6)?;
-                (Asn::new(body.get_u16() as u32), Asn::new(body.get_u16() as u32))
+                let [p0, p1, l0, l1, _, _] = take(&mut body, "as2 header")?;
+                (u16::from_be_bytes([p0, p1]).into(), u16::from_be_bytes([l0, l1]).into())
             };
-            let _ifindex = body.get_u16();
-            CodecError::ensure("afi", body.remaining(), 2)?;
-            let afi = body.get_u16();
+            let (peer_asn, local_asn) = (Asn::new(peer_asn), Asn::new(local_asn));
+            let afi = u16::from_be_bytes(take(&mut body, "afi")?);
             let peer_ip = get_addr(&mut body, afi)?;
             let local_ip = get_addr(&mut body, afi)?;
+            let envelope = Envelope { peer_asn, local_asn, peer_ip, local_ip };
             match sub {
                 bgp4mp_subtype::MESSAGE | bgp4mp_subtype::MESSAGE_AS4 => {
-                    let update = wire::decode_update_message_cached(body, cache)?;
-                    Ok(MrtRecordBody::Message(Bgp4mpMessage {
-                        peer_asn,
-                        local_asn,
-                        peer_ip,
-                        local_ip,
-                        update,
-                    }))
+                    Ok(BodyView::Message(envelope, UpdateView::parse(body)?))
                 }
                 bgp4mp_subtype::STATE_CHANGE | bgp4mp_subtype::STATE_CHANGE_AS4 => {
-                    CodecError::ensure("state change", body.remaining(), 4)?;
-                    let old = body.get_u16();
-                    let new = body.get_u16();
+                    let [o0, o1, n0, n1] = take(&mut body, "state change")?;
+                    let (old, new) = (u16::from_be_bytes([o0, o1]), u16::from_be_bytes([n0, n1]));
                     let old_state = BgpState::from_code(old)
                         .ok_or(CodecError::BadValue { what: "old state", value: old as u64 })?;
                     let new_state = BgpState::from_code(new)
                         .ok_or(CodecError::BadValue { what: "new state", value: new as u64 })?;
-                    Ok(MrtRecordBody::StateChange(Bgp4mpStateChange {
+                    Ok(BodyView::Decoded(MrtRecordBody::StateChange(Bgp4mpStateChange {
                         peer_asn,
                         local_asn,
                         peer_ip,
                         local_ip,
                         old_state,
                         new_state,
-                    }))
+                    })))
                 }
-                other => Ok(MrtRecordBody::Unknown {
+                other => Ok(BodyView::Decoded(MrtRecordBody::Unknown {
                     mrt_type: ty,
                     subtype: other,
                     length: original_len,
-                }),
+                })),
             }
         }
         (mrt_type::TABLE_DUMP_V2, td2_subtype::PEER_INDEX_TABLE) => {
@@ -302,8 +357,9 @@ pub(crate) fn decode_body(
             body.copy_to_slice(&mut collector_id);
             let name_len = body.get_u16() as usize;
             CodecError::ensure("view name", body.remaining(), name_len)?;
-            let name_bytes = body.split_to(name_len);
-            let view_name = String::from_utf8_lossy(&name_bytes).into_owned();
+            let (name_bytes, rest) = body.split_at(name_len);
+            body = rest;
+            let view_name = String::from_utf8_lossy(name_bytes).into_owned();
             CodecError::ensure("peer count", body.remaining(), 2)?;
             let count = body.get_u16() as usize;
             let mut peers = Vec::with_capacity(count);
@@ -322,7 +378,11 @@ pub(crate) fn decode_body(
                 };
                 peers.push(PeerEntry { bgp_id, ip, asn });
             }
-            Ok(MrtRecordBody::PeerIndexTable(PeerIndexTable { collector_id, view_name, peers }))
+            Ok(BodyView::Decoded(MrtRecordBody::PeerIndexTable(PeerIndexTable {
+                collector_id,
+                view_name,
+                peers,
+            })))
         }
         (mrt_type::TABLE_DUMP_V2, td2_subtype::RIB_IPV4_UNICAST) => {
             CodecError::ensure("rib header", body.remaining(), 4)?;
@@ -337,12 +397,18 @@ pub(crate) fn decode_body(
                 let originated = SimTime::from_unix(body.get_u32() as u64);
                 let attr_len = body.get_u16() as usize;
                 CodecError::ensure("rib attributes", body.remaining(), attr_len)?;
-                let attrs = wire::decode_attributes(body.split_to(attr_len))?;
+                let (block, rest) = body.split_at(attr_len);
+                body = rest;
+                let attrs = wire::decode_attribute_block(block)?;
                 entries.push(RibPeerEntry { peer_index, originated, attrs });
             }
-            Ok(MrtRecordBody::RibIpv4(RibEntry { sequence, prefix, entries }))
+            Ok(BodyView::Decoded(MrtRecordBody::RibIpv4(RibEntry { sequence, prefix, entries })))
         }
-        (ty, subtype) => Ok(MrtRecordBody::Unknown { mrt_type: ty, subtype, length: original_len }),
+        (ty, subtype) => Ok(BodyView::Decoded(MrtRecordBody::Unknown {
+            mrt_type: ty,
+            subtype,
+            length: original_len,
+        })),
     }
 }
 

@@ -2,14 +2,14 @@
 
 use std::fmt;
 use std::io;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::attrs::PathAttributes;
 use bh_bgp_types::error::CodecError;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_bgp_types::update::BgpUpdate;
+use bh_bgp_types::update::{BgpUpdate, PrefixList};
 
 /// MRT record types used here.
 pub mod mrt_type {
@@ -265,6 +265,39 @@ pub struct MrtRecord {
     pub timestamp: SimTime,
     /// Decoded body.
     pub body: MrtRecordBody,
+}
+
+/// One BGP4MP UPDATE record as the elem path consumes it, filled by
+/// [`MessageStream::next_update`](crate::MessageStream::next_update) into
+/// buffers reused from record to record.
+#[derive(Debug, Clone)]
+pub struct UpdateRecord {
+    /// Record timestamp.
+    pub timestamp: SimTime,
+    /// ASN of the sending peer.
+    pub peer_asn: Asn,
+    /// IP of the sending peer.
+    pub peer_ip: IpAddr,
+    /// The path attributes; `None` for an empty attribute block (or once
+    /// a consumer took them).
+    pub attrs: Option<PathAttributes>,
+    /// Announced prefixes: first-seen order, no repeats.
+    pub announced: PrefixList,
+    /// Withdrawn prefixes: first-seen order, no repeats.
+    pub withdrawn: PrefixList,
+}
+
+impl Default for UpdateRecord {
+    fn default() -> Self {
+        UpdateRecord {
+            timestamp: SimTime::ZERO,
+            peer_asn: Asn::new(0),
+            peer_ip: IpAddr::V4(Ipv4Addr::UNSPECIFIED),
+            attrs: None,
+            announced: PrefixList::new(),
+            withdrawn: PrefixList::new(),
+        }
+    }
 }
 
 #[cfg(test)]

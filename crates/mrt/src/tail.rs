@@ -21,7 +21,7 @@
 
 use crate::frame::{Framer, Tail, Window};
 use crate::read::{MessageStream, ReadMode};
-use crate::record::{MrtError, MrtRecord};
+use crate::record::{MrtError, MrtRecord, UpdateRecord};
 
 /// An incremental MRT reader over an archive that is still growing.
 ///
@@ -93,6 +93,10 @@ impl TailingReader {
 impl MessageStream for TailingReader {
     fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
         self.try_next_record()
+    }
+
+    fn next_update(&mut self, into: &mut UpdateRecord) -> Result<bool, MrtError> {
+        Ok(self.framer.next_update(into)?.is_some())
     }
 
     fn records_read(&self) -> u64 {

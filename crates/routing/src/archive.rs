@@ -5,16 +5,15 @@
 //! path) — both exercised by the integration tests, proving the wire
 //! format carries everything the inference needs.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr};
 
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::attrs::PathAttributes;
-use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_mrt::{Bgp4mpMessage, MessageStream, MrtBytesReader, MrtError, MrtReader, MrtWriter};
+use bh_mrt::{MessageStream, MrtBytesReader, MrtError, MrtReader, MrtWriter, UpdateRecord};
 use bytes::Bytes;
 
 use crate::elem::{BgpElem, DataSource, ElemType};
@@ -56,33 +55,6 @@ pub fn write_updates<W: Write>(sink: W, elems: &[BgpElem]) -> Result<u64, MrtErr
     Ok(writer.records_written())
 }
 
-/// Flatten one BGP4MP message into elems, labelled with the archive's
-/// platform/collector identity.
-pub(crate) fn elems_of_message(
-    time: SimTime,
-    msg: &Bgp4mpMessage,
-    dataset: DataSource,
-    collector: u16,
-    out: &mut VecDeque<BgpElem>,
-) {
-    let Some(update) = &msg.update else { return };
-    // A withdrawal carries no attributes: empty path, no communities.
-    let elem = |elem_type, prefix: &Ipv4Prefix, attrs: Option<&PathAttributes>| BgpElem {
-        time,
-        dataset,
-        collector,
-        peer_asn: msg.peer_asn,
-        peer_ip: msg.peer_ip,
-        elem_type,
-        prefix: *prefix,
-        as_path: attrs.map(|a| a.as_path.clone()).unwrap_or_default(),
-        communities: attrs.map(|a| a.communities.clone()).unwrap_or_default(),
-        next_hop: attrs.and_then(|a| a.next_hop),
-    };
-    out.extend(update.announced_v4().map(|p| elem(ElemType::Announce, p, Some(&update.attrs))));
-    out.extend(update.withdrawn_v4().map(|p| elem(ElemType::Withdraw, p, None)));
-}
-
 /// A streaming [`ElemSource`] over an MRT updates archive: records are
 /// decoded one at a time from any [`MessageStream`] — an [`MrtReader`]
 /// over any [`Read`] (a file, a socket, a decompressor), an
@@ -99,11 +71,19 @@ pub(crate) fn elems_of_message(
 /// Decode errors end the stream; inspect [`MrtElemSource::error`] (or
 /// recover it with [`MrtElemSource::take_error`]) after exhaustion to
 /// distinguish clean EOF from a torn archive.
+///
+/// Elems are built straight from the reader's checked UPDATE
+/// ([`MessageStream::next_update`]): one elem per announced prefix, in
+/// first-seen order without repeats, then one per withdrawn prefix — all
+/// of a record's elems, or none if it does not decode.
 pub struct MrtElemSource<M> {
     reader: M,
     pub(crate) dataset: DataSource,
     pub(crate) collector: u16,
-    queue: VecDeque<BgpElem>,
+    /// The UPDATE being expanded, reused from record to record.
+    record: UpdateRecord,
+    /// How many of `record`'s elems were handed out.
+    emitted: usize,
     current: Option<BgpElem>,
     error: Option<MrtError>,
 }
@@ -132,10 +112,48 @@ impl<M: MessageStream> MrtElemSource<M> {
             reader,
             dataset,
             collector,
-            queue: VecDeque::new(),
+            record: UpdateRecord::default(),
+            emitted: 0,
             current: None,
             error: None,
         }
+    }
+
+    /// The next elem of the current record, if it has one left. The last
+    /// announcement takes the record's attributes instead of cloning them.
+    fn expand(&mut self) -> Option<BgpElem> {
+        let record = &mut self.record;
+        let announced = record.announced.as_slice();
+        let (elem_type, prefix, attrs) = match announced.get(self.emitted) {
+            Some(&prefix) => {
+                let attrs = if self.emitted + 1 == announced.len() {
+                    record.attrs.take()
+                } else {
+                    record.attrs.clone()
+                };
+                (ElemType::Announce, prefix, attrs)
+            }
+            // A withdrawal carries no attributes: empty path, no communities.
+            None => {
+                let withdrawn = record.withdrawn.as_slice();
+                (ElemType::Withdraw, *withdrawn.get(self.emitted - announced.len())?, None)
+            }
+        };
+        self.emitted += 1;
+        let (as_path, communities, next_hop) =
+            attrs.map(|a| (a.as_path, a.communities, a.next_hop)).unwrap_or_default();
+        Some(BgpElem {
+            time: record.timestamp,
+            dataset: self.dataset,
+            collector: self.collector,
+            peer_asn: record.peer_asn,
+            peer_ip: record.peer_ip,
+            elem_type,
+            prefix,
+            as_path,
+            communities,
+            next_hop,
+        })
     }
 
     /// The decode error that ended the stream, if any.
@@ -176,19 +194,19 @@ impl<M: MessageStream> ElemSource for MrtElemSource<M> {
     }
 
     fn next_owned(&mut self) -> Option<BgpElem> {
-        while self.queue.is_empty() {
-            match self.reader.next_message() {
-                Ok(Some((time, msg))) => {
-                    elems_of_message(time, &msg, self.dataset, self.collector, &mut self.queue);
-                }
-                Ok(None) => return None,
+        loop {
+            if let Some(elem) = self.expand() {
+                return Some(elem);
+            }
+            match self.reader.next_update(&mut self.record) {
+                Ok(true) => self.emitted = 0,
+                Ok(false) => return None,
                 Err(e) => {
                     self.error = Some(e);
                     return None;
                 }
             }
         }
-        self.queue.pop_front()
     }
 }
 

@@ -3,15 +3,26 @@
 //! `MrtBytesReader` over the whole archive, `MrtReader` over a `Read`
 //! that returns a few bytes per call, `TailingReader` under appends cut
 //! at arbitrary offsets. Properties that take a [`Feeder`] hold for all
-//! three or the unification is broken.
+//! three or the unification is broken — at record level
+//! ([`Feeder::decode`]) and at elem level ([`Feeder::elems`]). The
+//! [`raw`] builders write the records `MrtWriter` cannot.
+
+// Each test binary that includes this module uses a subset of it.
+#![allow(dead_code)]
 
 use std::io::Read;
 
 use proptest::prelude::*;
 
 use bh_mrt::{
-    MessageStream, MrtBytesReader, MrtError, MrtReader, MrtRecord, ReadMode, TailingReader,
+    MessageStream, MrtBytesReader, MrtError, MrtReader, MrtRecord, MrtRecordBody, ReadMode,
+    TailingReader,
 };
+use bh_routing::{BgpElem, DataSource, ElemSource, ElemType, MrtElemSource};
+
+/// The labels [`Feeder::elems`] puts on every elem.
+pub const DATASET: DataSource = DataSource::Ris;
+pub const COLLECTOR: u16 = 7;
 
 /// Which reader frames the archive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,5 +146,322 @@ impl Feeder {
         out.records_read = read;
         out.records_skipped = skipped;
         out
+    }
+
+    /// Stream `archive` through an `MrtElemSource` over this feeder's
+    /// reader in `mode`, labelled [`DATASET`] / [`COLLECTOR`].
+    pub fn elems(&self, mode: ReadMode, archive: &[u8]) -> ElemOutcome {
+        let tolerant = mode == ReadMode::Tolerant;
+        match self.transport {
+            Transport::Bytes => {
+                let archive = archive.to_vec();
+                let reader = if tolerant {
+                    MrtBytesReader::tolerant(archive)
+                } else {
+                    MrtBytesReader::new(archive)
+                };
+                ElemOutcome::drain(MrtElemSource::from_reader(reader, DATASET, COLLECTOR))
+            }
+            Transport::Read => {
+                let bytes = Dribble { bytes: archive, chunks: self.chunks.iter().cycle() };
+                let reader =
+                    if tolerant { MrtReader::tolerant(bytes) } else { MrtReader::new(bytes) };
+                ElemOutcome::drain(MrtElemSource::from_reader(reader, DATASET, COLLECTOR))
+            }
+            Transport::Tail => {
+                let reader =
+                    if tolerant { TailingReader::tolerant() } else { TailingReader::new() };
+                let mut source = MrtElemSource::from_reader(reader, DATASET, COLLECTOR);
+                let mut elems = Vec::new();
+                let mut rest = archive;
+                for &chunk in self.chunks.iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (head, tail) = rest.split_at(chunk.min(rest.len()));
+                    source.reader_mut().extend(head);
+                    pump_elems(&mut source, &mut elems);
+                    rest = tail;
+                }
+                source.reader_mut().close();
+                pump_elems(&mut source, &mut elems);
+                ElemOutcome::finish(source, elems)
+            }
+        }
+    }
+}
+
+/// What an elem source made of an archive.
+#[derive(Debug)]
+pub struct ElemOutcome {
+    pub elems: Vec<BgpElem>,
+    pub error: Option<MrtError>,
+    pub records_read: u64,
+    pub records_skipped: u64,
+}
+
+impl ElemOutcome {
+    fn drain<M: MessageStream>(mut source: MrtElemSource<M>) -> Self {
+        let mut elems = Vec::new();
+        pump_elems(&mut source, &mut elems);
+        Self::finish(source, elems)
+    }
+
+    fn finish<M: MessageStream>(mut source: MrtElemSource<M>, elems: Vec<BgpElem>) -> Self {
+        ElemOutcome {
+            elems,
+            records_read: source.records_read(),
+            records_skipped: source.records_skipped(),
+            error: source.take_error(),
+        }
+    }
+
+    /// Everything comparable with a record-level [`Outcome`].
+    pub fn summary(&self) -> (&[BgpElem], Option<String>, u64, u64) {
+        let error = self.error.as_ref().map(|e| format!("{e:?}"));
+        (&self.elems, error, self.records_read, self.records_skipped)
+    }
+}
+
+/// Drain `source` until it has nothing more *for now*; once it reported
+/// an error, it must stay silent.
+fn pump_elems<M: MessageStream>(source: &mut MrtElemSource<M>, out: &mut Vec<BgpElem>) {
+    let failed = source.error().is_some();
+    while let Some(elem) = source.next_owned() {
+        assert!(!failed, "an elem after {:?}", source.error());
+        out.push(elem);
+    }
+}
+
+/// The elems of one UPDATE, built here rather than by the decoder: one
+/// per announced prefix in first-seen order without repeats, then one per
+/// withdrawn prefix likewise; a withdrawal carries no attributes.
+pub fn expand_update(
+    time: bh_bgp_types::time::SimTime,
+    peer_asn: bh_bgp_types::asn::Asn,
+    peer_ip: std::net::IpAddr,
+    attrs: &bh_bgp_types::attrs::PathAttributes,
+    announced: &[bh_bgp_types::prefix::Ipv4Prefix],
+    withdrawn: &[bh_bgp_types::prefix::Ipv4Prefix],
+) -> Vec<BgpElem> {
+    let first_seen = |prefixes: &[_]| {
+        let mut out = Vec::new();
+        for p in prefixes {
+            if !out.contains(p) {
+                out.push(*p);
+            }
+        }
+        out
+    };
+    let elem = |elem_type, prefix, announce: bool| BgpElem {
+        time,
+        dataset: DATASET,
+        collector: COLLECTOR,
+        peer_asn,
+        peer_ip,
+        elem_type,
+        prefix,
+        as_path: if announce { attrs.as_path.clone() } else { Default::default() },
+        communities: if announce { attrs.communities.clone() } else { Default::default() },
+        next_hop: if announce { attrs.next_hop } else { None },
+    };
+    let mut out: Vec<BgpElem> =
+        first_seen(announced).into_iter().map(|p| elem(ElemType::Announce, p, true)).collect();
+    out.extend(first_seen(withdrawn).into_iter().map(|p| elem(ElemType::Withdraw, p, false)));
+    out
+}
+
+/// The elems decoded records stand for, expanded by [`expand_update`].
+pub fn expand_records(records: &[MrtRecord]) -> Vec<BgpElem> {
+    let mut out = Vec::new();
+    for record in records {
+        if let MrtRecordBody::Message(msg) = &record.body {
+            if let Some(update) = &msg.update {
+                let announced: Vec<_> = update.announced_v4().copied().collect();
+                let withdrawn: Vec<_> = update.withdrawn_v4().copied().collect();
+                out.extend(expand_update(
+                    record.timestamp,
+                    msg.peer_asn,
+                    msg.peer_ip,
+                    &update.attrs,
+                    &announced,
+                    &withdrawn,
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// An independent walk of the length fields: how many complete records
+/// a reader can frame out of `bytes` before the end, a tear, or an
+/// oversized length.
+pub fn framed_records(bytes: &[u8]) -> u64 {
+    let (mut offset, mut framed) = (0usize, 0u64);
+    while bytes.len() - offset >= 12 {
+        let len = u32::from_be_bytes(bytes[offset + 8..offset + 12].try_into().unwrap());
+        if len > bh_mrt::read::MAX_RECORD_LEN || bytes.len() - offset - 12 < len as usize {
+            break;
+        }
+        offset += 12 + len as usize;
+        framed += 1;
+    }
+    framed
+}
+
+/// Record bytes written field by field, for the shapes `MrtWriter` does
+/// not produce: 2-byte-AS `MESSAGE`, `BGP4MP_ET`, KEEPALIVEs, and
+/// UPDATEs whose NLRI repeat. Builders return the offsets of the length
+/// fields they wrote, relative to the bytes they return.
+pub mod raw {
+    use std::net::Ipv4Addr;
+
+    use bh_bgp_types::attrs::PathAttributes;
+    use bh_bgp_types::prefix::Ipv4Prefix;
+    use bh_bgp_types::wire::encode_attributes;
+
+    pub const BGP4MP: u16 = 16;
+    pub const BGP4MP_ET: u16 = 17;
+    pub const MESSAGE: u16 = 1;
+    pub const MESSAGE_AS4: u16 = 4;
+    pub const STATE_CHANGE_AS4: u16 = 5;
+
+    /// A length or count field: where it sits and how wide it is.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Field {
+        pub name: &'static str,
+        pub offset: usize,
+        pub width: usize,
+    }
+
+    impl Field {
+        fn shifted(self, by: usize) -> Field {
+            Field { offset: self.offset + by, ..self }
+        }
+    }
+
+    /// A BGP message of type `kind` around `body`.
+    pub fn message(kind: u8, body: &[u8]) -> (Vec<u8>, Vec<Field>) {
+        let mut msg = vec![0xFF; 16];
+        msg.extend_from_slice(&((19 + body.len()) as u16).to_be_bytes());
+        msg.push(kind);
+        msg.extend_from_slice(body);
+        (msg, vec![Field { name: "bgp message length", offset: 16, width: 2 }])
+    }
+
+    /// An UPDATE carrying the NLRI exactly as given (repeats kept); the
+    /// attribute block is written only when something is announced.
+    pub fn update(
+        attrs: &PathAttributes,
+        announced: &[Ipv4Prefix],
+        withdrawn: &[Ipv4Prefix],
+    ) -> (Vec<u8>, Vec<Field>) {
+        // RFC 4271 §4.3: a length octet, then the prefix's leading octets.
+        let nlri = |prefixes: &[Ipv4Prefix], base: usize, fields: &mut Vec<Field>| {
+            let mut buf = Vec::new();
+            for p in prefixes {
+                fields.push(Field { name: "nlri length", offset: base + buf.len(), width: 1 });
+                buf.push(p.length());
+                let octets = p.network_bits().to_be_bytes();
+                buf.extend_from_slice(&octets[..p.length().div_ceil(8) as usize]);
+            }
+            buf
+        };
+        let mut fields = vec![Field { name: "withdrawn length", offset: 0, width: 2 }];
+        let withdrawn = nlri(withdrawn, 2, &mut fields);
+        let mut body = (withdrawn.len() as u16).to_be_bytes().to_vec();
+        body.extend_from_slice(&withdrawn);
+        let block =
+            if announced.is_empty() { Vec::new() } else { encode_attributes(attrs).to_vec() };
+        fields.push(Field { name: "attribute length", offset: body.len(), width: 2 });
+        if let Some(at) = as_path_segment_count(&block) {
+            fields.push(Field {
+                name: "as_path segment count",
+                offset: body.len() + 2 + at,
+                width: 1,
+            });
+        }
+        body.extend_from_slice(&(block.len() as u16).to_be_bytes());
+        body.extend_from_slice(&block);
+        let announced = nlri(announced, body.len(), &mut fields);
+        body.extend_from_slice(&announced);
+        let (msg, mut header) = message(2, &body);
+        header.extend(fields.into_iter().map(|f| f.shifted(19)));
+        (msg, header)
+    }
+
+    /// Where the first AS_PATH segment's count byte sits in an attribute
+    /// block, walking the attribute headers.
+    fn as_path_segment_count(block: &[u8]) -> Option<usize> {
+        let mut at = 0;
+        while at + 3 <= block.len() {
+            let (flags, code) = (block[at], block[at + 1]);
+            let (len, header) = if flags & 0x10 != 0 {
+                (u16::from_be_bytes([block[at + 2], *block.get(at + 3)?]) as usize, 4)
+            } else {
+                (block[at + 2] as usize, 3)
+            };
+            if code == 2 && len >= 2 {
+                return Some(at + header + 1);
+            }
+            at += header + len;
+        }
+        None
+    }
+
+    /// A BGP4MP(_ET) record body for an IPv4 session: the envelope, then
+    /// `payload` (a BGP message, or a state change's two state codes).
+    pub fn bgp4mp_body(
+        et: bool,
+        as4: bool,
+        peer_asn: u32,
+        peer_ip: Ipv4Addr,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut body = Vec::new();
+        if et {
+            body.extend_from_slice(&123_456u32.to_be_bytes());
+        }
+        if as4 {
+            body.extend_from_slice(&peer_asn.to_be_bytes());
+            body.extend_from_slice(&64_512u32.to_be_bytes());
+        } else {
+            body.extend_from_slice(&(peer_asn as u16).to_be_bytes());
+            body.extend_from_slice(&64_512u16.to_be_bytes());
+        }
+        body.extend_from_slice(&0u16.to_be_bytes()); // ifindex
+        body.extend_from_slice(&1u16.to_be_bytes()); // AFI IPv4
+        body.extend_from_slice(&peer_ip.octets());
+        body.extend_from_slice(&[192, 0, 2, 254]);
+        body.extend_from_slice(payload);
+        body
+    }
+
+    /// An MRT record: the common header, then `body`.
+    pub fn record(time: u32, ty: u16, subtype: u16, body: &[u8]) -> (Vec<u8>, Vec<Field>) {
+        let mut rec = time.to_be_bytes().to_vec();
+        rec.extend_from_slice(&ty.to_be_bytes());
+        rec.extend_from_slice(&subtype.to_be_bytes());
+        rec.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        rec.extend_from_slice(body);
+        (rec, vec![Field { name: "mrt length", offset: 8, width: 4 }])
+    }
+
+    /// A BGP4MP message record around `msg` and its fields, every offset
+    /// relative to the record.
+    pub fn message_record(
+        time: u32,
+        et: bool,
+        as4: bool,
+        peer_asn: u32,
+        peer_ip: Ipv4Addr,
+        (msg, msg_fields): (Vec<u8>, Vec<Field>),
+    ) -> (Vec<u8>, Vec<Field>) {
+        let body = bgp4mp_body(et, as4, peer_asn, peer_ip, &msg);
+        let envelope = body.len() - msg.len();
+        let subtype = if as4 { MESSAGE_AS4 } else { MESSAGE };
+        let (rec, mut fields) = record(time, if et { BGP4MP_ET } else { BGP4MP }, subtype, &body);
+        fields.extend(msg_fields.into_iter().map(|f| f.shifted(12 + envelope)));
+        (rec, fields)
     }
 }

@@ -1,0 +1,218 @@
+//! Hostile MRT / BGP-wire input: every byte of an archive is untrusted
+//! until parsed. From one small valid archive the harness derives
+//! mutants — a cut at every offset, each length or count field set to 0,
+//! ±1 and its maximum, seeded bit flips — and drives each through all
+//! three feeders ([`common::Feeder`]), strict and tolerant, at record and
+//! at elem level. Every mutant must decode without a panic; a strict
+//! reader returns at most one error and then only `Ok(None)`; a tolerant
+//! one accounts for every record it framed (`records_read +
+//! records_skipped` equals an independent walk of the length fields,
+//! unless the framing itself broke); and the elem path yields every elem
+//! of a record or none of them — exactly the elems of the records the
+//! record path decoded, expanded outside the decoder.
+//!
+//! CI runs this file in `--release` under a hard timeout, so a parser
+//! that stops advancing on a malformed record fails fast.
+
+mod common;
+
+use std::net::Ipv4Addr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use common::raw::{self, Field};
+use common::{expand_records, framed_records, Feeder, Transport};
+
+use bh_bgp_types::as_path::AsPath;
+use bh_bgp_types::asn::Asn;
+use bh_bgp_types::attrs::PathAttributes;
+use bh_bgp_types::community::{Community, CommunitySet};
+use bh_bgp_types::error::CodecError;
+use bh_bgp_types::prefix::Ipv4Prefix;
+use bh_mrt::{MrtError, ReadMode};
+
+fn prefix(s: &str) -> Ipv4Prefix {
+    s.parse().expect("test prefix")
+}
+
+/// The seed archive, and every length or count field in it with its
+/// absolute offset: an UPDATE announcing three prefixes (one repeated)
+/// and withdrawing one, a withdraw-only UPDATE with an empty attribute
+/// block, a state change, a KEEPALIVE, an AS2 `MESSAGE` and a
+/// `BGP4MP_ET` UPDATE.
+fn seed_archive() -> (Vec<u8>, Vec<Field>) {
+    let peer = Ipv4Addr::new(198, 51, 100, 44);
+    let mut path = AsPath::from_sequence(vec![Asn::new(6939), Asn::new(3356)]);
+    path.prepend(Asn::new(64_500), 2);
+    let attrs = PathAttributes {
+        as_path: path,
+        next_hop: Some("203.0.113.66".parse().expect("next hop")),
+        communities: CommunitySet::from_classic(vec![
+            Community::from_parts(3356, 9999),
+            Community::BLACKHOLE,
+        ]),
+        ..Default::default()
+    };
+    let host = prefix("130.149.1.1/32");
+    let records = [
+        raw::message_record(
+            10,
+            false,
+            true,
+            6939,
+            peer,
+            raw::update(
+                &attrs,
+                &[host, prefix("192.0.2.0/24"), host, prefix("10.0.0.0/8")],
+                &[prefix("198.51.100.0/24")],
+            ),
+        ),
+        raw::message_record(
+            11,
+            false,
+            true,
+            6939,
+            peer,
+            raw::update(&attrs, &[], &[host, prefix("0.0.0.0/0")]),
+        ),
+        raw::record(
+            12,
+            raw::BGP4MP,
+            raw::STATE_CHANGE_AS4,
+            &raw::bgp4mp_body(false, true, 6939, peer, &[0, 6, 0, 1]),
+        ),
+        raw::message_record(13, false, true, 6939, peer, raw::message(4, &[])),
+        raw::message_record(14, false, false, 3356, peer, raw::update(&attrs, &[host], &[])),
+        raw::message_record(15, true, true, 174, peer, raw::update(&attrs, &[host], &[host])),
+    ];
+    let (mut archive, mut fields) = (Vec::new(), Vec::new());
+    for (bytes, record_fields) in records {
+        let base = archive.len();
+        fields.extend(record_fields.into_iter().map(|f| Field { offset: base + f.offset, ..f }));
+        archive.extend(bytes);
+    }
+    (archive, fields)
+}
+
+/// The feeders every mutant goes through: the whole archive, a `Read`
+/// of ragged chunks, and appends cut at other offsets.
+fn feeders() -> [Feeder; 3] {
+    [
+        Feeder { transport: Transport::Bytes, chunks: vec![1] },
+        Feeder { transport: Transport::Read, chunks: vec![1, 3, 17, 64] },
+        Feeder { transport: Transport::Tail, chunks: vec![5, 64, 2, 11] },
+    ]
+}
+
+/// Every check the harness makes, on one mutant.
+fn check(case: &str, bytes: &[u8]) {
+    let framed = framed_records(bytes);
+    for feeder in feeders() {
+        for mode in [ReadMode::Strict, ReadMode::Tolerant] {
+            let at = format!("{case}, {:?}, {mode:?}", feeder.transport);
+            // `Feeder` asserts that an error is final and single.
+            let records = catch_unwind(AssertUnwindSafe(|| feeder.decode(mode, bytes)))
+                .unwrap_or_else(|_| panic!("{at}: the record path panicked"));
+            let elems = catch_unwind(AssertUnwindSafe(|| feeder.elems(mode, bytes)))
+                .unwrap_or_else(|_| panic!("{at}: the elem path panicked"));
+
+            let accounted = records.records_read + records.records_skipped;
+            assert_eq!(records.records_read, records.records.len() as u64, "{at}");
+            if mode == ReadMode::Tolerant || records.error.is_none() {
+                assert_eq!(accounted, framed, "{at}: a framed record went unaccounted");
+            } else {
+                assert!(accounted <= framed, "{at}");
+            }
+            match (mode, &records.error) {
+                (ReadMode::Strict, _) => assert_eq!(records.records_skipped, 0, "{at}"),
+                (ReadMode::Tolerant, None | Some(MrtError::OversizedRecord(_))) => {}
+                (ReadMode::Tolerant, Some(e)) => assert!(
+                    matches!(
+                        e,
+                        MrtError::Codec(CodecError::Truncated {
+                            what: "mrt header" | "mrt body",
+                            ..
+                        })
+                    ),
+                    "{at}: only a framing failure ends a tolerant stream, not {e:?}"
+                ),
+            }
+
+            let expected = expand_records(&records.records);
+            assert_eq!(
+                elems.summary(),
+                (&expected[..], records.summary().1, records.records_read, records.records_skipped),
+                "{at}: the elem path is not the whole-record expansion"
+            );
+        }
+    }
+}
+
+#[test]
+fn seed_archive_decodes_cleanly() {
+    let (archive, fields) = seed_archive();
+    let clean = Feeder { transport: Transport::Bytes, chunks: vec![1] };
+    let records = clean.decode(ReadMode::Strict, &archive);
+    assert!(records.error.is_none(), "{:?}", records.error);
+    assert_eq!(records.records_read, 6);
+    let elems = clean.elems(ReadMode::Strict, &archive).elems;
+    // 3 + 1, 2, 0, 0, 1, 1 + 1: repeats dropped, nothing from the
+    // state change or the KEEPALIVE.
+    assert_eq!(elems.len(), 9);
+    let names = |name| fields.iter().filter(|f| f.name == name).count();
+    assert_eq!(names("mrt length"), 6);
+    assert_eq!(names("bgp message length"), 5);
+    assert_eq!(names("withdrawn length"), 4);
+    assert_eq!(names("attribute length"), 4);
+    assert_eq!(names("as_path segment count"), 3);
+    assert_eq!(names("nlri length"), 10);
+    check("seed", &archive);
+}
+
+#[test]
+fn every_truncation_point() {
+    let (archive, _) = seed_archive();
+    for cut in 0..archive.len() {
+        check(&format!("cut at {cut}"), &archive[..cut]);
+    }
+}
+
+#[test]
+fn every_length_field_at_its_edges() {
+    let (archive, fields) = seed_archive();
+    for field in &fields {
+        let span = field.offset..field.offset + field.width;
+        let mut value = [0u8; 4];
+        value[4 - field.width..].copy_from_slice(&archive[span.clone()]);
+        let value = u32::from_be_bytes(value);
+        let max = u32::MAX >> (32 - 8 * field.width);
+        let edges = [0, value.wrapping_sub(1) & max, value.wrapping_add(1) & max, max];
+        for edge in edges {
+            let mut mutant = archive.clone();
+            mutant[span.clone()].copy_from_slice(&edge.to_be_bytes()[4 - field.width..]);
+            check(&format!("{} at {} = {edge} (was {value})", field.name, field.offset), &mutant);
+        }
+    }
+}
+
+#[test]
+fn seeded_bit_flips() {
+    let (archive, _) = seed_archive();
+    // SplitMix64: a fixed stream, so a failure names a reproducible case.
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for case in 0..1500 {
+        let mut mutant = archive.clone();
+        let flips = 1 + next() % 3;
+        for _ in 0..flips {
+            let bit = (next() % (mutant.len() as u64 * 8)) as usize;
+            mutant[bit / 8] ^= 1 << (bit % 8);
+        }
+        check(&format!("flip case {case}"), &mutant);
+    }
+}

@@ -10,7 +10,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{arb_feeder, Feeder, Transport};
+use common::{arb_feeder, framed_records, Feeder, Transport};
 
 use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
@@ -179,22 +179,6 @@ fn rewrite(records: &[(SimTime, MrtRecordBody)]) -> Vec<u8> {
         }
     }
     buf
-}
-
-/// An independent walk of the length fields: how many complete records
-/// a reader can frame out of `bytes` before the end, a tear, or an
-/// oversized length.
-fn framed_records(bytes: &[u8]) -> u64 {
-    let (mut offset, mut framed) = (0usize, 0u64);
-    while bytes.len() - offset >= 12 {
-        let len = u32::from_be_bytes(bytes[offset + 8..offset + 12].try_into().unwrap());
-        if len > bh_mrt::read::MAX_RECORD_LEN || bytes.len() - offset - 12 < len as usize {
-            break;
-        }
-        offset += 12 + len as usize;
-        framed += 1;
-    }
-    framed
 }
 
 /// The whole-archive reader: what every other feeder must agree with.

@@ -2,8 +2,9 @@
 //! (with its attribute-block memo cache and Arc-shared handles) must be
 //! observationally identical to the copying [`MrtReader`] path — and to
 //! whichever feeder ([`common::Feeder`]) a case draws — same records,
-//! same [`BgpElem`] streams, same [`InferenceResult`]s — on arbitrary
-//! round-tripped archives. Interning is checked the same way: tables
+//! same [`InferenceResult`]s — on arbitrary round-tripped archives, and
+//! every feeder's [`BgpElem`] stream must equal an expansion of the
+//! written updates computed in the test. Interning is checked: tables
 //! built in any order hold the same distinct values, and an issued id
 //! stays stable while the table grows.
 
@@ -26,7 +27,7 @@ use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
 use bh_mrt::{MrtBytesReader, MrtWriter, ReadMode};
 use bh_routing::archive::MrtElemSource;
-use bh_routing::{DataSource, ElemSource, MergedSource};
+use bh_routing::{ElemSource, MergedSource};
 
 const PEER_IP: &str = "198.51.100.44";
 const LOCAL_IP: &str = "192.0.2.254";
@@ -94,12 +95,119 @@ fn write_archive(draws: &[UpdateFields]) -> Vec<u8> {
     buf
 }
 
-fn drain<S: ElemSource>(mut source: S) -> Vec<bh_routing::BgpElem> {
-    let mut out = Vec::new();
-    while let Some(elem) = source.next_elem() {
-        out.push(elem.clone());
+/// One record of the elem-expansion archive.
+#[derive(Debug, Clone)]
+enum Draw {
+    /// `form`: 0 through `MrtWriter` (its `BgpUpdate` drops repeats), 1
+    /// a hand-built AS4 `MESSAGE`, 2 an AS2 `MESSAGE`, 3 a `BGP4MP_ET`
+    /// record — the last three keep repeated NLRI on the wire.
+    Update {
+        time: u32,
+        peer: u32,
+        hops: Vec<u32>,
+        comms: Vec<u32>,
+        announced: Vec<Ipv4Prefix>,
+        withdrawn: Vec<Ipv4Prefix>,
+        form: u8,
+    },
+    Keepalive {
+        time: u32,
+        peer: u32,
+    },
+    StateChange {
+        time: u32,
+        peer: u32,
+    },
+}
+
+fn arb_draw() -> impl Strategy<Value = Draw> {
+    // A pool of twelve prefixes, so an UPDATE repeats some of its NLRI.
+    let prefixes = || {
+        prop::collection::vec((0u32..4, 0usize..3), 0..6).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(net, len)| Ipv4Prefix::from_raw(0x0A00_0000 | net << 16, [16, 24, 32][len]))
+                .collect::<Vec<_>>()
+        })
+    };
+    (
+        0u8..8,
+        0u32..4_000_000_000,
+        1u32..4_000_000_000,
+        prop::collection::vec(1u32..64, 0..4),
+        prop::collection::vec(1u32..16, 0..3),
+        prefixes(),
+        prefixes(),
+    )
+        .prop_map(|(pick, time, peer, hops, comms, announced, withdrawn)| match pick {
+            6 => Draw::Keepalive { time, peer },
+            7 => Draw::StateChange { time, peer },
+            form => Draw::Update { time, peer, hops, comms, announced, withdrawn, form: form % 4 },
+        })
+}
+
+/// The archive of `draws` and, expanded outside the decoder
+/// ([`common::expand_update`]), the elems it must stream.
+fn write_draws(draws: &[Draw]) -> (Vec<u8>, Vec<bh_routing::BgpElem>) {
+    use common::raw;
+    let peer_ip: std::net::Ipv4Addr = PEER_IP.parse().unwrap();
+    let (mut archive, mut expected) = (Vec::new(), Vec::new());
+    for draw in draws {
+        match draw {
+            Draw::Update { time, peer, hops, comms, announced, withdrawn, form } => {
+                let attrs = PathAttributes {
+                    origin: Origin::Igp,
+                    as_path: AsPath::from_sequence(
+                        hops.iter().map(|&a| Asn::new(a)).collect::<Vec<_>>(),
+                    ),
+                    next_hop: Some("203.0.113.66".parse().unwrap()),
+                    communities: CommunitySet::from_classic(
+                        comms.iter().map(|&c| Community(c)).collect::<Vec<_>>(),
+                    ),
+                    ..Default::default()
+                };
+                let (as4, peer) = if *form == 2 { (false, peer & 0xFFFF) } else { (true, *peer) };
+                if *form == 0 {
+                    let mut update = BgpUpdate::new(attrs.clone());
+                    announced.iter().for_each(|&p| update.announce_v4(p));
+                    withdrawn.iter().for_each(|&p| update.withdraw_v4(p));
+                    MrtWriter::new(&mut archive)
+                        .write_update(
+                            SimTime::from_unix(*time as u64),
+                            Asn::new(peer),
+                            peer_ip.into(),
+                            Asn::new(64_512),
+                            LOCAL_IP.parse().unwrap(),
+                            &update,
+                        )
+                        .expect("update writes");
+                } else {
+                    let msg = raw::update(&attrs, announced, withdrawn);
+                    let et = *form == 3;
+                    archive.extend(raw::message_record(*time, et, as4, peer, peer_ip, msg).0);
+                }
+                expected.extend(common::expand_update(
+                    SimTime::from_unix(*time as u64),
+                    Asn::new(peer),
+                    peer_ip.into(),
+                    &attrs,
+                    announced,
+                    withdrawn,
+                ));
+            }
+            Draw::Keepalive { time, peer } => {
+                let keepalive = raw::message(4, &[]);
+                archive
+                    .extend(raw::message_record(*time, false, true, *peer, peer_ip, keepalive).0);
+            }
+            Draw::StateChange { time, peer } => {
+                let states = [0, 6, 0, 1]; // Established → Idle
+                let body = raw::bgp4mp_body(false, true, *peer, peer_ip, &states);
+                archive.extend(raw::record(*time, raw::BGP4MP, raw::STATE_CHANGE_AS4, &body).0);
+            }
+        }
     }
-    out
+    (archive, expected)
 }
 
 proptest! {
@@ -114,16 +222,22 @@ proptest! {
         prop_assert_eq!(fed.summary(), (&sliced[..], None, sliced.len() as u64, 0));
     }
 
-    /// Elem-level equivalence: the zero-copy source streams the same
-    /// `BgpElem`s as the copying source, in the same order.
+    /// Elem-level, against a reference outside the decoder: whichever
+    /// feeder the case draws, in either mode, the elem source streams
+    /// exactly the expansion of the updates written — multi-prefix,
+    /// repeated, announce-plus-withdraw and withdraw-only UPDATEs, as
+    /// AS4, AS2 `MESSAGE` and `BGP4MP_ET` records, between KEEPALIVEs and
+    /// state changes that yield nothing.
     #[test]
-    fn bytes_source_equals_read_source(draws in arb_update_fields()) {
-        let archive = write_archive(&draws);
-        let via_read =
-            drain(MrtElemSource::new(&archive[..], DataSource::Ris, 7));
-        let via_bytes =
-            drain(MrtElemSource::from_bytes(archive, DataSource::Ris, 7));
-        prop_assert_eq!(&via_read, &via_bytes);
+    fn elems_equal_the_written_updates_through_every_feeder(
+        draws in prop::collection::vec(arb_draw(), 0..16),
+        feeder in arb_feeder(),
+    ) {
+        let (archive, expected) = write_draws(&draws);
+        for mode in [ReadMode::Strict, ReadMode::Tolerant] {
+            let out = feeder.elems(mode, &archive);
+            prop_assert_eq!(out.summary(), (&expected[..], None, draws.len() as u64, 0));
+        }
     }
 
     /// Intern tables are order-insensitive sets with stable ids: interning

@@ -118,7 +118,7 @@ pub struct StudyRun {
     /// scenario calendar, with the paper's 5-minute grouping timeout).
     pub analytics: AnalyticsConfig,
     /// Every paper table/figure of this run, computed by the
-    /// [`AnalyticsPipeline`] accumulators over `result`.
+    /// [`AnalyticsPipeline`] over `result`.
     pub report: AnalyticsReport,
 }
 
@@ -173,8 +173,7 @@ impl Study {
         session.finish()
     }
 
-    /// An [`AnalyticsPipeline`] with every paper-metric accumulator
-    /// registered over this study's reference data.
+    /// An empty [`AnalyticsPipeline`] over the given reference data.
     pub fn analytics_pipeline(
         &self,
         refdata: &Arc<ReferenceData>,
@@ -186,7 +185,7 @@ impl Study {
     /// Run a scenario — with `policies`, if any, installed on the
     /// simulator — and infer over its stream with ONE deployment: the
     /// same collector set observes and parameterizes the refdata. The
-    /// analytics report comes from the same accumulators the streaming
+    /// analytics report comes from the same pipeline the streaming
     /// paths use, fed from the materialized result; the fold is one pass
     /// over the events — milliseconds against the multi-second
     /// simulation — so every run carries its report.
@@ -328,29 +327,6 @@ mod tests {
         let mut sharded = study.session(&run.refdata).build_sharded(4);
         sharded.ingest(&mut SliceSource::new(&run.output.elems));
         assert_eq!(sharded.finish(), run.result);
-    }
-
-    /// The pipeline hands each accumulator the parameter of
-    /// `run.analytics` it needs and each report field its output.
-    #[test]
-    fn run_report_matches_batch_analytics() {
-        use bh_core::{
-            DailySeriesAccumulator, PeriodAccumulator, TypeAccumulator, VisibilityAccumulator,
-        };
-
-        let study = Study::build(StudyScale::Tiny, 13);
-        let run = study.visibility_run(3, 6.0);
-        let events = &run.result.events;
-        assert!(!events.is_empty());
-        let mut visibility = VisibilityAccumulator::new(run.refdata.clone());
-        visibility.observe_visibility(&run.result.per_dataset);
-        assert_eq!(run.report.table3, visibility.finalize());
-        assert_eq!(run.report.table4, TypeAccumulator::new(run.refdata.clone()).fold(events));
-        let daily =
-            DailySeriesAccumulator::new(run.analytics.window_start, run.analytics.window_end);
-        assert_eq!(run.report.daily, daily.fold(events));
-        let periods = PeriodAccumulator::new(run.analytics.grouping_timeout);
-        assert_eq!(run.report.periods, periods.fold(events));
     }
 
     #[test]

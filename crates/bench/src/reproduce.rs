@@ -68,7 +68,7 @@ pub struct World {
     pub analytics: AnalyticsConfig,
     /// Inference over `output.elems`.
     pub result: InferenceResult,
-    /// The accumulators' report over `result`.
+    /// The analytics pipeline's report over `result`.
     pub report: AnalyticsReport,
     full: OnceLock<Study>,
     longitudinal: OnceLock<StudyRun>,
@@ -205,9 +205,10 @@ impl Claim {
 pub struct Section {
     /// `id — description`; the id ("Table 3", "Fig. 7(c)", "§8") is unique.
     pub title: &'static str,
-    /// The mergeable one-pass form computing the artefact mid-stream (a
-    /// `bh_core` `EventAccumulator`, or the in-session census); `None`
-    /// for artefacts derived from non-event data and for ablations.
+    /// Where the one pass computes the artefact mid-stream: the
+    /// `AnalyticsReport` field(s) the `AnalyticsPipeline` fills, or the
+    /// in-session census; `None` for artefacts derived from non-event
+    /// data and for ablations.
     pub one_pass: Option<&'static str>,
     /// Not one of the paper's 16 artefacts.
     pub ablation: bool,
@@ -1207,16 +1208,11 @@ pub fn registry() -> Vec<Section> {
         artefact("Table 2 — documented blackhole communities", None, render_table2, table2_claims),
         artefact(
             "Table 3 — blackhole visibility per dataset (Aug 2016 – Mar 2017)",
-            Some("VisibilityAccumulator"),
+            Some("table3"),
             render_table3,
             table3,
         ),
-        artefact(
-            "Table 4 — visibility by provider type",
-            Some("TypeAccumulator"),
-            render_table4,
-            table4,
-        ),
+        artefact("Table 4 — visibility by provider type", Some("table4"), render_table4, table4),
         artefact(
             "Fig. 2 — community tag vs prefix length",
             Some("CommunityPrefixCensus (maintained in-session)"),
@@ -1225,52 +1221,47 @@ pub fn registry() -> Vec<Section> {
         ),
         slow(artefact(
             "Fig. 4 — longitudinal adoption (Dec 2014 – Mar 2017)",
-            Some("DailySeriesAccumulator"),
+            Some("daily"),
             render_fig4,
             fig4,
         )),
         artefact(
             "Fig. 5 — prefix-count CDFs per provider and user type",
-            Some("ProviderPrefixAccumulator + UserPrefixAccumulator"),
+            Some("prefixes_per_provider + prefixes_per_user"),
             render_fig5,
             fig5,
         ),
         artefact(
             "Fig. 6 — providers/users per country",
-            Some("CountryAccumulator"),
+            Some("provider_countries + user_countries"),
             render_fig6,
             fig6,
         ),
         artefact(
             "Fig. 7(a) — services on blackholed IPs",
-            Some("PrefixSetAccumulator (scan-input census)"),
+            Some("blackholed_prefixes (scan-input census)"),
             render_fig7a,
             fig7a,
         ),
         artefact(
             "Fig. 7(b) — providers per blackholing event",
-            Some("ProvidersPerEventAccumulator"),
+            Some("providers_per_event"),
             render_fig7b,
             fig7b,
         ),
         artefact(
             "Fig. 7(c) — AS distance collector↔provider",
-            Some("DistanceAccumulator"),
+            Some("distance_histogram"),
             render_fig7c,
             fig7c,
         ),
-        artefact(
-            "Fig. 8 — blackholing durations",
-            Some("DurationAccumulator + PeriodAccumulator"),
-            render_fig8,
-            fig8,
-        ),
+        artefact("Fig. 8 — blackholing durations", Some("durations + periods"), render_fig8, fig8),
         artefact("Fig. 9(a) — IP-level path-length impact", None, render_fig9a, fig9a),
         artefact("Fig. 9(b) — AS-level path-length impact", None, render_fig9b, fig9b),
         artefact("Fig. 9(c) — IXP traffic to blackholed prefixes", None, render_fig9c, fig9c),
         artefact(
             "§8 — malicious activity of blackholed IPs",
-            Some("PrefixSetAccumulator (reputation-input census)"),
+            Some("blackholed_prefixes (reputation-input census)"),
             render_sec8,
             sec8,
         ),
@@ -1328,9 +1319,10 @@ mod tests {
 
     #[test]
     fn event_derived_artifacts_have_one_pass_forms() {
-        // Every artefact computed from inferred events streams through a
-        // mergeable accumulator; the non-event artefacts are exactly the
-        // dataset overview, the dictionary, and the data-plane figures.
+        // Every artefact computed from inferred events streams through
+        // the one-pass pipeline (or the in-session census); the
+        // non-event artefacts are exactly the dataset overview, the
+        // dictionary, and the data-plane figures.
         let batch_only: Vec<&str> =
             artefacts().iter().filter(|s| s.one_pass.is_none()).map(Section::id).collect();
         assert_eq!(batch_only, ["Table 1", "Table 2", "Fig. 9(a)", "Fig. 9(b)", "Fig. 9(c)"]);

@@ -4,7 +4,7 @@
 //! pass over years of BGP updates. This module makes the analytics layer
 //! match that shape: an [`EventAccumulator`] folds a stream of
 //! [`BlackholeEvent`]s (plus the session's per-dataset visibility) into
-//! a paper metric, can be **merged** with a sibling accumulator fed a
+//! its output, can be **merged** with a sibling accumulator fed a
 //! disjoint part of the stream, and **finalizes** into exactly what the
 //! [`fold`](EventAccumulator::fold) over the materialized event list
 //! returns.
@@ -12,34 +12,38 @@
 //! The contract every implementation upholds:
 //!
 //! * `observe` is **order-insensitive**: any permutation of the same
-//!   event multiset finalizes to the same output.
+//!   event multiset finalizes to the same output (the event list itself,
+//!   `Vec<BlackholeEvent>`, is the one exception: it keeps observation
+//!   order, and [`InferenceResult`] sorts it).
 //! * `merge` is **associative and commutative** (a property test in
 //!   `tests/tests/analytics_streaming.rs` asserts this), so per-shard
 //!   accumulators can be folded in any grouping at the
 //!   [`ShardedSession`](crate::ShardedSession) barrier.
 //! * `finalize` of a streamed/merged accumulator is **equal** to
-//!   [`fold`](EventAccumulator::fold) over the materialized event list —
-//!   the one batch form, provided by the trait, so each paper metric has
-//!   exactly one implementation.
+//!   [`fold`](EventAccumulator::fold) over the materialized event list.
 //!
-//! [`AnalyticsPipeline`] multiplexes one event stream into every
-//! registered paper-metric accumulator;
+//! [`AnalyticsPipeline`] is the one accumulator behind every paper table
+//! and figure;
 //! [`InferenceSession::drain_closed_into`](crate::InferenceSession::drain_closed_into)
 //! and [`InferenceSession::finish_with`](crate::InferenceSession::finish_with)
 //! feed it mid-stream without ever materializing the full event `Vec`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use bh_bgp_types::asn::Asn;
+use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_routing::DataSource;
+use bh_topology::NetworkType;
 
 use crate::analytics::{
-    CountryAccumulator, DailySeriesAccumulator, DistanceAccumulator, DurationAccumulator,
-    PrefixSetAccumulator, ProviderPrefixAccumulator, ProvidersPerEventAccumulator, TypeAccumulator,
-    UserPrefixAccumulator, VisibilityAccumulator,
+    feeds_directly, provider_asn, provider_type, ratio, visibility_rows, DailyPoint, TypeRow,
+    VisibilityRow,
 };
-use crate::events::{BlackholeEvent, PeriodAccumulator};
+use crate::events::{
+    BlackholeEvent, BlackholePeriod, DetectionDistance, PeriodAccumulator, ProviderId,
+};
 use crate::refdata::ReferenceData;
 use crate::session::{DatasetVisibility, InferenceResult};
 
@@ -89,55 +93,32 @@ pub trait EventAccumulator {
     }
 }
 
-/// The identity accumulator: collects the events themselves.
-///
-/// This is what makes the event list itself "just another metric": a
-/// plain [`InferenceSession::finish`](crate::InferenceSession::finish)
-/// and the sharded runner both stream into an `EventCollector` and
-/// restore the canonical `(start, prefix)` order at `finalize`.
-#[derive(Debug, Clone, Default)]
-pub struct EventCollector {
-    events: Vec<BlackholeEvent>,
-}
-
-impl EventCollector {
-    /// Events collected so far (observation order).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// No events collected yet?
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl EventAccumulator for EventCollector {
+/// The identity accumulator: the events themselves, in the order they
+/// were observed (the order a live daemon numbers them in).
+/// [`InferenceResult`] applies the canonical `(start, prefix)` order.
+impl EventAccumulator for Vec<BlackholeEvent> {
     type Output = Vec<BlackholeEvent>;
 
     fn observe(&mut self, event: &BlackholeEvent) {
-        self.events.push(event.clone());
+        self.push(event.clone());
     }
 
     fn observe_owned(&mut self, event: BlackholeEvent) {
-        self.events.push(event);
+        self.push(event);
     }
 
     fn merge(&mut self, other: Self) {
-        self.events.extend(other.events);
+        self.extend(other);
     }
 
-    /// The collected events in canonical `(start, prefix)` order — the
-    /// exact order a single-threaded batch run produces.
-    fn finalize(mut self) -> Vec<BlackholeEvent> {
-        self.events.sort_by_key(|e| (e.start, e.prefix));
-        self.events
+    fn finalize(self) -> Vec<BlackholeEvent> {
+        self
     }
 }
 
-/// The time parameters the figure accumulators need: the analysis
-/// window (Fig. 4 daily buckets), the "now" used to measure still-open
-/// durations (Fig. 8), and the §9 grouping timeout.
+/// The time parameters of the analytics: the analysis window (Fig. 4
+/// daily buckets), the "now" used to measure still-open durations
+/// (Fig. 8), and the §9 grouping timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyticsConfig {
     /// Start of the analysis window (inclusive).
@@ -164,20 +145,20 @@ impl AnalyticsConfig {
 }
 
 /// Everything the pipeline computes: one field per paper table/figure,
-/// each exactly what its accumulator's `fold` over the whole event list
-/// (Table 3: `observe_visibility` of the whole run) produces.
+/// each exactly what [`AnalyticsPipeline`]'s `fold` over the whole event
+/// list (Table 3: `observe_visibility` of the whole run) produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticsReport {
     /// Table 3 rows (per-dataset visibility).
-    pub table3: Vec<crate::analytics::VisibilityRow>,
+    pub table3: Vec<VisibilityRow>,
     /// Table 4 rows (visibility by provider network type).
-    pub table4: Vec<crate::analytics::TypeRow>,
+    pub table4: Vec<TypeRow>,
     /// Fig. 4 daily longitudinal series.
-    pub daily: Vec<crate::analytics::DailyPoint>,
+    pub daily: Vec<DailyPoint>,
     /// Fig. 5(a) per-provider blackholed-prefix counts.
-    pub prefixes_per_provider: Vec<(crate::events::ProviderId, bh_topology::NetworkType, usize)>,
+    pub prefixes_per_provider: Vec<(ProviderId, NetworkType, usize)>,
     /// Fig. 5(b) per-user blackholed-prefix counts.
-    pub prefixes_per_user: Vec<(bh_bgp_types::asn::Asn, bh_topology::NetworkType, usize)>,
+    pub prefixes_per_user: Vec<(Asn, NetworkType, usize)>,
     /// Fig. 6 provider counts per country.
     pub provider_countries: BTreeMap<&'static str, usize>,
     /// Fig. 6 user counts per country.
@@ -185,54 +166,81 @@ pub struct AnalyticsReport {
     /// Fig. 7(b) histogram of #providers per event.
     pub providers_per_event: BTreeMap<usize, usize>,
     /// Fig. 7(c) detection-distance histogram.
-    pub distance_histogram: BTreeMap<crate::events::DetectionDistance, usize>,
+    pub distance_histogram: BTreeMap<DetectionDistance, usize>,
     /// Fig. 8(a) event durations, ascending.
     pub durations: Vec<SimDuration>,
     /// Fig. 8 grouped periods (§9 grouping at the configured timeout).
-    pub periods: Vec<crate::events::BlackholePeriod>,
+    pub periods: Vec<BlackholePeriod>,
     /// Distinct blackholed prefixes (Fig. 7(a) / §8 input census).
-    pub blackholed_prefixes: std::collections::BTreeSet<bh_bgp_types::prefix::Ipv4Prefix>,
+    pub blackholed_prefixes: BTreeSet<Ipv4Prefix>,
 }
 
-/// Multiplexes one event stream into every paper-metric accumulator.
+/// One blackholing user: the prefixes it blackholed (Fig. 5(b)) and the
+/// types of the providers it blackholed through (Table 4's user column).
+#[derive(Debug, Clone, Default)]
+struct UserFacts {
+    prefixes: BTreeSet<Ipv4Prefix>,
+    provider_types: BTreeSet<NetworkType>,
+}
+
+/// Who was active on one day of the window (Fig. 4).
+#[derive(Debug, Clone, Default)]
+struct Day {
+    providers: BTreeSet<ProviderId>,
+    users: BTreeSet<Asn>,
+    prefixes: BTreeSet<Ipv4Prefix>,
+}
+
+/// The one accumulator behind every paper table and figure: one pass
+/// over the event stream keeps each provider, user and prefix once, and
+/// [`finalize`](EventAccumulator::finalize) derives every
+/// [`AnalyticsReport`] field from that state — Table 4, Fig. 5 and Fig. 6
+/// by grouping the provider and user maps.
 ///
-/// Feed it via [`EventAccumulator::observe`] (it is itself an
-/// accumulator), via
+/// Feed it via [`EventAccumulator::observe`], via
 /// [`InferenceSession::drain_closed_into`](crate::InferenceSession::drain_closed_into)
 /// mid-stream, or per shard through
 /// [`SessionBuilder::build_sharded_with`](crate::SessionBuilder::build_sharded_with);
 /// per-shard pipelines merge deterministically at the barrier.
 #[derive(Debug, Clone)]
 pub struct AnalyticsPipeline {
-    visibility: VisibilityAccumulator,
-    types: TypeAccumulator,
-    daily: DailySeriesAccumulator,
-    per_provider: ProviderPrefixAccumulator,
-    per_user: UserPrefixAccumulator,
-    geography: CountryAccumulator,
-    providers_per_event: ProvidersPerEventAccumulator,
-    distances: DistanceAccumulator,
-    durations: DurationAccumulator,
+    refdata: Arc<ReferenceData>,
+    config: AnalyticsConfig,
+    /// Table 3: which platform saw which provider, user and prefix.
+    per_dataset: BTreeMap<DataSource, DatasetVisibility>,
+    /// Every provider and the prefixes blackholed through it.
+    providers: BTreeMap<ProviderId, BTreeSet<Ipv4Prefix>>,
+    /// Every user.
+    users: BTreeMap<Asn, UserFacts>,
+    /// One entry per day of the window.
+    days: Vec<Day>,
+    /// Fig. 7(b): events per provider count.
+    providers_per_event: BTreeMap<usize, usize>,
+    /// Fig. 7(c): events per detection distance.
+    distances: BTreeMap<DetectionDistance, usize>,
+    /// Fig. 8(a): durations, open events measured to `config.now`.
+    durations: Vec<SimDuration>,
+    /// The §9 grouping; its prefixes are the blackholed-prefix census.
     periods: PeriodAccumulator,
-    prefixes: PrefixSetAccumulator,
 }
 
 impl AnalyticsPipeline {
-    /// Register every paper-metric accumulator over the given reference
-    /// data and time parameters.
+    /// An empty pipeline over the given reference data and time
+    /// parameters; an inverted or zero-length window is an empty Fig. 4
+    /// series.
     pub fn new(refdata: Arc<ReferenceData>, config: AnalyticsConfig) -> Self {
+        let days = config.window_end.day_index().saturating_sub(config.window_start.day_index());
         AnalyticsPipeline {
-            visibility: VisibilityAccumulator::new(refdata.clone()),
-            types: TypeAccumulator::new(refdata.clone()),
-            daily: DailySeriesAccumulator::new(config.window_start, config.window_end),
-            per_provider: ProviderPrefixAccumulator::new(refdata.clone()),
-            per_user: UserPrefixAccumulator::new(refdata.clone()),
-            geography: CountryAccumulator::new(refdata),
-            providers_per_event: ProvidersPerEventAccumulator::default(),
-            distances: DistanceAccumulator::default(),
-            durations: DurationAccumulator::new(config.now),
+            refdata,
+            config,
+            per_dataset: BTreeMap::new(),
+            providers: BTreeMap::new(),
+            users: BTreeMap::new(),
+            days: vec![Day::default(); days as usize],
+            providers_per_event: BTreeMap::new(),
+            distances: BTreeMap::new(),
+            durations: Vec::new(),
             periods: PeriodAccumulator::new(config.grouping_timeout),
-            prefixes: PrefixSetAccumulator::default(),
         }
     }
 
@@ -247,7 +255,7 @@ impl AnalyticsPipeline {
 
     /// A point-in-time [`AnalyticsReport`] over everything observed so
     /// far, without consuming the pipeline — the incremental snapshot a
-    /// live service publishes between checkpoints. Accumulators are
+    /// live service publishes between checkpoints. Observation is
     /// order-insensitive, so a snapshot over a prefix of the stream is
     /// exactly the report a batch run over that prefix would produce.
     pub fn snapshot(&self) -> AnalyticsReport {
@@ -259,52 +267,126 @@ impl EventAccumulator for AnalyticsPipeline {
     type Output = AnalyticsReport;
 
     fn observe(&mut self, event: &BlackholeEvent) {
-        self.visibility.observe(event);
-        self.types.observe(event);
-        self.daily.observe(event);
-        self.per_provider.observe(event);
-        self.per_user.observe(event);
-        self.geography.observe(event);
-        self.providers_per_event.observe(event);
-        self.distances.observe(event);
-        self.durations.observe(event);
+        let refdata = &self.refdata;
+        let types: BTreeSet<NetworkType> =
+            event.providers.iter().map(|p| provider_type(p, refdata)).collect();
+        for provider in &event.providers {
+            self.providers.entry(*provider).or_default().insert(event.prefix);
+        }
+        for user in &event.users {
+            let facts = self.users.entry(*user).or_default();
+            facts.prefixes.insert(event.prefix);
+            facts.provider_types.extend(&types);
+        }
+        // Active from its start day through its end day (the window's
+        // last day while open).
+        let first = self.config.window_start.day_index();
+        let from = event.start.day_index().saturating_sub(first);
+        let to = event.end.map_or(u64::MAX, |end| (end.day_index() + 1).saturating_sub(first));
+        for day in self.days.iter_mut().take(to as usize).skip(from as usize) {
+            day.providers.extend(&event.providers);
+            day.users.extend(&event.users);
+            day.prefixes.insert(event.prefix);
+        }
+        *self.providers_per_event.entry(event.providers.len()).or_default() += 1;
+        for distance in &event.distances {
+            *self.distances.entry(*distance).or_default() += 1;
+        }
+        self.durations.push(event.duration(self.config.now));
         self.periods.observe(event);
-        self.prefixes.observe(event);
     }
 
     fn observe_visibility(&mut self, per_dataset: &BTreeMap<DataSource, DatasetVisibility>) {
-        self.visibility.observe_visibility(per_dataset);
+        for (dataset, vis) in per_dataset {
+            self.per_dataset.entry(*dataset).or_default().merge(vis);
+        }
     }
 
     fn merge(&mut self, other: Self) {
-        self.visibility.merge(other.visibility);
-        self.types.merge(other.types);
-        self.daily.merge(other.daily);
-        self.per_provider.merge(other.per_provider);
-        self.per_user.merge(other.per_user);
-        self.geography.merge(other.geography);
-        self.providers_per_event.merge(other.providers_per_event);
-        self.distances.merge(other.distances);
-        self.durations.merge(other.durations);
+        assert_eq!(self.config, other.config, "merged pipelines must share one AnalyticsConfig");
+        self.observe_visibility(&other.per_dataset);
+        for (provider, prefixes) in other.providers {
+            self.providers.entry(provider).or_default().extend(prefixes);
+        }
+        for (user, facts) in other.users {
+            let mine = self.users.entry(user).or_default();
+            mine.prefixes.extend(facts.prefixes);
+            mine.provider_types.extend(facts.provider_types);
+        }
+        for (mine, theirs) in self.days.iter_mut().zip(other.days) {
+            mine.providers.extend(theirs.providers);
+            mine.users.extend(theirs.users);
+            mine.prefixes.extend(theirs.prefixes);
+        }
+        for (count, events) in other.providers_per_event {
+            *self.providers_per_event.entry(count).or_default() += events;
+        }
+        for (distance, events) in other.distances {
+            *self.distances.entry(distance).or_default() += events;
+        }
+        self.durations.extend(other.durations);
         self.periods.merge(other.periods);
-        self.prefixes.merge(other.prefixes);
     }
 
-    fn finalize(self) -> AnalyticsReport {
-        let (provider_countries, user_countries) = self.geography.finalize();
+    fn finalize(mut self) -> AnalyticsReport {
+        let refdata = &*self.refdata;
+        let typed: Vec<(ProviderId, NetworkType, &BTreeSet<Ipv4Prefix>)> =
+            self.providers.iter().map(|(p, set)| (*p, provider_type(p, refdata), set)).collect();
+        let table4 = NetworkType::ALL
+            .into_iter()
+            .map(|ty| {
+                let of_type: Vec<_> = typed.iter().filter(|(_, t, _)| *t == ty).collect();
+                let prefixes: BTreeSet<&Ipv4Prefix> =
+                    of_type.iter().flat_map(|(_, _, set)| set.iter()).collect();
+                let direct = of_type.iter().filter(|(p, ..)| feeds_directly(p, None, refdata));
+                TypeRow {
+                    network_type: ty,
+                    providers: of_type.len(),
+                    users: self.users.values().filter(|u| u.provider_types.contains(&ty)).count(),
+                    prefixes: prefixes.len(),
+                    direct_feed_fraction: ratio(direct.count(), of_type.len()),
+                }
+            })
+            .collect();
+        let per_country = |asns: BTreeSet<Asn>| {
+            let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
+            for asn in asns {
+                *counts.entry(refdata.country(asn)).or_default() += 1;
+            }
+            counts
+        };
+        let first = self.config.window_start.day_index();
+        self.durations.sort_unstable();
+        let periods = self.periods.finalize();
         AnalyticsReport {
-            table3: self.visibility.finalize(),
-            table4: self.types.finalize(),
-            daily: self.daily.finalize(),
-            prefixes_per_provider: self.per_provider.finalize(),
-            prefixes_per_user: self.per_user.finalize(),
-            provider_countries,
-            user_countries,
-            providers_per_event: self.providers_per_event.finalize(),
-            distance_histogram: self.distances.finalize(),
-            durations: self.durations.finalize(),
-            periods: self.periods.finalize(),
-            blackholed_prefixes: self.prefixes.finalize(),
+            table3: visibility_rows(&self.per_dataset, refdata),
+            table4,
+            daily: self
+                .days
+                .iter()
+                .enumerate()
+                .map(|(idx, day)| DailyPoint {
+                    day: SimTime::from_unix((first + idx as u64) * 86_400),
+                    providers: day.providers.len(),
+                    users: day.users.len(),
+                    prefixes: day.prefixes.len(),
+                })
+                .collect(),
+            prefixes_per_provider: typed.iter().map(|(p, ty, set)| (*p, *ty, set.len())).collect(),
+            prefixes_per_user: self
+                .users
+                .iter()
+                .map(|(u, facts)| (*u, refdata.network_type(*u), facts.prefixes.len()))
+                .collect(),
+            provider_countries: per_country(
+                self.providers.keys().filter_map(|p| provider_asn(p, refdata)).collect(),
+            ),
+            user_countries: per_country(self.users.keys().copied().collect()),
+            providers_per_event: self.providers_per_event,
+            distance_histogram: self.distances,
+            durations: self.durations,
+            blackholed_prefixes: periods.iter().map(|p| p.prefix).collect(),
+            periods,
         }
     }
 }

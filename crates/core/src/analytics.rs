@@ -1,27 +1,19 @@
-//! Analytics over inferred events: the computations behind Tables 3–4 and
-//! Figures 4–8.
-//!
-//! Each metric exists exactly once, as a mergeable
-//! [`EventAccumulator`]. Over a materialized event slice it is
-//! [`EventAccumulator::fold`]; fed incrementally — from
-//! [`InferenceSession::drain_closed_into`](crate::InferenceSession::drain_closed_into)
-//! or per shard via
-//! [`SessionBuilder::build_sharded_with`](crate::SessionBuilder::build_sharded_with)
-//! — it produces identical output (see
-//! `tests/tests/analytics_streaming.rs`).
+//! The vocabulary of the paper's analytics: the row types of Tables 3–4
+//! and Fig. 4, and the formulas more than one table or figure reads —
+//! a provider's network type and the network it is located by, and
+//! Table 3's rows. The one pass that computes every table and figure is
+//! the [`AnalyticsPipeline`](crate::AnalyticsPipeline).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::hash::FxHashSet;
 use bh_bgp_types::prefix::Ipv4Prefix;
-use bh_bgp_types::time::{SimDuration, SimTime};
+use bh_bgp_types::time::SimTime;
 use bh_routing::DataSource;
 use bh_topology::NetworkType;
 
-use crate::accumulate::EventAccumulator;
-use crate::events::{BlackholeEvent, DetectionDistance, ProviderId};
+use crate::events::ProviderId;
 use crate::refdata::ReferenceData;
 use crate::session::DatasetVisibility;
 
@@ -48,27 +40,12 @@ pub struct VisibilityRow {
 
 /// Table 3's rows (one per platform plus the ALL row) from a
 /// per-dataset visibility map, which the session maintains incrementally.
-fn visibility_rows(
+pub(crate) fn visibility_rows(
     per_dataset: &BTreeMap<DataSource, DatasetVisibility>,
     refdata: &ReferenceData,
 ) -> Vec<VisibilityRow> {
     let mut rows = Vec::new();
-    let datasets: Vec<DataSource> = DataSource::ALL.to_vec();
-    let provider_feeds = |source: Option<DataSource>, provider: &ProviderId| -> bool {
-        let asn = match provider {
-            ProviderId::As(asn) => *asn,
-            ProviderId::Ixp(id) => match refdata.route_server_of(*id) {
-                Some(asn) => asn,
-                None => return false,
-            },
-        };
-        match source {
-            Some(s) => refdata.has_direct_feed(s, asn),
-            None => refdata.has_any_direct_feed(asn),
-        }
-    };
-
-    for &source in &datasets {
+    for source in DataSource::ALL {
         let Some(vis) = per_dataset.get(&source) else {
             rows.push(VisibilityRow {
                 source: source.label().to_string(),
@@ -97,7 +74,7 @@ fn visibility_rows(
             .filter(|(s, _)| **s != source)
             .flat_map(|(_, v)| v.prefixes.iter().copied())
             .collect();
-        let direct = vis.providers.iter().filter(|p| provider_feeds(Some(source), p)).count();
+        let direct = vis.providers.iter().filter(|p| feeds_directly(p, Some(source), refdata));
         rows.push(VisibilityRow {
             source: source.label().to_string(),
             providers: vis.providers.len(),
@@ -106,7 +83,7 @@ fn visibility_rows(
             unique_users: vis.users.difference(&others_users).count(),
             prefixes: vis.prefixes.len(),
             unique_prefixes: vis.prefixes.difference(&others_prefixes).count(),
-            direct_feed_fraction: ratio(direct, vis.providers.len()),
+            direct_feed_fraction: ratio(direct.count(), vis.providers.len()),
         });
     }
 
@@ -119,7 +96,7 @@ fn visibility_rows(
         all_users.extend(vis.users.iter().copied());
         all_prefixes.extend(vis.prefixes.iter().copied());
     }
-    let direct = all_providers.iter().filter(|p| provider_feeds(None, p)).count();
+    let direct = all_providers.iter().filter(|p| feeds_directly(p, None, refdata)).count();
     rows.push(VisibilityRow {
         source: "ALL".to_string(),
         providers: all_providers.len(),
@@ -133,52 +110,33 @@ fn visibility_rows(
     rows
 }
 
-/// Table 3 as a mergeable accumulator.
-///
-/// The per-source breakdown comes from the session's per-dataset
-/// visibility (which detection was seen on which platform's elements —
-/// information the correlated events no longer carry), so the fold
-/// happens in [`EventAccumulator::observe_visibility`]; `observe` is a
-/// deliberate no-op.
-#[derive(Debug, Clone)]
-pub struct VisibilityAccumulator {
-    refdata: Arc<ReferenceData>,
-    per_dataset: BTreeMap<DataSource, DatasetVisibility>,
-}
-
-impl VisibilityAccumulator {
-    /// An empty accumulator over the given reference data.
-    pub fn new(refdata: Arc<ReferenceData>) -> Self {
-        VisibilityAccumulator { refdata, per_dataset: BTreeMap::new() }
-    }
-}
-
-impl EventAccumulator for VisibilityAccumulator {
-    type Output = Vec<VisibilityRow>;
-
-    fn observe(&mut self, _event: &BlackholeEvent) {}
-
-    fn observe_visibility(&mut self, per_dataset: &BTreeMap<DataSource, DatasetVisibility>) {
-        for (dataset, vis) in per_dataset {
-            self.per_dataset.entry(*dataset).or_default().merge(vis);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.observe_visibility(&other.per_dataset);
-    }
-
-    fn finalize(self) -> Vec<VisibilityRow> {
-        visibility_rows(&self.per_dataset, &self.refdata)
-    }
-}
-
-fn ratio(num: usize, den: usize) -> f64 {
+pub(crate) fn ratio(num: usize, den: usize) -> f64 {
     if den == 0 {
         0.0
     } else {
         num as f64 / den as f64
     }
+}
+
+/// The network a provider is located and fed by: the AS itself, or an
+/// IXP's route server (`None` for an IXP the reference data gives none).
+pub(crate) fn provider_asn(provider: &ProviderId, refdata: &ReferenceData) -> Option<Asn> {
+    match provider {
+        ProviderId::As(asn) => Some(*asn),
+        ProviderId::Ixp(id) => refdata.route_server_of(*id),
+    }
+}
+
+/// Does the provider feed `source` directly (any platform for `None`)?
+pub(crate) fn feeds_directly(
+    provider: &ProviderId,
+    source: Option<DataSource>,
+    refdata: &ReferenceData,
+) -> bool {
+    provider_asn(provider, refdata).is_some_and(|asn| match source {
+        Some(s) => refdata.has_direct_feed(s, asn),
+        None => refdata.has_any_direct_feed(asn),
+    })
 }
 
 /// The network type of a provider (IXPs classify as IXP by construction).
@@ -204,79 +162,6 @@ pub struct TypeRow {
     pub direct_feed_fraction: f64,
 }
 
-/// Table 4 as a mergeable accumulator: per-type provider, user and
-/// prefix sets.
-#[derive(Debug, Clone)]
-pub struct TypeAccumulator {
-    refdata: Arc<ReferenceData>,
-    providers: BTreeMap<NetworkType, BTreeSet<ProviderId>>,
-    users: BTreeMap<NetworkType, BTreeSet<Asn>>,
-    prefixes: BTreeMap<NetworkType, BTreeSet<Ipv4Prefix>>,
-}
-
-impl TypeAccumulator {
-    /// An empty accumulator over the given reference data.
-    pub fn new(refdata: Arc<ReferenceData>) -> Self {
-        TypeAccumulator {
-            refdata,
-            providers: BTreeMap::new(),
-            users: BTreeMap::new(),
-            prefixes: BTreeMap::new(),
-        }
-    }
-}
-
-impl EventAccumulator for TypeAccumulator {
-    type Output = Vec<TypeRow>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        for provider in &event.providers {
-            let ty = provider_type(provider, &self.refdata);
-            self.providers.entry(ty).or_default().insert(*provider);
-            self.users.entry(ty).or_default().extend(event.users.iter().copied());
-            self.prefixes.entry(ty).or_default().insert(event.prefix);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (ty, set) in other.providers {
-            self.providers.entry(ty).or_default().extend(set);
-        }
-        for (ty, set) in other.users {
-            self.users.entry(ty).or_default().extend(set);
-        }
-        for (ty, set) in other.prefixes {
-            self.prefixes.entry(ty).or_default().extend(set);
-        }
-    }
-
-    fn finalize(self) -> Vec<TypeRow> {
-        let refdata = &self.refdata;
-        let mut rows = Vec::new();
-        for ty in NetworkType::ALL {
-            let provs = self.providers.get(&ty).cloned().unwrap_or_default();
-            let direct = provs
-                .iter()
-                .filter(|p| {
-                    let asn = match p {
-                        ProviderId::As(asn) => Some(*asn),
-                        ProviderId::Ixp(id) => refdata.route_server_of(*id),
-                    };
-                    asn.is_some_and(|a| refdata.has_any_direct_feed(a))
-                })
-                .count();
-            rows.push(TypeRow {
-                network_type: ty,
-                providers: provs.len(),
-                users: self.users.get(&ty).map_or(0, BTreeSet::len),
-                prefixes: self.prefixes.get(&ty).map_or(0, BTreeSet::len),
-                direct_feed_fraction: ratio(direct, provs.len()),
-            });
-        }
-        rows
-    }
-}
-
 /// One day of the Fig. 4 longitudinal series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DailyPoint {
@@ -290,342 +175,41 @@ pub struct DailyPoint {
     pub prefixes: usize,
 }
 
-/// Fig. 4 as a mergeable accumulator: per-day distinct-entity sets over
-/// a fixed window.
-#[derive(Debug, Clone)]
-pub struct DailySeriesAccumulator {
-    first_day: u64,
-    last_day: u64,
-    providers: Vec<BTreeSet<ProviderId>>,
-    users: Vec<BTreeSet<Asn>>,
-    prefixes: Vec<BTreeSet<Ipv4Prefix>>,
-}
-
-impl DailySeriesAccumulator {
-    /// An empty accumulator over `[window_start, window_end)`; an
-    /// inverted or zero-length window is an empty series.
-    pub fn new(window_start: SimTime, window_end: SimTime) -> Self {
-        let first_day = window_start.day_index();
-        let last_day = window_end.day_index();
-        let days = last_day.saturating_sub(first_day) as usize;
-        DailySeriesAccumulator {
-            first_day,
-            last_day,
-            providers: vec![BTreeSet::new(); days],
-            users: vec![BTreeSet::new(); days],
-            prefixes: vec![BTreeSet::new(); days],
-        }
-    }
-}
-
-impl EventAccumulator for DailySeriesAccumulator {
-    type Output = Vec<DailyPoint>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        let days = self.providers.len();
-        let from = event.start.day_index().max(self.first_day);
-        let to = event
-            .end
-            .map(|e| e.day_index())
-            .unwrap_or(self.last_day.saturating_sub(1))
-            .min(self.last_day.saturating_sub(1));
-        for day in from..=to {
-            if day < self.first_day {
-                continue;
-            }
-            let idx = (day - self.first_day) as usize;
-            if idx >= days {
-                break;
-            }
-            self.providers[idx].extend(event.providers.iter().copied());
-            self.users[idx].extend(event.users.iter().copied());
-            self.prefixes[idx].insert(event.prefix);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            (self.first_day, self.last_day),
-            (other.first_day, other.last_day),
-            "daily-series accumulators must share one window"
-        );
-        for (mine, theirs) in self.providers.iter_mut().zip(other.providers) {
-            mine.extend(theirs);
-        }
-        for (mine, theirs) in self.users.iter_mut().zip(other.users) {
-            mine.extend(theirs);
-        }
-        for (mine, theirs) in self.prefixes.iter_mut().zip(other.prefixes) {
-            mine.extend(theirs);
-        }
-    }
-
-    fn finalize(self) -> Vec<DailyPoint> {
-        (0..self.providers.len())
-            .map(|idx| DailyPoint {
-                day: SimTime::from_unix((self.first_day + idx as u64) * 86_400),
-                providers: self.providers[idx].len(),
-                users: self.users[idx].len(),
-                prefixes: self.prefixes[idx].len(),
-            })
-            .collect()
-    }
-}
-
-/// Fig. 5(a) as a mergeable accumulator: per-provider distinct
-/// blackholed-prefix counts.
-#[derive(Debug, Clone)]
-pub struct ProviderPrefixAccumulator {
-    refdata: Arc<ReferenceData>,
-    map: BTreeMap<ProviderId, BTreeSet<Ipv4Prefix>>,
-}
-
-impl ProviderPrefixAccumulator {
-    /// An empty accumulator over the given reference data.
-    pub fn new(refdata: Arc<ReferenceData>) -> Self {
-        ProviderPrefixAccumulator { refdata, map: BTreeMap::new() }
-    }
-}
-
-impl EventAccumulator for ProviderPrefixAccumulator {
-    type Output = Vec<(ProviderId, NetworkType, usize)>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        for provider in &event.providers {
-            self.map.entry(*provider).or_default().insert(event.prefix);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (provider, set) in other.map {
-            self.map.entry(provider).or_default().extend(set);
-        }
-    }
-
-    fn finalize(self) -> Vec<(ProviderId, NetworkType, usize)> {
-        let refdata = &self.refdata;
-        self.map
-            .into_iter()
-            .map(|(p, set)| {
-                let ty = provider_type(&p, refdata);
-                (p, ty, set.len())
-            })
-            .collect()
-    }
-}
-
-/// Fig. 5(b) as a mergeable accumulator: per-user distinct
-/// blackholed-prefix counts, with the user's network type.
-#[derive(Debug, Clone)]
-pub struct UserPrefixAccumulator {
-    refdata: Arc<ReferenceData>,
-    map: BTreeMap<Asn, BTreeSet<Ipv4Prefix>>,
-}
-
-impl UserPrefixAccumulator {
-    /// An empty accumulator over the given reference data.
-    pub fn new(refdata: Arc<ReferenceData>) -> Self {
-        UserPrefixAccumulator { refdata, map: BTreeMap::new() }
-    }
-}
-
-impl EventAccumulator for UserPrefixAccumulator {
-    type Output = Vec<(Asn, NetworkType, usize)>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        for user in &event.users {
-            self.map.entry(*user).or_default().insert(event.prefix);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (user, set) in other.map {
-            self.map.entry(user).or_default().extend(set);
-        }
-    }
-
-    fn finalize(self) -> Vec<(Asn, NetworkType, usize)> {
-        let refdata = &self.refdata;
-        self.map.into_iter().map(|(asn, set)| (asn, refdata.network_type(asn), set.len())).collect()
-    }
-}
-
-/// Fig. 6 as a mergeable accumulator: the provider and user ASN sets,
-/// counted per country (providers, users) at `finalize`.
-#[derive(Debug, Clone)]
-pub struct CountryAccumulator {
-    refdata: Arc<ReferenceData>,
-    providers: BTreeSet<Asn>,
-    users: BTreeSet<Asn>,
-}
-
-impl CountryAccumulator {
-    /// An empty accumulator over the given reference data.
-    pub fn new(refdata: Arc<ReferenceData>) -> Self {
-        CountryAccumulator { refdata, providers: BTreeSet::new(), users: BTreeSet::new() }
-    }
-}
-
-impl EventAccumulator for CountryAccumulator {
-    type Output = (BTreeMap<&'static str, usize>, BTreeMap<&'static str, usize>);
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        for provider in &event.providers {
-            match provider {
-                ProviderId::As(asn) => {
-                    self.providers.insert(*asn);
-                }
-                ProviderId::Ixp(id) => {
-                    if let Some(asn) = self.refdata.route_server_of(*id) {
-                        self.providers.insert(asn);
-                    }
-                }
-            }
-        }
-        self.users.extend(event.users.iter().copied());
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.providers.extend(other.providers);
-        self.users.extend(other.users);
-    }
-
-    fn finalize(self) -> Self::Output {
-        let refdata = &self.refdata;
-        let count = |set: &BTreeSet<Asn>| {
-            let mut map: BTreeMap<&'static str, usize> = BTreeMap::new();
-            for asn in set {
-                *map.entry(refdata.country(*asn)).or_default() += 1;
-            }
-            map
-        };
-        (count(&self.providers), count(&self.users))
-    }
-}
-
-/// Fig. 7(b) as a mergeable accumulator: histogram of #providers per
-/// event.
-#[derive(Debug, Clone, Default)]
-pub struct ProvidersPerEventAccumulator {
-    hist: BTreeMap<usize, usize>,
-}
-
-impl EventAccumulator for ProvidersPerEventAccumulator {
-    type Output = BTreeMap<usize, usize>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        *self.hist.entry(event.providers.len()).or_default() += 1;
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (k, n) in other.hist {
-            *self.hist.entry(k).or_default() += n;
-        }
-    }
-
-    fn finalize(self) -> BTreeMap<usize, usize> {
-        self.hist
-    }
-}
-
-/// Fig. 7(c) as a mergeable accumulator: histogram of
-/// collector↔provider AS distances; the `NoPath` bucket is the bundling
-/// share.
-#[derive(Debug, Clone, Default)]
-pub struct DistanceAccumulator {
-    hist: BTreeMap<DetectionDistance, usize>,
-}
-
-impl EventAccumulator for DistanceAccumulator {
-    type Output = BTreeMap<DetectionDistance, usize>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        for d in &event.distances {
-            *self.hist.entry(*d).or_default() += 1;
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (d, n) in other.hist {
-            *self.hist.entry(d).or_default() += n;
-        }
-    }
-
-    fn finalize(self) -> BTreeMap<DetectionDistance, usize> {
-        self.hist
-    }
-}
-
-/// Fig. 8(a) as a mergeable accumulator: event durations, ascending,
-/// open events measured to `now`. The sample list is sorted at
-/// `finalize` so the output is independent of observation order.
-#[derive(Debug, Clone)]
-pub struct DurationAccumulator {
-    now: SimTime,
-    samples: Vec<SimDuration>,
-}
-
-impl DurationAccumulator {
-    /// An empty accumulator measuring open events to `now`.
-    pub fn new(now: SimTime) -> Self {
-        DurationAccumulator { now, samples: Vec::new() }
-    }
-}
-
-impl EventAccumulator for DurationAccumulator {
-    type Output = Vec<SimDuration>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        self.samples.push(event.duration(self.now));
-    }
-
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.now, other.now, "duration accumulators must share one `now`");
-        self.samples.extend(other.samples);
-    }
-
-    fn finalize(mut self) -> Vec<SimDuration> {
-        self.samples.sort_unstable();
-        self.samples
-    }
-}
-
-/// The distinct blackholed prefixes (the Fig. 7(a) scan census and §8
-/// reputation input) as a mergeable accumulator.
-#[derive(Debug, Clone, Default)]
-pub struct PrefixSetAccumulator {
-    prefixes: BTreeSet<Ipv4Prefix>,
-}
-
-impl EventAccumulator for PrefixSetAccumulator {
-    type Output = BTreeSet<Ipv4Prefix>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        self.prefixes.insert(event.prefix);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.prefixes.extend(other.prefixes);
-    }
-
-    fn finalize(self) -> BTreeSet<Ipv4Prefix> {
-        self.prefixes
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, OnceLock};
+
+    use bh_bgp_types::time::SimDuration;
     use bh_routing::{deploy, CollectorConfig};
     use bh_topology::{IxpId, TopologyBuilder, TopologyConfig};
 
-    use crate::session::DatasetVisibility;
+    use crate::accumulate::{
+        AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator,
+    };
+    use crate::events::{BlackholeEvent, DetectionDistance};
 
     use super::*;
 
     fn refdata() -> Arc<ReferenceData> {
-        let t = TopologyBuilder::new(TopologyConfig::tiny(31)).build();
-        let d = deploy(&t, &CollectorConfig::tiny(4));
-        Arc::new(ReferenceData::build(&t, &d))
+        static REFDATA: OnceLock<Arc<ReferenceData>> = OnceLock::new();
+        REFDATA
+            .get_or_init(|| {
+                let t = TopologyBuilder::new(TopologyConfig::tiny(31)).build();
+                let d = deploy(&t, &CollectorConfig::tiny(4));
+                Arc::new(ReferenceData::build(&t, &d))
+            })
+            .clone()
+    }
+
+    /// A pipeline over the window `[start, end)`, measuring open events
+    /// to `end`.
+    fn pipeline(start: u64, end: u64) -> AnalyticsPipeline {
+        let window = AnalyticsConfig::window(SimTime::from_unix(start), SimTime::from_unix(end));
+        AnalyticsPipeline::new(refdata(), window)
+    }
+
+    fn report(events: &[BlackholeEvent]) -> AnalyticsReport {
+        pipeline(0, 86_400).fold(events)
     }
 
     fn event(
@@ -665,13 +249,13 @@ mod tests {
             // Open event: active from day 2 to the end of the window.
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(1))], vec![10], 2 * day + 5, None),
         ];
-        let series =
-            DailySeriesAccumulator::new(SimTime::ZERO, SimTime::from_unix(4 * day)).fold(&events);
+        let series = pipeline(0, 4 * day).fold(&events).daily;
         assert_eq!(series.len(), 4);
         assert_eq!((series[0].providers, series[0].users, series[0].prefixes), (1, 1, 1));
         assert_eq!((series[1].providers, series[1].users, series[1].prefixes), (2, 2, 2));
         assert_eq!((series[2].providers, series[2].users, series[2].prefixes), (1, 1, 1));
         assert_eq!((series[3].providers, series[3].users, series[3].prefixes), (1, 1, 1));
+        assert_eq!(series[3].day, SimTime::from_unix(3 * day));
     }
 
     #[test]
@@ -682,12 +266,11 @@ mod tests {
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(2))], vec![11], day, Some(2 * day)),
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(1))], vec![10], 2 * day, None),
         ];
-        let batch =
-            DailySeriesAccumulator::new(SimTime::ZERO, SimTime::from_unix(4 * day)).fold(&events);
+        let batch = pipeline(0, 4 * day).fold(&events);
         // Split the stream 1 / 2 and merge — in reversed merge order.
-        let mut a = DailySeriesAccumulator::new(SimTime::ZERO, SimTime::from_unix(4 * day));
+        let mut a = pipeline(0, 4 * day);
         a.observe(&events[0]);
-        let mut b = DailySeriesAccumulator::new(SimTime::ZERO, SimTime::from_unix(4 * day));
+        let mut b = pipeline(0, 4 * day);
         b.observe(&events[1]);
         b.observe(&events[2]);
         b.merge(a);
@@ -695,17 +278,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one AnalyticsConfig")]
+    fn pipelines_over_different_windows_do_not_merge() {
+        let mut a = pipeline(0, 86_400);
+        a.merge(pipeline(0, 2 * 86_400));
+    }
+
+    #[test]
     fn daily_series_inverted_or_empty_window_is_an_empty_series() {
         let day = 86_400u64;
         let e = event("1.1.1.1/32", vec![ProviderId::As(Asn::new(1))], vec![10], 10, Some(day));
         for (start, end) in [(3 * day, day), (2 * day, 2 * day)] {
-            let window =
-                || DailySeriesAccumulator::new(SimTime::from_unix(start), SimTime::from_unix(end));
-            assert!(window().finalize().is_empty());
-            let mut a = window();
+            assert!(pipeline(start, end).finalize().daily.is_empty());
+            let mut a = pipeline(start, end);
             a.observe(&e);
-            a.merge(window());
-            assert!(a.finalize().is_empty());
+            a.merge(pipeline(start, end));
+            assert!(a.finalize().daily.is_empty());
         }
     }
 
@@ -722,20 +310,19 @@ mod tests {
             ),
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(3))], vec![], 0, Some(1)),
         ];
-        let hist = ProvidersPerEventAccumulator::default().fold(&events);
+        let hist = report(&events).providers_per_event;
         assert_eq!(hist.get(&1), Some(&2));
         assert_eq!(hist.get(&2), Some(&1));
     }
 
     #[test]
     fn table4_groups_by_provider_type() {
-        let r = refdata();
         // Use a real IXP id from refdata's topology.
         let events = vec![
             event("1.1.1.1/32", vec![ProviderId::Ixp(IxpId(0))], vec![10, 11], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::Ixp(IxpId(0))], vec![10], 0, Some(1)),
         ];
-        let rows = TypeAccumulator::new(r).fold(&events);
+        let rows = report(&events).table4;
         let ixp_row = rows.iter().find(|row| row.network_type == NetworkType::Ixp).unwrap();
         assert_eq!(ixp_row.providers, 1);
         assert_eq!(ixp_row.users, 2);
@@ -747,22 +334,27 @@ mod tests {
 
     #[test]
     fn table4_accumulator_matches_batch() {
-        let r = refdata();
         let events = vec![
             event("1.1.1.1/32", vec![ProviderId::Ixp(IxpId(0))], vec![10, 11], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(9))], vec![10], 0, Some(1)),
         ];
-        let mut a = TypeAccumulator::new(r.clone());
+        let mut a = pipeline(0, 86_400);
         a.observe(&events[1]);
-        let mut b = TypeAccumulator::new(r.clone());
+        let mut b = pipeline(0, 86_400);
         b.observe(&events[0]);
         a.merge(b);
-        assert_eq!(a.finalize(), TypeAccumulator::new(r).fold(&events));
+        let merged = a.finalize();
+        assert_eq!(merged, report(&events));
+        // User 10 blackholed through both an IXP and an unknown AS: it
+        // counts in both rows, once each.
+        for ty in [NetworkType::Ixp, NetworkType::Unknown] {
+            let row = merged.table4.iter().find(|row| row.network_type == ty).unwrap();
+            assert_eq!(row.users, if ty == NetworkType::Ixp { 2 } else { 1 }, "{ty:?}");
+        }
     }
 
     #[test]
     fn table3_unique_counting() {
-        let r = refdata();
         let mut per_dataset = BTreeMap::new();
         let p1 = ProviderId::As(Asn::new(1));
         let p2 = ProviderId::As(Asn::new(2));
@@ -785,9 +377,9 @@ mod tests {
                 ]),
             },
         );
-        let mut whole = VisibilityAccumulator::new(r.clone());
+        let mut whole = pipeline(0, 86_400);
         whole.observe_visibility(&per_dataset);
-        let rows = whole.finalize();
+        let rows = whole.finalize().table3;
         let ris = rows.iter().find(|row| row.source == "RIS").unwrap();
         assert_eq!(ris.providers, 2);
         assert_eq!(ris.unique_providers, 1); // p2 only at RIS
@@ -802,49 +394,49 @@ mod tests {
 
         // The identical rows come out when the visibility map arrives
         // split across two observations.
-        let mut acc = VisibilityAccumulator::new(r);
+        let mut split = pipeline(0, 86_400);
         for (dataset, vis) in &per_dataset {
             let single = BTreeMap::from([(*dataset, vis.clone())]);
-            acc.observe_visibility(&single);
+            split.observe_visibility(&single);
         }
-        assert_eq!(acc.finalize(), rows);
+        assert_eq!(split.finalize().table3, rows);
     }
 
     #[test]
     fn per_country_uses_refdata() {
         let t = TopologyBuilder::new(TopologyConfig::tiny(31)).build();
-        let d = deploy(&t, &CollectorConfig::tiny(4));
-        let r = Arc::new(ReferenceData::build(&t, &d));
+        let r = refdata();
         let some_as = t.ases().next().unwrap().asn;
+        let rs = t.ixps()[0].route_server_asn;
         let events = vec![event(
             "1.1.1.1/32",
-            vec![ProviderId::As(some_as)],
+            vec![ProviderId::As(some_as), ProviderId::Ixp(t.ixps()[0].id)],
             vec![some_as.value()],
             0,
             Some(1),
         )];
-        let (providers, users) = CountryAccumulator::new(r.clone()).fold(&events);
-        assert_eq!(providers.values().sum::<usize>(), 1);
-        assert_eq!(users.values().sum::<usize>(), 1);
-        assert!(providers.contains_key(r.country(some_as)));
+        let report = report(&events);
+        // The IXP counts as its route server.
+        assert_eq!(report.provider_countries.values().sum::<usize>(), 2);
+        assert_eq!(report.user_countries.values().sum::<usize>(), 1);
+        assert!(report.provider_countries.contains_key(r.country(some_as)));
+        assert!(report.provider_countries.contains_key(r.country(rs)));
     }
 
     #[test]
     fn prefix_count_helpers() {
-        let r = refdata();
         let events = vec![
             event("1.1.1.1/32", vec![ProviderId::As(Asn::new(1))], vec![10], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![10], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![10], 5, Some(6)),
         ];
-        let per_provider = ProviderPrefixAccumulator::new(r.clone()).fold(&events);
-        assert_eq!(per_provider.len(), 1);
-        assert_eq!(per_provider[0].2, 2); // distinct prefixes
-        let per_user = UserPrefixAccumulator::new(r).fold(&events);
-        assert_eq!(per_user.len(), 1);
-        assert_eq!(per_user[0].2, 2);
+        let report = report(&events);
+        assert_eq!(report.prefixes_per_provider.len(), 1);
+        assert_eq!(report.prefixes_per_provider[0].2, 2); // distinct prefixes
+        assert_eq!(report.prefixes_per_user.len(), 1);
+        assert_eq!(report.prefixes_per_user[0].2, 2);
         assert_eq!(
-            PrefixSetAccumulator::default().fold(&events),
+            report.blackholed_prefixes,
             BTreeSet::from(["1.1.1.1/32".parse().unwrap(), "2.2.2.2/32".parse().unwrap()])
         );
     }
@@ -854,7 +446,7 @@ mod tests {
         let mut e1 = event("1.1.1.1/32", vec![ProviderId::As(Asn::new(1))], vec![], 0, Some(1));
         e1.distances = BTreeSet::from([DetectionDistance::NoPath, DetectionDistance::Hops(1)]);
         let e2 = event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![], 0, Some(1));
-        let hist = DistanceAccumulator::default().fold(&[e1, e2]);
+        let hist = report(&[e1, e2]).distance_histogram;
         assert_eq!(hist.get(&DetectionDistance::NoPath), Some(&1));
         assert_eq!(hist.get(&DetectionDistance::Hops(1)), Some(&2));
     }
@@ -866,7 +458,7 @@ mod tests {
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(1))], vec![], 0, Some(10)),
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(1))], vec![], 100, None),
         ];
-        let ds = DurationAccumulator::new(SimTime::from_unix(1_100)).fold(&events);
+        let ds = pipeline(0, 1_100).fold(&events).durations;
         assert_eq!(
             ds,
             vec![SimDuration::secs(10), SimDuration::secs(500), SimDuration::secs(1_000)]

@@ -22,12 +22,12 @@
 //!    (daily adoption series), Fig. 5 (prefix-count CDFs per
 //!    provider/user), Fig. 6 (per-country), Fig. 7(b) (providers per
 //!    event), Fig. 7(c) (AS-distance incl. the bundling "no-path"
-//!    share), Fig. 8 (durations and §9 grouped periods). Every metric
-//!    is a mergeable one-pass [`accumulate::EventAccumulator`] (its
-//!    `fold` is the batch form), and the
-//!    [`accumulate::AnalyticsPipeline`] multiplexes one event stream
-//!    into all of them — from `drain_closed_into` mid-stream or per
-//!    shard with a deterministic merge at the barrier.
+//!    share), Fig. 8 (durations and §9 grouped periods). All of them
+//!    come from one mergeable one-pass
+//!    [`accumulate::EventAccumulator`], the
+//!    [`accumulate::AnalyticsPipeline`] (its `fold` is the batch form),
+//!    fed from `drain_closed_into` mid-stream or per shard with a
+//!    deterministic merge at the barrier.
 //! 4. **Reference data** ([`refdata`]): the *public* metadata the
 //!    methodology is allowed to consult (PeeringDB LANs and route
 //!    servers, PeeringDB/CAIDA classification, RIR countries, collector
@@ -50,15 +50,8 @@ pub mod refdata;
 pub mod session;
 pub mod shard;
 
-pub use accumulate::{
-    AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator, EventCollector,
-};
-pub use analytics::{
-    CountryAccumulator, DailyPoint, DailySeriesAccumulator, DistanceAccumulator,
-    DurationAccumulator, PrefixSetAccumulator, ProviderPrefixAccumulator,
-    ProvidersPerEventAccumulator, TypeAccumulator, TypeRow, UserPrefixAccumulator,
-    VisibilityAccumulator, VisibilityRow,
-};
+pub use accumulate::{AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator};
+pub use analytics::{DailyPoint, TypeRow, VisibilityRow};
 pub use confusion::{score_events, ConfusionAccumulator, ConfusionReport, LabelKind, TruthLabel};
 pub use events::{
     BlackholeEvent, BlackholePeriod, DetectionDistance, PeriodAccumulator, ProviderId,

@@ -44,7 +44,7 @@ use bh_bgp_types::time::SimTime;
 use bh_irr::{BlackholeDictionary, CommunityPrefixCensus, NegativeControls};
 use bh_routing::{BgpElem, DataSource, ElemSource, ElemType, PeerKey};
 
-use crate::accumulate::{EventAccumulator, EventCollector};
+use crate::accumulate::EventAccumulator;
 use crate::events::{BlackholeEvent, DetectionDistance, ProviderId};
 use crate::refdata::ReferenceData;
 use crate::shard::ShardedSession;
@@ -242,7 +242,7 @@ impl SessionBuilder {
     /// Build a [`ShardedSession`] that hash-partitions the element
     /// stream by prefix across `shards` worker threads.
     pub fn build_sharded(self, shards: usize) -> ShardedSession {
-        ShardedSession::spawn(self, shards, EventCollector::default())
+        ShardedSession::spawn(self, shards, Vec::new())
     }
 
     /// Build a sharded session whose workers stream their closed events
@@ -501,16 +501,11 @@ impl InferenceSession {
     /// Finish: close nothing (events still active stay open with
     /// `end: None`) and return every remaining event plus final census
     /// and stats. Thin wrapper over
-    /// [`InferenceSession::finish_with`] and an [`EventCollector`].
+    /// [`InferenceSession::finish_with`] into a `Vec`.
     pub fn finish(self) -> InferenceResult {
-        let mut collector = EventCollector::default();
-        let summary = self.finish_with(&mut collector);
-        InferenceResult {
-            events: collector.finalize(),
-            census: summary.census,
-            stats: summary.stats,
-            per_dataset: summary.per_dataset,
-        }
+        let mut events = Vec::new();
+        let summary = self.finish_with(&mut events);
+        InferenceResult::new(summary, events)
     }
 
     /// Finish by streaming every remaining event (undrained closed ones
@@ -824,6 +819,23 @@ pub struct InferenceResult {
     pub stats: EngineStats,
     /// Per-dataset visibility (Table 3 inputs).
     pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
+}
+
+impl InferenceResult {
+    /// A session's summary and its events, put in the canonical
+    /// `(start, prefix)` order — the order a single-threaded batch run
+    /// produces. The sort is stable: equal keys can only come from one
+    /// prefix, hence one session or shard, which observed them in
+    /// single-threaded closure order.
+    pub(crate) fn new(summary: StreamSummary, mut events: Vec<BlackholeEvent>) -> Self {
+        events.sort_by_key(|e| (e.start, e.prefix));
+        InferenceResult {
+            events,
+            census: summary.census,
+            stats: summary.stats,
+            per_dataset: summary.per_dataset,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,8 +20,8 @@
 //! goes (a clone of the prototype handed to
 //! [`SessionBuilder::build_sharded_with`]); the per-shard accumulators
 //! are folded together at the [`ShardedSession::finish_parts`] barrier
-//! in shard-index order. The default accumulator is the
-//! [`EventCollector`], which reproduces the classic
+//! in shard-index order. The default accumulator is the event list
+//! itself (`Vec<BlackholeEvent>`), which reproduces the classic
 //! `finish() -> InferenceResult` shape; an
 //! [`AnalyticsPipeline`](crate::AnalyticsPipeline) instead computes
 //! every paper figure inline, with no per-shard event `Vec` at all.
@@ -43,7 +43,8 @@ use std::thread::{self, JoinHandle};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_routing::{BgpElem, ElemSource};
 
-use crate::accumulate::{EventAccumulator, EventCollector};
+use crate::accumulate::EventAccumulator;
+use crate::events::BlackholeEvent;
 use crate::session::{InferenceResult, SessionBuilder, StreamSummary};
 
 /// Elements buffered per shard before a batch crosses the channel.
@@ -74,7 +75,7 @@ enum ShardMsg {
 /// `ingest`). Mid-stream draining and checkpointing remain
 /// single-session features — the sharded runner targets offline archive
 /// scans where only the final result matters.
-pub struct ShardedSession<A: EventAccumulator = EventCollector> {
+pub struct ShardedSession<A: EventAccumulator = Vec<BlackholeEvent>> {
     senders: Vec<mpsc::SyncSender<ShardMsg>>,
     workers: Vec<JoinHandle<(StreamSummary, A)>>,
     buffers: Vec<Vec<BgpElem>>,
@@ -212,21 +213,14 @@ impl<A: EventAccumulator> ShardedSession<A> {
     }
 }
 
-impl ShardedSession<EventCollector> {
+impl ShardedSession<Vec<BlackholeEvent>> {
     /// Finish into a full [`InferenceResult`] — bit-identical to a
-    /// single-threaded run over the same stream. Equal `(start, prefix)`
-    /// keys can only collide within one shard (a prefix never splits),
-    /// and each worker observes them in single-threaded closed order, so
-    /// the collector's stable sort reproduces the canonical order
-    /// exactly.
+    /// single-threaded run over the same stream (a prefix never splits
+    /// across shards, so the canonical sort sees every tie in its
+    /// single-threaded order).
     pub fn finish(self) -> InferenceResult {
-        let (summary, collector) = self.finish_parts();
-        InferenceResult {
-            events: collector.finalize(),
-            census: summary.census,
-            stats: summary.stats,
-            per_dataset: summary.per_dataset,
-        }
+        let (summary, events) = self.finish_parts();
+        InferenceResult::new(summary, events)
     }
 }
 

@@ -307,39 +307,15 @@ impl LiveFleet {
     pub fn finish(mut self, now: SimTime) -> (StreamSummary, AnalyticsReport) {
         self.step(now);
         debug_assert!(self.drained(), "finish() on an undrained daemon emits open events early");
-        let mut rest = InObservedOrder::default();
+        // The rest in the order the session hands it over — the order
+        // the sequence numbers follow.
+        let mut rest = Vec::new();
         let summary = self.session.finish_with(&mut rest);
-        self.out.emit(rest.0, now);
+        self.out.emit(rest, now);
         self.out.pipeline.observe_visibility(&summary.per_dataset);
         let report = self.out.pipeline.snapshot();
         write_shared(&self.out.shared).report = Some(report.clone());
         self.out.publish_status(now, 0, &self.merge);
         (summary, report)
-    }
-}
-
-/// What `finish_with` hands over, kept in the order it was observed —
-/// the order the sequence numbers follow (`EventCollector` would
-/// re-sort by start time).
-#[derive(Default)]
-struct InObservedOrder(Vec<BlackholeEvent>);
-
-impl EventAccumulator for InObservedOrder {
-    type Output = Vec<BlackholeEvent>;
-
-    fn observe(&mut self, event: &BlackholeEvent) {
-        self.0.push(event.clone());
-    }
-
-    fn observe_owned(&mut self, event: BlackholeEvent) {
-        self.0.push(event);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.0.extend(other.0);
-    }
-
-    fn finalize(self) -> Vec<BlackholeEvent> {
-        self.0
     }
 }

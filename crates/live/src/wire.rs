@@ -19,10 +19,12 @@
 //!
 //! The protocol is transport-agnostic: [`serve_connection`] runs it
 //! over any `BufRead`/`Write` pair (a TCP stream, a Unix socket, an
-//! in-memory pipe in tests).
+//! in-memory pipe in tests). Input is untrusted: a line longer than
+//! [`MAX_LINE_BYTES`] is answered `err line too long` and one that is not
+//! UTF-8 `err not utf-8`, and the connection keeps serving.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 
 use bh_core::SequencedEvent;
 
@@ -92,24 +94,71 @@ pub fn handle_command(runner: &QueryRunner, line: &str) -> String {
     }
 }
 
-/// Serve commands line by line until EOF or `quit`. Replies are flushed
-/// after every command.
+/// The longest command line served, its `\n` (or `\r\n`) excluded. No
+/// command comes near it; the cap is what keeps a peer that never sends a
+/// newline from growing the line buffer without bound.
+pub const MAX_LINE_BYTES: usize = 4096;
+
+/// Serve commands line by line until EOF or `quit`: every line gets
+/// exactly one reply, flushed before the next line is read. Only an I/O
+/// error of `reader` or `writer` ends the connection early.
 pub fn serve_connection<R: BufRead, W: Write>(
     runner: &QueryRunner,
-    reader: R,
+    mut reader: R,
     mut writer: W,
-) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim() == "quit" {
-            writeln!(writer, "ok bye")?;
-            writer.flush()?;
+) -> io::Result<()> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let cap = MAX_LINE_BYTES as u64 + 2; // room for the `\r\n`
+        if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
             return Ok(());
         }
-        writeln!(writer, "{}", handle_command(runner, &line))?;
+        let complete = line.ends_with(b"\n");
+        let text = line.strip_suffix(b"\n").unwrap_or(&line);
+        let text = text.strip_suffix(b"\r").unwrap_or(text);
+        let reply = if text.len() > MAX_LINE_BYTES {
+            if !complete {
+                skip_line(&mut reader)?;
+            }
+            "err line too long".to_owned()
+        } else {
+            match std::str::from_utf8(text) {
+                Ok(command) if command.trim() == "quit" => {
+                    writeln!(writer, "ok bye")?;
+                    return writer.flush();
+                }
+                Ok(command) => handle_command(runner, command),
+                Err(_) => "err not utf-8".to_owned(),
+            }
+        };
+        writeln!(writer, "{reply}")?;
         writer.flush()?;
     }
-    Ok(())
+}
+
+/// Discard input up to and including the next newline, or to EOF.
+fn skip_line<R: BufRead>(reader: &mut R) -> io::Result<()> {
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(at) => {
+                reader.consume(at + 1);
+                return Ok(());
+            }
+            None => {
+                let n = buf.len();
+                reader.consume(n);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! them with a [`MergedSource`], so the inference sees one globally
 //! time-ordered stream. Memory is bounded end to end: each reader holds
 //! one record plus one outgoing batch, each channel holds at most
-//! [`FleetConfig::channel_batches`] batches (backpressure — a fast
+//! `CHANNEL_BATCHES` batches of `BATCH_ELEMS` (backpressure — a fast
 //! collector blocks until the merge catches up), and the merge buffers
 //! one element per archive. No `Vec<BgpElem>` of the whole stream ever
 //! exists.
@@ -41,22 +41,13 @@ use crate::elem::{BgpElem, DataSource};
 use crate::merge::MergedSource;
 use crate::source::ElemSource;
 
-/// Fleet tunables. The defaults suit archive scans: batches big enough
-/// to amortize the channel, channels small enough that a stalled
-/// consumer stops every reader within a few batches.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetConfig {
-    /// Elements per cross-thread batch.
-    pub batch_elems: usize,
-    /// Bounded channel capacity, in batches (the backpressure window).
-    pub channel_batches: usize,
-}
+/// Elements per cross-thread batch: big enough to amortize the channel.
+const BATCH_ELEMS: usize = 512;
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig { batch_elems: 512, channel_batches: 4 }
-    }
-}
+/// Bounded channel capacity, in batches (the backpressure window): small
+/// enough that a stalled consumer stops every reader within a few
+/// batches.
+const CHANNEL_BATCHES: usize = 4;
 
 /// What one reader thread reports when it finishes (or gives up).
 #[derive(Debug)]
@@ -150,7 +141,6 @@ impl ElemSource for ChannelSource {
 /// fleet assembly. [`CollectorFleet::start`] hands back the merged
 /// stream.
 pub struct CollectorFleet {
-    config: FleetConfig,
     receivers: Vec<ChannelSource>,
     readers: Readers,
 }
@@ -178,21 +168,9 @@ impl Default for CollectorFleet {
 }
 
 impl CollectorFleet {
-    /// An empty fleet with default tunables.
+    /// An empty fleet.
     pub fn new() -> Self {
-        Self::with_config(FleetConfig::default())
-    }
-
-    /// An empty fleet with explicit tunables.
-    pub fn with_config(config: FleetConfig) -> Self {
-        CollectorFleet {
-            config: FleetConfig {
-                batch_elems: config.batch_elems.max(1),
-                channel_batches: config.channel_batches.max(1),
-            },
-            receivers: Vec::new(),
-            readers: Readers(Vec::new()),
-        }
+        CollectorFleet { receivers: Vec::new(), readers: Readers(Vec::new()) }
     }
 
     /// Archives added so far.
@@ -216,13 +194,12 @@ impl CollectorFleet {
     /// Add one archive — whatever reader `source` wraps, under the
     /// labels it carries — and spawn its reader thread.
     pub fn add<M: MessageStream + Send + 'static>(&mut self, mut source: MrtElemSource<M>) {
-        let (sender, receiver) = mpsc::sync_channel(self.config.channel_batches);
-        let batch_elems = self.config.batch_elems;
+        let (sender, receiver) = mpsc::sync_channel(CHANNEL_BATCHES);
         let handle = thread::spawn(move || {
             let mut elems = 0u64;
             loop {
-                let mut batch = Vec::with_capacity(batch_elems);
-                batch.extend(std::iter::from_fn(|| source.next_owned()).take(batch_elems));
+                let mut batch = Vec::with_capacity(BATCH_ELEMS);
+                batch.extend(std::iter::from_fn(|| source.next_owned()).take(BATCH_ELEMS));
                 let shipped = batch.len() as u64;
                 // Bounded send: blocks when the window is full — the
                 // backpressure that keeps a fast reader from racing
@@ -330,17 +307,26 @@ mod tests {
         buf
     }
 
+    /// Elems of an archive many backpressure windows long, so a reader
+    /// nobody drains blocks mid-send long before its end.
+    const LONG: u64 = 20_000;
+
+    fn long_archive() -> Vec<u8> {
+        assert!(LONG as usize > 2 * CHANNEL_BATCHES * BATCH_ELEMS);
+        archive_of(&(0..LONG).map(|k| elem(k, DataSource::Ris, 0, 9)).collect::<Vec<_>>())
+    }
+
     #[test]
     fn fleet_yields_the_merge_streams_order() {
-        let a: Vec<BgpElem> = (0..40).map(|k| elem(10 + k * 3, DataSource::Ris, 0, 11)).collect();
+        // Longer than one batch: several batches per archive.
+        let a: Vec<BgpElem> =
+            (0..1_200).map(|k| elem(10 + k * 3, DataSource::Ris, 0, 11)).collect();
         let b: Vec<BgpElem> =
-            (0..40).map(|k| elem(11 + k * 2, DataSource::RouteViews, 1, 22)).collect();
-        let c: Vec<BgpElem> = (0..10).map(|k| elem(10 + k * 9, DataSource::Pch, 2, 33)).collect();
+            (0..1_100).map(|k| elem(11 + k * 2, DataSource::RouteViews, 1, 22)).collect();
+        let c: Vec<BgpElem> = (0..300).map(|k| elem(10 + k * 9, DataSource::Pch, 2, 33)).collect();
+        assert!(a.len() > 2 * BATCH_ELEMS);
 
-        let mut fleet = CollectorFleet::with_config(FleetConfig {
-            batch_elems: 7, // force multiple batches per archive
-            channel_batches: 2,
-        });
+        let mut fleet = CollectorFleet::new();
         fleet.add(MrtElemSource::new(Cursor::new(archive_of(&a)), DataSource::Ris, 0));
         fleet.add(MrtElemSource::new(Cursor::new(archive_of(&b)), DataSource::RouteViews, 1));
         fleet.add(MrtElemSource::new(Cursor::new(archive_of(&c)), DataSource::Pch, 2));
@@ -351,7 +337,7 @@ mod tests {
         let streamed = collect_source(&mut stream);
         let report = stream.finish();
         assert!(report.is_clean());
-        assert_eq!(report.total_elems(), 90);
+        assert_eq!(report.total_elems(), 2_600);
         assert_eq!(report.archives.len(), 3);
         assert_eq!(report.archives[0].dataset, DataSource::Ris);
         assert!(report.archives.iter().all(|a| a.records_read > 0));
@@ -362,12 +348,12 @@ mod tests {
 
     #[test]
     fn bytes_archives_match_the_read_path() {
-        let a: Vec<BgpElem> = (0..40).map(|k| elem(10 + k * 3, DataSource::Ris, 0, 11)).collect();
+        let a: Vec<BgpElem> =
+            (0..1_200).map(|k| elem(10 + k * 3, DataSource::Ris, 0, 11)).collect();
         let b: Vec<BgpElem> =
-            (0..40).map(|k| elem(11 + k * 2, DataSource::RouteViews, 1, 22)).collect();
+            (0..1_100).map(|k| elem(11 + k * 2, DataSource::RouteViews, 1, 22)).collect();
 
-        let mut fleet =
-            CollectorFleet::with_config(FleetConfig { batch_elems: 7, channel_batches: 2 });
+        let mut fleet = CollectorFleet::new();
         fleet.add_archive_bytes(archive_of(&a), DataSource::Ris, 0);
         fleet.add(MrtElemSource::from_reader(
             MrtBytesReader::tolerant(archive_of(&b)),
@@ -378,7 +364,7 @@ mod tests {
         let streamed = collect_source(&mut stream);
         let report = stream.finish();
         assert!(report.is_clean());
-        assert_eq!(report.total_elems(), 80);
+        assert_eq!(report.total_elems(), 2_300);
         assert_eq!(streamed, merge_streams(vec![a, b]));
     }
 
@@ -412,31 +398,27 @@ mod tests {
 
     #[test]
     fn finish_mid_stream_unblocks_backpressured_readers() {
-        // A big archive with a tiny channel window: the reader will be
+        // An archive longer than the channel window: the reader will be
         // blocked on send when we abandon the stream.
-        let elems: Vec<BgpElem> = (0..2_000).map(|k| elem(k, DataSource::Ris, 0, 9)).collect();
-        let mut fleet =
-            CollectorFleet::with_config(FleetConfig { batch_elems: 16, channel_batches: 1 });
-        fleet.add(MrtElemSource::new(Cursor::new(archive_of(&elems)), DataSource::Ris, 0));
+        let mut fleet = CollectorFleet::new();
+        fleet.add(MrtElemSource::new(Cursor::new(long_archive()), DataSource::Ris, 0));
         let mut stream = fleet.start();
         for _ in 0..10 {
             assert!(stream.next_elem().is_some());
         }
         let report = stream.finish(); // must not deadlock
-        assert!(report.archives[0].elems < 2_000, "reader stopped early");
+        assert!(report.archives[0].elems < LONG, "reader stopped early");
     }
 
     #[test]
     fn dropping_source_with_never_draining_consumer_joins_readers() {
         // The consumer never drains a single element, so every reader
-        // fills its tiny channel window and blocks on send. Dropping the
+        // fills its channel window and blocks on send. Dropping the
         // source must close the channels and *join* the readers — the
         // test hangs (and the suite's timeout fails it) if the shutdown
         // path regresses to leaking blocked threads.
-        let elems: Vec<BgpElem> = (0..2_000).map(|k| elem(k, DataSource::Ris, 0, 9)).collect();
-        let archive = archive_of(&elems);
-        let mut fleet =
-            CollectorFleet::with_config(FleetConfig { batch_elems: 16, channel_batches: 1 });
+        let archive = long_archive();
+        let mut fleet = CollectorFleet::new();
         for collector in 0..4u16 {
             fleet.add(MrtElemSource::new(Cursor::new(archive.clone()), DataSource::Ris, collector));
         }
@@ -448,10 +430,8 @@ mod tests {
     fn dropping_unstarted_fleet_joins_readers() {
         // Readers spawn at add() time, so a fleet abandoned before
         // start() already owns blocked threads.
-        let elems: Vec<BgpElem> = (0..2_000).map(|k| elem(k, DataSource::Ris, 0, 9)).collect();
-        let mut fleet =
-            CollectorFleet::with_config(FleetConfig { batch_elems: 16, channel_batches: 1 });
-        fleet.add(MrtElemSource::new(Cursor::new(archive_of(&elems)), DataSource::Ris, 0));
+        let mut fleet = CollectorFleet::new();
+        fleet.add(MrtElemSource::new(Cursor::new(long_archive()), DataSource::Ris, 0));
         drop(fleet);
     }
 

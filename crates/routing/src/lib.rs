@@ -47,9 +47,7 @@ pub use archive::{
 pub use collector::{deploy, CollectorConfig, CollectorDeployment, CollectorSession, FeedKind};
 pub use elem::{BgpElem, DataSource, ElemType, PeerKey};
 pub use extensions::{PolicyEngine, RunStats};
-pub use fleet::{
-    ArchiveReport, ChannelSource, CollectorFleet, FleetConfig, FleetReport, FleetSource,
-};
+pub use fleet::{ArchiveReport, ChannelSource, CollectorFleet, FleetReport, FleetSource};
 pub use live::{LiveArchive, LiveMerge, LivePoll, TailingSource};
 pub use merge::MergedSource;
 pub use paths::ForwardingTree;

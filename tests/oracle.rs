@@ -7,8 +7,9 @@
 //!   with `BTreeMap`/`BTreeSet` state and linear scans — no interning, no
 //!   memo, no compiled detection plan.
 //! * [`assert_report_equals_naive_recomputation`] is the layer above
-//!   (events → report) against the paper's definitions of each table and
-//!   figure — no accumulator, no shared helper.
+//!   (events and per-dataset visibility → report) against the paper's
+//!   definitions of every table and figure — no accumulator, no shared
+//!   helper.
 //!
 //! AS paths are taken as plain sequences (what the simulator and the MRT
 //! writer produce); negative controls and RIB initialization are not
@@ -21,11 +22,11 @@ use bh_bgp_types::bogon::BogonFilter;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::{
-    AnalyticsConfig, AnalyticsReport, BlackholeEvent, BlackholePeriod, DetectionDistance,
-    EngineConfig, EngineStats, ProviderId, ReferenceData,
+    AnalyticsConfig, AnalyticsReport, BlackholeEvent, BlackholePeriod, DatasetVisibility,
+    DetectionDistance, EngineConfig, EngineStats, ProviderId, ReferenceData, VisibilityRow,
 };
 use bh_irr::BlackholeDictionary;
-use bh_routing::{BgpElem, ElemType, PeerKey};
+use bh_routing::{BgpElem, DataSource, ElemType, PeerKey};
 use bh_topology::NetworkType;
 
 /// One provider inferred from one announcement: who, for whom, how far
@@ -225,15 +226,78 @@ pub fn naive_periods(events: &[BlackholeEvent], timeout: SimDuration) -> Vec<Bla
 }
 
 /// The report against the paper's definitions, recomputed the slow
-/// obvious way over the event list — no accumulator, no shared helper.
+/// obvious way over the event list (and, for Table 3, the session's
+/// per-dataset visibility) — no accumulator, no shared helper.
 pub fn assert_report_equals_naive_recomputation(
     report: &AnalyticsReport,
     events: &[BlackholeEvent],
+    per_dataset: &BTreeMap<DataSource, DatasetVisibility>,
     refdata: &ReferenceData,
     analytics: AnalyticsConfig,
 ) {
+    // An IXP is located, and fed, by its route server.
+    let asn_of = |p: &ProviderId| match p {
+        ProviderId::As(asn) => Some(*asn),
+        ProviderId::Ixp(ixp) => refdata.route_server_of(*ixp),
+    };
+    let feeds = |p: &ProviderId, sources: &[DataSource]| {
+        asn_of(p).is_some_and(|asn| sources.iter().any(|s| refdata.has_direct_feed(*s, asn)))
+    };
+    let share = |n: usize, of: usize| if of == 0 { 0.0 } else { n as f64 / of as f64 };
+
+    // Table 3: per platform, the providers, users and prefixes it saw,
+    // those no other platform saw, and the share of its providers that
+    // feed it directly; then the union over every platform.
+    let mut table3 = Vec::new();
+    for source in DataSource::ALL {
+        let seen = per_dataset.get(&source).cloned().unwrap_or_default();
+        let others: Vec<&DatasetVisibility> =
+            per_dataset.iter().filter(|(s, _)| **s != source).map(|(_, v)| v).collect();
+        let direct = seen.providers.iter().filter(|p| feeds(p, &[source])).count();
+        table3.push(VisibilityRow {
+            source: source.label().to_string(),
+            providers: seen.providers.len(),
+            unique_providers: seen
+                .providers
+                .iter()
+                .filter(|p| others.iter().all(|o| !o.providers.contains(p)))
+                .count(),
+            users: seen.users.len(),
+            unique_users: seen
+                .users
+                .iter()
+                .filter(|u| others.iter().all(|o| !o.users.contains(u)))
+                .count(),
+            prefixes: seen.prefixes.len(),
+            unique_prefixes: seen
+                .prefixes
+                .iter()
+                .filter(|p| others.iter().all(|o| !o.prefixes.contains(p)))
+                .count(),
+            direct_feed_fraction: share(direct, seen.providers.len()),
+        });
+    }
+    let providers: BTreeSet<ProviderId> =
+        per_dataset.values().flat_map(|v| v.providers.iter().copied()).collect();
+    let users: BTreeSet<Asn> = per_dataset.values().flat_map(|v| v.users.iter().copied()).collect();
+    let prefixes: BTreeSet<Ipv4Prefix> =
+        per_dataset.values().flat_map(|v| v.prefixes.iter().copied()).collect();
+    let direct = providers.iter().filter(|p| feeds(p, &DataSource::ALL)).count();
+    table3.push(VisibilityRow {
+        source: "ALL".to_string(),
+        providers: providers.len(),
+        unique_providers: 0,
+        users: users.len(),
+        unique_users: 0,
+        prefixes: prefixes.len(),
+        unique_prefixes: 0,
+        direct_feed_fraction: share(direct, providers.len()),
+    });
+    assert_eq!(report.table3, table3, "table 3");
+
     // Table 4: per provider network type, the distinct providers of that
-    // type, and the distinct users and prefixes of the events they are in.
+    // type, the distinct users and prefixes of the events they are in,
+    // and the share of those providers that feed any platform directly.
     let type_of = |p: &ProviderId| match p {
         ProviderId::Ixp(_) => NetworkType::Ixp,
         ProviderId::As(asn) => refdata.network_type(*asn),
@@ -250,14 +314,54 @@ pub fn assert_report_equals_naive_recomputation(
         let users: BTreeSet<&Asn> = events.iter().filter(of_type).flat_map(|e| &e.users).collect();
         let prefixes: BTreeSet<Ipv4Prefix> =
             events.iter().filter(of_type).map(|e| e.prefix).collect();
+        let direct = providers.iter().filter(|p| feeds(p, &DataSource::ALL)).count();
         assert_eq!(
-            (row.providers, row.users, row.prefixes),
-            (providers.len(), users.len(), prefixes.len()),
+            (row.providers, row.users, row.prefixes, row.direct_feed_fraction),
+            (providers.len(), users.len(), prefixes.len(), share(direct, providers.len())),
             "table 4, {:?}",
             row.network_type
         );
     }
     assert_eq!(report.table4.iter().map(|r| r.network_type).collect::<Vec<_>>(), NetworkType::ALL);
+
+    // Fig. 5(a)/(b): every provider and every user, ascending, with its
+    // network type and the distinct prefixes of the events it is in.
+    let providers: BTreeSet<ProviderId> =
+        events.iter().flat_map(|e| e.providers.iter().copied()).collect();
+    let per_provider: Vec<(ProviderId, NetworkType, usize)> = providers
+        .into_iter()
+        .map(|p| {
+            let prefixes: BTreeSet<Ipv4Prefix> =
+                events.iter().filter(|e| e.providers.contains(&p)).map(|e| e.prefix).collect();
+            (p, type_of(&p), prefixes.len())
+        })
+        .collect();
+    assert_eq!(report.prefixes_per_provider, per_provider, "fig. 5(a)");
+    let users: BTreeSet<Asn> = events.iter().flat_map(|e| e.users.iter().copied()).collect();
+    let per_user: Vec<(Asn, NetworkType, usize)> = users
+        .into_iter()
+        .map(|u| {
+            let prefixes: BTreeSet<Ipv4Prefix> =
+                events.iter().filter(|e| e.users.contains(&u)).map(|e| e.prefix).collect();
+            (u, refdata.network_type(u), prefixes.len())
+        })
+        .collect();
+    assert_eq!(report.prefixes_per_user, per_user, "fig. 5(b)");
+
+    // Fig. 6: distinct provider networks (an IXP counted as its route
+    // server; one without a known route server has no country) and
+    // distinct users, per country.
+    let per_country = |asns: BTreeSet<Asn>| {
+        let mut map: BTreeMap<&'static str, usize> = BTreeMap::new();
+        for asn in asns {
+            *map.entry(refdata.country(asn)).or_default() += 1;
+        }
+        map
+    };
+    let provider_asns = events.iter().flat_map(|e| &e.providers).filter_map(asn_of).collect();
+    let user_asns = events.iter().flat_map(|e| e.users.iter().copied()).collect();
+    assert_eq!(report.provider_countries, per_country(provider_asns), "fig. 6, providers");
+    assert_eq!(report.user_countries, per_country(user_asns), "fig. 6, users");
 
     // Fig. 4: every (event, day) pair — an event counts on each day from
     // the day it starts to the day it ends (to the window's end if open).

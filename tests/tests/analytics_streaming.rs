@@ -1,11 +1,11 @@
 //! Streaming-analytics equivalence. The report every run carries equals
 //! a deliberately naive recomputation of the paper's definitions over
-//! the materialized event list (`bh_integration::oracle`); and every metric's mergeable
-//! [`EventAccumulator`] — fed mid-stream, out of order, split across
-//! accumulators and merged in any grouping, or run per shard with a
+//! the materialized event list (`bh_integration::oracle`); and the
+//! mergeable [`AnalyticsPipeline`] — fed mid-stream, out of order, split
+//! across pipelines and merged in any grouping, or run per shard with a
 //! barrier merge — equals its `fold` over that list.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -33,7 +33,13 @@ fn streamed_and_sharded_reports_equal_batch_functions() {
     let study = small_study();
     let StudyRun { output, result, refdata, analytics, report } = study.visibility_run(4, 6.0);
     assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
-    assert_report_equals_naive_recomputation(&report, &result.events, &refdata, analytics);
+    assert_report_equals_naive_recomputation(
+        &report,
+        &result.events,
+        &result.per_dataset,
+        &refdata,
+        analytics,
+    );
 
     // One-pass streaming (drain mid-stream, finish into the pipeline,
     // never materializing the event Vec) produces the identical report.
@@ -119,9 +125,13 @@ fn arb_events() -> impl Strategy<Value = Vec<BlackholeEvent>> {
     )
 }
 
+/// The window of the synthetic events (they start within its one day).
+fn synthetic_config() -> AnalyticsConfig {
+    AnalyticsConfig::window(SimTime::ZERO, SimTime::ZERO + SimDuration::days(1))
+}
+
 fn pipeline_over(events: &[BlackholeEvent]) -> AnalyticsPipeline {
-    let config = AnalyticsConfig::window(SimTime::ZERO, SimTime::ZERO + SimDuration::days(1));
-    let mut pipeline = AnalyticsPipeline::new(tiny_refdata(), config);
+    let mut pipeline = AnalyticsPipeline::new(tiny_refdata(), synthetic_config());
     for event in events {
         pipeline.observe(event);
     }
@@ -133,10 +143,10 @@ proptest! {
         cases: 32,
     })]
 
-    /// Every registered accumulator is merge-associative and
-    /// commutative: splitting an arbitrary event multiset three ways
-    /// and folding the parts in any grouping or order finalizes to the
-    /// same report as one accumulator fed everything.
+    /// The pipeline is merge-associative and commutative: splitting an
+    /// arbitrary event multiset three ways and folding the parts in any
+    /// grouping or order finalizes to the same report as one pipeline
+    /// fed everything — a report the paper's definitions reproduce.
     #[test]
     fn every_accumulator_is_merge_associative(
         events in arb_events(),
@@ -149,6 +159,15 @@ proptest! {
         let (a, b) = ab.split_at(cut_a);
 
         let reference = pipeline_over(&events).finalize();
+        // IXP providers, events without users: the paper's definitions
+        // hold on these too (no platform visibility is observed).
+        assert_report_equals_naive_recomputation(
+            &reference,
+            &events,
+            &BTreeMap::new(),
+            &tiny_refdata(),
+            synthetic_config(),
+        );
 
         // (A + B) + C
         let mut left = pipeline_over(a);

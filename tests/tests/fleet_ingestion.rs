@@ -17,7 +17,7 @@ use bh_core::EventAccumulator;
 use bh_routing::archive::write_updates;
 use bh_routing::{
     collect_source, merge_streams, split_by_collector, BgpElem, CollectorFleet, DataSource,
-    ElemSource, ElemType, FleetConfig, MergedSource, MrtElemSource, SliceSource,
+    ElemSource, ElemType, MergedSource, MrtElemSource, SliceSource,
 };
 use bh_workloads::{fleet_archives_for, fleet_of};
 
@@ -118,10 +118,7 @@ proptest! {
     fn collector_fleet_yields_exact_merge_streams_order(streams in arb_streams()) {
         let expected = merge_streams(streams.clone());
 
-        let mut fleet = CollectorFleet::with_config(FleetConfig {
-            batch_elems: 16, // small batches: exercise multi-batch channels
-            channel_batches: 2,
-        });
+        let mut fleet = CollectorFleet::new();
         for (index, stream) in streams.iter().enumerate() {
             let mut bytes = Vec::new();
             write_updates(&mut bytes, stream).expect("archive serializes");

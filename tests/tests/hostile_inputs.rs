@@ -1,5 +1,7 @@
-//! Hostile MRT / BGP-wire input: every byte of an archive is untrusted
-//! until parsed. From one small valid archive the harness derives
+//! Hostile input: every byte of an archive, and of a query connection,
+//! is untrusted until parsed.
+//!
+//! MRT / BGP wire: from one small valid archive the harness derives
 //! mutants — a cut at every offset, each length or count field set to 0,
 //! ±1 and its maximum, seeded bit flips — and drives each through all
 //! three feeders ([`common::Feeder`]), strict and tolerant, at record and
@@ -11,13 +13,21 @@
 //! of a record or none of them — exactly the elems of the records the
 //! record path decoded, expanded outside the decoder.
 //!
+//! The live line protocol (`bh_live::serve_connection`): an endless line,
+//! bytes that are not UTF-8, NUL / CR / empty lines, and the same cuts
+//! and seeded bit flips over a valid command script. Every input line
+//! gets exactly one `ok`/`err` reply and the connection keeps serving up
+//! to `quit`.
+//!
 //! CI runs this file in `--release` under a hard timeout, so a parser
-//! that stops advancing on a malformed record fails fast.
+//! that stops advancing on malformed input fails fast.
 
 mod common;
 
+use std::io::{self, BufReader, Read};
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use common::raw::{self, Field};
 use common::{expand_records, framed_records, Feeder, Transport};
@@ -28,7 +38,14 @@ use bh_bgp_types::attrs::PathAttributes;
 use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::error::CodecError;
 use bh_bgp_types::prefix::Ipv4Prefix;
+use bh_bgp_types::time::SimTime;
+use bh_core::{AnalyticsConfig, AnalyticsPipeline, ReferenceData, SessionBuilder};
+use bh_irr::BlackholeDictionary;
+use bh_live::wire::MAX_LINE_BYTES;
+use bh_live::{serve_connection, LiveFleet, LiveFleetConfig, QueryRunner};
 use bh_mrt::{MrtError, ReadMode};
+use bh_routing::{deploy, CollectorConfig};
+use bh_topology::{TopologyBuilder, TopologyConfig};
 
 fn prefix(s: &str) -> Ipv4Prefix {
     s.parse().expect("test prefix")
@@ -194,25 +211,143 @@ fn every_length_field_at_its_edges() {
     }
 }
 
-#[test]
-fn seeded_bit_flips() {
-    let (archive, _) = seed_archive();
-    // SplitMix64: a fixed stream, so a failure names a reproducible case.
-    let mut state = 0x5EED_u64;
-    let mut next = move || {
+/// SplitMix64: a fixed stream, so a failure names a reproducible case.
+fn seeded(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    };
+    }
+}
+
+/// `bytes` with one to three seeded bits flipped.
+fn flip_bits(bytes: &[u8], next: &mut impl FnMut() -> u64) -> Vec<u8> {
+    let mut mutant = bytes.to_vec();
+    let flips = 1 + next() % 3;
+    for _ in 0..flips {
+        let bit = (next() % (mutant.len() as u64 * 8)) as usize;
+        mutant[bit / 8] ^= 1 << (bit % 8);
+    }
+    mutant
+}
+
+#[test]
+fn seeded_bit_flips() {
+    let (archive, _) = seed_archive();
+    let mut next = seeded(0x5EED);
     for case in 0..1500 {
-        let mut mutant = archive.clone();
-        let flips = 1 + next() % 3;
-        for _ in 0..flips {
-            let bit = (next() % (mutant.len() as u64 * 8)) as usize;
-            mutant[bit / 8] ^= 1 << (bit % 8);
-        }
-        check(&format!("flip case {case}"), &mutant);
+        check(&format!("flip case {case}"), &flip_bits(&archive, &mut next));
+    }
+}
+
+// ---- the live line protocol ------------------------------------------------
+
+/// The query side of a daemon over no archives: it has no events, so
+/// every reply is one line.
+fn idle_runner() -> QueryRunner {
+    let topology = TopologyBuilder::new(TopologyConfig::tiny(3)).build();
+    let refdata =
+        Arc::new(ReferenceData::build(&topology, &deploy(&topology, &CollectorConfig::tiny(3))));
+    let builder = SessionBuilder::new(Arc::new(BlackholeDictionary::default()), refdata.clone());
+    let pipeline =
+        AnalyticsPipeline::new(refdata, AnalyticsConfig::window(SimTime::ZERO, SimTime::ZERO));
+    LiveFleet::new(builder, pipeline, &[], SimTime::ZERO, LiveFleetConfig::default()).query_runner()
+}
+
+/// Serve `input` and return the reply lines; the connection must end
+/// without an error.
+fn serve(runner: &QueryRunner, input: impl Read) -> Vec<String> {
+    let mut out = Vec::new();
+    serve_connection(runner, BufReader::new(input), &mut out).expect("in-memory serve");
+    let out = String::from_utf8(out).expect("replies are UTF-8");
+    assert!(out.is_empty() || out.ends_with('\n'), "a reply is unterminated: {out:?}");
+    out.lines().map(str::to_owned).collect()
+}
+
+/// The replies `script` is owed: one per line (a last line without its
+/// newline included) up to and including the first `quit`.
+fn owed_replies(script: &[u8]) -> (usize, bool) {
+    let mut lines: Vec<&[u8]> = script.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|last| last.is_empty()) {
+        lines.pop();
+    }
+    let quit = lines
+        .iter()
+        .position(|line| std::str::from_utf8(line).is_ok_and(|text| text.trim() == "quit"));
+    match quit {
+        Some(at) => (at + 1, true),
+        None => (lines.len(), false),
+    }
+}
+
+/// Every line of `script` got exactly one `ok`/`err` reply, ending in
+/// `ok bye` when the script says `quit`.
+fn check_protocol(case: &str, runner: &QueryRunner, script: &[u8]) {
+    let replies = catch_unwind(AssertUnwindSafe(|| serve(runner, script)))
+        .unwrap_or_else(|_| panic!("{case}: serving panicked"));
+    let (owed, quits) = owed_replies(script);
+    assert_eq!(replies.len(), owed, "{case}: {replies:?}");
+    for reply in &replies {
+        assert!(reply.starts_with("ok ") || reply.starts_with("err "), "{case}: {reply:?}");
+    }
+    assert_eq!(replies.last().map(String::as_str) == Some("ok bye"), quits, "{case}: {replies:?}");
+}
+
+/// A valid session: every command, one wrong argument, then `quit`.
+const SCRIPT: &[u8] = b"status\nreport\nevents-since 0\nevents-since x\nstatus\r\nquit\n";
+
+#[test]
+fn an_endless_line_is_refused_and_the_connection_keeps_serving() {
+    let runner = idle_runner();
+    let endless = io::repeat(b'a').take(64 << 20);
+    let replies = serve(&runner, endless.chain(&b"\nstatus\nquit\n"[..]));
+    let lengths: Vec<usize> = replies.iter().map(String::len).collect();
+    assert_eq!(lengths.len(), 3, "reply lengths {lengths:?}");
+    assert!(replies[0] == "err line too long", "reply lengths {lengths:?}");
+    assert!(replies[1].starts_with("ok status elems=0 "), "{}", replies[1]);
+    assert_eq!(replies[2], "ok bye");
+
+    // At the cap a line is still a command; one byte over, it is not.
+    let mut at_cap = b"status".to_vec();
+    at_cap.resize(MAX_LINE_BYTES, b' ');
+    let mut over = at_cap.clone();
+    over.push(b' ');
+    let script = [&at_cap[..], b"\r\n", &over, b"\nquit"].concat();
+    let replies = serve(&runner, &script[..]);
+    assert!(replies[0].starts_with("ok status "), "{}", replies[0]);
+    assert_eq!(replies[1..], ["err line too long", "ok bye"]);
+}
+
+#[test]
+fn bytes_that_are_not_utf8_get_an_error_reply() {
+    let runner = idle_runner();
+    let replies = serve(&runner, &b"stat\xffus\n\xc3\nstatus\nquit\n"[..]);
+    assert_eq!(replies[..2], ["err not utf-8", "err not utf-8"]);
+    assert!(replies[2].starts_with("ok status "), "{}", replies[2]);
+    assert_eq!(replies[3], "ok bye");
+}
+
+#[test]
+fn nul_cr_and_empty_lines_each_get_one_reply() {
+    let runner = idle_runner();
+    let script = b"\0\n\r\n\n\rstatus\nstatus\0\n \t \nstatus\r\n\r\r\nquit\r\n";
+    check_protocol("control bytes", &runner, script);
+    let replies = serve(&runner, &script[..]);
+    assert_eq!(replies[1..3], ["err empty command", "err empty command"]);
+    assert!(replies[6].starts_with("ok status "), "{}", replies[6]);
+}
+
+#[test]
+fn command_script_cuts_and_bit_flips() {
+    let runner = idle_runner();
+    check_protocol("script", &runner, SCRIPT);
+    for cut in 0..SCRIPT.len() {
+        check_protocol(&format!("cut at {cut}"), &runner, &SCRIPT[..cut]);
+    }
+    let mut next = seeded(0x11E5);
+    for case in 0..1500 {
+        check_protocol(&format!("flip case {case}"), &runner, &flip_bits(SCRIPT, &mut next));
     }
 }

@@ -185,11 +185,16 @@ pub fn deploy(topology: &Topology, config: &CollectorConfig) -> CollectorDeploym
 
     // PCH: route-server sessions at a fraction of IXPs.
     for (i, ixp) in topology.ixps().iter().enumerate() {
-        if !rng.gen_bool(config.pch_ixp_coverage) {
+        // A LAN without a second address (a /32) has no room for the
+        // collector's session: no PCH view there. The draw comes first
+        // either way, so the rest of the placement is unchanged.
+        let covered = rng.gen_bool(config.pch_ixp_coverage);
+        let Some(peer_ip) = ixp.peering_lan.nth_addr(1).map(IpAddr::V4) else {
+            continue;
+        };
+        if !covered {
             continue;
         }
-        let peer_ip =
-            ixp.peering_lan.nth_addr(1).map(IpAddr::V4).expect("peering LAN has addresses");
         deployment.add_session(CollectorSession {
             dataset: DataSource::Pch,
             collector: i as u16,

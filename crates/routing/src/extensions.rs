@@ -64,6 +64,10 @@ pub struct RunStats {
     /// Announce/withdraw work items processed — the simulator's unit of
     /// work, one per (sender, receiver) delivery.
     pub work_items: u64,
+    /// The most work items any single announce or withdraw run spent —
+    /// how close the worst run came to the simulator's step cap
+    /// (`BgpSimulator::step_cap`).
+    pub peak_run_steps: u64,
 }
 
 impl RunStats {

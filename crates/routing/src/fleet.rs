@@ -150,13 +150,30 @@ pub struct CollectorFleet {
 /// declares its receiving channel ends in a field *before* this one:
 /// fields drop in declaration order, and with the receivers gone first a
 /// reader blocked on a bounded send fails fast instead of deadlocking
-/// the join.
-struct Readers(Vec<JoinHandle<ArchiveReport>>);
+/// the join. Each thread is kept with the labels of its archive, which
+/// its report carries even if the thread panicked.
+struct Readers(Vec<(DataSource, u16, JoinHandle<ArchiveReport>)>);
 
 impl Drop for Readers {
     fn drop(&mut self) {
-        for handle in self.0.drain(..) {
+        for (_, _, handle) in self.0.drain(..) {
             let _ = handle.join();
+        }
+    }
+}
+
+impl ArchiveReport {
+    /// The report of a reader thread that panicked: its counts are lost
+    /// (reported as 0) and the panic is the archive's error, so the
+    /// fleet report is not clean.
+    fn panicked(dataset: DataSource, collector: u16) -> Self {
+        ArchiveReport {
+            dataset,
+            collector,
+            elems: 0,
+            records_read: 0,
+            records_skipped: 0,
+            error: Some(MrtError::Io(std::io::Error::other("fleet reader thread panicked"))),
         }
     }
 }
@@ -195,6 +212,7 @@ impl CollectorFleet {
     /// labels it carries — and spawn its reader thread.
     pub fn add<M: MessageStream + Send + 'static>(&mut self, mut source: MrtElemSource<M>) {
         let (sender, receiver) = mpsc::sync_channel(CHANNEL_BATCHES);
+        let labels = (source.dataset, source.collector);
         let handle = thread::spawn(move || {
             let mut elems = 0u64;
             loop {
@@ -218,7 +236,7 @@ impl CollectorFleet {
                 error: source.take_error(),
             }
         });
-        self.readers.0.push(handle);
+        self.readers.0.push((labels.0, labels.1, handle));
         self.receivers.push(ChannelSource::new(receiver));
     }
 
@@ -250,13 +268,16 @@ impl FleetSource {
 
     /// Join every reader and report per-archive accounting. Safe to call
     /// mid-stream: the channels close first, so blocked readers unblock
-    /// and wind down.
+    /// and wind down. A reader that panicked reports the panic as its
+    /// archive's error instead of propagating it.
     pub fn finish(self) -> FleetReport {
         let FleetSource { merged, mut readers } = self;
         drop(merged); // close the receivers: blocked senders fail fast
         let archives = std::mem::take(&mut readers.0)
             .into_iter()
-            .map(|handle| handle.join().expect("fleet reader panicked"))
+            .map(|(dataset, collector, handle)| {
+                handle.join().unwrap_or_else(|_| ArchiveReport::panicked(dataset, collector))
+            })
             .collect();
         FleetReport { archives }
     }
@@ -433,6 +454,26 @@ mod tests {
         let mut fleet = CollectorFleet::new();
         fleet.add(MrtElemSource::new(Cursor::new(long_archive()), DataSource::Ris, 0));
         drop(fleet);
+    }
+
+    #[test]
+    fn a_panicking_reader_is_reported_not_propagated() {
+        struct PanickingRead;
+        impl std::io::Read for PanickingRead {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                panic!("reader bug");
+            }
+        }
+        let mut fleet = CollectorFleet::new();
+        fleet.add(MrtElemSource::new(Cursor::new(long_archive()), DataSource::Ris, 0));
+        fleet.add(MrtElemSource::new(PanickingRead, DataSource::RouteViews, 3));
+        let mut stream = fleet.start();
+        while stream.next_elem().is_some() {}
+        let report = stream.finish();
+        assert!(report.archives[0].error.is_none());
+        let panicked = &report.archives[1];
+        assert_eq!((panicked.dataset, panicked.collector), (DataSource::RouteViews, 3));
+        assert!(panicked.error.is_some() && !report.is_clean());
     }
 
     #[test]

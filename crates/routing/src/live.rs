@@ -40,6 +40,19 @@ use crate::elem::{BgpElem, DataSource};
 use crate::merge::MergeHeap;
 use crate::source::ElemSource;
 
+/// [`LiveArchive::append`] after [`LiveArchive::close`]: a writer bug,
+/// refused without touching the archive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArchiveClosed;
+
+impl std::fmt::Display for ArchiveClosed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("append to a closed LiveArchive")
+    }
+}
+
+impl std::error::Error for ArchiveClosed {}
+
 /// The state behind a [`LiveArchive`] handle: the bytes under a lock,
 /// and what an idle reader needs to know published beside it.
 struct ArchiveShared {
@@ -100,20 +113,24 @@ impl LiveArchive {
         }
     }
 
-    /// A writer that panicked mid-append (only the closed-archive
-    /// assertion can, before touching the bytes) leaves the buffer
-    /// valid, so a poisoned lock is recovered rather than propagated.
+    /// Nothing panics while holding the lock, and the buffer is valid
+    /// between any two appends, so a poisoned lock is recovered rather
+    /// than propagated.
     fn lock(&self) -> MutexGuard<'_, Vec<u8>> {
         self.shared.bytes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Append bytes (any fragmentation — record boundaries not required).
-    /// Appending after [`close`](Self::close) is a writer bug and panics.
-    pub fn append(&self, chunk: &[u8]) {
+    /// After [`close`](Self::close) the archive is complete: the bytes
+    /// are refused with [`ArchiveClosed`] and the archive is unchanged.
+    pub fn append(&self, chunk: &[u8]) -> Result<(), ArchiveClosed> {
         let mut bytes = self.lock();
-        assert!(!self.is_closed(), "append to a closed LiveArchive");
+        if self.is_closed() {
+            return Err(ArchiveClosed);
+        }
         bytes.extend_from_slice(chunk);
         self.shared.len.store(bytes.len(), Ordering::Release);
+        Ok(())
     }
 
     /// Advance the watermark (monotonic; stale values are ignored).
@@ -465,15 +482,15 @@ mod tests {
         // Append a record and a half: one element streams, the torn tail
         // pends instead of erroring.
         let half = archive_of(&elems[..2]);
-        archive.append(&half[..half.len() - 5]);
+        archive.append(&half[..half.len() - 5]).unwrap();
         archive.advance_watermark(SimTime::from_unix(101));
         assert!(matches!(src.poll(), LivePoll::Elem(e) if e.time.unix() == 100));
         assert!(matches!(src.poll(), LivePoll::Pending(w) if w.unix() == 101));
         assert!(src.error().is_none(), "a partial tail is pending, not corrupt");
 
         // The tail completes, plus the rest of the stream; closing ends it.
-        archive.append(&half[half.len() - 5..]);
-        archive.append(&bytes[half.len()..]);
+        archive.append(&half[half.len() - 5..]).unwrap();
+        archive.append(&bytes[half.len()..]).unwrap();
         archive.close();
         let mut times = Vec::new();
         loop {
@@ -495,11 +512,20 @@ mod tests {
         let bytes = archive_of(&elems);
         let archive = LiveArchive::new();
         let mut src = TailingSource::new(archive.clone(), DataSource::Ris, 0);
-        archive.append(&bytes[..bytes.len() - 3]);
+        archive.append(&bytes[..bytes.len() - 3]).unwrap();
         archive.close();
         assert!(matches!(src.poll(), LivePoll::Elem(_)));
         assert!(matches!(src.poll(), LivePoll::End));
         assert!(src.error().is_some(), "the tear is an error once the writer closed");
+    }
+
+    #[test]
+    fn append_after_close_is_refused_and_changes_nothing() {
+        let archive = LiveArchive::new();
+        archive.append(b"abc").unwrap();
+        archive.close();
+        assert_eq!(archive.append(b"def"), Err(ArchiveClosed));
+        assert_eq!(archive.len(), 3);
     }
 
     #[test]
@@ -541,7 +567,7 @@ mod tests {
 
         // Source a has an element at t=100; b is silent with watermark 0:
         // b could still produce t<100, so nothing is safe.
-        a.append(&archive_of(&[elem(100, DataSource::Ris, 0, 9)]));
+        a.append(&archive_of(&[elem(100, DataSource::Ris, 0, 9)])).unwrap();
         a.advance_watermark(SimTime::from_unix(100));
         assert!(merge.next_ready().is_none(), "quiet collector blocks until its watermark");
 
@@ -572,8 +598,8 @@ mod tests {
             (0..30).map(|k| elem(11 + k * 2, DataSource::RouteViews, 1, 22)).collect();
         let arch_a = LiveArchive::new();
         let arch_b = LiveArchive::new();
-        arch_a.append(&archive_of(&a));
-        arch_b.append(&archive_of(&b));
+        arch_a.append(&archive_of(&a)).unwrap();
+        arch_b.append(&archive_of(&b)).unwrap();
         arch_a.close();
         arch_b.close();
 
@@ -596,8 +622,8 @@ mod tests {
         let b: Vec<BgpElem> = (0..10).map(|k| elem(11 + k * 2, DataSource::Pch, 1, 22)).collect();
         let arch_a = LiveArchive::new();
         let arch_b = LiveArchive::new();
-        arch_a.append(&archive_of(&a));
-        arch_b.append(&archive_of(&b));
+        arch_a.append(&archive_of(&a)).unwrap();
+        arch_b.append(&archive_of(&b)).unwrap();
         arch_a.close();
         arch_b.close();
 
@@ -669,7 +695,7 @@ mod tests {
                     {
                         std::thread::yield_now();
                     }
-                    archive.append(record);
+                    archive.append(record).unwrap();
                     archive.advance_watermark(SimTime::from_unix(t));
                 }
                 archive.close();

@@ -4,7 +4,7 @@
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::CommunitySet;
 use bh_bgp_types::prefix::Ipv4Prefix;
-use bh_topology::{BlackholeAuth, Relationship, Topology};
+use bh_topology::{BlackholeAuth, BlackholeOffering, Relationship, Topology};
 
 /// LOCAL_PREF assigned by relationship (standard Gao-Rexford economics).
 pub fn local_pref_for(rel: Relationship) -> u32 {
@@ -148,30 +148,32 @@ pub fn auth_ok(auth: BlackholeAuth, ctx: &AuthContext<'_>) -> bool {
     }
 }
 
-/// Full import decision at AS `receiver` for a route to `prefix` with
-/// `communities`, received over a session of type `rel` (receiver's view)
-/// from `sender`.
-#[allow(clippy::too_many_arguments)]
+/// The receiver's blackhole offering when `communities` carry one of its
+/// triggers (classic or large), `None` otherwise.
+pub(crate) fn triggered_offering<'o>(
+    offering: Option<&'o BlackholeOffering>,
+    communities: &CommunitySet,
+) -> Option<&'o BlackholeOffering> {
+    offering.filter(|o| {
+        communities.iter().any(|c| o.is_trigger(c))
+            || o.large_community.is_some_and(|l| communities.contains_large(l))
+    })
+}
+
+/// Full import decision at a receiver with blackhole `offering` for a
+/// route to `prefix` with `communities`, received over a session of type
+/// `rel` (receiver's view); `auth_ctx` names the sender.
 pub fn import_decision(
-    receiver: Asn,
+    offering: Option<&BlackholeOffering>,
     rel: Relationship,
     prefix: &Ipv4Prefix,
     communities: &CommunitySet,
     behavior: SessionBehavior,
-    topology: &Topology,
     auth_ctx: &AuthContext<'_>,
 ) -> ImportOutcome {
-    let offering = topology.as_info(receiver).and_then(|i| i.blackhole_offering.as_ref());
-
-    // Does the announcement carry one of *our* triggers?
-    let triggered = offering.is_some_and(|o| {
-        communities.iter().any(|c| o.is_trigger(c))
-            || o.large_community.is_some_and(|l| communities.contains_large(l))
-    });
-
     let mut trigger_rejection = None;
-    if triggered {
-        let offering = offering.expect("triggered implies offering");
+    // Does the announcement carry one of *our* triggers?
+    if let Some(offering) = triggered_offering(offering, communities) {
         if !offering.accepts_length(prefix.length()) {
             trigger_rejection = Some(RejectReason::LengthRejected);
         } else if !auth_ok(offering.auth, auth_ctx) {
@@ -249,6 +251,10 @@ mod tests {
         (Topology::assemble(ases, edges, vec![]), provider, user, other)
     }
 
+    fn offering_of(topology: &Topology, asn: Asn) -> Option<&BlackholeOffering> {
+        topology.as_info(asn).and_then(|i| i.blackhole_offering.as_ref())
+    }
+
     fn ctx<'a>(
         topology: &'a Topology,
         origin: Asn,
@@ -294,12 +300,11 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, user, user, Some(user), true);
         let d = import_decision(
-            provider,
+            offering_of(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
             &auth,
         );
         assert_eq!(d.decision, ImportDecision::Blackhole);
@@ -313,12 +318,11 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, user, user, Some(user), true);
         let d = import_decision(
-            provider,
+            offering_of(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
             &auth,
         );
         // The trigger does not fire (too coarse), but the /20 is still a
@@ -335,12 +339,11 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, user, user, Some(other), true);
         let d = import_decision(
-            provider,
+            offering_of(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
             &auth,
         );
         // Auth failed: no blackhole, but the host route still imports per
@@ -358,24 +361,22 @@ mod tests {
         let bad = ctx(&t, other, other, Some(user), false);
         assert_eq!(
             import_decision(
-                provider,
+                offering_of(&t, provider),
                 Relationship::Customer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
                 &good
             )
             .decision,
             ImportDecision::Blackhole
         );
         let bad_outcome = import_decision(
-            provider,
+            offering_of(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
             &bad,
         );
         assert_ne!(bad_outcome.decision, ImportDecision::Blackhole);
@@ -391,24 +392,22 @@ mod tests {
         let unregistered = ctx(&t, user, user, Some(user), false);
         assert_eq!(
             import_decision(
-                provider,
+                offering_of(&t, provider),
                 Relationship::Customer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
                 &registered
             )
             .decision,
             ImportDecision::Blackhole
         );
         let rejected = import_decision(
-            provider,
+            offering_of(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
             &unregistered,
         );
         assert_ne!(rejected.decision, ImportDecision::Blackhole);
@@ -425,12 +424,11 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, provider, provider, Some(user), false);
         let d = import_decision(
-            provider,
+            offering_of(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
             &auth,
         );
         assert_eq!(d.decision, ImportDecision::Blackhole);
@@ -446,12 +444,11 @@ mod tests {
         // (this is what makes bundling visible).
         assert_eq!(
             import_decision(
-                provider,
+                offering_of(&t, provider),
                 Relationship::Customer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
                 &auth
             )
             .decision,
@@ -460,12 +457,11 @@ mod tests {
         // From peer with default behavior: too specific.
         assert_eq!(
             import_decision(
-                provider,
+                offering_of(&t, provider),
                 Relationship::Peer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
                 &auth
             )
             .decision,
@@ -475,12 +471,11 @@ mod tests {
         let lenient = SessionBehavior { host_routes_from_peers: true, ..Default::default() };
         assert_eq!(
             import_decision(
-                provider,
+                offering_of(&t, provider),
                 Relationship::Peer,
                 &prefix,
                 &communities,
                 lenient,
-                &t,
                 &auth
             )
             .decision,
@@ -495,12 +490,11 @@ mod tests {
         let auth = ctx(&t, user, user, Some(user), true);
         for rel in [Relationship::Customer, Relationship::Peer, Relationship::Provider] {
             let outcome = import_decision(
-                provider,
+                offering_of(&t, provider),
                 rel,
                 &prefix,
                 &CommunitySet::new(),
                 SessionBehavior::default(),
-                &t,
                 &auth,
             );
             assert_eq!(outcome.decision, ImportDecision::Regular);

@@ -19,8 +19,23 @@
 //! One engine: work is scheduled in three valley-free phases by
 //! propagation rank, and every AS ingests all of its pending input
 //! before it advertises once (see [`BgpSimulator`]'s `run_phases`).
+//!
+//! # State layout
+//!
+//! Per-AS state is one `Vec` of nodes addressed by the topology's dense
+//! [`AsnIndex`] (the index [`PropagationRanks`] is keyed by: ascending
+//! ASN), neighbors resolved to `(index, relationship)` once. Work items,
+//! candidate sets and the dirty list are keyed by index, so every sort
+//! and scan — the emission flush included — runs in the ASN order it
+//! always did. A changed best route is exported once (prepended, its
+//! trigger stripped where the provider strips) and cloned per neighbor.
+//!
+//! Two inputs name an AS without a node: [`BgpSimulator::set_behavior`]
+//! ignores it, and a delivery addressed to it (a targeted announcement
+//! or its withdrawal) counts as one work item and is dropped, as it
+//! always was — it is nobody's neighbor.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::net::IpAddr;
 
 use rand::rngs::StdRng;
@@ -30,16 +45,19 @@ use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::bogon::BogonFilter;
 use bh_bgp_types::community::CommunitySet;
+use bh_bgp_types::hash::FxHashMap;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_topology::{Ixp, OriginIndex, PolicyTable, PropagationRanks, Relationship, Topology};
+use bh_topology::{
+    AsnIndex, BlackholeOffering, OriginIndex, PolicyTable, PropagationRanks, Relationship, Topology,
+};
 
 use crate::collector::{CollectorDeployment, CollectorSession, FeedKind};
 use crate::elem::{BgpElem, DataSource, ElemType};
 use crate::extensions::{PolicyEngine, RunStats};
 use crate::policy::{
-    import_decision, local_pref_for, may_export, AuthContext, ImportDecision, RejectReason,
-    SessionBehavior,
+    auth_ok, import_decision, local_pref_for, may_export, triggered_offering, AuthContext,
+    ImportDecision, RejectReason, SessionBehavior,
 };
 
 /// Which neighbors an origin announcement is sent to.
@@ -145,12 +163,19 @@ struct RouteEntry {
     leak_marked: bool,
 }
 
+/// Dense index of an AS: its position in the simulator's node table,
+/// which follows the topology's [`AsnIndex`] (ascending ASN).
+type NodeId = u32;
+
 #[derive(Debug, Clone, Default)]
 struct PrefixState {
-    /// Candidates keyed by sending neighbor.
-    candidates: BTreeMap<Asn, RouteEntry>,
-    /// What we last advertised per neighbor.
-    advertised: BTreeMap<Asn, RouteEntry>,
+    /// Candidates keyed by sending neighbor, ascending [`NodeId`] (so
+    /// ascending ASN).
+    candidates: Vec<(NodeId, RouteEntry)>,
+    /// What we last advertised, one slot per position in the node's
+    /// neighbor list — a neighbor listed under two relationships uses the
+    /// slot of its first position. Empty until the first advertisement.
+    advertised: Vec<Option<RouteEntry>>,
     /// The best route the last neighbor-advertisement pass ran against.
     /// Outbound adverts are a pure function of `best` (offering and
     /// policies are fixed for a run), so when best is unchanged the
@@ -161,13 +186,91 @@ struct PrefixState {
 
 impl PrefixState {
     fn best(&self) -> Option<&RouteEntry> {
-        self.candidates.values().max_by(|a, b| {
+        self.candidates.iter().map(|(_, route)| route).max_by(|a, b| {
             a.local_pref
                 .cmp(&b.local_pref)
                 .then(b.as_path.hop_len().cmp(&a.as_path.hop_len()))
                 .then(b.learned_from.cmp(&a.learned_from))
         })
     }
+
+    fn position(&self, from: NodeId) -> Result<usize, usize> {
+        self.candidates.binary_search_by_key(&from, |(sender, _)| *sender)
+    }
+
+    fn candidate(&self, from: NodeId) -> Option<&RouteEntry> {
+        self.position(from).ok().map(|i| &self.candidates[i].1)
+    }
+
+    /// Hold `route` from `from`; whether the candidate set changed.
+    fn insert(&mut self, from: NodeId, route: RouteEntry) -> bool {
+        match self.position(from) {
+            Ok(i) if self.candidates[i].1 == route => false,
+            Ok(i) => {
+                self.candidates[i].1 = route;
+                true
+            }
+            Err(i) => {
+                self.candidates.insert(i, (from, route));
+                true
+            }
+        }
+    }
+
+    /// Drop `from`'s candidate; whether there was one.
+    fn remove(&mut self, from: NodeId) -> bool {
+        self.position(from).map(|i| self.candidates.remove(i)).is_ok()
+    }
+
+    fn holds_blackhole(&self) -> bool {
+        self.candidates.iter().any(|(_, route)| route.is_blackhole)
+    }
+
+    /// No candidate and the last advertisement pass withdrew everything
+    /// (or none ran): indistinguishable from a fresh state, so the entry
+    /// is dropped from its node's map.
+    fn is_empty(&self) -> bool {
+        self.candidates.is_empty() && self.advert_basis.is_none()
+    }
+}
+
+/// One AS of the topology, addressed by its [`NodeId`].
+struct Node<'a> {
+    /// Propagation rank: the schedule key of the three phases.
+    rank: u32,
+    behavior: SessionBehavior,
+    offering: Option<&'a BlackholeOffering>,
+    /// Set when this AS is an IXP route server.
+    route_server: Option<RouteServer>,
+    /// Neighbors with the relationship this AS has to each, in the
+    /// topology's adjacency order (ascending ASN).
+    neighbors: Vec<(NodeId, Relationship)>,
+    prefixes: FxHashMap<Ipv4Prefix, PrefixState>,
+}
+
+impl Node<'_> {
+    /// The relationship this AS has to neighbor `n`; the first listed
+    /// wins, as in [`Topology::rel_between`].
+    fn rel_to(&self, n: NodeId) -> Option<Relationship> {
+        let i = self.neighbors.partition_point(|(m, _)| *m < n);
+        self.neighbors.get(i).filter(|(m, _)| *m == n).map(|(_, rel)| *rel)
+    }
+
+    fn holds_blackhole(&self, prefix: &Ipv4Prefix) -> bool {
+        self.prefixes.get(prefix).is_some_and(PrefixState::holds_blackhole)
+    }
+}
+
+/// What a route-server node redistributes to.
+struct RouteServer {
+    /// Index into `topology.ixps()`.
+    ixp: usize,
+    /// The members that are ASes of the topology, in `Ixp::members`
+    /// order.
+    members: Vec<NodeId>,
+    /// Members outside the topology: every redistribution counts one
+    /// dropped work item for each.
+    foreign_members: u64,
 }
 
 /// Key for per-session emitted state: (dataset, collector, session peer,
@@ -175,22 +278,55 @@ impl PrefixState {
 /// per-member views of a route-server session.
 type EmitKey = (DataSource, u16, Asn, Ipv4Prefix, Asn);
 
+/// One delivery of the run's prefix from a sender to a receiver: an
+/// announcement of `route`, or a withdrawal when it is `None`.
 #[derive(Debug, Clone)]
-enum Work {
-    Announce { to: Asn, from: Asn, prefix: Ipv4Prefix, route: RouteEntry },
-    Withdraw { to: Asn, from: Asn, prefix: Ipv4Prefix },
+struct Work {
+    to: NodeId,
+    from: NodeId,
+    route: Option<RouteEntry>,
 }
 
-impl Work {
-    fn target(&self) -> Asn {
-        match self {
-            Work::Announce { to, .. } | Work::Withdraw { to, .. } => *to,
-        }
-    }
+/// What is fixed for one announce or withdraw run: it propagates one
+/// prefix.
+struct Run {
+    prefix: Ipv4Prefix,
+    /// Owner of the covering allocation (the blackhole authentication
+    /// input), looked up once instead of per work item.
+    allocation_owner: Option<Asn>,
+}
 
-    fn source(&self) -> Asn {
-        match self {
-            Work::Announce { from, .. } | Work::Withdraw { from, .. } => *from,
+/// The first work items of a run, resolved to nodes.
+#[derive(Default)]
+struct Seeds {
+    works: Vec<Work>,
+    /// Deliveries with no node at one end, counted but never queued.
+    dropped: u64,
+}
+
+impl Seeds {
+    /// Queue a delivery from `from` to `to`. One with no node at either
+    /// end is counted and dropped as if delivered: an announcement to
+    /// its own origin then fails the loop check, anything else is not a
+    /// neighbor of its sender.
+    fn push(
+        &mut self,
+        index: &AsnIndex,
+        stats: &mut RunStats,
+        to: Asn,
+        from: Asn,
+        route: Option<RouteEntry>,
+    ) {
+        match (index.index_of(to), index.index_of(from)) {
+            (Some(to), Some(from)) => {
+                self.works.push(Work { to: to as NodeId, from: from as NodeId, route })
+            }
+            _ => {
+                if route.is_some() && to == from {
+                    stats.record_import_reject(RejectReason::LoopDetected);
+                }
+                self.dropped += 1;
+            }
         }
     }
 }
@@ -200,12 +336,12 @@ pub struct BgpSimulator<'a> {
     topology: &'a Topology,
     origin_index: OriginIndex,
     deployment: CollectorDeployment,
-    behaviors: HashMap<Asn, SessionBehavior>,
-    state: HashMap<Asn, HashMap<Ipv4Prefix, PrefixState>>,
-    /// Which neighbors each (origin, prefix) was directly sent to, with
-    /// the sent route (for withdraws and scope changes).
-    origin_adverts: HashMap<(Asn, Ipv4Prefix), BTreeMap<Asn, RouteEntry>>,
-    emitted: HashMap<EmitKey, (AsPath, CommunitySet)>,
+    /// Per-AS state, by [`NodeId`].
+    nodes: Vec<Node<'a>>,
+    /// Which neighbors each (origin, prefix) was directly sent to (for
+    /// withdraws and scope changes), ascending ASN.
+    origin_adverts: FxHashMap<(Asn, Ipv4Prefix), BTreeSet<Asn>>,
+    emitted: FxHashMap<EmitKey, (AsPath, CommunitySet)>,
     elems: Vec<BgpElem>,
     bogons: BogonFilter,
     /// The installed per-AS policies; `None` (the default, and the
@@ -215,18 +351,16 @@ pub struct BgpSimulator<'a> {
     /// Per-reason / per-extension rejection accounting, kept even when
     /// no policies are installed (counters never perturb routing).
     stats: RunStats,
-    /// Customer-cone depth ranks of `topology`, the schedule key of the
-    /// three propagation phases.
+    /// Customer-cone depth ranks of `topology` (the schedule key of the
+    /// three propagation phases) and the dense index `nodes` follows.
     ranks: PropagationRanks,
     /// Set only by [`BgpSimulator::fifo_reference`].
     fifo: bool,
-    /// route-server ASN → index into `topology.ixps()` (replaces the
-    /// linear `ixp_by_route_server` scan on the hot path).
-    rs_index: HashMap<Asn, usize>,
-    /// (AS, prefix) pairs whose visible state may have changed since the
-    /// last flush. Emissions are reconstructed from final state at
-    /// flush time, so transient adverts never reach the elem stream.
-    dirty: BTreeSet<(Asn, Ipv4Prefix)>,
+    /// Nodes whose visible state may have changed since the last flush
+    /// (sorted and deduplicated there). Emissions are reconstructed from
+    /// final state at flush time, so transient adverts never reach the
+    /// elem stream.
+    dirty: Vec<NodeId>,
     /// Reused seed-neighbor scratch buffer (no per-announce alloc).
     scratch_neighbors: Vec<Asn>,
 }
@@ -236,34 +370,58 @@ impl<'a> BgpSimulator<'a> {
     /// (host-route acceptance) only.
     pub fn new(topology: &'a Topology, deployment: CollectorDeployment, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut behaviors = HashMap::new();
-        for info in topology.ases() {
-            behaviors.insert(
-                info.asn,
-                SessionBehavior {
+        let ranks = topology.propagation_ranks();
+        let index = ranks.index();
+        // Route-server ASN → IXP; should two IXPs share one, the last wins.
+        let rs_ixp: FxHashMap<Asn, usize> =
+            topology.ixps().iter().enumerate().map(|(i, ixp)| (ixp.route_server_asn, i)).collect();
+        let node_id = |asn: Asn| index.index_of(asn).map(|i| i as NodeId);
+        // `index` follows `topology.ases()`, so node `i` is index `i`.
+        let nodes = topology
+            .ases()
+            .map(|info| {
+                // Two draws per AS, in ASN order.
+                let behavior = SessionBehavior {
                     host_routes_from_customers: rng.gen_bool(0.9),
                     host_routes_from_peers: rng.gen_bool(0.25),
-                },
-            );
-        }
-        let rs_index =
-            topology.ixps().iter().enumerate().map(|(i, ixp)| (ixp.route_server_asn, i)).collect();
+                };
+                let route_server = rs_ixp.get(&info.asn).map(|&ixp| {
+                    let listed = &topology.ixps()[ixp].members;
+                    let members: Vec<NodeId> = listed.iter().filter_map(|&m| node_id(m)).collect();
+                    let foreign_members = (listed.len() - members.len()) as u64;
+                    RouteServer { ixp, members, foreign_members }
+                });
+                // `propagation_ranks` indexes every adjacency ASN, so
+                // nothing is filtered out here.
+                let neighbors = topology
+                    .neighbors(info.asn)
+                    .iter()
+                    .filter_map(|&(n, rel)| Some((node_id(n)?, rel)))
+                    .collect();
+                Node {
+                    rank: ranks.rank_of(info.asn).unwrap_or(0),
+                    behavior,
+                    offering: info.blackhole_offering.as_ref(),
+                    route_server,
+                    neighbors,
+                    prefixes: FxHashMap::default(),
+                }
+            })
+            .collect();
         BgpSimulator {
             topology,
             origin_index: topology.origin_index(),
             deployment,
-            behaviors,
-            state: HashMap::new(),
-            origin_adverts: HashMap::new(),
-            emitted: HashMap::new(),
+            nodes,
+            origin_adverts: FxHashMap::default(),
+            emitted: FxHashMap::default(),
             elems: Vec::new(),
             bogons: BogonFilter::new(),
             policies: None,
             stats: RunStats::default(),
-            ranks: topology.propagation_ranks(),
+            ranks,
             fifo: false,
-            rs_index,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             scratch_neighbors: Vec::new(),
         }
     }
@@ -301,6 +459,15 @@ impl<'a> BgpSimulator<'a> {
         self.stats = RunStats::default();
     }
 
+    /// The step cap of one announce or withdraw run: `(ASes + 10) ×
+    /// 10 000` work items. A converging flood costs about one item per
+    /// directed adjacency entry, so only a policy dispute wheel (e.g.
+    /// dueling leakers) that oscillates forever reaches it; the run then
+    /// stops with [`PropagationError::NoConvergence`].
+    pub fn step_cap(&self) -> u64 {
+        (self.topology.as_count() as u64 + 10) * 10_000
+    }
+
     /// The topology in use.
     pub fn topology(&self) -> &Topology {
         self.topology
@@ -311,16 +478,24 @@ impl<'a> BgpSimulator<'a> {
         &self.deployment
     }
 
-    /// Override one AS's session behavior (scenarios use this to model
-    /// specific router configurations, e.g. members that do or do not
-    /// accept /32s).
-    pub fn set_behavior(&mut self, asn: Asn, behavior: SessionBehavior) {
-        self.behaviors.insert(asn, behavior);
+    fn node(&self, asn: Asn) -> Option<&Node<'a>> {
+        self.ranks.index().index_of(asn).map(|i| &self.nodes[i])
     }
 
-    /// The session behavior of an AS.
+    /// Override one AS's session behavior (scenarios use this to model
+    /// specific router configurations, e.g. members that do or do not
+    /// accept /32s). An ASN outside the topology has no sessions: the
+    /// call is ignored and [`BgpSimulator::behavior`] keeps returning the
+    /// default for it.
+    pub fn set_behavior(&mut self, asn: Asn, behavior: SessionBehavior) {
+        if let Some(i) = self.ranks.index().index_of(asn) {
+            self.nodes[i].behavior = behavior;
+        }
+    }
+
+    /// The session behavior of an AS (the default outside the topology).
     pub fn behavior(&self, asn: Asn) -> SessionBehavior {
-        self.behaviors.get(&asn).copied().unwrap_or_default()
+        self.node(asn).map(|node| node.behavior).unwrap_or_default()
     }
 
     /// Drain the accumulated collector elements (time-ordered as emitted).
@@ -336,24 +511,18 @@ impl<'a> BgpSimulator<'a> {
     /// Does `asn` currently hold a blackhole-flagged route for `prefix`?
     /// (Ground-truth query for data-plane simulation.)
     pub fn is_blackholed_at(&self, asn: Asn, prefix: &Ipv4Prefix) -> bool {
-        self.state
-            .get(&asn)
-            .and_then(|m| m.get(prefix))
-            .is_some_and(|ps| ps.candidates.values().any(|r| r.is_blackhole))
+        self.node(asn).is_some_and(|node| node.holds_blackhole(prefix))
     }
 
-    /// All ASes currently holding a blackhole route for `prefix`.
+    /// All ASes currently holding a blackhole route for `prefix`, in
+    /// ascending order.
     pub fn blackholing_ases_for(&self, prefix: &Ipv4Prefix) -> Vec<Asn> {
-        let mut out: Vec<Asn> = self
-            .state
+        self.nodes
             .iter()
-            .filter(|(_, m)| {
-                m.get(prefix).is_some_and(|ps| ps.candidates.values().any(|r| r.is_blackhole))
-            })
-            .map(|(asn, _)| *asn)
-            .collect();
-        out.sort_unstable();
-        out
+            .zip(self.ranks.index().asns())
+            .filter(|(node, _)| node.holds_blackhole(prefix))
+            .map(|(_, asn)| *asn)
+            .collect()
     }
 
     /// Inject an announcement; returns blackhole acceptance outcomes.
@@ -380,12 +549,13 @@ impl<'a> BgpSimulator<'a> {
         announcement: &Announcement,
     ) -> (AnnounceOutcome, Result<(), PropagationError>) {
         let mut outcome = AnnounceOutcome::default();
-        if announcement.prefix.length() < 8 {
+        let prefix = announcement.prefix;
+        if prefix.length() < 8 {
             return (outcome, Ok(())); // never less specific than /8
         }
         // Martian space never propagates (routers filter it on ingress);
         // host routes are checked against the same bogon table.
-        if !self.bogons.is_routable(&announcement.prefix) {
+        if !self.bogons.is_routable(&prefix) {
             return (outcome, Ok(()));
         }
         let origin = announcement.origin;
@@ -412,30 +582,26 @@ impl<'a> BgpSimulator<'a> {
             AnnounceScope::Neighbors(list) => self.scratch_neighbors.extend_from_slice(list),
         }
 
-        let mut seeds: Vec<Work> = Vec::with_capacity(self.scratch_neighbors.len());
-        let adverts = self.origin_adverts.entry((origin, announcement.prefix)).or_default();
-        let previously: Vec<Asn> = adverts.keys().copied().collect();
+        let index = self.ranks.index();
+        let mut seeds = Seeds::default();
+        let adverts = self.origin_adverts.entry((origin, prefix)).or_default();
+        let previously: Vec<Asn> = adverts.iter().copied().collect();
         for &n in &self.scratch_neighbors {
-            adverts.insert(n, route.clone());
-            seeds.push(Work::Announce {
-                to: n,
-                from: origin,
-                prefix: announcement.prefix,
-                route: route.clone(),
-            });
+            adverts.insert(n);
+            seeds.push(index, &mut self.stats, n, origin, Some(route.clone()));
         }
         for n in previously {
             if !self.scratch_neighbors.contains(&n) {
                 adverts.remove(&n);
-                seeds.push(Work::Withdraw { to: n, from: origin, prefix: announcement.prefix });
+                seeds.push(index, &mut self.stats, n, origin, None);
             }
         }
 
-        let result = self.run(seeds, &mut outcome);
+        let result = self.run(prefix, seeds, &mut outcome);
         // Canonical outcome order, independent of engine and work order.
         outcome.accepted_by.sort_unstable();
         outcome.rejected_by.sort_unstable_by_key(|(a, _)| *a);
-        self.flush_emissions(time);
+        self.flush_emissions(time, prefix);
         (outcome, result)
     }
 
@@ -464,23 +630,36 @@ impl<'a> BgpSimulator<'a> {
         let Some(adverts) = self.origin_adverts.remove(&(origin, prefix)) else {
             return Ok(());
         };
-        let seeds: Vec<Work> =
-            adverts.into_keys().map(|n| Work::Withdraw { to: n, from: origin, prefix }).collect();
+        let mut seeds = Seeds::default();
+        for n in adverts {
+            seeds.push(self.ranks.index(), &mut self.stats, n, origin, None);
+        }
         let mut outcome = AnnounceOutcome::default();
-        let result = self.run(seeds, &mut outcome);
-        self.flush_emissions(time);
+        let result = self.run(prefix, seeds, &mut outcome);
+        self.flush_emissions(time, prefix);
         result
     }
 
     // ---- engine ---------------------------------------------------------
 
+    /// Propagate `prefix` from `seeds` to a fixpoint, recording the run's
+    /// work in [`RunStats::work_items`] and [`RunStats::peak_run_steps`].
     fn run(
         &mut self,
-        seeds: Vec<Work>,
+        prefix: Ipv4Prefix,
+        seeds: Seeds,
         outcome: &mut AnnounceOutcome,
     ) -> Result<(), PropagationError> {
-        let result =
-            if self.fifo { self.run_fifo(seeds, outcome) } else { self.run_phases(seeds, outcome) };
+        let run = Run { prefix, allocation_owner: self.origin_index.origin_of(&prefix) };
+        let mut steps = 0;
+        let result = self.spend(&mut steps, seeds.dropped).and_then(|()| {
+            if self.fifo {
+                self.run_fifo(&run, seeds.works, &mut steps, outcome)
+            } else {
+                self.run_phases(&run, seeds.works, &mut steps, outcome)
+            }
+        });
+        self.stats.peak_run_steps = self.stats.peak_run_steps.max(steps);
         if result.is_err() {
             self.stats.convergence_failures += 1;
         }
@@ -497,7 +676,9 @@ impl<'a> BgpSimulator<'a> {
     /// re-flooding the customer cone) on every input.
     fn run_phases(
         &mut self,
+        run: &Run,
         seeds: Vec<Work>,
+        steps: &mut u64,
         outcome: &mut AnnounceOutcome,
     ) -> Result<(), PropagationError> {
         // One slot per (phase, rank) in sweep order; work generated for
@@ -506,7 +687,6 @@ impl<'a> BgpSimulator<'a> {
         for work in seeds {
             slots[self.slot_of(&work)].push(work);
         }
-        let mut steps = 0;
         let mut out = Vec::new();
         loop {
             let mut progressed = false;
@@ -514,10 +694,11 @@ impl<'a> BgpSimulator<'a> {
                 while !slots[slot].is_empty() {
                     progressed = true;
                     let mut works = std::mem::take(&mut slots[slot]);
-                    self.spend(&mut steps, works.len())?;
+                    self.spend(steps, works.len() as u64)?;
                     // Stable: two items from one sender keep their order.
-                    works.sort_by_key(|w| w.target());
-                    self.process_group(works, outcome, &mut out);
+                    works.sort_by_key(|w| w.to);
+                    let dropped = self.process_group(run, works, outcome, &mut out);
+                    self.spend(steps, dropped)?;
                     for work in out.drain(..) {
                         slots[self.slot_of(&work)].push(work);
                     }
@@ -533,12 +714,13 @@ impl<'a> BgpSimulator<'a> {
     /// seen from the receiver: a route arriving from a customer is
     /// climbing (slots `0..=top`, the receiver's rank ascending), one
     /// from a provider is descending (the last `top + 1` slots, rank
-    /// descending), and anything else — peers, route servers, unknown
-    /// senders — is lateral (the slot between).
+    /// descending), and anything else — peers, route servers, senders
+    /// that are not neighbors — is lateral (the slot between).
     fn slot_of(&self, work: &Work) -> usize {
         let top = self.ranks.max_rank() as usize;
-        let rank = self.ranks.rank_of(work.target()).unwrap_or(0) as usize;
-        match self.topology.rel_between(work.target(), work.source()) {
+        let receiver = &self.nodes[work.to as usize];
+        let rank = receiver.rank as usize;
+        match receiver.rel_to(work.from) {
             Some(Relationship::Customer) => rank,
             Some(Relationship::Provider) => 2 * top + 2 - rank,
             _ => top + 1,
@@ -548,108 +730,116 @@ impl<'a> BgpSimulator<'a> {
     /// The FIFO reference: every work item is a group of its own.
     fn run_fifo(
         &mut self,
+        run: &Run,
         seeds: Vec<Work>,
+        steps: &mut u64,
         outcome: &mut AnnounceOutcome,
     ) -> Result<(), PropagationError> {
         let mut queue: VecDeque<Work> = seeds.into();
-        let mut steps = 0;
         let mut out = Vec::new();
         while let Some(work) = queue.pop_front() {
-            self.spend(&mut steps, 1)?;
-            self.process_group([work], outcome, &mut out);
+            self.spend(steps, 1)?;
+            let dropped = self.process_group(run, [work], outcome, &mut out);
+            self.spend(steps, dropped)?;
             queue.extend(out.drain(..));
         }
         Ok(())
     }
 
-    /// Count `n` more work items against a run's step cap (a policy
-    /// dispute wheel, e.g. dueling leakers, can oscillate forever).
-    fn spend(&mut self, steps: &mut u64, n: usize) -> Result<(), PropagationError> {
-        self.stats.work_items += n as u64;
-        *steps += n as u64;
-        if *steps >= (self.topology.as_count() as u64 + 10) * 10_000 {
+    /// Count `n` more work items against the run's [`step_cap`](Self::step_cap).
+    fn spend(&mut self, steps: &mut u64, n: u64) -> Result<(), PropagationError> {
+        self.stats.work_items += n;
+        *steps += n;
+        if *steps >= self.step_cap() {
             return Err(PropagationError::NoConvergence { steps: *steps });
         }
         Ok(())
     }
 
     /// Process work items grouped by target: each target AS first
-    /// ingests all of its items into its candidate sets, then advertises
-    /// once per prefix whose candidates changed. Generated work is
-    /// appended to `out`.
+    /// ingests all of its items into its candidate set, then advertises
+    /// once if the set changed. Generated work is appended to `out`;
+    /// returns the work items it addressed to ASNs without a node.
     fn process_group(
         &mut self,
+        run: &Run,
         works: impl IntoIterator<Item = Work>,
         outcome: &mut AnnounceOutcome,
         out: &mut Vec<Work>,
-    ) {
+    ) -> u64 {
         let ctx = SimCtx {
             topology: self.topology,
-            origin_index: &self.origin_index,
-            behaviors: &self.behaviors,
+            asns: self.ranks.index().asns(),
             policies: self.policies.as_ref(),
-            rs_index: &self.rs_index,
+            run,
         };
-        let mut touched: Vec<Ipv4Prefix> = Vec::new();
+        let mut fx = Effects { out, stats: &mut self.stats, outcome, dropped: 0 };
         let mut works = works.into_iter().peekable();
-        while let Some(me) = works.peek().map(Work::target) {
-            let mut node = NodeState {
-                me,
-                prefixes: self.state.entry(me).or_default(),
-                out: &mut *out,
-                stats: &mut self.stats,
-                outcome: &mut *outcome,
-                dirty: &mut self.dirty,
-            };
-            while let Some(work) = works.next_if(|w| w.target() == me) {
-                touched.extend(ingest(&ctx, &mut node, work));
+        while let Some(me) = works.peek().map(|w| w.to) {
+            let node = &mut self.nodes[me as usize];
+            let mut changed = false;
+            while let Some(work) = works.next_if(|w| w.to == me) {
+                changed |= ingest(&ctx, node, me, &mut fx, work);
             }
-            touched.sort_unstable();
-            touched.dedup();
-            for prefix in touched.drain(..) {
-                match ctx.ixp_of(me) {
-                    Some(ixp) => rs_redistribute(&mut node, ixp, prefix),
-                    None => after_change(&ctx, &mut node, prefix),
-                }
+            if !changed {
+                continue;
+            }
+            self.dirty.push(me);
+            match &node.route_server {
+                Some(rs) => rs_redistribute(&ctx, rs, &mut node.prefixes, me, &mut fx),
+                None => after_change(&ctx, node, me, &mut fx),
             }
         }
+        fx.dropped
     }
 
-    /// Reconstruct collector emissions from final state for every
-    /// (AS, prefix) pair dirtied since the last flush. Emitting from
-    /// the converged state (rather than along the propagation
-    /// trajectory) is what makes the elem stream independent of the
-    /// schedule: propagation order affects only transient state, and
-    /// the best-path fixpoint is unique.
-    fn flush_emissions(&mut self, time: SimTime) {
+    /// Reconstruct collector emissions of `prefix` from final state at
+    /// every node dirtied since the last flush, in ascending ASN order.
+    /// Emitting from the converged state (rather than along the
+    /// propagation trajectory) is what makes the elem stream independent
+    /// of the schedule: propagation order affects only transient state,
+    /// and the best-path fixpoint is unique.
+    fn flush_emissions(&mut self, time: SimTime, prefix: Ipv4Prefix) {
         if self.dirty.is_empty() {
             return;
         }
-        let topology = self.topology;
-        let dirty = std::mem::take(&mut self.dirty);
-        for &(me, prefix) in &dirty {
-            let ps = self.state.get(&me).and_then(|m| m.get(&prefix));
-            if let Some(&idx) = self.rs_index.get(&me) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        let asns = self.ranks.index().asns();
+        for &me in &dirty {
+            let node = &self.nodes[me as usize];
+            let me_asn = asns[me as usize];
+            let ps = node.prefixes.get(&prefix);
+            if let Some(rs) = &node.route_server {
                 // Route-server node: refresh the PCH per-member views,
                 // attributing each route to the member that sent it,
                 // with its peering-LAN address.
-                let ixp = &topology.ixps()[idx];
-                for session in self.deployment.sessions_at(me) {
+                let ixp = &self.topology.ixps()[rs.ixp];
+                for session in self.deployment.sessions_at(me_asn) {
                     if !matches!(session.feed, FeedKind::RouteServerView(_)) {
                         continue;
                     }
-                    for &member in &ixp.members {
-                        let visible = ps.and_then(|ps| ps.candidates.get(&member)).map(|r| {
+                    for &member in &rs.members {
+                        let member_asn = asns[member as usize];
+                        let visible = ps.and_then(|ps| ps.candidate(member)).map(|r| {
                             let mut out = r.clone();
                             if ixp.route_server_in_path {
-                                out.as_path.prepend(me, 1);
+                                out.as_path.prepend(me_asn, 1);
                             }
                             out
                         });
-                        let peer_ip =
-                            ixp.member_lan_ip(member).map(IpAddr::V4).unwrap_or(session.peer_ip);
-                        let key: EmitKey =
-                            (session.dataset, session.collector, session.peer_asn, prefix, member);
+                        let peer_ip = ixp
+                            .member_lan_ip(member_asn)
+                            .map(IpAddr::V4)
+                            .unwrap_or(session.peer_ip);
+                        let key: EmitKey = (
+                            session.dataset,
+                            session.collector,
+                            session.peer_asn,
+                            prefix,
+                            member_asn,
+                        );
                         emit_diff(
                             &mut self.emitted,
                             &mut self.elems,
@@ -658,14 +848,14 @@ impl<'a> BgpSimulator<'a> {
                             session,
                             peer_ip,
                             prefix,
-                            member,
+                            member_asn,
                             visible.as_ref(),
                         );
                     }
                 }
             } else {
                 let held = ps.and_then(|ps| ps.best().map(|best| (ps, best)));
-                for session in self.deployment.sessions_at(me) {
+                for session in self.deployment.sessions_at(me_asn) {
                     let visible: Option<&RouteEntry> = match (session.feed, held) {
                         // only meaningful at route-server nodes
                         (FeedKind::RouteServerView(_), _) => continue,
@@ -679,20 +869,24 @@ impl<'a> BgpSimulator<'a> {
                         // Internal sessions prefer the blackhole candidate
                         // when one exists (it is the operationally
                         // interesting route).
-                        (FeedKind::Internal, Some((ps, b))) => {
-                            Some(ps.candidates.values().find(|r| r.is_blackhole).unwrap_or(b))
-                        }
+                        (FeedKind::Internal, Some((ps, b))) => Some(
+                            ps.candidates
+                                .iter()
+                                .map(|(_, route)| route)
+                                .find(|r| r.is_blackhole)
+                                .unwrap_or(b),
+                        ),
                     };
                     // The peer prepends itself when exporting to
                     // the collector, exactly like any other eBGP
                     // export.
                     let exported = visible.map(|r| {
                         let mut out = r.clone();
-                        out.as_path.prepend(me, 1);
+                        out.as_path.prepend(me_asn, 1);
                         out
                     });
                     let key: EmitKey =
-                        (session.dataset, session.collector, session.peer_asn, prefix, me);
+                        (session.dataset, session.collector, session.peer_asn, prefix, me_asn);
                     emit_diff(
                         &mut self.emitted,
                         &mut self.elems,
@@ -701,106 +895,101 @@ impl<'a> BgpSimulator<'a> {
                         session,
                         session.peer_ip,
                         prefix,
-                        me,
+                        me_asn,
                         exported.as_ref(),
                     );
                 }
             }
         }
+        dirty.clear();
+        self.dirty = dirty;
     }
 }
 
 // ---- propagation core ---------------------------------------------------
 //
-// The functions below take an explicit read-only context plus a view of
-// the one AS being processed instead of `&mut self`, so `process_group`
-// can borrow the simulator's fields disjointly.
+// The functions below take an explicit read-only context plus the one
+// node being processed instead of `&mut self`, so `process_group` can
+// borrow the simulator's fields disjointly.
 
 /// Read-only propagation context.
 struct SimCtx<'a> {
     topology: &'a Topology,
-    origin_index: &'a OriginIndex,
-    behaviors: &'a HashMap<Asn, SessionBehavior>,
+    /// ASN by [`NodeId`].
+    asns: &'a [Asn],
     policies: Option<&'a PolicyEngine>,
-    /// route-server ASN → index into `topology.ixps()`.
-    rs_index: &'a HashMap<Asn, usize>,
+    run: &'a Run,
 }
 
-impl SimCtx<'_> {
-    fn ixp_of(&self, asn: Asn) -> Option<&Ixp> {
-        self.rs_index.get(&asn).map(|&i| &self.topology.ixps()[i])
-    }
-}
-
-/// Mutable state of the one AS a work item targets. Processing a work
-/// item touches nothing outside this view.
-struct NodeState<'a> {
-    me: Asn,
-    prefixes: &'a mut HashMap<Ipv4Prefix, PrefixState>,
+/// Where processing one node's work items writes: the work it
+/// generates, the counters, the run's outcome.
+struct Effects<'a> {
     out: &'a mut Vec<Work>,
     stats: &'a mut RunStats,
     outcome: &'a mut AnnounceOutcome,
-    dirty: &'a mut BTreeSet<(Asn, Ipv4Prefix)>,
+    /// Work items addressed to ASNs without a node: counted, not queued.
+    dropped: u64,
 }
 
-/// Apply one work item to the target's candidate set — import filters,
+/// Apply one work item to node `me`'s candidate set — import filters,
 /// outcome and stat recording included — without advertising anything.
-/// Returns the prefix when the candidate set changed.
-fn ingest(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, work: Work) -> Option<Ipv4Prefix> {
-    let me = node.me;
-    let (from, prefix, candidate) = match work {
-        Work::Withdraw { from, prefix, .. } => (from, prefix, None),
-        Work::Announce { from, prefix, route, .. } => {
-            let candidate = if route.as_path.contains(me) {
-                // Loop prevention is treat-as-withdraw: any previously
-                // held candidate from this neighbor is gone, which keeps
-                // the converged state independent of delivery order.
-                node.stats.record_import_reject(RejectReason::LoopDetected);
-                None
-            } else {
-                // A targeted announce to a non-neighbor is silently dropped.
-                let rel = ctx.topology.rel_between(me, from)?;
-                // Route-server node? Special redistribution semantics.
-                // Per-AS policies deliberately do not apply at route
-                // servers: they are transparent redistribution points,
-                // not policy actors, and PCH visibility depends on that
-                // transparency.
-                match ctx.ixp_of(me) {
-                    // only members speak to the route server
-                    Some(ixp) if !ixp.has_member(from) => return None,
-                    Some(_) => import_at_route_server(ctx, node, from, prefix, route),
-                    None => import_at_router(ctx, node, from, rel, prefix, route),
-                }
-            };
-            (from, prefix, candidate)
+/// Returns whether the candidate set changed.
+fn ingest(
+    ctx: &SimCtx<'_>,
+    node: &mut Node<'_>,
+    me: NodeId,
+    fx: &mut Effects<'_>,
+    work: Work,
+) -> bool {
+    let Work { from, route, .. } = work;
+    let candidate = match route {
+        None => None,
+        Some(route) if route.as_path.contains(ctx.asns[me as usize]) => {
+            // Loop prevention is treat-as-withdraw: any previously
+            // held candidate from this neighbor is gone, which keeps
+            // the converged state independent of delivery order.
+            fx.stats.record_import_reject(RejectReason::LoopDetected);
+            None
         }
-    };
-    let changed = match candidate {
         Some(route) => {
-            let ps = node.prefixes.entry(prefix).or_default();
-            let unchanged = ps.candidates.get(&from) == Some(&route);
-            ps.candidates.insert(from, route);
-            !unchanged
-        }
-        // No (longer a) candidate from this neighbor.
-        None => {
-            node.prefixes.get_mut(&prefix).is_some_and(|ps| ps.candidates.remove(&from).is_some())
+            // A targeted announce to a non-neighbor is silently dropped.
+            let Some(rel) = node.rel_to(from) else {
+                return false;
+            };
+            // Route-server node? Special redistribution semantics.
+            // Per-AS policies deliberately do not apply at route
+            // servers: they are transparent redistribution points,
+            // not policy actors, and PCH visibility depends on that
+            // transparency.
+            match &node.route_server {
+                // only members speak to the route server
+                Some(rs) if !rs.members.contains(&from) => return false,
+                Some(_) => import_at_route_server(ctx, node, me, from, route, fx),
+                None => import_at_router(ctx, node, me, from, rel, route, fx),
+            }
         }
     };
-    changed.then_some(prefix)
+    let prefix = ctx.run.prefix;
+    match candidate {
+        Some(route) => node.prefixes.entry(prefix).or_default().insert(from, route),
+        // No (longer a) candidate from this neighbor.
+        None => node.prefixes.get_mut(&prefix).is_some_and(|ps| ps.remove(from)),
+    }
 }
 
 /// Import at an ordinary AS: the candidate `me` holds from `from` after
 /// this announcement, `None` when an ingress filter rejects it.
 fn import_at_router(
     ctx: &SimCtx<'_>,
-    node: &mut NodeState<'_>,
-    from: Asn,
+    node: &Node<'_>,
+    me: NodeId,
+    from: NodeId,
     rel: Relationship,
-    prefix: Ipv4Prefix,
     mut route: RouteEntry,
+    fx: &mut Effects<'_>,
 ) -> Option<RouteEntry> {
-    let me = node.me;
+    let (me, from) = (ctx.asns[me as usize], ctx.asns[from as usize]);
+    let prefix = &ctx.run.prefix;
     // The per-AS policy filters run before the Gao-Rexford import —
     // they model the ingress filters (ROV, peerlock, path-end, OTC) a
     // router applies ahead of route acceptance.
@@ -808,46 +997,44 @@ fn import_at_router(
         engine
             .import(
                 ctx.topology,
-                node.stats,
+                fx.stats,
                 me,
                 from,
                 rel,
-                &prefix,
+                prefix,
                 &route.as_path,
                 &mut route.leak_marked,
             )
             .ok()?;
     }
 
-    let behavior = ctx.behaviors.get(&me).copied().unwrap_or_default();
-    let origin = route.as_path.origin().unwrap_or(from);
     let auth_ctx = AuthContext {
         topology: ctx.topology,
-        origin,
+        origin: route.as_path.origin().unwrap_or(from),
         sender: from,
-        allocation_owner: ctx.origin_index.origin_of(&prefix),
+        allocation_owner: ctx.run.allocation_owner,
         irr_registered: route.irr_registered,
     };
     let import =
-        import_decision(me, rel, &prefix, &route.communities, behavior, ctx.topology, &auth_ctx);
+        import_decision(node.offering, rel, prefix, &route.communities, node.behavior, &auth_ctx);
     // Record trigger-specific rejections for ground truth even when
     // the route is otherwise accepted as a plain route.
     if let Some(reason) = import.trigger_rejection {
-        node.stats.record_trigger_reject(reason);
-        if !node.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
-            node.outcome.rejected_by.push((me, reason));
+        fx.stats.record_trigger_reject(reason);
+        if !fx.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
+            fx.outcome.rejected_by.push((me, reason));
         }
     }
 
     match import.decision {
         ImportDecision::Reject(reason) => {
-            node.stats.record_import_reject(reason);
+            fx.stats.record_import_reject(reason);
             return None;
         }
         ImportDecision::Blackhole => {
             route.is_blackhole = true;
-            if !node.outcome.accepted_by.contains(&me) {
-                node.outcome.accepted_by.push(me);
+            if !fx.outcome.accepted_by.contains(&me) {
+                fx.outcome.accepted_by.push(me);
             }
         }
         ImportDecision::Regular => {
@@ -866,102 +1053,120 @@ fn import_at_router(
 }
 
 /// After a candidate change at `me`: recompute best, update neighbor
-/// advertisements, and mark the pair dirty for the emission flush.
-fn after_change(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, prefix: Ipv4Prefix) {
-    let me = node.me;
-    node.dirty.insert((me, prefix));
-    let topology = ctx.topology;
-    let offering = topology.as_info(me).and_then(|i| i.blackhole_offering.as_ref());
+/// advertisements when it moved, and drop the prefix's state once it is
+/// empty.
+fn after_change(ctx: &SimCtx<'_>, node: &mut Node<'_>, me: NodeId, fx: &mut Effects<'_>) {
+    let prefix = ctx.run.prefix;
     let Some(ps) = node.prefixes.get_mut(&prefix) else {
         return;
     };
     let best = ps.best().cloned();
-    if ps.advert_basis == best {
-        return; // adverts are a pure function of best: nothing to redo
+    // Adverts are a pure function of best: nothing to redo when it held.
+    if ps.advert_basis != best {
+        advertise(ctx, node.offering, &node.neighbors, ps, me, best.as_ref(), fx);
+        ps.advert_basis = best;
     }
+    if ps.is_empty() {
+        node.prefixes.remove(&prefix);
+    }
+}
 
-    // Determine the outbound advertisement per neighbor.
-    for &(n, to_rel) in topology.neighbors(me) {
-        // Each `None` arm mirrors one distinct suppression rule of the
-        // paper; keeping them separate (with their comments) documents
-        // the policy even though the bodies coincide.
-        #[allow(clippy::if_same_then_else)]
-        let advert: Option<RouteEntry> = match &best {
-            None => None,
-            Some(best) => {
-                if n == best.learned_from {
-                    None // never advertise back to the sender
-                } else if best.communities.has_no_export() {
-                    None // explicit NO_EXPORT: honored by everyone
-                } else if best.is_blackhole && offering.is_some_and(|o| o.honors_no_export) {
-                    None // RFC 7999-compliant provider suppresses
-                } else {
-                    // Valley-free verdict, then the per-AS export
-                    // policy (OTC marking / scrub / leaker override).
-                    // The hard suppressions above are never
-                    // overridable — NO_EXPORT and RFC 7999 compliance
-                    // hold even at a leaker.
-                    let default_allowed = may_export(Some(best.learned_rel), to_rel);
-                    let decided = match ctx.policies {
-                        None => default_allowed.then(|| best.clone()),
-                        Some(engine) => {
+/// Bring every neighbor's advertisement from `me` in line with `best`,
+/// queueing an announce or withdraw for each one that changed. The
+/// exported route is built once — prepended, and without the trigger
+/// where `me` strips it — and cloned per neighbor it may go to.
+fn advertise(
+    ctx: &SimCtx<'_>,
+    offering: Option<&BlackholeOffering>,
+    neighbors: &[(NodeId, Relationship)],
+    ps: &mut PrefixState,
+    me: NodeId,
+    best: Option<&RouteEntry>,
+    fx: &mut Effects<'_>,
+) {
+    let me_asn = ctx.asns[me as usize];
+    // The hard suppressions hold towards every neighbor and are never
+    // overridable — NO_EXPORT and RFC 7999 compliance hold even at a
+    // leaker.
+    let exportable = best.filter(|b| {
+        let no_export = b.communities.has_no_export(); // explicit: honored by everyone
+        let rfc7999 = b.is_blackhole && offering.is_some_and(|o| o.honors_no_export);
+        !(no_export || rfc7999) // an RFC 7999-compliant provider suppresses
+    });
+    // A provider that strips its trigger does so on every blackhole
+    // route it exports.
+    let strip = offering.filter(|o| o.strips_community && best.is_some_and(|b| b.is_blackhole));
+    // Without policies the shared route is final; with them each
+    // neighbor's copy is exported first and stripped after, as ever.
+    let mut exported: Option<RouteEntry> = None;
+    let mut slot = 0;
+    for (pos, &(n, to_rel)) in neighbors.iter().enumerate() {
+        if pos == 0 || neighbors[pos - 1].0 != n {
+            slot = pos;
+        }
+        let advert = match exportable {
+            // never advertise back to the sender
+            Some(best) if ctx.asns[n as usize] != best.learned_from => {
+                let mut shared = || {
+                    exported
+                        .get_or_insert_with(|| {
                             let mut out = best.clone();
-                            let allowed = engine.export(
-                                node.stats,
-                                me,
-                                to_rel,
-                                &mut out.communities,
-                                &mut out.leak_marked,
-                                default_allowed,
-                            );
-                            allowed.then_some(out)
-                        }
-                    };
-                    match decided {
-                        None => None, // valley-free (or policy) suppression
-                        Some(mut out) => {
-                            out.as_path.prepend(me, 1);
-                            if best.is_blackhole {
-                                if let Some(o) = offering {
-                                    if o.strips_community {
-                                        out.communities.retain(|c| !o.is_trigger(*c));
-                                    }
-                                }
+                            out.as_path.prepend(me_asn, 1);
+                            if ctx.policies.is_none() {
+                                strip_triggers(&mut out, strip);
                             }
-                            Some(out)
-                        }
+                            out
+                        })
+                        .clone()
+                };
+                // Valley-free verdict, then the per-AS export policy
+                // (OTC marking / scrub / leaker override).
+                let default_allowed = may_export(Some(best.learned_rel), to_rel);
+                match ctx.policies {
+                    None => default_allowed.then(shared),
+                    Some(engine) => {
+                        let mut out = shared();
+                        let allowed = engine.export(
+                            fx.stats,
+                            me_asn,
+                            to_rel,
+                            &mut out.communities,
+                            &mut out.leak_marked,
+                            default_allowed,
+                        );
+                        allowed.then(|| {
+                            strip_triggers(&mut out, strip);
+                            out
+                        })
                     }
                 }
             }
+            _ => None,
         };
 
-        let unchanged = match (&advert, ps.advertised.get(&n)) {
-            (None, None) => true,
-            (Some(a), Some(o)) => a == o,
-            _ => false,
-        };
-        if unchanged {
+        if advert.as_ref() == ps.advertised.get(slot).and_then(Option::as_ref) {
             continue;
         }
-        match advert {
-            Some(a) => {
-                node.out.push(Work::Announce { to: n, from: me, prefix, route: a.clone() });
-                ps.advertised.insert(n, a);
-            }
-            None => {
-                ps.advertised.remove(&n);
-                node.out.push(Work::Withdraw { to: n, from: me, prefix });
-            }
+        if ps.advertised.is_empty() {
+            ps.advertised.resize(neighbors.len(), None);
         }
+        fx.out.push(Work { to: n, from: me, route: advert.clone() });
+        ps.advertised[slot] = advert;
     }
-    ps.advert_basis = best;
+}
+
+/// Remove the stripping provider's triggers from an exported route.
+fn strip_triggers(route: &mut RouteEntry, strip: Option<&BlackholeOffering>) {
+    if let Some(o) = strip {
+        route.communities.retain(|c| !o.is_trigger(*c));
+    }
 }
 
 /// Compare with the session's previously emitted state; emit announce
 /// or withdraw elems as needed.
 #[allow(clippy::too_many_arguments)] // flat emission context, called from one place per feed kind
 fn emit_diff(
-    emitted: &mut HashMap<EmitKey, (AsPath, CommunitySet)>,
+    emitted: &mut FxHashMap<EmitKey, (AsPath, CommunitySet)>,
     elems: &mut Vec<BgpElem>,
     time: SimTime,
     key: EmitKey,
@@ -1019,44 +1224,41 @@ fn emit_diff(
 /// after this announcement, `None` when its import filter rejects it.
 fn import_at_route_server(
     ctx: &SimCtx<'_>,
-    node: &mut NodeState<'_>,
-    from: Asn,
-    prefix: Ipv4Prefix,
+    node: &Node<'_>,
+    me: NodeId,
+    from: NodeId,
     mut route: RouteEntry,
+    fx: &mut Effects<'_>,
 ) -> Option<RouteEntry> {
-    let me = node.me;
-    let triggered =
-        ctx.topology.as_info(me).and_then(|i| i.blackhole_offering.as_ref()).filter(|o| {
-            route.communities.iter().any(|c| o.is_trigger(c))
-                || o.large_community.is_some_and(|l| route.communities.contains_large(l))
-        });
-    if let Some(o) = triggered {
+    let (me, from) = (ctx.asns[me as usize], ctx.asns[from as usize]);
+    let prefix = ctx.run.prefix;
+    if let Some(o) = triggered_offering(node.offering, &route.communities) {
         // Route servers filter on IRR registration: misconfigured
         // users' blackhole requests are not redistributed (§10).
         let auth_ctx = AuthContext {
             topology: ctx.topology,
             origin: route.as_path.origin().unwrap_or(from),
             sender: from,
-            allocation_owner: ctx.origin_index.origin_of(&prefix),
+            allocation_owner: ctx.run.allocation_owner,
             irr_registered: route.irr_registered,
         };
         let rejection = if !o.accepts_length(prefix.length()) {
             Some(RejectReason::LengthRejected)
-        } else if !crate::policy::auth_ok(o.auth, &auth_ctx) {
+        } else if !auth_ok(o.auth, &auth_ctx) {
             Some(RejectReason::AuthFailed)
         } else {
             None
         };
         if let Some(reason) = rejection {
-            if !node.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
-                node.outcome.rejected_by.push((me, reason));
+            if !fx.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
+                fx.outcome.rejected_by.push((me, reason));
             }
             return None;
         }
         route.is_blackhole = true;
         route.next_hop = o.blackhole_ip.map(IpAddr::V4);
-        if !node.outcome.accepted_by.contains(&me) {
-            node.outcome.accepted_by.push(me);
+        if !fx.outcome.accepted_by.contains(&me) {
+            fx.outcome.accepted_by.push(me);
         }
     } else if prefix.is_more_specific_than(24) {
         // Untagged host routes are not redistributed by route servers.
@@ -1070,7 +1272,10 @@ fn import_at_route_server(
 /// Re-advertise the route server's choice to every member after any
 /// change to its candidate set: each member receives the best remaining
 /// candidate contributed by *another* member (shortest AS path, then
-/// lowest contributor ASN), or a withdraw when none is left.
+/// lowest contributor ASN), or a withdraw when none is left. That is the
+/// best candidate overall unless the member contributed it, and then the
+/// runner-up, so both are chosen once per change instead of once per
+/// member.
 ///
 /// Advertising the post-change best — not the triggering change — is
 /// what keeps the members' view a pure function of the route server's
@@ -1079,29 +1284,61 @@ fn import_at_route_server(
 /// whichever arrived last, an artifact of delivery order the elem
 /// stream must not depend on. The PCH route-server views are
 /// reconstructed from the final candidate set at flush time;
-/// propagation only marks the pair dirty.
-fn rs_redistribute(node: &mut NodeState<'_>, ixp: &Ixp, prefix: Ipv4Prefix) {
-    let me = node.me;
-    node.dirty.insert((me, prefix));
-    static EMPTY: BTreeMap<Asn, RouteEntry> = BTreeMap::new();
-    let candidates = node.prefixes.get(&prefix).map(|ps| &ps.candidates).unwrap_or(&EMPTY);
-    for &member in &ixp.members {
-        let best = candidates
-            .iter()
-            .filter(|&(&contributor, _)| contributor != member)
-            .min_by_key(|&(&contributor, route)| (route.as_path.hop_len(), contributor));
-        match best {
-            Some((_, route)) => {
-                let mut out = route.clone();
-                if ixp.route_server_in_path {
-                    out.as_path.prepend(me, 1);
-                }
-                node.out.push(Work::Announce { to: member, from: me, prefix, route: out });
+/// propagation only marks the node dirty.
+fn rs_redistribute(
+    ctx: &SimCtx<'_>,
+    rs: &RouteServer,
+    prefixes: &mut FxHashMap<Ipv4Prefix, PrefixState>,
+    me: NodeId,
+    fx: &mut Effects<'_>,
+) {
+    let prefix = ctx.run.prefix;
+    let in_path = ctx.topology.ixps()[rs.ixp].route_server_in_path;
+    let candidates = prefixes.get(&prefix).map_or(&[][..], |ps| &ps.candidates);
+    // Prepared once each, cloned per member.
+    let exported = best_two(candidates).map(|choice| {
+        choice.map(|(contributor, route)| {
+            let mut out = route.clone();
+            if in_path {
+                out.as_path.prepend(ctx.asns[me as usize], 1);
             }
-            None => {
-                node.out.push(Work::Withdraw { to: member, from: me, prefix });
-            }
+            (contributor, out)
+        })
+    });
+    for &member in &rs.members {
+        let route = choice_for(&exported, member).cloned();
+        fx.out.push(Work { to: member, from: me, route });
+    }
+    fx.dropped += rs.foreign_members;
+    if prefixes.get(&prefix).is_some_and(PrefixState::is_empty) {
+        prefixes.remove(&prefix);
+    }
+}
+
+/// The two best contributions to a route server, best first, by (AS-path
+/// length, contributor).
+fn best_two(candidates: &[(NodeId, RouteEntry)]) -> [Option<(NodeId, &RouteEntry)>; 2] {
+    let mut top: [Option<(usize, NodeId, &RouteEntry)>; 2] = [None, None];
+    for (contributor, route) in candidates {
+        let entry = (route.as_path.hop_len(), *contributor, route);
+        let beats = |held: Option<(usize, NodeId, &RouteEntry)>| {
+            held.is_none_or(|(len, c, _)| (entry.0, entry.1) < (len, c))
+        };
+        if beats(top[0]) {
+            top = [Some(entry), top[0]];
+        } else if beats(top[1]) {
+            top[1] = Some(entry);
         }
+    }
+    top.map(|choice| choice.map(|(_, contributor, route)| (contributor, route)))
+}
+
+/// What `member` receives from a route server whose two best
+/// contributions are `best_two`: the better one it did not make itself.
+fn choice_for<T>(best_two: &[Option<(NodeId, T)>; 2], member: NodeId) -> Option<&T> {
+    match &best_two[0] {
+        Some((contributor, route)) if *contributor != member => Some(route),
+        _ => best_two[1].as_ref().map(|(_, route)| route),
     }
 }
 
@@ -1817,5 +2054,138 @@ mod tests {
         let elems = sim.drain_elems();
         assert!(!elems.is_empty());
         assert!(elems.iter().all(|e| !e.communities.contains(p1_trigger)));
+    }
+
+    // ---- state store ----------------------------------------------------
+
+    /// A route-server candidate whose path has `hops` distinct ASes.
+    fn rs_candidate(hops: u32) -> RouteEntry {
+        RouteEntry {
+            as_path: AsPath::from_sequence(
+                (1..=hops).map(|h| Asn::new(64_000 + h)).collect::<Vec<_>>(),
+            ),
+            communities: CommunitySet::new(),
+            learned_from: Asn::new(64_001),
+            learned_rel: Relationship::RouteServer,
+            local_pref: local_pref_for(Relationship::RouteServer),
+            is_blackhole: false,
+            irr_registered: true,
+            next_hop: None,
+            leak_marked: false,
+        }
+    }
+
+    #[test]
+    fn route_server_best_two_equals_per_member_min_scan() {
+        // (case, candidates as (contributor, path length), ascending
+        // contributor as in `PrefixState`).
+        #[rustfmt::skip]
+        let cases: &[(&str, &[(NodeId, u32)])] = &[
+            ("no candidate",                       &[]),
+            ("one candidate",                      &[(3, 2)]),
+            ("distinct lengths",                   &[(1, 3), (4, 1), (7, 2)]),
+            ("tie broken by lower contributor",    &[(2, 2), (5, 2), (9, 3)]),
+            ("three-way tie",                      &[(1, 2), (6, 2), (8, 2)]),
+            ("shortest from highest contributor",  &[(1, 4), (2, 4), (9, 1)]),
+            ("runner-up tie behind the best",      &[(0, 3), (4, 1), (5, 3)]),
+        ];
+        for &(case, spec) in cases {
+            let candidates: Vec<(NodeId, RouteEntry)> =
+                spec.iter().map(|&(contributor, hops)| (contributor, rs_candidate(hops))).collect();
+            let two = best_two(&candidates);
+            for member in 0..10 {
+                let scan = candidates
+                    .iter()
+                    .filter(|(contributor, _)| *contributor != member)
+                    .min_by_key(|(contributor, route)| (route.as_path.hop_len(), *contributor))
+                    .map(|(_, route)| route);
+                let chosen = choice_for(&two, member).copied();
+                assert!(
+                    chosen.map(std::ptr::from_ref) == scan.map(std::ptr::from_ref),
+                    "{case}: member {member}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn set_behavior_outside_the_topology_is_ignored() {
+        let f = fixture();
+        let mut sim = BgpSimulator::new(&f.topology, deployment_with(vec![]), 1);
+        let lenient =
+            SessionBehavior { host_routes_from_customers: false, host_routes_from_peers: true };
+        let foreign = Asn::new(65_000);
+        assert!(f.topology.as_info(foreign).is_none());
+        sim.set_behavior(foreign, lenient);
+        let held = sim.behavior(foreign);
+        let default = SessionBehavior::default();
+        assert_eq!(
+            (held.host_routes_from_customers, held.host_routes_from_peers),
+            (default.host_routes_from_customers, default.host_routes_from_peers),
+            "an AS without a node keeps the default"
+        );
+        sim.set_behavior(f.p1, lenient);
+        assert!(
+            sim.behavior(f.p1).host_routes_from_peers
+                && !sim.behavior(f.p1).host_routes_from_customers
+        );
+    }
+
+    #[test]
+    fn delivery_to_a_foreign_asn_is_counted_and_dropped() {
+        let f = fixture();
+        let foreign = Asn::new(65_000);
+        let prefix: Ipv4Prefix = "30.0.0.0/16".parse().unwrap();
+        let targeted = |origin: Asn, to: Vec<Asn>| Announcement {
+            scope: AnnounceScope::Neighbors(to),
+            ..Announcement::simple(origin, prefix, CommunitySet::new())
+        };
+        let run = |to: Vec<Asn>| {
+            let d = deployment_with(vec![session(DataSource::Ris, f.t1a, FeedKind::Full)]);
+            let mut sim = BgpSimulator::new(&f.topology, d, 1);
+            pin_behaviors(&mut sim, &f);
+            let outcome = sim.try_announce(SimTime::from_unix(100), &targeted(f.user, to)).unwrap();
+            let announce_work = sim.run_stats().work_items;
+            sim.try_withdraw(SimTime::from_unix(200), f.user, prefix).unwrap();
+            let withdraw_work = sim.run_stats().work_items - announce_work;
+            (outcome, sim.drain_elems(), announce_work, withdraw_work, sim.run_stats().clone())
+        };
+        let plain = run(vec![f.p1]);
+        let with_foreign = run(vec![f.p1, foreign]);
+        assert!(!plain.1.is_empty());
+        assert_eq!((&with_foreign.0, &with_foreign.1), (&plain.0, &plain.1), "same routing");
+        // One more work item each way: the announce and its withdrawal.
+        assert_eq!(with_foreign.2, plain.2 + 1);
+        assert_eq!(with_foreign.3, plain.3 + 1);
+        assert_eq!(with_foreign.4.import_rejects, plain.4.import_rejects);
+
+        // A foreign origin announcing to itself fails the loop check,
+        // as a delivery to its own origin does.
+        let mut sim = BgpSimulator::new(&f.topology, deployment_with(vec![]), 1);
+        sim.try_announce(SimTime::from_unix(100), &targeted(foreign, vec![foreign, f.p1])).unwrap();
+        assert_eq!(sim.run_stats().work_items, 2);
+        assert_eq!(sim.run_stats().import_rejects_for(RejectReason::LoopDetected), 1);
+        assert!(sim.drain_elems().is_empty(), "a foreign origin is nobody's neighbor");
+    }
+
+    #[test]
+    fn peak_run_steps_is_the_costliest_run() {
+        let f = fixture();
+        let mut sim = BgpSimulator::new(&f.topology, deployment_with(vec![]), 1);
+        pin_behaviors(&mut sim, &f);
+        let prefix: Ipv4Prefix = "30.0.0.0/16".parse().unwrap();
+        sim.try_announce(
+            SimTime::from_unix(100),
+            &Announcement::simple(f.user, prefix, CommunitySet::new()),
+        )
+        .unwrap();
+        let announce = sim.run_stats().work_items;
+        sim.try_withdraw(SimTime::from_unix(200), f.user, prefix).unwrap();
+        let stats = sim.run_stats();
+        let withdraw = stats.work_items - announce;
+        assert!(announce > 0 && withdraw > 0);
+        assert!(stats.peak_run_steps <= stats.work_items);
+        assert_eq!(stats.peak_run_steps, announce.max(withdraw));
+        assert!(stats.peak_run_steps < sim.step_cap());
     }
 }

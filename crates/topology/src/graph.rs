@@ -369,6 +369,11 @@ impl AsnIndex {
         self.order.get(idx).copied()
     }
 
+    /// Every ASN, by dense index (ascending ASN for a topology's index).
+    pub fn asns(&self) -> &[Asn] {
+        &self.order
+    }
+
     /// Number of ASNs.
     pub fn len(&self) -> usize {
         self.order.len()

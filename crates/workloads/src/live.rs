@@ -110,8 +110,12 @@ impl ReplayFeed {
                 // Spans are contiguous, so one append covers the run.
                 let from = lane.spans[start].1.start;
                 let to = lane.spans[lane.next - 1].1.end;
-                lane.archive.append(&lane.bytes[from..to]);
-                appended += lane.next - start;
+                if lane.archive.append(&lane.bytes[from..to]).is_ok() {
+                    appended += lane.next - start;
+                } else {
+                    // Another handle closed the archive: the lane ends.
+                    lane.next = lane.spans.len();
+                }
             }
             if lane.next == lane.spans.len() {
                 lane.archive.close();
@@ -153,10 +157,10 @@ impl ScriptedFeed {
     pub fn append_bytes(&mut self, n: usize) -> usize {
         let end = (self.pos + n).min(self.bytes.len());
         let appended = end - self.pos;
-        if appended > 0 {
-            self.archive.append(&self.bytes[self.pos..end]);
-            self.pos = end;
+        if appended == 0 || self.archive.append(&self.bytes[self.pos..end]).is_err() {
+            return 0; // nothing left, or the archive was closed
         }
+        self.pos = end;
         appended
     }
 

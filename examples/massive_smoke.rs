@@ -69,5 +69,11 @@ fn main() {
             "somebody still blackholes {prefix} after the withdraw"
         );
     }
-    println!("work items: {}", sim.run_stats().work_items);
+    let stats = sim.run_stats();
+    println!(
+        "work items: {} (peak steps {} of cap {} in one run)",
+        stats.work_items,
+        stats.peak_run_steps,
+        sim.step_cap()
+    );
 }

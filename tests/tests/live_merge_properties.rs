@@ -77,7 +77,9 @@ impl Writer {
 
     fn append_to(&mut self, end: usize) {
         if !self.closed && end > self.appended {
-            self.archive.append(&self.bytes[self.appended..end]);
+            self.archive
+                .append(&self.bytes[self.appended..end])
+                .expect("appends precede the close");
             self.appended = end;
         }
     }

@@ -345,6 +345,90 @@ fn flood_work_is_bounded_by_adjacency() {
     );
 }
 
+/// Order-sensitive FNV-1a digest over each item's `Debug` rendering
+/// (the same digest as `adversarial.rs`' golden pins).
+fn debug_digest<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for item in items {
+        for byte in format!("{item:?}").bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// Golden pin of the simulator's state store, recorded before the
+/// per-AS state moved from ASN-keyed maps to one index-addressed node
+/// table: the engine and the FIFO reference share that store, so only
+/// values recorded from the old implementation catch a slip in it. An
+/// 8-origin announce + withdraw rotation shaped like the `sim_flood`
+/// benchmark's on its world (`massive_scaled(42, 7000)`): even slots
+/// announce an untagged /24 of a stub's space, odd slots a /32 inside
+/// it tagged with a direct provider's trigger. One line per origin:
+/// elems of the cycle, their digest, the announce outcome, who
+/// blackholes after the announce, and the cycle's work items.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run with `cargo test --release`")]
+fn simulator_golden_pin() {
+    let topology = TopologyBuilder::new(TopologyConfig::massive_scaled(42, 7_000)).build();
+    let collector_config = CollectorConfig { seed: 42, ..Default::default() };
+    let mut sim = BgpSimulator::new(&topology, deploy(&topology, &collector_config), 42);
+    let origins: Vec<_> = topology
+        .ases()
+        .filter(|i| i.tier == Tier::Stub && !i.prefixes.is_empty())
+        .filter_map(|i| {
+            let provider = capable_providers(&topology, i.asn).into_iter().next()?;
+            Some((i.asn, i.prefixes[0], *provider.communities.first()?))
+        })
+        .collect();
+    let mut lines = Vec::new();
+    for slot in 0..8 {
+        let (origin, space, trigger) = origins[slot * origins.len() / 8];
+        let announcement = match slot % 2 {
+            0 => Announcement::simple(
+                origin,
+                Ipv4Prefix::new(
+                    space.nth_addr(0).expect("a network address"),
+                    24.max(space.length()),
+                )
+                .expect("a /24 inside the allocation"),
+                CommunitySet::new(),
+            ),
+            _ => Announcement::simple(
+                origin,
+                Ipv4Prefix::host(space.nth_addr(1).expect("a host address")),
+                CommunitySet::from_classic(vec![trigger]),
+            ),
+        };
+        let prefix = announcement.prefix;
+        let work_before = sim.run_stats().work_items;
+        let outcome =
+            sim.try_announce(SimTime::from_unix(1_000), &announcement).expect("converges");
+        let blackholing = sim.blackholing_ases_for(&prefix);
+        sim.try_withdraw(SimTime::from_unix(2_000), origin, prefix).expect("converges");
+        let elems = sim.drain_elems();
+        lines.push(format!(
+            "{prefix} elems={} digest={:016x} outcome={outcome:?} blackholing={blackholing:?} work={}",
+            elems.len(),
+            debug_digest(&elems),
+            sim.run_stats().work_items - work_before
+        ));
+    }
+    let expected = [
+        "18.157.0.0/24 elems=1044 digest=10e6505bd1cb703f outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=28152",
+        "19.167.96.1/32 elems=114 digest=3b65d4548126c49d outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=7094",
+        "20.176.128.0/24 elems=1050 digest=788b6ed85b85f35c outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=30528",
+        "21.107.0.1/32 elems=122 digest=bfd8638b97ade7dd outcome=AnnounceOutcome { accepted_by: [Asn(353)], rejected_by: [] } blackholing=[Asn(353)] work=7630",
+        "21.192.0.0/24 elems=1048 digest=8cb9ff167130e6dc outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=28604",
+        "22.17.56.1/32 elems=50 digest=e0d44ae86cb6b77e outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=2394",
+        "22.92.64.0/24 elems=1054 digest=5e1de97cd56022e9 outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=32208",
+        "24.112.0.1/32 elems=120 digest=d6b67205cd4dde85 outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=8029",
+    ];
+    for (slot, (line, expected)) in lines.iter().zip(expected).enumerate() {
+        assert_eq!(line, expected, "slot {slot}");
+    }
+}
+
 /// The rank order the engine's schedule relies on: a provider always
 /// ranks strictly above each of its customers (customer-cone depth),
 /// and every AS is ranked.

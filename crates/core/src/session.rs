@@ -34,6 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 use std::sync::Arc;
 
+use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::bogon::BogonFilter;
 use bh_bgp_types::community::Community;
@@ -136,6 +137,23 @@ struct OpenEvent {
     datasets: BTreeSet<DataSource>,
     distances: BTreeSet<DetectionDistance>,
     bundled: bool,
+}
+
+impl OpenEvent {
+    /// The event as handed out: closed at `end`, or still open.
+    fn into_event(self, prefix: Ipv4Prefix, end: Option<SimTime>) -> BlackholeEvent {
+        BlackholeEvent {
+            prefix,
+            providers: self.providers,
+            users: self.users,
+            start: self.start,
+            end,
+            peer_count: self.all_peers.len(),
+            datasets: self.datasets,
+            distances: self.distances,
+            bundled_detection: self.bundled,
+        }
+    }
 }
 
 /// Configuration toggles — the switches the `EXPERIMENTS.md` ablation sections turn off.
@@ -266,27 +284,17 @@ struct SessionState {
     closed: Vec<BlackholeEvent>,
     per_dataset: BTreeMap<DataSource, DatasetVisibility>,
     stats: EngineStats,
-    // Intern tables: every distinct AS path / community set observed
-    // collapses to one Arc-shared canonical handle, so the per-path
-    // deprepend and content-hash memos are computed once per *distinct*
-    // value rather than once per announcement.
+    // Intern tables: every distinct community set observed, and every
+    // distinct AS path detection has looked at, collapses to one
+    // Arc-shared canonical handle, so the per-path deprepend and
+    // content-hash memos are computed once per *distinct* value rather
+    // than once per announcement.
     paths: PathTable,
     community_sets: CommunitySetTable,
-    // Per-interned-set detection plan, indexed by `CommunitySetId`: the
-    // set's communities (classic, plus the large-community display
-    // forms) that have dictionary candidates. Dictionary probes run once
-    // per *distinct* set; the overwhelmingly common untagged set gets an
-    // empty plan and `detect` returns without touching the path.
-    plans: Vec<DetectionPlan>,
-    // Parallel to `plans`: true when the set *would* have had dictionary
-    // candidates but every one was dropped by the negative controls —
-    // announcements hitting such a set are counted as suppressed.
-    plan_suppressed: Vec<bool>,
-    // Census tallies deferred per (set, length-bucket): one counter
-    // bump per announcement here, replayed in bulk into the BTree-backed
-    // census whenever it is actually read. Replay is commutative, so
-    // flush order (and sharding) cannot perturb the result.
-    census_pending: FxHashMap<(CommunitySetId, u8), u64>,
+    // One row per interned community set, indexed by `CommunitySetId`:
+    // the one intern probe of an announcement's set reaches its plan,
+    // suppression flag and census tally with no further hashing.
+    sets: Vec<SetFacts>,
     // Memoized §4.2 detection outcomes. Detection is a pure function of
     // (community set, AS path, peer) under the session's fixed
     // dictionary and reference data, and real streams repeat the same
@@ -294,7 +302,7 @@ struct SessionState {
     // attribute block; peers re-announce). The key is two interned ids
     // plus the peer identity; the outcome carries the detections *and*
     // the counter deltas so stats stay per-announcement exact on hits.
-    detections: FxHashMap<DetectionKey, Arc<DetectionOutcome>>,
+    detections: FxHashMap<DetectionKey, DetectionOutcome>,
 }
 
 /// Memo key for one (community set, AS path, peer) combination.
@@ -311,9 +319,24 @@ struct DetectionOutcome {
 
 /// The dictionary candidates for one interned community set: every
 /// community of the set (large ones via their display form) whose
-/// candidate-provider list is non-empty. Shared behind `Arc` so `detect`
-/// can hold the plan while mutating session state.
-type DetectionPlan = Arc<[(Community, Box<[Asn]>)]>;
+/// candidate-provider list is non-empty.
+type DetectionPlan = Box<[(Community, Box<[Asn]>)]>;
+
+/// What the session knows about one interned community set.
+#[derive(Debug, Clone)]
+struct SetFacts {
+    /// Built on the set's first appearance, so dictionary probes run once
+    /// per *distinct* set. The overwhelmingly common untagged set gets an
+    /// empty plan, and its announcements never touch their AS path.
+    plan: DetectionPlan,
+    /// The set *would* have had dictionary candidates, but every one was
+    /// dropped by the negative controls: announcements carrying it are
+    /// counted as suppressed.
+    suppressed: bool,
+    /// Announcements carrying the set per prefix length, not yet replayed
+    /// into the BTree-backed census: one counter bump per announcement.
+    census: Box<[u64; 33]>,
+}
 
 /// Build the detection plan for a community set (once per distinct set).
 /// Returns the plan plus whether any classic candidate was dropped by the
@@ -351,15 +374,137 @@ fn build_plan(
     (entries.into(), suppressed)
 }
 
-impl SessionState {
-    /// Replay the deferred (set, length) census tallies into the
-    /// BTree-backed census. Replay is commutative, so the drain order of
-    /// the pending map cannot perturb the result.
-    fn flush_census(&mut self) {
-        for ((set_id, length), count) in self.census_pending.drain() {
-            let communities: Vec<Community> = self.community_sets.resolve(set_id).iter().collect();
-            self.census.record_repeated(&communities, length, count);
+/// The memoized §4.2 outcome of one tagged announcement, `plan` being its
+/// set's (non-empty) plan. The AS path is interned here, only once the
+/// set has turned out tagged, so untagged announcements never hash it.
+fn memoized<'m>(
+    memo: &'m mut FxHashMap<DetectionKey, DetectionOutcome>,
+    paths: &mut PathTable,
+    plan: &[(Community, Box<[Asn]>)],
+    set_id: CommunitySetId,
+    elem: &BgpElem,
+    refdata: &ReferenceData,
+    bundling: bool,
+) -> &'m DetectionOutcome {
+    let path_id = paths.intern(&elem.as_path);
+    memo.entry((set_id, path_id, elem.peer_ip, elem.peer_asn)).or_insert_with(|| {
+        detect_with(plan, &paths.resolve(path_id).without_prepending(), elem, refdata, bundling)
+    })
+}
+
+/// §4.2 detection proper for one (community set, deprepended AS path,
+/// peer): every provider of `plan` that the path — or, for an IXP, the
+/// peer's address on its peering LAN — confirms, plus the counter deltas.
+fn detect_with(
+    plan: &[(Community, Box<[Asn]>)],
+    path: &AsPath,
+    elem: &BgpElem,
+    refdata: &ReferenceData,
+    bundling: bool,
+) -> DetectionOutcome {
+    let mut outcome = DetectionOutcome::default();
+    for &(community, ref candidates) in plan {
+        let unambiguous = candidates.len() == 1;
+        let mut resolved_any = false;
+        for &candidate in candidates.iter() {
+            if let Some(ixp) = refdata.ixp_of_route_server(candidate) {
+                // IXP provider: route-server ASN on path, or peer-ip
+                // inside the IXP's peering LAN.
+                if path.contains(candidate) {
+                    let user = path.hop_before(candidate);
+                    let distance = if refdata.ixp_of_peer_ip(elem.peer_ip) == Some(ixp) {
+                        DetectionDistance::Hops(0)
+                    } else {
+                        detection_hops(path.distance_from_peer(candidate).unwrap_or(0))
+                    };
+                    outcome.detections.push(Detection {
+                        provider: ProviderId::Ixp(ixp),
+                        user,
+                        distance,
+                        community,
+                    });
+                    resolved_any = true;
+                } else if refdata.ixp_of_peer_ip(elem.peer_ip) == Some(ixp) {
+                    outcome.detections.push(Detection {
+                        provider: ProviderId::Ixp(ixp),
+                        user: Some(elem.peer_asn),
+                        distance: DetectionDistance::Hops(0),
+                        community,
+                    });
+                    resolved_any = true;
+                }
+            } else if path.contains(candidate) {
+                // The hop before the provider — skipping route-server
+                // ASNs, which appear on paths when a provider learned
+                // the route across an IXP (the RS is not the user).
+                let mut rest = path.iter_asns().skip_while(|&a| a != candidate);
+                rest.next(); // the provider hop itself
+                let user =
+                    rest.find(|&a| refdata.ixp_of_route_server(a).is_none()).or(Some(candidate));
+                outcome.detections.push(Detection {
+                    provider: ProviderId::As(candidate),
+                    user,
+                    distance: detection_hops(path.distance_from_peer(candidate).unwrap_or(0)),
+                    community,
+                });
+                resolved_any = true;
+            } else if unambiguous && bundling {
+                // Bundled community: the provider never propagated the
+                // route, but the unambiguous tag identifies it.
+                outcome.detections.push(Detection {
+                    provider: ProviderId::As(candidate),
+                    user: path.origin(),
+                    distance: DetectionDistance::NoPath,
+                    community,
+                });
+                outcome.bundled += 1;
+                resolved_any = true;
+            }
         }
+        if !resolved_any {
+            outcome.ambiguous += 1;
+        }
+    }
+    outcome.detections.sort_by_key(|d| d.provider);
+    outcome.detections.dedup_by_key(|d| d.provider);
+    outcome
+}
+
+impl SessionState {
+    /// Replay the per-set census rows into the BTree-backed census and
+    /// zero them. Only non-zero buckets replay (a zero-count replay would
+    /// still register the set's communities), and replay is commutative,
+    /// so neither row order nor sharding can perturb the result.
+    fn flush_census(&mut self) {
+        for (set, facts) in self.community_sets.iter().zip(&mut self.sets) {
+            if facts.census.iter().all(|&count| count == 0) {
+                continue;
+            }
+            let communities: Vec<Community> = set.iter().collect();
+            for (length, count) in (0u8..).zip(facts.census.iter_mut()) {
+                if *count > 0 {
+                    self.census.record_repeated(&communities, length, std::mem::take(count));
+                }
+            }
+        }
+    }
+
+    /// `peer` no longer sees `prefix` blackholed (explicit or implicit
+    /// withdrawal at `time`). Returns whether it did before; the last
+    /// open peer to leave closes the event.
+    fn deactivate(&mut self, prefix: Ipv4Prefix, peer: PeerKey, time: SimTime) -> bool {
+        // A lookup, not `entry`: a vacant `entry` reserves capacity, which
+        // on the untagged hot path would grow the map at other points
+        // than inserts do, and with it change `finish_with`'s drain order.
+        let Some(oe) = self.open.get_mut(&prefix) else { return false };
+        if !oe.open_peers.remove(&peer) {
+            return false;
+        }
+        if oe.open_peers.is_empty() {
+            let event = self.open.remove(&prefix).map(|oe| oe.into_event(prefix, Some(time)));
+            self.closed.extend(event);
+        }
+        true
     }
 }
 
@@ -413,8 +558,8 @@ impl InferenceSession {
 
     /// The community/prefix-length census (Fig. 2, extended dictionary).
     ///
-    /// Takes `&mut self`: per-announcement tallies are deferred into a
-    /// (set, length) counter and replayed into the census on read.
+    /// Takes `&mut self`: per-announcement tallies are deferred into the
+    /// community set's row and replayed into the census on read.
     pub fn census(&mut self) -> &CommunityPrefixCensus {
         self.state.flush_census();
         &self.state.census
@@ -425,8 +570,10 @@ impl InferenceSession {
         self.state.open.len()
     }
 
-    /// The interned AS paths observed so far (one entry per distinct
-    /// path; every repeat shares its allocation).
+    /// The interned AS paths detection has looked at so far: only an
+    /// announcement whose community set has dictionary candidates interns
+    /// its path, so untagged traffic never shows here (one entry per
+    /// distinct path; every repeat shares its allocation).
     pub fn interned_paths(&self) -> &PathTable {
         &self.state.paths
     }
@@ -517,10 +664,8 @@ impl InferenceSession {
     pub fn finish_with<A: EventAccumulator>(mut self, accumulator: &mut A) -> StreamSummary {
         self.state.flush_census();
         self.drain_closed_into(accumulator);
-        let open: Vec<Ipv4Prefix> = self.state.open.keys().copied().collect();
-        for prefix in open {
-            let oe = self.state.open.remove(&prefix).expect("key exists");
-            accumulator.observe_owned(Self::to_event(prefix, oe, None));
+        for (prefix, oe) in self.state.open.drain() {
+            accumulator.observe_owned(oe.into_event(prefix, None));
         }
         accumulator.observe_visibility(&self.state.per_dataset);
         StreamSummary {
@@ -532,152 +677,39 @@ impl InferenceSession {
 
     // ---- internals -------------------------------------------------------
 
-    fn to_event(prefix: Ipv4Prefix, oe: OpenEvent, end: Option<SimTime>) -> BlackholeEvent {
-        BlackholeEvent {
-            prefix,
-            providers: oe.providers,
-            users: oe.users,
-            start: oe.start,
-            end,
-            peer_count: oe.all_peers.len(),
-            datasets: oe.datasets,
-            distances: oe.distances,
-            bundled_detection: oe.bundled,
-        }
-    }
-
     /// The §4.2 detection procedure for one announcement.
     pub fn detect(&mut self, elem: &BgpElem) -> Vec<Detection> {
-        let (set_id, plan) = self.plan_for(elem);
-        match self.detect_planned(elem, set_id, plan) {
-            Some(outcome) => outcome.detections.clone(),
-            None => Vec::new(),
+        let set_id = self.set_row(elem);
+        let state = &mut self.state;
+        let plan = &state.sets[set_id.0 as usize].plan;
+        if plan.is_empty() {
+            return Vec::new();
         }
+        let outcome = memoized(
+            &mut state.detections,
+            &mut state.paths,
+            plan,
+            set_id,
+            elem,
+            &self.refdata,
+            self.config.bundling_detection,
+        );
+        state.stats.bundled_detections += outcome.bundled;
+        state.stats.ambiguous_unresolved += outcome.ambiguous;
+        outcome.detections.clone()
     }
 
-    /// The detection plan for this element's community set, built on the
-    /// set's first appearance and cached under its interned id.
-    fn plan_for(&mut self, elem: &BgpElem) -> (CommunitySetId, DetectionPlan) {
+    /// The interned id of this element's community set — the one set
+    /// probe of an announcement — with the set's row built on its first
+    /// appearance.
+    fn set_row(&mut self, elem: &BgpElem) -> CommunitySetId {
         let set_id = self.state.community_sets.intern(&elem.communities);
-        let idx = set_id.0 as usize;
-        if idx == self.state.plans.len() {
+        if set_id.0 as usize == self.state.sets.len() {
             let (plan, suppressed) =
                 build_plan(&self.dict, &elem.communities, self.controls.as_deref());
-            self.state.plans.push(plan);
-            self.state.plan_suppressed.push(suppressed);
+            self.state.sets.push(SetFacts { plan, suppressed, census: Box::new([0; 33]) });
         }
-        (set_id, self.state.plans[idx].clone())
-    }
-
-    /// Detection with the element's plan already resolved. Returns the
-    /// memoized outcome for this (set, path, peer) key — computing it on
-    /// first sight — or `None` when the plan is empty (nothing tagged).
-    fn detect_planned(
-        &mut self,
-        elem: &BgpElem,
-        set_id: CommunitySetId,
-        plan: DetectionPlan,
-    ) -> Option<Arc<DetectionOutcome>> {
-        // Intern the path: repeats of the same path (the common case —
-        // one announcement per prefix per path) resolve to one canonical
-        // Arc, so the deprepend below is memoized across the stream.
-        let path_id = self.state.paths.intern(&elem.as_path);
-        // The hot exit: no community of this set is in the dictionary,
-        // so there is nothing to detect and no path work to do.
-        if plan.is_empty() {
-            return None;
-        }
-        let key: DetectionKey = (set_id, path_id, elem.peer_ip, elem.peer_asn);
-        if let Some(outcome) = self.state.detections.get(&key) {
-            let outcome = Arc::clone(outcome);
-            self.state.stats.bundled_detections += outcome.bundled;
-            self.state.stats.ambiguous_unresolved += outcome.ambiguous;
-            return Some(outcome);
-        }
-
-        let mut outcome = DetectionOutcome::default();
-        let path = self.state.paths.resolve(path_id).clone().without_prepending();
-        let refdata = Arc::clone(&self.refdata);
-        let bundling = self.config.bundling_detection;
-
-        let mut consider = |community: Community, candidates: &[Asn]| {
-            if candidates.is_empty() {
-                return;
-            }
-            let unambiguous = candidates.len() == 1;
-            let mut resolved_any = false;
-            for &candidate in candidates {
-                if let Some(ixp) = refdata.ixp_of_route_server(candidate) {
-                    // IXP provider: route-server ASN on path, or peer-ip
-                    // inside the IXP's peering LAN.
-                    if path.contains(candidate) {
-                        let user = path.hop_before(candidate);
-                        let distance = if refdata.ixp_of_peer_ip(elem.peer_ip) == Some(ixp) {
-                            DetectionDistance::Hops(0)
-                        } else {
-                            detection_hops(path.distance_from_peer(candidate).unwrap_or(0))
-                        };
-                        outcome.detections.push(Detection {
-                            provider: ProviderId::Ixp(ixp),
-                            user,
-                            distance,
-                            community,
-                        });
-                        resolved_any = true;
-                    } else if refdata.ixp_of_peer_ip(elem.peer_ip) == Some(ixp) {
-                        outcome.detections.push(Detection {
-                            provider: ProviderId::Ixp(ixp),
-                            user: Some(elem.peer_asn),
-                            distance: DetectionDistance::Hops(0),
-                            community,
-                        });
-                        resolved_any = true;
-                    }
-                } else if path.contains(candidate) {
-                    // The hop before the provider — skipping route-server
-                    // ASNs, which appear on paths when a provider learned
-                    // the route across an IXP (the RS is not the user).
-                    let mut rest = path.iter_asns().skip_while(|&a| a != candidate);
-                    rest.next(); // the provider hop itself
-                    let user = rest
-                        .find(|&a| refdata.ixp_of_route_server(a).is_none())
-                        .or(Some(candidate));
-                    outcome.detections.push(Detection {
-                        provider: ProviderId::As(candidate),
-                        user,
-                        distance: detection_hops(path.distance_from_peer(candidate).unwrap_or(0)),
-                        community,
-                    });
-                    resolved_any = true;
-                } else if unambiguous && bundling {
-                    // Bundled community: the provider never propagated the
-                    // route, but the unambiguous tag identifies it.
-                    outcome.detections.push(Detection {
-                        provider: ProviderId::As(candidate),
-                        user: path.origin(),
-                        distance: DetectionDistance::NoPath,
-                        community,
-                    });
-                    outcome.bundled += 1;
-                    resolved_any = true;
-                }
-            }
-            if !resolved_any {
-                outcome.ambiguous += 1;
-            }
-        };
-
-        for (community, candidates) in plan.iter() {
-            consider(*community, candidates);
-        }
-
-        outcome.detections.sort_by_key(|d| d.provider);
-        outcome.detections.dedup_by_key(|d| d.provider);
-        self.state.stats.bundled_detections += outcome.bundled;
-        self.state.stats.ambiguous_unresolved += outcome.ambiguous;
-        let outcome = Arc::new(outcome);
-        self.state.detections.insert(key, Arc::clone(&outcome));
-        Some(outcome)
+        set_id
     }
 
     fn process_announce(&mut self, elem: &BgpElem, start_time: SimTime) {
@@ -687,43 +719,56 @@ impl InferenceSession {
             self.state.stats.cleaned += 1;
             return;
         }
+        let set_id = self.set_row(elem);
+        let peer = self.state_peer(elem);
+        let state = &mut self.state;
+        let facts = &mut state.sets[set_id.0 as usize];
         // Census of every community on every announcement (Fig. 2
-        // input), deferred as one (set, length-bucket) counter bump.
-        // Interning the set (O(1) on repeats via the memoized content
-        // hash) keys both the tally and the cached detection plan.
-        let (set_id, plan) = self.plan_for(elem);
-        *self.state.census_pending.entry((set_id, elem.prefix.length())).or_insert(0) += 1;
-        if self.state.plan_suppressed[set_id.0 as usize] {
+        // input), deferred as one bump of the set's row.
+        facts.census[usize::from(elem.prefix.length().min(32))] += 1;
+        if facts.suppressed {
             // Every dictionary match was a negative control: no candidate
             // event. The announcement still falls through to the
             // implicit-withdrawal logic below, exactly like an untagged one.
-            self.state.stats.control_suppressed += 1;
+            state.stats.control_suppressed += 1;
         }
-
-        let detections = self.detect_planned(elem, set_id, plan);
-        let detections: &[Detection] =
-            detections.as_ref().map(|o| o.detections.as_slice()).unwrap_or(&[]);
-        let peer = self.state_peer(elem);
+        // The hot exit is an empty plan: no community of the set is in the
+        // dictionary, so there is nothing to detect and no path work.
+        let detections: &[Detection] = if facts.plan.is_empty() {
+            &[]
+        } else {
+            let outcome = memoized(
+                &mut state.detections,
+                &mut state.paths,
+                &facts.plan,
+                set_id,
+                elem,
+                &self.refdata,
+                self.config.bundling_detection,
+            );
+            state.stats.bundled_detections += outcome.bundled;
+            state.stats.ambiguous_unresolved += outcome.ambiguous;
+            &outcome.detections
+        };
 
         if detections.is_empty() {
             // Implicit withdrawal: previously blackholed at this peer,
             // now announced without tags (§4.2).
-            if self.deactivate(elem.prefix, peer, elem.time) {
-                self.state.stats.implicit_withdrawals += 1;
+            if state.deactivate(elem.prefix, peer, elem.time) {
+                state.stats.implicit_withdrawals += 1;
             }
             return;
         }
-        self.state.stats.tagged_announcements += 1;
+        state.stats.tagged_announcements += 1;
 
-        let oe = self
-            .state
+        let oe = state
             .open
             .entry(elem.prefix)
             .or_insert_with(|| OpenEvent { start: start_time, ..Default::default() });
         oe.open_peers.insert(peer);
         oe.all_peers.insert(elem.peer_key());
         oe.datasets.insert(elem.dataset);
-        let vis = self.state.per_dataset.entry(elem.dataset).or_default();
+        let vis = state.per_dataset.entry(elem.dataset).or_default();
         vis.prefixes.insert(elem.prefix);
         for d in detections {
             oe.providers.insert(d.provider);
@@ -741,7 +786,8 @@ impl InferenceSession {
 
     fn process_withdraw(&mut self, elem: &BgpElem) {
         self.state.stats.elems += 1;
-        if self.deactivate(elem.prefix, self.state_peer(elem), elem.time) {
+        let peer = self.state_peer(elem);
+        if self.state.deactivate(elem.prefix, peer, elem.time) {
             self.state.stats.explicit_withdrawals += 1;
         }
     }
@@ -755,22 +801,6 @@ impl InferenceSession {
         } else {
             PeerKey { dataset: elem.dataset, collector: 0, peer_asn: Asn::new(0) }
         }
-    }
-
-    /// `peer` no longer sees `prefix` blackholed (explicit or implicit
-    /// withdrawal at `time`). Returns whether it did before; the last
-    /// open peer to leave closes the event.
-    fn deactivate(&mut self, prefix: Ipv4Prefix, peer: PeerKey, time: SimTime) -> bool {
-        let Some(oe) = self.state.open.get_mut(&prefix) else { return false };
-        if !oe.open_peers.remove(&peer) {
-            return false;
-        }
-        if oe.open_peers.is_empty() {
-            // The `get_mut` above found this key and nothing removed it.
-            let oe = self.state.open.remove(&prefix).expect("open event exists");
-            self.state.closed.push(Self::to_event(prefix, oe, Some(time)));
-        }
-        true
     }
 }
 
@@ -840,7 +870,6 @@ impl InferenceResult {
 
 #[cfg(test)]
 mod tests {
-    use bh_bgp_types::as_path::AsPath;
     use bh_bgp_types::community::CommunitySet;
     use bh_routing::{deploy, CollectorConfig, SliceSource};
     use bh_topology::{TopologyBuilder, TopologyConfig};
@@ -976,16 +1005,19 @@ mod tests {
     fn session_interns_paths_and_community_sets() {
         let s = setup();
         let mut session = s.session();
-        // Three announcements, two distinct paths / community sets: the
-        // intern tables dedup.
+        // Three tagged announcements on two distinct paths share one
+        // community set: the intern tables dedup. The untagged fourth adds
+        // a set but never interns its path — only detection reads it.
         let a1 = announce("130.149.1.66/32", 10, "100 64777 200", vec![s.community], 100);
         let a2 = announce("130.149.1.67/32", 11, "100 64777 200", vec![s.community], 100);
-        let a3 = announce("130.149.1.68/32", 12, "300 64777 200", vec![], 100);
-        session.push(&a1);
-        session.push(&a2);
-        session.push(&a3);
+        let a3 = announce("130.149.1.68/32", 12, "300 64777 200", vec![s.community], 100);
+        let a4 = announce("130.149.1.69/32", 13, "400 200", vec![], 100);
+        for elem in [&a1, &a2, &a3, &a4] {
+            session.push(elem);
+        }
         assert_eq!(session.interned_paths().len(), 2);
         assert_eq!(session.interned_community_sets().len(), 2);
+        assert!(session.interned_paths().canonical(&a4.as_path).is_none());
         let canonical = session.interned_paths().canonical(&a1.as_path).unwrap().clone();
         assert_eq!(canonical, a2.as_path, "equal paths share one canonical entry");
     }

@@ -255,6 +255,12 @@ impl LiveFleet {
 
     /// Force a checkpoint now (also resets the cadence counter).
     pub fn checkpoint_now(&mut self, now: SimTime) -> LiveCheckpoint {
+        self.checkpoint(now).clone()
+    }
+
+    /// Take a checkpoint and keep it as the last one. The cadence path
+    /// stops here: the one deep copy it makes is the one kept.
+    fn checkpoint(&mut self, now: SimTime) -> &LiveCheckpoint {
         // Emit first so the session checkpoint carries no pending closed
         // events: everything closed has a sequence number, and the
         // successor's numbering continues from a clean boundary.
@@ -269,10 +275,9 @@ impl LiveFleet {
             checkpoints: self.out.checkpoints,
         };
         self.since_checkpoint = 0;
-        self.last_checkpoint = Some(checkpoint.clone());
         write_shared(&self.out.shared).report = Some(self.out.pipeline.snapshot());
         self.publish_status(now);
-        checkpoint
+        self.last_checkpoint.insert(checkpoint)
     }
 
     /// One daemon iteration at time `now`: ingest everything the merge
@@ -288,7 +293,7 @@ impl LiveFleet {
         self.since_checkpoint += ingested;
         self.out.emit(self.session.drain_closed(), now);
         if self.since_checkpoint >= self.config.checkpoint_every {
-            self.checkpoint_now(now);
+            self.checkpoint(now);
         } else {
             self.publish_status(now);
         }

@@ -2,30 +2,31 @@
 //! the implementation is checked against — so an equivalence suite no
 //! longer only compares `bh_core` with another door into itself.
 //!
-//! * [`Oracle::infer`] is §4.2 (elems → events) transcribed from the
+//! * [`Oracle::infer`] is §4.2 (elems → events, counters, the Fig. 2
+//!   census and the per-dataset visibility) transcribed from the
 //!   statement in `crates/core/src/lib.rs`: a linear pass over the elems
 //!   with `BTreeMap`/`BTreeSet` state and linear scans — no interning, no
-//!   memo, no compiled detection plan.
+//!   memo, no compiled detection plan, no deferred census.
 //! * [`assert_report_equals_naive_recomputation`] is the layer above
 //!   (events and per-dataset visibility → report) against the paper's
 //!   definitions of every table and figure — no accumulator, no shared
 //!   helper.
 //!
 //! AS paths are taken as plain sequences (what the simulator and the MRT
-//! writer produce); negative controls and RIB initialization are not
-//! part of the transcription.
+//! writer produce); RIB initialization is not part of the transcription.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::bogon::BogonFilter;
+use bh_bgp_types::community::Community;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::{
     AnalyticsConfig, AnalyticsReport, BlackholeEvent, BlackholePeriod, DatasetVisibility,
     DetectionDistance, EngineConfig, EngineStats, ProviderId, ReferenceData, VisibilityRow,
 };
-use bh_irr::BlackholeDictionary;
+use bh_irr::{BlackholeDictionary, CommunityPrefixCensus, NegativeControls};
 use bh_routing::{BgpElem, DataSource, ElemType, PeerKey};
 use bh_topology::NetworkType;
 
@@ -41,6 +42,25 @@ pub struct Oracle<'a> {
     pub refdata: &'a ReferenceData,
     /// The two ablation toggles.
     pub config: EngineConfig,
+    /// Classic communities classified location/informational: never a
+    /// trigger, even where the dictionary lists them.
+    pub controls: Option<&'a NegativeControls>,
+}
+
+/// Everything the method defines over one stream.
+#[derive(Debug)]
+pub struct OracleOutput {
+    /// The events — the still-open ones with `end: None` — in
+    /// `(start, prefix)` order.
+    pub events: Vec<BlackholeEvent>,
+    /// The counters the method defines.
+    pub stats: EngineStats,
+    /// The Fig. 2 census: the classic communities of every routable
+    /// announcement, at its prefix length.
+    pub census: CommunityPrefixCensus,
+    /// Per platform, the prefix, providers and users of every tagged
+    /// announcement (Table 3 inputs).
+    pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
 }
 
 impl Oracle<'_> {
@@ -53,10 +73,24 @@ impl Oracle<'_> {
         let hops = |pos: usize| DetectionDistance::Hops(u8::try_from(pos + 1).unwrap_or(u8::MAX));
         let is_route_server = |asn: Asn| self.refdata.ixp_of_route_server(asn).is_some();
 
-        let classic = elem.communities.iter().map(|c| self.dict.providers_for(c));
+        // A negative control is no trigger. An announcement whose only
+        // dictionary matches are controls is suppressed, and is then
+        // untagged like one that carries no dictionary community at all.
+        let is_control = |c: Community| self.controls.is_some_and(|ctl| ctl.contains(c));
+        let classic =
+            elem.communities.iter().filter(|&c| !is_control(c)).map(|c| self.dict.providers_for(c));
         let large = elem.communities.iter_large().map(|l| self.dict.providers_for_large(l));
+        let triggers: Vec<Vec<Asn>> = classic.chain(large).filter(|c| !c.is_empty()).collect();
+        let listed_control = elem
+            .communities
+            .iter()
+            .any(|c| is_control(c) && !self.dict.providers_for(c).is_empty());
+        if triggers.is_empty() && listed_control {
+            stats.control_suppressed += 1;
+        }
+
         let mut found = Vec::new();
-        for candidates in classic.chain(large).filter(|c| !c.is_empty()) {
+        for candidates in triggers {
             let before = found.len();
             for &candidate in &candidates {
                 let on_path = path.iter().position(|&asn| asn == candidate);
@@ -108,12 +142,12 @@ impl Oracle<'_> {
         found
     }
 
-    /// Run the method over `elems` in order. Returns the events — the
-    /// still-open ones with `end: None` — in `(start, prefix)` order, and
-    /// the counters the method defines.
-    pub fn infer(&self, elems: &[BgpElem]) -> (Vec<BlackholeEvent>, EngineStats) {
+    /// Run the method over `elems` in order.
+    pub fn infer(&self, elems: &[BgpElem]) -> OracleOutput {
         let bogons = BogonFilter::new();
         let mut stats = EngineStats::default();
+        let mut census = CommunityPrefixCensus::new();
+        let mut per_dataset: BTreeMap<DataSource, DatasetVisibility> = BTreeMap::new();
         // The per-(prefix, peer) state: is this peer's route blackholed?
         let mut blackholed: BTreeSet<(Ipv4Prefix, PeerKey)> = BTreeSet::new();
         // The cross-peer correlation: one open event per prefix, with
@@ -127,6 +161,10 @@ impl Oracle<'_> {
             if announced && !bogons.is_routable(&elem.prefix) {
                 stats.cleaned += 1;
                 continue;
+            }
+            if announced {
+                let communities: Vec<Community> = elem.communities.iter().collect();
+                census.record(&communities, elem.prefix.length());
             }
             // Without per-peer state a dataset's peers act as one.
             let peer = if self.config.per_peer_state {
@@ -176,11 +214,15 @@ impl Oracle<'_> {
             });
             peers.insert(elem.peer_key());
             event.datasets.insert(elem.dataset);
+            let seen = per_dataset.entry(elem.dataset).or_default();
+            seen.prefixes.insert(elem.prefix);
             for (provider, user, distance) in detections {
                 event.providers.insert(provider);
                 event.users.extend(user);
                 event.distances.insert(distance);
                 event.bundled_detection |= distance == DetectionDistance::NoPath;
+                seen.providers.insert(provider);
+                seen.users.extend(user);
             }
         }
 
@@ -190,7 +232,7 @@ impl Oracle<'_> {
             event
         }));
         events.sort_by_key(|e| (e.start, e.prefix));
-        (events, stats)
+        OracleOutput { events, stats, census, per_dataset }
     }
 }
 

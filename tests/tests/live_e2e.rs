@@ -24,9 +24,9 @@ use proptest::prelude::*;
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::{SimDuration, SimTime};
-use bh_core::{AnalyticsReport, EventAccumulator, SequencedEvent, StreamSummary};
+use bh_core::{AnalyticsReport, BlackholeEvent, EventAccumulator, SequencedEvent, StreamSummary};
 use bh_live::{handle_command, serve_connection, LiveFleetConfig, LiveNode, QueryRunner};
-use bh_routing::{merge_streams, read_updates, SliceSource};
+use bh_routing::{merge_streams, read_updates, BgpElem, SliceSource};
 use bh_workloads::CollectorArchive;
 
 /// One prebuilt world per scale: the study, a scenario run, its
@@ -36,6 +36,8 @@ struct LiveWorld {
     study: Study,
     run: StudyRun,
     archives: Vec<CollectorArchive>,
+    /// The archives read back and merged: the stream the daemon sees.
+    merged: Vec<BgpElem>,
     batch_summary: StreamSummary,
     batch_report: AnalyticsReport,
     /// Replay clock origin: the first record's timestamp.
@@ -61,7 +63,7 @@ fn build_world(scale: StudyScale, seed: u64, days: u64, rate: f64) -> LiveWorld 
     let batch_report = pipeline.finalize();
     let start = merged.first().expect("non-empty scenario").time;
     let total_elems = merged.len() as u64;
-    LiveWorld { study, run, archives, batch_summary, batch_report, start, total_elems }
+    LiveWorld { study, run, archives, merged, batch_summary, batch_report, start, total_elems }
 }
 
 /// The Small-scale acceptance world (the ~230-AS build dominates; share
@@ -304,4 +306,55 @@ proptest! {
         let (_, report) = node.finish();
         prop_assert_eq!(&report, &w.batch_report);
     }
+}
+
+// ---- 4. golden pin of the orders no sorted comparison sees ----------------
+
+/// Order-sensitive FNV-1a digest over each item's `Debug` rendering.
+fn debug_digest<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for item in items {
+        for byte in format!("{item:?}").bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// Golden pin of the session's observation order, recorded before the
+/// session's plan, suppression and census side tables became one row per
+/// interned community set: the order `finish_with` hands a batch
+/// session's events to an accumulator (closed ones in closure order, then
+/// the open-event map drained), the live daemon's `(seq, event)` stream,
+/// and the interned community-set count, all on the Small run. Every
+/// other comparison of events sorts them first, so only this pin sees
+/// either order.
+#[test]
+fn session_golden_pin() {
+    let w = small_world();
+    let mut session = w.study.session(&w.run.refdata).build();
+    session.ingest(&mut SliceSource::new(&w.merged));
+    let sets = session.interned_community_sets().len();
+    let mut observed: Vec<BlackholeEvent> = Vec::new();
+    session.finish_with(&mut observed);
+
+    let config = LiveFleetConfig { checkpoint_every: 2_048, ..LiveFleetConfig::default() };
+    let mut node = boot(w, SimDuration::mins(1), config);
+    let query = node.query();
+    node.run_to_completion();
+    node.finish();
+    let stream = query.events_since(0);
+    assert_eq!(stream.len() as u64, query.status().events_emitted, "the ring dropped events");
+
+    let pin = format!(
+        "sets={sets} events={} order={:016x} live={} live_order={:016x}",
+        observed.len(),
+        debug_digest(&observed),
+        stream.len(),
+        debug_digest(stream.iter().map(|se| (se.seq, &se.event))),
+    );
+    assert_eq!(
+        pin,
+        "sets=98 events=1109 order=f9d7c03d5bce5088 live=1109 live_order=ae9f5fc0cdc5f761"
+    );
 }

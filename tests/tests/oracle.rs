@@ -1,8 +1,11 @@
 //! The §4.2 implementation against the paper's method: `InferenceSession`
-//! (interned, memoized, plan-compiled) must infer exactly the events and
-//! counters of the naive transcription in `bh_integration::oracle` — on
-//! random elem streams, on every workload of the adversarial catalog and
-//! on the Small visibility study, under both ablation toggles.
+//! (interned, memoized, plan-compiled, census deferred) must infer
+//! exactly the events, counters, census and per-dataset visibility of the
+//! naive transcription in `bh_integration::oracle` — on random elem
+//! streams (with a random negative-control set), on every workload of the
+//! adversarial catalog (also under the naive dictionary with the
+//! classifier's controls) and on the Small visibility study, under both
+//! ablation toggles.
 //!
 //! Mutation-checked once: flipping `unambiguous && bundling` to
 //! `bundling` in `detect_planned` fails the random streams (the generated
@@ -10,6 +13,7 @@
 //! implicit withdrawal up under the real peer key again — the per-peer
 //! ablation bug — fails all three.
 
+use std::collections::BTreeSet;
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
@@ -22,7 +26,7 @@ use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::time::SimTime;
 use bh_core::{EngineConfig, ReferenceData, SessionBuilder};
 use bh_integration::oracle::Oracle;
-use bh_irr::BlackholeDictionary;
+use bh_irr::{BlackholeDictionary, CommunityClassifier, CommunityPrefixCensus, NegativeControls};
 use bh_routing::{deploy, BgpElem, CollectorConfig, DataSource, ElemType, SliceSource};
 use bh_topology::{TopologyBuilder, TopologyConfig};
 use bh_workloads::AdversarialConfig;
@@ -31,17 +35,24 @@ fn assert_session_matches_oracle(
     dict: &Arc<BlackholeDictionary>,
     refdata: &Arc<ReferenceData>,
     config: EngineConfig,
+    controls: Option<&Arc<NegativeControls>>,
     elems: &[BgpElem],
 ) {
-    let mut session = SessionBuilder::new(dict.clone(), refdata.clone()).config(config).build();
+    let mut builder = SessionBuilder::new(dict.clone(), refdata.clone()).config(config);
+    if let Some(controls) = controls {
+        builder = builder.negative_controls(controls.clone());
+    }
+    let mut session = builder.build();
     session.ingest(&mut SliceSource::new(elems));
     let result = session.finish();
-    let (events, stats) = Oracle { dict, refdata, config }.infer(elems);
-    assert_eq!(result.stats, stats, "{config:?}");
-    assert_eq!(result.events.len(), events.len(), "{config:?}");
-    for (got, want) in result.events.iter().zip(&events) {
-        assert_eq!(got, want, "{config:?}");
+    let want = Oracle { dict, refdata, config, controls: controls.map(Arc::as_ref) }.infer(elems);
+    assert_eq!(result.stats, want.stats, "{config:?}");
+    assert_eq!(result.events.len(), want.events.len(), "{config:?}");
+    for (got, expected) in result.events.iter().zip(&want.events) {
+        assert_eq!(got, expected, "{config:?}");
     }
+    assert_eq!(result.census, want.census, "census, {config:?}");
+    assert_eq!(result.per_dataset, want.per_dataset, "visibility, {config:?}");
 }
 
 const CONFIGS: [EngineConfig; 3] = [
@@ -134,12 +145,25 @@ proptest! {
             (0u8..4, 0u8..16, 0u8..4, prop::collection::vec(0u8..8, 0..6), 0u8..16),
             1..120,
         ),
+        control_mask in 0u8..16,
     ) {
         let w = world();
         let elems: Vec<BgpElem> =
             draws.into_iter().enumerate().map(|(time, draw)| elem(time, draw)).collect();
+        // Any subset of the communities may be classified a control; the
+        // empty draw installs no control set at all.
+        let controls = (control_mask != 0).then(|| {
+            let set: BTreeSet<Community> = w
+                .communities
+                .iter()
+                .enumerate()
+                .filter(|(k, _)| control_mask >> k & 1 == 1)
+                .map(|(_, c)| *c)
+                .collect();
+            Arc::new(NegativeControls::from_set(set))
+        });
         for config in CONFIGS {
-            assert_session_matches_oracle(&w.dict, &w.refdata, config, &elems);
+            assert_session_matches_oracle(&w.dict, &w.refdata, config, controls.as_ref(), &elems);
         }
     }
 }
@@ -149,6 +173,9 @@ fn session_matches_oracle_on_the_adversarial_catalog() {
     let study = Study::build(StudyScale::Tiny, 1234);
     let refdata = study.refdata();
     let topology = &study.topology;
+    let naive = study.naive_dict();
+    let controls =
+        Arc::new(CommunityClassifier.negative_controls(&study.dict, &CommunityPrefixCensus::new()));
     for workload in [
         AdversarialConfig::baseline(41, 3, 4.0),
         AdversarialConfig::stolen_tag_hijack(46, 3, 4.0),
@@ -160,8 +187,13 @@ fn session_matches_oracle_on_the_adversarial_catalog() {
         let output = bh_workloads::run_adversarial(topology, study.deployment(), &workload);
         assert!(!output.elems.is_empty(), "{}", workload.name);
         for config in CONFIGS {
-            assert_session_matches_oracle(&study.dict, &refdata, config, &output.elems);
+            assert_session_matches_oracle(&study.dict, &refdata, config, None, &output.elems);
         }
+        // The naive dictionary lists documented location and
+        // informational tags as triggers; the classifier's controls take
+        // them back out.
+        let default = EngineConfig::default();
+        assert_session_matches_oracle(&naive, &refdata, default, Some(&controls), &output.elems);
     }
 }
 
@@ -171,6 +203,6 @@ fn session_matches_oracle_on_the_small_visibility_run() {
     let run = study.visibility_run(4, 6.0);
     assert!(!run.result.events.is_empty(), "degenerate run: nothing inferred");
     for config in CONFIGS {
-        assert_session_matches_oracle(&study.dict, &run.refdata, config, &run.output.elems);
+        assert_session_matches_oracle(&study.dict, &run.refdata, config, None, &run.output.elems);
     }
 }

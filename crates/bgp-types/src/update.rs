@@ -125,6 +125,14 @@ impl BgpUpdate {
         self.withdrawn_v4.insert(prefix);
     }
 
+    /// Drop every announced and withdrawn prefix, keeping the attributes
+    /// and the lists' allocations (one update reused across many
+    /// messages).
+    pub fn clear_prefixes(&mut self) {
+        self.announced_v4.clear();
+        self.withdrawn_v4.clear();
+    }
+
     /// Announced IPv4 prefixes.
     pub fn announced_v4(&self) -> impl Iterator<Item = &Ipv4Prefix> {
         self.announced_v4.as_slice().iter()
@@ -208,6 +216,19 @@ mod tests {
         let w = BgpUpdate::withdraw(p4("10.0.0.0/8"));
         assert!(!w.has_announcements());
         assert!(w.has_withdrawals());
+    }
+
+    #[test]
+    fn clear_prefixes_keeps_the_attributes() {
+        let attrs = PathAttributes { med: Some(7), ..Default::default() };
+        let mut u = BgpUpdate::new(attrs.clone());
+        u.announce_v4(p4("10.0.0.0/8"));
+        u.withdraw_v4(p4("192.0.2.0/24"));
+        u.clear_prefixes();
+        assert!(u.is_empty());
+        assert_eq!(u.attrs, attrs);
+        u.withdraw_v4(p4("10.0.0.0/8"));
+        assert_eq!(u.withdrawn_v4().count(), 1);
     }
 
     #[test]

@@ -50,7 +50,7 @@ const ATTR_FLAG_TRANSITIVE: u8 = 0x40;
 const ATTR_FLAG_EXTENDED_LEN: u8 = 0x10;
 
 /// Encode one IPv4 NLRI element: length octet + minimal network bytes.
-pub fn encode_nlri(buf: &mut BytesMut, prefix: &Ipv4Prefix) {
+pub fn encode_nlri<B: BufMut>(buf: &mut B, prefix: &Ipv4Prefix) {
     buf.put_u8(prefix.length());
     let octets = prefix.network().octets();
     let nbytes = prefix.length().div_ceil(8) as usize;
@@ -74,7 +74,7 @@ pub fn decode_nlri(buf: &mut &[u8]) -> Result<Ipv4Prefix, CodecError> {
     Ok(Ipv4Prefix::from_raw(u32::from_be_bytes(octets), len))
 }
 
-fn put_attr_header(buf: &mut BytesMut, flags: u8, code: u8, len: usize) {
+fn put_attr_header(buf: &mut Vec<u8>, flags: u8, code: u8, len: usize) {
     if len > 255 {
         buf.put_u8(flags | ATTR_FLAG_EXTENDED_LEN);
         buf.put_u8(code);
@@ -86,20 +86,26 @@ fn put_attr_header(buf: &mut BytesMut, flags: u8, code: u8, len: usize) {
     }
 }
 
-fn encode_as_path(path: &AsPath) -> BytesMut {
-    let mut body = BytesMut::new();
-    for seg in path.segments() {
-        let asns = seg.asns();
-        // RFC limits a segment to 255 ASNs; split long prepends.
-        for chunk in asns.chunks(255) {
-            body.put_u8(seg.type_code());
-            body.put_u8(chunk.len() as u8);
-            for asn in chunk {
-                body.put_u32(asn.value());
-            }
-        }
-    }
-    body
+/// Reserve a 2-byte length field at the end of `buf`; returns where it
+/// sits for [`patch_length`].
+fn reserve_length(buf: &mut Vec<u8>) -> usize {
+    buf.put_u16(0);
+    buf.len() - 2
+}
+
+/// Fill the length field reserved at `at` with the bytes written after it.
+fn patch_length(buf: &mut [u8], at: usize) {
+    let len = buf.len() - at - 2;
+    buf[at..at + 2].copy_from_slice(&(len as u16).to_be_bytes());
+}
+
+/// Wire length of an AS_PATH body: segments split every 255 ASNs, each
+/// piece a type octet, a count octet and 4 bytes per ASN.
+fn as_path_len(path: &AsPath) -> usize {
+    path.segments()
+        .iter()
+        .map(|seg| seg.asns().len().div_ceil(255) * 2 + seg.asns().len() * 4)
+        .sum()
 }
 
 fn decode_as_path(mut body: &[u8]) -> Result<AsPath, CodecError> {
@@ -140,68 +146,84 @@ fn decode_as_path(mut body: &[u8]) -> Result<AsPath, CodecError> {
 /// Encode the path attributes section (without the leading 2-byte total
 /// length, which belongs to the UPDATE body).
 pub fn encode_attributes(attrs: &PathAttributes) -> BytesMut {
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
+    encode_attributes_into(&mut out, attrs);
+    BytesMut::from(out)
+}
+
+/// [`encode_attributes`], appended to `buf` in place.
+pub fn encode_attributes_into(buf: &mut Vec<u8>, attrs: &PathAttributes) {
     let wk = ATTR_FLAG_TRANSITIVE; // well-known mandatory
     let opt = ATTR_FLAG_OPTIONAL | ATTR_FLAG_TRANSITIVE;
 
-    put_attr_header(&mut out, wk, type_code::ORIGIN, 1);
-    out.put_u8(attrs.origin.code());
+    put_attr_header(buf, wk, type_code::ORIGIN, 1);
+    buf.put_u8(attrs.origin.code());
 
-    let path = encode_as_path(&attrs.as_path);
-    put_attr_header(&mut out, wk, type_code::AS_PATH, path.len());
-    out.put_slice(&path);
+    put_attr_header(buf, wk, type_code::AS_PATH, as_path_len(&attrs.as_path));
+    for seg in attrs.as_path.segments() {
+        // RFC limits a segment to 255 ASNs; split long prepends.
+        for chunk in seg.asns().chunks(255) {
+            buf.put_u8(seg.type_code());
+            buf.put_u8(chunk.len() as u8);
+            for asn in chunk {
+                buf.put_u32(asn.value());
+            }
+        }
+    }
 
     if let Some(IpAddr::V4(nh)) = attrs.next_hop {
-        put_attr_header(&mut out, wk, type_code::NEXT_HOP, 4);
-        out.put_slice(&nh.octets());
+        put_attr_header(buf, wk, type_code::NEXT_HOP, 4);
+        buf.put_slice(&nh.octets());
     }
 
     if let Some(med) = attrs.med {
-        put_attr_header(&mut out, ATTR_FLAG_OPTIONAL, type_code::MED, 4);
-        out.put_u32(med);
+        put_attr_header(buf, ATTR_FLAG_OPTIONAL, type_code::MED, 4);
+        buf.put_u32(med);
     }
 
     if let Some(lp) = attrs.local_pref {
-        put_attr_header(&mut out, wk, type_code::LOCAL_PREF, 4);
-        out.put_u32(lp);
+        put_attr_header(buf, wk, type_code::LOCAL_PREF, 4);
+        buf.put_u32(lp);
     }
 
     if attrs.atomic_aggregate {
-        put_attr_header(&mut out, wk, type_code::ATOMIC_AGGREGATE, 0);
+        put_attr_header(buf, wk, type_code::ATOMIC_AGGREGATE, 0);
     }
 
     if let Some((asn, id)) = attrs.aggregator {
-        put_attr_header(&mut out, opt, type_code::AGGREGATOR, 8);
-        out.put_u32(asn.value());
-        out.put_slice(&id.octets());
+        put_attr_header(buf, opt, type_code::AGGREGATOR, 8);
+        buf.put_u32(asn.value());
+        buf.put_slice(&id.octets());
     }
 
-    if !attrs.communities.is_empty() {
-        put_attr_header(&mut out, opt, type_code::COMMUNITIES, attrs.communities.len() * 4);
-        for c in attrs.communities.iter() {
-            out.put_u32(c.raw());
+    // `len` counts classic communities only: a set of large or extended
+    // communities alone writes no COMMUNITIES attribute.
+    let communities = &attrs.communities;
+    let classic = communities.len();
+    if classic > 0 {
+        put_attr_header(buf, opt, type_code::COMMUNITIES, classic * 4);
+        for c in communities.iter() {
+            buf.put_u32(c.raw());
         }
     }
 
-    let ext: Vec<ExtendedCommunity> = attrs.communities.iter_extended().collect();
-    if !ext.is_empty() {
-        put_attr_header(&mut out, opt, type_code::EXTENDED_COMMUNITIES, ext.len() * 8);
-        for c in ext {
-            out.put_slice(&c.to_bytes());
+    let ext = communities.iter_extended().count();
+    if ext > 0 {
+        put_attr_header(buf, opt, type_code::EXTENDED_COMMUNITIES, ext * 8);
+        for c in communities.iter_extended() {
+            buf.put_slice(&c.to_bytes());
         }
     }
 
-    let large: Vec<LargeCommunity> = attrs.communities.iter_large().collect();
-    if !large.is_empty() {
-        put_attr_header(&mut out, opt, type_code::LARGE_COMMUNITIES, large.len() * 12);
-        for c in large {
-            out.put_u32(c.global_admin);
-            out.put_u32(c.local_1);
-            out.put_u32(c.local_2);
+    let large = communities.iter_large().count();
+    if large > 0 {
+        put_attr_header(buf, opt, type_code::LARGE_COMMUNITIES, large * 12);
+        for c in communities.iter_large() {
+            buf.put_u32(c.global_admin);
+            buf.put_u32(c.local_1);
+            buf.put_u32(c.local_2);
         }
     }
-
-    out
 }
 
 /// Decode a path attributes section ([`decode_attribute_block`] over an
@@ -506,34 +528,40 @@ fn validate_nlri(mut block: &[u8]) -> Result<(), CodecError> {
 /// Encode a full BGP UPDATE *message* (header + body) for the IPv4 routes
 /// of `update`. IPv6 routes are ignored by this wire path (see module docs).
 pub fn encode_update_message(update: &BgpUpdate) -> BytesMut {
-    let mut body = BytesMut::new();
+    let mut msg = Vec::new();
+    encode_update_into(&mut msg, update);
+    BytesMut::from(msg)
+}
 
-    // Withdrawn routes.
-    let mut withdrawn = BytesMut::new();
+/// [`encode_update_message`], appended to `buf` in place: each length
+/// field is reserved, then filled once what it counts is written.
+///
+/// Nothing here bounds the size: a message over [`BGP_MAX_MESSAGE_LEN`],
+/// which [`UpdateView::parse`] refuses, is the caller's to reject (the
+/// MRT writer does), and past 65 535 bytes its length fields wrap.
+pub fn encode_update_into(buf: &mut Vec<u8>, update: &BgpUpdate) {
+    let start = buf.len();
+    buf.put_slice(&[0xFF; 16]); // marker
+    buf.put_u16(0); // message length, filled last
+    buf.put_u8(msg_type::UPDATE);
+
+    let withdrawn = reserve_length(buf);
     for p in update.withdrawn_v4() {
-        encode_nlri(&mut withdrawn, p);
+        encode_nlri(buf, p);
     }
-    body.put_u16(withdrawn.len() as u16);
-    body.put_slice(&withdrawn);
+    patch_length(buf, withdrawn);
 
     // Path attributes (only when there are announcements).
-    if update.announced_v4().next().is_some() {
-        let attrs = encode_attributes(&update.attrs);
-        body.put_u16(attrs.len() as u16);
-        body.put_slice(&attrs);
+    let attributes = reserve_length(buf);
+    if update.has_announcements() {
+        encode_attributes_into(buf, &update.attrs);
+        patch_length(buf, attributes);
         for p in update.announced_v4() {
-            encode_nlri(&mut body, p);
+            encode_nlri(buf, p);
         }
-    } else {
-        body.put_u16(0);
     }
-
-    let mut msg = BytesMut::with_capacity(BGP_HEADER_LEN + body.len());
-    msg.put_slice(&[0xFF; 16]); // marker
-    msg.put_u16((BGP_HEADER_LEN + body.len()) as u16);
-    msg.put_u8(msg_type::UPDATE);
-    msg.put_slice(&body);
-    msg
+    let len = buf.len() - start;
+    buf[start + 16..start + 18].copy_from_slice(&(len as u16).to_be_bytes());
 }
 
 /// Decode a full BGP UPDATE message (header + body) back into a
@@ -620,6 +648,60 @@ mod tests {
         let encoded = encode_attributes(&attrs).freeze();
         let decoded = decode_attributes(encoded).unwrap();
         assert_eq!(decoded, attrs);
+    }
+
+    /// The type codes of an attribute block, in wire order.
+    fn attribute_codes(mut block: &[u8]) -> Vec<u8> {
+        let mut codes = Vec::new();
+        while !block.is_empty() {
+            let (flags, code) = (block.get_u8(), block.get_u8());
+            let len = if flags & ATTR_FLAG_EXTENDED_LEN != 0 {
+                block.get_u16()
+            } else {
+                block.get_u8().into()
+            };
+            block.advance(len as usize);
+            codes.push(code);
+        }
+        codes
+    }
+
+    /// A set of large or extended communities alone writes no
+    /// COMMUNITIES attribute, not an empty one — which a round trip
+    /// cannot tell apart.
+    #[test]
+    fn large_or_extended_only_sets_write_no_communities_attribute() {
+        let mut large = CommunitySet::new();
+        large.insert_large(LargeCommunity::new(196_608, 666, 0));
+        let mut extended = CommunitySet::new();
+        extended.insert_extended(ExtendedCommunity::two_octet_as(3356, 7, 2));
+        for (communities, code) in
+            [(large, type_code::LARGE_COMMUNITIES), (extended, type_code::EXTENDED_COMMUNITIES)]
+        {
+            let attrs = PathAttributes { communities, ..Default::default() };
+            let block = encode_attributes(&attrs);
+            assert_eq!(attribute_codes(&block), [type_code::ORIGIN, type_code::AS_PATH, code]);
+            assert_eq!(decode_attributes(block.freeze()).unwrap(), attrs);
+        }
+    }
+
+    /// The `_into` encoders append: bytes already in the buffer stay, and
+    /// every length they fill counts from where their own bytes start.
+    #[test]
+    fn into_encoders_append_after_existing_bytes() {
+        let mut update = BgpUpdate::new(sample_attrs());
+        update.announce_v4("192.0.2.0/24".parse().unwrap());
+        update.withdraw_v4("198.51.100.0/24".parse().unwrap());
+        let mut buf = vec![0xAB; 5];
+        encode_update_into(&mut buf, &update);
+        assert_eq!(buf[..5], [0xAB; 5]);
+        let msg = Bytes::from(buf[5..].to_vec());
+        assert_eq!(decode_update_message(msg).unwrap(), Some(update));
+
+        let mut buf = vec![0xAB; 3];
+        encode_attributes_into(&mut buf, &sample_attrs());
+        assert_eq!(buf[..3], [0xAB; 3]);
+        assert_eq!(decode_attribute_block(&buf[3..]).unwrap(), sample_attrs());
     }
 
     #[test]

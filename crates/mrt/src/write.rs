@@ -1,34 +1,98 @@
 //! MRT writer: serializes simulated collector output into archive bytes.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::io::Write;
 use std::net::IpAddr;
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 use bh_bgp_types::asn::Asn;
+use bh_bgp_types::error::CodecError;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_bgp_types::wire;
+use bh_bgp_types::wire::{self, BGP_MAX_MESSAGE_LEN};
 
+use crate::read::MAX_RECORD_LEN;
 use crate::record::{
     bgp4mp_subtype, mrt_type, td2_subtype, BgpState, MrtError, PeerIndexTable, RibEntry,
 };
+
+/// Length of the MRT common header (timestamp, type, subtype, length).
+const MRT_HEADER_LEN: usize = 12;
 
 /// Streaming MRT writer over any [`Write`] sink.
 ///
 /// Emits `BGP4MP/MESSAGE_AS4`, `BGP4MP/STATE_CHANGE_AS4`, and
 /// `TABLE_DUMP_V2` records with correct length framing, so the output is a
 /// structurally valid MRT archive.
+///
+/// Every record is framed in place in one buffer the writer reuses —
+/// header, envelope and message, each length filled once what it counts
+/// is written — and reaches the sink in one `write_all`: a record the
+/// writer refuses (an UPDATE over [`BGP_MAX_MESSAGE_LEN`], a length or
+/// timestamp its field cannot hold) leaves the sink and the counters as
+/// they were.
 pub struct MrtWriter<W: Write> {
     sink: W,
+    /// The record being framed, reused from record to record.
+    record: Vec<u8>,
     records_written: u64,
     bytes_written: u64,
+}
+
+/// `value` in a length or count field of type `T`, or the error naming it.
+fn fits<T: TryFrom<usize>>(what: &'static str, value: usize) -> Result<T, MrtError> {
+    T::try_from(value).map_err(|_| CodecError::BadLength { what, value }.into())
+}
+
+/// `time` in a 4-byte seconds field.
+fn seconds(time: SimTime) -> Result<u32, MrtError> {
+    u32::try_from(time.unix())
+        .map_err(|_| CodecError::BadValue { what: "mrt timestamp", value: time.unix() }.into())
+}
+
+/// The BGP4MP envelope: ASNs, interface index, AFI and both addresses.
+fn put_envelope(
+    buf: &mut Vec<u8>,
+    peer_asn: Asn,
+    peer_ip: IpAddr,
+    local_asn: Asn,
+    local_ip: IpAddr,
+) {
+    buf.put_u32(peer_asn.value());
+    buf.put_u32(local_asn.value());
+    buf.put_u16(0); // interface index
+                    // AFI + addresses. Mixed-family pairs are not representable in
+                    // BGP4MP; treat the peer address family as authoritative.
+    match (peer_ip, local_ip) {
+        (IpAddr::V4(p), IpAddr::V4(l)) => {
+            buf.put_u16(1); // AFI IPv4
+            buf.put_slice(&p.octets());
+            buf.put_slice(&l.octets());
+        }
+        (IpAddr::V6(p), IpAddr::V6(l)) => {
+            buf.put_u16(2); // AFI IPv6
+            buf.put_slice(&p.octets());
+            buf.put_slice(&l.octets());
+        }
+        (IpAddr::V4(p), IpAddr::V6(_)) => {
+            buf.put_u16(1);
+            buf.put_slice(&p.octets());
+            buf.put_slice(&[0u8; 4]);
+        }
+        (IpAddr::V6(p), IpAddr::V4(_)) => {
+            buf.put_u16(2);
+            buf.put_slice(&p.octets());
+            buf.put_slice(&[0u8; 16]);
+        }
+    }
 }
 
 impl<W: Write> MrtWriter<W> {
     /// Wrap a sink.
     pub fn new(sink: W) -> Self {
-        MrtWriter { sink, records_written: 0, bytes_written: 0 }
+        MrtWriter { sink, record: Vec::new(), records_written: 0, bytes_written: 0 }
     }
 
     /// Number of records written so far.
@@ -46,53 +110,34 @@ impl<W: Write> MrtWriter<W> {
         self.sink
     }
 
-    fn write_record(
-        &mut self,
-        timestamp: SimTime,
-        mrt_ty: u16,
-        subtype: u16,
-        body: &[u8],
-    ) -> Result<(), MrtError> {
-        let mut header = BytesMut::with_capacity(12);
-        header.put_u32(timestamp.unix() as u32);
-        header.put_u16(mrt_ty);
-        header.put_u16(subtype);
-        header.put_u32(body.len() as u32);
-        self.sink.write_all(&header)?;
-        self.sink.write_all(body)?;
-        self.records_written += 1;
-        self.bytes_written += (header.len() + body.len()) as u64;
+    /// Start a record in the buffer: the common header, its length left
+    /// for [`finish`](Self::finish) to fill.
+    fn begin(&mut self, timestamp: SimTime, mrt_ty: u16, subtype: u16) -> Result<(), MrtError> {
+        let time = seconds(timestamp)?;
+        self.record.clear();
+        self.record.put_u32(time);
+        self.record.put_u16(mrt_ty);
+        self.record.put_u16(subtype);
+        self.record.put_u32(0);
         Ok(())
     }
 
-    fn put_addr_pair(buf: &mut BytesMut, peer_ip: IpAddr, local_ip: IpAddr) {
-        // AFI + addresses. Mixed-family pairs are not representable in
-        // BGP4MP; treat the peer address family as authoritative.
-        match (peer_ip, local_ip) {
-            (IpAddr::V4(p), IpAddr::V4(l)) => {
-                buf.put_u16(1); // AFI IPv4
-                buf.put_slice(&p.octets());
-                buf.put_slice(&l.octets());
-            }
-            (IpAddr::V6(p), IpAddr::V6(l)) => {
-                buf.put_u16(2); // AFI IPv6
-                buf.put_slice(&p.octets());
-                buf.put_slice(&l.octets());
-            }
-            (IpAddr::V4(p), IpAddr::V6(_)) => {
-                buf.put_u16(1);
-                buf.put_slice(&p.octets());
-                buf.put_slice(&[0u8; 4]);
-            }
-            (IpAddr::V6(p), IpAddr::V4(_)) => {
-                buf.put_u16(2);
-                buf.put_slice(&p.octets());
-                buf.put_slice(&[0u8; 16]);
-            }
+    /// Fill the record's length and hand the whole record to the sink.
+    fn finish(&mut self) -> Result<(), MrtError> {
+        let len: u32 = fits("mrt record", self.record.len() - MRT_HEADER_LEN)?;
+        if len > MAX_RECORD_LEN {
+            return Err(MrtError::OversizedRecord(len));
         }
+        self.record[8..MRT_HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+        self.sink.write_all(&self.record)?;
+        self.records_written += 1;
+        self.bytes_written += self.record.len() as u64;
+        Ok(())
     }
 
-    /// Write one UPDATE as a `BGP4MP/MESSAGE_AS4` record.
+    /// Write one UPDATE as a `BGP4MP/MESSAGE_AS4` record. An UPDATE whose
+    /// message would exceed [`BGP_MAX_MESSAGE_LEN`] — which readers refuse
+    /// — is an error and writes nothing.
     pub fn write_update(
         &mut self,
         timestamp: SimTime,
@@ -102,14 +147,15 @@ impl<W: Write> MrtWriter<W> {
         local_ip: IpAddr,
         update: &BgpUpdate,
     ) -> Result<(), MrtError> {
-        let mut body = BytesMut::new();
-        body.put_u32(peer_asn.value());
-        body.put_u32(local_asn.value());
-        body.put_u16(0); // interface index
-        Self::put_addr_pair(&mut body, peer_ip, local_ip);
-        let msg = wire::encode_update_message(update);
-        body.put_slice(&msg);
-        self.write_record(timestamp, mrt_type::BGP4MP, bgp4mp_subtype::MESSAGE_AS4, &body)
+        self.begin(timestamp, mrt_type::BGP4MP, bgp4mp_subtype::MESSAGE_AS4)?;
+        put_envelope(&mut self.record, peer_asn, peer_ip, local_asn, local_ip);
+        let start = self.record.len();
+        wire::encode_update_into(&mut self.record, update);
+        let len = self.record.len() - start;
+        if len > BGP_MAX_MESSAGE_LEN {
+            return Err(CodecError::BadLength { what: "update message", value: len }.into());
+        }
+        self.finish()
     }
 
     /// Write a `BGP4MP/STATE_CHANGE_AS4` record.
@@ -124,14 +170,11 @@ impl<W: Write> MrtWriter<W> {
         old_state: BgpState,
         new_state: BgpState,
     ) -> Result<(), MrtError> {
-        let mut body = BytesMut::new();
-        body.put_u32(peer_asn.value());
-        body.put_u32(local_asn.value());
-        body.put_u16(0);
-        Self::put_addr_pair(&mut body, peer_ip, local_ip);
-        body.put_u16(old_state.code());
-        body.put_u16(new_state.code());
-        self.write_record(timestamp, mrt_type::BGP4MP, bgp4mp_subtype::STATE_CHANGE_AS4, &body)
+        self.begin(timestamp, mrt_type::BGP4MP, bgp4mp_subtype::STATE_CHANGE_AS4)?;
+        put_envelope(&mut self.record, peer_asn, peer_ip, local_asn, local_ip);
+        self.record.put_u16(old_state.code());
+        self.record.put_u16(new_state.code());
+        self.finish()
     }
 
     /// Write a `TABLE_DUMP_V2/PEER_INDEX_TABLE` record. Must precede the
@@ -141,12 +184,15 @@ impl<W: Write> MrtWriter<W> {
         timestamp: SimTime,
         table: &PeerIndexTable,
     ) -> Result<(), MrtError> {
-        let mut body = BytesMut::new();
-        body.put_slice(&table.collector_id);
         let name = table.view_name.as_bytes();
-        body.put_u16(name.len() as u16);
+        let name_len: u16 = fits("view name", name.len())?;
+        let peers: u16 = fits("peer count", table.peers.len())?;
+        self.begin(timestamp, mrt_type::TABLE_DUMP_V2, td2_subtype::PEER_INDEX_TABLE)?;
+        let body = &mut self.record;
+        body.put_slice(&table.collector_id);
+        body.put_u16(name_len);
         body.put_slice(name);
-        body.put_u16(table.peers.len() as u16);
+        body.put_u16(peers);
         for peer in &table.peers {
             // Peer type: bit 0 = IPv6 address, bit 1 = 4-byte ASN (always).
             match peer.ip {
@@ -163,32 +209,129 @@ impl<W: Write> MrtWriter<W> {
             }
             body.put_u32(peer.asn.value());
         }
-        self.write_record(timestamp, mrt_type::TABLE_DUMP_V2, td2_subtype::PEER_INDEX_TABLE, &body)
+        self.finish()
     }
 
     /// Write one `TABLE_DUMP_V2/RIB_IPV4_UNICAST` record.
     pub fn write_rib_entry(&mut self, timestamp: SimTime, rib: &RibEntry) -> Result<(), MrtError> {
-        let mut body = BytesMut::new();
-        body.put_u32(rib.sequence);
-        wire::encode_nlri(&mut body, &rib.prefix);
-        body.put_u16(rib.entries.len() as u16);
+        let entries: u16 = fits("rib entry count", rib.entries.len())?;
+        self.begin(timestamp, mrt_type::TABLE_DUMP_V2, td2_subtype::RIB_IPV4_UNICAST)?;
+        self.record.put_u32(rib.sequence);
+        wire::encode_nlri(&mut self.record, &rib.prefix);
+        self.record.put_u16(entries);
         for entry in &rib.entries {
-            body.put_u16(entry.peer_index);
-            body.put_u32(entry.originated.unix() as u32);
-            let attrs = wire::encode_attributes(&entry.attrs);
-            body.put_u16(attrs.len() as u16);
-            body.put_slice(&attrs);
+            self.record.put_u16(entry.peer_index);
+            self.record.put_u32(seconds(entry.originated)?);
+            let at = self.record.len();
+            self.record.put_u16(0); // attribute length, filled below
+            wire::encode_attributes_into(&mut self.record, &entry.attrs);
+            let len: u16 = fits("rib attribute length", self.record.len() - at - 2)?;
+            self.record[at..at + 2].copy_from_slice(&len.to_be_bytes());
         }
-        self.write_record(timestamp, mrt_type::TABLE_DUMP_V2, td2_subtype::RIB_IPV4_UNICAST, &body)
+        self.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use bh_bgp_types::attrs::PathAttributes;
+    use bh_bgp_types::prefix::Ipv4Prefix;
 
     use super::*;
-    use crate::record::PeerEntry;
+    use crate::read::MrtBytesReader;
+    use crate::record::{MrtRecordBody, PeerEntry, RibPeerEntry};
+
+    /// An announcement of a /8 plus `n` distinct /24s under the default
+    /// attributes (a 7-byte block): `23 + 7 + 2 + 4 n` message bytes.
+    fn announcement(n: u32) -> BgpUpdate {
+        let mut update = BgpUpdate::new(PathAttributes::default());
+        update.announce_v4("10.0.0.0/8".parse().unwrap());
+        (0..n).for_each(|i| update.announce_v4(Ipv4Prefix::from_raw(0x0B00_0000 | (i << 8), 24)));
+        update
+    }
+
+    fn write(w: &mut MrtWriter<Vec<u8>>, update: &BgpUpdate) -> Result<(), MrtError> {
+        let (peer, local) = ("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap());
+        w.write_update(SimTime::from_unix(1), Asn::new(1), peer, Asn::new(2), local, update)
+    }
+
+    /// An UPDATE of 1 400 /24s would be a 5 632-byte message: refused,
+    /// with nothing written and nothing counted, and the writer goes on.
+    #[test]
+    fn oversize_update_is_refused_and_writes_nothing() {
+        let mut w = MrtWriter::new(Vec::new());
+        let err = write(&mut w, &announcement(1_400)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MrtError::Codec(CodecError::BadLength { what: "update message", value: 5_632 })
+            ),
+            "{err}"
+        );
+        assert_eq!((w.records_written(), w.bytes_written()), (0, 0));
+        assert!(w.into_inner().is_empty());
+
+        let mut w = MrtWriter::new(Vec::new());
+        write(&mut w, &BgpUpdate::withdraw("10.0.0.0/8".parse().unwrap())).unwrap();
+        let one = w.bytes_written();
+        assert!(write(&mut w, &announcement(1_400)).is_err());
+        write(&mut w, &BgpUpdate::withdraw("10.0.0.0/8".parse().unwrap())).unwrap();
+        assert_eq!((w.records_written(), w.bytes_written()), (2, 2 * one));
+        let bytes = w.into_inner();
+        let (first, second) = bytes.split_at(bytes.len() / 2);
+        assert_eq!(first, second);
+    }
+
+    /// An UPDATE of exactly [`BGP_MAX_MESSAGE_LEN`] bytes is written and
+    /// reads back.
+    #[test]
+    fn maximum_size_update_writes_and_reads_back() {
+        let update = announcement(1_016);
+        let mut w = MrtWriter::new(Vec::new());
+        write(&mut w, &update).unwrap();
+        let bytes = w.into_inner();
+        let header = MRT_HEADER_LEN + 20; // common header + IPv4 envelope
+        assert_eq!(bytes.len(), header + BGP_MAX_MESSAGE_LEN);
+        let mut reader = MrtBytesReader::new(bytes);
+        let record = reader.next_record().unwrap().expect("one record");
+        let MrtRecordBody::Message(msg) = record.body else { panic!("{record:?}") };
+        assert_eq!(msg.update, Some(update));
+        assert!(reader.next_record().unwrap().is_none());
+    }
+
+    /// Counts and timestamps their fields cannot hold are refused before
+    /// anything reaches the sink.
+    #[test]
+    fn unrepresentable_fields_are_refused() {
+        let mut w = MrtWriter::new(Vec::new());
+        let late = SimTime::from_unix(u64::from(u32::MAX) + 1);
+        let update = BgpUpdate::withdraw("10.0.0.0/8".parse().unwrap());
+        let peer = "10.0.0.1".parse().unwrap();
+        let err = w.write_update(late, Asn::new(1), peer, Asn::new(2), peer, &update).unwrap_err();
+        assert!(matches!(err, MrtError::Codec(CodecError::BadValue { what: "mrt timestamp", .. })));
+
+        let table = PeerIndexTable::new([9; 4], "x".repeat(70_000), Vec::new());
+        let err = w.write_peer_index_table(SimTime::from_unix(1), &table).unwrap_err();
+        assert!(matches!(err, MrtError::Codec(CodecError::BadLength { what: "view name", .. })));
+
+        let entry =
+            RibPeerEntry { peer_index: 0, originated: late, attrs: PathAttributes::default() };
+        let rib =
+            RibEntry { sequence: 0, prefix: "10.0.0.0/8".parse().unwrap(), entries: vec![entry] };
+        assert!(w.write_rib_entry(SimTime::from_unix(1), &rib).is_err());
+
+        // 1 100 peers × a 16 kB attribute block: past the readers' bound.
+        let long = PathAttributes {
+            as_path: bh_bgp_types::as_path::AsPath::from_sequence(vec![Asn::new(7); 4_000]),
+            ..Default::default()
+        };
+        let entry = RibPeerEntry { peer_index: 0, originated: SimTime::from_unix(1), attrs: long };
+        let rib = RibEntry { entries: vec![entry; 1_100], ..rib };
+        let err = w.write_rib_entry(SimTime::from_unix(1), &rib).unwrap_err();
+        assert!(matches!(err, MrtError::OversizedRecord(len) if len > MAX_RECORD_LEN), "{err}");
+        assert_eq!(w.records_written(), 0);
+        assert!(w.into_inner().is_empty());
+    }
 
     #[test]
     fn writer_counts_records_and_bytes() {

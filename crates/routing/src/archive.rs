@@ -25,24 +25,22 @@ const COLLECTOR_IP: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 254));
 const COLLECTOR_ASN: Asn = Asn::new(64_512);
 
 /// Write a stream of elems as `BGP4MP/MESSAGE_AS4` records, one archive
-/// per call (callers typically split by platform).
+/// per call (callers typically split by platform). One [`BgpUpdate`] is
+/// refilled per elem: a withdrawal's stale attributes are never encoded.
 pub fn write_updates<W: Write>(sink: W, elems: &[BgpElem]) -> Result<u64, MrtError> {
     let mut writer = MrtWriter::new(sink);
+    let mut update = BgpUpdate::new(PathAttributes::default());
     for elem in elems {
-        let update = match elem.elem_type {
+        update.clear_prefixes();
+        match elem.elem_type {
             ElemType::Announce => {
-                let attrs = PathAttributes {
-                    as_path: elem.as_path.clone(),
-                    next_hop: Some(elem.next_hop.unwrap_or(elem.peer_ip)),
-                    communities: elem.communities.clone(),
-                    ..Default::default()
-                };
-                let mut u = BgpUpdate::new(attrs);
-                u.announce_v4(elem.prefix);
-                u
+                update.attrs.as_path = elem.as_path.clone();
+                update.attrs.next_hop = Some(elem.next_hop.unwrap_or(elem.peer_ip));
+                update.attrs.communities = elem.communities.clone();
+                update.announce_v4(elem.prefix);
             }
-            ElemType::Withdraw => BgpUpdate::withdraw(elem.prefix),
-        };
+            ElemType::Withdraw => update.withdraw_v4(elem.prefix),
+        }
         writer.write_update(
             elem.time,
             elem.peer_asn,

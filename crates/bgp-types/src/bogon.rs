@@ -10,7 +10,6 @@
 use std::net::Ipv4Addr;
 
 use crate::prefix::Ipv4Prefix;
-use crate::trie::PrefixTrie;
 
 /// The reason an announcement was rejected by cleaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,11 +43,8 @@ pub const MARTIAN_BLOCKS: &[(&str, &str)] = &[
 /// A Team-Cymru-style bogon filter.
 #[derive(Debug, Clone)]
 pub struct BogonFilter {
-    blocks: PrefixTrie<&'static str>,
-    /// The blocks flattened to `(network, mask, prefix)` for the hot
-    /// check: one linear pass of word compares instead of a trie walk
-    /// plus a full-trie containment scan per announcement. Kept in sync
-    /// with `blocks` by every mutator.
+    /// The blocks as `(network, mask, prefix)`: every check is one linear
+    /// pass of word compares.
     flat: Vec<(u32, u32, Ipv4Prefix)>,
     /// Reject prefixes with length below this (the paper's "/8 rule").
     min_length: u8,
@@ -72,9 +68,9 @@ impl Default for BogonFilter {
 impl BogonFilter {
     /// A filter loaded with the static martian list and the /8 rule.
     pub fn new() -> Self {
-        let mut filter = BogonFilter { blocks: PrefixTrie::new(), flat: Vec::new(), min_length: 8 };
-        for (prefix, why) in MARTIAN_BLOCKS {
-            filter.insert_block(prefix.parse().expect("static martian table is valid"), why);
+        let mut filter = BogonFilter { flat: Vec::new(), min_length: 8 };
+        for (prefix, _) in MARTIAN_BLOCKS {
+            filter.insert_block(prefix.parse().expect("static martian table is valid"));
         }
         filter
     }
@@ -82,17 +78,16 @@ impl BogonFilter {
     /// A permissive filter with no blocks and no /8 rule (for tests that
     /// need to route documentation space).
     pub fn permissive() -> Self {
-        BogonFilter { blocks: PrefixTrie::new(), flat: Vec::new(), min_length: 0 }
+        BogonFilter { flat: Vec::new(), min_length: 0 }
     }
 
     /// Add an unallocated ("full bogon") block, emulating the weekly
     /// Cymru snapshot updates.
     pub fn add_unallocated(&mut self, prefix: Ipv4Prefix) {
-        self.insert_block(prefix, "unallocated (full bogon snapshot)");
+        self.insert_block(prefix);
     }
 
-    fn insert_block(&mut self, prefix: Ipv4Prefix, why: &'static str) {
-        self.blocks.insert(prefix, why);
+    fn insert_block(&mut self, prefix: Ipv4Prefix) {
         self.flat.push((prefix.network_bits(), mask_of(prefix.length()), prefix));
     }
 
@@ -128,7 +123,8 @@ impl BogonFilter {
 
     /// Is a single address inside a bogon block?
     pub fn is_bogon_addr(&self, addr: Ipv4Addr) -> bool {
-        self.blocks.matches_addr(addr)
+        let addr = u32::from(addr);
+        self.flat.iter().any(|&(net, mask, _)| addr & mask == net)
     }
 }
 
@@ -210,5 +206,28 @@ mod tests {
         let f = BogonFilter::new();
         assert!(f.is_bogon_addr("10.0.0.1".parse().unwrap()));
         assert!(!f.is_bogon_addr("8.8.8.8".parse().unwrap()));
+    }
+
+    #[test]
+    fn addr_lookup_agrees_with_the_prefix_check_at_block_edges() {
+        let mut f = BogonFilter::new();
+        f.add_unallocated(p4("45.0.0.0/12"));
+        let host_route = |a: u32| Ipv4Prefix::from_raw(a, 32);
+        let blocks = MARTIAN_BLOCKS.iter().map(|(b, _)| p4(b)).chain([p4("45.0.0.0/12")]);
+        for block in blocks {
+            let first = block.network_bits();
+            let last = first | !mask_of(block.length());
+            for a in [first.wrapping_sub(1), first, last, last.wrapping_add(1)] {
+                assert_eq!(
+                    f.is_bogon_addr(Ipv4Addr::from(a)),
+                    f.check(&host_route(a)).is_err(),
+                    "{} at the edge of {block}",
+                    Ipv4Addr::from(a)
+                );
+            }
+            assert!(
+                f.is_bogon_addr(Ipv4Addr::from(first)) && f.is_bogon_addr(Ipv4Addr::from(last))
+            );
+        }
     }
 }

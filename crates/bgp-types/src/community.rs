@@ -273,8 +273,7 @@ fn empty_set_inner() -> Arc<SetInner> {
 /// deterministic iteration order keeps the whole pipeline reproducible.
 ///
 /// Like [`crate::AsPath`], the storage lives behind an [`Arc`]: cloning
-/// (done per element by the merge heap, fleet reader threads, and the
-/// per-prefix fan-out) bumps a reference count, mutation is
+/// (done per element by the per-prefix fan-out) bumps a reference count, mutation is
 /// copy-on-write, and the content hash is memoized per allocation so
 /// repeated hashing (census maps, interning) is O(1) after the first.
 #[derive(Clone)]

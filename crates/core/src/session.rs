@@ -21,7 +21,7 @@
 //! sessions are `Send` and outlive no borrow). Elements arrive one at a
 //! time via [`InferenceSession::push`] — or from any
 //! [`ElemSource`] via [`InferenceSession::ingest`], including a
-//! [`MergedSource`](bh_routing::MergedSource) or a parallel
+//! [`MergedSource`](bh_routing::MergedSource) or a
 //! [`CollectorFleet`](bh_routing::CollectorFleet) stream merging a whole
 //! multi-collector archive set — and finished events can be handed to
 //! consumers mid-stream with [`InferenceSession::drain_closed`].

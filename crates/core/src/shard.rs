@@ -34,8 +34,10 @@
 //! The sharded runner composes with multi-collector ingestion: feeding
 //! it a [`MergedSource`](bh_routing::MergedSource) or a
 //! [`CollectorFleet`](bh_routing::CollectorFleet) stream via
-//! [`ShardedSession::ingest`] pipelines N archive readers into M
-//! inference workers with bounded memory at every stage.
+//! [`ShardedSession::ingest`] decodes and merges the archives on the
+//! calling thread and fans the stream out to M inference workers — the
+//! only worker threads in ingest and inference — with bounded memory at
+//! every stage.
 
 use std::sync::mpsc;
 use std::thread::{self, JoinHandle};

@@ -6,8 +6,8 @@
 //! a short read means "not yet" or "torn", applies the [`ReadMode`], and
 //! counts what it framed. Each body is handed to the record parser as a
 //! slice borrowed from the reader's [`Window`] — `MrtBytesReader` frames
-//! the archive itself, `TailingReader` and `MrtReader` a [`Tail`] that
-//! grows as bytes arrive — so nothing is copied or refcounted per record;
+//! the archive itself, `TailingReader` a [`Tail`] that grows as bytes
+//! arrive — so nothing is copied or refcounted per record;
 //! only an attribute block the cache has not seen is taken as an owned key.
 
 use bytes::{Buf, Bytes};
@@ -102,7 +102,7 @@ pub(crate) struct Framer<W> {
     pub(crate) closed: bool,
     /// An error was returned; the stream offset is unreliable, so every
     /// later call yields `Ok(None)`.
-    failed: bool,
+    pub(crate) failed: bool,
     pub(crate) records_read: u64,
     pub(crate) records_skipped: u64,
     pub(crate) bytes_consumed: u64,
@@ -122,11 +122,6 @@ impl<W: Window> Framer<W> {
             bytes_consumed: 0,
             cache: AttrCache::new(),
         }
-    }
-
-    /// Can more input still change what the framer returns?
-    pub(crate) fn wants_input(&self) -> bool {
-        !self.closed && !self.failed
     }
 
     /// End the stream on `error`: it is returned once, then the framer

@@ -21,11 +21,11 @@
 //! Reading is incremental and framing-safe: records are length-prefixed,
 //! torn/corrupt records produce typed errors that callers may either
 //! propagate or skip ([`ReadMode::Tolerant`]), and a reader's first error
-//! ends its stream. One crate-private core frames and decodes; the public
-//! readers only differ in where its bytes come from — [`MrtReader`] (any
-//! [`std::io::Read`]), [`MrtBytesReader`] (an in-memory archive, sliced
-//! without copying) and [`TailingReader`] (an archive still growing).
-//! Each reads a record two ways over the same checks:
+//! ends its stream. One crate-private core frames and decodes; the two
+//! public readers only differ in where its bytes come from —
+//! [`MrtBytesReader`] (a complete in-memory archive, sliced without
+//! copying) and [`TailingReader`] (an archive still growing). Each reads
+//! a record two ways over the same checks:
 //! [`MessageStream::next_record`] builds an [`MrtRecord`],
 //! [`MessageStream::next_update`] fills a reused [`UpdateRecord`] — the
 //! elem path, which builds no per-record message.
@@ -37,7 +37,7 @@ pub mod tail;
 pub mod write;
 
 pub use bh_bgp_types::wire::AttrCache;
-pub use read::{MessageStream, MrtBytesReader, MrtReader, ReadMode};
+pub use read::{MessageStream, MrtBytesReader, ReadMode};
 pub use record::{
     Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtRecord, MrtRecordBody, PeerEntry,
     PeerIndexTable, RibEntry, RibPeerEntry, UpdateRecord,
@@ -118,7 +118,7 @@ mod round_trip_tests {
                 .unwrap();
         }
 
-        let records: Vec<MrtRecord> = MrtReader::new(&buf[..]).collect::<Result<_, _>>().unwrap();
+        let records: Vec<MrtRecord> = MrtBytesReader::new(buf).collect::<Result<_, _>>().unwrap();
         assert_eq!(records.len(), 4);
         assert!(matches!(records[0].body, MrtRecordBody::PeerIndexTable(_)));
         match &records[1].body {

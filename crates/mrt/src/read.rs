@@ -1,14 +1,11 @@
-//! MRT readers over complete archives, and the record payload parser.
+//! The MRT reader over a complete archive, and the record payload parser.
 //!
-//! Framing lives in one place, the crate-private `frame` core; the two
-//! readers here only differ in how they hand it bytes. [`MrtBytesReader`]
-//! gives it the in-memory archive itself, so the attribute blocks its
-//! cache keeps are refcounted slices; [`MrtReader`] pulls chunks from any
-//! [`Read`] into a growable window and declares it complete at EOF.
-//! (`TailingReader` is the third feeder: the same window, grown by the
-//! caller.)
+//! Framing lives in one place, the crate-private `frame` core.
+//! [`MrtBytesReader`] gives it the in-memory archive itself, so record
+//! bodies are parsed in place and the attribute blocks its cache keeps
+//! are refcounted slices. (`TailingReader` is the other feeder: a
+//! growable window, grown by the caller.)
 
-use std::io::{ErrorKind, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use bytes::{Buf, Bytes};
@@ -18,7 +15,7 @@ use bh_bgp_types::error::CodecError;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::wire::{self, AttrCache, UpdateView};
 
-use crate::frame::{Framer, Tail};
+use crate::frame::Framer;
 use crate::record::{
     bgp4mp_subtype, mrt_type, td2_subtype, Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError,
     MrtRecord, MrtRecordBody, PeerEntry, PeerIndexTable, RibEntry, RibPeerEntry, UpdateRecord,
@@ -27,9 +24,6 @@ use crate::record::{
 /// Upper bound on a single MRT record body; anything larger is treated as
 /// corruption rather than allocating unbounded memory (defensive parsing).
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
-
-/// Bytes [`MrtReader`] asks its source for per `read` call.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// How the reader reacts to malformed records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,10 +38,10 @@ pub enum ReadMode {
     Tolerant,
 }
 
-/// A stream of decoded MRT records — what [`MrtReader`],
-/// [`MrtBytesReader`] and [`TailingReader`](crate::tail::TailingReader)
-/// have in common. Consumers like `bh_routing::MrtElemSource` are generic
-/// over this trait, so the same element stream runs over any of them.
+/// A stream of decoded MRT records — what [`MrtBytesReader`] and
+/// [`TailingReader`](crate::tail::TailingReader) have in common.
+/// Consumers like `bh_routing::MrtElemSource` are generic over this
+/// trait, so the same element stream runs over either.
 ///
 /// Every implementation ends the stream at its first error: the `Err` is
 /// returned once, and every later call yields `Ok(None)` (`Ok(false)`).
@@ -84,138 +78,15 @@ pub trait MessageStream {
     }
 }
 
-/// The read-side surface both complete-archive readers share, written
-/// once over their `pull`: counters, mode, cache, the inherent
-/// `next_record` / `next_message`, and the [`MessageStream`] and
-/// [`Iterator`] impls.
-macro_rules! complete_archive_reader {
-    ([$($generics:tt)*] $reader:ty) => {
-        impl<$($generics)*> $reader {
-            /// Decode the next record, or `Ok(None)` at EOF.
-            pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-                self.pull(Framer::next_record)
-            }
-
-            /// Records successfully decoded so far.
-            pub fn records_read(&self) -> u64 {
-                self.framer.records_read
-            }
-
-            /// Records skipped (tolerant mode only).
-            pub fn records_skipped(&self) -> u64 {
-                self.framer.records_skipped
-            }
-
-            /// The reader's error-handling mode.
-            pub fn mode(&self) -> ReadMode {
-                self.framer.mode
-            }
-
-            /// The attribute-block memo table (hit/miss counters for
-            /// diagnostics).
-            pub fn attr_cache(&self) -> &AttrCache {
-                &self.framer.cache
-            }
-
-            /// Decode records until the next BGP4MP *message*, or
-            /// `Ok(None)` at EOF. See [`MessageStream::next_message`].
-            pub fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
-                MessageStream::next_message(self)
-            }
-        }
-
-        impl<$($generics)*> MessageStream for $reader {
-            fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-                <$reader>::next_record(self)
-            }
-
-            fn next_update(&mut self, into: &mut UpdateRecord) -> Result<bool, MrtError> {
-                Ok(self.pull(|framer| framer.next_update(into))?.is_some())
-            }
-
-            fn records_read(&self) -> u64 {
-                self.framer.records_read
-            }
-
-            fn records_skipped(&self) -> u64 {
-                self.framer.records_skipped
-            }
-        }
-
-        impl<$($generics)*> Iterator for $reader {
-            type Item = Result<MrtRecord, MrtError>;
-
-            fn next(&mut self) -> Option<Self::Item> {
-                self.next_record().transpose()
-            }
-        }
-    };
-}
-
-/// Streaming MRT reader over any [`Read`] source; iterates
+/// Zero-copy MRT reader over a complete in-memory archive; iterates
 /// [`MrtRecord`]s.
 ///
-/// Reads the source in chunks into a window that holds at most one
-/// partial record plus one chunk, so archives of any size (a file, a
-/// socket, a decompressor) are read with constant memory.
-pub struct MrtReader<R: Read> {
-    source: R,
-    chunk: Box<[u8]>,
-    framer: Framer<Tail>,
-}
-
-impl<R: Read> MrtReader<R> {
-    /// Strict reader.
-    pub fn new(source: R) -> Self {
-        Self::with_mode(source, ReadMode::Strict)
-    }
-
-    /// Tolerant reader (skips undecodable payloads).
-    pub fn tolerant(source: R) -> Self {
-        Self::with_mode(source, ReadMode::Tolerant)
-    }
-
-    fn with_mode(source: R, mode: ReadMode) -> Self {
-        let chunk = vec![0; READ_CHUNK].into_boxed_slice();
-        MrtReader { source, chunk, framer: Framer::new(Tail::default(), mode, false) }
-    }
-
-    /// Run `step` on the framer, reading more of the source whenever it
-    /// finds no complete record, until it yields or the source ends.
-    fn pull<T>(
-        &mut self,
-        mut step: impl FnMut(&mut Framer<Tail>) -> Result<Option<T>, MrtError>,
-    ) -> Result<Option<T>, MrtError> {
-        loop {
-            if let Some(value) = step(&mut self.framer)? {
-                return Ok(Some(value));
-            }
-            if !self.framer.wants_input() {
-                return Ok(None);
-            }
-            match self.source.read(&mut self.chunk) {
-                Ok(0) => self.framer.closed = true,
-                Ok(n) => self.framer.window.extend(&self.chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return self.framer.fail(e.into()),
-            }
-        }
-    }
-}
-
-complete_archive_reader!([R: Read] MrtReader<R>);
-
-/// Zero-copy MRT reader over an in-memory archive buffer.
-///
-/// Where [`MrtReader`] copies the archive into its window chunk by chunk,
-/// this reader frames the archive itself, held as one [`Bytes`]: record
+/// The reader frames the archive itself, held as one [`Bytes`]: record
 /// bodies are parsed in place, and the attribute blocks its
 /// [`AttrCache`] keeps are O(1) refcounted slices of the same
 /// allocation. The only per-record copies left are the decoded
-/// structured values themselves.
-///
-/// Reads the same format, honors the same [`ReadMode`] semantics, and
-/// yields bit-identical records to `MrtReader` over the same bytes.
+/// structured values themselves. A record that extends past the end of
+/// the archive is a tear and ends the stream with an error.
 pub struct MrtBytesReader {
     framer: Framer<Bytes>,
 }
@@ -231,16 +102,64 @@ impl MrtBytesReader {
         MrtBytesReader { framer: Framer::new(archive.into(), ReadMode::Tolerant, true) }
     }
 
-    /// The whole archive is buffered: one `step` is the answer.
-    fn pull<T>(
-        &mut self,
-        mut step: impl FnMut(&mut Framer<Bytes>) -> Result<Option<T>, MrtError>,
-    ) -> Result<Option<T>, MrtError> {
-        step(&mut self.framer)
+    /// Decode the next record, or `Ok(None)` at EOF.
+    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+        self.framer.next_record()
+    }
+
+    /// Records successfully decoded so far.
+    pub fn records_read(&self) -> u64 {
+        self.framer.records_read
+    }
+
+    /// Records skipped (tolerant mode only).
+    pub fn records_skipped(&self) -> u64 {
+        self.framer.records_skipped
+    }
+
+    /// The reader's error-handling mode.
+    pub fn mode(&self) -> ReadMode {
+        self.framer.mode
+    }
+
+    /// The attribute-block memo table (hit/miss counters for
+    /// diagnostics).
+    pub fn attr_cache(&self) -> &AttrCache {
+        &self.framer.cache
+    }
+
+    /// Decode records until the next BGP4MP *message*, or `Ok(None)` at
+    /// EOF. See [`MessageStream::next_message`].
+    pub fn next_message(&mut self) -> Result<Option<(SimTime, Bgp4mpMessage)>, MrtError> {
+        MessageStream::next_message(self)
     }
 }
 
-complete_archive_reader!([] MrtBytesReader);
+impl MessageStream for MrtBytesReader {
+    fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+        self.framer.next_record()
+    }
+
+    fn next_update(&mut self, into: &mut UpdateRecord) -> Result<bool, MrtError> {
+        Ok(self.framer.next_update(into)?.is_some())
+    }
+
+    fn records_read(&self) -> u64 {
+        self.framer.records_read
+    }
+
+    fn records_skipped(&self) -> u64 {
+        self.framer.records_skipped
+    }
+}
+
+impl Iterator for MrtBytesReader {
+    type Item = Result<MrtRecord, MrtError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_record().transpose()
+    }
+}
 
 /// Split `N` bytes off the front of `body`.
 fn take<const N: usize>(body: &mut &[u8], what: &'static str) -> Result<[u8; N], CodecError> {
@@ -442,7 +361,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_clean_eof() {
-        let mut r = MrtReader::new(&[][..]);
+        let mut r = MrtBytesReader::new(Vec::new());
         assert!(r.next_record().unwrap().is_none());
         assert!(r.next().is_none());
     }
@@ -450,21 +369,21 @@ mod tests {
     #[test]
     fn truncated_header_is_error() {
         let buf = one_update_archive();
-        let mut r = MrtReader::new(&buf[..6]);
+        let mut r = MrtBytesReader::new(buf[..6].to_vec());
         assert!(matches!(r.next_record(), Err(MrtError::Codec(_))));
     }
 
     #[test]
     fn truncated_body_is_error() {
         let buf = one_update_archive();
-        let mut r = MrtReader::new(&buf[..buf.len() - 3]);
+        let mut r = MrtBytesReader::new(buf[..buf.len() - 3].to_vec());
         assert!(matches!(r.next_record(), Err(MrtError::Codec(_))));
     }
 
     #[test]
     fn iterator_stops_after_framing_error() {
         let buf = one_update_archive();
-        let mut it = MrtReader::new(&buf[..buf.len() - 3]);
+        let mut it = MrtBytesReader::new(buf[..buf.len() - 3].to_vec());
         assert!(it.next().unwrap().is_err());
         assert!(it.next().is_none());
     }
@@ -476,7 +395,7 @@ mod tests {
         buf.extend_from_slice(&mrt_type::BGP4MP.to_be_bytes());
         buf.extend_from_slice(&bgp4mp_subtype::MESSAGE_AS4.to_be_bytes());
         buf.extend_from_slice(&(MAX_RECORD_LEN + 1).to_be_bytes());
-        let mut r = MrtReader::new(&buf[..]);
+        let mut r = MrtBytesReader::new(buf);
         assert!(matches!(r.next_record(), Err(MrtError::OversizedRecord(_))));
     }
 
@@ -485,7 +404,7 @@ mod tests {
         // After an error the stream offset is unreliable (the header is
         // consumed, the body is not): a second call must not frame the
         // leftover body bytes as a header. One rule, in the core, so all
-        // three feeders are driven through `next_record` directly.
+        // both feeders are driven through `next_record` directly.
         let record = one_update_archive();
         let header = |ty: u16, len: u32| {
             let mut h = 9u32.to_be_bytes().to_vec();
@@ -513,8 +432,7 @@ mod tests {
             let mut tailing = crate::tail::TailingReader::new();
             tailing.extend(bytes);
             tailing.close();
-            let feeders: [(&str, Box<dyn MessageStream + '_>); 3] = [
-                ("MrtReader", Box::new(MrtReader::new(&bytes[..]))),
+            let feeders: [(&str, Box<dyn MessageStream>); 2] = [
                 ("MrtBytesReader", Box::new(MrtBytesReader::new(bytes.clone()))),
                 ("TailingReader", Box::new(tailing)),
             ];
@@ -540,7 +458,7 @@ mod tests {
         buf.extend_from_slice(&0u16.to_be_bytes());
         buf.extend_from_slice(&3u32.to_be_bytes());
         buf.extend_from_slice(&[1, 2, 3]);
-        let mut r = MrtReader::new(&buf[..]);
+        let mut r = MrtBytesReader::new(buf);
         let rec = r.next_record().unwrap().unwrap();
         assert!(matches!(rec.body, MrtRecordBody::Unknown { mrt_type: 99, subtype: 0, length: 3 }));
     }
@@ -559,11 +477,11 @@ mod tests {
         buf.extend_from_slice(&one_update_archive());
 
         // Strict reader errors.
-        let mut strict = MrtReader::new(&buf[..]);
+        let mut strict = MrtBytesReader::new(buf.clone());
         assert!(strict.next_record().is_err());
 
         // Tolerant reader recovers the second record.
-        let mut tolerant = MrtReader::tolerant(&buf[..]);
+        let mut tolerant = MrtBytesReader::tolerant(buf);
         let rec = tolerant.next_record().unwrap().unwrap();
         assert!(matches!(rec.body, MrtRecordBody::Message(_)));
         assert!(tolerant.next_record().unwrap().is_none());
@@ -589,7 +507,7 @@ mod tests {
         corrupt(&mut buf);
         buf.extend_from_slice(&one_update_archive());
 
-        let mut r = MrtReader::tolerant(&buf[..]);
+        let mut r = MrtBytesReader::tolerant(buf);
         assert_eq!(r.mode(), ReadMode::Tolerant);
         let mut read = 0;
         while r.next_record().unwrap().is_some() {
@@ -619,7 +537,7 @@ mod tests {
         buf.extend_from_slice(&bgp4mp_subtype::STATE_CHANGE_AS4.to_be_bytes());
         buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
         buf.extend_from_slice(&body);
-        let mut r = MrtReader::new(&buf[..]);
+        let mut r = MrtBytesReader::new(buf);
         let rec = r.next_record().unwrap().unwrap();
         assert_eq!(rec.timestamp, SimTime::from_unix(99));
         match rec.body {
@@ -650,7 +568,7 @@ mod tests {
         buf.extend_from_slice(&bgp4mp_subtype::MESSAGE.to_be_bytes());
         buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
         buf.extend_from_slice(&body);
-        let mut r = MrtReader::new(&buf[..]);
+        let mut r = MrtBytesReader::new(buf);
         let rec = r.next_record().unwrap().unwrap();
         match rec.body {
             MrtRecordBody::Message(m) => {
@@ -679,7 +597,7 @@ mod tests {
             .unwrap();
         }
         buf.extend_from_slice(&one_update_archive());
-        let mut r = MrtReader::new(&buf[..]);
+        let mut r = MrtBytesReader::new(buf);
         let (time, msg) = r.next_message().unwrap().unwrap();
         assert_eq!(time, SimTime::from_unix(5));
         assert_eq!(msg.peer_asn, Asn::new(6939));
@@ -693,19 +611,8 @@ mod tests {
         for _ in 0..5 {
             buf.extend_from_slice(&one_update_archive());
         }
-        let records: Vec<_> = MrtReader::new(&buf[..]).collect::<Result<_, _>>().unwrap();
+        let records: Vec<_> = MrtBytesReader::new(buf).collect::<Result<_, _>>().unwrap();
         assert_eq!(records.len(), 5);
-    }
-
-    #[test]
-    fn bytes_reader_matches_read_reader() {
-        let mut buf = Vec::new();
-        for _ in 0..5 {
-            buf.extend_from_slice(&one_update_archive());
-        }
-        let copied: Vec<_> = MrtReader::new(&buf[..]).collect::<Result<_, _>>().unwrap();
-        let sliced: Vec<_> = MrtBytesReader::new(buf).collect::<Result<_, _>>().unwrap();
-        assert_eq!(copied, sliced);
     }
 
     #[test]

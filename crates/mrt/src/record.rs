@@ -50,6 +50,9 @@ pub enum MrtError {
     Codec(CodecError),
     /// A record length field exceeds sanity bounds.
     OversizedRecord(u32),
+    /// Bytes were appended to a tailing reader after it was closed; they
+    /// were dropped (the count), and the stream ends here.
+    ExtendedAfterClose(usize),
 }
 
 impl fmt::Display for MrtError {
@@ -58,6 +61,9 @@ impl fmt::Display for MrtError {
             MrtError::Io(e) => write!(f, "mrt i/o error: {e}"),
             MrtError::Codec(e) => write!(f, "mrt codec error: {e}"),
             MrtError::OversizedRecord(len) => write!(f, "mrt record length {len} exceeds bound"),
+            MrtError::ExtendedAfterClose(len) => {
+                write!(f, "{len} mrt bytes appended after close were dropped")
+            }
         }
     }
 }

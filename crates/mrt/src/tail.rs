@@ -1,8 +1,7 @@
 //! Tailing MRT reader: incremental decoding of a *growing* archive.
 //!
-//! [`MrtReader`](crate::read::MrtReader) and
-//! [`MrtBytesReader`](crate::read::MrtBytesReader) both assume the
-//! archive is complete: a record that extends past the end of the input
+//! [`MrtBytesReader`](crate::read::MrtBytesReader) assumes the archive
+//! is complete: a record that extends past the end of the input
 //! is a framing tear and ends the stream with an error. A live pipeline
 //! tails archives that are still being written, where the same byte
 //! pattern — a partial trailing record — means "the writer has not
@@ -12,7 +11,9 @@
 //! messages *for now*") and is re-framed on the next call once more
 //! bytes arrived, and only after [`TailingReader::close`] does a
 //! leftover partial record become the truncation error it would be in a
-//! finished archive.
+//! finished archive. Bytes appended after `close` are dropped, and the
+//! next read reports them as [`MrtError::ExtendedAfterClose`] — once, as
+//! the error that ends the stream.
 //!
 //! The reader implements [`MessageStream`], so
 //! `bh_routing::MrtElemSource` drives it like any other reader;
@@ -31,6 +32,8 @@ use crate::record::{MrtError, MrtRecord, UpdateRecord};
 /// memory proportional to one partial record plus one append chunk.
 pub struct TailingReader {
     framer: Framer<Tail>,
+    /// The error for bytes appended after `close`, due on the next read.
+    refused: Option<MrtError>,
 }
 
 impl Default for TailingReader {
@@ -42,20 +45,29 @@ impl Default for TailingReader {
 impl TailingReader {
     /// Strict tailing reader (the first malformed *payload* is an error).
     pub fn new() -> Self {
-        TailingReader { framer: Framer::new(Tail::default(), ReadMode::Strict, false) }
+        Self::with_mode(ReadMode::Strict)
     }
 
     /// Tolerant tailing reader (skips undecodable payloads; framing
     /// stays strict, and a partial tail is still "pending", not a skip).
     pub fn tolerant() -> Self {
-        TailingReader { framer: Framer::new(Tail::default(), ReadMode::Tolerant, false) }
+        Self::with_mode(ReadMode::Tolerant)
     }
 
-    /// Append newly observed archive bytes. Appending after
-    /// [`TailingReader::close`] is a caller bug and panics.
+    fn with_mode(mode: ReadMode) -> Self {
+        TailingReader { framer: Framer::new(Tail::default(), mode, false), refused: None }
+    }
+
+    /// Append newly observed archive bytes. After
+    /// [`TailingReader::close`] the bytes are dropped instead, and the
+    /// next read returns [`MrtError::ExtendedAfterClose`] (unless the
+    /// stream already ended on an error).
     pub fn extend(&mut self, chunk: &[u8]) {
-        assert!(!self.is_closed(), "extend() after close(): the archive was declared complete");
-        self.framer.window.extend(chunk);
+        if !self.is_closed() {
+            self.framer.window.extend(chunk);
+        } else if !self.framer.failed && self.refused.is_none() {
+            self.refused = Some(MrtError::ExtendedAfterClose(chunk.len()));
+        }
     }
 
     /// Declare the archive complete: no more bytes will arrive. After
@@ -86,7 +98,16 @@ impl TailingReader {
     /// called and everything framed cleanly, otherwise "pending — call
     /// again after [`extend`](Self::extend)".
     pub fn try_next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+        self.surface_refusal()?;
         self.framer.next_record()
+    }
+
+    /// End the stream on a pending [`MrtError::ExtendedAfterClose`].
+    fn surface_refusal(&mut self) -> Result<(), MrtError> {
+        match self.refused.take() {
+            Some(error) => self.framer.fail(error),
+            None => Ok(()),
+        }
     }
 }
 
@@ -96,6 +117,7 @@ impl MessageStream for TailingReader {
     }
 
     fn next_update(&mut self, into: &mut UpdateRecord) -> Result<bool, MrtError> {
+        self.surface_refusal()?;
         Ok(self.framer.next_update(into)?.is_some())
     }
 
@@ -219,6 +241,33 @@ mod tests {
         r.extend(&rec[5..]);
         assert!(r.next_message().unwrap().is_some());
         assert_eq!(r.records_read(), 1);
+    }
+
+    #[test]
+    fn extend_after_close_drops_the_bytes_and_ends_the_stream_once() {
+        let rec = update_record(3);
+        let mut r = TailingReader::new();
+        r.extend(&rec);
+        r.close();
+        r.extend(&rec);
+        r.extend(&rec);
+        assert_eq!(r.bytes_pending(), rec.len(), "the late bytes were dropped");
+        assert!(
+            matches!(r.try_next_record(), Err(MrtError::ExtendedAfterClose(n)) if n == rec.len())
+        );
+        assert!(r.try_next_record().unwrap().is_none(), "the error surfaces once");
+        assert_eq!(r.records_read(), 0);
+
+        // The elem path sees it too; a stream that already ended on an
+        // error stays ended.
+        let mut r = TailingReader::new();
+        r.close();
+        r.extend(&rec);
+        let mut into = UpdateRecord::default();
+        assert!(matches!(r.next_update(&mut into), Err(MrtError::ExtendedAfterClose(_))));
+        assert!(!r.next_update(&mut into).unwrap());
+        r.extend(&rec);
+        assert!(!r.next_update(&mut into).unwrap());
     }
 
     #[test]

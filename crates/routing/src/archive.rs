@@ -13,7 +13,7 @@ use bh_bgp_types::asn::Asn;
 use bh_bgp_types::attrs::PathAttributes;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_mrt::{MessageStream, MrtBytesReader, MrtError, MrtReader, MrtWriter, UpdateRecord};
+use bh_mrt::{MessageStream, MrtBytesReader, MrtError, MrtWriter, UpdateRecord};
 use bytes::Bytes;
 
 use crate::elem::{BgpElem, DataSource, ElemType};
@@ -54,11 +54,11 @@ pub fn write_updates<W: Write>(sink: W, elems: &[BgpElem]) -> Result<u64, MrtErr
 }
 
 /// A streaming [`ElemSource`] over an MRT updates archive: records are
-/// decoded one at a time from any [`MessageStream`] — an [`MrtReader`]
-/// over any [`Read`] (a file, a socket, a decompressor), an
-/// [`MrtBytesReader`] slicing an in-memory archive with zero per-record
-/// copies, or a [`bh_mrt::TailingReader`] over an archive still being
-/// written — the historical-path equivalent of a live BGPStream feed.
+/// decoded one at a time from a [`MessageStream`] — an
+/// [`MrtBytesReader`] slicing a complete in-memory archive with zero
+/// per-record copies, or a [`bh_mrt::TailingReader`] over an archive
+/// still being written — the historical-path equivalent of a live
+/// BGPStream feed.
 ///
 /// The MRT wire format does not carry the platform/collector labels, so
 /// the caller supplies them (matching how real pipelines know which
@@ -84,14 +84,6 @@ pub struct MrtElemSource<M> {
     emitted: usize,
     current: Option<BgpElem>,
     error: Option<MrtError>,
-}
-
-impl<R: Read> MrtElemSource<MrtReader<R>> {
-    /// Strict streaming source over any [`Read`] (the first malformed
-    /// record ends the stream with an error).
-    pub fn new(source: R, dataset: DataSource, collector: u16) -> Self {
-        Self::from_reader(MrtReader::new(source), dataset, collector)
-    }
 }
 
 impl MrtElemSource<MrtBytesReader> {
@@ -255,8 +247,8 @@ pub fn split_by_collector(elems: &[BgpElem]) -> BTreeMap<(DataSource, u16), Vec<
 ///
 /// This flatten-and-stable-sort is the *specification* of the merge
 /// order: [`MergedSource`](crate::merge::MergedSource) reproduces it
-/// one element at a time (and a
-/// [`CollectorFleet`](crate::fleet::CollectorFleet) in parallel), which
+/// one element at a time (as does a
+/// [`CollectorFleet`](crate::fleet::CollectorFleet) over archives), which
 /// the golden-equivalence property tests in `tests/` prove against this
 /// independent implementation. Materializing callers keep this
 /// zero-clone shape; streaming consumers should use the sources and
@@ -265,15 +257,6 @@ pub fn merge_streams(mut streams: Vec<Vec<BgpElem>>) -> Vec<BgpElem> {
     let mut merged: Vec<BgpElem> = streams.drain(..).flatten().collect();
     merged.sort_by_key(|e| (e.time, e.dataset, e.collector));
     merged
-}
-
-/// Round-trip helper used by tests and benches: elems → MRT bytes → elems.
-pub fn mrt_round_trip(elems: &[BgpElem]) -> Result<Vec<BgpElem>, MrtError> {
-    let mut buf = Vec::new();
-    write_updates(&mut buf, elems)?;
-    let (dataset, collector) =
-        elems.first().map_or((DataSource::Ris, 0), |e| (e.dataset, e.collector));
-    read_updates(&buf[..], dataset, collector)
 }
 
 /// A timestamp suitable for archive names.
@@ -289,6 +272,7 @@ pub fn archive_stamp(time: SimTime) -> String {
 #[cfg(test)]
 mod tests {
     use bh_bgp_types::community::{Community, CommunitySet};
+    use bh_mrt::TailingReader;
 
     use super::*;
 
@@ -317,9 +301,11 @@ mod tests {
     }
 
     #[test]
-    fn mrt_round_trip_preserves_elems() {
+    fn read_updates_returns_what_write_updates_wrote() {
         let elems = sample_elems();
-        let back = mrt_round_trip(&elems).unwrap();
+        let mut buf = Vec::new();
+        write_updates(&mut buf, &elems).unwrap();
+        let back = read_updates(&buf[..], DataSource::Ris, 3).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].prefix, elems[0].prefix);
         assert_eq!(back[0].as_path, elems[0].as_path);
@@ -336,7 +322,10 @@ mod tests {
         let mut buf = Vec::new();
         write_updates(&mut buf, &elems).unwrap();
 
-        let mut src = MrtElemSource::new(&buf[..], DataSource::Ris, 3);
+        let mut tail = TailingReader::new();
+        tail.extend(&buf);
+        tail.close();
+        let mut src = MrtElemSource::from_reader(tail, DataSource::Ris, 3);
         let mut streamed = Vec::new();
         while let Some(elem) = src.next_elem() {
             streamed.push(elem.clone());
@@ -352,19 +341,14 @@ mod tests {
         let mut buf = Vec::new();
         write_updates(&mut buf, &elems).unwrap();
 
-        let mut via_read = MrtElemSource::new(&buf[..], DataSource::Ris, 3);
+        let via_read = read_updates(&buf[..], DataSource::Ris, 3).unwrap();
         let mut via_bytes = MrtElemSource::from_bytes(buf.clone(), DataSource::Ris, 3);
-        loop {
-            let a = via_read.next_elem().cloned();
-            let b = via_bytes.next_elem().cloned();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
+        for want in &via_read {
+            assert_eq!(via_bytes.next_elem(), Some(want));
         }
-        assert!(via_read.error().is_none());
+        assert!(via_bytes.next_elem().is_none());
         assert!(via_bytes.error().is_none());
-        assert_eq!(via_read.records_read(), via_bytes.records_read());
+        assert_eq!(via_bytes.records_read(), 2);
 
         // Torn archives surface the same way through both paths.
         buf.truncate(buf.len() - 4);
@@ -385,7 +369,7 @@ mod tests {
         write_updates(&mut buf, &elems).unwrap();
         buf.truncate(buf.len() - 4); // tear the final record
 
-        let mut src = MrtElemSource::new(&buf[..], DataSource::Ris, 3);
+        let mut src = MrtElemSource::from_bytes(buf.clone(), DataSource::Ris, 3);
         let mut n = 0;
         while src.next_elem().is_some() {
             n += 1;

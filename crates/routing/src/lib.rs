@@ -23,8 +23,8 @@
 //!   reader — [`archive`];
 //! * source-agnostic element streams for the inference — [`source`];
 //! * k-way timestamp merging of many collector streams — [`merge`];
-//! * parallel bounded-memory ingestion of whole archive fleets —
-//!   [`fleet`];
+//! * bounded-memory ingestion of whole archive fleets as one merged
+//!   stream — [`fleet`];
 //! * live tailing of *growing* archives with a watermark-gated merge —
 //!   [`live`].
 
@@ -47,11 +47,11 @@ pub use archive::{
 pub use collector::{deploy, CollectorConfig, CollectorDeployment, CollectorSession, FeedKind};
 pub use elem::{BgpElem, DataSource, ElemType, PeerKey};
 pub use extensions::{PolicyEngine, RunStats};
-pub use fleet::{ArchiveReport, ChannelSource, CollectorFleet, FleetReport, FleetSource};
+pub use fleet::{ArchiveReport, CollectorFleet, FleetReport, FleetSource};
 pub use live::{ArchiveClosed, LiveArchive, LiveMerge, LivePoll, TailingSource};
 pub use merge::MergedSource;
 pub use paths::ForwardingTree;
 pub use policy::{ImportDecision, ImportOutcome, RejectReason, SessionBehavior};
 pub use sim::{AnnounceOutcome, AnnounceScope, Announcement, BgpSimulator, PropagationError};
-pub use source::{collect_source, ElemSource, IterSource, SliceSource};
+pub use source::{collect_source, ElemSource, SliceSource};
 pub use stats::{table1, table1_totals, DatasetStats, DatasetTotals};

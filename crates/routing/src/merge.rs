@@ -182,8 +182,9 @@ mod tests {
     use bh_bgp_types::community::CommunitySet;
 
     use super::*;
+    use crate::archive::{write_updates, MrtElemSource};
     use crate::elem::ElemType;
-    use crate::source::{collect_source, IterSource, SliceSource};
+    use crate::source::{collect_source, SliceSource};
 
     fn elem(t: u64, dataset: DataSource, collector: u16) -> BgpElem {
         BgpElem {
@@ -272,9 +273,11 @@ mod tests {
     #[test]
     fn boxed_sources_of_mixed_types_merge() {
         let a = vec![elem(2, DataSource::Ris, 0)];
-        let owned = vec![elem(1, DataSource::Cdn, 0)];
+        let mut archive = Vec::new();
+        write_updates(&mut archive, &[elem(1, DataSource::Cdn, 0)]).unwrap();
+        let owned = MrtElemSource::from_bytes(archive, DataSource::Cdn, 0);
         let sources: Vec<Box<dyn ElemSource>> =
-            vec![Box::new(SliceSource::new(&a)), Box::new(IterSource::new(owned.into_iter()))];
+            vec![Box::new(SliceSource::new(&a)), Box::new(owned)];
         let times: Vec<u64> =
             collect_source(MergedSource::new(sources)).iter().map(|e| e.time.unix()).collect();
         assert_eq!(times, vec![1, 2]);

@@ -9,7 +9,7 @@
 //!
 //! `next_elem` returns a *borrow* of the next element: slice-backed
 //! sources yield without cloning, and generative sources (MRT readers,
-//! adaptors over iterators) park the current element internally. The
+//! the merge) park the current element internally. The
 //! borrow ends before the next call, which is exactly the shape an
 //! online, one-pass consumer needs.
 
@@ -116,36 +116,6 @@ impl ElemSource for SliceSource<'_> {
     }
 }
 
-/// Adapt any owning iterator of elements (e.g. a `vec.into_iter()`, a
-/// channel receiver, a decoding pipeline) into an [`ElemSource`].
-#[derive(Debug)]
-pub struct IterSource<I: Iterator<Item = BgpElem>> {
-    iter: I,
-    current: Option<BgpElem>,
-}
-
-impl<I: Iterator<Item = BgpElem>> IterSource<I> {
-    /// Wrap an iterator.
-    pub fn new(iter: I) -> Self {
-        IterSource { iter, current: None }
-    }
-}
-
-impl<I: Iterator<Item = BgpElem>> ElemSource for IterSource<I> {
-    fn next_elem(&mut self) -> Option<&BgpElem> {
-        self.current = self.iter.next();
-        self.current.as_ref()
-    }
-
-    fn next_owned(&mut self) -> Option<BgpElem> {
-        self.iter.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.iter.size_hint()
-    }
-}
-
 /// Drain a source into a vector (tests, small streams; defeats the
 /// constant-memory point for large ones).
 pub fn collect_source(mut source: impl ElemSource) -> Vec<BgpElem> {
@@ -193,15 +163,6 @@ mod tests {
         assert_eq!(times, vec![1, 2, 3]);
         assert_eq!(src.size_hint(), (0, Some(0)));
         assert_eq!(src.position(), 3);
-        assert!(src.next_elem().is_none());
-    }
-
-    #[test]
-    fn iter_source_parks_the_current_element() {
-        let elems = vec![elem(7), elem(8)];
-        let mut src = IterSource::new(elems.into_iter());
-        assert_eq!(src.next_elem().unwrap().time.unix(), 7);
-        assert_eq!(src.next_elem().unwrap().time.unix(), 8);
         assert!(src.next_elem().is_none());
     }
 

@@ -27,8 +27,8 @@ pub struct CollectorArchive {
     /// BGPStream-style archive name
     /// (`<platform>.rc<collector>.updates.<stamp>.mrt`).
     pub name: String,
-    /// The MRT bytes, refcounted so fleet reader threads share one
-    /// allocation per archive instead of copying it.
+    /// The MRT bytes, refcounted so every fleet built over the archive
+    /// shares one allocation instead of copying it.
     pub bytes: Bytes,
     /// Elements serialized into the archive.
     pub elems: u64,
@@ -84,7 +84,7 @@ pub fn fleet_archives_for(
 }
 
 /// Assemble a [`CollectorFleet`] over a set of archives (strict
-/// decoding, default tunables).
+/// decoding).
 pub fn fleet_of(archives: &[CollectorArchive]) -> CollectorFleet {
     let mut fleet = CollectorFleet::new();
     for archive in archives {
@@ -168,7 +168,7 @@ mod tests {
         let streamed = collect_source(&mut stream);
         let report = stream.finish();
         assert!(report.is_clean());
-        assert_eq!(report.total_elems(), output.elems.len() as u64);
+        assert_eq!(streamed.len(), output.elems.len());
 
         let expected =
             merge_streams(split_by_collector(&output.elems).into_values().collect::<Vec<_>>());

@@ -7,11 +7,11 @@
 //! Simulates a scenario, partitions the collector stream into one MRT
 //! updates archive per `(platform, collector)` — the shape real
 //! pipelines download from RIS/Route Views/PCH — then re-ingests the
-//! whole archive set through a `CollectorFleet`: one reader thread per
-//! archive, bounded channels with backpressure, a k-way timestamp merge,
-//! and a sharded inference session with inline analytics. No
-//! `Vec<BgpElem>` of the stream ever exists on the fleet path, and the
-//! result is bit-identical to the materialized baseline.
+//! whole archive set through a `CollectorFleet`: one zero-copy decoder
+//! per archive, a k-way timestamp merge on the consumer's thread, and a
+//! sharded inference session with inline analytics. No `Vec<BgpElem>` of
+//! the stream ever exists on the fleet path, and the result is
+//! bit-identical to the materialized baseline.
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_core::EventAccumulator;
@@ -45,10 +45,9 @@ fn main() {
     let (summary, merged_pipeline) = sharded.finish_parts();
     let fleet_report = merged_pipeline.finalize();
     println!(
-        "{} readers decoded {} records, shipped {} elems; {} ingested by 4 shards",
+        "{} archives decoded {} records into {} elems, ingested by 4 shards",
         report.archives.len(),
         report.archives.iter().map(|a| a.records_read).sum::<u64>(),
-        report.total_elems(),
         ingested
     );
     println!(

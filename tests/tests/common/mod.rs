@@ -1,22 +1,18 @@
-//! The reader as a test input: the three public MRT feeders over one
+//! The reader as a test input: the two public MRT feeders over one
 //! framing core, each driven the way its transport delivers bytes —
-//! `MrtBytesReader` over the whole archive, `MrtReader` over a `Read`
-//! that returns a few bytes per call, `TailingReader` under appends cut
-//! at arbitrary offsets. Properties that take a [`Feeder`] hold for all
-//! three or the unification is broken — at record level
+//! `MrtBytesReader` over the whole archive, `TailingReader` under appends
+//! cut at arbitrary offsets. Properties that take a [`Feeder`] hold for
+//! both or the unification is broken — at record level
 //! ([`Feeder::decode`]) and at elem level ([`Feeder::elems`]). The
 //! [`raw`] builders write the records `MrtWriter` cannot.
 
 // Each test binary that includes this module uses a subset of it.
 #![allow(dead_code)]
 
-use std::io::Read;
-
 use proptest::prelude::*;
 
 use bh_mrt::{
-    MessageStream, MrtBytesReader, MrtError, MrtReader, MrtRecord, MrtRecordBody, ReadMode,
-    TailingReader,
+    MessageStream, MrtBytesReader, MrtError, MrtRecord, MrtRecordBody, ReadMode, TailingReader,
 };
 use bh_routing::{BgpElem, DataSource, ElemSource, ElemType, MrtElemSource};
 
@@ -28,7 +24,6 @@ pub const COLLECTOR: u16 = 7;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     Bytes,
-    Read,
     Tail,
 }
 
@@ -41,8 +36,8 @@ pub struct Feeder {
 }
 
 pub fn arb_feeder() -> impl Strategy<Value = Feeder> {
-    (0u8..3, prop::collection::vec(1usize..48, 1..8)).prop_map(|(pick, chunks)| Feeder {
-        transport: [Transport::Bytes, Transport::Read, Transport::Tail][pick as usize],
+    (any::<bool>(), prop::collection::vec(1usize..48, 1..8)).prop_map(|(tail, chunks)| Feeder {
+        transport: if tail { Transport::Tail } else { Transport::Bytes },
         chunks,
     })
 }
@@ -62,23 +57,6 @@ impl Outcome {
     pub fn summary(&self) -> (&[MrtRecord], Option<String>, u64, u64) {
         let error = self.error.as_ref().map(|e| format!("{e:?}"));
         (&self.records, error, self.records_read, self.records_skipped)
-    }
-}
-
-/// A `Read` that hands out `bytes` in the feeder's chunk sizes.
-struct Dribble<'a> {
-    bytes: &'a [u8],
-    chunks: std::iter::Cycle<std::slice::Iter<'a, usize>>,
-}
-
-impl Read for Dribble<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = (*self.chunks.next().expect("chunks is non-empty"))
-            .min(buf.len())
-            .min(self.bytes.len());
-        buf[..n].copy_from_slice(&self.bytes[..n]);
-        self.bytes = &self.bytes[n..];
-        Ok(n)
     }
 }
 
@@ -118,13 +96,6 @@ impl Feeder {
                 pump(&mut reader, &mut out);
                 (reader.records_read(), reader.records_skipped())
             }
-            Transport::Read => {
-                let source = Dribble { bytes: archive, chunks };
-                let mut reader =
-                    if tolerant { MrtReader::tolerant(source) } else { MrtReader::new(source) };
-                pump(&mut reader, &mut out);
-                (reader.records_read(), reader.records_skipped())
-            }
             Transport::Tail => {
                 let mut reader =
                     if tolerant { TailingReader::tolerant() } else { TailingReader::new() };
@@ -160,12 +131,6 @@ impl Feeder {
                 } else {
                     MrtBytesReader::new(archive)
                 };
-                ElemOutcome::drain(MrtElemSource::from_reader(reader, DATASET, COLLECTOR))
-            }
-            Transport::Read => {
-                let bytes = Dribble { bytes: archive, chunks: self.chunks.iter().cycle() };
-                let reader =
-                    if tolerant { MrtReader::tolerant(bytes) } else { MrtReader::new(bytes) };
                 ElemOutcome::drain(MrtElemSource::from_reader(reader, DATASET, COLLECTOR))
             }
             Transport::Tail => {

@@ -89,8 +89,8 @@ fn mrt_archive_round_trip_preserves_inference() {
         archives.push((*dataset, *collector, buf));
     }
     let sources: Vec<_> = archives
-        .iter()
-        .map(|(dataset, collector, buf)| MrtElemSource::new(&buf[..], *dataset, *collector))
+        .into_iter()
+        .map(|(dataset, collector, buf)| MrtElemSource::from_bytes(buf, dataset, collector))
         .collect();
     let mut session = study.session(&refdata).build();
     session.ingest(&mut MergedSource::new(sources));

@@ -3,7 +3,6 @@
 //! and fleet-ingested streams, checkpoint/resume taken mid-fleet, and
 //! the Small-scale end-to-end archive → fleet → sharded-analytics run.
 
-use std::io::Cursor;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -109,11 +108,11 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8 })] // spawns threads per case
+    #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Golden order, parallel: the `CollectorFleet` (MRT write → one
-    /// reader thread per archive → bounded channels → k-way merge)
-    /// yields the same `merge_streams` order, element for element.
+    /// Golden order over archives: the `CollectorFleet` (MRT write → one
+    /// zero-copy source per archive → k-way merge) yields the same
+    /// `merge_streams` order, element for element.
     #[test]
     fn collector_fleet_yields_exact_merge_streams_order(streams in arb_streams()) {
         let expected = merge_streams(streams.clone());
@@ -123,13 +122,12 @@ proptest! {
             let mut bytes = Vec::new();
             write_updates(&mut bytes, stream).expect("archive serializes");
             let (dataset, collector) = LABELS[index];
-            fleet.add(MrtElemSource::new(Cursor::new(bytes), dataset, collector));
+            fleet.add(MrtElemSource::from_bytes(bytes, dataset, collector));
         }
         let mut merged_stream = fleet.start();
         let streamed = collect_source(&mut merged_stream);
         let report = merged_stream.finish();
         prop_assert!(report.is_clean());
-        prop_assert_eq!(report.total_elems() as usize, expected.len());
         // The MRT round trip preserves every elem verbatim (announces
         // carry explicit NEXT_HOPs by construction), so exact equality.
         prop_assert_eq!(streamed, expected);
@@ -143,8 +141,8 @@ proptest! {
 
     /// The `InferenceResult` over a fleet-ingested scenario is
     /// bit-identical to single-source ingestion of the materialized
-    /// merged stream — for both the sequential `MergedSource` and the
-    /// parallel `CollectorFleet`.
+    /// merged stream — for both the `MergedSource` over in-memory
+    /// streams and the `CollectorFleet` over MRT archives.
     #[test]
     fn fleet_inference_is_bit_identical_to_single_source(seed in 0u64..200) {
         let study = Study::build(StudyScale::Tiny, seed);
@@ -161,7 +159,7 @@ proptest! {
         session.ingest(&mut MergedSource::new(sources));
         prop_assert_eq!(&session.finish(), &expected);
 
-        // Parallel fleet over MRT archives.
+        // The fleet over MRT archives.
         let archives = output.fleet_archives().expect("archives serialize");
         let mut stream = fleet_of(&archives).start();
         let mut session = study.session(&refdata).build();
@@ -209,7 +207,7 @@ fn checkpoint_resume_mid_fleet_ingest_equals_uninterrupted_run() {
     let rest = resumed.ingest(&mut stream);
     let report = stream.finish();
     assert!(report.is_clean());
-    assert_eq!(consumed + rest, report.total_elems());
+    assert_eq!(consumed + rest, output.elems.len() as u64);
     assert_eq!(resumed.finish(), expected);
 }
 

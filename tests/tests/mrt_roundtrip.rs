@@ -3,7 +3,7 @@
 //! **byte-exactly** (decode to equal values, and re-encode to the exact
 //! same archive bytes), and tolerant-mode readers must account for
 //! every skipped record without misaligning the stream. *The reader* is
-//! an input: every property holds for whichever of the three feeders
+//! an input: every property holds for whichever of the two feeders
 //! ([`common::Feeder`]) the case draws, under whatever chunking.
 
 mod common;
@@ -363,11 +363,7 @@ fn tolerant_mode_accounts_for_skips_between_valid_records() {
     corrupt_record(&mut noisy);
     corrupt_record(&mut noisy);
 
-    for (transport, chunks) in [
-        (Transport::Bytes, vec![1]),
-        (Transport::Read, vec![1, 5, 33]),
-        (Transport::Tail, vec![7, 2, 40]),
-    ] {
+    for (transport, chunks) in [(Transport::Bytes, vec![1]), (Transport::Tail, vec![7, 2, 40])] {
         let feeder = Feeder { transport, chunks };
         let tolerant = feeder.decode(ReadMode::Tolerant, &noisy);
         assert!(tolerant.error.is_none(), "tolerant reader survives noise: {:?}", tolerant.error);

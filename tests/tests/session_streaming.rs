@@ -119,7 +119,7 @@ fn mrt_streaming_source_feeds_inference_identically() {
     for (dataset, elems) in split_by_dataset(output.elems.clone()) {
         let mut archive = Vec::new();
         write_updates(&mut archive, &elems).expect("mrt write");
-        let mut source = MrtElemSource::new(&archive[..], dataset, 0);
+        let mut source = MrtElemSource::from_bytes(archive, dataset, 0);
         let mut session = study.session(&refdata).build();
         let n = session.ingest(&mut source);
         assert!(source.error().is_none(), "archive must stream cleanly");

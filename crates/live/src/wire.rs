@@ -23,7 +23,6 @@
 //! [`MAX_LINE_BYTES`] is answered `err line too long` and one that is not
 //! UTF-8 `err not utf-8`, and the connection keeps serving.
 
-use std::fmt::Write as _;
 use std::io::{self, BufRead, ErrorKind, Read, Write};
 
 use bh_core::SequencedEvent;
@@ -83,7 +82,8 @@ pub fn handle_command(runner: &QueryRunner, line: &str) -> String {
                 let events = runner.events_since(since);
                 let mut reply = format!("ok events {}", events.len());
                 for se in &events {
-                    write!(reply, "\n{}", event_line(se)).expect("string write");
+                    reply.push('\n');
+                    reply.push_str(&event_line(se));
                 }
                 reply
             }

@@ -5,10 +5,19 @@
 //! only code that parses that header, bounds the length, decides whether
 //! a short read means "not yet" or "torn", applies the [`ReadMode`], and
 //! counts what it framed. Each body is handed to the record parser as a
-//! slice borrowed from the reader's [`Window`] — `MrtBytesReader` frames
-//! the archive itself, `TailingReader` a [`Tail`] that grows as bytes
-//! arrive — so nothing is copied or refcounted per record;
-//! only an attribute block the cache has not seen is taken as an owned key.
+//! slice borrowed from the reader's [`Window`], and both windows hold
+//! their bytes as [`Bytes`]: `MrtBytesReader` frames the archive itself,
+//! `TailingReader` a [`Tail`] of the chunks the caller appended. So
+//! nothing is copied or refcounted per record, and an attribute block the
+//! cache has not seen is kept as an O(1) slice of the bytes it came in.
+//!
+//! A [`Tail`] frames each appended chunk in place. Only a record torn
+//! across chunks is copied, into a side buffer that holds that record's
+//! bytes alone and is frozen into a [`Bytes`] once the record is whole;
+//! every byte is copied at most once, however the writer fragments the
+//! archive.
+
+use std::collections::VecDeque;
 
 use bytes::{Buf, Bytes};
 
@@ -24,16 +33,21 @@ const HEADER_LEN: usize = 12;
 
 /// The unconsumed bytes of an archive, as one reader holds them.
 pub(crate) trait Window {
-    /// Everything not yet framed into a record.
+    /// The contiguous bytes framing resumes at.
     fn pending(&self) -> &[u8];
 
     /// Consume `len` framed bytes from the front of
     /// [`pending`](Window::pending).
     fn consume(&mut self, len: usize);
 
-    /// An owned buffer holding `part`, a slice of
+    /// An owned buffer holding `part`, a slice of a complete record in
     /// [`pending`](Window::pending).
     fn share(&self, part: &[u8]) -> Bytes;
+
+    /// [`pending`](Window::pending) ends short of a whole record: make
+    /// more of the archive contiguous. `false` when nothing more has
+    /// arrived, and the short record is all there is.
+    fn refill(&mut self) -> bool;
 }
 
 /// A complete in-memory archive: shared parts are O(1) slices of it.
@@ -49,37 +63,112 @@ impl Window for Bytes {
     fn share(&self, part: &[u8]) -> Bytes {
         self.slice_ref(part)
     }
+
+    fn refill(&mut self) -> bool {
+        false
+    }
 }
 
-/// A growable window: the unframed tail of an archive still arriving.
-/// Consumed records are compacted away on the next append, so it holds
-/// one partial record plus one append chunk.
+/// The unframed tail of an archive still arriving, as the chunks it was
+/// appended in; see the [module docs](self).
 #[derive(Default)]
 pub(crate) struct Tail {
-    buf: Vec<u8>,
-    pos: usize,
+    /// The chunk being framed (or a stitched record, frozen).
+    window: Bytes,
+    /// A record torn across chunks, while it is still incomplete. When
+    /// it is non-empty, `window` is empty and framing resumes here.
+    torn: Vec<u8>,
+    /// Chunks appended behind `window` / `torn`.
+    queue: VecDeque<Bytes>,
 }
 
 impl Tail {
-    /// Append `chunk`, dropping the consumed prefix first.
-    pub(crate) fn extend(&mut self, chunk: &[u8]) {
-        self.buf.drain(..self.pos);
-        self.pos = 0;
-        self.buf.extend_from_slice(chunk);
+    /// Append `chunk`. An empty tail adopts it as its window.
+    pub(crate) fn extend(&mut self, chunk: Bytes) {
+        if chunk.is_empty() {
+            return;
+        }
+        if self.window.is_empty() && self.torn.is_empty() && self.queue.is_empty() {
+            self.window = chunk;
+        } else {
+            self.queue.push_back(chunk);
+        }
+    }
+
+    /// Bytes appended but not yet framed.
+    pub(crate) fn len(&self) -> usize {
+        self.window.len() + self.torn.len() + self.queue.iter().map(Bytes::len).sum::<usize>()
+    }
+}
+
+/// How long the record starting at `partial` is, as far as its header
+/// says: the header alone until it is whole (or when its length is over
+/// the cap, which the framer refuses), then header plus body.
+fn record_len(partial: &[u8]) -> usize {
+    match partial.first_chunk::<HEADER_LEN>() {
+        Some(&[.., l0, l1, l2, l3]) => match u32::from_be_bytes([l0, l1, l2, l3]) {
+            len if len > MAX_RECORD_LEN => HEADER_LEN,
+            len => HEADER_LEN + len as usize,
+        },
+        None => HEADER_LEN,
     }
 }
 
 impl Window for Tail {
     fn pending(&self) -> &[u8] {
-        &self.buf[self.pos..]
+        if self.torn.is_empty() {
+            &self.window
+        } else {
+            &self.torn
+        }
     }
 
     fn consume(&mut self, len: usize) {
-        self.pos += len;
+        // Only whole records are consumed, and a whole record is never
+        // left in `torn` (`refill` freezes it into `window`).
+        self.window.advance(len);
     }
 
     fn share(&self, part: &[u8]) -> Bytes {
-        Bytes::from(part)
+        self.window.slice_ref(part)
+    }
+
+    fn refill(&mut self) -> bool {
+        if self.torn.is_empty() {
+            if self.window.is_empty() {
+                return match self.queue.pop_front() {
+                    Some(chunk) => {
+                        self.window = chunk;
+                        true
+                    }
+                    None => false,
+                };
+            }
+            if self.queue.is_empty() {
+                return false;
+            }
+            // The window ends in a torn record: move its start aside.
+            self.torn.extend_from_slice(&self.window);
+            self.window = Bytes::new();
+        }
+        // Copy exactly the bytes the torn record still lacks.
+        while let Some(front) = self.queue.front_mut() {
+            let lacking = record_len(&self.torn).saturating_sub(self.torn.len());
+            if lacking == 0 {
+                break;
+            }
+            let take = lacking.min(front.len());
+            self.torn.extend_from_slice(&front[..take]);
+            front.advance(take);
+            if front.is_empty() {
+                self.queue.pop_front();
+            }
+        }
+        if self.torn.len() < record_len(&self.torn) {
+            return false;
+        }
+        self.window = Bytes::from(std::mem::take(&mut self.torn));
+        true
     }
 }
 
@@ -156,12 +245,18 @@ impl<W: Window> Framer<W> {
         mut decode: impl FnMut(Frame<'_>, &W, &mut AttrCache) -> Result<Option<T>, MrtError>,
     ) -> Result<Option<T>, MrtError> {
         loop {
-            let pending = self.window.pending();
-            if self.failed || pending.is_empty() {
+            if self.failed {
                 return Ok(None);
             }
+            let pending = self.window.pending();
             let Some((header, rest)) = pending.split_first_chunk::<HEADER_LEN>() else {
                 let available = pending.len();
+                if self.window.refill() {
+                    continue;
+                }
+                if available == 0 {
+                    return Ok(None);
+                }
                 return self.short("mrt header", HEADER_LEN, available);
             };
             let [t0, t1, t2, t3, y0, y1, s0, s1, l0, l1, l2, l3] = *header;
@@ -172,6 +267,9 @@ impl<W: Window> Framer<W> {
             let len = len as usize;
             let Some(body) = rest.get(..len) else {
                 let available = rest.len();
+                if self.window.refill() {
+                    continue;
+                }
                 return self.short("mrt body", len, available);
             };
             let frame = Frame {
@@ -226,5 +324,84 @@ impl<W: Window> Framer<W> {
             into.withdrawn.extend(update.withdrawn());
             Ok(Some(()))
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An unknown-type record (passed over by every reader) of `len`
+    /// body bytes, each `fill`.
+    fn record(len: usize, fill: u8) -> Vec<u8> {
+        let mut rec = 7u32.to_be_bytes().to_vec();
+        rec.extend_from_slice(&[0, 99, 0, 1]);
+        rec.extend_from_slice(&(len as u32).to_be_bytes());
+        rec.resize(HEADER_LEN + len, fill);
+        rec
+    }
+
+    fn framer() -> Framer<Tail> {
+        Framer::new(Tail::default(), ReadMode::Strict, false)
+    }
+
+    #[test]
+    fn a_whole_chunk_is_framed_where_it_lies() {
+        let chunk = Bytes::from([record(20, 1), record(30, 2)].concat());
+        let mut f = framer();
+        f.window.extend(chunk.clone());
+        assert_eq!(f.window.pending().as_ptr(), chunk.as_ptr(), "adopted, not copied");
+        let part = &f.window.pending()[HEADER_LEN..HEADER_LEN + 4];
+        assert_eq!(f.window.share(part).as_ptr(), chunk[HEADER_LEN..].as_ptr());
+        assert!(f.next_record().unwrap().is_some());
+        assert_eq!(f.window.pending().as_ptr(), chunk[32..].as_ptr());
+        assert!(f.next_record().unwrap().is_some());
+        assert!(f.next_record().unwrap().is_none());
+        assert_eq!(f.window.len(), 0);
+    }
+
+    #[test]
+    fn a_torn_record_is_stitched_from_its_own_bytes() {
+        let (a, b, c) = (record(20, 1), record(30, 2), record(40, 3));
+        let first = Bytes::from([&a[..], &b[..5]].concat());
+        let second = Bytes::from([&b[5..], &c[..]].concat());
+        let mut f = framer();
+        f.window.extend(first);
+        f.window.extend(second.clone());
+        assert_eq!(f.window.len(), a.len() + b.len() + c.len());
+        assert!(f.next_record().unwrap().is_some(), "a, in place");
+        assert!(f.next_record().unwrap().is_some(), "b, stitched");
+        // The side buffer took b's bytes alone; c waits in the second
+        // chunk, to be framed there.
+        assert!(f.window.torn.is_empty());
+        let rest = f.window.queue.front().expect("c is queued");
+        assert_eq!((rest.as_ptr(), rest.len()), (second[b.len() - 5..].as_ptr(), c.len()));
+        assert!(f.next_record().unwrap().is_some(), "c, in place");
+        assert!(f.next_record().unwrap().is_none());
+        assert_eq!((f.records_read, f.bytes_consumed), (3, (a.len() + b.len() + c.len()) as u64));
+    }
+
+    #[test]
+    fn a_record_grown_byte_by_byte_pends_then_decodes() {
+        let rec = record(300, 9);
+        let mut f = framer();
+        for (at, byte) in rec.iter().enumerate() {
+            assert!(f.next_record().unwrap().is_none(), "pending at {at}");
+            f.window.extend(Bytes::from(vec![*byte]));
+        }
+        assert_eq!(f.window.len(), rec.len());
+        assert!(f.next_record().unwrap().is_some());
+        assert_eq!(f.window.len(), 0);
+    }
+
+    #[test]
+    fn an_oversized_length_is_refused_once_its_header_is_whole() {
+        let mut header = record(0, 0);
+        header[8..12].copy_from_slice(&(MAX_RECORD_LEN + 1).to_be_bytes());
+        let mut f = framer();
+        f.window.extend(Bytes::from(header[..7].to_vec()));
+        assert!(f.next_record().unwrap().is_none());
+        f.window.extend(Bytes::from(header[7..].to_vec()));
+        assert!(matches!(f.next_record(), Err(MrtError::OversizedRecord(_))));
     }
 }

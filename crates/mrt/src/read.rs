@@ -3,8 +3,8 @@
 //! Framing lives in one place, the crate-private `frame` core.
 //! [`MrtBytesReader`] gives it the in-memory archive itself, so record
 //! bodies are parsed in place and the attribute blocks its cache keeps
-//! are refcounted slices. (`TailingReader` is the other feeder: a
-//! growable window, grown by the caller.)
+//! are refcounted slices. (`TailingReader` is the other feeder: the
+//! chunks the caller appends, framed the same way.)
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -430,7 +430,7 @@ mod tests {
         ];
         for (case, bytes) in &cases {
             let mut tailing = crate::tail::TailingReader::new();
-            tailing.extend(bytes);
+            tailing.extend(&bytes[..]);
             tailing.close();
             let feeders: [(&str, Box<dyn MessageStream>); 2] = [
                 ("MrtBytesReader", Box::new(MrtBytesReader::new(bytes.clone()))),

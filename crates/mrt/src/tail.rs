@@ -15,21 +15,29 @@
 //! next read reports them as [`MrtError::ExtendedAfterClose`] — once, as
 //! the error that ends the stream.
 //!
+//! Appended chunks are kept as [`Bytes`] and framed in place, as
+//! `MrtBytesReader` frames its archive: a chunk handed over as `Bytes`
+//! is never copied, and the attribute blocks the cache keeps are slices
+//! of it. Only a record torn across appends is copied — its own bytes,
+//! once — into a side buffer that becomes its window when it completes.
+//!
 //! The reader implements [`MessageStream`], so
 //! `bh_routing::MrtElemSource` drives it like any other reader;
 //! consumers distinguish "pending" from "end of stream" by whether the
 //! reader [`is_closed`](TailingReader::is_closed).
 
-use crate::frame::{Framer, Tail, Window};
+use bytes::Bytes;
+
+use crate::frame::{Framer, Tail};
 use crate::read::{MessageStream, ReadMode};
 use crate::record::{MrtError, MrtRecord, UpdateRecord};
 
 /// An incremental MRT reader over an archive that is still growing.
 ///
 /// See the [module docs](self) for the pending-vs-torn semantics. The
-/// reader buffers only the unconsumed tail of the archive (consumed
-/// records are compacted away), so tailing an unbounded feed costs
-/// memory proportional to one partial record plus one append chunk.
+/// reader holds the chunks not yet framed, plus whatever its attribute
+/// cache keeps alive: each cached block pins the chunk it was sliced
+/// from, as it pins the archive under `MrtBytesReader`.
 pub struct TailingReader {
     framer: Framer<Tail>,
     /// The error for bytes appended after `close`, due on the next read.
@@ -62,7 +70,11 @@ impl TailingReader {
     /// [`TailingReader::close`] the bytes are dropped instead, and the
     /// next read returns [`MrtError::ExtendedAfterClose`] (unless the
     /// stream already ended on an error).
-    pub fn extend(&mut self, chunk: &[u8]) {
+    ///
+    /// A `Bytes` chunk is framed where it lies; a `&[u8]` is copied
+    /// once, into the `Bytes` it becomes.
+    pub fn extend(&mut self, chunk: impl Into<Bytes>) {
+        let chunk = chunk.into();
         if !self.is_closed() {
             self.framer.window.extend(chunk);
         } else if !self.framer.failed && self.refused.is_none() {
@@ -90,7 +102,7 @@ impl TailingReader {
 
     /// Bytes buffered but not yet framed (the partial tail, if any).
     pub fn bytes_pending(&self) -> usize {
-        self.framer.window.pending().len()
+        self.framer.window.len()
     }
 
     /// Decode the next complete record. `Ok(None)` means "no complete
@@ -234,7 +246,7 @@ mod tests {
         let rec = update_record(9);
 
         let mut r = TailingReader::tolerant();
-        r.extend(&noisy);
+        r.extend(noisy);
         r.extend(&rec[..5]);
         assert!(r.next_message().unwrap().is_none(), "corrupt skipped, tail pends");
         assert_eq!(r.records_skipped(), 1);
@@ -247,10 +259,10 @@ mod tests {
     fn extend_after_close_drops_the_bytes_and_ends_the_stream_once() {
         let rec = update_record(3);
         let mut r = TailingReader::new();
-        r.extend(&rec);
+        r.extend(&rec[..]);
         r.close();
-        r.extend(&rec);
-        r.extend(&rec);
+        r.extend(&rec[..]);
+        r.extend(&rec[..]);
         assert_eq!(r.bytes_pending(), rec.len(), "the late bytes were dropped");
         assert!(
             matches!(r.try_next_record(), Err(MrtError::ExtendedAfterClose(n)) if n == rec.len())
@@ -262,11 +274,11 @@ mod tests {
         // error stays ended.
         let mut r = TailingReader::new();
         r.close();
-        r.extend(&rec);
+        r.extend(&rec[..]);
         let mut into = UpdateRecord::default();
         assert!(matches!(r.next_update(&mut into), Err(MrtError::ExtendedAfterClose(_))));
         assert!(!r.next_update(&mut into).unwrap());
-        r.extend(&rec);
+        r.extend(&rec[..]);
         assert!(!r.next_update(&mut into).unwrap());
     }
 
@@ -278,7 +290,7 @@ mod tests {
         hdr.extend_from_slice(&crate::record::mrt_type::BGP4MP.to_be_bytes());
         hdr.extend_from_slice(&crate::record::bgp4mp_subtype::MESSAGE_AS4.to_be_bytes());
         hdr.extend_from_slice(&(MAX_RECORD_LEN + 1).to_be_bytes());
-        r.extend(&hdr);
+        r.extend(hdr);
         assert!(matches!(r.try_next_record(), Err(MrtError::OversizedRecord(_))));
     }
 }

@@ -323,7 +323,7 @@ mod tests {
         write_updates(&mut buf, &elems).unwrap();
 
         let mut tail = TailingReader::new();
-        tail.extend(&buf);
+        tail.extend(buf.clone());
         tail.close();
         let mut src = MrtElemSource::from_reader(tail, DataSource::Ris, 3);
         let mut streamed = Vec::new();

@@ -48,7 +48,7 @@ pub use collector::{deploy, CollectorConfig, CollectorDeployment, CollectorSessi
 pub use elem::{BgpElem, DataSource, ElemType, PeerKey};
 pub use extensions::{PolicyEngine, RunStats};
 pub use fleet::{ArchiveReport, CollectorFleet, FleetReport, FleetSource};
-pub use live::{ArchiveClosed, LiveArchive, LiveMerge, LivePoll, TailingSource};
+pub use live::{ArchiveClosed, LiveArchive, LiveMerge, LivePoll, TailingSource, WatermarkClock};
 pub use merge::MergedSource;
 pub use paths::ForwardingTree;
 pub use policy::{ImportDecision, ImportOutcome, RejectReason, SessionBehavior};

@@ -4,20 +4,25 @@
 //! The batch pipeline ([`MrtElemSource`] → [`MergedSource`](crate::merge::MergedSource)) assumes
 //! complete archives: a source that returns `None` is finished forever.
 //! A near-real-time service instead tails archives that collectors are
-//! still writing, so this module provides the three live primitives the
+//! still writing, so this module provides the live primitives the
 //! `bh-live` daemon builds on:
 //!
-//! * [`LiveArchive`] — a shared, append-only byte buffer standing in for
-//!   one collector's updates file on disk, with a **watermark**: the
-//!   writer's promise that every record with `time ≤ watermark` has been
-//!   appended (future appends are strictly later). Watermarks are what
-//!   let a merge emit without waiting for a quiet collector to produce
-//!   its next record.
+//! * [`LiveArchive`] — a shared, append-only run of byte chunks standing
+//!   in for one collector's updates file on disk, with a **watermark**:
+//!   the writer's promise that every record with `time ≤ watermark` has
+//!   been appended (future appends are strictly later). Watermarks are
+//!   what let a merge emit without waiting for a quiet collector to
+//!   produce its next record. The watermark lives on a
+//!   [`WatermarkClock`], private to the archive or shared by every
+//!   archive one writer feeds, so that writer promises a time once for
+//!   all of them.
 //! * [`TailingSource`] — re-polls one [`LiveArchive`] for appended
-//!   bytes, frames them incrementally through
-//!   [`bh_mrt::TailingReader`] (a partial trailing record is retried on
-//!   the next poll, never skipped as corrupt), and yields
-//!   [`LivePoll::Elem`] / [`LivePoll::Pending`] / [`LivePoll::End`].
+//!   chunks, hands them to [`bh_mrt::TailingReader`] as they are (shared,
+//!   not copied; a partial trailing record is retried on the next poll,
+//!   never skipped as corrupt), and yields [`LivePoll::Elem`] /
+//!   [`LivePoll::Pending`] / [`LivePoll::End`]. A source that last
+//!   reported `Pending` and finds nothing appended answers from the
+//!   archive's atomics alone, without touching its decoder.
 //! * [`LiveMerge`] — the k-way `(time, dataset, collector)` merge over
 //!   tailing sources. It yields an element only once it is *safe*: every
 //!   source that might still produce an earlier element (no buffered
@@ -26,11 +31,14 @@
 //!   [`merge_streams`](crate::archive::merge_streams) order, so a
 //!   drained live run reproduces the batch stream bit for bit.
 //!
-//! None of them reads a clock: watermarks are set by the writer, and the
-//! `bh-live` daemon is handed the current time by whoever steps it.
+//! None of them reads the wall clock: watermarks are set by the writer,
+//! and the `bh-live` daemon is handed the current time by whoever steps
+//! it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use bytes::Bytes;
 
 use bh_bgp_types::time::SimTime;
 use bh_mrt::{MrtError, TailingReader};
@@ -53,15 +61,41 @@ impl std::fmt::Display for ArchiveClosed {
 
 impl std::error::Error for ArchiveClosed {}
 
-/// The state behind a [`LiveArchive`] handle: the bytes under a lock,
-/// and what an idle reader needs to know published beside it.
+/// A watermark shared by the archives one writer feeds: advancing it
+/// advances every [`LiveArchive`] made [`on`](LiveArchive::on) it.
+/// Clones share the same time. Monotonic: stale advances are ignored.
+#[derive(Debug, Clone, Default)]
+pub struct WatermarkClock {
+    /// Unix seconds; only ever raised (`fetch_max`, Release).
+    unix: Arc<AtomicU64>,
+}
+
+impl WatermarkClock {
+    /// A clock at [`SimTime::ZERO`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Promise `to` for every archive on the clock (monotonic; stale
+    /// values are ignored). Append first: see the memory-ordering
+    /// contract on [`LiveArchive`].
+    pub fn advance(&self, to: SimTime) {
+        self.unix.fetch_max(to.unix(), Ordering::Release);
+    }
+
+    /// The current watermark.
+    pub fn watermark(&self) -> SimTime {
+        SimTime::from_unix(self.unix.load(Ordering::Acquire))
+    }
+}
+
+/// The state behind a [`LiveArchive`] handle: the chunks under a lock,
+/// and what an idle reader needs to know published beside them.
 struct ArchiveShared {
-    bytes: Mutex<Vec<u8>>,
-    /// `bytes.len()`, stored (Release) before the appending writer
-    /// releases the lock.
+    chunks: Mutex<Vec<Bytes>>,
+    /// Total bytes over `chunks`, stored (Release) before the appending
+    /// writer releases the lock.
     len: AtomicUsize,
-    /// Unix seconds; only ever raised (`fetch_max`).
-    watermark: AtomicU64,
     closed: AtomicBool,
 }
 
@@ -70,28 +104,37 @@ struct ArchiveShared {
 /// Writers ([`bh_workloads`-style feeds, or a real downloader) append
 /// MRT bytes — whole records or arbitrary fragments — advance the
 /// watermark, and eventually [`close`](LiveArchive::close); readers
-/// ([`TailingSource`]) poll for growth. Clones share the same buffer.
+/// ([`TailingSource`]) poll for growth. Clones share the same archive.
+/// An appended chunk is kept as the [`Bytes`] it came in and handed to
+/// readers as it is: a writer replaying a recorded archive appends
+/// slices of it, and no byte is copied on the way to the decoder.
 ///
 /// The watermark contract: advancing to `w` promises every record with
 /// `time ≤ w` is already appended, and all future appends are strictly
 /// later than `w`. Watermarks are monotonic (stale advances are ignored).
+/// The watermark is a [`WatermarkClock`]: [`new`](LiveArchive::new)
+/// makes a private one, [`on`](LiveArchive::on) joins an existing one,
+/// and then advancing it through any archive advances them all.
 ///
 /// ## Memory ordering
 ///
 /// An idle poll takes no lock: length, watermark and closed flag are
-/// atomics beside the locked bytes. The writer publishes in the order
+/// atomics beside the locked chunks. The writer publishes in the order
 /// *append (under the lock) → `len` (Release) → watermark (`fetch_max`,
-/// Release) → closed (Release)*; a reader loads in the opposite order,
-/// *closed → watermark → `len`* (all Acquire), and locks only when
-/// `len` is past its offset. Each Acquire load that observes a value
-/// also observes everything the writer did before storing it, so a
-/// reader that saw watermark `w` then sees a `len` covering every
-/// record with `time ≤ w`, and one that saw `closed` sees the final
-/// `len` — a [`LivePoll::Pending`] bound never runs ahead of the bytes,
-/// and [`LivePoll::End`] is never reported with bytes unread.
+/// Release) → closed (Release)* — with a shared clock, every archive's
+/// append before the one watermark store that covers them; a reader
+/// loads in the opposite order, *closed → watermark → `len`* (all
+/// Acquire), and locks only when `len` is past what it has fed. Each
+/// Acquire load that observes a value also observes everything the
+/// writer did before storing it, so a reader that saw watermark `w`
+/// then sees a `len` covering every record with `time ≤ w`, and one that
+/// saw `closed` sees the final `len` — a [`LivePoll::Pending`] bound
+/// never runs ahead of the bytes, and [`LivePoll::End`] is never
+/// reported with bytes unread.
 #[derive(Clone)]
 pub struct LiveArchive {
     shared: Arc<ArchiveShared>,
+    clock: WatermarkClock,
 }
 
 impl Default for LiveArchive {
@@ -101,41 +144,53 @@ impl Default for LiveArchive {
 }
 
 impl LiveArchive {
-    /// An empty, open archive with watermark [`SimTime::ZERO`].
+    /// An empty, open archive on a private clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
+        Self::on(&WatermarkClock::new())
+    }
+
+    /// An empty, open archive whose watermark is `clock`.
+    pub fn on(clock: &WatermarkClock) -> Self {
         LiveArchive {
             shared: Arc::new(ArchiveShared {
-                bytes: Mutex::new(Vec::new()),
+                chunks: Mutex::new(Vec::new()),
                 len: AtomicUsize::new(0),
-                watermark: AtomicU64::new(SimTime::ZERO.unix()),
                 closed: AtomicBool::new(false),
             }),
+            clock: clock.clone(),
         }
     }
 
-    /// Nothing panics while holding the lock, and the buffer is valid
+    /// Nothing panics while holding the lock, and the chunk list is valid
     /// between any two appends, so a poisoned lock is recovered rather
     /// than propagated.
-    fn lock(&self) -> MutexGuard<'_, Vec<u8>> {
-        self.shared.bytes.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Vec<Bytes>> {
+        self.shared.chunks.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Append bytes (any fragmentation — record boundaries not required).
+    /// A `Bytes` chunk is kept as it is; a `&[u8]` is copied once.
     /// After [`close`](Self::close) the archive is complete: the bytes
     /// are refused with [`ArchiveClosed`] and the archive is unchanged.
-    pub fn append(&self, chunk: &[u8]) -> Result<(), ArchiveClosed> {
-        let mut bytes = self.lock();
+    pub fn append(&self, chunk: impl Into<Bytes>) -> Result<(), ArchiveClosed> {
+        let mut chunks = self.lock();
         if self.is_closed() {
             return Err(ArchiveClosed);
         }
-        bytes.extend_from_slice(chunk);
-        self.shared.len.store(bytes.len(), Ordering::Release);
+        let chunk = chunk.into();
+        if !chunk.is_empty() {
+            // `len` is only stored under the lock, which orders this load.
+            let len = self.shared.len.load(Ordering::Relaxed) + chunk.len();
+            chunks.push(chunk);
+            self.shared.len.store(len, Ordering::Release);
+        }
         Ok(())
     }
 
-    /// Advance the watermark (monotonic; stale values are ignored).
+    /// Advance the watermark (monotonic; stale values are ignored) —
+    /// that of every archive on the same [`WatermarkClock`].
     pub fn advance_watermark(&self, to: SimTime) {
-        self.shared.watermark.fetch_max(to.unix(), Ordering::Release);
+        self.clock.advance(to);
     }
 
     /// Declare the archive complete: no further appends will happen.
@@ -155,7 +210,7 @@ impl LiveArchive {
 
     /// Current watermark.
     pub fn watermark(&self) -> SimTime {
-        SimTime::from_unix(self.shared.watermark.load(Ordering::Acquire))
+        self.clock.watermark()
     }
 
     /// Has the writer closed the archive?
@@ -163,19 +218,21 @@ impl LiveArchive {
         self.shared.closed.load(Ordering::Acquire)
     }
 
-    /// Feed everything appended at or past `offset` straight into
-    /// `reader` (one copy, none when idle). Returns the bytes fed plus
-    /// the watermark and closed flag, loaded *before* the length — see
-    /// the memory-ordering contract on [`LiveArchive`].
-    fn read_into(&self, offset: usize, reader: &mut TailingReader) -> (usize, SimTime, bool) {
-        let closed = self.is_closed();
-        let watermark = self.watermark();
-        if self.len() <= offset {
-            return (0, watermark, closed);
+    /// The chunks appended so far, in order (shared, not copied).
+    #[doc(hidden)]
+    pub fn chunks(&self) -> Vec<Bytes> {
+        self.lock().clone()
+    }
+
+    /// Hand every chunk from index `from` on to `reader` (shared, not
+    /// copied). Returns the chunk count and byte length now fed.
+    fn feed(&self, from: usize, reader: &mut TailingReader) -> (usize, usize) {
+        let chunks = self.lock();
+        for chunk in chunks.iter().skip(from) {
+            reader.extend(chunk.clone());
         }
-        let bytes = self.lock();
-        reader.extend(&bytes[offset..]);
-        (bytes.len() - offset, watermark, closed)
+        // Stored under the lock we hold: it covers exactly `chunks`.
+        (chunks.len(), self.shared.len.load(Ordering::Relaxed))
     }
 }
 
@@ -193,20 +250,30 @@ pub enum LivePoll {
 }
 
 /// Tails one [`LiveArchive`]: an [`MrtElemSource`] over a
-/// [`TailingReader`], fed the archive's growth between polls.
+/// [`TailingReader`], fed the archive's new chunks between polls.
 ///
 /// Unlike a source over a complete archive, exhaustion is not
 /// final: a poll that finds no new complete record reports
-/// [`LivePoll::Pending`] and the next poll re-frames from the same
-/// offset — including a *partial trailing record*, which stays buffered
+/// [`LivePoll::Pending`] and a later poll resumes where it left off —
+/// including a *partial trailing record*, which stays buffered
 /// in the [`TailingReader`] until its remaining bytes arrive (it is
 /// never skipped as corrupt). Only after the writer closes the archive
 /// does a leftover partial record become a decode error.
+///
+/// After a `Pending`, the decoder holds no complete record, so until the
+/// archive grows or closes the next poll is the three atomic loads of
+/// the memory-ordering contract on [`LiveArchive`] and nothing else.
 pub struct TailingSource {
     archive: LiveArchive,
     source: MrtElemSource<TailingReader>,
     skip: u64,
     consumed: u64,
+    /// Chunks of the archive handed to the reader so far.
+    fed: usize,
+    /// Their total length: the archive length last seen.
+    seen: usize,
+    /// The last poll said `Pending`: the decoder holds no complete record.
+    idle: bool,
 }
 
 impl TailingSource {
@@ -224,6 +291,9 @@ impl TailingSource {
             source: MrtElemSource::from_reader(TailingReader::new(), dataset, collector),
             skip,
             consumed: 0,
+            fed: 0,
+            seen: 0,
+            idle: false,
         }
     }
 
@@ -252,25 +322,31 @@ impl TailingSource {
     /// outcomes; `Pending` is retriable, `End` is final.
     pub fn poll(&mut self) -> LivePoll {
         loop {
-            while let Some(elem) = self.source.next_owned() {
-                self.consumed += 1;
-                if self.consumed > self.skip {
-                    return LivePoll::Elem(elem);
+            // After a `Pending` with nothing fed since, the decoder has
+            // nothing to give: skip straight to the archive's atomics.
+            if !std::mem::take(&mut self.idle) {
+                while let Some(elem) = self.source.next_owned() {
+                    self.consumed += 1;
+                    if self.consumed > self.skip {
+                        return LivePoll::Elem(elem);
+                    }
+                }
+                if self.source.error().is_some() {
+                    return LivePoll::End;
                 }
             }
-            if self.source.error().is_some() {
-                return LivePoll::End;
-            }
-            let reader = self.source.reader_mut();
-            // Everything fed so far is either framed or still pending.
-            let offset = reader.bytes_consumed() as usize + reader.bytes_pending();
-            let (fed, watermark, closed) = self.archive.read_into(offset, reader);
-            if fed > 0 {
+            // Closed, watermark, then length — see `LiveArchive`.
+            let closed = self.archive.is_closed();
+            let watermark = self.archive.watermark();
+            if self.archive.len() > self.seen {
+                (self.fed, self.seen) = self.archive.feed(self.fed, self.source.reader_mut());
                 continue; // re-frame: the partial tail may now complete
             }
             if !closed {
+                self.idle = true;
                 return LivePoll::Pending(watermark);
             }
+            let reader = self.source.reader_mut();
             if reader.is_closed() {
                 return LivePoll::End;
             }
@@ -507,6 +583,80 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_source_answers_watermarks_closes_and_torn_tails() {
+        let elems: Vec<BgpElem> = (0..2).map(|k| elem(100 + k, DataSource::Ris, 0, 9)).collect();
+        let bytes = Bytes::from(archive_of(&elems));
+        let archive = LiveArchive::new();
+        let mut src = TailingSource::new(archive.clone(), DataSource::Ris, 0);
+        assert!(matches!(src.poll(), LivePoll::Pending(w) if w == SimTime::ZERO));
+
+        // Only the watermark moves: the idle answer carries the new one.
+        archive.advance_watermark(SimTime::from_unix(50));
+        assert!(matches!(src.poll(), LivePoll::Pending(w) if w.unix() == 50));
+        assert!(matches!(src.poll(), LivePoll::Pending(w) if w.unix() == 50));
+
+        // A torn record pends; the append that completes it yields it.
+        let first_end = bytes.len() / 2; // two records of one size
+        archive.append(bytes.slice(..first_end - 3)).unwrap();
+        assert!(matches!(src.poll(), LivePoll::Pending(w) if w.unix() == 50));
+        archive.append(bytes.slice(first_end - 3..)).unwrap();
+        assert!(matches!(src.poll(), LivePoll::Elem(e) if e.time.unix() == 100));
+        assert!(matches!(src.poll(), LivePoll::Elem(e) if e.time.unix() == 101));
+        assert!(matches!(src.poll(), LivePoll::Pending(_)));
+
+        // A close with no new bytes ends the idle source.
+        archive.close();
+        assert!(matches!(src.poll(), LivePoll::End));
+        assert!(src.error().is_none());
+        assert_eq!(src.consumed(), 2);
+
+        // The same close behind a torn tail ends it on the tear.
+        let archive = LiveArchive::new();
+        let mut src = TailingSource::new(archive.clone(), DataSource::Ris, 0);
+        archive.append(bytes.slice(..5)).unwrap();
+        assert!(matches!(src.poll(), LivePoll::Pending(_)));
+        archive.close();
+        assert!(matches!(src.poll(), LivePoll::End));
+        assert!(src.error().is_some(), "the tear is an error once the writer closed");
+    }
+
+    #[test]
+    fn appended_chunks_reach_the_reader_uncopied() {
+        let elems: Vec<BgpElem> = (0..3).map(|k| elem(100 + k, DataSource::Ris, 0, 9)).collect();
+        let bytes = Bytes::from(archive_of(&elems));
+        let archive = LiveArchive::new();
+        archive.append(bytes.slice(..10)).unwrap();
+        archive.append(&bytes[10..]).unwrap();
+        assert_eq!(archive.len(), bytes.len(), "len counts bytes, not chunks");
+        let chunks = archive.chunks();
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[0].as_ptr(), bytes.as_ptr(), "a Bytes chunk is kept as it is");
+        assert_eq!([&chunks[0][..], &chunks[1][..]].concat(), &bytes[..]);
+        archive.append(Bytes::new()).unwrap();
+        assert_eq!(archive.chunks().len(), 2, "an empty append adds no chunk");
+    }
+
+    #[test]
+    fn advancing_a_shared_clock_moves_every_archive_on_it() {
+        let clock = WatermarkClock::new();
+        let (a, b) = (LiveArchive::on(&clock), LiveArchive::on(&clock));
+        let private = LiveArchive::new();
+        clock.advance(SimTime::from_unix(40));
+        assert_eq!((a.watermark().unix(), b.watermark().unix()), (40, 40));
+        a.advance_watermark(SimTime::from_unix(70));
+        assert_eq!(b.watermark().unix(), 70, "advancing through one archive advances all");
+        clock.advance(SimTime::from_unix(60));
+        assert_eq!(clock.watermark().unix(), 70, "stale advances are ignored");
+        assert_eq!(private.watermark(), SimTime::ZERO, "new() is on a clock of its own");
+
+        // A pending source on the clock sees the advance.
+        let mut src = TailingSource::new(b.clone(), DataSource::Ris, 0);
+        assert!(matches!(src.poll(), LivePoll::Pending(w) if w.unix() == 70));
+        clock.advance(SimTime::from_unix(90));
+        assert!(matches!(src.poll(), LivePoll::Pending(w) if w.unix() == 90));
+    }
+
+    #[test]
     fn closing_with_torn_tail_surfaces_the_error() {
         let elems: Vec<BgpElem> = (0..2).map(|k| elem(100 + k, DataSource::Ris, 0, 9)).collect();
         let bytes = archive_of(&elems);
@@ -522,9 +672,9 @@ mod tests {
     #[test]
     fn append_after_close_is_refused_and_changes_nothing() {
         let archive = LiveArchive::new();
-        archive.append(b"abc").unwrap();
+        archive.append(&b"abc"[..]).unwrap();
         archive.close();
-        assert_eq!(archive.append(b"def"), Err(ArchiveClosed));
+        assert_eq!(archive.append(&b"def"[..]), Err(ArchiveClosed));
         assert_eq!(archive.len(), 3);
     }
 
@@ -567,7 +717,7 @@ mod tests {
 
         // Source a has an element at t=100; b is silent with watermark 0:
         // b could still produce t<100, so nothing is safe.
-        a.append(&archive_of(&[elem(100, DataSource::Ris, 0, 9)])).unwrap();
+        a.append(archive_of(&[elem(100, DataSource::Ris, 0, 9)])).unwrap();
         a.advance_watermark(SimTime::from_unix(100));
         assert!(merge.next_ready().is_none(), "quiet collector blocks until its watermark");
 
@@ -598,8 +748,8 @@ mod tests {
             (0..30).map(|k| elem(11 + k * 2, DataSource::RouteViews, 1, 22)).collect();
         let arch_a = LiveArchive::new();
         let arch_b = LiveArchive::new();
-        arch_a.append(&archive_of(&a)).unwrap();
-        arch_b.append(&archive_of(&b)).unwrap();
+        arch_a.append(archive_of(&a)).unwrap();
+        arch_b.append(archive_of(&b)).unwrap();
         arch_a.close();
         arch_b.close();
 
@@ -622,8 +772,8 @@ mod tests {
         let b: Vec<BgpElem> = (0..10).map(|k| elem(11 + k * 2, DataSource::Pch, 1, 22)).collect();
         let arch_a = LiveArchive::new();
         let arch_b = LiveArchive::new();
-        arch_a.append(&archive_of(&a)).unwrap();
-        arch_b.append(&archive_of(&b)).unwrap();
+        arch_a.append(archive_of(&a)).unwrap();
+        arch_b.append(archive_of(&b)).unwrap();
         arch_a.close();
         arch_b.close();
 
@@ -695,7 +845,7 @@ mod tests {
                     {
                         std::thread::yield_now();
                     }
-                    archive.append(record).unwrap();
+                    archive.append(&record[..]).unwrap();
                     archive.advance_watermark(SimTime::from_unix(t));
                 }
                 archive.close();

@@ -3,23 +3,30 @@
 //!
 //! Live tests must never sleep on wall time, so nothing here reads a
 //! clock: the driver passes `now` in. The two feeds turn a recorded
-//! [`CollectorArchive`] set into growing [`LiveArchive`]s:
+//! [`CollectorArchive`] set into growing [`LiveArchive`]s, appending
+//! `Bytes` slices of the recording — the archives share its bytes, and
+//! nothing is copied on the way to the decoder:
 //!
 //! * [`ReplayFeed`] paces whole records by their MRT timestamps — each
 //!   [`pump`](ReplayFeed::pump) appends every record due by `now` and
 //!   advances the watermark, so a `LiveMerge` downstream sees exactly
-//!   the arrival pattern a real collector fleet would produce.
+//!   the arrival pattern a real collector fleet would produce. A pump
+//!   costs O(lanes due + records appended): the lanes wait in a min-heap
+//!   keyed by their next record's time, and all of them share one
+//!   [`WatermarkClock`], advanced once per pump.
 //! * [`ScriptedFeed`] appends raw *byte counts* regardless of record
 //!   boundaries — the adversarial writer that tears records mid-body,
 //!   for exercising the partial-tail retry path. It never advances
 //!   watermarks, so use it single-source (a merge's safety gate is
 //!   vacuous with one source).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use bh_bgp_types::time::SimTime;
 use bh_routing::elem::DataSource;
-use bh_routing::live::LiveArchive;
+use bh_routing::live::{LiveArchive, WatermarkClock};
 use bytes::Bytes;
 
 use crate::fleet::CollectorArchive;
@@ -55,7 +62,15 @@ struct Lane {
     bytes: Bytes,
     spans: Vec<(SimTime, Range<usize>)>,
     next: usize,
-    closed: bool,
+}
+
+impl Lane {
+    /// When the lane next needs a pump: its next record's time, or
+    /// [`SimTime::ZERO`] once it has none left (it closes at the next
+    /// pump, whatever `now` is).
+    fn due(&self) -> SimTime {
+        self.spans.get(self.next).map_or(SimTime::ZERO, |(time, _)| *time)
+    }
 }
 
 /// Replays a recorded [`CollectorArchive`] fleet as growing
@@ -65,10 +80,12 @@ struct Lane {
 /// timestamp is `≤ now`. After each pump an open lane's watermark is
 /// `now` — the promise that everything due has been appended and future
 /// appends are strictly later — and a fully replayed lane is closed.
+/// Every lane's archive is on the feed's one [`WatermarkClock`].
 pub struct ReplayFeed {
     lanes: Vec<Lane>,
-    /// Lanes not yet closed, so `finished` need not rescan them.
-    open: usize,
+    /// Open lanes by `(due, index)`, earliest first.
+    waiting: BinaryHeap<Reverse<(SimTime, usize)>>,
+    clock: WatermarkClock,
 }
 
 impl ReplayFeed {
@@ -76,41 +93,42 @@ impl ReplayFeed {
     /// [`LiveArchive`] handles to hand to the daemon's tailing sources
     /// (same order as `archives`).
     pub fn new(archives: &[CollectorArchive]) -> (Self, Vec<(DataSource, u16, LiveArchive)>) {
+        let clock = WatermarkClock::new();
         let mut lanes = Vec::with_capacity(archives.len());
         let mut handles = Vec::with_capacity(archives.len());
         for a in archives {
-            let archive = LiveArchive::new();
+            let archive = LiveArchive::on(&clock);
             handles.push((a.dataset, a.collector, archive.clone()));
             lanes.push(Lane {
                 archive,
                 bytes: a.bytes.clone(),
                 spans: record_spans(&a.bytes),
                 next: 0,
-                closed: false,
             });
         }
-        let open = lanes.len();
-        (ReplayFeed { lanes, open }, handles)
+        let waiting = lanes.iter().enumerate().map(|(index, lane)| Reverse((lane.due(), index)));
+        (ReplayFeed { waiting: waiting.collect(), lanes, clock }, handles)
     }
 
-    /// Append every record due by `now`, advance open-lane watermarks to
-    /// `now`, and close lanes that are fully replayed. Returns the
+    /// Append every record due by `now`, close lanes that are fully
+    /// replayed, then advance the shared watermark to `now`. Returns the
     /// number of records appended.
     pub fn pump(&mut self, now: SimTime) -> usize {
         let mut appended = 0;
-        for lane in &mut self.lanes {
-            if lane.closed {
-                continue;
+        while let Some(&Reverse((due, index))) = self.waiting.peek() {
+            if due > now {
+                break;
             }
+            self.waiting.pop();
+            let lane = &mut self.lanes[index];
             let start = lane.next;
             while lane.next < lane.spans.len() && lane.spans[lane.next].0 <= now {
                 lane.next += 1;
             }
             if lane.next > start {
                 // Spans are contiguous, so one append covers the run.
-                let from = lane.spans[start].1.start;
-                let to = lane.spans[lane.next - 1].1.end;
-                if lane.archive.append(&lane.bytes[from..to]).is_ok() {
+                let run = lane.spans[start].1.start..lane.spans[lane.next - 1].1.end;
+                if lane.archive.append(lane.bytes.slice(run)).is_ok() {
                     appended += lane.next - start;
                 } else {
                     // Another handle closed the archive: the lane ends.
@@ -119,18 +137,17 @@ impl ReplayFeed {
             }
             if lane.next == lane.spans.len() {
                 lane.archive.close();
-                lane.closed = true;
-                self.open -= 1;
             } else {
-                lane.archive.advance_watermark(now);
+                self.waiting.push(Reverse((lane.due(), index)));
             }
         }
+        self.clock.advance(now);
         appended
     }
 
     /// Have all lanes been fully replayed and closed?
     pub fn finished(&self) -> bool {
-        self.open == 0
+        self.waiting.is_empty()
     }
 }
 
@@ -157,7 +174,7 @@ impl ScriptedFeed {
     pub fn append_bytes(&mut self, n: usize) -> usize {
         let end = (self.pos + n).min(self.bytes.len());
         let appended = end - self.pos;
-        if appended == 0 || self.archive.append(&self.bytes[self.pos..end]).is_err() {
+        if appended == 0 || self.archive.append(self.bytes.slice(self.pos..end)).is_err() {
             return 0; // nothing left, or the archive was closed
         }
         self.pos = end;

@@ -19,6 +19,10 @@
 //! gets exactly one `ok`/`err` reply and the connection keeps serving up
 //! to `quit`.
 //!
+//! One more MRT case is about cost, not content: a 1 MiB record appended
+//! one byte at a time must decode in linear time — the tail stitches a
+//! torn record from its own bytes, once each.
+//!
 //! CI runs this file in `--release` under a hard timeout, so a parser
 //! that stops advancing on malformed input fails fast.
 
@@ -28,6 +32,7 @@ use std::io::{self, BufReader, Read};
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use common::raw::{self, Field};
 use common::{expand_records, framed_records, Feeder, Transport};
@@ -43,7 +48,7 @@ use bh_core::{AnalyticsConfig, AnalyticsPipeline, ReferenceData, SessionBuilder}
 use bh_irr::BlackholeDictionary;
 use bh_live::wire::MAX_LINE_BYTES;
 use bh_live::{serve_connection, LiveFleet, LiveFleetConfig, QueryRunner};
-use bh_mrt::{MrtError, ReadMode};
+use bh_mrt::{MrtError, MrtRecordBody, ReadMode, TailingReader};
 use bh_routing::{deploy, CollectorConfig};
 use bh_topology::{TopologyBuilder, TopologyConfig};
 
@@ -239,6 +244,35 @@ fn seeded_bit_flips() {
     for case in 0..1500 {
         check(&format!("flip case {case}"), &flip_bits(&archive, &mut next));
     }
+}
+
+/// A 1 MiB unknown-type record torn at every byte, then the seed
+/// archive. Each append is one byte; a tail that re-copied the partial
+/// record per append would move ≈5×10¹¹ bytes before it completed.
+#[test]
+fn a_megabyte_record_appended_byte_by_byte_decodes_in_linear_time() {
+    let (big, _) = raw::record(1, 99, 0, &vec![0xA5; 1 << 20]);
+    let (seed, _) = seed_archive();
+    let archive = [big, seed].concat();
+    let started = Instant::now();
+    let mut reader = TailingReader::new();
+    let mut records = Vec::new();
+    for byte in archive.chunks(1) {
+        reader.extend(byte);
+        while let Some(record) = reader.try_next_record().expect("every prefix is pending") {
+            records.push(record);
+        }
+    }
+    reader.close();
+    assert!(reader.try_next_record().expect("the archive is whole").is_none());
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(5), "{elapsed:?} for a byte-at-a-time megabyte");
+    assert_eq!(records.len(), 7);
+    assert!(matches!(
+        records[0].body,
+        MrtRecordBody::Unknown { mrt_type: 99, length, .. } if length == 1 << 20
+    ));
+    assert_eq!(reader.bytes_pending(), 0);
 }
 
 // ---- the live line protocol ------------------------------------------------

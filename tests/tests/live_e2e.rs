@@ -12,12 +12,18 @@
 //!    `StreamSummary` are bit-identical to the batch streaming run over
 //!    the same archives.
 //!
+//! Under the node, the replay feed is held to a transcription of the
+//! per-lane scan it replaced: the same bytes appended to each lane at
+//! every pump, the same closing pump, and every open lane's watermark at
+//! `now` — on the Small fleet and on random archives.
+//!
 //! The batch reference is computed from the archives' *read-back*
 //! streams, not the pre-serialization elems: `write_updates` normalizes
 //! a `None` next-hop to the peer address, so only the decoded bytes are
 //! the stream the daemon actually sees.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -26,8 +32,10 @@ use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::{AnalyticsReport, BlackholeEvent, EventAccumulator, SequencedEvent, StreamSummary};
 use bh_live::{handle_command, serve_connection, LiveFleetConfig, LiveNode, QueryRunner};
-use bh_routing::{merge_streams, read_updates, BgpElem, SliceSource};
-use bh_workloads::CollectorArchive;
+use bh_routing::archive::write_updates;
+use bh_routing::{merge_streams, read_updates, BgpElem, DataSource, LiveArchive, SliceSource};
+use bh_workloads::{record_spans, CollectorArchive, ReplayFeed};
+use bytes::Bytes;
 
 /// One prebuilt world per scale: the study, a scenario run, its
 /// per-collector archives, and the batch reference the live node must
@@ -357,4 +365,211 @@ fn session_golden_pin() {
         pin,
         "sets=98 events=1109 order=f9d7c03d5bce5088 live=1109 live_order=ae9f5fc0cdc5f761"
     );
+}
+
+// ---- 5. the replay feed against the per-lane scan it replaced --------------
+
+/// One lane of [`ScanFeed`].
+struct ScanLane {
+    archive: LiveArchive,
+    bytes: Bytes,
+    spans: Vec<(SimTime, Range<usize>)>,
+    next: usize,
+    closed: bool,
+}
+
+/// The reference pump, transcribed from the feed before it kept its
+/// lanes in a heap on one clock: every pump scans every lane, appends
+/// its due run, and closes it or advances its own watermark to `now`.
+struct ScanFeed {
+    lanes: Vec<ScanLane>,
+    open: usize,
+}
+
+impl ScanFeed {
+    fn new(archives: &[CollectorArchive]) -> Self {
+        let lanes: Vec<ScanLane> = archives
+            .iter()
+            .map(|a| ScanLane {
+                archive: LiveArchive::new(),
+                bytes: a.bytes.clone(),
+                spans: record_spans(&a.bytes),
+                next: 0,
+                closed: false,
+            })
+            .collect();
+        ScanFeed { open: lanes.len(), lanes }
+    }
+
+    fn pump(&mut self, now: SimTime) -> usize {
+        let mut appended = 0;
+        for lane in &mut self.lanes {
+            if lane.closed {
+                continue;
+            }
+            let start = lane.next;
+            while lane.next < lane.spans.len() && lane.spans[lane.next].0 <= now {
+                lane.next += 1;
+            }
+            if lane.next > start {
+                let from = lane.spans[start].1.start;
+                let to = lane.spans[lane.next - 1].1.end;
+                if lane.archive.append(&lane.bytes[from..to]).is_ok() {
+                    appended += lane.next - start;
+                } else {
+                    lane.next = lane.spans.len();
+                }
+            }
+            if lane.next == lane.spans.len() {
+                lane.archive.close();
+                lane.closed = true;
+                self.open -= 1;
+            } else {
+                lane.archive.advance_watermark(now);
+            }
+        }
+        appended
+    }
+
+    fn finished(&self) -> bool {
+        self.open == 0
+    }
+}
+
+/// Pump a [`ReplayFeed`] and the [`ScanFeed`] at each time of
+/// `schedule`, closing lane `close.0` through both feeds' handles just
+/// before pump `close.1` (the writer-bug path), then once more at a
+/// time past every record, when both must finish. At every pump: the same record count;
+/// per lane the same length (so the same byte range appended) and the
+/// same closed flag; every open lane's watermark at the latest `now`.
+/// At the end each lane's chunks are the scan's, and slices of the
+/// recording rather than copies.
+fn assert_replay_matches_the_scan(
+    archives: &[CollectorArchive],
+    schedule: &[SimTime],
+    close: Option<(usize, usize)>,
+) {
+    let (mut feed, handles) = ReplayFeed::new(archives);
+    let mut scan = ScanFeed::new(archives);
+    let past_every_record = SimTime::from_unix(u64::from(u32::MAX));
+    let mut promised = SimTime::ZERO;
+    for (tick, now) in schedule.iter().copied().chain([past_every_record]).enumerate() {
+        if let Some((lane, at)) = close {
+            if at == tick && lane < handles.len() {
+                handles[lane].2.close();
+                scan.lanes[lane].archive.close();
+            }
+        }
+        promised = promised.max(now);
+        assert_eq!(feed.pump(now), scan.pump(now), "records appended at pump {tick}");
+        for (lane, ((_, _, archive), reference)) in handles.iter().zip(&scan.lanes).enumerate() {
+            let at = format!("lane {lane}, pump {tick}");
+            assert_eq!(archive.len(), reference.archive.len(), "{at}: appended bytes");
+            assert_eq!(archive.is_closed(), reference.archive.is_closed(), "{at}: closed");
+            if !archive.is_closed() {
+                assert_eq!(archive.watermark(), promised, "{at}: watermark");
+                assert_eq!(reference.archive.watermark(), promised, "{at}: scan watermark");
+            }
+        }
+        assert_eq!(feed.finished(), scan.finished(), "pump {tick}");
+    }
+    assert!(feed.finished(), "a lane is still open after its last record");
+    for ((_, _, archive), (reference, recorded)) in
+        handles.iter().zip(scan.lanes.iter().zip(archives))
+    {
+        let (chunks, expected) = (archive.chunks(), reference.archive.chunks());
+        assert_eq!(chunks, expected, "the same chunk at every pump");
+        let recording = recorded.bytes.as_ptr_range();
+        for chunk in &chunks {
+            assert!(recording.contains(&chunk.as_ptr()), "a chunk was copied");
+        }
+    }
+}
+
+#[test]
+fn replay_feed_matches_the_per_lane_scan_on_the_small_fleet() {
+    let w = small_world();
+    // The fleet plus two collectors that saw nothing: their lanes are
+    // empty and close at the first pump.
+    let mut archives = w.archives.clone();
+    let silent = |collector| archive_at(collector, &[]);
+    archives.insert(0, silent(900));
+    archives.insert(archives.len() / 2, silent(901));
+    assert!(archives.iter().filter(|a| a.elems > 0).count() > 1);
+    let end = w.merged.last().expect("non-empty").time;
+    let minutes = (end.unix() - w.start.unix()) / 60 + 2;
+    let schedule: Vec<SimTime> =
+        (0..minutes).map(|m| SimTime::from_unix(w.start.unix() + 60 * m)).collect();
+    assert_replay_matches_the_scan(&archives, &schedule, None);
+    // Irregular pumps: repeated times, jumps, one lane closed by a
+    // handle half-way.
+    let mut t = w.start.unix() - 30;
+    let irregular: Vec<SimTime> = (0..minutes)
+        .map(|m| {
+            t += [0, 17, 60, 600, 1][m as usize % 5];
+            SimTime::from_unix(t)
+        })
+        .collect();
+    assert_replay_matches_the_scan(&archives, &irregular, Some((3, irregular.len() / 2)));
+}
+
+/// An archive of announcements at `times` (sorted), one record each.
+fn archive_at(collector: u16, times: &[u64]) -> CollectorArchive {
+    let elems: Vec<BgpElem> = times
+        .iter()
+        .map(|&t| BgpElem {
+            time: SimTime::from_unix(t),
+            dataset: DataSource::Ris,
+            collector,
+            peer_asn: bh_bgp_types::asn::Asn::new(64_500),
+            peer_ip: "198.51.100.7".parse().expect("peer ip"),
+            elem_type: bh_routing::ElemType::Announce,
+            prefix: "130.149.0.0/17".parse().expect("prefix"),
+            as_path: "3356 64500".parse().expect("path"),
+            communities: Default::default(),
+            next_hop: Some("198.51.100.7".parse().expect("next hop")),
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    write_updates(&mut bytes, &elems).expect("archive serializes");
+    CollectorArchive {
+        dataset: DataSource::Ris,
+        collector,
+        name: format!("rc{collector}"),
+        bytes: bytes.into(),
+        elems: elems.len() as u64,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// Random lanes — silent ones, bursts at one time, records before the
+    /// first pump — under random pump schedules.
+    #[test]
+    fn replay_feed_matches_the_per_lane_scan_on_random_archives(
+        lanes in prop::collection::vec(prop::collection::vec(0u64..400, 0..12), 1..12),
+        steps in prop::collection::vec(0u64..40, 1..40),
+        start in 0u64..60,
+        close in prop::option::of((0usize..12, 0usize..40)),
+    ) {
+        let archives: Vec<CollectorArchive> = lanes
+            .iter()
+            .enumerate()
+            .map(|(c, times)| {
+                let mut times = times.clone();
+                times.sort_unstable();
+                archive_at(c as u16, &times)
+            })
+            .collect();
+        let mut now = start;
+        let schedule: Vec<SimTime> = steps
+            .iter()
+            .map(|step| {
+                now += step;
+                SimTime::from_unix(now)
+            })
+            .collect();
+        assert_replay_matches_the_scan(&archives, &schedule, close);
+    }
 }

@@ -3,7 +3,11 @@
 //! observationally identical to whichever feeder ([`common::Feeder`]) a
 //! case draws — same records — on arbitrary round-tripped archives;
 //! every feeder's [`BgpElem`] stream must equal an expansion of the
-//! written updates computed in the test; and inference over a decoded
+//! written updates computed in the test; the tail window — chunks framed
+//! in place, torn records stitched aside — must equal the bytes reader
+//! under any chunking, single-byte appends included, both through
+//! `TailingReader` and through a `TailingSource` over a `LiveArchive`
+//! fed shared slices; and inference over a decoded
 //! Small-scale archive set must equal inference over the scenario's own
 //! elems. Interning is checked: tables
 //! built in any order hold the same distinct values, and an issued id
@@ -15,7 +19,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use common::arb_feeder;
+use common::{arb_feeder, Feeder, Transport, COLLECTOR, DATASET};
 
 use bh_bench::{Study, StudyScale};
 use bh_bgp_types::as_path::AsPath;
@@ -28,7 +32,11 @@ use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
 use bh_mrt::{MrtBytesReader, MrtWriter, ReadMode};
 use bh_routing::archive::MrtElemSource;
-use bh_routing::{merge_streams, split_by_collector, ElemSource, MergedSource, SliceSource};
+use bh_routing::{
+    merge_streams, split_by_collector, ElemSource, LiveArchive, LivePoll, MergedSource,
+    SliceSource, TailingSource,
+};
+use bytes::Bytes;
 
 const PEER_IP: &str = "198.51.100.44";
 const LOCAL_IP: &str = "192.0.2.254";
@@ -240,6 +248,53 @@ proptest! {
             let out = feeder.elems(mode, &archive);
             prop_assert_eq!(out.summary(), (&expected[..], None, draws.len() as u64, 0));
         }
+    }
+
+    /// The tail window equals the bytes reader under any chunking: sizes
+    /// cycled from 1..48, or every append a single byte. Records and elems
+    /// through `TailingReader` (each chunk a `&[u8]`, copied once), and
+    /// elems through a `TailingSource` over a `LiveArchive` appended
+    /// `Bytes` slices of the archive and polled after every append.
+    #[test]
+    fn the_tail_window_equals_the_bytes_reader_under_any_chunking(
+        draws in prop::collection::vec(arb_draw(), 0..16),
+        chunks in (any::<bool>(), prop::collection::vec(1usize..48, 1..8))
+            .prop_map(|(bytewise, sizes)| if bytewise { vec![1] } else { sizes }),
+    ) {
+        let (archive, _) = write_draws(&draws);
+        let whole = Feeder { transport: Transport::Bytes, chunks: vec![1] };
+        let tail = Feeder { transport: Transport::Tail, chunks: chunks.clone() };
+        let records = whole.decode(ReadMode::Strict, &archive);
+        prop_assert_eq!(tail.decode(ReadMode::Strict, &archive).summary(), records.summary());
+        let elems = whole.elems(ReadMode::Strict, &archive);
+        prop_assert_eq!(tail.elems(ReadMode::Strict, &archive).summary(), elems.summary());
+
+        let bytes = Bytes::from(archive);
+        let live = LiveArchive::new();
+        let mut source = TailingSource::new(live.clone(), DATASET, COLLECTOR);
+        let mut tailed = Vec::new();
+        let mut at = 0;
+        for &n in chunks.iter().cycle() {
+            if at == bytes.len() {
+                break;
+            }
+            let end = (at + n).min(bytes.len());
+            live.append(bytes.slice(at..end)).expect("the archive is open");
+            at = end;
+            loop {
+                match source.poll() {
+                    LivePoll::Elem(elem) => tailed.push(elem),
+                    LivePoll::Pending(_) => break,
+                    LivePoll::End => prop_assert!(false, "an open archive ended"),
+                }
+            }
+        }
+        live.close();
+        while let LivePoll::Elem(elem) = source.poll() {
+            tailed.push(elem);
+        }
+        prop_assert!(source.error().is_none());
+        prop_assert_eq!(&tailed, &elems.elems);
     }
 
     /// Intern tables are order-insensitive sets with stable ids: interning

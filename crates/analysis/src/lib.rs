@@ -1,10 +1,10 @@
 //! # bh-analysis — statistics and reporting
 //!
-//! Dependency-free analysis primitives shared by `bh_bench::reproduce`,
-//! the examples and the integration tests:
+//! Dependency-free analysis primitives used by `bh_bench::reproduce` and
+//! the `quickstart` example:
 //!
-//! * [`stats`] — ECDFs (Figs. 5, 8, 9), linear and logarithmic histograms
-//!   (Figs. 7, 8(b), 9(a/b)), quantiles.
+//! * [`stats`] — ECDF quantiles (Figs. 5, 8(a), 9), a logarithmic
+//!   histogram (Fig. 8(b)), means.
 //! * [`render`] — aligned ASCII tables matching the paper's table shapes
 //!   and TSV series emitters for every figure.
 

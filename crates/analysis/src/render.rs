@@ -25,20 +25,12 @@ impl Table {
     /// bug), and release builds pad or truncate to the header arity so
     /// [`Table::render`] never indexes out of bounds.
     pub fn row(&mut self, mut cells: Vec<String>) -> &mut Self {
+        // Unreachable because every caller (`reproduce`'s tables and
+        // `quickstart`) builds each row with its table's column count.
         debug_assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         cells.resize(self.headers.len(), String::new());
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with padded columns.
@@ -137,8 +129,6 @@ mod tests {
         let lines: Vec<&str> = rendered.lines().collect();
         // header + rule + 2 rows + title.
         assert_eq!(lines.len(), 5);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -155,7 +145,7 @@ mod tests {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
         t.row(vec!["1".into(), "2".into(), "3".into()]);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
         // Short rows pad, long rows truncate; render stays well-formed.
         let rendered = t.render();
         assert!(rendered.contains("only-one"));

@@ -1,12 +1,4 @@
-//! Statistics primitives: ECDFs, histograms, percentiles.
-//!
-//! Both [`Ecdf`] and [`Histogram`] are *mergeable incremental* forms:
-//! they grow one sample at a time ([`Ecdf::push`] /
-//! [`Histogram::record`]) and two instances fed disjoint sample sets
-//! merge ([`Ecdf::merge`] / [`Histogram::merge`]) into exactly what one
-//! instance fed the union would hold — the same contract as
-//! `bh_core`'s `EventAccumulator`s, so per-shard statistics fold
-//! together losslessly.
+//! Statistics primitives: ECDF quantiles, logarithmic histograms, means.
 
 /// An empirical CDF over `f64` samples.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -22,70 +14,8 @@ impl Ecdf {
         Ecdf { sorted: samples }
     }
 
-    /// An empty ECDF ready for incremental [`Ecdf::push`].
-    pub fn empty() -> Self {
-        Ecdf { sorted: Vec::new() }
-    }
-
-    /// Add one sample, keeping the sorted invariant (NaNs are dropped).
-    ///
-    /// Each push is a sorted insert — O(n) element moves — so this is
-    /// for trickles of samples between reads. Bulk loads should use
-    /// [`Ecdf::new`] (sort once) and per-shard folds should build one
-    /// `Ecdf` per shard and combine with the linear-time
-    /// [`Ecdf::merge`].
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        let idx = self.sorted.partition_point(|v| *v <= x);
-        self.sorted.insert(idx, x);
-    }
-
-    /// Fold another ECDF in: the result equals an ECDF built from the
-    /// concatenated sample sets (linear-time sorted merge).
-    pub fn merge(&mut self, other: Ecdf) {
-        let mine = std::mem::take(&mut self.sorted);
-        let mut a = mine.into_iter().peekable();
-        let mut b = other.sorted.into_iter().peekable();
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if *x <= *y {
-                        out.push(a.next().expect("peeked"));
-                    } else {
-                        out.push(b.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => out.extend(a.by_ref()),
-                (None, Some(_)) => out.extend(b.by_ref()),
-                (None, None) => break,
-            }
-        }
-        self.sorted = out;
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Is the ECDF empty?
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// `P(X <= x)`.
-    pub fn fraction_le(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|v| *v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1), by lower interpolation.
+    /// The `q`-quantile, `q` clamped to `[0, 1]`: the sorted sample at
+    /// the nearest rank, `round((n - 1) * q)` — no interpolation.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.sorted.is_empty() {
             return None;
@@ -93,35 +23,6 @@ impl Ecdf {
         let q = q.clamp(0.0, 1.0);
         let idx = ((self.sorted.len() - 1) as f64 * q).round() as usize;
         Some(self.sorted[idx])
-    }
-
-    /// Median.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// The (x, F(x)) points of the step function, deduplicated by x.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        for (i, &x) in self.sorted.iter().enumerate() {
-            let y = (i + 1) as f64 / n;
-            match out.last_mut() {
-                Some((lx, ly)) if *lx == x => *ly = y,
-                _ => out.push((x, y)),
-            }
-        }
-        out
-    }
-
-    /// Minimum sample.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
     }
 }
 
@@ -134,27 +35,20 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// A histogram over fixed bins.
+/// A histogram over fixed bins; samples outside them are not counted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
 }
 
 impl Histogram {
-    /// Linear bins: `[lo, hi)` split into `n` equal bins.
-    pub fn linear(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0 && hi > lo, "invalid histogram spec");
-        let width = (hi - lo) / n as f64;
-        let edges = (0..=n).map(|i| lo + width * i as f64).collect();
-        Histogram { edges, counts: vec![0; n], underflow: 0, overflow: 0 }
-    }
-
-    /// Logarithmic bins from `lo` to `hi` (both > 0), `n` bins.
-    pub fn logarithmic(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0 && hi > lo && lo > 0.0, "invalid log histogram spec");
+    /// Logarithmic bins from `lo` to `hi`, `n` bins; `None` unless
+    /// `0 < lo < hi` and `n > 0`.
+    pub fn logarithmic(lo: f64, hi: f64, n: usize) -> Option<Self> {
+        if !(n > 0 && hi > lo && lo > 0.0) {
+            return None;
+        }
         let ratio = (hi / lo).powf(1.0 / n as f64);
         let mut edges = Vec::with_capacity(n + 1);
         let mut edge = lo;
@@ -162,24 +56,18 @@ impl Histogram {
             edges.push(edge);
             edge *= ratio;
         }
-        Histogram { edges, counts: vec![0; n], underflow: 0, overflow: 0 }
+        Some(Histogram { edges, counts: vec![0; n] })
     }
 
-    /// Record one sample (NaNs are dropped, as in [`Ecdf`]).
+    /// Record one sample into the bin `[low, high)` holding it; a sample
+    /// below the first edge, at or above the last, or NaN is dropped.
     pub fn record(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
+        // The number of edges at or below `x`: 0 below the first edge (and
+        // for NaN, which compares false), `edges.len()` at or above the last.
+        let at_or_below = self.edges.partition_point(|e| *e <= x);
+        if (1..self.edges.len()).contains(&at_or_below) {
+            self.counts[at_or_below - 1] += 1;
         }
-        if x < self.edges[0] {
-            self.underflow += 1;
-            return;
-        }
-        if x >= *self.edges.last().expect("edges non-empty") {
-            self.overflow += 1;
-            return;
-        }
-        let idx = (self.edges.partition_point(|e| *e <= x) - 1).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
     }
 
     /// Record many samples.
@@ -187,18 +75,6 @@ impl Histogram {
         for x in xs {
             self.record(x);
         }
-    }
-
-    /// Fold another histogram over the *same bin edges* in: bin counts
-    /// and under/overflow add, so the result equals one histogram fed
-    /// both sample sets. Panics when the edges differ.
-    pub fn merge(&mut self, other: Histogram) {
-        assert_eq!(self.edges, other.edges, "histogram merge requires identical bin edges");
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
-            *mine += theirs;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
     }
 
     /// `(bin_low, bin_high, count)` triples.
@@ -209,57 +85,46 @@ impl Histogram {
             .map(|(i, &c)| (self.edges[i], self.edges[i + 1], c))
             .collect()
     }
-
-    /// Samples below the first bin.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the last edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded samples including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The per-bin counts of a histogram.
+    fn counts(h: &Histogram) -> Vec<u64> {
+        h.bins().into_iter().map(|(_, _, c)| c).collect()
+    }
+
     #[test]
     fn ecdf_basic() {
         let e = Ecdf::new(vec![3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(e.len(), 4);
-        assert_eq!(e.fraction_le(0.5), 0.0);
-        assert_eq!(e.fraction_le(1.0), 0.25);
-        assert_eq!(e.fraction_le(2.0), 0.75);
-        assert_eq!(e.fraction_le(10.0), 1.0);
-        assert_eq!(e.median(), Some(2.0));
-        assert_eq!(e.min(), Some(1.0));
-        assert_eq!(e.max(), Some(3.0));
+        assert_eq!(e.quantile(0.0), Some(1.0));
+        assert_eq!(e.quantile(0.5), Some(2.0));
+        assert_eq!(e.quantile(1.0), Some(3.0));
+        // Out-of-range quantiles clamp to the extremes.
+        assert_eq!(e.quantile(-1.0), Some(1.0));
+        assert_eq!(e.quantile(2.0), Some(3.0));
     }
 
     #[test]
     fn ecdf_is_monotone() {
         let e = Ecdf::new(vec![5.0, 1.0, 9.0, 4.0, 4.0, 2.0]);
-        let points = e.points();
-        for w in points.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 <= w[1].1);
+        let values: Vec<f64> = (0..=20).filter_map(|i| e.quantile(i as f64 / 20.0)).collect();
+        assert_eq!(values.len(), 21);
+        for w in values.windows(2) {
+            assert!(w[0] <= w[1]);
         }
-        assert!((points.last().unwrap().1 - 1.0).abs() < 1e-12);
+        assert_eq!(values.last(), Some(&9.0));
     }
 
     #[test]
     fn ecdf_handles_empty_and_nan() {
         let e = Ecdf::new(vec![f64::NAN, f64::NAN]);
-        assert!(e.is_empty());
-        assert_eq!(e.fraction_le(1.0), 0.0);
-        assert_eq!(e.median(), None);
+        assert_eq!(e.quantile(0.0), None);
+        assert_eq!(e.quantile(0.5), None);
+        let e = Ecdf::new(vec![f64::NAN, 4.0]);
+        assert_eq!(e.quantile(1.0), Some(4.0));
     }
 
     #[test]
@@ -272,38 +137,19 @@ mod tests {
     }
 
     #[test]
-    fn linear_histogram() {
-        let mut h = Histogram::linear(0.0, 10.0, 5);
-        h.record_all([0.0, 1.9, 2.0, 9.99, -1.0, 10.0, 55.0]);
-        let bins = h.bins();
-        assert_eq!(bins.len(), 5);
-        assert_eq!(bins[0].2, 2); // 0.0, 1.9
-        assert_eq!(bins[1].2, 1); // 2.0
-        assert_eq!(bins[4].2, 1); // 9.99
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
     fn histogram_drops_nan() {
-        let mut h = Histogram::linear(0.0, 10.0, 5);
-        h.record_all([1.0, f64::NAN, 9.5]);
-        assert_eq!(h.total(), 2);
-        assert_eq!(h.bins()[4].2, 1, "a NaN must not land in the top bin");
-        let mut other = Histogram::linear(0.0, 10.0, 5);
-        other.record(f64::NAN);
-        h.merge(other);
-        assert_eq!(h.total(), 2);
+        let mut h = Histogram::logarithmic(1.0, 1000.0, 3).unwrap();
+        h.record_all([2.0, f64::NAN, 999.0]);
+        assert_eq!(counts(&h), [1, 0, 1], "a NaN must not land in any bin");
     }
 
     #[test]
     fn log_histogram_regimes() {
         // Fig. 8(b)-style: minutes / days / months regimes in hours.
-        let mut h = Histogram::logarithmic(1.0 / 60.0, 24.0 * 90.0, 12);
-        h.record_all([0.5 / 60.0, 1.0, 30.0 * 24.0]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 3);
+        let mut h = Histogram::logarithmic(1.0 / 60.0, 24.0 * 90.0, 12).unwrap();
+        h.record_all([0.5 / 60.0, 1.0, 30.0 * 24.0, 24.0 * 90.0]);
+        // Below the first edge and at the last edge: not counted.
+        assert_eq!(counts(&h).iter().sum::<u64>(), 2);
         let nonzero: Vec<_> = h.bins().into_iter().filter(|(_, _, c)| *c > 0).collect();
         assert_eq!(nonzero.len(), 2);
         // Edges grow geometrically.
@@ -314,51 +160,21 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_push_matches_batch_construction() {
-        let samples = [5.0, 1.0, f64::NAN, 9.0, 4.0, 4.0, 2.0];
-        let mut incremental = Ecdf::empty();
-        for x in samples {
-            incremental.push(x);
-        }
-        assert_eq!(incremental, Ecdf::new(samples.to_vec()));
+    fn log_histogram_bins_are_half_open() {
+        // Edges 1, 2, 4: each bin holds its low edge, not its high one.
+        let mut h = Histogram::logarithmic(1.0, 4.0, 2).unwrap();
+        assert_eq!(h.bins().iter().map(|(lo, _, _)| *lo).collect::<Vec<_>>(), [1.0, 2.0]);
+        h.record_all([1.0, 1.9, 2.0, 3.99, 0.5, 4.0, 55.0]);
+        assert_eq!(counts(&h), [2, 2]);
     }
 
     #[test]
-    fn ecdf_merge_equals_concatenated_batch() {
-        let left = vec![5.0, 1.0, 9.0];
-        let right = vec![4.0, 4.0, 2.0, 7.5];
-        let mut merged = Ecdf::new(left.clone());
-        merged.merge(Ecdf::new(right.clone()));
-        let mut all = left;
-        all.extend(right);
-        assert_eq!(merged, Ecdf::new(all));
-        // Merging an empty ECDF is the identity, both ways.
-        let mut e = merged.clone();
-        e.merge(Ecdf::empty());
-        assert_eq!(e, merged);
-        let mut empty = Ecdf::empty();
-        empty.merge(merged.clone());
-        assert_eq!(empty, merged);
-    }
-
-    #[test]
-    fn histogram_merge_equals_combined_recording() {
-        let mut a = Histogram::linear(0.0, 10.0, 5);
-        a.record_all([0.0, 1.9, -1.0]);
-        let mut b = Histogram::linear(0.0, 10.0, 5);
-        b.record_all([2.0, 9.99, 10.0, 55.0]);
-        a.merge(b);
-        let mut combined = Histogram::linear(0.0, 10.0, 5);
-        combined.record_all([0.0, 1.9, 2.0, 9.99, -1.0, 10.0, 55.0]);
-        assert_eq!(a, combined);
-        assert_eq!(a.total(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical bin edges")]
-    fn histogram_merge_rejects_mismatched_edges() {
-        let mut a = Histogram::linear(0.0, 10.0, 5);
-        a.merge(Histogram::linear(0.0, 10.0, 4));
+    fn log_histogram_rejects_invalid_specs() {
+        assert!(Histogram::logarithmic(0.0, 10.0, 4).is_none());
+        assert!(Histogram::logarithmic(10.0, 10.0, 4).is_none());
+        assert!(Histogram::logarithmic(1.0, 10.0, 0).is_none());
+        assert!(Histogram::logarithmic(f64::NAN, 10.0, 4).is_none());
+        assert_eq!(Histogram::logarithmic(1.0, 10.0, 4).map(|h| h.bins().len()), Some(4));
     }
 
     #[test]

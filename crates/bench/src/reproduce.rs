@@ -648,7 +648,7 @@ fn ungrouped_minutes(w: &World) -> impl Iterator<Item = f64> + '_ {
 }
 
 fn grouped_minutes(w: &World) -> impl Iterator<Item = f64> + '_ {
-    w.report.periods.iter().map(|p| p.duration(w.analytics.now).as_mins_f64())
+    w.report.periods.iter().map(|p| p.duration(w.analytics.window_end).as_mins_f64())
 }
 
 /// Share of `values` at or below `limit`, in percent (NaN when empty).
@@ -670,9 +670,9 @@ fn render_fig8(w: &World) -> String {
         ],
     );
     let mut hist = Histogram::logarithmic(1.0 / 60.0, 24.0 * 95.0, 16);
-    hist.record_all(w.report.durations.iter().map(|d| d.as_hours_f64()));
+    hist.iter_mut().for_each(|h| h.record_all(w.report.durations.iter().map(|d| d.as_hours_f64())));
     out.push_str("# Fig 8b: duration histogram (hours, log bins)\n");
-    for (lo, hi, n) in hist.bins().into_iter().filter(|(_, _, n)| *n > 0) {
+    for (lo, hi, n) in hist.iter().flat_map(Histogram::bins).filter(|(_, _, n)| *n > 0) {
         let _ = writeln!(out, "{lo:.3}\t{hi:.3}\t{n}");
     }
     out

@@ -43,11 +43,6 @@ impl Origin {
             _ => None,
         }
     }
-
-    /// Decision-process preference: IGP < EGP < INCOMPLETE (lower wins).
-    pub fn preference_rank(self) -> u8 {
-        self.code()
-    }
 }
 
 /// Attribute type codes used by the codec (RFC 4271 / 1997 / 8092).
@@ -122,23 +117,12 @@ impl PathAttributes {
         self.communities = communities;
         self
     }
-
-    /// Builder-style: set LOCAL_PREF.
-    pub fn with_local_pref(mut self, lp: u32) -> Self {
-        self.local_pref = Some(lp);
-        self
-    }
-
-    /// Builder-style: set ORIGIN.
-    pub fn with_origin(mut self, origin: Origin) -> Self {
-        self.origin = origin;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::community::Community;
 
     #[test]
     fn origin_codes_round_trip() {
@@ -146,12 +130,6 @@ mod tests {
             assert_eq!(Origin::from_code(origin.code()), Some(origin));
         }
         assert_eq!(Origin::from_code(3), None);
-    }
-
-    #[test]
-    fn origin_preference_order() {
-        assert!(Origin::Igp.preference_rank() < Origin::Egp.preference_rank());
-        assert!(Origin::Egp.preference_rank() < Origin::Incomplete.preference_rank());
     }
 
     #[test]
@@ -167,12 +145,11 @@ mod tests {
     fn builder_helpers() {
         let path = AsPath::from_sequence(vec![Asn::new(1), Asn::new(2)]);
         let nh: IpAddr = "10.0.0.1".parse().unwrap();
-        let attrs = PathAttributes::basic(path.clone(), nh)
-            .with_local_pref(200)
-            .with_origin(Origin::Incomplete);
+        let communities = CommunitySet::from_classic(vec![Community::BLACKHOLE]);
+        let attrs = PathAttributes::basic(path.clone(), nh).with_communities(communities.clone());
         assert_eq!(attrs.as_path, path);
         assert_eq!(attrs.next_hop, Some(nh));
-        assert_eq!(attrs.local_pref, Some(200));
-        assert_eq!(attrs.origin, Origin::Incomplete);
+        assert_eq!(attrs.communities, communities);
+        assert_eq!(attrs.origin, Origin::Igp);
     }
 }

@@ -4,10 +4,7 @@
 //! (archived weekly snapshots) reported in the Cymru bogon list, and
 //! eliminates prefixes less-specific than /8". [`BogonFilter`] reproduces
 //! that cleaning stage: a static martian list (the stable core of the
-//! Cymru feed) plus the /8 rule, with room for dynamically added
-//! unallocated space to emulate the weekly snapshots.
-
-use std::net::Ipv4Addr;
+//! Cymru feed) plus the /8 rule.
 
 use crate::prefix::Ipv4Prefix;
 
@@ -81,12 +78,6 @@ impl BogonFilter {
         BogonFilter { flat: Vec::new(), min_length: 0 }
     }
 
-    /// Add an unallocated ("full bogon") block, emulating the weekly
-    /// Cymru snapshot updates.
-    pub fn add_unallocated(&mut self, prefix: Ipv4Prefix) {
-        self.insert_block(prefix);
-    }
-
     fn insert_block(&mut self, prefix: Ipv4Prefix) {
         self.flat.push((prefix.network_bits(), mask_of(prefix.length()), prefix));
     }
@@ -120,17 +111,12 @@ impl BogonFilter {
     pub fn is_routable(&self, prefix: &Ipv4Prefix) -> bool {
         self.check(prefix).is_ok()
     }
-
-    /// Is a single address inside a bogon block?
-    pub fn is_bogon_addr(&self, addr: Ipv4Addr) -> bool {
-        let addr = u32::from(addr);
-        self.flat.iter().any(|&(net, mask, _)| addr & mask == net)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
 
     fn p4(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -169,16 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn unallocated_snapshot_blocks_work() {
-        let mut f = BogonFilter::new();
-        assert!(f.is_routable(&p4("45.0.0.0/12")));
-        f.add_unallocated(p4("45.0.0.0/12"));
-        assert!(!f.is_routable(&p4("45.0.0.0/12")));
-        assert!(!f.is_routable(&p4("45.0.5.5/32")));
-        assert!(f.is_routable(&p4("45.16.0.0/12")));
-    }
-
-    #[test]
     fn rejection_reasons_identify_block() {
         let f = BogonFilter::new();
         match f.check(&p4("10.1.0.0/16")) {
@@ -204,30 +180,28 @@ mod tests {
     #[test]
     fn bogon_addr_lookup() {
         let f = BogonFilter::new();
-        assert!(f.is_bogon_addr("10.0.0.1".parse().unwrap()));
-        assert!(!f.is_bogon_addr("8.8.8.8".parse().unwrap()));
+        assert!(f.check(&p4("10.0.0.1/32")).is_err());
+        assert!(f.check(&p4("8.8.8.8/32")).is_ok());
     }
 
     #[test]
     fn addr_lookup_agrees_with_the_prefix_check_at_block_edges() {
-        let mut f = BogonFilter::new();
-        f.add_unallocated(p4("45.0.0.0/12"));
+        let f = BogonFilter::new();
         let host_route = |a: u32| Ipv4Prefix::from_raw(a, 32);
-        let blocks = MARTIAN_BLOCKS.iter().map(|(b, _)| p4(b)).chain([p4("45.0.0.0/12")]);
-        for block in blocks {
+        let blocks: Vec<Ipv4Prefix> = MARTIAN_BLOCKS.iter().map(|(b, _)| p4(b)).collect();
+        let in_a_block =
+            |a: u32| blocks.iter().any(|b| a & mask_of(b.length()) == b.network_bits());
+        for block in &blocks {
             let first = block.network_bits();
             let last = first | !mask_of(block.length());
             for a in [first.wrapping_sub(1), first, last, last.wrapping_add(1)] {
                 assert_eq!(
-                    f.is_bogon_addr(Ipv4Addr::from(a)),
+                    in_a_block(a),
                     f.check(&host_route(a)).is_err(),
                     "{} at the edge of {block}",
                     Ipv4Addr::from(a)
                 );
             }
-            assert!(
-                f.is_bogon_addr(Ipv4Addr::from(first)) && f.is_bogon_addr(Ipv4Addr::from(last))
-            );
         }
     }
 }

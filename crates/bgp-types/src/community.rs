@@ -61,17 +61,6 @@ impl Community {
         self.asn().is_public()
     }
 
-    /// Is this one of the four RFC 1997 / RFC 7999 well-known communities?
-    pub fn is_well_known(self) -> bool {
-        matches!(
-            self,
-            Community::NO_EXPORT
-                | Community::NO_ADVERTISE
-                | Community::NO_EXPORT_SUBCONFED
-                | Community::BLACKHOLE
-        )
-    }
-
     /// Raw 32-bit value.
     pub const fn raw(self) -> u32 {
         self.0
@@ -416,11 +405,6 @@ impl CommunitySet {
         self.inner.classic.len()
     }
 
-    /// Total number of communities of all families.
-    pub fn total_len(&self) -> usize {
-        self.inner.classic.len() + self.inner.large.len() + self.inner.extended.len()
-    }
-
     /// Is the set completely empty?
     pub fn is_empty(&self) -> bool {
         self.inner.classic.is_empty()
@@ -534,7 +518,6 @@ mod tests {
     fn blackhole_constant_is_rfc7999() {
         assert_eq!(Community::BLACKHOLE.to_string(), "65535:666");
         assert_eq!("65535:666".parse::<Community>().unwrap(), Community::BLACKHOLE);
-        assert!(Community::BLACKHOLE.is_well_known());
         assert!(!Community::BLACKHOLE.has_public_asn());
     }
 
@@ -542,7 +525,6 @@ mod tests {
     fn no_export_constant() {
         assert_eq!(Community::NO_EXPORT.asn_part(), 65535);
         assert_eq!(Community::NO_EXPORT.value_part(), 0xFF01);
-        assert!(Community::NO_EXPORT.is_well_known());
     }
 
     #[test]
@@ -609,7 +591,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert!(a.contains_large(LargeCommunity::new(1, 2, 3)));
-        assert_eq!(a.total_len(), 3);
+        assert_eq!(a.iter_all().count(), 3);
     }
 
     #[test]

@@ -191,13 +191,9 @@ pub mod study {
     }
 
     /// Start of the visibility window (Tables 3/4, Figs. 5–8): August 2016.
+    /// It ends with the study window, at [`longitudinal_end`].
     pub fn visibility_start() -> SimTime {
         SimTime::from_ymd(2016, 8, 1)
-    }
-
-    /// End of the visibility window: end of March 2017.
-    pub fn visibility_end() -> SimTime {
-        SimTime::from_ymd(2017, 4, 1)
     }
 }
 
@@ -273,7 +269,6 @@ mod tests {
     #[test]
     fn study_window_ordering() {
         assert!(study::longitudinal_start() < study::visibility_start());
-        assert!(study::visibility_start() < study::visibility_end());
-        assert_eq!(study::visibility_end(), study::longitudinal_end());
+        assert!(study::visibility_start() < study::longitudinal_end());
     }
 }

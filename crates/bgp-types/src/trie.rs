@@ -63,12 +63,6 @@ impl<T> PrefixTrie<T> {
         self.len == 0
     }
 
-    /// Live arena nodes (root included) — a capacity diagnostic: removal
-    /// recycles slots, so this does not grow across insert/remove churn.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
     fn bit(network: u32, depth: u8) -> usize {
         ((network >> (31 - depth as u32)) & 1) as usize
     }
@@ -185,11 +179,6 @@ impl<T> PrefixTrie<T> {
         best.map(|(len, v)| (Ipv4Prefix::from_raw(bits, len), v))
     }
 
-    /// Does any stored prefix contain `addr`?
-    pub fn matches_addr(&self, addr: Ipv4Addr) -> bool {
-        self.longest_match(addr).is_some()
-    }
-
     /// Does any stored prefix cover `prefix` entirely?
     pub fn covers(&self, prefix: &Ipv4Prefix) -> bool {
         self.covering(prefix).is_some()
@@ -301,7 +290,7 @@ mod tests {
     fn default_route_matches_everything() {
         let mut t = PrefixTrie::new();
         t.insert(p4("0.0.0.0/0"), ());
-        assert!(t.matches_addr(addr("8.8.8.8")));
+        assert!(t.longest_match(addr("8.8.8.8")).is_some());
         assert!(t.covers(&p4("192.0.2.0/24")));
     }
 
@@ -359,7 +348,7 @@ mod tests {
         // Tree fully pruned: nothing matches and iteration is empty.
         assert!(t.longest_match(addr("10.1.2.3")).is_none());
         assert!(t.iter().next().is_none());
-        assert_eq!(t.node_count(), 1, "only the root survives");
+        assert_eq!(t.nodes.len() - t.free.len(), 1, "only the root survives");
     }
 
     #[test]

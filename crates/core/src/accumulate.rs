@@ -116,31 +116,25 @@ impl EventAccumulator for Vec<BlackholeEvent> {
     }
 }
 
-/// The time parameters of the analytics: the analysis window (Fig. 4
-/// daily buckets), the "now" used to measure still-open durations
-/// (Fig. 8), and the §9 grouping timeout.
+/// §9 ("BGP Blackholing Duration Patterns") groups the events of one
+/// prefix into a period when the next starts at most 5 minutes after the
+/// previous ends, collapsing operators' ON/OFF probing.
+pub(crate) const GROUPING_GAP: SimDuration = SimDuration::mins(5);
+
+/// The analysis window: Fig. 4's daily buckets, and the end to which
+/// Fig. 8 measures still-open events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyticsConfig {
     /// Start of the analysis window (inclusive).
     pub window_start: SimTime,
-    /// End of the analysis window (exclusive).
+    /// End of the analysis window (exclusive); open events last until it.
     pub window_end: SimTime,
-    /// Reference time for open-event durations.
-    pub now: SimTime,
-    /// The event-grouping timeout (the paper uses 5 minutes).
-    pub grouping_timeout: SimDuration,
 }
 
 impl AnalyticsConfig {
-    /// A window `[start, end)` with `now = end` and the paper's 5-minute
-    /// grouping timeout.
+    /// The window `[start, end)`.
     pub fn window(window_start: SimTime, window_end: SimTime) -> Self {
-        AnalyticsConfig {
-            window_start,
-            window_end,
-            now: window_end,
-            grouping_timeout: SimDuration::mins(5),
-        }
+        AnalyticsConfig { window_start, window_end }
     }
 }
 
@@ -169,7 +163,7 @@ pub struct AnalyticsReport {
     pub distance_histogram: BTreeMap<DetectionDistance, usize>,
     /// Fig. 8(a) event durations, ascending.
     pub durations: Vec<SimDuration>,
-    /// Fig. 8 grouped periods (§9 grouping at the configured timeout).
+    /// Fig. 8 grouped periods (§9 grouping at its 5-minute gap).
     pub periods: Vec<BlackholePeriod>,
     /// Distinct blackholed prefixes (Fig. 7(a) / §8 input census).
     pub blackholed_prefixes: BTreeSet<Ipv4Prefix>,
@@ -218,7 +212,7 @@ pub struct AnalyticsPipeline {
     providers_per_event: BTreeMap<usize, usize>,
     /// Fig. 7(c): events per detection distance.
     distances: BTreeMap<DetectionDistance, usize>,
-    /// Fig. 8(a): durations, open events measured to `config.now`.
+    /// Fig. 8(a): durations, open events measured to `config.window_end`.
     durations: Vec<SimDuration>,
     /// The §9 grouping; its prefixes are the blackholed-prefix census.
     periods: PeriodAccumulator,
@@ -240,7 +234,7 @@ impl AnalyticsPipeline {
             providers_per_event: BTreeMap::new(),
             distances: BTreeMap::new(),
             durations: Vec::new(),
-            periods: PeriodAccumulator::new(config.grouping_timeout),
+            periods: PeriodAccumulator::new(GROUPING_GAP),
         }
     }
 
@@ -292,7 +286,7 @@ impl EventAccumulator for AnalyticsPipeline {
         for distance in &event.distances {
             *self.distances.entry(*distance).or_default() += 1;
         }
-        self.durations.push(event.duration(self.config.now));
+        self.durations.push(event.duration(self.config.window_end));
         self.periods.observe(event);
     }
 

@@ -73,11 +73,6 @@ impl BlackholeEvent {
     pub fn duration(&self, now: SimTime) -> SimDuration {
         self.end.unwrap_or(now).since(self.start)
     }
-
-    /// Was the event active at any point during `[from, to)`?
-    pub fn active_during(&self, from: SimTime, to: SimTime) -> bool {
-        self.start < to && self.end.is_none_or(|e| e > from)
-    }
 }
 
 /// A [`BlackholeEvent`] as emitted by a *live* pipeline: tagged with a
@@ -268,17 +263,6 @@ mod tests {
         assert_eq!(e.duration(SimTime::from_unix(1000)).as_secs(), 60);
         let open = event("1.2.3.4/32", 100, None);
         assert_eq!(open.duration(SimTime::from_unix(1000)).as_secs(), 900);
-    }
-
-    #[test]
-    fn active_during_window_logic() {
-        let e = event("1.2.3.4/32", 100, Some(200));
-        assert!(e.active_during(SimTime::from_unix(50), SimTime::from_unix(150)));
-        assert!(e.active_during(SimTime::from_unix(150), SimTime::from_unix(300)));
-        assert!(!e.active_during(SimTime::from_unix(200), SimTime::from_unix(300)));
-        assert!(!e.active_during(SimTime::from_unix(0), SimTime::from_unix(100)));
-        let open = event("1.2.3.4/32", 100, None);
-        assert!(open.active_during(SimTime::from_unix(5000), SimTime::from_unix(6000)));
     }
 
     #[test]

@@ -127,11 +127,6 @@ where
 }
 
 impl<A: EventAccumulator> ShardedSession<A> {
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Elements pushed so far (stream + RIB).
     pub fn pushed(&self) -> u64 {
         self.pushed
@@ -309,7 +304,7 @@ mod tests {
 
         for shards in [1, 2, 4, 7] {
             let mut sharded = b.clone().build_sharded(shards);
-            assert_eq!(sharded.shard_count(), shards);
+            assert_eq!(sharded.senders.len(), shards);
             for e in &elems {
                 sharded.push(e);
             }
@@ -372,7 +367,7 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let (b, community, _) = builder();
         let mut sharded = b.build_sharded(0);
-        assert_eq!(sharded.shard_count(), 1);
+        assert_eq!(sharded.senders.len(), 1);
         sharded.push(&announce("9.9.9.9/32", 10, vec![community], 1));
         assert_eq!(sharded.finish().events.len(), 1);
     }

@@ -51,10 +51,7 @@ pub struct BlackholeDictionary {
     by_large: BTreeMap<LargeCommunity, BTreeSet<Asn>>,
     providers: BTreeMap<Asn, ProviderMeta>,
     /// Non-blackhole documented communities (the second dictionary built
-    /// in §4.1 for the Fig. 2 comparison) — the union of the non-blackhole
-    /// class maps.
-    other_by_community: BTreeMap<Community, BTreeSet<Asn>>,
-    /// Non-blackhole documented communities refined by usage class.
+    /// in §4.1 for the Fig. 2 comparison), refined by usage class.
     class_by_community: BTreeMap<CommunityClass, BTreeMap<Community, BTreeSet<Asn>>>,
     /// Class-refined RFC 8092 large communities (32-bit-ASN tags).
     class_by_large: BTreeMap<CommunityClass, BTreeMap<LargeCommunity, BTreeSet<Asn>>>,
@@ -119,7 +116,6 @@ impl BlackholeDictionary {
                         }
                     }
                 } else {
-                    dict.other_by_community.entry(c).or_default().insert(m.asn);
                     dict.class_by_community
                         .entry(resolved)
                         .or_default()
@@ -176,22 +172,9 @@ impl BlackholeDictionary {
         self.by_community.contains_key(&community)
     }
 
-    /// Is this a known *non*-blackhole documented community?
-    pub fn is_other_community(&self, community: Community) -> bool {
-        self.other_by_community.contains_key(&community)
-    }
-
     /// Iterate blackhole entries.
     pub fn entries(&self) -> impl Iterator<Item = DictEntry> + '_ {
         self.by_community.iter().map(|(c, providers)| DictEntry {
-            community: *c,
-            providers: providers.iter().copied().collect(),
-        })
-    }
-
-    /// Iterate non-blackhole entries (for Fig. 2).
-    pub fn other_entries(&self) -> impl Iterator<Item = DictEntry> + '_ {
-        self.other_by_community.iter().map(|(c, providers)| DictEntry {
             community: *c,
             providers: providers.iter().copied().collect(),
         })
@@ -232,25 +215,9 @@ impl BlackholeDictionary {
             .map(|(class, _)| *class)
     }
 
-    /// The resolved usage class of a large community, if documented.
-    pub fn class_of_large(&self, large: LargeCommunity) -> Option<CommunityClass> {
-        if self.by_large.contains_key(&large) {
-            return Some(CommunityClass::Blackhole);
-        }
-        self.class_by_large
-            .iter()
-            .find(|(_, map)| map.contains_key(&large))
-            .map(|(class, _)| *class)
-    }
-
     /// Providers and metadata.
     pub fn providers(&self) -> impl Iterator<Item = (Asn, &ProviderMeta)> {
         self.providers.iter().map(|(asn, meta)| (*asn, meta))
-    }
-
-    /// Metadata for one provider.
-    pub fn provider_meta(&self, asn: Asn) -> Option<&ProviderMeta> {
-        self.providers.get(&asn)
     }
 
     /// Insert an externally validated entry (e.g. a late private
@@ -420,11 +387,6 @@ pub struct DictionaryValidation {
 }
 
 impl DictionaryValidation {
-    /// Is the dictionary perfectly aligned with documented ground truth?
-    pub fn is_perfect(&self) -> bool {
-        self.false_positives.is_empty() && self.missed.is_empty() && self.undocumented_leaks == 0
-    }
-
     /// Recall over documented pairs.
     pub fn recall(&self) -> f64 {
         let denom = self.true_positives + self.missed.len();
@@ -564,7 +526,8 @@ mod tests {
         );
         let bh = decoy.blackhole_offering.as_ref().unwrap().primary_community();
         assert!(dict.providers_for(bh).contains(&decoy.asn));
-        assert!(dict.is_other_community(tag) || dict.providers_for(tag).is_empty());
+        let is_other = dict.class_by_community.values().any(|map| map.contains_key(&tag));
+        assert!(is_other || dict.providers_for(tag).is_empty());
     }
 
     #[test]
@@ -593,7 +556,7 @@ mod tests {
         assert_eq!(dict.providers_for(c), vec![asn]);
         // Idempotent.
         dict.insert_validated(asn, c);
-        assert_eq!(dict.provider_meta(asn).unwrap().communities.len(), 1);
+        assert_eq!(dict.providers[&asn].communities.len(), 1);
     }
 
     #[test]
@@ -694,34 +657,10 @@ mod tests {
         assert!(dict.providers_for(truncated).is_empty());
         assert_eq!(dict.class_of(truncated), None);
         // The location tags stay per-provider too.
-        assert_eq!(
-            dict.class_of_large(LargeCommunity::new(a.value(), 2001, 0)),
-            Some(CommunityClass::Location)
-        );
-        assert_eq!(
-            dict.class_of_large(LargeCommunity::new(b.value(), 2001, 0)),
-            Some(CommunityClass::Location)
-        );
-        assert!(dict.validate_against(&t).is_perfect());
-    }
-
-    #[test]
-    fn other_entries_do_not_overlap_blackhole_provider_pairs() {
-        let (_, dict) = built();
-        for entry in dict.entries() {
-            for other in dict.other_entries() {
-                if entry.community == other.community {
-                    // The same value may exist in both dictionaries (e.g.
-                    // ASN:666 decoy) but never for the same provider.
-                    for p in &entry.providers {
-                        assert!(
-                            !other.providers.contains(p),
-                            "{} both blackhole and other for {p}",
-                            entry.community
-                        );
-                    }
-                }
-            }
-        }
+        let location: Vec<_> = dict.class_large_entries(CommunityClass::Location).collect();
+        let tag = |asn: Asn| (LargeCommunity::new(asn.value(), 2001, 0), vec![asn]);
+        assert_eq!(location, vec![tag(a), tag(b)]);
+        let v = dict.validate_against(&t);
+        assert!(v.false_positives.is_empty() && v.missed.is_empty() && v.undocumented_leaks == 0);
     }
 }

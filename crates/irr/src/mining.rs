@@ -10,7 +10,7 @@
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, LargeCommunity};
 
-use crate::corpus::{Corpus, IrrObject};
+use crate::corpus::Corpus;
 
 /// What a mined community appears to be used for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -273,12 +273,6 @@ impl DictionaryMiner {
         out
     }
 
-    /// Mine one IRR object (only `remarks:` lines carry policy prose).
-    pub fn mine_irr(&self, obj: &IrrObject, out: &mut Vec<MinedCommunity>) {
-        let remarks = obj.lines.iter().filter_map(|l| l.strip_prefix("remarks:")).map(str::trim);
-        self.mine_lines(obj.asn, remarks, false, out);
-    }
-
     fn mine_lines<'a>(
         &self,
         asn: Asn,
@@ -320,12 +314,11 @@ impl DictionaryMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::IrrObject;
 
     fn mine_line(line: &str) -> Vec<MinedCommunity> {
         let obj = IrrObject { asn: Asn::new(3356), lines: vec![format!("remarks:     {line}")] };
-        let mut out = Vec::new();
-        DictionaryMiner.mine_irr(&obj, &mut out);
-        out
+        DictionaryMiner.mine(&Corpus { irr_objects: vec![obj], ..Corpus::default() })
     }
 
     #[test]
@@ -483,8 +476,7 @@ mod tests {
                 "descr:       blackhole 1:666 in descr must be ignored".into(),
             ],
         };
-        let mut out = Vec::new();
-        DictionaryMiner.mine_irr(&obj, &mut out);
+        let out = DictionaryMiner.mine(&Corpus { irr_objects: vec![obj], ..Corpus::default() });
         assert!(out.is_empty());
     }
 }

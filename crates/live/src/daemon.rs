@@ -51,7 +51,8 @@ impl Default for LiveFleetConfig {
 
 /// Everything a daemon needs to resume exactly where a predecessor
 /// died: the session checkpoint, the analytics folded in so far, the
-/// next sequence number, and each archive's delivery position.
+/// next sequence number, each archive's delivery position, and the
+/// status counters (elements, checkpoints, worst latency seen).
 #[derive(Clone)]
 pub struct LiveCheckpoint {
     pub(crate) session: SessionCheckpoint,
@@ -60,6 +61,7 @@ pub struct LiveCheckpoint {
     pub(crate) delivered: Vec<((DataSource, u16), u64)>,
     pub(crate) total_elems: u64,
     pub(crate) checkpoints: u64,
+    pub(crate) max_latency_seen: SimDuration,
 }
 
 impl LiveCheckpoint {
@@ -146,7 +148,9 @@ impl Publisher {
 impl LiveFleet {
     /// Boot a fresh daemon at time `start` over `feeds` (one labelled
     /// [`LiveArchive`] per collector; label order is the merge
-    /// tie-break order).
+    /// tie-break order): a [`resume`](LiveFleet::resume) from the
+    /// initial checkpoint — an empty session, `pipeline`, every counter
+    /// at zero and nothing delivered.
     pub fn new(
         builder: SessionBuilder,
         pipeline: AnalyticsPipeline,
@@ -154,9 +158,16 @@ impl LiveFleet {
         start: SimTime,
         config: LiveFleetConfig,
     ) -> Self {
-        let sources =
-            feeds.iter().map(|(d, c, a)| TailingSource::new(a.clone(), *d, *c)).collect::<Vec<_>>();
-        Self::assemble(builder.build(), pipeline, sources, start, config, 0, 0, 0)
+        let initial = LiveCheckpoint {
+            session: builder.clone().build().checkpoint(),
+            pipeline,
+            next_seq: 0,
+            delivered: Vec::new(),
+            total_elems: 0,
+            checkpoints: 0,
+            max_latency_seen: SimDuration::ZERO,
+        };
+        Self::resume(builder, feeds, start, config, initial)
     }
 
     /// Resume at time `start` from a predecessor's [`LiveCheckpoint`].
@@ -185,40 +196,17 @@ impl LiveFleet {
                 TailingSource::with_skip(a.clone(), *d, *c, skip)
             })
             .collect::<Vec<_>>();
-        Self::assemble(
-            builder.resume(checkpoint.session.clone()),
-            checkpoint.pipeline.clone(),
-            sources,
-            start,
-            config,
-            checkpoint.next_seq,
-            checkpoint.total_elems,
-            checkpoint.checkpoints,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        session: InferenceSession,
-        pipeline: AnalyticsPipeline,
-        sources: Vec<TailingSource>,
-        start: SimTime,
-        config: LiveFleetConfig,
-        next_seq: u64,
-        total_elems: u64,
-        checkpoints: u64,
-    ) -> Self {
         let daemon = LiveFleet {
             merge: LiveMerge::new(sources),
-            session,
+            session: builder.resume(checkpoint.session),
             out: Publisher {
-                pipeline,
+                pipeline: checkpoint.pipeline,
                 shared: Arc::new(RwLock::new(SharedState::default())),
                 events_capacity: config.events_capacity.max(1),
-                next_seq,
-                total_elems,
-                checkpoints,
-                max_latency_seen: SimDuration::ZERO,
+                next_seq: checkpoint.next_seq,
+                total_elems: checkpoint.total_elems,
+                checkpoints: checkpoint.checkpoints,
+                max_latency_seen: checkpoint.max_latency_seen,
             },
             config: LiveFleetConfig {
                 checkpoint_every: config.checkpoint_every.max(1),
@@ -273,6 +261,7 @@ impl LiveFleet {
             delivered: self.merge.delivered(),
             total_elems: self.out.total_elems,
             checkpoints: self.out.checkpoints,
+            max_latency_seen: self.out.max_latency_seen,
         };
         self.since_checkpoint = 0;
         write_shared(&self.out.shared).report = Some(self.out.pipeline.snapshot());

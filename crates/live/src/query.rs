@@ -26,7 +26,8 @@ pub struct LiveStatus {
     pub sources_ended: usize,
     /// Total tailing sources.
     pub sources_total: usize,
-    /// Worst emission latency observed so far (closed events only).
+    /// Worst emission latency observed so far (closed events only),
+    /// carried across a resume.
     pub max_latency_seen: SimDuration,
     /// Checkpoints taken.
     pub checkpoints: u64,

@@ -454,11 +454,6 @@ impl<'a> BgpSimulator<'a> {
         &self.stats
     }
 
-    /// Reset the rejection counters (e.g. between workload phases).
-    pub fn reset_run_stats(&mut self) {
-        self.stats = RunStats::default();
-    }
-
     /// The step cap of one announce or withdraw run: `(ASes + 10) ×
     /// 10 000` work items. A converging flood costs about one item per
     /// directed adjacency entry, so only a policy dispute wheel (e.g.
@@ -1925,8 +1920,6 @@ mod tests {
 
         let total = sim.run_stats().total_import_rejects();
         assert!(total > 0);
-        sim.reset_run_stats();
-        assert_eq!(sim.run_stats().total_import_rejects(), 0);
     }
 
     #[test]

@@ -239,11 +239,6 @@ impl TopologyBuilder {
         TopologyBuilder { config, rng, alloc: AddressAllocator::new(), next_asn: 100, next_rs_asn }
     }
 
-    /// Convenience: default config with the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Self::new(TopologyConfig { seed, ..Default::default() })
-    }
-
     fn fresh_asn(&mut self) -> Asn {
         let asn = Asn::new(self.next_asn);
         // Skip anything non-public so communities stay unambiguous unless
@@ -759,8 +754,9 @@ mod tests {
         let t = TopologyBuilder::new(cfg.clone()).build();
         assert_eq!(t.as_count(), cfg.total_ases() + cfg.ixp_count);
         assert_eq!(t.ixps().len(), cfg.ixp_count);
-        assert_eq!(t.ases_of_type(NetworkType::Content).len(), cfg.content_count);
-        assert_eq!(t.ases_of_type(NetworkType::Ixp).len(), cfg.ixp_count);
+        let of_type = |ty| t.ases().filter(|i| i.network_type == ty).count();
+        assert_eq!(of_type(NetworkType::Content), cfg.content_count);
+        assert_eq!(of_type(NetworkType::Ixp), cfg.ixp_count);
     }
 
     #[test]
@@ -1010,11 +1006,12 @@ mod tests {
     fn default_scale_builds_and_is_consistent() {
         // One full-size build to catch scaling issues (allocator bounds,
         // member sampling, etc.).
-        let t = TopologyBuilder::with_seed(1).build();
+        let t = TopologyBuilder::new(TopologyConfig { seed: 1, ..Default::default() }).build();
         let cfg = TopologyConfig::default();
         assert_eq!(t.as_count(), cfg.total_ases() + cfg.ixp_count);
         assert_eq!(t.blackholing_providers().len(), 307 + 102);
-        assert!(t.transit_as_count() > cfg.tier1_count);
+        let transit = t.ases().filter(|i| !t.customers_of(i.asn).is_empty()).count();
+        assert!(transit > cfg.tier1_count);
         // Documented/undocumented split survives.
         let documented = t
             .ases()

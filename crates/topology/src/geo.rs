@@ -89,20 +89,6 @@ pub fn sample_country<R: Rng + ?Sized>(rng: &mut R, table: &[(&'static str, u32)
     table[dist.sample(rng)].0
 }
 
-/// Convenience: all distinct country codes across the tables (for
-/// reporting axes).
-pub fn all_countries() -> Vec<&'static str> {
-    let mut out: Vec<&'static str> = PROVIDER_COUNTRY_WEIGHTS
-        .iter()
-        .chain(USER_COUNTRY_WEIGHTS)
-        .chain(IXP_COUNTRY_WEIGHTS)
-        .map(|(c, _)| *c)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -144,15 +130,5 @@ mod tests {
         for c in ["RU", "US", "DE", "BR", "UA"] {
             assert!(countries.contains(&c));
         }
-    }
-
-    #[test]
-    fn all_countries_is_sorted_unique() {
-        let all = all_countries();
-        let mut sorted = all.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(all, sorted);
-        assert!(all.len() >= 20);
     }
 }

@@ -3,13 +3,13 @@
 //! peering-LAN lookup, origin lookup).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::IpAddr;
 
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::trie::PrefixTrie;
 
-use crate::types::{AsInfo, Ixp, IxpId, NetworkType, Relationship};
+use crate::types::{AsInfo, Ixp, IxpId, Relationship};
 
 /// The synthetic Internet: ASes, edges, IXPs.
 #[derive(Debug, Clone)]
@@ -252,20 +252,9 @@ impl Topology {
         LanIndex { trie }
     }
 
-    /// ASes of a given ground-truth network type.
-    pub fn ases_of_type(&self, ty: NetworkType) -> Vec<Asn> {
-        self.ases.values().filter(|info| info.network_type == ty).map(|info| info.asn).collect()
-    }
-
     /// All blackholing providers (ground truth).
     pub fn blackholing_providers(&self) -> Vec<Asn> {
         self.ases.values().filter(|info| info.offers_blackholing()).map(|info| info.asn).collect()
-    }
-
-    /// "Routed transit ASes": ASes with at least one customer — the paper's
-    /// denominator for adoption growth (§6).
-    pub fn transit_as_count(&self) -> usize {
-        self.ases.keys().filter(|&&asn| !self.customers_of(asn).is_empty()).count()
     }
 
     /// Degree statistics, used by the CAIDA-style classifier.
@@ -306,11 +295,6 @@ impl OriginIndex {
     /// The AS originating the most specific covering block of `prefix`.
     pub fn origin_of(&self, prefix: &Ipv4Prefix) -> Option<Asn> {
         self.trie.covering(prefix).map(|(_, asn)| *asn)
-    }
-
-    /// The AS whose allocation contains `addr`.
-    pub fn origin_of_addr(&self, addr: Ipv4Addr) -> Option<Asn> {
-        self.trie.longest_match(addr).map(|(_, asn)| *asn)
     }
 
     /// Number of indexed allocations.
@@ -424,7 +408,7 @@ impl PropagationRanks {
 
 #[cfg(test)]
 mod tests {
-    use crate::types::Tier;
+    use crate::types::{NetworkType, Tier};
 
     use super::*;
 
@@ -504,7 +488,8 @@ mod tests {
     #[test]
     fn transit_count_counts_ases_with_customers() {
         let t = small_topology();
-        assert_eq!(t.transit_as_count(), 2); // AS1 and AS2
+        let transit = t.ases().filter(|i| !t.customers_of(i.asn).is_empty()).count();
+        assert_eq!(transit, 2); // AS1 and AS2
     }
 
     #[test]
@@ -521,7 +506,7 @@ mod tests {
         assert_eq!(idx.origin_of(&"20.1.2.3/32".parse().unwrap()), Some(Asn::new(11)));
         assert_eq!(idx.origin_of(&"20.9.0.0/16".parse().unwrap()), Some(Asn::new(10)));
         assert_eq!(idx.origin_of(&"21.0.0.0/8".parse().unwrap()), None);
-        assert_eq!(idx.origin_of_addr("20.1.9.9".parse().unwrap()), Some(Asn::new(11)));
+        assert_eq!(idx.origin_of(&"20.1.9.9/32".parse().unwrap()), Some(Asn::new(11)));
         assert_eq!(idx.len(), 2);
     }
 

@@ -236,6 +236,9 @@ impl Oracle<'_> {
     }
 }
 
+/// §9: events of one prefix at most 5 minutes apart form one period.
+const GROUPING_GAP: SimDuration = SimDuration::mins(5);
+
 /// §9 grouping by the textbook sweep: events sorted by `(prefix, start)`,
 /// each joining the running period of its prefix when it starts within
 /// `timeout` of that period's end (an open period never ends).
@@ -438,15 +441,14 @@ pub fn assert_report_equals_naive_recomputation(
     assert_eq!(report.providers_per_event, per_count);
     assert_eq!(report.distance_histogram, per_distance);
 
-    // Fig. 8(a): durations ascending, open events measured to `now`.
+    // Fig. 8(a): durations ascending, open events measured to the window's end.
     let mut durations: Vec<SimDuration> = events
         .iter()
-        .map(|e| SimDuration::secs(e.end.unwrap_or(analytics.now).unix() - e.start.unix()))
+        .map(|e| SimDuration::secs(e.end.unwrap_or(analytics.window_end).unix() - e.start.unix()))
         .collect();
     durations.sort();
     assert_eq!(report.durations, durations);
 
     assert_eq!(report.blackholed_prefixes, events.iter().map(|e| e.prefix).collect());
-    assert_eq!(analytics.grouping_timeout, SimDuration::mins(5));
-    assert_eq!(report.periods, naive_periods(events, SimDuration::mins(5)));
+    assert_eq!(report.periods, naive_periods(events, GROUPING_GAP));
 }

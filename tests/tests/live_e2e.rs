@@ -249,6 +249,50 @@ fn killed_node_resumes_from_checkpoint_without_gaps_or_divergence() {
     assert_eq!(report, w.batch_report, "resumed live report diverged from the batch run");
 }
 
+/// The status counters survive a restart: a successor resumed from a
+/// checkpoint reports, before its first tick, the elements, checkpoints
+/// and worst emission latency its predecessor reported at that
+/// checkpoint — not a fresh zero.
+#[test]
+fn resumed_node_reports_the_predecessors_status_counters() {
+    let w = small_world();
+    let quantum = SimDuration::mins(1);
+    let config = LiveFleetConfig { checkpoint_every: 512, ..LiveFleetConfig::default() };
+
+    // Tick until a cadence checkpoint lands after an event was emitted
+    // late; the status published by that step is the checkpoint's.
+    let mut node = boot(w, quantum, config);
+    let query = node.query();
+    let mut checkpoints = query.status().checkpoints;
+    let at_checkpoint = loop {
+        assert!(!node.done(), "no checkpoint after a late emission");
+        node.tick();
+        let status = query.status();
+        let checkpointed = status.checkpoints > checkpoints;
+        checkpoints = status.checkpoints;
+        if checkpointed && status.max_latency_seen > SimDuration::ZERO {
+            break status;
+        }
+    };
+    let kill_now = node.now();
+    let checkpoint = node.kill().expect("the loop stopped at a checkpoint");
+    assert_eq!(checkpoint.total_elems(), at_checkpoint.elems);
+
+    let node = LiveNode::resume(
+        w.study.session(&w.run.refdata),
+        &w.archives,
+        kill_now,
+        quantum,
+        config,
+        checkpoint,
+    );
+    let resumed = node.query().status();
+    assert_eq!(resumed.max_latency_seen, at_checkpoint.max_latency_seen);
+    assert_eq!(resumed.elems, at_checkpoint.elems);
+    assert_eq!(resumed.checkpoints, at_checkpoint.checkpoints);
+    assert_eq!(resumed.events_emitted, at_checkpoint.events_emitted);
+}
+
 // ---- 3. crash-recovery property: any kill point, any cadence --------------
 
 proptest! {

@@ -58,17 +58,23 @@ reproduce-check:
 benchmark-smoke:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 
-# Non-test lines per crate, then non-test `pub fn` lines per crate: every
-# file under crates/*/src counted up to its first `#[cfg(test)]`. The
-# numbers a consolidation PR quotes before and after ("~35k lines is the
-# budget to shrink"; a public function nothing calls is surface to
-# shrink too); CI prints them into the run summary, but they are not a gate.
+# Non-test lines per crate, then non-test `pub fn` lines per crate, then
+# settable values per crate (the `pub` fields of structs whose name ends
+# in `Config` or `Policy`): every file under crates/*/src counted up to
+# its first `#[cfg(test)]`. The numbers a consolidation PR quotes before
+# and after ("~35k lines is the budget to shrink"; a public function
+# nothing calls is surface to shrink too; every settable value doubles
+# the configurations to cover); CI prints them into the run summary,
+# but they are not a gate.
 loc:
 	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
-		FNR == 1 { in_tests = 0; split(FILENAME, path, "/"); crate = path[2] } \
+		FNR == 1 { in_tests = 0; in_cfg = 0; split(FILENAME, path, "/"); crate = path[2] } \
 		/#\[cfg\(test\)\]/ { in_tests = 1 } \
 		!in_tests { lines[crate]++; total++ } \
 		!in_tests && /^[[:space:]]*pub fn / { pub_fns[crate]++; pub_total++ } \
-		END { printf "%-10s %6s %6s\n", "crate", "lines", "pub fn"; \
-		      for (c in lines) printf "%-10s %6d %6d\n", c, lines[c], pub_fns[c] | "sort"; \
-		      close("sort"); printf "%-10s %6d %6d\n", "total", total, pub_total }'
+		in_cfg && /^[[:space:]]*}/ { in_cfg = 0 } \
+		in_cfg && /^[[:space:]]*pub [a-z_][a-z0-9_]*:/ { settable[crate]++; settable_total++ } \
+		!in_tests && /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Policy)[^A-Za-z0-9_].*{$$/ { in_cfg = 1 } \
+		END { printf "%-10s %6s %6s %8s\n", "crate", "lines", "pub fn", "settable"; \
+		      for (c in lines) printf "%-10s %6d %6d %8d\n", c, lines[c], pub_fns[c], settable[c] | "sort"; \
+		      close("sort"); printf "%-10s %6d %6d %8d\n", "total", total, pub_total, settable_total }'

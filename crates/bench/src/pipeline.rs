@@ -64,7 +64,6 @@ impl StudyScale {
                 bh_edu: bh_topology::ProviderCounts { documented: 3, undocumented: 0 },
                 bh_enterprise: bh_topology::ProviderCounts { documented: 2, undocumented: 1 },
                 bh_unknown: bh_topology::ProviderCounts { documented: 3, undocumented: 1 },
-                peeringdb_coverage: 0.72,
                 power_law_degrees: false,
             },
             StudyScale::Full => TopologyConfig { seed, ..Default::default() },
@@ -82,7 +81,6 @@ impl StudyScale {
                 rv_peers: 14,
                 pch_ixp_coverage: 0.6,
                 cdn_peers: 90,
-                full_table_fraction: 0.5,
             },
             StudyScale::Full | StudyScale::Massive => {
                 CollectorConfig { seed, ..Default::default() }

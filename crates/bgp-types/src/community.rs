@@ -344,21 +344,6 @@ impl CommunitySet {
         }
     }
 
-    /// Remove a classic community; returns whether it was present.
-    pub fn remove(&mut self, c: Community) -> bool {
-        if !self.contains(c) {
-            return false;
-        }
-        let inner = self.make_mut();
-        match inner.classic.binary_search(&c) {
-            Ok(pos) => {
-                inner.classic.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Does the set contain this classic community?
     pub fn contains(&self, c: Community) -> bool {
         self.inner.classic.binary_search(&c).is_ok()
@@ -574,13 +559,11 @@ mod tests {
     }
 
     #[test]
-    fn set_contains_and_remove() {
-        let mut set: CommunitySet =
+    fn set_contains() {
+        let set: CommunitySet =
             vec![Community::from_parts(1, 1), Community::from_parts(2, 2)].into_iter().collect();
         assert!(set.contains(Community::from_parts(1, 1)));
-        assert!(set.remove(Community::from_parts(1, 1)));
-        assert!(!set.contains(Community::from_parts(1, 1)));
-        assert!(!set.remove(Community::from_parts(1, 1)));
+        assert!(!set.contains(Community::from_parts(1, 2)));
     }
 
     #[test]
@@ -642,7 +625,6 @@ mod tests {
         let mut d = a.clone();
         d.insert(Community::BLACKHOLE);
         d.retain(|_| true);
-        assert!(!d.remove(Community::NO_ADVERTISE));
         d.merge(&a);
         assert!(d.shares_allocation(&a));
     }

@@ -215,12 +215,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Replace the whole configuration (ablations).
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Toggle bundling detection (Fig. 7(c) ablation).
     pub fn bundling_detection(mut self, on: bool) -> Self {
         self.config.bundling_detection = on;
@@ -251,8 +245,9 @@ impl SessionBuilder {
     /// resumed session continues the stream under exactly the semantics
     /// the snapshotted state was built with (mixing per-peer modes
     /// mid-stream would strand open events).
-    pub fn resume(self, checkpoint: SessionCheckpoint) -> InferenceSession {
-        let mut session = self.config(checkpoint.config).build();
+    pub fn resume(mut self, checkpoint: SessionCheckpoint) -> InferenceSession {
+        self.config = checkpoint.config;
+        let mut session = self.build();
         session.state = checkpoint.state;
         session
     }
@@ -554,15 +549,6 @@ impl InferenceSession {
     /// Session statistics so far.
     pub fn stats(&self) -> EngineStats {
         self.state.stats
-    }
-
-    /// The community/prefix-length census (Fig. 2, extended dictionary).
-    ///
-    /// Takes `&mut self`: per-announcement tallies are deferred into the
-    /// community set's row and replayed into the census on read.
-    pub fn census(&mut self) -> &CommunityPrefixCensus {
-        self.state.flush_census();
-        &self.state.census
     }
 
     /// Events currently open (active, not yet ended).

@@ -35,19 +35,16 @@ pub struct LiveFleetConfig {
     pub max_latency: SimDuration,
     /// Checkpoint after this many ingested elements.
     pub checkpoint_every: u64,
-    /// How many recent events the query ring retains.
-    pub events_capacity: usize,
 }
 
 impl Default for LiveFleetConfig {
     fn default() -> Self {
-        LiveFleetConfig {
-            max_latency: SimDuration::mins(5),
-            checkpoint_every: 8_192,
-            events_capacity: 65_536,
-        }
+        LiveFleetConfig { max_latency: SimDuration::mins(5), checkpoint_every: 8_192 }
     }
 }
+
+/// How many recent events the query ring retains for `events-since`.
+const EVENTS_CAPACITY: usize = 65_536;
 
 /// Everything a daemon needs to resume exactly where a predecessor
 /// died: the session checkpoint, the analytics folded in so far, the
@@ -86,7 +83,7 @@ pub struct LiveFleet {
     merge: LiveMerge,
     session: InferenceSession,
     out: Publisher,
-    config: LiveFleetConfig,
+    checkpoint_every: u64,
     since_checkpoint: u64,
     last_checkpoint: Option<LiveCheckpoint>,
 }
@@ -98,7 +95,6 @@ pub struct LiveFleet {
 struct Publisher {
     pipeline: AnalyticsPipeline,
     shared: Arc<RwLock<SharedState>>,
-    events_capacity: usize,
     next_seq: u64,
     total_elems: u64,
     checkpoints: u64,
@@ -123,7 +119,7 @@ impl Publisher {
             let seq = self.next_seq;
             self.next_seq += 1;
             shared.events.insert(seq, SequencedEvent { seq, emitted_at: now, event });
-            while shared.events.len() > self.events_capacity {
+            while shared.events.len() > EVENTS_CAPACITY {
                 shared.events.pop_first();
             }
         }
@@ -202,17 +198,12 @@ impl LiveFleet {
             out: Publisher {
                 pipeline: checkpoint.pipeline,
                 shared: Arc::new(RwLock::new(SharedState::default())),
-                events_capacity: config.events_capacity.max(1),
                 next_seq: checkpoint.next_seq,
                 total_elems: checkpoint.total_elems,
                 checkpoints: checkpoint.checkpoints,
                 max_latency_seen: checkpoint.max_latency_seen,
             },
-            config: LiveFleetConfig {
-                checkpoint_every: config.checkpoint_every.max(1),
-                events_capacity: config.events_capacity.max(1),
-                ..config
-            },
+            checkpoint_every: config.checkpoint_every.max(1),
             since_checkpoint: 0,
             last_checkpoint: None,
         };
@@ -223,11 +214,6 @@ impl LiveFleet {
     /// A read-side handle for queries; clone freely.
     pub fn query_runner(&self) -> QueryRunner {
         QueryRunner::new(self.out.shared.clone())
-    }
-
-    /// Daemon tunables in effect.
-    pub fn config(&self) -> &LiveFleetConfig {
-        &self.config
     }
 
     /// Have all archives closed and drained?
@@ -241,14 +227,9 @@ impl LiveFleet {
         self.last_checkpoint.clone()
     }
 
-    /// Force a checkpoint now (also resets the cadence counter).
-    pub fn checkpoint_now(&mut self, now: SimTime) -> LiveCheckpoint {
-        self.checkpoint(now).clone()
-    }
-
-    /// Take a checkpoint and keep it as the last one. The cadence path
-    /// stops here: the one deep copy it makes is the one kept.
-    fn checkpoint(&mut self, now: SimTime) -> &LiveCheckpoint {
+    /// Take a checkpoint and keep it as the last one: the one deep copy
+    /// it makes is the one kept.
+    fn checkpoint(&mut self, now: SimTime) {
         // Emit first so the session checkpoint carries no pending closed
         // events: everything closed has a sequence number, and the
         // successor's numbering continues from a clean boundary.
@@ -266,7 +247,7 @@ impl LiveFleet {
         self.since_checkpoint = 0;
         write_shared(&self.out.shared).report = Some(self.out.pipeline.snapshot());
         self.publish_status(now);
-        self.last_checkpoint.insert(checkpoint)
+        self.last_checkpoint = Some(checkpoint);
     }
 
     /// One daemon iteration at time `now`: ingest everything the merge
@@ -281,7 +262,7 @@ impl LiveFleet {
         self.out.total_elems += ingested;
         self.since_checkpoint += ingested;
         self.out.emit(self.session.drain_closed(), now);
-        if self.since_checkpoint >= self.config.checkpoint_every {
+        if self.since_checkpoint >= self.checkpoint_every {
             self.checkpoint(now);
         } else {
             self.publish_status(now);

@@ -15,15 +15,15 @@
 //! * [`QueryRunner`] ([`query`]) answers `status` / `report` /
 //!   `events-since` queries over shared state the daemon publishes —
 //!   incremental [`AnalyticsReport`](bh_core::AnalyticsReport)
-//!   snapshots between checkpoints, a bounded ring of recent events,
-//!   and liveness counters.
+//!   snapshots between checkpoints, a ring of the 65 536 most recent
+//!   events, and liveness counters.
 //! * [`wire`] is the thin line-protocol front-end over a
 //!   [`QueryRunner`] (one command per line, `ok`/`err` replies).
 //! * [`LiveNode`] ([`node`]) is the container-style harness that boots
 //!   the whole service against a replayed workload and advances its
 //!   time in fixed quanta — what the e2e tests, the benchmark and the
 //!   examples drive. The daemon itself reads no clock: `now` is an
-//!   argument of [`LiveFleet::step`], `checkpoint_now` and `finish`.
+//!   argument of [`LiveFleet::step`] and [`LiveFleet::finish`].
 //!
 //! ## Latency semantics
 //!

@@ -116,10 +116,11 @@ pub struct CollectorConfig {
     pub pch_ixp_coverage: f64,
     /// CDN feed count (networks, sampled across all types).
     pub cdn_peers: usize,
-    /// Fraction of RIS/RV peers sending full tables (the rest send
-    /// customer routes only).
-    pub full_table_fraction: f64,
 }
+
+/// Fraction of RIS/RV peers sending full tables (the rest send customer
+/// routes only), at every scale.
+const FULL_TABLE_FRACTION: f64 = 0.5;
 
 impl Default for CollectorConfig {
     fn default() -> Self {
@@ -129,7 +130,6 @@ impl Default for CollectorConfig {
             rv_peers: 60,
             pch_ixp_coverage: 0.6,
             cdn_peers: 450,
-            full_table_fraction: 0.5,
         }
     }
 }
@@ -137,14 +137,7 @@ impl Default for CollectorConfig {
 impl CollectorConfig {
     /// Scaled-down deployment for tests.
     pub fn tiny(seed: u64) -> Self {
-        CollectorConfig {
-            seed,
-            ris_peers: 6,
-            rv_peers: 5,
-            pch_ixp_coverage: 0.75,
-            cdn_peers: 20,
-            full_table_fraction: 0.5,
-        }
+        CollectorConfig { seed, ris_peers: 6, rv_peers: 5, pch_ixp_coverage: 0.75, cdn_peers: 20 }
     }
 }
 
@@ -166,7 +159,7 @@ pub fn deploy(topology: &Topology, config: &CollectorConfig) -> CollectorDeploym
                                deployment: &mut CollectorDeployment| {
         let picks: Vec<Asn> = core.choose_multiple(rng, count.min(core.len())).copied().collect();
         for (i, asn) in picks.iter().enumerate() {
-            let feed = if rng.gen_bool(config.full_table_fraction) {
+            let feed = if rng.gen_bool(FULL_TABLE_FRACTION) {
                 FeedKind::Full
             } else {
                 FeedKind::CustomerOnly

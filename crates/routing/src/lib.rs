@@ -54,4 +54,4 @@ pub use paths::ForwardingTree;
 pub use policy::{ImportDecision, ImportOutcome, RejectReason, SessionBehavior};
 pub use sim::{AnnounceOutcome, AnnounceScope, Announcement, BgpSimulator, PropagationError};
 pub use source::{collect_source, ElemSource, SliceSource};
-pub use stats::{table1, table1_totals, DatasetStats, DatasetTotals};
+pub use stats::{table1, DatasetStats};

@@ -45,12 +45,6 @@ pub enum RejectReason {
     LengthRejected,
     /// RPKI-Invalid at an ROV-deploying AS (policy extension).
     RovInvalid,
-    /// A Tier-1 ASN appeared on a path learned from a customer or peer
-    /// — peerlock-lite leak containment (policy extension).
-    PeerlockViolation,
-    /// The hop adjacent to the origin is not a real neighbor of the
-    /// origin — path-end validation (policy extension).
-    PathEndInvalid,
     /// Arrived from a customer or peer while carrying the
     /// only-to-customers mark (policy extension).
     RouteLeak,
@@ -65,8 +59,6 @@ impl RejectReason {
             RejectReason::AuthFailed => "auth-failed",
             RejectReason::LengthRejected => "length-rejected",
             RejectReason::RovInvalid => "rov-invalid",
-            RejectReason::PeerlockViolation => "peerlock-violation",
-            RejectReason::PathEndInvalid => "path-end-invalid",
             RejectReason::RouteLeak => "route-leak",
         }
     }

@@ -986,21 +986,10 @@ fn import_at_router(
     let (me, from) = (ctx.asns[me as usize], ctx.asns[from as usize]);
     let prefix = &ctx.run.prefix;
     // The per-AS policy filters run before the Gao-Rexford import —
-    // they model the ingress filters (ROV, peerlock, path-end, OTC) a
-    // router applies ahead of route acceptance.
+    // they model the ingress filters (ROV, OTC) a router applies ahead
+    // of route acceptance.
     if let Some(engine) = ctx.policies {
-        engine
-            .import(
-                ctx.topology,
-                fx.stats,
-                me,
-                from,
-                rel,
-                prefix,
-                &route.as_path,
-                &mut route.leak_marked,
-            )
-            .ok()?;
+        engine.import(fx.stats, me, rel, prefix, &route.as_path, &mut route.leak_marked).ok()?;
     }
 
     let auth_ctx = AuthContext {
@@ -1091,8 +1080,6 @@ fn advertise(
     // A provider that strips its trigger does so on every blackhole
     // route it exports.
     let strip = offering.filter(|o| o.strips_community && best.is_some_and(|b| b.is_blackhole));
-    // Without policies the shared route is final; with them each
-    // neighbor's copy is exported first and stripped after, as ever.
     let mut exported: Option<RouteEntry> = None;
     let mut slot = 0;
     for (pos, &(n, to_rel)) in neighbors.iter().enumerate() {
@@ -1107,32 +1094,21 @@ fn advertise(
                         .get_or_insert_with(|| {
                             let mut out = best.clone();
                             out.as_path.prepend(me_asn, 1);
-                            if ctx.policies.is_none() {
-                                strip_triggers(&mut out, strip);
-                            }
+                            strip_triggers(&mut out, strip);
                             out
                         })
                         .clone()
                 };
                 // Valley-free verdict, then the per-AS export policy
-                // (OTC marking / scrub / leaker override).
+                // (OTC marking / leaker override).
                 let default_allowed = may_export(Some(best.learned_rel), to_rel);
                 match ctx.policies {
                     None => default_allowed.then(shared),
                     Some(engine) => {
                         let mut out = shared();
-                        let allowed = engine.export(
-                            fx.stats,
-                            me_asn,
-                            to_rel,
-                            &mut out.communities,
-                            &mut out.leak_marked,
-                            default_allowed,
-                        );
-                        allowed.then(|| {
-                            strip_triggers(&mut out, strip);
-                            out
-                        })
+                        engine
+                            .export(fx.stats, me_asn, to_rel, &mut out.leak_marked, default_allowed)
+                            .then_some(out)
                     }
                 }
             }
@@ -1528,12 +1504,15 @@ mod tests {
         let d = deployment_with(vec![session(DataSource::Ris, f.t1a, FeedKind::Full)]);
         let mut sim = BgpSimulator::new(&f.topology, d, 1);
         pin_behaviors(&mut sim, &f);
+        // P1's trigger rides along, bundled.
+        let mut communities = bh_communities(f.p2);
+        communities.merge(&bh_communities(f.p1));
         sim.announce(
             SimTime::from_unix(100),
             &Announcement {
                 origin: f.user,
                 prefix: "30.0.1.1/32".parse().unwrap(),
-                communities: bh_communities(f.p2),
+                communities,
                 scope: AnnounceScope::Neighbors(vec![f.p2]),
                 irr_registered: true,
                 prepend: 1,
@@ -1542,8 +1521,9 @@ mod tests {
         let elems = sim.drain_elems();
         let announce = elems.iter().find(|e| e.is_announce()).expect("T1a sees the /32");
         assert_eq!(announce.prefix, "30.0.1.1/32".parse().unwrap());
-        // The trigger was stripped.
+        // The trigger was stripped; only P2's own.
         assert!(!announce.communities.contains(Community::from_parts(f.p2.value() as u16, 666)));
+        assert!(announce.communities.contains(Community::from_parts(f.p1.value() as u16, 666)));
         // Provider is on the path.
         assert!(announce.as_path.contains(f.p2));
     }
@@ -1955,7 +1935,7 @@ mod tests {
         assert!(outcome.accepted_by.is_empty(), "ROV rejects the RPKI-Invalid host route");
         assert!(!sim.is_blackholed_at(f.p1, &host));
         assert_eq!(sim.run_stats().import_rejects_for(RejectReason::RovInvalid), 1);
-        assert_eq!(sim.run_stats().extension_rejects.get("rov"), Some(&1));
+        assert_eq!(sim.run_stats().total_import_rejects(), 1);
     }
 
     #[test]
@@ -2001,52 +1981,6 @@ mod tests {
             &Announcement::simple(f.user, prefix, CommunitySet::new()),
         );
         assert!(sim.run_stats().import_rejects_for(RejectReason::RouteLeak) > 0);
-        assert_eq!(
-            sim.run_stats().extension_rejects.get("only-to-customers"),
-            Some(&sim.run_stats().import_rejects_for(RejectReason::RouteLeak))
-        );
-    }
-
-    #[test]
-    fn scrub_strips_bundled_trigger_on_export() {
-        use bh_topology::{CommunityScrub, PolicyTable};
-
-        let f = fixture();
-        let host: Ipv4Prefix = "30.0.1.1/32".parse().unwrap();
-        let mut communities = bh_communities(f.p1);
-        communities.merge(&bh_communities(f.p2));
-        let request = Announcement {
-            origin: f.user,
-            prefix: host,
-            communities,
-            scope: AnnounceScope::Neighbors(vec![f.p2]),
-            irr_registered: true,
-            prepend: 1,
-        };
-        let p1_trigger = Community::from_parts(f.p1.value() as u16, 666);
-
-        // Baseline: P2 strips only its own trigger, so T1a still sees
-        // P1's bundled community on the propagated route.
-        let d = deployment_with(vec![session(DataSource::Ris, f.t1a, FeedKind::Full)]);
-        let mut sim = BgpSimulator::new(&f.topology, d, 1);
-        pin_behaviors(&mut sim, &f);
-        sim.announce(SimTime::from_unix(100), &request);
-        let elems = sim.drain_elems();
-        assert!(elems.iter().any(|e| e.communities.contains(p1_trigger)));
-
-        // A community-scrub extension at P2 also removes P1's trigger:
-        // the bundled signal is laundered before it reaches T1a.
-        let mut table = PolicyTable::new();
-        table.entry(f.p2).scrub =
-            Some(CommunityScrub { strip_all: false, strip: vec![p1_trigger], rewrite: vec![] });
-        let d = deployment_with(vec![session(DataSource::Ris, f.t1a, FeedKind::Full)]);
-        let mut sim = BgpSimulator::new(&f.topology, d, 1);
-        pin_behaviors(&mut sim, &f);
-        sim.install_policies(&table);
-        sim.announce(SimTime::from_unix(100), &request);
-        let elems = sim.drain_elems();
-        assert!(!elems.is_empty());
-        assert!(elems.iter().all(|e| !e.communities.contains(p1_trigger)));
     }
 
     // ---- state store ----------------------------------------------------

@@ -102,40 +102,6 @@ pub fn table1(topology: &Topology, deployment: &CollectorDeployment) -> Vec<Data
     rows
 }
 
-/// The combined "Total" row of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DatasetTotals {
-    /// All sessions.
-    pub ip_peers: usize,
-    /// Distinct peer ASNs across platforms.
-    pub as_peers: usize,
-    /// Union of visible prefixes.
-    pub prefixes: usize,
-}
-
-/// Compute the totals row.
-pub fn table1_totals(topology: &Topology, deployment: &CollectorDeployment) -> DatasetTotals {
-    let rows = table1(topology, deployment);
-    let mut all_peers: BTreeSet<Asn> = BTreeSet::new();
-    for session in deployment.sessions() {
-        all_peers.insert(session.peer_asn);
-    }
-    // Union of prefixes: recompute from rows is not possible (sets are
-    // internal), so rebuild: any Full/Internal session sees everything.
-    let any_full =
-        deployment.sessions().any(|s| matches!(s.feed, FeedKind::Full | FeedKind::Internal));
-    let prefix_union = if any_full {
-        topology.ases().map(|i| i.prefixes.len()).sum()
-    } else {
-        rows.iter().map(|r| r.prefixes).max().unwrap_or(0)
-    };
-    DatasetTotals {
-        ip_peers: rows.iter().map(|r| r.ip_peers).sum(),
-        as_peers: all_peers.len(),
-        prefixes: prefix_union,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use bh_topology::{TopologyBuilder, TopologyConfig};
@@ -144,15 +110,15 @@ mod tests {
 
     use super::*;
 
-    fn stats() -> (Vec<DatasetStats>, DatasetTotals) {
+    fn stats() -> Vec<DatasetStats> {
         let t = TopologyBuilder::new(TopologyConfig::tiny(9)).build();
         let d = deploy(&t, &CollectorConfig::tiny(3));
-        (table1(&t, &d), table1_totals(&t, &d))
+        table1(&t, &d)
     }
 
     #[test]
     fn all_four_platforms_reported() {
-        let (rows, _) = stats();
+        let rows = stats();
         assert_eq!(rows.len(), 4);
         let sources: Vec<_> = rows.iter().map(|r| r.source).collect();
         assert_eq!(sources, DataSource::ALL.to_vec());
@@ -162,7 +128,7 @@ mod tests {
     fn cdn_sees_the_most_prefixes() {
         // Table 1's headline shape: the CDN's visible prefix count is the
         // largest (internal feeds).
-        let (rows, _) = stats();
+        let rows = stats();
         let cdn = rows.iter().find(|r| r.source == DataSource::Cdn).unwrap();
         for row in &rows {
             assert!(cdn.prefixes >= row.prefixes, "CDN must see ≥ {}", row.source);
@@ -172,15 +138,11 @@ mod tests {
 
     #[test]
     fn unique_counts_are_bounded() {
-        let (rows, totals) = stats();
-        for row in &rows {
+        for row in &stats() {
             assert!(row.unique_as_peers <= row.as_peers);
             assert!(row.unique_prefixes <= row.prefixes);
             assert!(row.as_peers <= row.ip_peers);
         }
-        assert_eq!(totals.ip_peers, rows.iter().map(|r| r.ip_peers).sum::<usize>());
-        assert!(totals.as_peers <= totals.ip_peers);
-        assert!(totals.prefixes >= rows.iter().map(|r| r.prefixes).max().unwrap());
     }
 
     #[test]

@@ -44,6 +44,10 @@ use crate::types::{
     NetworkType, Relationship, TagClass, Tier,
 };
 
+/// Fraction of classifiable ASes with a PeeringDB record disclosing
+/// their type, at every scale; unknown-type ASes never have one.
+const PEERINGDB_COVERAGE: f64 = 0.72;
+
 /// Per-type counts of blackholing providers, split documented/undocumented.
 #[derive(Debug, Clone, Copy)]
 pub struct ProviderCounts {
@@ -85,8 +89,6 @@ pub struct TopologyConfig {
     pub bh_enterprise: ProviderCounts,
     /// Unknown-type providers offering blackholing.
     pub bh_unknown: ProviderCounts,
-    /// Fraction of ASes with a PeeringDB record disclosing their type.
-    pub peeringdb_coverage: f64,
     /// CAIDA-serial-2-shaped growth: customers attach to transit
     /// providers preferentially by current customer degree (rich get
     /// richer → power-law degree distribution, like the real AS graph)
@@ -113,7 +115,6 @@ impl Default for TopologyConfig {
             bh_edu: ProviderCounts { documented: 15, undocumented: 1 },
             bh_enterprise: ProviderCounts { documented: 8, undocumented: 3 },
             bh_unknown: ProviderCounts { documented: 14, undocumented: 3 },
-            peeringdb_coverage: 0.72,
             power_law_degrees: false,
         }
     }
@@ -137,7 +138,6 @@ impl TopologyConfig {
             bh_edu: ProviderCounts { documented: 1, undocumented: 0 },
             bh_enterprise: ProviderCounts { documented: 1, undocumented: 0 },
             bh_unknown: ProviderCounts { documented: 1, undocumented: 0 },
-            peeringdb_coverage: 0.72,
             power_law_degrees: false,
         }
     }
@@ -182,7 +182,6 @@ impl TopologyConfig {
             bh_edu: ProviderCounts { documented: scale(15), undocumented: scale(1) },
             bh_enterprise: ProviderCounts { documented: scale(8), undocumented: scale(3) },
             bh_unknown: ProviderCounts { documented: scale(14), undocumented: scale(3) },
-            peeringdb_coverage: 0.72,
             power_law_degrees: true,
         }
     }
@@ -338,7 +337,7 @@ impl TopologyBuilder {
                 NetworkType::TransitAccess,
                 sample_country(&mut self.rng, PROVIDER_COUNTRY_WEIGHTS),
                 prefixes,
-                self.rng.gen_bool(cfg.peeringdb_coverage),
+                self.rng.gen_bool(PEERINGDB_COVERAGE),
             );
             parts.ases.insert(asn, info);
             parts.transits.push(asn);
@@ -481,7 +480,7 @@ impl TopologyBuilder {
                 self.rng.gen_bool(if ty == NetworkType::Unknown {
                     0.0 // unknowns are unknown *because* they lack records
                 } else {
-                    self.config.peeringdb_coverage
+                    PEERINGDB_COVERAGE
                 }),
             );
             parts.ases.insert(asn, info);

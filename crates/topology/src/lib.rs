@@ -33,7 +33,7 @@ pub mod types;
 pub use addressing::AddressAllocator;
 pub use gen::{ProviderCounts, TopologyBuilder, TopologyConfig};
 pub use graph::{AsnIndex, Degrees, LanIndex, OriginIndex, PropagationRanks, Topology};
-pub use policy::{AsPolicy, CommunityScrub, PolicyTable, Roa, RoaTable, RpkiValidity};
+pub use policy::{AsPolicy, PolicyTable, Roa, RoaTable, RpkiValidity};
 pub use registry::{ClassificationSource, Classifier};
 pub use types::{
     classic_community, AsInfo, BlackholeAuth, BlackholeOffering, DocumentationChannel, Ixp, IxpId,

@@ -3,8 +3,7 @@
 //!
 //! The ground-truth topology describes *who* the networks are; this
 //! module describes *how they filter*. A [`PolicyTable`] maps ASNs to
-//! [`AsPolicy`] knob sets (ROV, peerlock-lite, only-to-customers,
-//! community scrubbing, path-end validation, and the deliberately
+//! [`AsPolicy`] knob sets (ROV, only-to-customers, and the deliberately
 //! misbehaving route leaker), and carries the [`RoaTable`] that ROV
 //! validates against. `bh-routing` evaluates each AS's knobs directly on
 //! import and export once the table is installed on a simulator; an
@@ -17,7 +16,6 @@
 
 use std::collections::BTreeMap;
 
-use bh_bgp_types::community::Community;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::Asn;
 
@@ -118,24 +116,6 @@ impl RoaTable {
     }
 }
 
-/// Community scrubbing configuration for one AS: strip and/or rewrite
-/// classic communities on routes it propagates.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CommunityScrub {
-    /// Drop every classic community on export.
-    pub strip_all: bool,
-    /// Specific communities to strip on export.
-    pub strip: Vec<Community>,
-    /// `(from, to)` rewrites applied on export (after stripping).
-    pub rewrite: Vec<(Community, Community)>,
-}
-
-impl CommunityScrub {
-    pub fn is_noop(&self) -> bool {
-        !self.strip_all && self.strip.is_empty() && self.rewrite.is_empty()
-    }
-}
-
 /// The per-AS policy knob set. Every knob defaults to off; an all-off
 /// policy compiles to no extensions at all.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -143,19 +123,10 @@ pub struct AsPolicy {
     /// RFC 6811 route-origin validation: drop RPKI-Invalid imports
     /// (validated against the table-wide [`RoaTable`]).
     pub rov: bool,
-    /// Peerlock-lite: drop routes carrying a Tier-1 ASN when learned
-    /// from a customer or (non-Tier-1) peer — such a path always
-    /// implies a route leak under valley-free export.
-    pub peerlock_lite: bool,
     /// RFC 9234-style Only-to-Customers: mark routes learned from
     /// providers/peers and drop marked routes arriving from customers
     /// or peers (a leak already happened upstream).
     pub only_to_customers: bool,
-    /// Path-end validation: the last hop before the origin must be a
-    /// real topology neighbor of the origin.
-    pub path_end: bool,
-    /// Community strip/rewrite applied on export.
-    pub scrub: Option<CommunityScrub>,
     /// Deliberate misbehavior: export every best route to every
     /// neighbor, ignoring the valley-free `may_export` rule. Used by
     /// the route-leak workloads; never a defense.
@@ -165,12 +136,7 @@ pub struct AsPolicy {
 impl AsPolicy {
     /// True when every knob is off — such a policy is not compiled.
     pub fn is_empty(&self) -> bool {
-        !self.rov
-            && !self.peerlock_lite
-            && !self.only_to_customers
-            && !self.path_end
-            && self.scrub.as_ref().is_none_or(CommunityScrub::is_noop)
-            && !self.leaker
+        !self.rov && !self.only_to_customers && !self.leaker
     }
 }
 
@@ -199,14 +165,6 @@ impl PolicyTable {
 
     pub fn roas(&self) -> &RoaTable {
         &self.roas
-    }
-
-    pub fn set(&mut self, asn: Asn, policy: AsPolicy) {
-        self.per_as.insert(asn, policy);
-    }
-
-    pub fn policy(&self, asn: Asn) -> Option<&AsPolicy> {
-        self.per_as.get(&asn)
     }
 
     /// Mutable per-AS entry, created all-off on first touch.
@@ -241,7 +199,8 @@ impl PolicyTable {
     /// growing fractions are *nested by construction* (a prefix of the
     /// same sorted list), which is what makes "detected blackholes are
     /// non-increasing in the deployment fraction" a theorem rather
-    /// than a tendency. Returns the newly deployed ASNs.
+    /// than a tendency. Returns those first `ceil(fraction * N)`
+    /// candidates, whether or not ROV was already on at them.
     pub fn deploy_rov_fraction(&mut self, topology: &Topology, fraction: f64) -> Vec<Asn> {
         let candidates = Self::rov_candidates(topology);
         let n = (fraction.clamp(0.0, 1.0) * candidates.len() as f64).ceil() as usize;
@@ -288,13 +247,5 @@ mod tests {
         table.entry(Asn(65001)).rov = true;
         assert!(!table.is_empty());
         assert_eq!(table.deployed_count(), 1);
-    }
-
-    #[test]
-    fn noop_scrub_is_empty() {
-        let mut policy = AsPolicy { scrub: Some(CommunityScrub::default()), ..AsPolicy::default() };
-        assert!(policy.is_empty());
-        policy.scrub = Some(CommunityScrub { strip_all: true, ..CommunityScrub::default() });
-        assert!(!policy.is_empty());
     }
 }

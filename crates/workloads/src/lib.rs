@@ -24,7 +24,7 @@ pub mod scenario;
 pub use adversarial::{run_adversarial, AdversarialConfig, AdversarialOutput};
 pub use attacks::{mirai_era_start, poisson, AttackCalendar, Spike, SPIKES};
 pub use fleet::{fleet_archives, fleet_archives_for, fleet_of, CollectorArchive};
-pub use live::{record_spans, ReplayFeed, ScriptedFeed};
+pub use live::ReplayFeed;
 pub use reaction::{
     capable_providers, eligible_users, plan_reaction, triggers, Action, CapableProvider,
     GroundTruthEvent, Schedule, TimedAction,

@@ -2,23 +2,21 @@
 //! a time the caller advances.
 //!
 //! Live tests must never sleep on wall time, so nothing here reads a
-//! clock: the driver passes `now` in. The two feeds turn a recorded
+//! clock: the driver passes `now` in. [`ReplayFeed`] turns a recorded
 //! [`CollectorArchive`] set into growing [`LiveArchive`]s, appending
 //! `Bytes` slices of the recording — the archives share its bytes, and
-//! nothing is copied on the way to the decoder:
+//! nothing is copied on the way to the decoder. It paces whole records
+//! by their MRT timestamps — each [`pump`](ReplayFeed::pump) appends
+//! every record due by `now` and advances the watermark, so a
+//! `LiveMerge` downstream sees exactly the arrival pattern a real
+//! collector fleet would produce. A pump costs O(lanes due + records
+//! appended): the lanes wait in a min-heap keyed by their next record's
+//! time, and all of them share one [`WatermarkClock`], advanced once per
+//! pump.
 //!
-//! * [`ReplayFeed`] paces whole records by their MRT timestamps — each
-//!   [`pump`](ReplayFeed::pump) appends every record due by `now` and
-//!   advances the watermark, so a `LiveMerge` downstream sees exactly
-//!   the arrival pattern a real collector fleet would produce. A pump
-//!   costs O(lanes due + records appended): the lanes wait in a min-heap
-//!   keyed by their next record's time, and all of them share one
-//!   [`WatermarkClock`], advanced once per pump.
-//! * [`ScriptedFeed`] appends raw *byte counts* regardless of record
-//!   boundaries — the adversarial writer that tears records mid-body,
-//!   for exercising the partial-tail retry path. It never advances
-//!   watermarks, so use it single-source (a merge's safety gate is
-//!   vacuous with one source).
+//! The unit tests add a `ScriptedFeed` that appends raw byte counts
+//! regardless of record boundaries, tearing records mid-body to exercise
+//! the partial-tail retry path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,7 +32,7 @@ use crate::fleet::CollectorArchive;
 /// Frame an MRT byte buffer into `(timestamp, byte range)` spans, one
 /// per record, without decoding payloads (12-byte header scan). Panics
 /// on a torn buffer — replay inputs are workspace-written archives.
-pub fn record_spans(bytes: &[u8]) -> Vec<(SimTime, Range<usize>)> {
+fn record_spans(bytes: &[u8]) -> Vec<(SimTime, Range<usize>)> {
     let mut spans = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
@@ -151,48 +149,6 @@ impl ReplayFeed {
     }
 }
 
-/// Appends one archive's bytes in caller-chosen chunk sizes, ignoring
-/// record boundaries — the torn-write generator.
-///
-/// No watermarks are advanced: pair it with a single-source consumer
-/// (the merge safety gate does not apply) or drive watermarks by hand.
-pub struct ScriptedFeed {
-    archive: LiveArchive,
-    bytes: Bytes,
-    pos: usize,
-}
-
-impl ScriptedFeed {
-    /// Wrap `bytes`; returns the feed and the archive handle to tail.
-    pub fn new(bytes: impl Into<Bytes>) -> (Self, LiveArchive) {
-        let archive = LiveArchive::new();
-        (ScriptedFeed { archive: archive.clone(), bytes: bytes.into(), pos: 0 }, archive)
-    }
-
-    /// Append the next `n` bytes (clamped to what remains). Returns how
-    /// many were actually appended.
-    pub fn append_bytes(&mut self, n: usize) -> usize {
-        let end = (self.pos + n).min(self.bytes.len());
-        let appended = end - self.pos;
-        if appended == 0 || self.archive.append(self.bytes.slice(self.pos..end)).is_err() {
-            return 0; // nothing left, or the archive was closed
-        }
-        self.pos = end;
-        appended
-    }
-
-    /// Bytes not yet appended.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Close the archive (with or without having appended everything —
-    /// closing short fabricates a torn-tail archive).
-    pub fn close(&self) {
-        self.archive.close();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use bh_routing::live::{LiveMerge, LivePoll, TailingSource};
@@ -204,6 +160,48 @@ mod tests {
 
     use super::*;
     use crate::scenario::{run, ScenarioConfig};
+
+    /// Appends one archive's bytes in caller-chosen chunk sizes, ignoring
+    /// record boundaries — the torn-write generator.
+    ///
+    /// No watermarks are advanced: pair it with a single-source consumer
+    /// (the merge safety gate does not apply) or drive watermarks by hand.
+    struct ScriptedFeed {
+        archive: LiveArchive,
+        bytes: Bytes,
+        pos: usize,
+    }
+
+    impl ScriptedFeed {
+        /// Wrap `bytes`; returns the feed and the archive handle to tail.
+        fn new(bytes: impl Into<Bytes>) -> (Self, LiveArchive) {
+            let archive = LiveArchive::new();
+            (ScriptedFeed { archive: archive.clone(), bytes: bytes.into(), pos: 0 }, archive)
+        }
+
+        /// Append the next `n` bytes (clamped to what remains). Returns how
+        /// many were actually appended.
+        fn append_bytes(&mut self, n: usize) -> usize {
+            let end = (self.pos + n).min(self.bytes.len());
+            let appended = end - self.pos;
+            if appended == 0 || self.archive.append(self.bytes.slice(self.pos..end)).is_err() {
+                return 0; // nothing left, or the archive was closed
+            }
+            self.pos = end;
+            appended
+        }
+
+        /// Bytes not yet appended.
+        fn remaining(&self) -> usize {
+            self.bytes.len() - self.pos
+        }
+
+        /// Close the archive (with or without having appended everything —
+        /// closing short fabricates a torn-tail archive).
+        fn close(&self) {
+            self.archive.close();
+        }
+    }
 
     fn small_world() -> (Vec<CollectorArchive>, Vec<bh_routing::BgpElem>) {
         let t = TopologyBuilder::new(TopologyConfig::tiny(55)).build();

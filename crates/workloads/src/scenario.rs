@@ -39,9 +39,6 @@ pub struct ScenarioConfig {
     /// How many base prefixes to announce at start (they carry the
     /// providers' tag communities and anchor the Fig. 2 census).
     pub base_prefix_sample: usize,
-    /// Include the Fig. 4(c) named spikes (incl. the spike-A
-    /// misconfiguration).
-    pub include_spikes: bool,
 }
 
 impl ScenarioConfig {
@@ -51,13 +48,7 @@ impl ScenarioConfig {
         let mut calendar = AttackCalendar::study(attacks_per_day);
         calendar.window_end =
             SimTime::from_unix((calendar.window_start.day_index() + days) * 86_400);
-        ScenarioConfig {
-            seed,
-            calendar,
-            initial_adoption: 0.6,
-            base_prefix_sample: 40,
-            include_spikes: false,
-        }
+        ScenarioConfig { seed, calendar, initial_adoption: 0.6, base_prefix_sample: 40 }
     }
 
     /// The full study window (Dec 2014 – Mar 2017) at a configurable
@@ -68,7 +59,6 @@ impl ScenarioConfig {
             calendar: AttackCalendar::study(attacks_per_day),
             initial_adoption: 0.25,
             base_prefix_sample: 120,
-            include_spikes: true,
         }
     }
 
@@ -197,14 +187,13 @@ pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOut
                 plan_reaction(&mut rng, topology, user, start, duration, &mut schedule);
             }
 
-            // Spike A: the accidental full-table blackholing (<2 minutes).
-            if config.include_spikes {
-                if let Some(spike) = config.calendar.spike_on(day) {
-                    if spike.is_misconfiguration
-                        && config.calendar.day(day).ymd() == (spike.year, spike.month, spike.day)
-                    {
-                        plan_accident(&mut rng, topology, day_start, &mut schedule);
-                    }
+            // Spike A: the accidental full-table blackholing (<2 minutes),
+            // on its day whenever the window covers it.
+            if let Some(spike) = config.calendar.spike_on(day) {
+                if spike.is_misconfiguration
+                    && config.calendar.day(day).ymd() == (spike.year, spike.month, spike.day)
+                {
+                    plan_accident(&mut rng, topology, day_start, &mut schedule);
                 }
             }
         }

@@ -35,11 +35,7 @@ fn main() {
 
     section("2. boot the node: replay feed + virtual clock + daemon");
     let quantum = SimDuration::mins(1);
-    let config = LiveFleetConfig {
-        max_latency: SimDuration::mins(5),
-        checkpoint_every: 1_024,
-        ..LiveFleetConfig::default()
-    };
+    let config = LiveFleetConfig { max_latency: SimDuration::mins(5), checkpoint_every: 1_024 };
     let mut node = LiveNode::boot(
         study.session(&refdata),
         study.analytics_pipeline(&refdata, analytics),

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use bh_bench::{Study, StudyScale};
 use bh_core::LabelKind;
 use bh_routing::RejectReason;
-use bh_topology::{CommunityScrub, PolicyTable, RoaTable, TopologyBuilder, TopologyConfig};
+use bh_topology::{PolicyTable, Roa, RoaTable, TopologyBuilder, TopologyConfig};
 use bh_workloads::{AdversarialConfig, AdversarialOutput, ScenarioConfig, ScenarioOutput};
 
 fn study() -> &'static Study {
@@ -121,12 +121,10 @@ fn debug_digest<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
 fn policy_fingerprint(out: &AdversarialOutput) -> String {
     let stats = &out.run_stats;
     format!(
-        "elems={} digest={:016x} import_rejects={:?} extension_rejects={:?} \
-         exports_forced={} work_items={}",
+        "elems={} digest={:016x} import_rejects={:?} exports_forced={} work_items={}",
         out.elems.len(),
         debug_digest(&out.elems),
         stats.import_rejects,
-        stats.extension_rejects,
         stats.exports_forced,
         stats.work_items
     )
@@ -164,30 +162,60 @@ fn scenario_fingerprint(out: &ScenarioOutput) -> String {
 /// the FIFO reference of `phased_propagation.rs` share the policy code,
 /// so only values recorded from the old implementation catch a semantic
 /// slip in it. The third deployment turns every `AsPolicy` field on
-/// somewhere, which the two catalog workloads do not.
+/// somewhere, which the two catalog workloads do not; its line was
+/// recorded at a1d28b0 with the three filters removed since then left
+/// unset.
 #[test]
 fn policy_layer_golden_pin() {
     let topology = &study().topology;
 
     let rov = AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, 0.5);
-    assert_eq!(policy_fingerprint(&study().adversarial_run(&rov).output), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} extension_rejects={\"rov\": 41} exports_forced=0 work_items=1387");
+    assert_eq!(policy_fingerprint(&study().adversarial_run(&rov).output), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} exports_forced=0 work_items=1387");
 
     let leak = AdversarialConfig::route_leak(topology, 43, 3, 4.0);
-    assert_eq!(policy_fingerprint(&study().adversarial_run(&leak).output), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} extension_rejects={} exports_forced=181784 work_items=1329077");
+    assert_eq!(policy_fingerprint(&study().adversarial_run(&leak).output), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} exports_forced=181784 work_items=1329077");
 
     let mut every_field = leak.clone();
     every_field.policy.set_roas(RoaTable::strict_from_topology(topology));
     for (k, asn) in PolicyTable::rov_candidates(topology).into_iter().enumerate() {
         let policy = every_field.policy.entry(asn);
-        policy.peerlock_lite = k % 2 == 0;
-        policy.path_end = k % 2 == 1;
         policy.rov = k % 4 == 0;
         policy.only_to_customers |= k % 3 == 2;
-        if k % 3 == 1 {
-            policy.scrub = Some(CommunityScrub { strip_all: true, ..CommunityScrub::default() });
+    }
+    assert_eq!(policy_fingerprint(&study().adversarial_run(&every_field).output), "elems=943 digest=703c5edf9b064f78 import_rejects={LoopDetected: 33220, RovInvalid: 79, RouteLeak: 20} exports_forced=181732 work_items=1328243");
+}
+
+/// The policies-on export path against the policies-off one: ROV at
+/// every transit network over ROAs that authorise each allocation down
+/// to /32 rejects nothing, so with trigger-stripping providers exporting
+/// their blackhole routes the run is still the plain run, elem for elem.
+#[test]
+fn a_policy_table_that_filters_nothing_changes_nothing() {
+    let study = Study::build(StudyScale::Tiny, 11);
+    let mut roas = RoaTable::new();
+    for info in study.topology.ases() {
+        for prefix in &info.prefixes {
+            roas.insert(Roa { prefix: *prefix, origin: info.asn, max_length: 32 });
         }
     }
-    assert_eq!(policy_fingerprint(&study().adversarial_run(&every_field).output), "elems=956 digest=fffe4d3cc73b1f1c import_rejects={LoopDetected: 16711, RovInvalid: 83, PeerlockViolation: 53, PathEndInvalid: 7, RouteLeak: 18} extension_rejects={\"only-to-customers\": 18, \"path-end\": 7, \"peerlock-lite\": 53, \"rov\": 83} exports_forced=82746 work_items=668449");
+    let mut table = PolicyTable::new();
+    table.set_roas(roas);
+    table.deploy_rov_fraction(&study.topology, 1.0);
+
+    let plain = study.visibility_run(4, 6.0);
+    let under = study.visibility_run_under(4, 6.0, &table);
+    // A stripping provider that ignores RFC 7999 exports the route it
+    // blackholes, without its trigger.
+    let strips_and_exports = |asn| {
+        let offering = study.topology.as_info(asn).and_then(|i| i.blackhole_offering.as_ref());
+        offering.is_some_and(|o| o.strips_community && !o.honors_no_export)
+    };
+    assert!(
+        plain.output.ground_truth.iter().any(|t| t.accepted.iter().any(|a| strips_and_exports(*a))),
+        "no exporting trigger-stripping provider accepted a blackhole"
+    );
+    assert_eq!(under.output.elems, plain.output.elems);
+    assert_eq!(under.output.run_stats.import_rejects, plain.output.run_stats.import_rejects);
 }
 
 /// Golden pin of the world generator, recorded at 2e64d5d before the
@@ -226,12 +254,12 @@ fn generator_golden_pin() {
 
     let topology = &study().topology;
     for (config, expected) in [
-        (AdversarialConfig::baseline(41, 3, 4.0), "elems=748 digest=ba4e2eaf134e736b import_rejects={LoopDetected: 34} extension_rejects={} exports_forced=0 work_items=4162 labels=16 label_digest=64d785f5b32fe163 truth_digest=98771920be8d7731"),
-        (AdversarialConfig::stolen_tag_hijack(46, 3, 4.0), "elems=936 digest=1f336bb8cd0fabab import_rejects={LoopDetected: 52} extension_rejects={} exports_forced=0 work_items=5010 labels=20 label_digest=71104a3dbf23fb64 truth_digest=5b151ae55087e85f"),
-        (AdversarialConfig::subprefix_hijack(42, 3, 4.0), "elems=1188 digest=d1b6f44d2aef9e36 import_rejects={LoopDetected: 97} extension_rejects={} exports_forced=0 work_items=6164 labels=23 label_digest=2bc6bb848a0a41d4 truth_digest=15045b6cac844536"),
-        (AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, 0.5), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} extension_rejects={\"rov\": 41} exports_forced=0 work_items=1387 labels=8 label_digest=056cf5848616114e truth_digest=d42c675c6ddc8fdd"),
-        (AdversarialConfig::prepend_reroute(44, 3, 4.0), "elems=1140 digest=9fedec95b14d04ac import_rejects={LoopDetected: 83} extension_rejects={} exports_forced=0 work_items=7006 labels=22 label_digest=05474f1cac3ddfd4 truth_digest=0e30937ebc7545b9"),
-        (AdversarialConfig::route_leak(topology, 43, 3, 4.0), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} extension_rejects={} exports_forced=181784 work_items=1329077 labels=19 label_digest=da0893d753d13c87 truth_digest=4893beace23e2bd8"),
+        (AdversarialConfig::baseline(41, 3, 4.0), "elems=748 digest=ba4e2eaf134e736b import_rejects={LoopDetected: 34} exports_forced=0 work_items=4162 labels=16 label_digest=64d785f5b32fe163 truth_digest=98771920be8d7731"),
+        (AdversarialConfig::stolen_tag_hijack(46, 3, 4.0), "elems=936 digest=1f336bb8cd0fabab import_rejects={LoopDetected: 52} exports_forced=0 work_items=5010 labels=20 label_digest=71104a3dbf23fb64 truth_digest=5b151ae55087e85f"),
+        (AdversarialConfig::subprefix_hijack(42, 3, 4.0), "elems=1188 digest=d1b6f44d2aef9e36 import_rejects={LoopDetected: 97} exports_forced=0 work_items=6164 labels=23 label_digest=2bc6bb848a0a41d4 truth_digest=15045b6cac844536"),
+        (AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, 0.5), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} exports_forced=0 work_items=1387 labels=8 label_digest=056cf5848616114e truth_digest=d42c675c6ddc8fdd"),
+        (AdversarialConfig::prepend_reroute(44, 3, 4.0), "elems=1140 digest=9fedec95b14d04ac import_rejects={LoopDetected: 83} exports_forced=0 work_items=7006 labels=22 label_digest=05474f1cac3ddfd4 truth_digest=0e30937ebc7545b9"),
+        (AdversarialConfig::route_leak(topology, 43, 3, 4.0), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} exports_forced=181784 work_items=1329077 labels=19 label_digest=da0893d753d13c87 truth_digest=4893beace23e2bd8"),
     ] {
         let out = study().adversarial_run(&config).output;
         let fingerprint = format!(

@@ -9,8 +9,11 @@
 // Each test binary that includes this module uses a subset of it.
 #![allow(dead_code)]
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 
+use bh_bgp_types::time::SimTime;
 use bh_mrt::{
     MessageStream, MrtBytesReader, MrtError, MrtRecord, MrtRecordBody, ReadMode, TailingReader,
 };
@@ -272,6 +275,20 @@ pub fn framed_records(bytes: &[u8]) -> u64 {
         framed += 1;
     }
     framed
+}
+
+/// The same walk over a whole archive: the `(timestamp, byte range)`
+/// of every record, in order.
+pub fn record_spans(bytes: &[u8]) -> Vec<(SimTime, Range<usize>)> {
+    let (mut offset, mut spans) = (0usize, Vec::new());
+    while offset < bytes.len() {
+        let time = u32::from_be_bytes(bytes[offset..offset + 4].try_into().unwrap());
+        let len = u32::from_be_bytes(bytes[offset + 8..offset + 12].try_into().unwrap());
+        let end = offset + 12 + len as usize;
+        spans.push((SimTime::from_unix(u64::from(time)), offset..end));
+        offset = end;
+    }
+    spans
 }
 
 /// Record bytes written field by field, for the shapes `MrtWriter` does

@@ -22,6 +22,8 @@
 //! a `None` next-hop to the peer address, so only the decoded bytes are
 //! the stream the daemon actually sees.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -34,8 +36,10 @@ use bh_core::{AnalyticsReport, BlackholeEvent, EventAccumulator, SequencedEvent,
 use bh_live::{handle_command, serve_connection, LiveFleetConfig, LiveNode, QueryRunner};
 use bh_routing::archive::write_updates;
 use bh_routing::{merge_streams, read_updates, BgpElem, DataSource, LiveArchive, SliceSource};
-use bh_workloads::{record_spans, CollectorArchive, ReplayFeed};
+use bh_workloads::{CollectorArchive, ReplayFeed};
 use bytes::Bytes;
+
+use common::record_spans;
 
 /// One prebuilt world per scale: the study, a scenario run, its
 /// per-collector archives, and the batch reference the live node must
@@ -115,11 +119,7 @@ fn observe_into(query: &QueryRunner, seen: &mut BTreeMap<u64, SequencedEvent>) {
 fn live_node_full_replay_meets_latency_and_matches_batch() {
     let w = small_world();
     let quantum = SimDuration::mins(1);
-    let config = LiveFleetConfig {
-        max_latency: SimDuration::mins(5),
-        checkpoint_every: 2_048,
-        ..LiveFleetConfig::default()
-    };
+    let config = LiveFleetConfig { max_latency: SimDuration::mins(5), checkpoint_every: 2_048 };
     let mut node = boot(w, quantum, config);
     let query = node.query();
 

@@ -11,6 +11,8 @@
 //! 4. resume from `delivered()` at any cut via `with_skip` into the
 //!    remainder of the uninterrupted drain.
 
+mod common;
+
 use std::ops::Range;
 
 use proptest::prelude::*;
@@ -24,7 +26,8 @@ use bh_routing::archive::write_updates;
 use bh_routing::{
     merge_streams, BgpElem, DataSource, ElemType, LiveArchive, LiveMerge, LivePoll, TailingSource,
 };
-use bh_workloads::record_spans;
+
+use common::record_spans;
 
 /// Source `index`'s label. Neighbouring pairs share a label, so full
 /// `(time, dataset, collector)` ties fall through to the source index.

@@ -38,7 +38,9 @@ fn assert_session_matches_oracle(
     controls: Option<&Arc<NegativeControls>>,
     elems: &[BgpElem],
 ) {
-    let mut builder = SessionBuilder::new(dict.clone(), refdata.clone()).config(config);
+    let mut builder = SessionBuilder::new(dict.clone(), refdata.clone())
+        .bundling_detection(config.bundling_detection)
+        .per_peer_state(config.per_peer_state);
     if let Some(controls) = controls {
         builder = builder.negative_controls(controls.clone());
     }

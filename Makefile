@@ -46,9 +46,18 @@ reproduce:
 	$(CARGO) run --release -p bh-examples --example reproduce > EXPERIMENTS.md
 
 # The gate: a broken claim fails the run, a stale EXPERIMENTS.md fails
-# the diff (two steps, not a pipe, so /bin/sh sees both exit codes).
+# the diff (two steps, not a pipe, so /bin/sh sees both exit codes). The
+# run's wall seconds (the build before it excluded) are printed and kept
+# in target/reproduce-wall.txt, which CI adds to the run summary: a
+# report, not a gate.
 reproduce-check:
-	$(CARGO) run --release -p bh-examples --example reproduce > target/EXPERIMENTS.md
+	$(CARGO) build --release -p bh-examples --example reproduce
+	@start=$$(date +%s.%N); \
+	$(CARGO) run --release -p bh-examples --example reproduce > target/EXPERIMENTS.md; \
+	status=$$?; \
+	awk -v start=$$start -v end=$$(date +%s.%N) \
+		'BEGIN { printf "reproduce: %.1f s wall\n", end - start }' | tee target/reproduce-wall.txt; \
+	exit $$status
 	diff target/EXPERIMENTS.md EXPERIMENTS.md
 
 # The standalone benchmark/ crate is outside the workspace, so nothing

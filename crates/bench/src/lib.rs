@@ -1,7 +1,7 @@
 //! # bh-bench — the study harness and the checked reproduction
 //!
 //! The [`pipeline`] module builds the full study end-to-end — topology →
-//! corpus → dictionary → scenario → collector stream → inference — at
+//! corpus → dictionary → scenario → collector archives → inference — at
 //! several scales, so examples, integration tests and the benchmark
 //! share one code path. The [`reproduce`] module regenerates every
 //! table and figure of the paper from one such study and checks the
@@ -10,4 +10,4 @@
 pub mod pipeline;
 pub mod reproduce;
 
-pub use pipeline::{AdversarialRun, Study, StudyRun, StudyScale};
+pub use pipeline::{AdversarialRun, Observed, Study, StudyRun, StudyScale};

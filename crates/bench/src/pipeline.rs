@@ -6,26 +6,28 @@
 //! 2. operators document their blackhole communities (corpus),
 //! 3. the dictionary is mined from the corpus (§4.1),
 //! 4. attacks happen and operators react (scenario → BGP simulation),
-//! 5. collectors observe, the session infers (§4.2),
+//! 5. collectors archive what they saw as MRT; the session infers over
+//!    the archives' time-ordered merge (§4.2),
 //! 6. analytics reproduce the tables and figures.
 //!
-//! Scenario runs build **one** collector deployment and thread it
-//! through simulation *and* reference data, so the metadata the
-//! inference consults always matches the sessions that observed the
-//! stream (and the deployment is computed once, not twice).
+//! A run is steps 1–4, with **one** collector deployment threaded through
+//! simulation *and* reference data; [`Study::observe`] is steps 5–6.
 
 use std::sync::Arc;
 
 use bh_bgp_types::time::SimTime;
 use bh_core::{
-    score_events, AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, ConfusionReport,
-    EventAccumulator, InferenceResult, ReferenceData, SessionBuilder,
+    AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, BlackholeEvent, ConfusionAccumulator,
+    ConfusionReport, EventAccumulator, InferenceResult, ReferenceData, SessionBuilder,
+    StreamSummary,
 };
 use bh_irr::{BlackholeDictionary, Corpus, CorpusGenerator, NegativeControls};
-use bh_routing::{deploy, BgpElem, CollectorConfig, CollectorDeployment, SliceSource};
+use bh_mrt::MrtError;
+use bh_routing::{deploy, BgpElem, CollectorConfig, CollectorDeployment, ElemSource};
 use bh_topology::{PolicyTable, Topology, TopologyBuilder, TopologyConfig};
 use bh_workloads::{
-    run, run_adversarial, AdversarialConfig, AdversarialOutput, ScenarioConfig, ScenarioOutput,
+    fleet_archives, fleet_of, run, run_adversarial, AdversarialConfig, AdversarialOutput,
+    CollectorArchive, ScenarioConfig, ScenarioOutput,
 };
 
 /// Pipeline scale: trade fidelity for wall-clock.
@@ -101,37 +103,65 @@ pub struct Study {
     pub seed: u64,
 }
 
-/// One scenario run, end to end: the collector stream, the inference
-/// result, the accumulator-computed analytics report, and the reference
-/// data that matches the deployment which observed the stream.
+/// One scenario run: what the world did. Nothing is inferred yet.
 pub struct StudyRun {
     /// Scenario output (elements + ground truth).
     pub output: ScenarioOutput,
-    /// Inference over the whole stream.
-    pub result: InferenceResult,
-    /// The reference data the inference used (built from the same
-    /// deployment that produced `output`).
+    /// The reference data of the deployment that produced `output`.
     pub refdata: Arc<ReferenceData>,
-    /// The analytics window/now/grouping parameters of this run (the
-    /// scenario calendar, with the paper's 5-minute grouping timeout).
+    /// The analytics window of this run (the scenario calendar).
     pub analytics: AnalyticsConfig,
-    /// Every paper table/figure of this run, computed by the
-    /// [`AnalyticsPipeline`] over `result`.
-    pub report: AnalyticsReport,
 }
 
-/// One adversarial run, end to end: the labelled workload's output,
-/// the inference over its collector stream, and the confusion report
+/// What the collectors saw of a run: inference over its per-collector
+/// MRT archives, with the paper's tables and figures (or another
+/// accumulator's report).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observed<R = AnalyticsReport> {
+    /// Every inferred event, in `(start, prefix)` order.
+    pub events: Vec<BlackholeEvent>,
+    /// Census, counters and per-dataset visibility.
+    pub summary: StreamSummary,
+    /// The accumulator's output.
+    pub report: R,
+}
+
+/// One adversarial run, end to end: the labelled workload's output, the
+/// inference over its collectors' archives, and the confusion report
 /// scoring that inference against the simulator's ground truth.
 pub struct AdversarialRun {
     /// Workload output (elements + cooperative ground truth + labels).
     pub output: AdversarialOutput,
-    /// Inference over the whole stream.
-    pub result: InferenceResult,
     /// The reference data the inference used.
     pub refdata: Arc<ReferenceData>,
+    /// Every inferred event, in `(start, prefix)` order.
+    pub events: Vec<BlackholeEvent>,
     /// Precision/recall/per-kind false-positive attribution.
     pub report: ConfusionReport,
+}
+
+/// Infer over the merged stream of `archives` with one session, feeding
+/// the event list and `accumulator` as events close. The first archive
+/// that fails to decode is the error.
+pub(crate) fn observe_archives<A: EventAccumulator>(
+    archives: &[CollectorArchive],
+    session: SessionBuilder,
+    accumulator: A,
+) -> Result<Observed<A::Output>, MrtError> {
+    let mut stream = fleet_of(archives).start();
+    let mut session = session.build();
+    let mut accumulators = (Vec::new(), accumulator);
+    while let Some(elem) = stream.next_elem() {
+        session.push(elem);
+        session.drain_closed_into(&mut accumulators);
+    }
+    if let Some(error) = stream.finish().archives.into_iter().find_map(|a| a.error) {
+        return Err(error);
+    }
+    let summary = session.finish_with(&mut accumulators);
+    let (mut events, report) = accumulators.finalize();
+    events.sort_by_key(|e| (e.start, e.prefix));
+    Ok(Observed { events, summary, report })
 }
 
 impl Study {
@@ -164,10 +194,11 @@ impl Study {
         SessionBuilder::new(self.dict.clone(), refdata.clone())
     }
 
-    /// One-shot inference over an in-memory element stream.
+    /// One-shot inference over an in-memory element stream: the reference
+    /// [`Study::observe`] is tested against. No `Study` run calls it.
     pub fn infer(&self, refdata: &Arc<ReferenceData>, elems: &[BgpElem]) -> InferenceResult {
         let mut session = self.session(refdata).build();
-        session.ingest(&mut SliceSource::new(elems));
+        session.ingest(&mut bh_routing::SliceSource::new(elems));
         session.finish()
     }
 
@@ -181,23 +212,23 @@ impl Study {
     }
 
     /// Run a scenario — with `policies`, if any, installed on the
-    /// simulator — and infer over its stream with ONE deployment: the
-    /// same collector set observes and parameterizes the refdata. The
-    /// analytics report comes from the same pipeline the streaming
-    /// paths use, fed from the materialized result; the fold is one pass
-    /// over the events — milliseconds against the multi-second
-    /// simulation — so every run carries its report.
+    /// simulator — with ONE deployment: the same collector set observes
+    /// the stream and parameterizes the refdata.
     fn scenario_run(&self, config: &ScenarioConfig, policies: Option<&PolicyTable>) -> StudyRun {
         let deployment = self.deployment();
         let refdata = self.refdata_for(&deployment);
         let analytics =
             AnalyticsConfig::window(config.calendar.window_start, config.calendar.window_end);
         let output = run(&self.topology, deployment, config, policies);
-        let result = self.infer(&refdata, &output.elems);
-        let mut pipeline = self.analytics_pipeline(&refdata, analytics);
-        pipeline.observe_result(&result);
-        let report = pipeline.finalize();
-        StudyRun { output, result, refdata, analytics, report }
+        StudyRun { output, refdata, analytics }
+    }
+
+    /// What the collectors saw of `run`: one MRT archive per collector,
+    /// merged back in time order and inferred by one `session`. A writer
+    /// refusal or an archive that fails to decode is the error.
+    pub fn observe(&self, run: &StudyRun, session: SessionBuilder) -> Result<Observed, MrtError> {
+        let archives = run.output.fleet_archives()?;
+        observe_archives(&archives, session, self.analytics_pipeline(&run.refdata, run.analytics))
     }
 
     /// The configuration of the standard short visibility run.
@@ -223,9 +254,9 @@ impl Study {
     }
 
     /// Run an adversarial workload end to end: simulate, infer over the
-    /// collector stream, and score the inference against the workload's
-    /// ground-truth labels.
-    pub fn adversarial_run(&self, config: &AdversarialConfig) -> AdversarialRun {
+    /// collectors' archives, and score the inference against the
+    /// workload's ground-truth labels.
+    pub fn adversarial_run(&self, config: &AdversarialConfig) -> Result<AdversarialRun, MrtError> {
         self.adversarial_run_with(self.dict.clone(), None, config)
     }
 
@@ -239,19 +270,17 @@ impl Study {
         dict: Arc<BlackholeDictionary>,
         controls: Option<Arc<NegativeControls>>,
         config: &AdversarialConfig,
-    ) -> AdversarialRun {
+    ) -> Result<AdversarialRun, MrtError> {
         let deployment = self.deployment();
         let refdata = self.refdata_for(&deployment);
         let output = run_adversarial(&self.topology, deployment, config);
-        let mut builder = SessionBuilder::new(dict, refdata.clone());
+        let mut session = SessionBuilder::new(dict, refdata.clone());
         if let Some(controls) = controls {
-            builder = builder.negative_controls(controls);
+            session = session.negative_controls(controls);
         }
-        let mut session = builder.build();
-        session.ingest(&mut SliceSource::new(&output.elems));
-        let result = session.finish();
-        let report = score_events(config.name.clone(), &result.events, output.labels.clone());
-        AdversarialRun { output, result, refdata, report }
+        let confusion = ConfusionAccumulator::new(config.name.clone(), output.labels.clone());
+        let observed = observe_archives(&fleet_archives(&output.elems)?, session, confusion)?;
+        Ok(AdversarialRun { output, refdata, events: observed.events, report: observed.report })
     }
 
     /// Regenerate this study's documentation corpus (the build does not
@@ -277,15 +306,18 @@ impl Study {
 
 #[cfg(test)]
 mod tests {
+    use bh_routing::SliceSource;
+
     use super::*;
 
     #[test]
     fn tiny_study_builds_and_infers() {
         let study = Study::build(StudyScale::Tiny, 5);
         let run = study.visibility_run(4, 6.0);
+        let observed = study.observe(&run, study.session(&run.refdata)).expect("archives decode");
         assert!(!run.output.ground_truth.is_empty());
         assert!(
-            !run.result.events.is_empty(),
+            !observed.events.is_empty(),
             "inference found no events from {} truths",
             run.output.ground_truth.len()
         );
@@ -324,7 +356,7 @@ mod tests {
         let run = study.visibility_run(2, 4.0);
         let mut sharded = study.session(&run.refdata).build_sharded(4);
         sharded.ingest(&mut SliceSource::new(&run.output.elems));
-        assert_eq!(sharded.finish(), run.result);
+        assert_eq!(sharded.finish(), study.infer(&run.refdata, &run.output.elems));
     }
 
     #[test]
@@ -358,6 +390,10 @@ mod tests {
     fn streaming_analytics_match_run_report() {
         let study = Study::build(StudyScale::Tiny, 17);
         let run = study.visibility_run(2, 5.0);
+        let result = study.infer(&run.refdata, &run.output.elems);
+        let mut reference = study.analytics_pipeline(&run.refdata, run.analytics);
+        reference.observe_result(&result);
+        let report = reference.finalize();
         let mut session = study.session(&run.refdata).build();
         let mut pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
         for (n, elem) in run.output.elems.iter().enumerate() {
@@ -367,14 +403,14 @@ mod tests {
             }
         }
         let summary = session.finish_with(&mut pipeline);
-        assert_eq!(summary.stats, run.result.stats);
-        assert_eq!(pipeline.finalize(), run.report);
+        assert_eq!(summary.stats, result.stats);
+        assert_eq!(pipeline.finalize(), report);
 
         let pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
         let mut sharded = study.session(&run.refdata).build_sharded_with(4, pipeline);
         sharded.ingest(&mut SliceSource::new(&run.output.elems));
         let (summary, merged) = sharded.finish_parts();
-        assert_eq!(summary.per_dataset, run.result.per_dataset);
-        assert_eq!(merged.finalize(), run.report);
+        assert_eq!(summary.per_dataset, result.per_dataset);
+        assert_eq!(merged.finalize(), report);
     }
 }

@@ -31,8 +31,8 @@ use bh_bgp_types::community::Community;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::{SimDuration, SimTime};
 use bh_core::{
-    AnalyticsConfig, AnalyticsReport, DailyPoint, DetectionDistance, EventAccumulator,
-    InferenceResult, PeriodAccumulator, ReferenceData, SessionBuilder, TypeRow, VisibilityRow,
+    AnalyticsReport, DailyPoint, DetectionDistance, EventAccumulator, PeriodAccumulator,
+    SessionBuilder, TypeRow, VisibilityRow,
 };
 use bh_dataplane::{
     fig9c_series, reputation_feed, run_experiment, service_histogram, EfficacyInput,
@@ -40,11 +40,12 @@ use bh_dataplane::{
     ScanGenerator, Service,
 };
 use bh_irr::{CommunityClass, CommunityClassifier, CommunityPrefixCensus};
-use bh_routing::{table1, DataSource, DatasetStats, SliceSource};
+use bh_mrt::MrtError;
+use bh_routing::{table1, DataSource, DatasetStats};
 use bh_topology::{DocumentationChannel, NetworkType, PolicyTable, RoaTable};
-use bh_workloads::{ScenarioOutput, SPIKES};
+use bh_workloads::{CollectorArchive, ScenarioOutput, SPIKES};
 
-use crate::pipeline::{Study, StudyRun, StudyScale};
+use crate::pipeline::{observe_archives, Observed, Study, StudyRun, StudyScale};
 
 /// Seed of every study of the run.
 const SEED: u64 = 42;
@@ -54,79 +55,82 @@ const VISIBILITY: (u64, f64) = (10, 8.0);
 /// Attacks/day of the Tiny longitudinal run behind Fig. 4.
 const LONGITUDINAL_RATE: f64 = 2.0;
 
-/// Everything the sections read: the Small visibility run, built once,
-/// plus the lazily built Full study (Table 2), Tiny longitudinal run
-/// (Fig. 4) and traceroute campaign (Fig. 9(a)/(b)).
+/// Everything the sections read: the Small visibility run and what its
+/// collectors saw, built once, plus the lazily built parts.
 pub struct World {
     /// The Small study.
     pub study: Arc<Study>,
-    /// Its visibility scenario: collector stream + ground truth.
-    pub output: Arc<ScenarioOutput>,
-    /// Reference data of the deployment that observed `output`.
-    pub refdata: Arc<ReferenceData>,
-    /// Window / now / grouping parameters of `report`.
-    pub analytics: AnalyticsConfig,
-    /// Inference over `output.elems`.
-    pub result: InferenceResult,
-    /// The analytics pipeline's report over `result`.
-    pub report: AnalyticsReport,
+    /// Its visibility run: collector stream, ground truth, refdata, window.
+    pub run: Arc<StudyRun>,
+    /// The collectors' MRT archives of the run, written once.
+    archives: Arc<[CollectorArchive]>,
+    /// What the collectors saw: inference over `archives`.
+    pub observed: Observed,
+    lazy: Lazy,
+}
+
+/// The Full study (Table 2), Tiny longitudinal run (Fig. 4), traceroute
+/// campaign (Fig. 9(a)/(b)) and per-peer-state ablation, built on first use.
+#[derive(Default)]
+struct Lazy {
     full: OnceLock<Study>,
-    longitudinal: OnceLock<StudyRun>,
+    longitudinal: OnceLock<Result<(StudyRun, Observed), MrtError>>,
     efficacy: OnceLock<EfficacyReport>,
+    without_per_peer_state: OnceLock<Result<Observed, MrtError>>,
 }
 
 impl World {
-    /// Build the Small study and run its visibility scenario.
-    pub fn build() -> Self {
-        let study = Study::build(StudyScale::Small, SEED);
-        let run = study.visibility_run(VISIBILITY.0, VISIBILITY.1);
-        World {
-            study: Arc::new(study),
-            output: Arc::new(run.output),
-            refdata: run.refdata,
-            analytics: run.analytics,
-            result: run.result,
-            report: run.report,
-            full: OnceLock::new(),
-            longitudinal: OnceLock::new(),
-            efficacy: OnceLock::new(),
-        }
+    /// Build the Small study, run its visibility scenario and observe it.
+    pub fn build() -> Result<Self, MrtError> {
+        let study = Arc::new(Study::build(StudyScale::Small, SEED));
+        let run = Arc::new(study.visibility_run(VISIBILITY.0, VISIBILITY.1));
+        let archives: Arc<[_]> = run.output.fleet_archives()?.into();
+        let pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
+        let observed = observe_archives(&archives, study.session(&run.refdata), pipeline)?;
+        Ok(World { study, run, archives, observed, lazy: Lazy::default() })
     }
 
-    /// The same world with inference re-run over the same elems by a
-    /// differently configured session (ablations and gate mutants).
-    pub fn reinfer(&self, session: SessionBuilder) -> World {
-        let mut session = session.build();
-        session.ingest(&mut SliceSource::new(&self.output.elems));
-        let result = session.finish();
-        let mut pipeline = self.study.analytics_pipeline(&self.refdata, self.analytics);
-        pipeline.observe_result(&result);
-        World {
-            study: self.study.clone(),
-            output: self.output.clone(),
-            refdata: self.refdata.clone(),
-            analytics: self.analytics,
-            result,
-            report: pipeline.finalize(),
-            full: OnceLock::new(),
-            longitudinal: OnceLock::new(),
-            efficacy: OnceLock::new(),
-        }
+    /// The world re-observed from its archives by `session` (gate mutants).
+    pub fn reinfer(&self, session: SessionBuilder) -> Result<World, MrtError> {
+        let observed = self.observe_with(session)?;
+        let (study, run, archives) = (self.study.clone(), self.run.clone(), self.archives.clone());
+        Ok(World { study, run, archives, observed, lazy: Lazy::default() })
+    }
+
+    /// The world's archives observed by `session` (ablations).
+    fn observe_with(&self, session: SessionBuilder) -> Result<Observed, MrtError> {
+        let pipeline = self.study.analytics_pipeline(&self.run.refdata, self.run.analytics);
+        observe_archives(&self.archives, session, pipeline)
     }
 
     fn full(&self) -> &Study {
-        self.full.get_or_init(|| Study::build(StudyScale::Full, SEED))
+        self.lazy.full.get_or_init(|| Study::build(StudyScale::Full, SEED))
     }
 
-    fn longitudinal(&self) -> &StudyRun {
-        let run = || Study::build(StudyScale::Tiny, SEED).longitudinal_run(LONGITUDINAL_RATE);
-        self.longitudinal.get_or_init(run)
+    fn longitudinal(&self) -> &Result<(StudyRun, Observed), MrtError> {
+        self.lazy.longitudinal.get_or_init(|| {
+            let study = Study::build(StudyScale::Tiny, SEED);
+            let run = study.longitudinal_run(LONGITUDINAL_RATE);
+            let observed = study.observe(&run, study.session(&run.refdata))?;
+            Ok((run, observed))
+        })
     }
 
     fn efficacy(&self) -> &EfficacyReport {
-        let inputs = || efficacy_inputs(&self.study, &self.output);
-        self.efficacy.get_or_init(|| run_experiment(&self.study.topology, &inputs(), 0xF19A))
+        let inputs = || efficacy_inputs(&self.study, &self.run.output);
+        self.lazy.efficacy.get_or_init(|| run_experiment(&self.study.topology, &inputs(), 0xF19A))
     }
+
+    /// The per-peer-state ablation, observed once for its render and claim.
+    fn without_per_peer_state(&self) -> &Result<Observed, MrtError> {
+        let session = || self.study.session(&self.run.refdata).per_peer_state(false);
+        self.lazy.without_per_peer_state.get_or_init(|| self.observe_with(session()))
+    }
+}
+
+/// `render` of an observation, or the error that stopped it.
+fn observed_or<T>(observed: &Result<T, MrtError>, render: impl FnOnce(&T) -> String) -> String {
+    observed.as_ref().map_or_else(|error| format!("observation failed: {error}\n"), render)
 }
 
 /// The outcome of checking one claim (module docs).
@@ -382,7 +386,7 @@ fn render_table2(w: &World) -> String {
 // ---- Tables 3 and 4 ----
 
 fn render_table3(w: &World) -> String {
-    let rows = w.report.table3.iter().map(|r| {
+    let rows = w.observed.report.table3.iter().map(|r| {
         let numbers = [
             r.providers,
             r.unique_providers,
@@ -408,24 +412,24 @@ fn render_table3(w: &World) -> String {
     format!(
         "{}ground truth: {} reactions, {} inferred events",
         table("Table 3: Blackhole dataset overview (IPv4)", &headers, rows),
-        w.output.ground_truth.len(),
-        w.result.events.len()
+        w.run.output.ground_truth.len(),
+        w.observed.events.len()
     )
 }
 
 /// Table 3's per-platform rows (the ALL row aside).
 fn platforms(w: &World) -> Vec<&VisibilityRow> {
-    w.report.table3.iter().filter(|r| r.source != "ALL").collect()
+    w.observed.report.table3.iter().filter(|r| r.source != "ALL").collect()
 }
 
 /// Distinct blackholed prefixes seen by any of `sources`.
 fn prefix_union(w: &World, sources: [DataSource; 2]) -> f64 {
-    let seen = sources.iter().filter_map(|s| w.result.per_dataset.get(s));
+    let seen = sources.iter().filter_map(|s| w.observed.summary.per_dataset.get(s));
     seen.flat_map(|v| &v.prefixes).collect::<BTreeSet<_>>().len() as f64
 }
 
 fn render_table4(w: &World) -> String {
-    let rows = w.report.table4.iter().map(|r| {
+    let rows = w.observed.report.table4.iter().map(|r| {
         let mut row = cells(r.network_type.label(), [r.providers, r.users, r.prefixes]);
         row.push(pct(r.direct_feed_fraction));
         row
@@ -436,8 +440,8 @@ fn render_table4(w: &World) -> String {
 
 /// `ty`'s share of Table 4's column `f`, in percent.
 fn table4_share(w: &World, ty: NetworkType, f: fn(&TypeRow) -> usize) -> f64 {
-    let of_type = w.report.table4.iter().filter(|r| r.network_type == ty).map(f).sum();
-    share(of_type, w.report.table4.iter().map(f).sum())
+    let of_type = w.observed.report.table4.iter().filter(|r| r.network_type == ty).map(f).sum();
+    share(of_type, w.observed.report.table4.iter().map(f).sum())
 }
 
 // ---- Figs. 2 and 4 ----
@@ -445,7 +449,7 @@ fn table4_share(w: &World, ty: NetworkType, f: fn(&TypeRow) -> usize) -> f64 {
 /// Occurrence mass of the blackhole (or other) tags per prefix length,
 /// normalised to 1.
 fn fig2_mass(w: &World, blackhole: bool) -> BTreeMap<u8, f64> {
-    let points = w.result.census.fig2_series(&w.study.dict);
+    let points = w.observed.summary.census.fig2_series(&w.study.dict);
     let mut mass: BTreeMap<u8, f64> = BTreeMap::new();
     for p in points.iter().filter(|p| p.is_blackhole == blackhole) {
         *mass.entry(p.prefix_length).or_default() += p.fraction;
@@ -458,7 +462,7 @@ fn fig2_mass(w: &World, blackhole: bool) -> BTreeMap<u8, f64> {
 /// Extended dictionary (§4.1): inferred candidates, and how many of them
 /// are undocumented triggers in the ground truth.
 fn inferred_candidates(w: &World) -> (usize, usize) {
-    let inferred = w.result.census.infer_candidates(&w.study.dict, 3);
+    let inferred = w.observed.summary.census.infer_candidates(&w.study.dict, 3);
     let confirmed = inferred.iter().filter(|i| {
         let offering = w.study.topology.as_info(i.asn).and_then(|a| a.blackhole_offering.as_ref());
         offering.is_some_and(|o| {
@@ -486,7 +490,8 @@ fn render_fig2(w: &World) -> String {
 
 /// Mean of the last 60 days over mean of the first 60.
 fn growth(w: &World, f: fn(&DailyPoint) -> usize) -> f64 {
-    let series = &w.longitudinal().report.daily;
+    let Ok((_, observed)) = w.longitudinal() else { return f64::NAN };
+    let series = &observed.report.daily;
     let head = 60.min(series.len());
     let first: usize = series.iter().take(head).map(f).sum();
     let last: usize = series.iter().rev().take(head).map(f).sum();
@@ -494,8 +499,11 @@ fn growth(w: &World, f: fn(&DailyPoint) -> usize) -> f64 {
 }
 
 fn render_fig4(w: &World) -> String {
-    let run = w.longitudinal();
-    let series = &run.report.daily;
+    observed_or(w.longitudinal(), fig4_series)
+}
+
+fn fig4_series((run, observed): &(StudyRun, Observed)) -> String {
+    let series = &observed.report.daily;
     let mean_of = |days: &[DailyPoint], f: fn(&DailyPoint) -> usize| {
         mean(&days.iter().map(|p| f(p) as f64).collect::<Vec<_>>())
     };
@@ -528,7 +536,7 @@ fn render_fig4(w: &World) -> String {
     let _ = writeln!(
         out,
         "events: {} inferred over {} days ({} ground-truth reactions)",
-        run.result.events.len(),
+        observed.events.len(),
         run.output.days,
         run.output.ground_truth.len()
     );
@@ -549,20 +557,21 @@ fn render_fig5(w: &World) -> String {
     let per_provider = [
         cdf(
             "transit/access",
-            counts_of(&w.report.prefixes_per_provider, NetworkType::TransitAccess),
+            counts_of(&w.observed.report.prefixes_per_provider, NetworkType::TransitAccess),
         ),
-        cdf("ixp", counts_of(&w.report.prefixes_per_provider, NetworkType::Ixp)),
+        cdf("ixp", counts_of(&w.observed.report.prefixes_per_provider, NetworkType::Ixp)),
     ];
     let per_user = [NetworkType::Content, NetworkType::TransitAccess, NetworkType::Enterprise]
-        .map(|ty| cdf(ty.label(), counts_of(&w.report.prefixes_per_user, ty)));
+        .map(|ty| cdf(ty.label(), counts_of(&w.observed.report.prefixes_per_user, ty)));
     render_series("Fig 5a: #blackholed prefixes per provider, at CDF quantiles", &per_provider)
         + &render_series("Fig 5b: #blackholed prefixes per user, at CDF quantiles", &per_user)
 }
 
 /// Content networks' share of blackholed prefixes over their share of users.
 fn content_disproportion(w: &World) -> f64 {
-    let content: Vec<f64> = counts_of(&w.report.prefixes_per_user, NetworkType::Content).collect();
-    let all = &w.report.prefixes_per_user;
+    let content: Vec<f64> =
+        counts_of(&w.observed.report.prefixes_per_user, NetworkType::Content).collect();
+    let all = &w.observed.report.prefixes_per_user;
     let prefixes = all.iter().map(|(_, _, n)| *n as f64).sum::<f64>();
     (content.iter().sum::<f64>() / prefixes) / (content.len() as f64 / all.len() as f64)
 }
@@ -580,8 +589,8 @@ fn in_top(map: &BTreeMap<&'static str, usize>, n: usize, wanted: &[&str]) -> f64
 }
 
 fn render_fig6(w: &World) -> String {
-    let providers = ranking(&w.report.provider_countries);
-    let users = ranking(&w.report.user_countries);
+    let providers = ranking(&w.observed.report.provider_countries);
+    let users = ranking(&w.observed.report.user_countries);
     let rows = providers.iter().zip(&users).take(8).enumerate().map(|(i, ((pc, pn), (uc, un)))| {
         vec![(i + 1).to_string(), pc.to_string(), pn.to_string(), uc.to_string(), un.to_string()]
     });
@@ -593,7 +602,7 @@ fn render_fig6(w: &World) -> String {
 
 /// The March-2017-style scan snapshot over every blackholed prefix.
 fn scan_profiles(w: &World) -> Vec<PrefixProfile> {
-    let prefixes: Vec<Ipv4Prefix> = w.report.blackholed_prefixes.iter().copied().collect();
+    let prefixes: Vec<Ipv4Prefix> = w.observed.report.blackholed_prefixes.iter().copied().collect();
     ScanGenerator::new(0xCA5).profile_all(&prefixes)
 }
 
@@ -612,7 +621,7 @@ fn render_fig7a(w: &World) -> String {
 }
 
 fn render_fig7b(w: &World) -> String {
-    let hist = &w.report.providers_per_event;
+    let hist = &w.observed.report.providers_per_event;
     let total = hist.values().sum();
     let rows = hist.iter().map(|(k, n)| share_row(&k.to_string(), *n, total));
     table("Fig 7b: #blackholing providers per event", &["#Providers", "#Events", "Share"], rows)
@@ -620,12 +629,12 @@ fn render_fig7b(w: &World) -> String {
 
 /// Share of events with more than `k` providers, in percent.
 fn events_with_more_providers(w: &World, k: usize) -> f64 {
-    let hist = &w.report.providers_per_event;
+    let hist = &w.observed.report.providers_per_event;
     share(hist.range(k + 1..).map(|(_, n)| n).sum(), hist.values().sum())
 }
 
 fn render_fig7c(w: &World) -> String {
-    let hist = &w.report.distance_histogram;
+    let hist = &w.observed.report.distance_histogram;
     let total = hist.values().sum();
     let rows = hist.iter().map(|(d, n)| match d {
         DetectionDistance::NoPath => share_row("no-path (bundled)", *n, total),
@@ -636,19 +645,19 @@ fn render_fig7c(w: &World) -> String {
 }
 
 /// Share of detections at the distances `at` accepts, in percent.
-fn distance_share(w: &World, at: fn(&DetectionDistance) -> bool) -> f64 {
-    let hist = &w.report.distance_histogram;
+fn distance_share(report: &AnalyticsReport, at: fn(&DetectionDistance) -> bool) -> f64 {
+    let hist = &report.distance_histogram;
     share(hist.iter().filter(|(d, _)| at(d)).map(|(_, n)| n).sum(), hist.values().sum())
 }
 
 // ---- Fig. 8 ----
 
 fn ungrouped_minutes(w: &World) -> impl Iterator<Item = f64> + '_ {
-    w.report.durations.iter().map(|d| d.as_mins_f64())
+    w.observed.report.durations.iter().map(|d| d.as_mins_f64())
 }
 
 fn grouped_minutes(w: &World) -> impl Iterator<Item = f64> + '_ {
-    w.report.periods.iter().map(|p| p.duration(w.analytics.window_end).as_mins_f64())
+    w.observed.report.periods.iter().map(|p| p.duration(w.run.analytics.window_end).as_mins_f64())
 }
 
 /// Share of `values` at or below `limit`, in percent (NaN when empty).
@@ -657,8 +666,8 @@ fn share_le(values: impl Iterator<Item = f64>, limit: f64) -> f64 {
     share(le, all)
 }
 
-fn mean_event_seconds(w: &World) -> f64 {
-    mean(&w.report.durations.iter().map(|d| d.as_secs() as f64).collect::<Vec<_>>())
+fn mean_event_seconds(report: &AnalyticsReport) -> f64 {
+    mean(&report.durations.iter().map(|d| d.as_secs() as f64).collect::<Vec<_>>())
 }
 
 fn render_fig8(w: &World) -> String {
@@ -670,7 +679,8 @@ fn render_fig8(w: &World) -> String {
         ],
     );
     let mut hist = Histogram::logarithmic(1.0 / 60.0, 24.0 * 95.0, 16);
-    hist.iter_mut().for_each(|h| h.record_all(w.report.durations.iter().map(|d| d.as_hours_f64())));
+    hist.iter_mut()
+        .for_each(|h| h.record_all(w.observed.report.durations.iter().map(|d| d.as_hours_f64())));
     out.push_str("# Fig 8b: duration histogram (hours, log bins)\n");
     for (lo, hi, n) in hist.iter().flat_map(Histogram::bins).filter(|(_, _, n)| *n > 0) {
         let _ = writeln!(out, "{lo:.3}\t{hi:.3}\t{n}");
@@ -798,14 +808,14 @@ fn render_sec8(w: &World) -> String {
             rows
         ),
         100.0 * feed_mean(|d| d.probers) / feed_mean(|d| d.probers + d.scanners - d.both),
-        w.report.blackholed_prefixes.len()
+        w.observed.report.blackholed_prefixes.len()
     )
 }
 
 // ---- Ablations ----
 
 fn render_grouping_sweep(w: &World) -> String {
-    let events = &w.result.events;
+    let events = &w.observed.events;
     let line = |mins: u64| {
         let periods = PeriodAccumulator::new(SimDuration::mins(mins)).fold(events).len();
         format!("timeout {mins:>2} min -> {periods} periods from {} events\n", events.len())
@@ -814,28 +824,37 @@ fn render_grouping_sweep(w: &World) -> String {
 }
 
 fn render_per_peer_state(w: &World) -> String {
-    let ablated = w.reinfer(w.study.session(&w.refdata).per_peer_state(false));
-    format!(
-        "mean event duration with per-peer state {:.0} s ({} events) vs without {:.0} s ({} \
-         events): collapsing peers lets the first de-activation close the event",
-        mean_event_seconds(w),
-        w.result.events.len(),
-        mean_event_seconds(&ablated),
-        ablated.result.events.len()
-    )
+    observed_or(w.without_per_peer_state(), |ablated| {
+        format!(
+            "mean event duration with per-peer state {:.0} s ({} events) vs without {:.0} s ({} \
+             events): collapsing peers lets the first de-activation close the event",
+            mean_event_seconds(&w.observed.report),
+            w.observed.events.len(),
+            mean_event_seconds(&ablated.report),
+            ablated.events.len()
+        )
+    })
+}
+
+/// Mean event duration with per-peer state minus without.
+fn per_peer_state_gain(w: &World) -> f64 {
+    let without = w.without_per_peer_state().as_ref().map(|o| mean_event_seconds(&o.report));
+    without.map_or(f64::NAN, |without| mean_event_seconds(&w.observed.report) - without)
 }
 
 fn render_bundling(w: &World) -> String {
-    let ablated = w.reinfer(w.study.session(&w.refdata).bundling_detection(false));
-    let no_path = |w: &World| distance_share(w, |d| *d == DetectionDistance::NoPath);
-    format!(
-        "events with bundling detection {} vs without {}; no-path share of detections {:.1}% vs \
-         {:.1}%",
-        w.result.events.len(),
-        ablated.result.events.len(),
-        no_path(w),
-        no_path(&ablated)
-    )
+    let ablated = w.observe_with(w.study.session(&w.run.refdata).bundling_detection(false));
+    let no_path = |r: &AnalyticsReport| distance_share(r, |d| *d == DetectionDistance::NoPath);
+    observed_or(&ablated, |ablated| {
+        format!(
+            "events with bundling detection {} vs without {}; no-path share of detections \
+             {:.1}% vs {:.1}%",
+            w.observed.events.len(),
+            ablated.events.len(),
+            no_path(&w.observed.report),
+            no_path(&ablated.report)
+        )
+    })
 }
 
 /// Elements the collectors see when the world's scenario runs with
@@ -852,9 +871,9 @@ fn render_policy_overhead(w: &World) -> String {
         "{} announcements over {} days\nextensions off: {} elems\nempty table:    {} elems\n\
          ROV at {deployed} transit ASes (50%): {} elems — every /32 RTBH route is Invalid at a \
          deploying AS, so ROV changes propagation, not only import cost",
-        w.output.announcements,
-        w.output.days,
-        w.output.elems.len(),
+        w.run.output.announcements,
+        w.run.output.days,
+        w.run.output.elems.len(),
         elems_with(w, &PolicyTable::new()),
         elems_with(w, &rov)
     )
@@ -1002,7 +1021,7 @@ pub fn registry() -> Vec<Section> {
              over-represented against the paper's 49 of 307",
         ),
         holds("IXPs have a 100% direct-feed fraction", "%", (100.0, 100.0), |w| {
-            let ixp = w.report.table4.iter().find(|r| r.network_type == NetworkType::Ixp);
+            let ixp = w.observed.report.table4.iter().find(|r| r.network_type == NetworkType::Ixp);
             ixp.filter(|r| r.providers > 0).map_or(f64::NAN, |r| 100.0 * r.direct_feed_fraction)
         }),
     ];
@@ -1046,9 +1065,12 @@ pub fn registry() -> Vec<Section> {
             "pp, IXP − transit share of providers with one prefix (paper 20 − 15)",
             (0.1, 100.0),
             |w| {
-                share_le(counts_of(&w.report.prefixes_per_provider, NetworkType::Ixp), 1.0)
+                share_le(counts_of(&w.observed.report.prefixes_per_provider, NetworkType::Ixp), 1.0)
                     - share_le(
-                        counts_of(&w.report.prefixes_per_provider, NetworkType::TransitAccess),
+                        counts_of(
+                            &w.observed.report.prefixes_per_provider,
+                            NetworkType::TransitAccess,
+                        ),
                         1.0,
                     )
             },
@@ -1071,8 +1093,8 @@ pub fn registry() -> Vec<Section> {
             "of 6 top-3 places held by RU, US, DE",
             (5.0, 6.0),
             |w| {
-                in_top(&w.report.provider_countries, 3, &["RU", "US", "DE"])
-                    + in_top(&w.report.user_countries, 3, &["RU", "US", "DE"])
+                in_top(&w.observed.report.provider_countries, 3, &["RU", "US", "DE"])
+                    + in_top(&w.observed.report.user_countries, 3, &["RU", "US", "DE"])
             },
         )
         .diverges(
@@ -1080,7 +1102,7 @@ pub fn registry() -> Vec<Section> {
             "country weights follow the paper but a 230-AS sample puts GB and BR ahead of US",
         ),
         holds("BR and UA enter the users' top-5", "of BR, UA in the top-5", (2.0, 2.0), |w| {
-            in_top(&w.report.user_countries, 5, &["BR", "UA"])
+            in_top(&w.observed.report.user_countries, 5, &["BR", "UA"])
         })
         .diverges((0.0, 1.0), "BR enters (3rd); UA ties for 6th in the 230-AS sample"),
     ];
@@ -1106,7 +1128,7 @@ pub fn registry() -> Vec<Section> {
     ];
     let fig7c = vec![
         holds("no-path (bundling) is the largest bucket (~50%)", "%", (40.0, 60.0), |w| {
-            distance_share(w, |d| *d == DetectionDistance::NoPath)
+            distance_share(&w.observed.report, |d| *d == DetectionDistance::NoPath)
         })
         .diverges(
             (9.2, 13.8),
@@ -1115,10 +1137,10 @@ pub fn registry() -> Vec<Section> {
              are announcements tagged for several providers at once",
         ),
         holds("0-distance ≈ 20% (collector at the blackholing IXP)", "%", (10.0, 30.0), |w| {
-            distance_share(w, |d| *d == DetectionDistance::Hops(0))
+            distance_share(&w.observed.report, |d| *d == DetectionDistance::Hops(0))
         }),
         holds("~30% propagate 1–6 hops", "%", (20.0, 40.0), |w| {
-            distance_share(w, |d| matches!(d, DetectionDistance::Hops(1..=6)))
+            distance_share(&w.observed.report, |d| matches!(d, DetectionDistance::Hops(1..=6)))
         })
         .diverges((58.6, 68.6), "the mass missing from the no-path bucket lands here"),
     ];
@@ -1196,12 +1218,20 @@ pub fn registry() -> Vec<Section> {
             |_| feed_mean(|d| d.probers + d.scanners - d.both) / 200.0,
         ),
     ];
-    let per_peer_state = vec![holds(
-        "this reproduction: mean event duration ≈ 1 890 s with per-peer state",
-        "s",
-        (1700.0, 2080.0),
-        mean_event_seconds,
-    )];
+    let per_peer_state = vec![
+        holds(
+            "this reproduction: mean event duration ≈ 1 890 s with per-peer state",
+            "s",
+            (1700.0, 2080.0),
+            |w| mean_event_seconds(&w.observed.report),
+        ),
+        holds(
+            "per-peer state lengthens the mean event duration",
+            "s, with − without",
+            (1.0, MAX),
+            per_peer_state_gain,
+        ),
+    ];
     let slow = |section| Section { slow: true, ..section };
     vec![
         artefact("Table 1 — BGP dataset overview (March 2017)", None, render_table1, table1),

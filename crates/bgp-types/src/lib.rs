@@ -19,8 +19,8 @@
 //! * [`bogon::BogonFilter`] — Team-Cymru-style bogon cleaning used in §3 of
 //!   the paper ("filter out non-routable, private, and bogon prefixes, and
 //!   eliminate prefixes less-specific than /8").
-//! * [`PrefixTrie`] — longest-prefix-match trie used by the bogon filter and
-//!   the inference engine's prefix bookkeeping.
+//! * [`PrefixTrie`] — longest-prefix-match trie behind the topology's
+//!   peering-LAN and prefix-origin indexes.
 //! * [`SimTime`] — simulation timestamps (Unix seconds) with civil-date
 //!   helpers for daily bucketing of the longitudinal analysis (Fig. 4).
 //!

@@ -116,6 +116,37 @@ impl EventAccumulator for Vec<BlackholeEvent> {
     }
 }
 
+/// Two accumulators fed the same stream: each sees every event, and the
+/// owned event goes to the first after the second has observed it, so a
+/// `(Vec<BlackholeEvent>, _)` pair keeps the events without a clone.
+impl<A: EventAccumulator, B: EventAccumulator> EventAccumulator for (A, B) {
+    type Output = (A::Output, B::Output);
+
+    fn observe(&mut self, event: &BlackholeEvent) {
+        self.0.observe(event);
+        self.1.observe(event);
+    }
+
+    fn observe_owned(&mut self, event: BlackholeEvent) {
+        self.1.observe(&event);
+        self.0.observe_owned(event);
+    }
+
+    fn observe_visibility(&mut self, per_dataset: &BTreeMap<DataSource, DatasetVisibility>) {
+        self.0.observe_visibility(per_dataset);
+        self.1.observe_visibility(per_dataset);
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.0.merge(other.0);
+        self.1.merge(other.1);
+    }
+
+    fn finalize(self) -> Self::Output {
+        (self.0.finalize(), self.1.finalize())
+    }
+}
+
 /// §9 ("BGP Blackholing Duration Patterns") groups the events of one
 /// prefix into a period when the next starts at most 5 minutes after the
 /// previous ends, collapsing operators' ON/OFF probing.
@@ -239,7 +270,9 @@ impl AnalyticsPipeline {
     }
 
     /// Fold a fully materialized batch result in — the bridge for
-    /// callers that already ran batch inference.
+    /// callers that already ran batch inference. It is a reference the
+    /// tests and the benchmark compare the streamed report against; no
+    /// `Study` run calls it.
     pub fn observe_result(&mut self, result: &InferenceResult) {
         for event in &result.events {
             self.observe(event);

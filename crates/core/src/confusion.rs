@@ -22,7 +22,7 @@
 //!
 //! [`ConfusionAccumulator`] implements [`EventAccumulator`], so scoring
 //! streams through the same one-pass machinery as every paper metric
-//! (and merges across shards); [`score_events`] is the batch wrapper.
+//! (and merges across shards); its `fold` is the batch form.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -268,19 +268,6 @@ impl EventAccumulator for ConfusionAccumulator {
     }
 }
 
-/// Batch wrapper: score a materialized event list against labels.
-pub fn score_events(
-    scenario: impl Into<String>,
-    events: &[BlackholeEvent],
-    labels: Vec<TruthLabel>,
-) -> ConfusionReport {
-    let mut acc = ConfusionAccumulator::new(scenario, labels);
-    for event in events {
-        acc.observe(event);
-    }
-    acc.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,7 +301,7 @@ mod tests {
     fn perfect_run_scores_perfect() {
         let labels = vec![label("10.0.0.1/32", 1_000, 2_000, LabelKind::Blackhole, true)];
         let events = vec![event("10.0.0.1/32", 1_010, Some(1_900))];
-        let report = score_events("baseline", &events, labels);
+        let report = ConfusionAccumulator::new("baseline", labels).fold(&events);
         assert!(report.is_perfect());
         assert_eq!(report.true_positives, 1);
         assert_eq!(report.precision(), 1.0);
@@ -329,7 +316,7 @@ mod tests {
         ];
         let events =
             vec![event("10.0.0.1/32", 1_010, Some(1_900)), event("20.0.0.7/32", 1_020, None)];
-        let report = score_events("hijack", &events, labels);
+        let report = ConfusionAccumulator::new("hijack", labels).fold(&events);
         assert_eq!(report.true_positives, 1);
         assert_eq!(report.false_positives, 1);
         assert_eq!(report.fp_by_kind.get(&LabelKind::Hijack), Some(&1));
@@ -340,7 +327,7 @@ mod tests {
     #[test]
     fn missed_expected_label_is_a_false_negative() {
         let labels = vec![label("10.0.0.1/32", 1_000, 2_000, LabelKind::Blackhole, true)];
-        let report = score_events("missed", &[], labels);
+        let report = ConfusionAccumulator::new("missed", labels).fold(&[]);
         assert_eq!(report.false_negatives, 1);
         assert_eq!(report.recall(), 0.0);
         assert_eq!(report.precision(), 1.0, "no detections, no false alarms");
@@ -351,10 +338,10 @@ mod tests {
         let labels = vec![label("10.0.0.1/32", 10_000, 20_000, LabelKind::Blackhole, true)];
         // Ends 5 minutes after the planned withdraw: matched.
         let trailing = vec![event("10.0.0.1/32", 10_100, Some(20_300))];
-        assert!(score_events("s", &trailing, labels.clone()).is_perfect());
+        assert!(ConfusionAccumulator::new("s", labels.clone()).fold(&trailing).is_perfect());
         // Starts an hour later: a false positive on the same prefix.
         let stray = vec![event("10.0.0.1/32", 24_000, Some(25_000))];
-        let report = score_events("s", &stray, labels);
+        let report = ConfusionAccumulator::new("s", labels).fold(&stray);
         assert_eq!(report.false_positives, 1);
         assert_eq!(report.fp_unlabeled, 1);
         assert_eq!(report.false_negatives, 1);
@@ -372,7 +359,7 @@ mod tests {
             event("10.0.0.2/32", 1_020, Some(1_800)),
             event("20.0.0.7/32", 1_030, None),
         ];
-        let sequential = score_events("m", &events, labels.clone());
+        let sequential = ConfusionAccumulator::new("m", labels.clone()).fold(&events);
 
         let mut left = ConfusionAccumulator::new("m", labels.clone());
         let mut right = ConfusionAccumulator::new("m", labels);

@@ -52,7 +52,7 @@ pub mod shard;
 
 pub use accumulate::{AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator};
 pub use analytics::{DailyPoint, TypeRow, VisibilityRow};
-pub use confusion::{score_events, ConfusionAccumulator, ConfusionReport, LabelKind, TruthLabel};
+pub use confusion::{ConfusionAccumulator, ConfusionReport, LabelKind, TruthLabel};
 pub use events::{
     BlackholeEvent, BlackholePeriod, DetectionDistance, PeriodAccumulator, ProviderId,
     SequencedEvent,

@@ -168,6 +168,15 @@ pub struct EngineConfig {
     /// the first de-activation any of them sees ends the platform's
     /// observation — the Fig. 8 ablation showing why per-peer tracking
     /// matters.
+    ///
+    /// Disabled, the result depends on the order of same-second elements:
+    /// when two peers of one platform announce and withdraw one prefix in
+    /// the same second, whichever comes last decides whether the event is
+    /// open afterwards. On the Small run of `EXPERIMENTS.md`, the
+    /// simulator's emission order gives 14 193 events (mean 1 558 s) and
+    /// the collectors' archive merge 12 400 (mean 1 783 s). Enabled, both
+    /// orders gave identical results on every run compared
+    /// (`tests/tests/byte_path.rs`); that was checked, not proven.
     pub per_peer_state: bool,
 }
 
@@ -221,7 +230,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Toggle per-(prefix, peer) state tracking (Fig. 8 ablation).
+    /// Toggle per-(prefix, peer) state tracking (Fig. 8 ablation). Off,
+    /// the result depends on the order of same-second elements from
+    /// different peers; see [`EngineConfig::per_peer_state`].
     pub fn per_peer_state(mut self, on: bool) -> Self {
         self.config.per_peer_state = on;
         self
@@ -634,7 +645,8 @@ impl InferenceSession {
     /// Finish: close nothing (events still active stay open with
     /// `end: None`) and return every remaining event plus final census
     /// and stats. Thin wrapper over
-    /// [`InferenceSession::finish_with`] into a `Vec`.
+    /// [`InferenceSession::finish_with`] into a `Vec`; the batch
+    /// reference, which no `Study` run calls.
     pub fn finish(self) -> InferenceResult {
         let mut events = Vec::new();
         let summary = self.finish_with(&mut events);
@@ -662,28 +674,6 @@ impl InferenceSession {
     }
 
     // ---- internals -------------------------------------------------------
-
-    /// The §4.2 detection procedure for one announcement.
-    pub fn detect(&mut self, elem: &BgpElem) -> Vec<Detection> {
-        let set_id = self.set_row(elem);
-        let state = &mut self.state;
-        let plan = &state.sets[set_id.0 as usize].plan;
-        if plan.is_empty() {
-            return Vec::new();
-        }
-        let outcome = memoized(
-            &mut state.detections,
-            &mut state.paths,
-            plan,
-            set_id,
-            elem,
-            &self.refdata,
-            self.config.bundling_detection,
-        );
-        state.stats.bundled_detections += outcome.bundled;
-        state.stats.ambiguous_unresolved += outcome.ambiguous;
-        outcome.detections.clone()
-    }
 
     /// The interned id of this element's community set — the one set
     /// probe of an announcement — with the set's row built on its first
@@ -824,7 +814,9 @@ impl StreamSummary {
     }
 }
 
-/// Everything a session produced.
+/// Everything a session produced, materialized: the batch reference the
+/// tests and the benchmark compare the streamed paths against (no
+/// `Study` run builds one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferenceResult {
     /// All inferred events (closed ones have `end: Some(_)`).

@@ -252,7 +252,7 @@ pub fn split_by_collector(elems: &[BgpElem]) -> BTreeMap<(DataSource, u16), Vec<
 /// the golden-equivalence property tests in `tests/` prove against this
 /// independent implementation. Materializing callers keep this
 /// zero-clone shape; streaming consumers should use the sources and
-/// skip the `Vec`.
+/// skip the `Vec`. It is a reference: no `Study` run calls it.
 pub fn merge_streams(mut streams: Vec<Vec<BgpElem>>) -> Vec<BgpElem> {
     let mut merged: Vec<BgpElem> = streams.drain(..).flatten().collect();
     merged.sort_by_key(|e| (e.time, e.dataset, e.collector));

@@ -31,10 +31,10 @@
 //! which prefix when and with which tags; the announce/withdraw pair
 //! and the label are written by
 //! [`Schedule::labelled_pulse`](crate::reaction::Schedule::labelled_pulse).
-//! Every scheduled event also emits a [`TruthLabel`], so
-//! [`bh_core::score_events`] can turn an
-//! [`InferenceResult`](bh_core::InferenceResult) into a confusion
-//! report with per-kind false-positive attribution.
+//! Every scheduled event also emits a [`TruthLabel`], so a
+//! [`ConfusionAccumulator`](bh_core::ConfusionAccumulator) can turn the
+//! inferred events into a confusion report with per-kind false-positive
+//! attribution.
 //!
 //! Workloads may additionally install a per-AS [`PolicyTable`] — the
 //! ROV sweep ([`AdversarialConfig::rov_sweep`]) deploys strict ROAs
@@ -192,7 +192,8 @@ pub struct AdversarialOutput {
     /// Ground truth for the *cooperative* blackholing events only.
     pub ground_truth: Vec<GroundTruthEvent>,
     /// Truth labels for every scheduled event (cooperative and
-    /// adversarial) — feed to [`bh_core::score_events`].
+    /// adversarial) — feed to a
+    /// [`ConfusionAccumulator`](bh_core::ConfusionAccumulator).
     pub labels: Vec<TruthLabel>,
     /// Per-reason / per-extension rejection accounting from the run.
     pub run_stats: RunStats,

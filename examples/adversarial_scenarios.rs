@@ -17,22 +17,22 @@ use bh_examples::section;
 use bh_routing::RejectReason;
 use bh_workloads::AdversarialConfig;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = Study::build(StudyScale::Tiny, 1234);
     let days = 4;
     let rate = 4.0;
 
     section("cooperative baseline (expect: perfect)");
-    let run = study.adversarial_run(&AdversarialConfig::baseline(41, days, rate));
+    let run = study.adversarial_run(&AdversarialConfig::baseline(41, days, rate))?;
     println!("{}", run.report);
 
     section("subprefix hijacks with stolen trigger communities");
-    let run = study.adversarial_run(&AdversarialConfig::subprefix_hijack(42, days, rate));
+    let run = study.adversarial_run(&AdversarialConfig::subprefix_hijack(42, days, rate))?;
     println!("{}", run.report);
 
     section("route leaks: too-coarse tagged routes, leaker transits");
     let config = AdversarialConfig::route_leak(&study.topology, 43, days, rate);
-    let run = study.adversarial_run(&config);
+    let run = study.adversarial_run(&config)?;
     println!("{}", run.report);
     println!(
         "  simulator: {} exports forced past valley-free, {} triggers length-rejected",
@@ -41,7 +41,7 @@ fn main() {
     );
 
     section("prepend re-routing (negative control, expect: silent)");
-    let run = study.adversarial_run(&AdversarialConfig::prepend_reroute(44, days, rate));
+    let run = study.adversarial_run(&AdversarialConfig::prepend_reroute(44, days, rate))?;
     println!("{}", run.report);
 
     section("ROV deployment sweep under strict ROAs");
@@ -51,7 +51,7 @@ fn main() {
     );
     for fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let config = AdversarialConfig::rov_sweep(&study.topology, 45, days, rate, fraction);
-        let AdversarialRun { output, report, .. } = study.adversarial_run(&config);
+        let AdversarialRun { output, report, .. } = study.adversarial_run(&config)?;
         println!(
             "{fraction:>9.2} {:>9} {:>9} {:>7.3} {:>12}",
             report.expected,
@@ -62,4 +62,5 @@ fn main() {
     }
     println!("\nstrict ROAs pin max_length to the allocation: every /32 RTBH route");
     println!("is RPKI-Invalid at a deploying AS, so ROV eats blackhole visibility.");
+    Ok(())
 }

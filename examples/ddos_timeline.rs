@@ -5,7 +5,7 @@
 //! cargo run --release -p bh-examples --example ddos_timeline
 //! ```
 
-use bh_bench::{Study, StudyRun, StudyScale};
+use bh_bench::{Observed, Study, StudyScale};
 use bh_bgp_types::time::study as window;
 use bh_examples::section;
 use bh_workloads::SPIKES;
@@ -13,16 +13,18 @@ use bh_workloads::SPIKES;
 fn main() {
     section("simulating Dec 2014 - Mar 2017 (scaled)");
     let study = Study::build(StudyScale::Tiny, 11);
-    let StudyRun { output, result, report, .. } = study.longitudinal_run(2.0);
+    let run = study.longitudinal_run(2.0);
+    let Observed { events, report, .. } =
+        study.observe(&run, study.session(&run.refdata)).expect("archives write and decode");
     println!(
         "{} ground-truth reactions, {} inferred events over {} days",
-        output.ground_truth.len(),
-        result.events.len(),
-        output.days
+        run.output.ground_truth.len(),
+        events.len(),
+        run.output.days
     );
 
     section("monthly activity (mean per day)");
-    // The run's report already carries the daily series, computed by the
+    // The observation's report carries the daily series, computed by the
     // one-pass accumulator.
     let series = &report.daily;
     println!("{:<9} {:>10} {:>8} {:>10}", "month", "providers", "users", "prefixes");

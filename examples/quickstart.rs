@@ -6,11 +6,12 @@
 //!
 //! Builds a synthetic Internet, mines the blackhole-community dictionary
 //! from its IRR/web corpus, simulates one week of DDoS attacks and
-//! operator reactions, runs the inference engine over the collector
-//! streams, and prints the headline numbers.
+//! operator reactions, writes what each collector saw as an MRT archive,
+//! runs the inference engine over the archives' merged stream, and
+//! prints the headline numbers.
 
 use bh_analysis::{pct, Table};
-use bh_bench::{Study, StudyRun, StudyScale};
+use bh_bench::{Observed, Study, StudyScale};
 use bh_examples::section;
 
 fn main() {
@@ -32,7 +33,8 @@ fn main() {
     );
 
     section("2. one week of attacks and reactions");
-    let StudyRun { output, result, report, .. } = study.visibility_run(7, 10.0);
+    let run = study.visibility_run(7, 10.0);
+    let output = &run.output;
     println!(
         "scenario: {} announcements over {} days; {} ground-truth reactions",
         output.announcements,
@@ -45,16 +47,19 @@ fn main() {
         study.deployment().session_count()
     );
 
-    section("3. inference");
+    section("3. inference over the collectors' MRT archives");
+    let Observed { events, summary, report } =
+        study.observe(&run, study.session(&run.refdata)).expect("archives write and decode");
     println!(
         "events: {} inferred ({} via community bundling, {} ambiguous skipped)",
-        result.events.len(),
-        result.stats.bundled_detections,
-        result.stats.ambiguous_unresolved
+        events.len(),
+        summary.stats.bundled_detections,
+        summary.stats.ambiguous_unresolved
     );
 
     section("4. visibility (Table 3 shape)");
-    // Every run carries its report, computed by the one-pass accumulators.
+    // The observation's report, computed by the one-pass accumulators as
+    // events closed.
     let mut table = Table::new(
         "per-platform blackholing visibility",
         &["Source", "Providers", "Users", "Prefixes", "Direct feeds"],

@@ -9,7 +9,8 @@
 use bh_bench::reproduce::{evaluate, registry, Verdict, World};
 
 fn main() {
-    let evaluation = evaluate(&World::build(), &registry());
+    let world = World::build().expect("the collectors' archives write and decode");
+    let evaluation = evaluate(&world, &registry());
     print!("{}", evaluation.markdown);
     for (section, claim, _) in evaluation.verdicts.iter().filter(|(.., v)| *v == Verdict::Broken) {
         eprintln!("broken: {section}: {claim}");

@@ -13,7 +13,7 @@
 
 use std::sync::OnceLock;
 
-use bh_bench::{Study, StudyScale};
+use bh_bench::{AdversarialRun, Study, StudyScale};
 use bh_core::LabelKind;
 use bh_routing::RejectReason;
 use bh_topology::{PolicyTable, Roa, RoaTable, TopologyBuilder, TopologyConfig};
@@ -24,9 +24,13 @@ fn study() -> &'static Study {
     STUDY.get_or_init(|| Study::build(StudyScale::Tiny, 1234))
 }
 
+fn adversarial_run(config: &AdversarialConfig) -> AdversarialRun {
+    study().adversarial_run(config).expect("the collectors' archives decode")
+}
+
 #[test]
 fn cooperative_baseline_scores_perfectly() {
-    let run = study().adversarial_run(&AdversarialConfig::baseline(41, 3, 4.0));
+    let run = adversarial_run(&AdversarialConfig::baseline(41, 3, 4.0));
     let r = &run.report;
     assert!(r.expected > 0, "no cooperative events scheduled:\n{r}");
     assert_eq!(r.false_positives, 0, "\n{r}");
@@ -38,7 +42,7 @@ fn cooperative_baseline_scores_perfectly() {
 
 #[test]
 fn subprefix_hijacks_degrade_precision_with_hijack_attribution() {
-    let run = study().adversarial_run(&AdversarialConfig::subprefix_hijack(42, 3, 4.0));
+    let run = adversarial_run(&AdversarialConfig::subprefix_hijack(42, 3, 4.0));
     let r = &run.report;
     assert!(r.false_positives > 0, "hijacks went undetected as FPs:\n{r}");
     assert!(r.precision() < 1.0, "\n{r}");
@@ -53,7 +57,7 @@ fn subprefix_hijacks_degrade_precision_with_hijack_attribution() {
 #[test]
 fn route_leaks_are_misclassified_as_blackholes() {
     let config = AdversarialConfig::route_leak(&study().topology, 43, 3, 4.0);
-    let run = study().adversarial_run(&config);
+    let run = adversarial_run(&config);
     let r = &run.report;
     assert!(r.false_positives > 0, "leak-shaped routes never flagged:\n{r}");
     assert!(
@@ -69,7 +73,7 @@ fn route_leaks_are_misclassified_as_blackholes() {
 
 #[test]
 fn prepend_reroutes_are_a_clean_negative_control() {
-    let run = study().adversarial_run(&AdversarialConfig::prepend_reroute(44, 3, 4.0));
+    let run = adversarial_run(&AdversarialConfig::prepend_reroute(44, 3, 4.0));
     let r = &run.report;
     let reroutes = run.output.labels.iter().filter(|l| l.kind == LabelKind::Reroute).count();
     assert!(reroutes > 0, "no reroutes scheduled");
@@ -83,7 +87,7 @@ fn rov_deployment_monotonically_suppresses_detection() {
     let mut detected = Vec::new();
     for fraction in [0.0, 0.25, 0.5, 1.0] {
         let config = AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, fraction);
-        let run = study().adversarial_run(&config);
+        let run = adversarial_run(&config);
         if fraction > 0.0 {
             assert!(
                 run.output.run_stats.import_rejects_for(RejectReason::RovInvalid) > 0,
@@ -170,10 +174,10 @@ fn policy_layer_golden_pin() {
     let topology = &study().topology;
 
     let rov = AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, 0.5);
-    assert_eq!(policy_fingerprint(&study().adversarial_run(&rov).output), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} exports_forced=0 work_items=1387");
+    assert_eq!(policy_fingerprint(&adversarial_run(&rov).output), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} exports_forced=0 work_items=1387");
 
     let leak = AdversarialConfig::route_leak(topology, 43, 3, 4.0);
-    assert_eq!(policy_fingerprint(&study().adversarial_run(&leak).output), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} exports_forced=181784 work_items=1329077");
+    assert_eq!(policy_fingerprint(&adversarial_run(&leak).output), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} exports_forced=181784 work_items=1329077");
 
     let mut every_field = leak.clone();
     every_field.policy.set_roas(RoaTable::strict_from_topology(topology));
@@ -182,7 +186,7 @@ fn policy_layer_golden_pin() {
         policy.rov = k % 4 == 0;
         policy.only_to_customers |= k % 3 == 2;
     }
-    assert_eq!(policy_fingerprint(&study().adversarial_run(&every_field).output), "elems=943 digest=703c5edf9b064f78 import_rejects={LoopDetected: 33220, RovInvalid: 79, RouteLeak: 20} exports_forced=181732 work_items=1328243");
+    assert_eq!(policy_fingerprint(&adversarial_run(&every_field).output), "elems=943 digest=703c5edf9b064f78 import_rejects={LoopDetected: 33220, RovInvalid: 79, RouteLeak: 20} exports_forced=181732 work_items=1328243");
 }
 
 /// The policies-on export path against the policies-off one: ROV at
@@ -261,7 +265,7 @@ fn generator_golden_pin() {
         (AdversarialConfig::prepend_reroute(44, 3, 4.0), "elems=1140 digest=9fedec95b14d04ac import_rejects={LoopDetected: 83} exports_forced=0 work_items=7006 labels=22 label_digest=05474f1cac3ddfd4 truth_digest=0e30937ebc7545b9"),
         (AdversarialConfig::route_leak(topology, 43, 3, 4.0), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33258} exports_forced=181784 work_items=1329077 labels=19 label_digest=da0893d753d13c87 truth_digest=4893beace23e2bd8"),
     ] {
-        let out = study().adversarial_run(&config).output;
+        let out = adversarial_run(&config).output;
         let fingerprint = format!(
             "{} labels={} label_digest={:016x} truth_digest={:016x}",
             policy_fingerprint(&out),

@@ -1,6 +1,7 @@
-//! Streaming-analytics equivalence. The report every run carries equals
-//! a deliberately naive recomputation of the paper's definitions over
-//! the materialized event list (`bh_integration::oracle`); and the
+//! Streaming-analytics equivalence. The batch report (`observe_result`
+//! over `Study::infer`) equals a deliberately naive recomputation of the
+//! paper's definitions over the materialized event list
+//! (`bh_integration::oracle`); and the
 //! mergeable [`AnalyticsPipeline`] — fed mid-stream, out of order, split
 //! across pipelines and merged in any grouping, or run per shard with a
 //! barrier merge — equals its `fold` over that list.
@@ -24,14 +25,18 @@ fn small_study() -> &'static Study {
     STUDY.get_or_init(|| Study::build(StudyScale::Small, 42))
 }
 
-/// The golden acceptance test: on a Small-scale scenario, the run's
+/// The golden acceptance test: on a Small-scale scenario, the batch
 /// report equals the naive recomputation, and the streamed
 /// single-session report and the 4- and 8-shard barrier-merged reports
 /// are field-for-field equal to it.
 #[test]
 fn streamed_and_sharded_reports_equal_batch_functions() {
     let study = small_study();
-    let StudyRun { output, result, refdata, analytics, report } = study.visibility_run(4, 6.0);
+    let StudyRun { output, refdata, analytics } = study.visibility_run(4, 6.0);
+    let result = study.infer(&refdata, &output.elems);
+    let mut batch = study.analytics_pipeline(&refdata, analytics);
+    batch.observe_result(&result);
+    let report = batch.finalize();
     assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
     assert_report_equals_naive_recomputation(
         &report,

@@ -1,56 +1,28 @@
-//! The byte path against the in-memory reference: inference over the
-//! collectors' MRT archives (`fleet_archives` → `fleet_of`, one
-//! time-ordered merge) must equal `Study::infer` + `observe_result` over
-//! the simulator's element `Vec` — events, counters, census, per-dataset
-//! visibility and the analytics report — on Tiny visibility runs at
-//! several seeds, on the adversarial catalog (events and confusion
-//! report) and, release-only, on the Small world `reproduce` reads.
-
-use std::sync::Arc;
+//! The byte path against the in-memory reference: `Study::observe` —
+//! inference over the collectors' MRT archives (`fleet_archives` →
+//! `fleet_of`, one time-ordered merge) — must equal `Study::infer` +
+//! `observe_result` over the simulator's element `Vec` on events,
+//! counters, census, per-dataset visibility and the analytics report; on
+//! Tiny visibility runs at several seeds, on the adversarial catalog
+//! (events and confusion report) and, release-only, on the Small world
+//! `reproduce` reads.
 
 use bh_bench::{Study, StudyRun, StudyScale};
-use bh_core::{
-    BlackholeEvent, ConfusionAccumulator, EventAccumulator, ReferenceData, StreamSummary,
-};
-use bh_routing::{BgpElem, ElemSource};
-use bh_workloads::{fleet_archives, fleet_of, AdversarialConfig};
-
-/// Infer over the archives of `elems` into an event `Vec`, sorted as
-/// `InferenceResult` sorts it.
-fn via_bytes(
-    study: &Study,
-    refdata: &Arc<ReferenceData>,
-    elems: &[BgpElem],
-) -> (Vec<BlackholeEvent>, StreamSummary) {
-    let archives = fleet_archives(elems).expect("archives serialize");
-    let mut stream = fleet_of(&archives).start();
-    let mut session = study.session(refdata).build();
-    let mut events = Vec::new();
-    while let Some(elem) = stream.next_elem() {
-        session.push(elem);
-        session.drain_closed_into(&mut events);
-    }
-    assert!(stream.finish().is_clean());
-    let summary = session.finish_with(&mut events);
-    events.sort_by_key(|e| (e.start, e.prefix));
-    (events, summary)
-}
+use bh_core::{ConfusionAccumulator, EventAccumulator};
+use bh_workloads::AdversarialConfig;
 
 fn assert_run_matches_reference(study: &Study, run: &StudyRun) {
-    let (events, summary) = via_bytes(study, &run.refdata, &run.output.elems);
-    let mut pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
-    for event in &events {
-        pipeline.observe(event);
-    }
-    pipeline.observe_visibility(&summary.per_dataset);
+    let observed = study.observe(run, study.session(&run.refdata)).expect("archives decode");
 
-    let reference = &run.result;
+    let reference = study.infer(&run.refdata, &run.output.elems);
+    let mut pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
+    pipeline.observe_result(&reference);
     assert!(!reference.events.is_empty(), "degenerate run: nothing inferred");
-    assert_eq!(events, reference.events);
-    assert_eq!(summary.stats, reference.stats);
-    assert_eq!(summary.census, reference.census);
-    assert_eq!(summary.per_dataset, reference.per_dataset);
-    assert_eq!(pipeline.finalize(), run.report);
+    assert_eq!(observed.events, reference.events);
+    assert_eq!(observed.summary.stats, reference.stats);
+    assert_eq!(observed.summary.census, reference.census);
+    assert_eq!(observed.summary.per_dataset, reference.per_dataset);
+    assert_eq!(observed.report, pipeline.finalize());
 }
 
 #[test]
@@ -73,13 +45,13 @@ fn byte_path_matches_the_reference_on_the_adversarial_catalog() {
         AdversarialConfig::prepend_reroute(44, 3, 4.0),
         AdversarialConfig::route_leak(topology, 43, 3, 4.0),
     ] {
-        let run = study.adversarial_run(&config);
-        let (events, _) = via_bytes(&study, &run.refdata, &run.output.elems);
-        let labels = run.output.labels.clone();
-        let report = ConfusionAccumulator::new(config.name.clone(), labels).fold(&events);
+        let run = study.adversarial_run(&config).expect("archives decode");
 
-        assert_eq!(events, run.result.events, "{}", config.name);
-        assert_eq!(report, run.report, "{}", config.name);
+        let reference = study.infer(&run.refdata, &run.output.elems);
+        let labels = run.output.labels.clone();
+        let report = ConfusionAccumulator::new(config.name.clone(), labels).fold(&reference.events);
+        assert_eq!(run.events, reference.events, "{}", config.name);
+        assert_eq!(run.report, report, "{}", config.name);
     }
 }
 

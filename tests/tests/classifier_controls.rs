@@ -14,12 +14,13 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use bh_bench::{Study, StudyScale};
-use bh_core::LabelKind;
+use bh_bench::{AdversarialRun, Study, StudyScale};
+use bh_core::{LabelKind, SessionBuilder};
 use bh_irr::{
     BlackholeDictionary, CommunityClass, CommunityClassifier, CommunityPrefixCensus,
     CorpusGenerator, NegativeControls,
 };
+use bh_routing::SliceSource;
 use bh_topology::{TopologyBuilder, TopologyConfig};
 use bh_workloads::AdversarialConfig;
 
@@ -35,6 +36,16 @@ fn documented_controls(study: &Study) -> Arc<NegativeControls> {
         CommunityClassifier.negative_controls(&study.dict, &CommunityPrefixCensus::new());
     assert!(!controls.is_empty(), "no documented tags became controls");
     Arc::new(controls)
+}
+
+/// [`Study::adversarial_run_with`] over archives that must decode.
+fn scored(
+    study: &Study,
+    dict: Arc<BlackholeDictionary>,
+    controls: Option<Arc<NegativeControls>>,
+    config: &AdversarialConfig,
+) -> AdversarialRun {
+    study.adversarial_run_with(dict, controls, config).expect("the collectors' archives decode")
 }
 
 #[test]
@@ -56,8 +67,8 @@ fn negative_controls_cut_stolen_tag_false_positives() {
     let controls = documented_controls(study);
     let config = AdversarialConfig::stolen_tag_hijack(46, 3, 4.0);
 
-    let base = study.adversarial_run_with(naive.clone(), None, &config);
-    let controlled = study.adversarial_run_with(naive, Some(controls), &config);
+    let base = scored(study, naive.clone(), None, &config);
+    let controlled = scored(study, naive.clone(), Some(controls.clone()), &config);
 
     assert!(
         base.report.fp_by_kind.get(&LabelKind::Tagged).copied().unwrap_or(0) > 0,
@@ -70,7 +81,10 @@ fn negative_controls_cut_stolen_tag_false_positives() {
         base.report,
         controlled.report
     );
-    assert!(controlled.result.stats.control_suppressed > 0, "nothing was counted as suppressed");
+    let mut session =
+        SessionBuilder::new(naive, controlled.refdata.clone()).negative_controls(controls).build();
+    session.ingest(&mut SliceSource::new(&controlled.output.elems));
+    assert!(session.stats().control_suppressed > 0, "nothing was counted as suppressed");
     // Cooperative recall is untouched on both sides.
     assert_eq!(base.report.recall(), 1.0, "\n{}", base.report);
     assert_eq!(controlled.report.recall(), 1.0, "\n{}", controlled.report);
@@ -91,8 +105,8 @@ fn controls_strictly_reduce_false_positives_across_the_catalog() {
     let mut base_fps = 0;
     let mut controlled_fps = 0;
     for config in &catalog {
-        let base = study.adversarial_run_with(naive.clone(), None, config);
-        let controlled = study.adversarial_run_with(naive.clone(), Some(controls.clone()), config);
+        let base = scored(study, naive.clone(), None, config);
+        let controlled = scored(study, naive.clone(), Some(controls.clone()), config);
         // Recall must be identical scenario by scenario: controls only
         // ever remove false positives, never true detections.
         assert_eq!(
@@ -157,13 +171,15 @@ proptest! {
     fn controls_off_path_is_bit_identical(seed in 0u64..500, days in 2u64..4, rate in 2.0f64..6.0) {
         let study = Study::build(StudyScale::Tiny, seed);
         let config = AdversarialConfig::baseline(seed ^ 0x77, days, rate);
-        let without = study.adversarial_run_with(study.dict.clone(), None, &config);
-        let with_empty = study.adversarial_run_with(
+        let without = scored(&study, study.dict.clone(), None, &config);
+        let with_empty = scored(
+            &study,
             study.dict.clone(),
             Some(Arc::new(NegativeControls::default())),
             &config,
         );
-        prop_assert_eq!(without.result, with_empty.result);
+        prop_assert_eq!(without.events, with_empty.events);
+        prop_assert_eq!(without.report, with_empty.report);
     }
 
     #[test]
@@ -174,7 +190,7 @@ proptest! {
                 .negative_controls(&study.dict, &CommunityPrefixCensus::new()),
         );
         let config = AdversarialConfig::baseline(seed ^ 0x99, days, 4.0);
-        let run = study.adversarial_run_with(study.dict.clone(), Some(controls), &config);
+        let run = scored(&study, study.dict.clone(), Some(controls), &config);
         prop_assert!(
             run.report.recall() == 1.0,
             "controls ate a genuine event:\n{}",

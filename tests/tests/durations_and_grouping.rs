@@ -1,32 +1,39 @@
 //! Duration and grouping shapes (Fig. 8) on a generated scenario, checked
 //! against ground truth.
 
-use bh_bench::{Study, StudyRun, StudyScale};
+use bh_bench::{Observed, Study, StudyRun, StudyScale};
 use bh_bgp_types::time::{SimDuration, SimTime};
+
+/// The run and what its collectors saw.
+fn observed_run(study: &Study, days: u64, rate: f64) -> (StudyRun, Observed) {
+    let run = study.visibility_run(days, rate);
+    let observed = study.observe(&run, study.session(&run.refdata)).expect("archives decode");
+    (run, observed)
+}
 
 #[test]
 fn grouping_collapses_probing_pulses() {
     let study = Study::build(StudyScale::Tiny, 41);
     // The run's report groups at the paper's 5-minute timeout.
-    let StudyRun { output, result, report, .. } = study.visibility_run(4, 8.0);
+    let (StudyRun { output, .. }, Observed { events, report, .. }) = observed_run(&study, 4, 8.0);
     let periods = report.periods;
-    assert!(periods.len() <= result.events.len(), "grouping must never create periods");
+    assert!(periods.len() <= events.len(), "grouping must never create periods");
     // The probing pattern dominates the reaction model, so grouping must
     // shrink the count substantially when multi-phase truths exist.
     let multi_phase_truths = output.ground_truth.iter().filter(|t| t.phases.len() > 1).count();
     if multi_phase_truths > 5 {
         assert!(
-            periods.len() < result.events.len(),
+            periods.len() < events.len(),
             "{} periods from {} events with {} multi-phase truths",
             periods.len(),
-            result.events.len(),
+            events.len(),
             multi_phase_truths
         );
     }
 
     // Every period's span covers its constituent events.
     for p in &periods {
-        for e in result.events.iter().filter(|e| e.prefix == p.prefix) {
+        for e in events.iter().filter(|e| e.prefix == p.prefix) {
             if e.start >= p.start {
                 if let (Some(pe), Some(ee)) = (p.end, e.end) {
                     if e.start <= pe {
@@ -41,7 +48,7 @@ fn grouping_collapses_probing_pulses() {
 #[test]
 fn ungrouped_durations_reflect_probing_pulse_lengths() {
     let study = Study::build(StudyScale::Tiny, 43);
-    let StudyRun { output, result, .. } = study.visibility_run(4, 8.0);
+    let (StudyRun { output, .. }, Observed { events, .. }) = observed_run(&study, 4, 8.0);
     let now = SimTime::from_unix(u64::MAX / 2);
 
     // Ground truth pulse lengths are 20–100s; inferred closed events for
@@ -51,7 +58,7 @@ fn ungrouped_durations_reflect_probing_pulse_lengths() {
         output.ground_truth.iter().filter(|t| t.phases.len() > 2).map(|t| t.prefix).collect();
     let mut short = 0usize;
     let mut total = 0usize;
-    for e in &result.events {
+    for e in &events {
         if !probing_prefixes.contains(&e.prefix) || e.end.is_none() {
             continue;
         }
@@ -68,7 +75,7 @@ fn ungrouped_durations_reflect_probing_pulse_lengths() {
 #[test]
 fn grouped_period_counts_match_ground_truth_reactions() {
     let study = Study::build(StudyScale::Tiny, 47);
-    let StudyRun { output, report, .. } = study.visibility_run(3, 6.0);
+    let (StudyRun { output, .. }, Observed { report, .. }) = observed_run(&study, 3, 6.0);
     let periods = report.periods;
 
     // Each visible ground-truth reaction (prefix) produces at least one

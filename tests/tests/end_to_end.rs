@@ -4,22 +4,29 @@
 
 use std::collections::BTreeSet;
 
-use bh_bench::{Study, StudyRun, StudyScale};
+use bh_bench::{Observed, Study, StudyRun, StudyScale};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_routing::archive::{read_updates, write_updates};
 use bh_routing::{merge_streams, split_by_collector, MergedSource, MrtElemSource};
 
+/// The run and what its collectors saw.
+fn observed_run(study: &Study, days: u64, rate: f64) -> (StudyRun, Observed) {
+    let run = study.visibility_run(days, rate);
+    let observed = study.observe(&run, study.session(&run.refdata)).expect("archives decode");
+    (run, observed)
+}
+
 #[test]
 fn inference_finds_most_visible_ground_truth_events() {
     let study = Study::build(StudyScale::Tiny, 31);
-    let StudyRun { output, result, .. } = study.visibility_run(6, 8.0);
+    let (StudyRun { output, .. }, Observed { events, .. }) = observed_run(&study, 6, 8.0);
     assert!(!output.ground_truth.is_empty());
 
     // Ground truth prefixes that were *visible* (some elems carried them
     // tagged) — visibility limits recall, exactly as §5.2 documents.
     let truth_prefixes: BTreeSet<Ipv4Prefix> =
         output.ground_truth.iter().map(|t| t.prefix).collect();
-    let inferred_prefixes: BTreeSet<Ipv4Prefix> = result.events.iter().map(|e| e.prefix).collect();
+    let inferred_prefixes: BTreeSet<Ipv4Prefix> = events.iter().map(|e| e.prefix).collect();
 
     // Precision on prefixes: everything inferred is real ground truth.
     for p in &inferred_prefixes {
@@ -38,9 +45,9 @@ fn inference_finds_most_visible_ground_truth_events() {
 #[test]
 fn inferred_users_and_providers_match_ground_truth() {
     let study = Study::build(StudyScale::Tiny, 32);
-    let StudyRun { output, result, .. } = study.visibility_run(5, 8.0);
+    let (StudyRun { output, .. }, Observed { events, .. }) = observed_run(&study, 5, 8.0);
 
-    for event in &result.events {
+    for event in &events {
         let truths: Vec<_> =
             output.ground_truth.iter().filter(|t| t.prefix == event.prefix).collect();
         assert!(!truths.is_empty(), "event without ground truth: {event:?}");
@@ -71,7 +78,8 @@ fn inferred_users_and_providers_match_ground_truth() {
 #[test]
 fn mrt_archive_round_trip_preserves_inference() {
     let study = Study::build(StudyScale::Tiny, 33);
-    let StudyRun { output, result: live_result, refdata, .. } = study.visibility_run(4, 6.0);
+    let StudyRun { output, refdata, .. } = study.visibility_run(4, 6.0);
+    let live_result = study.infer(&refdata, &output.elems);
 
     // Split per collector (the shape real archives come in), write MRT,
     // and re-run inference over the constant-memory k-way merged stream
@@ -112,8 +120,8 @@ fn mrt_archive_round_trip_preserves_inference() {
 #[test]
 fn event_time_bounds_are_consistent_with_ground_truth() {
     let study = Study::build(StudyScale::Tiny, 34);
-    let StudyRun { output, result, .. } = study.visibility_run(4, 6.0);
-    for event in &result.events {
+    let (StudyRun { output, .. }, Observed { events, .. }) = observed_run(&study, 4, 6.0);
+    for event in &events {
         if let Some(end) = event.end {
             assert!(event.start <= end, "negative duration: {event:?}");
         }
@@ -139,11 +147,11 @@ fn event_time_bounds_are_consistent_with_ground_truth() {
 #[test]
 fn dataset_visibility_is_subset_of_all() {
     let study = Study::build(StudyScale::Tiny, 35);
-    let StudyRun { result, .. } = study.visibility_run(4, 6.0);
+    let (_, Observed { events, summary, .. }) = observed_run(&study, 4, 6.0);
     let mut all_prefixes = BTreeSet::new();
-    for vis in result.per_dataset.values() {
+    for vis in summary.per_dataset.values() {
         all_prefixes.extend(vis.prefixes.iter().copied());
     }
-    let event_prefixes: BTreeSet<Ipv4Prefix> = result.events.iter().map(|e| e.prefix).collect();
+    let event_prefixes: BTreeSet<Ipv4Prefix> = events.iter().map(|e| e.prefix).collect();
     assert_eq!(all_prefixes, event_prefixes);
 }

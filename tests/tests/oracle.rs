@@ -203,7 +203,8 @@ fn session_matches_oracle_on_the_adversarial_catalog() {
 fn session_matches_oracle_on_the_small_visibility_run() {
     let study = Study::build(StudyScale::Small, 42);
     let run = study.visibility_run(4, 6.0);
-    assert!(!run.result.events.is_empty(), "degenerate run: nothing inferred");
+    let result = study.infer(&run.refdata, &run.output.elems);
+    assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
     for config in CONFIGS {
         assert_session_matches_oracle(&study.dict, &run.refdata, config, None, &run.output.elems);
     }

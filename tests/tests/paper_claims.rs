@@ -13,7 +13,7 @@ use bh_irr::BlackholeDictionary;
 /// dominate wall-clock.
 fn world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(World::build)
+    WORLD.get_or_init(|| World::build().expect("the collectors' archives write and decode"))
 }
 
 fn sections(keep: impl Fn(&Section) -> bool) -> Vec<Section> {
@@ -29,10 +29,10 @@ fn broken(evaluation: &Evaluation) -> Vec<(&'static str, &'static str)> {
 fn fast_sections_have_no_broken_claim() {
     let evaluation = evaluate(world(), &sections(|s| !s.slow));
     assert_eq!(broken(&evaluation), [], "see EXPERIMENTS.md / `make reproduce`");
-    // 39 paper claims (Fig. 4's three are slow) + the per-peer-state pin.
-    assert_eq!(evaluation.verdicts.len(), 40);
+    // 39 paper claims (Fig. 4's three are slow) + the two per-peer-state pins.
+    assert_eq!(evaluation.verdicts.len(), 41);
     let tally = [Verdict::Holds, Verdict::ExpectedDivergence, Verdict::NotMeasurable];
-    assert_eq!(tally.map(|v| evaluation.count(v)), [22, 17, 1]);
+    assert_eq!(tally.map(|v| evaluation.count(v)), [23, 17, 1]);
 }
 
 #[test]
@@ -46,17 +46,17 @@ fn slow_sections_have_no_broken_claim() {
     assert_eq!(evaluation.verdicts.len(), 3, "Fig. 4's three claims");
 }
 
-/// Re-run inference over the same elems with `session`, evaluate the
+/// Re-observe the same archives with `session`, evaluate the
 /// sections whose id starts with `prefix`, and return what broke.
 fn mutant(session: SessionBuilder, prefix: &str) -> Vec<(&'static str, &'static str)> {
-    let mutated = world().reinfer(session);
+    let mutated = world().reinfer(session).expect("the archives decode again");
     broken(&evaluate(&mutated, &sections(|s| !s.slow && s.id().starts_with(prefix))))
 }
 
 #[test]
 fn the_gate_fails_under_mutation() {
     let w = world();
-    let session = || w.study.session(&w.refdata);
+    let session = || w.study.session(&w.run.refdata);
 
     let no_bundling = mutant(session().bundling_detection(false), "Fig. 7(c)");
     assert!(no_bundling.iter().any(|(_, claim)| claim.contains("no-path")), "{no_bundling:?}");
@@ -65,7 +65,7 @@ fn the_gate_fails_under_mutation() {
     assert!(no_peer_state.iter().any(|(_, claim)| claim.contains("duration")), "{no_peer_state:?}");
 
     let empty = Arc::new(BlackholeDictionary::default());
-    let no_dictionary = mutant(SessionBuilder::new(empty, w.refdata.clone()), "Table");
+    let no_dictionary = mutant(SessionBuilder::new(empty, w.run.refdata.clone()), "Table");
     for table in ["Table 3", "Table 4"] {
         assert!(no_dictionary.iter().any(|(id, _)| *id == table), "{table}: {no_dictionary:?}");
     }

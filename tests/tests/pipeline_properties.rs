@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use bh_bench::{Study, StudyRun, StudyScale};
+use bh_bench::{Observed, Study, StudyRun, StudyScale};
 use bh_bgp_types::time::SimDuration;
 use bh_core::{EventAccumulator, PeriodAccumulator};
 use bh_routing::SliceSource;
@@ -19,16 +19,18 @@ proptest! {
     #[test]
     fn pipeline_invariants_hold(seed in 0u64..500, days in 2u64..5, rate in 2.0f64..8.0) {
         let study = Study::build(StudyScale::Tiny, seed);
-        let StudyRun { output, result, .. } = study.visibility_run(days, rate);
+        let run = study.visibility_run(days, rate);
+        let Observed { events, summary, .. } =
+            study.observe(&run, study.session(&run.refdata)).expect("archives decode");
 
         // 1. No false-positive prefixes.
-        let truth: BTreeSet<_> = output.ground_truth.iter().map(|t| t.prefix).collect();
-        for e in &result.events {
+        let truth: BTreeSet<_> = run.output.ground_truth.iter().map(|t| t.prefix).collect();
+        for e in &events {
             prop_assert!(truth.contains(&e.prefix), "false positive {}", e.prefix);
         }
 
         // 2. Time sanity: start <= end, events within the window.
-        for e in &result.events {
+        for e in &events {
             if let Some(end) = e.end {
                 prop_assert!(e.start <= end);
             }
@@ -39,10 +41,10 @@ proptest! {
         // 3. Grouping invariants at any timeout.
         for timeout in [0u64, 60, 300, 3600] {
             let periods =
-                PeriodAccumulator::new(SimDuration::secs(timeout)).fold(&result.events);
-            prop_assert!(periods.len() <= result.events.len());
+                PeriodAccumulator::new(SimDuration::secs(timeout)).fold(&events);
+            prop_assert!(periods.len() <= events.len());
             let period_events: usize = periods.iter().map(|p| p.event_count).sum();
-            prop_assert_eq!(period_events, result.events.len());
+            prop_assert_eq!(period_events, events.len());
             for p in &periods {
                 prop_assert!(p.event_count >= 1);
             }
@@ -50,14 +52,14 @@ proptest! {
 
         // 4. Dataset visibility unions equal event prefixes.
         let mut union = BTreeSet::new();
-        for vis in result.per_dataset.values() {
+        for vis in summary.per_dataset.values() {
             union.extend(vis.prefixes.iter().copied());
         }
-        let event_prefixes: BTreeSet<_> = result.events.iter().map(|e| e.prefix).collect();
+        let event_prefixes: BTreeSet<_> = events.iter().map(|e| e.prefix).collect();
         prop_assert_eq!(union, event_prefixes);
 
         // 5. Census totals are bounded by processed announcements.
-        prop_assert!(result.census.total_observations() <= result.stats.elems);
+        prop_assert!(summary.census.total_observations() <= summary.stats.elems);
     }
 
     #[test]
@@ -96,7 +98,8 @@ proptest! {
         shards in 4usize..9,
     ) {
         let study = small_study();
-        let StudyRun { output, result, refdata, .. } = study.visibility_run(days, rate);
+        let StudyRun { output, refdata, .. } = study.visibility_run(days, rate);
+        let result = study.infer(&refdata, &output.elems);
         prop_assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
 
         let mut session = study.session(&refdata).build_sharded(shards);
@@ -130,6 +133,7 @@ proptest! {
             baseline.output.ground_truth.len()
         );
         prop_assert_eq!(&with_table.output.run_stats, &baseline.output.run_stats);
-        prop_assert_eq!(&with_table.result, &baseline.result);
+        let observe = |run| study.observe(run, study.session(&baseline.refdata)).expect("decode");
+        prop_assert_eq!(observe(&with_table), observe(&baseline));
     }
 }

@@ -19,7 +19,8 @@ fn sort_events(mut events: Vec<BlackholeEvent>) -> Vec<BlackholeEvent> {
 #[test]
 fn drain_closed_plus_finish_equals_batch() {
     let study = Study::build(StudyScale::Tiny, 71);
-    let StudyRun { output, result: batch, refdata, .. } = study.visibility_run(5, 8.0);
+    let StudyRun { output, refdata, .. } = study.visibility_run(5, 8.0);
+    let batch = study.infer(&refdata, &output.elems);
     assert!(!batch.events.is_empty());
     let open_in_batch = batch.events.iter().filter(|e| e.end.is_none()).count();
 
@@ -94,7 +95,8 @@ fn rib_initialization_streams_like_batch() {
 #[test]
 fn checkpoint_resume_mid_scenario_equals_one_shot() {
     let study = Study::build(StudyScale::Tiny, 73);
-    let StudyRun { output, result: expected, refdata, .. } = study.visibility_run(3, 6.0);
+    let StudyRun { output, refdata, .. } = study.visibility_run(3, 6.0);
+    let expected = study.infer(&refdata, &output.elems);
 
     let mid = output.elems.len() / 2;
     let mut first = study.session(&refdata).build();
@@ -110,7 +112,8 @@ fn checkpoint_resume_mid_scenario_equals_one_shot() {
 #[test]
 fn mrt_streaming_source_feeds_inference_identically() {
     let study = Study::build(StudyScale::Tiny, 74);
-    let StudyRun { output, result: live, refdata, .. } = study.visibility_run(3, 6.0);
+    let StudyRun { output, refdata, .. } = study.visibility_run(3, 6.0);
+    let live = study.infer(&refdata, &output.elems);
 
     // Write per-platform archives (the shape real archives come in),
     // then stream each back through a constant-memory MRT source into
@@ -141,7 +144,8 @@ fn mrt_streaming_source_feeds_inference_identically() {
 #[test]
 fn scenario_output_is_an_elem_source() {
     let study = Study::build(StudyScale::Tiny, 75);
-    let StudyRun { output, result: expected, refdata, .. } = study.visibility_run(2, 6.0);
+    let StudyRun { output, refdata, .. } = study.visibility_run(2, 6.0);
+    let expected = study.infer(&refdata, &output.elems);
     let mut session = study.session(&refdata).build();
     let mut source = SliceSource::new(&output.elems);
     assert_eq!(source.size_hint().0, output.elems.len());

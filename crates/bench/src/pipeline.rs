@@ -17,9 +17,9 @@ use std::sync::Arc;
 
 use bh_bgp_types::time::SimTime;
 use bh_core::{
-    AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, BlackholeEvent, ConfusionAccumulator,
-    ConfusionReport, EventAccumulator, InferenceResult, ReferenceData, SessionBuilder,
-    StreamSummary,
+    canonical_order, AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, BlackholeEvent,
+    ConfusionAccumulator, ConfusionReport, EventAccumulator, InferenceResult, ReferenceData,
+    SessionBuilder, StreamSummary,
 };
 use bh_irr::{BlackholeDictionary, Corpus, CorpusGenerator, NegativeControls};
 use bh_mrt::MrtError;
@@ -126,24 +126,22 @@ pub struct Observed<R = AnalyticsReport> {
     pub report: R,
 }
 
-/// One adversarial run, end to end: the labelled workload's output, the
-/// inference over its collectors' archives, and the confusion report
-/// scoring that inference against the simulator's ground truth.
+/// One adversarial run, end to end: the labelled workload's output and
+/// what its collectors saw, scored against the simulator's ground truth
+/// (precision/recall/per-kind false-positive attribution).
 pub struct AdversarialRun {
     /// Workload output (elements + cooperative ground truth + labels).
     pub output: AdversarialOutput,
     /// The reference data the inference used.
     pub refdata: Arc<ReferenceData>,
-    /// Every inferred event, in `(start, prefix)` order.
-    pub events: Vec<BlackholeEvent>,
-    /// Precision/recall/per-kind false-positive attribution.
-    pub report: ConfusionReport,
+    /// Inference over the collectors' archives, with its confusion report.
+    pub observed: Observed<ConfusionReport>,
 }
 
 /// Infer over the merged stream of `archives` with one session, feeding
 /// the event list and `accumulator` as events close. The first archive
 /// that fails to decode is the error.
-pub(crate) fn observe_archives<A: EventAccumulator>(
+fn observe_with<A: EventAccumulator>(
     archives: &[CollectorArchive],
     session: SessionBuilder,
     accumulator: A,
@@ -160,7 +158,7 @@ pub(crate) fn observe_archives<A: EventAccumulator>(
     }
     let summary = session.finish_with(&mut accumulators);
     let (mut events, report) = accumulators.finalize();
-    events.sort_by_key(|e| (e.start, e.prefix));
+    canonical_order(&mut events);
     Ok(Observed { events, summary, report })
 }
 
@@ -224,11 +222,21 @@ impl Study {
     }
 
     /// What the collectors saw of `run`: one MRT archive per collector,
-    /// merged back in time order and inferred by one `session`. A writer
-    /// refusal or an archive that fails to decode is the error.
-    pub fn observe(&self, run: &StudyRun, session: SessionBuilder) -> Result<Observed, MrtError> {
-        let archives = run.output.fleet_archives()?;
-        observe_archives(&archives, session, self.analytics_pipeline(&run.refdata, run.analytics))
+    /// merged back in time order and inferred by this study's session. A
+    /// writer refusal or an archive that fails to decode is the error.
+    pub fn observe(&self, run: &StudyRun) -> Result<Observed, MrtError> {
+        self.observe_archives(&run.output.fleet_archives()?, run, self.session(&run.refdata))
+    }
+
+    /// `run`'s collector `archives` inferred by `session` (the `reproduce`
+    /// world writes them once and re-observes them for its ablations).
+    pub(crate) fn observe_archives(
+        &self,
+        archives: &[CollectorArchive],
+        run: &StudyRun,
+        session: SessionBuilder,
+    ) -> Result<Observed, MrtError> {
+        observe_with(archives, session, self.analytics_pipeline(&run.refdata, run.analytics))
     }
 
     /// The configuration of the standard short visibility run.
@@ -279,8 +287,8 @@ impl Study {
             session = session.negative_controls(controls);
         }
         let confusion = ConfusionAccumulator::new(config.name.clone(), output.labels.clone());
-        let observed = observe_archives(&fleet_archives(&output.elems)?, session, confusion)?;
-        Ok(AdversarialRun { output, refdata, events: observed.events, report: observed.report })
+        let observed = observe_with(&fleet_archives(&output.elems)?, session, confusion)?;
+        Ok(AdversarialRun { output, refdata, observed })
     }
 
     /// Regenerate this study's documentation corpus (the build does not
@@ -314,7 +322,7 @@ mod tests {
     fn tiny_study_builds_and_infers() {
         let study = Study::build(StudyScale::Tiny, 5);
         let run = study.visibility_run(4, 6.0);
-        let observed = study.observe(&run, study.session(&run.refdata)).expect("archives decode");
+        let observed = study.observe(&run).expect("archives decode");
         assert!(!run.output.ground_truth.is_empty());
         assert!(
             !observed.events.is_empty(),

@@ -45,7 +45,7 @@ use bh_routing::{table1, DataSource, DatasetStats};
 use bh_topology::{DocumentationChannel, NetworkType, PolicyTable, RoaTable};
 use bh_workloads::{CollectorArchive, ScenarioOutput, SPIKES};
 
-use crate::pipeline::{observe_archives, Observed, Study, StudyRun, StudyScale};
+use crate::pipeline::{Observed, Study, StudyRun, StudyScale};
 
 /// Seed of every study of the run.
 const SEED: u64 = 42;
@@ -85,22 +85,16 @@ impl World {
         let study = Arc::new(Study::build(StudyScale::Small, SEED));
         let run = Arc::new(study.visibility_run(VISIBILITY.0, VISIBILITY.1));
         let archives: Arc<[_]> = run.output.fleet_archives()?.into();
-        let pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
-        let observed = observe_archives(&archives, study.session(&run.refdata), pipeline)?;
+        let observed = study.observe_archives(&archives, &run, study.session(&run.refdata))?;
         Ok(World { study, run, archives, observed, lazy: Lazy::default() })
     }
 
-    /// The world re-observed from its archives by `session` (gate mutants).
+    /// The world re-observed from its archives by `session` (ablations
+    /// and gate mutants).
     pub fn reinfer(&self, session: SessionBuilder) -> Result<World, MrtError> {
-        let observed = self.observe_with(session)?;
+        let observed = self.study.observe_archives(&self.archives, &self.run, session)?;
         let (study, run, archives) = (self.study.clone(), self.run.clone(), self.archives.clone());
         Ok(World { study, run, archives, observed, lazy: Lazy::default() })
-    }
-
-    /// The world's archives observed by `session` (ablations).
-    fn observe_with(&self, session: SessionBuilder) -> Result<Observed, MrtError> {
-        let pipeline = self.study.analytics_pipeline(&self.run.refdata, self.run.analytics);
-        observe_archives(&self.archives, session, pipeline)
     }
 
     fn full(&self) -> &Study {
@@ -110,8 +104,12 @@ impl World {
     fn longitudinal(&self) -> &Result<(StudyRun, Observed), MrtError> {
         self.lazy.longitudinal.get_or_init(|| {
             let study = Study::build(StudyScale::Tiny, SEED);
-            let run = study.longitudinal_run(LONGITUDINAL_RATE);
-            let observed = study.observe(&run, study.session(&run.refdata))?;
+            let mut run = study.longitudinal_run(LONGITUDINAL_RATE);
+            let archives = run.output.fleet_archives()?;
+            // Fig. 4 reads only what the collectors saw: free the stream
+            // before inferring, so it and the session never coexist.
+            run.output.elems = Vec::new();
+            let observed = study.observe_archives(&archives, &run, study.session(&run.refdata))?;
             Ok((run, observed))
         })
     }
@@ -124,7 +122,8 @@ impl World {
     /// The per-peer-state ablation, observed once for its render and claim.
     fn without_per_peer_state(&self) -> &Result<Observed, MrtError> {
         let session = || self.study.session(&self.run.refdata).per_peer_state(false);
-        self.lazy.without_per_peer_state.get_or_init(|| self.observe_with(session()))
+        let ablated = || self.reinfer(session()).map(|w| w.observed);
+        self.lazy.without_per_peer_state.get_or_init(ablated)
     }
 }
 
@@ -645,8 +644,8 @@ fn render_fig7c(w: &World) -> String {
 }
 
 /// Share of detections at the distances `at` accepts, in percent.
-fn distance_share(report: &AnalyticsReport, at: fn(&DetectionDistance) -> bool) -> f64 {
-    let hist = &report.distance_histogram;
+fn distance_share(w: &World, at: fn(&DetectionDistance) -> bool) -> f64 {
+    let hist = &w.observed.report.distance_histogram;
     share(hist.iter().filter(|(d, _)| at(d)).map(|(_, n)| n).sum(), hist.values().sum())
 }
 
@@ -843,16 +842,16 @@ fn per_peer_state_gain(w: &World) -> f64 {
 }
 
 fn render_bundling(w: &World) -> String {
-    let ablated = w.observe_with(w.study.session(&w.run.refdata).bundling_detection(false));
-    let no_path = |r: &AnalyticsReport| distance_share(r, |d| *d == DetectionDistance::NoPath);
+    let ablated = w.reinfer(w.study.session(&w.run.refdata).bundling_detection(false));
+    let no_path = |w: &World| distance_share(w, |d| *d == DetectionDistance::NoPath);
     observed_or(&ablated, |ablated| {
         format!(
             "events with bundling detection {} vs without {}; no-path share of detections \
              {:.1}% vs {:.1}%",
             w.observed.events.len(),
-            ablated.events.len(),
-            no_path(&w.observed.report),
-            no_path(&ablated.report)
+            ablated.observed.events.len(),
+            no_path(w),
+            no_path(ablated)
         )
     })
 }
@@ -1128,7 +1127,7 @@ pub fn registry() -> Vec<Section> {
     ];
     let fig7c = vec![
         holds("no-path (bundling) is the largest bucket (~50%)", "%", (40.0, 60.0), |w| {
-            distance_share(&w.observed.report, |d| *d == DetectionDistance::NoPath)
+            distance_share(w, |d| *d == DetectionDistance::NoPath)
         })
         .diverges(
             (9.2, 13.8),
@@ -1137,10 +1136,10 @@ pub fn registry() -> Vec<Section> {
              are announcements tagged for several providers at once",
         ),
         holds("0-distance ≈ 20% (collector at the blackholing IXP)", "%", (10.0, 30.0), |w| {
-            distance_share(&w.observed.report, |d| *d == DetectionDistance::Hops(0))
+            distance_share(w, |d| *d == DetectionDistance::Hops(0))
         }),
         holds("~30% propagate 1–6 hops", "%", (20.0, 40.0), |w| {
-            distance_share(&w.observed.report, |d| matches!(d, DetectionDistance::Hops(1..=6)))
+            distance_share(w, |d| matches!(d, DetectionDistance::Hops(1..=6)))
         })
         .diverges((58.6, 68.6), "the mass missing from the no-path bucket lands here"),
     ];

@@ -59,7 +59,7 @@ pub use events::{
 };
 pub use refdata::ReferenceData;
 pub use session::{
-    DatasetVisibility, Detection, EngineConfig, EngineStats, InferenceResult, InferenceSession,
-    SessionBuilder, SessionCheckpoint, StreamSummary,
+    canonical_order, DatasetVisibility, Detection, EngineConfig, EngineStats, InferenceResult,
+    InferenceSession, SessionBuilder, SessionCheckpoint, StreamSummary,
 };
 pub use shard::ShardedSession;

@@ -829,14 +829,19 @@ pub struct InferenceResult {
     pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
 }
 
+/// Put events in the canonical `(start, prefix)` order — the order a
+/// single-threaded batch run produces, and the one every materialized
+/// event list is compared in. The sort is stable: equal keys can only
+/// come from one prefix, hence one session or shard, which observed
+/// them in single-threaded closure order.
+pub fn canonical_order(events: &mut [BlackholeEvent]) {
+    events.sort_by_key(|e| (e.start, e.prefix));
+}
+
 impl InferenceResult {
-    /// A session's summary and its events, put in the canonical
-    /// `(start, prefix)` order — the order a single-threaded batch run
-    /// produces. The sort is stable: equal keys can only come from one
-    /// prefix, hence one session or shard, which observed them in
-    /// single-threaded closure order.
+    /// A session's summary and its events, in [`canonical_order`].
     pub(crate) fn new(summary: StreamSummary, mut events: Vec<BlackholeEvent>) -> Self {
-        events.sort_by_key(|e| (e.start, e.prefix));
+        canonical_order(&mut events);
         InferenceResult {
             events,
             census: summary.census,

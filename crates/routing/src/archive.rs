@@ -25,9 +25,13 @@ const COLLECTOR_IP: IpAddr = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 254));
 const COLLECTOR_ASN: Asn = Asn::new(64_512);
 
 /// Write a stream of elems as `BGP4MP/MESSAGE_AS4` records, one archive
-/// per call (callers typically split by platform). One [`BgpUpdate`] is
-/// refilled per elem: a withdrawal's stale attributes are never encoded.
-pub fn write_updates<W: Write>(sink: W, elems: &[BgpElem]) -> Result<u64, MrtError> {
+/// per call (callers typically split by platform; borrowed elems need no
+/// copy). One [`BgpUpdate`] is refilled per elem: a withdrawal's stale
+/// attributes are never encoded.
+pub fn write_updates<'a, W: Write>(
+    sink: W,
+    elems: impl IntoIterator<Item = &'a BgpElem>,
+) -> Result<u64, MrtError> {
     let mut writer = MrtWriter::new(sink);
     let mut update = BgpUpdate::new(PathAttributes::default());
     for elem in elems {

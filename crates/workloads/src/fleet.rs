@@ -10,8 +10,10 @@
 //! RIS + RV + PCH + CDN fleet can be written out and re-ingested end to
 //! end through a [`CollectorFleet`].
 
+use std::collections::BTreeMap;
+
 use bh_mrt::MrtError;
-use bh_routing::archive::{archive_stamp, split_by_collector, write_updates};
+use bh_routing::archive::{archive_stamp, write_updates};
 use bh_routing::{BgpElem, CollectorDeployment, CollectorFleet, DataSource};
 use bytes::Bytes;
 
@@ -34,13 +36,23 @@ pub struct CollectorArchive {
     pub elems: u64,
 }
 
+/// The elems of each `(dataset, collector)` pair, borrowed in stream
+/// order (the copy-free form of `split_by_collector`).
+fn by_collector(elems: &[BgpElem]) -> BTreeMap<(DataSource, u16), Vec<&BgpElem>> {
+    let mut out: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    for elem in elems {
+        out.entry((elem.dataset, elem.collector)).or_default().push(elem);
+    }
+    out
+}
+
 fn archive_of(
     dataset: DataSource,
     collector: u16,
-    elems: &[BgpElem],
+    elems: &[&BgpElem],
 ) -> Result<CollectorArchive, MrtError> {
     let mut bytes = Vec::new();
-    write_updates(&mut bytes, elems)?;
+    write_updates(&mut bytes, elems.iter().copied())?;
     let stamp = elems.first().map(|e| archive_stamp(e.time)).unwrap_or_else(|| "empty".into());
     Ok(CollectorArchive {
         dataset,
@@ -56,7 +68,7 @@ fn archive_of(
 /// [`fleet_archives_for`] to cover a whole deployment including silent
 /// collectors.
 pub fn fleet_archives(elems: &[BgpElem]) -> Result<Vec<CollectorArchive>, MrtError> {
-    split_by_collector(elems)
+    by_collector(elems)
         .into_iter()
         .map(|((dataset, collector), bucket)| archive_of(dataset, collector, &bucket))
         .collect()
@@ -72,7 +84,7 @@ pub fn fleet_archives_for(
     deployment: &CollectorDeployment,
     elems: &[BgpElem],
 ) -> Result<Vec<CollectorArchive>, MrtError> {
-    let buckets = split_by_collector(elems);
+    let buckets = by_collector(elems);
     let mut ids = deployment.collector_ids();
     ids.extend(buckets.keys().copied());
     ids.into_iter()
@@ -103,7 +115,7 @@ impl ScenarioOutput {
 
 #[cfg(test)]
 mod tests {
-    use bh_routing::{collect_source, deploy, merge_streams, CollectorConfig};
+    use bh_routing::{collect_source, deploy, merge_streams, split_by_collector, CollectorConfig};
     use bh_topology::{TopologyBuilder, TopologyConfig};
 
     use super::*;

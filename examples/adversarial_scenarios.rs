@@ -24,16 +24,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     section("cooperative baseline (expect: perfect)");
     let run = study.adversarial_run(&AdversarialConfig::baseline(41, days, rate))?;
-    println!("{}", run.report);
+    println!("{}", run.observed.report);
 
     section("subprefix hijacks with stolen trigger communities");
     let run = study.adversarial_run(&AdversarialConfig::subprefix_hijack(42, days, rate))?;
-    println!("{}", run.report);
+    println!("{}", run.observed.report);
 
     section("route leaks: too-coarse tagged routes, leaker transits");
     let config = AdversarialConfig::route_leak(&study.topology, 43, days, rate);
     let run = study.adversarial_run(&config)?;
-    println!("{}", run.report);
+    println!("{}", run.observed.report);
     println!(
         "  simulator: {} exports forced past valley-free, {} triggers length-rejected",
         run.output.run_stats.exports_forced,
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     section("prepend re-routing (negative control, expect: silent)");
     let run = study.adversarial_run(&AdversarialConfig::prepend_reroute(44, days, rate))?;
-    println!("{}", run.report);
+    println!("{}", run.observed.report);
 
     section("ROV deployment sweep under strict ROAs");
     println!(
@@ -51,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let config = AdversarialConfig::rov_sweep(&study.topology, 45, days, rate, fraction);
-        let AdversarialRun { output, report, .. } = study.adversarial_run(&config)?;
+        let AdversarialRun { output, observed, .. } = study.adversarial_run(&config)?;
+        let report = observed.report;
         println!(
             "{fraction:>9.2} {:>9} {:>9} {:>7.3} {:>12}",
             report.expected,

@@ -14,8 +14,7 @@ fn main() {
     section("simulating Dec 2014 - Mar 2017 (scaled)");
     let study = Study::build(StudyScale::Tiny, 11);
     let run = study.longitudinal_run(2.0);
-    let Observed { events, report, .. } =
-        study.observe(&run, study.session(&run.refdata)).expect("archives write and decode");
+    let Observed { events, report, .. } = study.observe(&run).expect("archives write and decode");
     println!(
         "{} ground-truth reactions, {} inferred events over {} days",
         run.output.ground_truth.len(),

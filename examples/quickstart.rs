@@ -49,7 +49,7 @@ fn main() {
 
     section("3. inference over the collectors' MRT archives");
     let Observed { events, summary, report } =
-        study.observe(&run, study.session(&run.refdata)).expect("archives write and decode");
+        study.observe(&run).expect("archives write and decode");
     println!(
         "events: {} inferred ({} via community bundling, {} ambiguous skipped)",
         events.len(),

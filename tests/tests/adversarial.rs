@@ -31,7 +31,7 @@ fn adversarial_run(config: &AdversarialConfig) -> AdversarialRun {
 #[test]
 fn cooperative_baseline_scores_perfectly() {
     let run = adversarial_run(&AdversarialConfig::baseline(41, 3, 4.0));
-    let r = &run.report;
+    let r = &run.observed.report;
     assert!(r.expected > 0, "no cooperative events scheduled:\n{r}");
     assert_eq!(r.false_positives, 0, "\n{r}");
     assert_eq!(r.false_negatives, 0, "\n{r}");
@@ -43,7 +43,7 @@ fn cooperative_baseline_scores_perfectly() {
 #[test]
 fn subprefix_hijacks_degrade_precision_with_hijack_attribution() {
     let run = adversarial_run(&AdversarialConfig::subprefix_hijack(42, 3, 4.0));
-    let r = &run.report;
+    let r = &run.observed.report;
     assert!(r.false_positives > 0, "hijacks went undetected as FPs:\n{r}");
     assert!(r.precision() < 1.0, "\n{r}");
     assert!(
@@ -58,7 +58,7 @@ fn subprefix_hijacks_degrade_precision_with_hijack_attribution() {
 fn route_leaks_are_misclassified_as_blackholes() {
     let config = AdversarialConfig::route_leak(&study().topology, 43, 3, 4.0);
     let run = adversarial_run(&config);
-    let r = &run.report;
+    let r = &run.observed.report;
     assert!(r.false_positives > 0, "leak-shaped routes never flagged:\n{r}");
     assert!(
         r.fp_by_kind.get(&LabelKind::RouteLeak).copied().unwrap_or(0) > 0,
@@ -74,7 +74,7 @@ fn route_leaks_are_misclassified_as_blackholes() {
 #[test]
 fn prepend_reroutes_are_a_clean_negative_control() {
     let run = adversarial_run(&AdversarialConfig::prepend_reroute(44, 3, 4.0));
-    let r = &run.report;
+    let r = &run.observed.report;
     let reroutes = run.output.labels.iter().filter(|l| l.kind == LabelKind::Reroute).count();
     assert!(reroutes > 0, "no reroutes scheduled");
     assert_eq!(r.false_positives, 0, "a community-free reroute triggered detection:\n{r}");
@@ -94,7 +94,7 @@ fn rov_deployment_monotonically_suppresses_detection() {
                 "ROV at fraction {fraction} rejected nothing"
             );
         }
-        detected.push(run.report.detected_events);
+        detected.push(run.observed.report.detected_events);
     }
     // Same seed, same schedule: deployments are nested, so visibility
     // (and the detected-event count) can only shrink.

@@ -4,7 +4,7 @@
 //! `observe_result` over the simulator's element `Vec` on events,
 //! counters, census, per-dataset visibility and the analytics report; on
 //! Tiny visibility runs at several seeds, on the adversarial catalog
-//! (events and confusion report) and, release-only, on the Small world
+//! (events, summary and confusion report) and, release-only, on the Small world
 //! `reproduce` reads.
 
 use bh_bench::{Study, StudyRun, StudyScale};
@@ -12,7 +12,7 @@ use bh_core::{ConfusionAccumulator, EventAccumulator};
 use bh_workloads::AdversarialConfig;
 
 fn assert_run_matches_reference(study: &Study, run: &StudyRun) {
-    let observed = study.observe(run, study.session(&run.refdata)).expect("archives decode");
+    let observed = study.observe(run).expect("archives decode");
 
     let reference = study.infer(&run.refdata, &run.output.elems);
     let mut pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
@@ -50,8 +50,12 @@ fn byte_path_matches_the_reference_on_the_adversarial_catalog() {
         let reference = study.infer(&run.refdata, &run.output.elems);
         let labels = run.output.labels.clone();
         let report = ConfusionAccumulator::new(config.name.clone(), labels).fold(&reference.events);
-        assert_eq!(run.events, reference.events, "{}", config.name);
-        assert_eq!(run.report, report, "{}", config.name);
+        assert_eq!(run.observed.events, reference.events, "{}", config.name);
+        assert_eq!(run.observed.report, report, "{}", config.name);
+        let summary = &run.observed.summary;
+        assert_eq!(summary.stats, reference.stats, "{}", config.name);
+        assert_eq!(summary.census, reference.census, "{}", config.name);
+        assert_eq!(summary.per_dataset, reference.per_dataset, "{}", config.name);
     }
 }
 

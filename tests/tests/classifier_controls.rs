@@ -15,12 +15,11 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use bh_bench::{AdversarialRun, Study, StudyScale};
-use bh_core::{LabelKind, SessionBuilder};
+use bh_core::LabelKind;
 use bh_irr::{
     BlackholeDictionary, CommunityClass, CommunityClassifier, CommunityPrefixCensus,
     CorpusGenerator, NegativeControls,
 };
-use bh_routing::SliceSource;
 use bh_topology::{TopologyBuilder, TopologyConfig};
 use bh_workloads::AdversarialConfig;
 
@@ -68,26 +67,24 @@ fn negative_controls_cut_stolen_tag_false_positives() {
     let config = AdversarialConfig::stolen_tag_hijack(46, 3, 4.0);
 
     let base = scored(study, naive.clone(), None, &config);
-    let controlled = scored(study, naive.clone(), Some(controls.clone()), &config);
+    let controlled = scored(study, naive, Some(controls), &config);
 
     assert!(
-        base.report.fp_by_kind.get(&LabelKind::Tagged).copied().unwrap_or(0) > 0,
+        base.observed.report.fp_by_kind.get(&LabelKind::Tagged).copied().unwrap_or(0) > 0,
         "the trap-poisoned dictionary was never fooled by stolen tags:\n{}",
-        base.report
+        base.observed.report
     );
     assert!(
-        controlled.report.false_positives < base.report.false_positives,
+        controlled.observed.report.false_positives < base.observed.report.false_positives,
         "controls did not reduce false positives:\nbase {}\ncontrolled {}",
-        base.report,
-        controlled.report
+        base.observed.report,
+        controlled.observed.report
     );
-    let mut session =
-        SessionBuilder::new(naive, controlled.refdata.clone()).negative_controls(controls).build();
-    session.ingest(&mut SliceSource::new(&controlled.output.elems));
-    assert!(session.stats().control_suppressed > 0, "nothing was counted as suppressed");
+    let suppressed = controlled.observed.summary.stats.control_suppressed;
+    assert!(suppressed > 0, "nothing was counted as suppressed");
     // Cooperative recall is untouched on both sides.
-    assert_eq!(base.report.recall(), 1.0, "\n{}", base.report);
-    assert_eq!(controlled.report.recall(), 1.0, "\n{}", controlled.report);
+    assert_eq!(base.observed.report.recall(), 1.0, "\n{}", base.observed.report);
+    assert_eq!(controlled.observed.report.recall(), 1.0, "\n{}", controlled.observed.report);
 }
 
 #[test]
@@ -110,20 +107,20 @@ fn controls_strictly_reduce_false_positives_across_the_catalog() {
         // Recall must be identical scenario by scenario: controls only
         // ever remove false positives, never true detections.
         assert_eq!(
-            base.report.recall(),
-            controlled.report.recall(),
+            base.observed.report.recall(),
+            controlled.observed.report.recall(),
             "recall moved under controls on {}:\nbase {}\ncontrolled {}",
             config.name,
-            base.report,
-            controlled.report
+            base.observed.report,
+            controlled.observed.report
         );
         assert!(
-            controlled.report.false_positives <= base.report.false_positives,
+            controlled.observed.report.false_positives <= base.observed.report.false_positives,
             "controls added false positives on {}",
             config.name
         );
-        base_fps += base.report.false_positives;
-        controlled_fps += controlled.report.false_positives;
+        base_fps += base.observed.report.false_positives;
+        controlled_fps += controlled.observed.report.false_positives;
     }
     assert!(
         controlled_fps < base_fps,
@@ -178,8 +175,7 @@ proptest! {
             Some(Arc::new(NegativeControls::default())),
             &config,
         );
-        prop_assert_eq!(without.events, with_empty.events);
-        prop_assert_eq!(without.report, with_empty.report);
+        prop_assert_eq!(without.observed, with_empty.observed);
     }
 
     #[test]
@@ -192,10 +188,10 @@ proptest! {
         let config = AdversarialConfig::baseline(seed ^ 0x99, days, 4.0);
         let run = scored(&study, study.dict.clone(), Some(controls), &config);
         prop_assert!(
-            run.report.recall() == 1.0,
+            run.observed.report.recall() == 1.0,
             "controls ate a genuine event:\n{}",
-            run.report
+            run.observed.report
         );
-        prop_assert_eq!(run.report.false_negatives, 0);
+        prop_assert_eq!(run.observed.report.false_negatives, 0);
     }
 }

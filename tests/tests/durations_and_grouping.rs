@@ -7,7 +7,7 @@ use bh_bgp_types::time::{SimDuration, SimTime};
 /// The run and what its collectors saw.
 fn observed_run(study: &Study, days: u64, rate: f64) -> (StudyRun, Observed) {
     let run = study.visibility_run(days, rate);
-    let observed = study.observe(&run, study.session(&run.refdata)).expect("archives decode");
+    let observed = study.observe(&run).expect("archives decode");
     (run, observed)
 }
 

@@ -12,7 +12,7 @@ use bh_routing::{merge_streams, split_by_collector, MergedSource, MrtElemSource}
 /// The run and what its collectors saw.
 fn observed_run(study: &Study, days: u64, rate: f64) -> (StudyRun, Observed) {
     let run = study.visibility_run(days, rate);
-    let observed = study.observe(&run, study.session(&run.refdata)).expect("archives decode");
+    let observed = study.observe(&run).expect("archives decode");
     (run, observed)
 }
 

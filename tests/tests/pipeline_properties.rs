@@ -21,7 +21,7 @@ proptest! {
         let study = Study::build(StudyScale::Tiny, seed);
         let run = study.visibility_run(days, rate);
         let Observed { events, summary, .. } =
-            study.observe(&run, study.session(&run.refdata)).expect("archives decode");
+            study.observe(&run).expect("archives decode");
 
         // 1. No false-positive prefixes.
         let truth: BTreeSet<_> = run.output.ground_truth.iter().map(|t| t.prefix).collect();
@@ -133,7 +133,7 @@ proptest! {
             baseline.output.ground_truth.len()
         );
         prop_assert_eq!(&with_table.output.run_stats, &baseline.output.run_stats);
-        let observe = |run| study.observe(run, study.session(&baseline.refdata)).expect("decode");
+        let observe = |run| study.observe(run).expect("decode");
         prop_assert_eq!(observe(&with_table), observe(&baseline));
     }
 }

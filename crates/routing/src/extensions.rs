@@ -56,11 +56,14 @@ pub struct RunStats {
     /// (`PropagationError::NoConvergence` surfaced to the caller).
     pub convergence_failures: u64,
     /// Announce/withdraw work items processed — the simulator's unit of
-    /// work, one per (sender, receiver) delivery.
+    /// work, one per (sender, receiver) delivery. A withdrawal of a
+    /// prefix's last origin delivers nothing (the simulator jumps to the
+    /// empty fixpoint) and counts none.
     pub work_items: u64,
     /// The most work items any single announce or withdraw run spent —
     /// how close the worst run came to the simulator's step cap
-    /// (`BgpSimulator::step_cap`).
+    /// (`BgpSimulator::step_cap`). A withdrawal of a prefix's last origin
+    /// is not a run.
     pub peak_run_steps: u64,
 }
 

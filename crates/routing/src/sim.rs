@@ -18,7 +18,10 @@
 //!
 //! One engine: work is scheduled in three valley-free phases by
 //! propagation rank, and every AS ingests all of its pending input
-//! before it advertises once (see [`BgpSimulator`]'s `run_phases`).
+//! before it advertises once (see [`BgpSimulator`]'s `run_phases`). A
+//! withdrawal that removes a prefix's last origin is not propagated: the
+//! simulator drops the prefix everywhere and flushes (see
+//! [`BgpSimulator::withdraw`]).
 //!
 //! # State layout
 //!
@@ -31,11 +34,12 @@
 //! trigger stripped where the provider strips) and cloned per neighbor.
 //!
 //! Two inputs name an AS without a node: [`BgpSimulator::set_behavior`]
-//! ignores it, and a delivery addressed to it (a targeted announcement
-//! or its withdrawal) counts as one work item and is dropped, as it
-//! always was — it is nobody's neighbor.
+//! ignores it, and a delivery addressed to it (a targeted announcement,
+//! or its withdrawal when another origin keeps the prefix) counts as one
+//! work item and is dropped, as it always was — it is nobody's neighbor.
+//! A last-origin withdrawal delivers nothing, so it counts nothing.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::IpAddr;
 
 use rand::rngs::StdRng;
@@ -45,7 +49,7 @@ use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::bogon::BogonFilter;
 use bh_bgp_types::community::CommunitySet;
-use bh_bgp_types::hash::FxHashMap;
+use bh_bgp_types::hash::{FxHashMap, FxHashSet};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_topology::{
@@ -338,9 +342,11 @@ pub struct BgpSimulator<'a> {
     deployment: CollectorDeployment,
     /// Per-AS state, by [`NodeId`].
     nodes: Vec<Node<'a>>,
-    /// Which neighbors each (origin, prefix) was directly sent to (for
-    /// withdraws and scope changes), ascending ASN.
-    origin_adverts: FxHashMap<(Asn, Ipv4Prefix), BTreeSet<Asn>>,
+    /// The origins of each prefix, and which neighbors each one sent it
+    /// to directly (for withdraws and scope changes), ascending ASN. A
+    /// prefix is present while it has an origin, so whether a withdrawal
+    /// removes the last one is a single lookup.
+    origin_adverts: FxHashMap<Ipv4Prefix, BTreeMap<Asn, BTreeSet<Asn>>>,
     emitted: FxHashMap<EmitKey, (AsPath, CommunitySet)>,
     elems: Vec<BgpElem>,
     bogons: BogonFilter,
@@ -356,6 +362,10 @@ pub struct BgpSimulator<'a> {
     ranks: PropagationRanks,
     /// Set only by [`BgpSimulator::fifo_reference`].
     fifo: bool,
+    /// Prefixes a run stopped at the step cap on. Their state is not a
+    /// fixpoint (dropped work can leave routes no origin backs), so even
+    /// their last origin's withdrawal propagates, over that state.
+    unconverged: FxHashSet<Ipv4Prefix>,
     /// Nodes whose visible state may have changed since the last flush
     /// (sorted and deduplicated there). Emissions are reconstructed from
     /// final state at flush time, so transient adverts never reach the
@@ -421,6 +431,7 @@ impl<'a> BgpSimulator<'a> {
             stats: RunStats::default(),
             ranks,
             fifo: false,
+            unconverged: FxHashSet::default(),
             dirty: Vec::new(),
             scratch_neighbors: Vec::new(),
         }
@@ -430,7 +441,10 @@ impl<'a> BgpSimulator<'a> {
     /// (`tests/tests/phased_propagation.rs`): the same per-item import
     /// and advertisement rules driven by one FIFO queue, every work item
     /// ingested and re-advertised on its own. Slower, and never the
-    /// product path.
+    /// product path. It propagates *every* withdrawal, the last origin's
+    /// of a prefix included, on purpose: that makes it the oracle of the
+    /// engine's jump to the empty fixpoint (see
+    /// [`BgpSimulator::withdraw`]).
     #[doc(hidden)]
     pub fn fifo_reference(
         topology: &'a Topology,
@@ -579,7 +593,7 @@ impl<'a> BgpSimulator<'a> {
 
         let index = self.ranks.index();
         let mut seeds = Seeds::default();
-        let adverts = self.origin_adverts.entry((origin, prefix)).or_default();
+        let adverts = self.origin_adverts.entry(prefix).or_default().entry(origin).or_default();
         let previously: Vec<Asn> = adverts.iter().copied().collect();
         for &n in &self.scratch_neighbors {
             adverts.insert(n);
@@ -602,6 +616,15 @@ impl<'a> BgpSimulator<'a> {
 
     /// Withdraw an origin's prefix everywhere it was advertised. Like
     /// [`BgpSimulator::announce`], non-convergence degrades gracefully.
+    ///
+    /// When `origin` was the prefix's last origin, nothing propagates:
+    /// with no origin left the fixpoint is that no AS holds the prefix,
+    /// so every node's state for it is dropped at once and the flush
+    /// withdraws what the collectors were shown. That costs no work
+    /// items and is not a run. A withdrawal that leaves another origin
+    /// (a MOAS prefix) propagates, and so does any withdrawal of a
+    /// prefix some run left unconverged: its state is no fixpoint to
+    /// jump from.
     pub fn withdraw(&mut self, time: SimTime, origin: Asn, prefix: Ipv4Prefix) {
         let _ = self.withdraw_impl(time, origin, prefix);
     }
@@ -622,9 +645,20 @@ impl<'a> BgpSimulator<'a> {
         origin: Asn,
         prefix: Ipv4Prefix,
     ) -> Result<(), PropagationError> {
-        let Some(adverts) = self.origin_adverts.remove(&(origin, prefix)) else {
+        let Some(origins) = self.origin_adverts.get_mut(&prefix) else {
             return Ok(());
         };
+        let Some(adverts) = origins.remove(&origin) else {
+            return Ok(());
+        };
+        if origins.is_empty() {
+            self.origin_adverts.remove(&prefix);
+            if !self.fifo && !self.unconverged.contains(&prefix) {
+                self.clear_prefix(prefix);
+                self.flush_emissions(time, prefix);
+                return Ok(());
+            }
+        }
         let mut seeds = Seeds::default();
         for n in adverts {
             seeds.push(self.ranks.index(), &mut self.stats, n, origin, None);
@@ -633,6 +667,16 @@ impl<'a> BgpSimulator<'a> {
         let result = self.run(prefix, seeds, &mut outcome);
         self.flush_emissions(time, prefix);
         result
+    }
+
+    /// Jump to the fixpoint of a prefix without an origin: drop its
+    /// state at every node that holds one, marking that node dirty.
+    fn clear_prefix(&mut self, prefix: Ipv4Prefix) {
+        for (me, node) in self.nodes.iter_mut().enumerate() {
+            if node.prefixes.remove(&prefix).is_some() {
+                self.dirty.push(me as NodeId);
+            }
+        }
     }
 
     // ---- engine ---------------------------------------------------------
@@ -657,6 +701,7 @@ impl<'a> BgpSimulator<'a> {
         self.stats.peak_run_steps = self.stats.peak_run_steps.max(steps);
         if result.is_err() {
             self.stats.convergence_failures += 1;
+            self.unconverged.insert(prefix);
         }
         result
     }
@@ -678,11 +723,14 @@ impl<'a> BgpSimulator<'a> {
     ) -> Result<(), PropagationError> {
         // One slot per (phase, rank) in sweep order; work generated for
         // a later slot joins this round, for an earlier one the next.
+        // The buffers are per run: kept on the simulator they would pin
+        // the largest group any run ever queued (megabytes over a
+        // Small-world scenario) and measured no faster.
         let mut slots: Vec<Vec<Work>> = vec![Vec::new(); 2 * self.ranks.max_rank() as usize + 3];
+        let (mut keys, mut out) = (Vec::new(), Vec::new());
         for work in seeds {
             slots[self.slot_of(&work)].push(work);
         }
-        let mut out = Vec::new();
         loop {
             let mut progressed = false;
             for slot in 0..slots.len() {
@@ -690,9 +738,18 @@ impl<'a> BgpSimulator<'a> {
                     progressed = true;
                     let mut works = std::mem::take(&mut slots[slot]);
                     self.spend(steps, works.len() as u64)?;
-                    // Stable: two items from one sender keep their order.
-                    works.sort_by_key(|w| w.to);
-                    let dropped = self.process_group(run, works, outcome, &mut out);
+                    // Grouped by receiver; the position keeps two items
+                    // from one sender in their order.
+                    keys.clear();
+                    keys.extend(
+                        works.iter().enumerate().map(|(i, w)| (u64::from(w.to) << 32) | i as u64),
+                    );
+                    keys.sort_unstable();
+                    let grouped = keys.iter().map(|&key| {
+                        let work = &mut works[key as u32 as usize];
+                        Work { to: work.to, from: work.from, route: work.route.take() }
+                    });
+                    let dropped = self.process_group(run, grouped, outcome, &mut out);
                     self.spend(steps, dropped)?;
                     for work in out.drain(..) {
                         slots[self.slot_of(&work)].push(work);
@@ -793,7 +850,9 @@ impl<'a> BgpSimulator<'a> {
     /// Emitting from the converged state (rather than along the
     /// propagation trajectory) is what makes the elem stream independent
     /// of the schedule: propagation order affects only transient state,
-    /// and the best-path fixpoint is unique.
+    /// and the best-path fixpoint is unique. The last-origin withdrawal
+    /// relies on this: it reaches that fixpoint without propagating, and
+    /// the flush emits exactly the withdrawals a propagated run would.
     fn flush_emissions(&mut self, time: SimTime, prefix: Ipv4Prefix) {
         if self.dirty.is_empty() {
             return;
@@ -2071,10 +2130,18 @@ mod tests {
             let d = deployment_with(vec![session(DataSource::Ris, f.t1a, FeedKind::Full)]);
             let mut sim = BgpSimulator::new(&f.topology, d, 1);
             pin_behaviors(&mut sim, &f);
+            // A second origin keeps the prefix, so the withdrawal below
+            // propagates.
+            sim.try_announce(
+                SimTime::from_unix(50),
+                &Announcement::simple(f.peer_as, prefix, CommunitySet::new()),
+            )
+            .unwrap();
+            let before = sim.run_stats().work_items;
             let outcome = sim.try_announce(SimTime::from_unix(100), &targeted(f.user, to)).unwrap();
-            let announce_work = sim.run_stats().work_items;
+            let announce_work = sim.run_stats().work_items - before;
             sim.try_withdraw(SimTime::from_unix(200), f.user, prefix).unwrap();
-            let withdraw_work = sim.run_stats().work_items - announce_work;
+            let withdraw_work = sim.run_stats().work_items - before - announce_work;
             (outcome, sim.drain_elems(), announce_work, withdraw_work, sim.run_stats().clone())
         };
         let plain = run(vec![f.p1]);
@@ -2101,18 +2168,69 @@ mod tests {
         let mut sim = BgpSimulator::new(&f.topology, deployment_with(vec![]), 1);
         pin_behaviors(&mut sim, &f);
         let prefix: Ipv4Prefix = "30.0.0.0/16".parse().unwrap();
-        sim.try_announce(
-            SimTime::from_unix(100),
-            &Announcement::simple(f.user, prefix, CommunitySet::new()),
-        )
-        .unwrap();
-        let announce = sim.run_stats().work_items;
+        let mut work = Vec::new();
+        for origin in [f.peer_as, f.user] {
+            let before = sim.run_stats().work_items;
+            sim.try_announce(
+                SimTime::from_unix(100),
+                &Announcement::simple(origin, prefix, CommunitySet::new()),
+            )
+            .unwrap();
+            work.push(sim.run_stats().work_items - before);
+        }
+        // peer_as still originates the prefix: this withdrawal propagates.
+        let before = sim.run_stats().work_items;
         sim.try_withdraw(SimTime::from_unix(200), f.user, prefix).unwrap();
+        work.push(sim.run_stats().work_items - before);
         let stats = sim.run_stats();
-        let withdraw = stats.work_items - announce;
-        assert!(announce > 0 && withdraw > 0);
+        assert!(work.iter().all(|&w| w > 0), "{work:?}");
         assert!(stats.peak_run_steps <= stats.work_items);
-        assert_eq!(stats.peak_run_steps, announce.max(withdraw));
+        assert_eq!(Some(stats.peak_run_steps), work.iter().copied().max());
         assert!(stats.peak_run_steps < sim.step_cap());
+    }
+
+    #[test]
+    fn last_origin_withdrawal_jumps_to_the_empty_fixpoint() {
+        let f = fixture();
+        let host: Ipv4Prefix = "30.0.1.1/32".parse().unwrap();
+        let request = Announcement {
+            origin: f.user,
+            prefix: host,
+            communities: bh_communities(f.p2),
+            scope: AnnounceScope::AllNeighbors,
+            irr_registered: true,
+            prepend: 1,
+        };
+        // Announce, then withdraw the only origin: the elems of each
+        // call and the work items of the withdrawal.
+        let run = |fifo: bool| {
+            let d = deployment_with(vec![
+                session(DataSource::Ris, f.t1a, FeedKind::Full),
+                session(DataSource::Ris, f.p2, FeedKind::Full),
+                session(DataSource::Cdn, f.p1, FeedKind::Internal),
+            ]);
+            let mut sim = match fifo {
+                false => BgpSimulator::new(&f.topology, d, 1),
+                true => BgpSimulator::fifo_reference(&f.topology, d, 1),
+            };
+            pin_behaviors(&mut sim, &f);
+            let outcome = sim.try_announce(SimTime::from_unix(100), &request).unwrap();
+            assert_eq!(outcome.accepted_by, vec![f.p2]);
+            assert_eq!(sim.blackholing_ases_for(&host), vec![f.p2]);
+            let announced = sim.drain_elems();
+            let (before, peak) = (sim.run_stats().work_items, sim.run_stats().peak_run_steps);
+            sim.try_withdraw(SimTime::from_unix(200), f.user, host).unwrap();
+            assert!(sim.blackholing_ases_for(&host).is_empty());
+            assert!(sim.nodes.iter().all(|node| !node.prefixes.contains_key(&host)));
+            let work = sim.run_stats().work_items - before;
+            (announced, sim.drain_elems(), work, sim.run_stats().peak_run_steps == peak)
+        };
+        let engine = run(false);
+        let reference = run(true);
+        assert!(!engine.1.is_empty() && engine.1.iter().all(|e| e.elem_type == ElemType::Withdraw));
+        assert_eq!((&engine.0, &engine.1), (&reference.0, &reference.1));
+        assert_eq!(engine.2, 0, "the jump delivers nothing");
+        assert!(engine.3, "the jump is not a run");
+        assert!(reference.2 > 0, "the reference propagates the withdrawal");
     }
 }

@@ -2,9 +2,12 @@
 //! CAIDA-shaped ~75k-AS topology and flood it from one stub origin —
 //! its allocation, which reaches the whole graph, then a blackhole
 //! request for a host inside it (tagged with a provider's trigger
-//! community), each announced and withdrawn. CI runs this under a hard
-//! timeout so the scale path cannot silently rot; `MASSIVE_AS_COUNT`
-//! shrinks it for quick local runs.
+//! community), each announced and withdrawn. The announce and the
+//! withdrawal are reported apart, with the work items and wall time of
+//! each: the withdrawal removes the prefix's only origin, so it costs
+//! no work items. CI runs this under a hard timeout so the scale path
+//! cannot silently rot; `MASSIVE_AS_COUNT` shrinks it for quick local
+//! runs.
 
 use std::time::Instant;
 
@@ -45,25 +48,35 @@ fn main() {
 
     let floods = [(space, CommunitySet::new()), (host, CommunitySet::from_classic(vec![trigger]))];
     for (prefix, communities) in floods {
-        let t = Instant::now();
         let tagged = !communities.is_empty();
+        let (work, t) = (sim.run_stats().work_items, Instant::now());
         let outcome = sim
             .try_announce(
                 SimTime::from_unix(1_000),
                 &Announcement::simple(origin, prefix, communities),
             )
             .expect("announce converges");
+        let elems = sim.drain_elems().len();
         let blackholing = sim.blackholing_ases_for(&prefix).len();
+        println!(
+            "announce of {prefix} from {origin}: {elems} elems, {blackholing} ASes blackholing, \
+             {} work items, {:.1} ms",
+            sim.run_stats().work_items - work,
+            t.elapsed().as_secs_f64() * 1e3
+        );
         assert_eq!(tagged, !outcome.accepted_by.is_empty(), "blackhole acceptance of {prefix}");
         assert_eq!(tagged, blackholing > 0, "blackholing of {prefix}");
+        assert!(elems > 0, "announce produced no collector elements");
+
+        let (work, t) = (sim.run_stats().work_items, Instant::now());
         sim.try_withdraw(SimTime::from_unix(2_000), origin, prefix).expect("withdraw converges");
-        let elems = sim.drain_elems();
+        let elems = sim.drain_elems().len();
         println!(
-            "flood of {prefix} from {origin}: {} elems, {blackholing} ASes blackholing, in {:?}",
-            elems.len(),
-            t.elapsed()
+            "withdrawal of {prefix}: {elems} elems, {} work items, {:.1} ms",
+            sim.run_stats().work_items - work,
+            t.elapsed().as_secs_f64() * 1e3
         );
-        assert!(!elems.is_empty(), "flood produced no collector elements");
+        assert!(elems > 0, "withdrawal produced no collector elements");
         assert!(
             sim.blackholing_ases_for(&prefix).is_empty(),
             "somebody still blackholes {prefix} after the withdraw"

@@ -7,7 +7,7 @@
 //! operation sequences, with or without a policy table installed. The
 //! reference exists for this file only; nothing else constructs it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -18,8 +18,8 @@ use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_routing::{
-    deploy, AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorConfig,
-    CollectorDeployment, RejectReason,
+    deploy, AnnounceOutcome, AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorConfig,
+    CollectorDeployment, PropagationError, RejectReason,
 };
 use bh_topology::{
     PolicyTable, Relationship, Roa, RoaTable, Tier, Topology, TopologyBuilder, TopologyConfig,
@@ -137,15 +137,23 @@ enum Op {
 /// sequence colliding with itself: re-announcements with other
 /// communities or another scope, and withdrawals of what is — or is
 /// not — currently announced.
-fn decode_op(topology: &Topology, (user, host, kind, mask): RawOp) -> Op {
+fn decode_op(topology: &Topology, raw: RawOp) -> Op {
+    decode_op_by(topology, raw.0, raw)
+}
+
+/// [`decode_op`] with user `by` as the origin of the drawn user's prefix
+/// (`by == user` is the owner's own operation): communities and scope
+/// are `by`'s, so a foreign origin tags with its own providers'
+/// triggers, as a hijacker would.
+fn decode_op_by(topology: &Topology, by: usize, (user, host, kind, mask): RawOp) -> Op {
     let users: Vec<_> = topology
         .ases()
         .filter(|i| i.tier == Tier::Stub && !i.prefixes.is_empty())
         .filter(|i| !capable_providers(topology, i.asn).is_empty())
         .take(3)
         .collect();
-    let info = users[user % users.len()];
-    let space = info.prefixes[0];
+    let space = users[user % users.len()].prefixes[0];
+    let info = users[by % users.len()];
     let prefix = match host {
         true => Ipv4Prefix::host(space.nth_addr(1).expect("space has a host")),
         false => Ipv4Prefix::new(space.nth_addr(0).expect("space has a network"), 24)
@@ -201,6 +209,34 @@ proptest! {
     }
 }
 
+/// An engine and a FIFO reference on the Tiny world under a bare (0), an
+/// ROV (1) or an OTC+leaker (2) table.
+fn tiny_pair(table: usize) -> [BgpSimulator<'static>; 2] {
+    let (topology, collector_config) = tiny_env();
+    let policies = match table {
+        0 => None,
+        1 => Some(rov_table(topology)),
+        _ => Some(otc_leaker_table(topology)),
+    };
+    [Side::Engine, Side::Reference].map(|side| {
+        simulator(side, topology, deploy(topology, collector_config), 7, policies.as_ref())
+    })
+}
+
+/// What a simulator shows after one operation: its result, the elems it
+/// drained and who blackholes the prefix.
+type Seen = (Result<Option<AnnounceOutcome>, PropagationError>, Vec<BgpElem>, Vec<Asn>);
+
+fn apply(sim: &mut BgpSimulator<'_>, time: SimTime, op: &Op) -> Seen {
+    let (outcome, prefix) = match op {
+        Op::Announce(a) => (sim.try_announce(time, a).map(Some), a.prefix),
+        Op::Withdraw(origin, prefix) => {
+            (sim.try_withdraw(time, *origin, *prefix).map(|()| None), *prefix)
+        }
+    };
+    (outcome, sim.drain_elems(), sim.blackholing_ases_for(&prefix))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48 })]
 
@@ -214,32 +250,67 @@ proptest! {
         table in 0usize..3,
         ops in proptest::collection::vec((0usize..3, any::<bool>(), 0u8..5, any::<u8>()), 4..16),
     ) {
-        let (topology, collector_config) = tiny_env();
-        let policies = match table {
-            0 => None,
-            1 => Some(rov_table(topology)),
-            _ => Some(otc_leaker_table(topology)),
-        };
-        let mut pair = [Side::Engine, Side::Reference].map(|side| {
-            simulator(side, topology, deploy(topology, collector_config), 7, policies.as_ref())
-        });
+        let mut pair = tiny_pair(table);
         let mut elems = 0;
         for (step, raw) in ops.into_iter().enumerate() {
             let time = SimTime::from_unix(1_000 + step as u64);
-            let op = decode_op(topology, raw);
-            let [engine, reference] = pair.each_mut().map(|sim| {
-                let (outcome, prefix) = match &op {
-                    Op::Announce(a) => (sim.try_announce(time, a).map(Some), a.prefix),
-                    Op::Withdraw(origin, prefix) => {
-                        (sim.try_withdraw(time, *origin, *prefix).map(|()| None), *prefix)
-                    }
-                };
-                (outcome, sim.drain_elems(), sim.blackholing_ases_for(&prefix))
-            });
+            let op = decode_op(&tiny_env().0, raw);
+            let [engine, reference] = pair.each_mut().map(|sim| apply(sim, time, &op));
             elems += engine.1.len();
             prop_assert_eq!((step, engine), (step, reference));
         }
         prop_assert!(elems > 0, "sequence produced no elems");
+    }
+
+    /// The withdrawal the engine still propagates: any of the three users
+    /// may originate any user's /24 or host route, so a prefix can have
+    /// several origins, and withdrawing one that leaves another must
+    /// propagate (at least one work item per neighbor it was sent to)
+    /// while the last origin's withdrawal jumps (none). Engine and FIFO
+    /// reference — which propagates every withdrawal — agree after every
+    /// step under a bare, an ROV and an OTC+leaker table.
+    #[test]
+    fn engines_agree_on_multi_origin_sequences(
+        table in 0usize..3,
+        ops in proptest::collection::vec(
+            (0usize..3, (0usize..3, any::<bool>(), 0u8..5, any::<u8>())),
+            16..48,
+        ),
+    ) {
+        let topology = &tiny_env().0;
+        let mut pair = tiny_pair(table);
+        // The test's own model: prefix -> origin -> sent to any neighbor.
+        let mut origins: BTreeMap<Ipv4Prefix, BTreeMap<Asn, bool>> = BTreeMap::new();
+        for (step, (by, raw)) in ops.into_iter().enumerate() {
+            let time = SimTime::from_unix(1_000 + step as u64);
+            let op = decode_op_by(topology, by, raw);
+            let work_before = pair[0].run_stats().work_items;
+            let [engine, reference] = pair.each_mut().map(|sim| apply(sim, time, &op));
+            let work = pair[0].run_stats().work_items - work_before;
+            prop_assert_eq!((step, &engine), (step, &reference));
+            match op {
+                Op::Announce(a) => {
+                    let sent = match &a.scope {
+                        AnnounceScope::AllNeighbors => !topology.neighbors(a.origin).is_empty(),
+                        AnnounceScope::Neighbors(list) => !list.is_empty(),
+                    };
+                    origins.entry(a.prefix).or_default().insert(a.origin, sent);
+                }
+                Op::Withdraw(origin, prefix) => {
+                    let held = origins.get_mut(&prefix);
+                    let sent = held.and_then(|held| held.remove(&origin));
+                    let others = origins.get(&prefix).is_some_and(|held| !held.is_empty());
+                    match (sent, others) {
+                        (Some(true), true) => prop_assert_eq!((step, work > 0), (step, true)),
+                        (_, false) => prop_assert_eq!((step, work), (step, 0)),
+                        _ => {}
+                    }
+                    if !others {
+                        origins.remove(&prefix);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -328,7 +399,9 @@ fn engines_agree_at_15k_ases() {
 /// each AS advertises to each neighbor about once per sweep, not once
 /// per input. An engine that re-advertises after every input breaks
 /// this with one rank group alone (a provider re-floods its customer
-/// cone each time its best route improves during the down sweep).
+/// cone each time its best route improves during the down sweep). The
+/// withdrawal removes the prefix's only origin, so it jumps at no cost
+/// and the bounds hold the announce.
 #[test]
 fn flood_work_is_bounded_by_adjacency() {
     let topology = TopologyBuilder::new(TopologyConfig::massive_scaled(42, 7_000)).build();
@@ -366,7 +439,10 @@ fn debug_digest<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
 /// announce an untagged /24 of a stub's space, odd slots a /32 inside
 /// it tagged with a direct provider's trigger. One line per origin:
 /// elems of the cycle, their digest, the announce outcome, who
-/// blackholes after the announce, and the cycle's work items.
+/// blackholes after the announce, and the cycle's work items. The work
+/// items alone were re-recorded when a withdrawal of a prefix's last
+/// origin stopped propagating (it now costs none); every other field is
+/// still the one recorded from the old store.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run with `cargo test --release`")]
 fn simulator_golden_pin() {
@@ -415,14 +491,14 @@ fn simulator_golden_pin() {
         ));
     }
     let expected = [
-        "18.157.0.0/24 elems=1044 digest=10e6505bd1cb703f outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=28152",
-        "19.167.96.1/32 elems=114 digest=3b65d4548126c49d outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=7094",
-        "20.176.128.0/24 elems=1050 digest=788b6ed85b85f35c outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=30528",
-        "21.107.0.1/32 elems=122 digest=bfd8638b97ade7dd outcome=AnnounceOutcome { accepted_by: [Asn(353)], rejected_by: [] } blackholing=[Asn(353)] work=7630",
-        "21.192.0.0/24 elems=1048 digest=8cb9ff167130e6dc outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=28604",
-        "22.17.56.1/32 elems=50 digest=e0d44ae86cb6b77e outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=2394",
-        "22.92.64.0/24 elems=1054 digest=5e1de97cd56022e9 outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=32208",
-        "24.112.0.1/32 elems=120 digest=d6b67205cd4dde85 outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=8029",
+        "18.157.0.0/24 elems=1044 digest=10e6505bd1cb703f outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=14072",
+        "19.167.96.1/32 elems=114 digest=3b65d4548126c49d outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=3332",
+        "20.176.128.0/24 elems=1050 digest=788b6ed85b85f35c outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=14287",
+        "21.107.0.1/32 elems=122 digest=bfd8638b97ade7dd outcome=AnnounceOutcome { accepted_by: [Asn(353)], rejected_by: [] } blackholing=[Asn(353)] work=3785",
+        "21.192.0.0/24 elems=1048 digest=8cb9ff167130e6dc outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=14057",
+        "22.17.56.1/32 elems=50 digest=e0d44ae86cb6b77e outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=1186",
+        "22.92.64.0/24 elems=1054 digest=5e1de97cd56022e9 outcome=AnnounceOutcome { accepted_by: [], rejected_by: [] } blackholing=[] work=14338",
+        "24.112.0.1/32 elems=120 digest=d6b67205cd4dde85 outcome=AnnounceOutcome { accepted_by: [Asn(340)], rejected_by: [] } blackholing=[Asn(340)] work=3737",
     ];
     for (slot, (line, expected)) in lines.iter().zip(expected).enumerate() {
         assert_eq!(line, expected, "slot {slot}");

@@ -31,7 +31,10 @@ pub enum FeedKind {
     /// The peer's full table (everything its best path selection holds,
     /// subject to ordinary export: NO_EXPORT routes stay hidden).
     Full,
-    /// Only routes learned from customers (plus the peer's own origins).
+    /// Only the peer's best route, when learned from a customer (and
+    /// not NO_EXPORT). Its own announcements are not among them: an
+    /// origin holds no route for its own announcement, so no `Full`,
+    /// `CustomerOnly` or `Internal` session at an origin shows it.
     CustomerOnly,
     /// An internal session: sees everything in the peer's RIB, including
     /// NO_EXPORT and blackhole-accepted routes (the CDN's unique view).

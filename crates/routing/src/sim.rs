@@ -39,7 +39,7 @@
 //! work item and is dropped, as it always was — it is nobody's neighbor.
 //! A last-origin withdrawal delivers nothing, so it counts nothing.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 
 use rand::rngs::StdRng;
@@ -49,7 +49,7 @@ use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::bogon::BogonFilter;
 use bh_bgp_types::community::CommunitySet;
-use bh_bgp_types::hash::{FxHashMap, FxHashSet};
+use bh_bgp_types::hash::FxHashMap;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_topology::{
@@ -152,8 +152,11 @@ struct RouteEntry {
     /// origin advertisements this is the origin itself).
     as_path: AsPath,
     communities: CommunitySet,
+    /// The announcing origin, copied unchanged on every export — not the
+    /// neighbor a candidate came from (the candidate's key is). Ties in
+    /// [`PrefixState::best`] fall to it; `advertise` never sends to it.
     learned_from: Asn,
-    /// How the *receiver* relates to `learned_from`.
+    /// How the *receiver* relates to the neighbor that sent the route.
     learned_rel: Relationship,
     local_pref: u32,
     is_blackhole: bool,
@@ -189,6 +192,9 @@ struct PrefixState {
 }
 
 impl PrefixState {
+    /// Highest local preference, then the shorter path (prepending
+    /// collapsed), then the lower origin; of candidates equal on all
+    /// three, the last — the one from the higher neighbor ASN.
     fn best(&self) -> Option<&RouteEntry> {
         self.candidates.iter().map(|(_, route)| route).max_by(|a, b| {
             a.local_pref
@@ -360,12 +366,6 @@ pub struct BgpSimulator<'a> {
     /// Customer-cone depth ranks of `topology` (the schedule key of the
     /// three propagation phases) and the dense index `nodes` follows.
     ranks: PropagationRanks,
-    /// Set only by [`BgpSimulator::fifo_reference`].
-    fifo: bool,
-    /// Prefixes a run stopped at the step cap on. Their state is not a
-    /// fixpoint (dropped work can leave routes no origin backs), so even
-    /// their last origin's withdrawal propagates, over that state.
-    unconverged: FxHashSet<Ipv4Prefix>,
     /// Nodes whose visible state may have changed since the last flush
     /// (sorted and deduplicated there). Emissions are reconstructed from
     /// final state at flush time, so transient adverts never reach the
@@ -430,28 +430,9 @@ impl<'a> BgpSimulator<'a> {
             policies: None,
             stats: RunStats::default(),
             ranks,
-            fifo: false,
-            unconverged: FxHashSet::default(),
             dirty: Vec::new(),
             scratch_neighbors: Vec::new(),
         }
-    }
-
-    /// The reference the engine is property-tested against
-    /// (`tests/tests/phased_propagation.rs`): the same per-item import
-    /// and advertisement rules driven by one FIFO queue, every work item
-    /// ingested and re-advertised on its own. Slower, and never the
-    /// product path. It propagates *every* withdrawal, the last origin's
-    /// of a prefix included, on purpose: that makes it the oracle of the
-    /// engine's jump to the empty fixpoint (see
-    /// [`BgpSimulator::withdraw`]).
-    #[doc(hidden)]
-    pub fn fifo_reference(
-        topology: &'a Topology,
-        deployment: CollectorDeployment,
-        seed: u64,
-    ) -> Self {
-        BgpSimulator { fifo: true, ..Self::new(topology, deployment, seed) }
     }
 
     /// Install (compile) a policy table. An empty table uninstalls:
@@ -618,13 +599,12 @@ impl<'a> BgpSimulator<'a> {
     /// [`BgpSimulator::announce`], non-convergence degrades gracefully.
     ///
     /// When `origin` was the prefix's last origin, nothing propagates:
-    /// with no origin left the fixpoint is that no AS holds the prefix,
-    /// so every node's state for it is dropped at once and the flush
-    /// withdraws what the collectors were shown. That costs no work
-    /// items and is not a run. A withdrawal that leaves another origin
-    /// (a MOAS prefix) propagates, and so does any withdrawal of a
-    /// prefix some run left unconverged: its state is no fixpoint to
-    /// jump from.
+    /// with no origin left the only fixpoint is that no AS holds the
+    /// prefix — whatever an earlier run left, one stopped at the step cap
+    /// included — so every node's state for it is dropped at once and
+    /// the flush withdraws what the collectors were shown. That costs no
+    /// work items and is not a run. A withdrawal that leaves another
+    /// origin (a MOAS prefix) propagates.
     pub fn withdraw(&mut self, time: SimTime, origin: Asn, prefix: Ipv4Prefix) {
         let _ = self.withdraw_impl(time, origin, prefix);
     }
@@ -653,11 +633,9 @@ impl<'a> BgpSimulator<'a> {
         };
         if origins.is_empty() {
             self.origin_adverts.remove(&prefix);
-            if !self.fifo && !self.unconverged.contains(&prefix) {
-                self.clear_prefix(prefix);
-                self.flush_emissions(time, prefix);
-                return Ok(());
-            }
+            self.clear_prefix(prefix);
+            self.flush_emissions(time, prefix);
+            return Ok(());
         }
         let mut seeds = Seeds::default();
         for n in adverts {
@@ -691,17 +669,12 @@ impl<'a> BgpSimulator<'a> {
     ) -> Result<(), PropagationError> {
         let run = Run { prefix, allocation_owner: self.origin_index.origin_of(&prefix) };
         let mut steps = 0;
-        let result = self.spend(&mut steps, seeds.dropped).and_then(|()| {
-            if self.fifo {
-                self.run_fifo(&run, seeds.works, &mut steps, outcome)
-            } else {
-                self.run_phases(&run, seeds.works, &mut steps, outcome)
-            }
-        });
+        let result = self
+            .spend(&mut steps, seeds.dropped)
+            .and_then(|()| self.run_phases(&run, seeds.works, &mut steps, outcome));
         self.stats.peak_run_steps = self.stats.peak_run_steps.max(steps);
         if result.is_err() {
             self.stats.convergence_failures += 1;
-            self.unconverged.insert(prefix);
         }
         result
     }
@@ -779,25 +752,6 @@ impl<'a> BgpSimulator<'a> {
         }
     }
 
-    /// The FIFO reference: every work item is a group of its own.
-    fn run_fifo(
-        &mut self,
-        run: &Run,
-        seeds: Vec<Work>,
-        steps: &mut u64,
-        outcome: &mut AnnounceOutcome,
-    ) -> Result<(), PropagationError> {
-        let mut queue: VecDeque<Work> = seeds.into();
-        let mut out = Vec::new();
-        while let Some(work) = queue.pop_front() {
-            self.spend(steps, 1)?;
-            let dropped = self.process_group(run, [work], outcome, &mut out);
-            self.spend(steps, dropped)?;
-            queue.extend(out.drain(..));
-        }
-        Ok(())
-    }
-
     /// Count `n` more work items against the run's [`step_cap`](Self::step_cap).
     fn spend(&mut self, steps: &mut u64, n: u64) -> Result<(), PropagationError> {
         self.stats.work_items += n;
@@ -851,8 +805,9 @@ impl<'a> BgpSimulator<'a> {
     /// propagation trajectory) is what makes the elem stream independent
     /// of the schedule: propagation order affects only transient state,
     /// and the best-path fixpoint is unique. The last-origin withdrawal
-    /// relies on this: it reaches that fixpoint without propagating, and
-    /// the flush emits exactly the withdrawals a propagated run would.
+    /// relies on this: it reaches the empty fixpoint without
+    /// propagating, and the flush withdraws every route the collectors
+    /// were shown.
     fn flush_emissions(&mut self, time: SimTime, prefix: Ipv4Prefix) {
         if self.dirty.is_empty() {
             return;
@@ -1118,6 +1073,10 @@ fn after_change(ctx: &SimCtx<'_>, node: &mut Node<'_>, me: NodeId, fx: &mut Effe
 /// queueing an announce or withdraw for each one that changed. The
 /// exported route is built once — prepended, and without the trigger
 /// where `me` strips it — and cloned per neighbor it may go to.
+///
+/// A neighbor listed under two relationships has one advertisement slot,
+/// which each of its positions overwrites: it gets the verdict for the
+/// relationship listed last, though [`Node::rel_to`] imports under the first.
 fn advertise(
     ctx: &SimCtx<'_>,
     offering: Option<&BlackholeOffering>,
@@ -1146,7 +1105,7 @@ fn advertise(
             slot = pos;
         }
         let advert = match exportable {
-            // never advertise back to the sender
+            // never to the route's origin (loop detection covers the sender)
             Some(best) if ctx.asns[n as usize] != best.learned_from => {
                 let mut shared = || {
                     exported
@@ -2201,36 +2160,30 @@ mod tests {
             irr_registered: true,
             prepend: 1,
         };
-        // Announce, then withdraw the only origin: the elems of each
-        // call and the work items of the withdrawal.
-        let run = |fifo: bool| {
-            let d = deployment_with(vec![
-                session(DataSource::Ris, f.t1a, FeedKind::Full),
-                session(DataSource::Ris, f.p2, FeedKind::Full),
-                session(DataSource::Cdn, f.p1, FeedKind::Internal),
-            ]);
-            let mut sim = match fifo {
-                false => BgpSimulator::new(&f.topology, d, 1),
-                true => BgpSimulator::fifo_reference(&f.topology, d, 1),
-            };
-            pin_behaviors(&mut sim, &f);
-            let outcome = sim.try_announce(SimTime::from_unix(100), &request).unwrap();
-            assert_eq!(outcome.accepted_by, vec![f.p2]);
-            assert_eq!(sim.blackholing_ases_for(&host), vec![f.p2]);
-            let announced = sim.drain_elems();
-            let (before, peak) = (sim.run_stats().work_items, sim.run_stats().peak_run_steps);
-            sim.try_withdraw(SimTime::from_unix(200), f.user, host).unwrap();
-            assert!(sim.blackholing_ases_for(&host).is_empty());
-            assert!(sim.nodes.iter().all(|node| !node.prefixes.contains_key(&host)));
-            let work = sim.run_stats().work_items - before;
-            (announced, sim.drain_elems(), work, sim.run_stats().peak_run_steps == peak)
+        let d = deployment_with(vec![
+            session(DataSource::Ris, f.t1a, FeedKind::Full),
+            session(DataSource::Ris, f.p2, FeedKind::Full),
+            session(DataSource::Cdn, f.p1, FeedKind::Internal),
+        ]);
+        let mut sim = BgpSimulator::new(&f.topology, d, 1);
+        pin_behaviors(&mut sim, &f);
+        let outcome = sim.try_announce(SimTime::from_unix(100), &request).unwrap();
+        assert_eq!(outcome.accepted_by, vec![f.p2]);
+        assert_eq!(sim.blackholing_ases_for(&host), vec![f.p2]);
+        let announced = sim.drain_elems();
+        assert!(announced.iter().all(BgpElem::is_announce));
+        let (before, peak) = (sim.run_stats().work_items, sim.run_stats().peak_run_steps);
+        sim.try_withdraw(SimTime::from_unix(200), f.user, host).unwrap();
+        assert!(sim.blackholing_ases_for(&host).is_empty());
+        assert!(sim.nodes.iter().all(|node| !node.prefixes.contains_key(&host)));
+        assert_eq!(sim.run_stats().work_items, before, "the jump delivers nothing");
+        assert_eq!(sim.run_stats().peak_run_steps, peak, "the jump is not a run");
+        // One withdrawal per session the announcement reached.
+        let withdrawn = sim.drain_elems();
+        let peers = |elems: &[BgpElem]| -> Vec<_> {
+            elems.iter().map(|e| (e.dataset, e.collector, e.peer_asn, e.peer_ip)).collect()
         };
-        let engine = run(false);
-        let reference = run(true);
-        assert!(!engine.1.is_empty() && engine.1.iter().all(|e| e.elem_type == ElemType::Withdraw));
-        assert_eq!((&engine.0, &engine.1), (&reference.0, &reference.1));
-        assert_eq!(engine.2, 0, "the jump delivers nothing");
-        assert!(engine.3, "the jump is not a run");
-        assert!(reference.2 > 0, "the reference propagates the withdrawal");
+        assert_eq!(peers(&withdrawn), peers(&announced));
+        assert!(withdrawn.iter().all(|e| e.elem_type == ElemType::Withdraw && e.prefix == host));
     }
 }

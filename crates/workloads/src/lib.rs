@@ -29,4 +29,4 @@ pub use reaction::{
     capable_providers, eligible_users, plan_reaction, triggers, Action, CapableProvider,
     GroundTruthEvent, Schedule, TimedAction,
 };
-pub use scenario::{run, run_on, ScenarioConfig, ScenarioOutput};
+pub use scenario::{run, ScenarioConfig, ScenarioOutput};

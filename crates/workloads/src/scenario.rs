@@ -2,9 +2,8 @@
 //! BGP simulation → collector element stream + ground truth.
 //!
 //! [`run`] is the one entry point (an optional per-AS [`PolicyTable`] is
-//! its only variation); [`run_on`] is the same run on a simulator the
-//! caller built. The driver decides *when* attacks happen and *who* is
-//! hit; what the victim then does is [`plan_reaction`]'s, and every
+//! its only variation). The driver decides *when* attacks happen and
+//! *who* is hit; what the victim then does is [`plan_reaction`]'s, and every
 //! announce/withdraw pair is written by [`Schedule::pulse`].
 
 use std::collections::BTreeMap;
@@ -79,11 +78,6 @@ impl ScenarioConfig {
         config.base_prefix_sample = 8;
         config
     }
-
-    /// The seed [`run`] builds its simulator with.
-    pub fn simulator_seed(&self) -> u64 {
-        self.seed ^ 0x5151
-    }
 }
 
 /// Scenario output: the collector stream and the ground truth to validate
@@ -111,17 +105,10 @@ pub fn run(
     config: &ScenarioConfig,
     policies: Option<&PolicyTable>,
 ) -> ScenarioOutput {
-    let mut sim = BgpSimulator::new(topology, deployment, config.simulator_seed());
+    let mut sim = BgpSimulator::new(topology, deployment, config.seed ^ 0x5151);
     if let Some(table) = policies {
         sim.install_policies(table);
     }
-    run_on(sim, config)
-}
-
-/// Run a scenario on `sim`, which must be freshly built (nothing
-/// announced yet) and seeded with [`ScenarioConfig::simulator_seed`].
-pub fn run_on(mut sim: BgpSimulator<'_>, config: &ScenarioConfig) -> ScenarioOutput {
-    let topology = sim.topology();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut schedule = Schedule::default();
 

@@ -2,9 +2,11 @@
 //!
 //! The actual tests live in `tests/`; this small library holds the
 //! hand-built Fig. 3 scenario used by several of them and the naive
-//! transcriptions of the paper's method ([`oracle`]) that the
-//! implementation is checked against.
+//! transcriptions the implementation is checked against: the paper's
+//! method ([`oracle`]) and BGP's stable state under the simulator's
+//! documented rules ([`gao_rexford`]).
 
+pub mod gao_rexford;
 pub mod oracle;
 
 use std::collections::BTreeMap;

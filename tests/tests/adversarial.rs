@@ -11,10 +11,12 @@
 //! tension: a /32 host route is Invalid under an allocation-length
 //! ROA).
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use bh_bench::{AdversarialRun, Study, StudyScale};
 use bh_core::LabelKind;
+use bh_integration::gao_rexford::fold;
 use bh_routing::RejectReason;
 use bh_topology::{PolicyTable, Roa, RoaTable, TopologyBuilder, TopologyConfig};
 use bh_workloads::{AdversarialConfig, AdversarialOutput, ScenarioConfig, ScenarioOutput};
@@ -69,6 +71,23 @@ fn route_leaks_are_misclassified_as_blackholes() {
     // the inert triggers were length-rejected, not silently dropped.
     assert!(run.output.run_stats.exports_forced > 0);
     assert!(run.output.run_stats.trigger_rejects.contains_key(&RejectReason::LengthRejected));
+}
+
+/// A withdrawal that removes a prefix's last origin leaves nothing
+/// behind, even where a run on the prefix stopped at the step cap (the
+/// route-leak preset's leakers reach it). Every event of the catalog is
+/// a pulse that ends in an explicit withdrawal, so by the end no prefix
+/// has an origin and every collector session's view, folded from the
+/// elem stream, is empty.
+#[test]
+fn withdrawn_prefixes_leave_no_route_behind() {
+    let config = AdversarialConfig::route_leak(&study().topology, 43, 3, 4.0);
+    let out = adversarial_run(&config).output;
+    assert!(out.run_stats.convergence_failures > 0, "no run reached the step cap");
+    let mut views = BTreeMap::new();
+    fold(&mut views, &out.elems);
+    let shown: Vec<_> = views.keys().collect();
+    assert!(shown.is_empty(), "collectors still show {shown:?}");
 }
 
 #[test]
@@ -162,16 +181,17 @@ fn scenario_fingerprint(out: &ScenarioOutput) -> String {
 }
 
 /// Golden pin of the policy layer, recorded before `PolicyEngine` was
-/// rewritten from hook chains to plain `AsPolicy` tests: the engine and
-/// the FIFO reference of `phased_propagation.rs` share the policy code,
-/// so only values recorded from the old implementation catch a semantic
-/// slip in it. The third deployment turns every `AsPolicy` field on
-/// somewhere, which the two catalog workloads do not; its line was
-/// recorded at a1d28b0 with the three filters removed since then left
-/// unset. The counters (`import_rejects`, `exports_forced`,
-/// `work_items`) were re-recorded when a withdrawal of a prefix's last
-/// origin stopped propagating: they count deliveries actually made, and
-/// that withdrawal makes none. The elem fields are the recorded ones.
+/// rewritten from hook chains to plain `AsPolicy` tests. The third
+/// deployment turns every `AsPolicy` field on somewhere, which the two
+/// catalog workloads do not; its line was recorded at a1d28b0 with the
+/// three filters removed since then left unset. The counters
+/// (`import_rejects`, `exports_forced`, `work_items`) were re-recorded
+/// when a withdrawal of a prefix's last origin stopped propagating: they
+/// count deliveries actually made, and that withdrawal makes none. The
+/// leak and every-field lines' elem fields were re-recorded when that
+/// withdrawal also clears a prefix a run left at the step cap: their
+/// collectors now withdraw routes no origin backs (994 → 1 030 and
+/// 943 → 980 elems). The ROV line's are the recorded ones.
 #[test]
 fn policy_layer_golden_pin() {
     let topology = &study().topology;
@@ -180,7 +200,7 @@ fn policy_layer_golden_pin() {
     assert_eq!(policy_fingerprint(&adversarial_run(&rov).output), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} exports_forced=0 work_items=649");
 
     let leak = AdversarialConfig::route_leak(topology, 43, 3, 4.0);
-    assert_eq!(policy_fingerprint(&adversarial_run(&leak).output), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33142} exports_forced=181625 work_items=1323074");
+    assert_eq!(policy_fingerprint(&adversarial_run(&leak).output), "elems=1030 digest=bb8b7c524e19770e import_rejects={LoopDetected: 33142} exports_forced=181625 work_items=1322954");
 
     let mut every_field = leak.clone();
     every_field.policy.set_roas(RoaTable::strict_from_topology(topology));
@@ -189,7 +209,7 @@ fn policy_layer_golden_pin() {
         policy.rov = k % 4 == 0;
         policy.only_to_customers |= k % 3 == 2;
     }
-    assert_eq!(policy_fingerprint(&adversarial_run(&every_field).output), "elems=943 digest=703c5edf9b064f78 import_rejects={LoopDetected: 33126, RovInvalid: 58, RouteLeak: 8} exports_forced=181604 work_items=1322900");
+    assert_eq!(policy_fingerprint(&adversarial_run(&every_field).output), "elems=980 digest=7bd8a066c1af6f67 import_rejects={LoopDetected: 33126, RovInvalid: 58, RouteLeak: 8} exports_forced=181604 work_items=1322785");
 }
 
 /// The policies-on export path against the policies-off one: ROV at
@@ -232,7 +252,9 @@ fn a_policy_table_that_filters_nothing_changes_nothing() {
 /// so one reordered or dropped draw moves a digest here. The adversarial
 /// lines' simulator counters (`import_rejects`, `exports_forced`,
 /// `work_items`) were re-recorded when a withdrawal of a prefix's last
-/// origin stopped propagating; their digests are the recorded ones.
+/// origin stopped propagating; their digests are the recorded ones but
+/// route-leak's elem digest, re-recorded (994 → 1 030 elems) when that
+/// withdrawal also clears a prefix a run left at the step cap.
 #[test]
 fn generator_golden_pin() {
     for (config, expected) in [
@@ -269,7 +291,7 @@ fn generator_golden_pin() {
         (AdversarialConfig::subprefix_hijack(42, 3, 4.0), "elems=1188 digest=d1b6f44d2aef9e36 import_rejects={LoopDetected: 89} exports_forced=0 work_items=2765 labels=23 label_digest=2bc6bb848a0a41d4 truth_digest=15045b6cac844536"),
         (AdversarialConfig::rov_sweep(topology, 45, 3, 4.0, 0.5), "elems=292 digest=6d3113c869bc9052 import_rejects={LoopDetected: 10, RovInvalid: 41} exports_forced=0 work_items=649 labels=8 label_digest=056cf5848616114e truth_digest=d42c675c6ddc8fdd"),
         (AdversarialConfig::prepend_reroute(44, 3, 4.0), "elems=1140 digest=9fedec95b14d04ac import_rejects={LoopDetected: 80} exports_forced=0 work_items=2965 labels=22 label_digest=05474f1cac3ddfd4 truth_digest=0e30937ebc7545b9"),
-        (AdversarialConfig::route_leak(topology, 43, 3, 4.0), "elems=994 digest=1b8b280520e11a88 import_rejects={LoopDetected: 33142} exports_forced=181625 work_items=1323074 labels=19 label_digest=da0893d753d13c87 truth_digest=4893beace23e2bd8"),
+        (AdversarialConfig::route_leak(topology, 43, 3, 4.0), "elems=1030 digest=bb8b7c524e19770e import_rejects={LoopDetected: 33142} exports_forced=181625 work_items=1322954 labels=19 label_digest=da0893d753d13c87 truth_digest=4893beace23e2bd8"),
     ] {
         let out = adversarial_run(&config).output;
         let fingerprint = format!(

@@ -1,11 +1,15 @@
-//! Engine-equivalence properties: the simulator's rank-phased,
-//! ingest-then-advertise-once propagation engine must be
-//! *bit-identical* to the FIFO reference
-//! (`BgpSimulator::fifo_reference`: one queue, every work item ingested
-//! and re-advertised on its own) — same collector elements, same
-//! outcomes, same ground truth — on whole scenarios and on random
-//! operation sequences, with or without a policy table installed. The
-//! reference exists for this file only; nothing else constructs it.
+//! The simulator against the method: after every announce or withdraw,
+//! the rank-phased engine's drained elems must equal what the naive
+//! Gao-Rexford solver (`bh_integration::gao_rexford`, which shares no
+//! code with the engine) says the collectors' views moved by, and
+//! `blackholing_ases_for` must name exactly the ASes where the solver
+//! holds a blackhole route. Inputs: hand-built graphs with the expected
+//! paths written out, random operation sequences on the Tiny world
+//! (single- and multi-origin, bare / ROV / OTC + leaker tables, and an
+//! order-preserving ASN relabel of it), a Small sequence under each
+//! table, and a release-only 15k-AS flood. Stream order — which the
+//! solver does not model — is pinned by `simulator_golden_pin` below and
+//! `live_e2e.rs`' `session_golden_pin`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -13,18 +17,21 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use bh_bench::StudyScale;
+use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
+use bh_integration::gao_rexford::{elems_between, fold, sorted, GaoRexford, Views};
 use bh_routing::{
-    deploy, AnnounceOutcome, AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorConfig,
-    CollectorDeployment, PropagationError, RejectReason,
+    deploy, AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorConfig,
+    CollectorDeployment, CollectorSession, DataSource, FeedKind, RejectReason, SessionBehavior,
 };
 use bh_topology::{
+    AsInfo, BlackholeAuth, BlackholeOffering, DocumentationChannel, Ixp, IxpId, NetworkType,
     PolicyTable, Relationship, Roa, RoaTable, Tier, Topology, TopologyBuilder, TopologyConfig,
 };
-use bh_workloads::{capable_providers, run_on, ScenarioConfig, ScenarioOutput};
+use bh_workloads::capable_providers;
 
 /// Full ROA coverage of every originated prefix at its exact length:
 /// the announcements themselves validate `Valid`, while the /32
@@ -66,39 +73,13 @@ fn otc_leaker_table(topology: &Topology) -> PolicyTable {
     table
 }
 
-/// Which simulator a run is driven on.
-#[derive(Clone, Copy)]
-enum Side {
-    Engine,
-    Reference,
-}
-
-fn simulator<'a>(
-    side: Side,
-    topology: &'a Topology,
-    deployment: CollectorDeployment,
-    seed: u64,
-    policies: Option<&PolicyTable>,
-) -> BgpSimulator<'a> {
-    let mut sim = match side {
-        Side::Engine => BgpSimulator::new(topology, deployment, seed),
-        Side::Reference => BgpSimulator::fifo_reference(topology, deployment, seed),
-    };
-    if let Some(table) = policies {
-        sim.install_policies(table);
+/// A bare (0), an ROV (1) or an OTC+leaker (2) table.
+fn table(topology: &Topology, which: usize) -> Option<PolicyTable> {
+    match which {
+        0 => None,
+        1 => Some(rov_table(topology)),
+        _ => Some(otc_leaker_table(topology)),
     }
-    sim
-}
-
-fn run_scenario(
-    side: Side,
-    topology: &Topology,
-    deployment: CollectorDeployment,
-    policies: Option<&PolicyTable>,
-    seed: u64,
-) -> ScenarioOutput {
-    let config = ScenarioConfig::short(seed, 2, 5.0);
-    run_on(simulator(side, topology, deployment, config.simulator_seed(), policies), &config)
 }
 
 fn tiny_env() -> &'static (Topology, CollectorConfig) {
@@ -108,50 +89,527 @@ fn tiny_env() -> &'static (Topology, CollectorConfig) {
     })
 }
 
-fn run_tiny(seed: u64, policies: Option<&PolicyTable>, side: Side) -> ScenarioOutput {
-    let (topology, collector_config) = tiny_env();
-    run_scenario(side, topology, deploy(topology, collector_config), policies, seed)
+/// One Small-scale topology shared across the expensive cases below.
+fn small_env() -> &'static (Topology, CollectorConfig) {
+    static ENV: OnceLock<(Topology, CollectorConfig)> = OnceLock::new();
+    ENV.get_or_init(|| {
+        let topology = TopologyBuilder::new(StudyScale::Small.topology_config(42)).build();
+        (topology, StudyScale::Small.collector_config(42 ^ 0x3434))
+    })
 }
 
-fn assert_identical(a: &ScenarioOutput, b: &ScenarioOutput) {
-    assert_eq!(a.elems, b.elems, "collector element streams diverge");
-    assert_eq!(a.announcements, b.announcements);
-    assert_eq!(a.ground_truth.len(), b.ground_truth.len());
-    for (x, y) in a.ground_truth.iter().zip(&b.ground_truth) {
-        assert_eq!(x.prefix, y.prefix);
-        assert_eq!(x.phases, y.phases);
-    }
-}
-
-/// One step of a random operation sequence, drawn as raw numbers and
-/// decoded against the topology: `(user, host route?, kind, scope mask)`.
-type RawOp = (usize, bool, u8, u8);
-
+#[derive(Debug, Clone)]
 enum Op {
     Announce(Announcement),
     Withdraw(Asn, Ipv4Prefix),
 }
 
-/// Decode a raw draw. Three users and two overlapping prefixes each (a
-/// /24 of the user's space and the first host route inside it) keep the
-/// sequence colliding with itself: re-announcements with other
-/// communities or another scope, and withdrawals of what is — or is
-/// not — currently announced.
-fn decode_op(topology: &Topology, raw: RawOp) -> Op {
-    decode_op_by(topology, raw.0, raw)
+/// A simulator and the solver over the same world, stepped together.
+/// After every operation on a prefix the step's elems, sorted, must
+/// equal the solver's view diff for it, and the engine's blackholing
+/// ASes the solver's. Without a leaker the rules are Gao-Rexford's, which
+/// always converge, so a run stopped at the step cap fails the check;
+/// with one, a dispute wheel can stop it, and that prefix is not
+/// compared until its last origin withdraws — then nothing may show it.
+struct Checked<'a> {
+    sim: BgpSimulator<'a>,
+    solver: GaoRexford<'a>,
+    /// Prefix → origin → its last announcement.
+    live: BTreeMap<Ipv4Prefix, BTreeMap<Asn, Announcement>>,
+    /// The solver's views as of each prefix's last compared step.
+    views: BTreeMap<Ipv4Prefix, Views>,
+    /// The engine's elem stream, folded per session.
+    seen: BTreeMap<Ipv4Prefix, Views>,
+    stalled: BTreeSet<Ipv4Prefix>,
+    /// Whether a policy table installs a leaker.
+    leaks: bool,
 }
 
-/// [`decode_op`] with user `by` as the origin of the drawn user's prefix
-/// (`by == user` is the owner's own operation): communities and scope
-/// are `by`'s, so a foreign origin tags with its own providers'
-/// triggers, as a hijacker would.
-fn decode_op_by(topology: &Topology, by: usize, (user, host, kind, mask): RawOp) -> Op {
-    let users: Vec<_> = topology
-        .ases()
-        .filter(|i| i.tier == Tier::Stub && !i.prefixes.is_empty())
-        .filter(|i| !capable_providers(topology, i.asn).is_empty())
-        .take(3)
+impl<'a> Checked<'a> {
+    /// Check `sim` (behaviors already set) with `policies` installed.
+    fn new(
+        mut sim: BgpSimulator<'a>,
+        topology: &'a Topology,
+        policies: Option<&PolicyTable>,
+    ) -> Self {
+        if let Some(table) = policies {
+            sim.install_policies(table);
+        }
+        let solver = GaoRexford::new(topology, &sim, policies);
+        Checked {
+            sim,
+            solver,
+            live: BTreeMap::new(),
+            views: BTreeMap::new(),
+            seen: BTreeMap::new(),
+            stalled: BTreeSet::new(),
+            leaks: policies.is_some_and(|table| table.iter().any(|(_, policy)| policy.leaker)),
+        }
+    }
+
+    fn on(
+        topology: &'a Topology,
+        deployment: CollectorDeployment,
+        seed: u64,
+        policies: Option<&PolicyTable>,
+    ) -> Self {
+        Self::new(BgpSimulator::new(topology, deployment, seed), topology, policies)
+    }
+
+    /// Apply `op` to the engine, check it, and return its elems.
+    fn step(&mut self, time: SimTime, op: &Op) -> Vec<BgpElem> {
+        let (result, prefix) = match op {
+            Op::Announce(a) => {
+                self.live.entry(a.prefix).or_default().insert(a.origin, a.clone());
+                (self.sim.try_announce(time, a).map(drop), a.prefix)
+            }
+            Op::Withdraw(origin, prefix) => {
+                if let Some(origins) = self.live.get_mut(prefix) {
+                    origins.remove(origin);
+                    if origins.is_empty() {
+                        self.live.remove(prefix);
+                    }
+                }
+                (self.sim.try_withdraw(time, *origin, *prefix), *prefix)
+            }
+        };
+        let elems = self.sim.drain_elems();
+        fold(&mut self.seen, &elems);
+        let blackholing = self.sim.blackholing_ases_for(&prefix);
+        if let Err(error) = result {
+            assert!(self.leaks, "{prefix}: {error} without a leaker");
+            self.stalled.insert(prefix);
+        }
+        if self.stalled.contains(&prefix) {
+            if !self.live.contains_key(&prefix) {
+                self.stalled.remove(&prefix);
+                self.views.remove(&prefix);
+                assert!(
+                    blackholing.is_empty() && !self.seen.contains_key(&prefix),
+                    "{prefix} outlives its last origin"
+                );
+            }
+            return elems;
+        }
+        let live = self.live.get(&prefix).into_iter().flat_map(BTreeMap::values);
+        let solution = self
+            .solver
+            .solve(prefix, live)
+            .unwrap_or_else(|| panic!("the solver does not settle {prefix}"));
+        let before = self.views.remove(&prefix).unwrap_or_default();
+        let (engine, solver) =
+            (sorted(elems.clone()), elems_between(prefix, &before, &solution.views, time));
+        if engine != solver {
+            let only = |a: &[BgpElem], b: &[BgpElem]| {
+                a.iter().filter(|e| !b.contains(e)).cloned().collect::<Vec<_>>()
+            };
+            panic!(
+                "{prefix}: elems differ\nengine only: {:?}\nsolver only: {:?}",
+                only(&engine, &solver),
+                only(&solver, &engine)
+            );
+        }
+        assert_eq!(blackholing, solution.blackholing(), "{prefix}: blackholing ASes");
+        if !solution.views.is_empty() {
+            self.views.insert(prefix, solution.views);
+        }
+        elems
+    }
+}
+
+// ---- hand-built graphs -------------------------------------------------
+
+/// A hand-built world: AS `n` holds `n.0.0.0/16` (`n` ≥ 10), `edges` say
+/// how the first AS relates to the second.
+fn hand_world(
+    asns: &[u32],
+    offerings: Vec<(u32, BlackholeOffering)>,
+    edges: &[(u32, u32, Relationship)],
+    ixps: Vec<Ixp>,
+) -> Topology {
+    let mut offerings: BTreeMap<u32, BlackholeOffering> = offerings.into_iter().collect();
+    let ases = asns
+        .iter()
+        .map(|&n| {
+            let prefix = format!("{n}.0.0.0/16").parse().expect("a /16");
+            let mut info = AsInfo::new(
+                Asn::new(n),
+                Tier::Transit,
+                NetworkType::TransitAccess,
+                "DE",
+                vec![prefix],
+                true,
+            );
+            info.blackhole_offering = offerings.remove(&n);
+            (info.asn, info)
+        })
         .collect();
+    let edges = edges.iter().map(|&(a, b, rel)| (Asn::new(a), Asn::new(b), rel)).collect();
+    Topology::assemble(ases, edges, ixps)
+}
+
+fn offering(trigger: Community, honors_no_export: bool, strips: bool) -> BlackholeOffering {
+    BlackholeOffering {
+        communities: vec![trigger],
+        large_community: None,
+        min_accepted_length: 25,
+        documentation: DocumentationChannel::Irr,
+        auth: BlackholeAuth::OriginOrCone,
+        blackhole_ip: None,
+        strips_community: strips,
+        honors_no_export,
+    }
+}
+
+/// One `feed` session at each of `asns`, on collector 0 of RIS (`Full`,
+/// `CustomerOnly`) or the CDN (`Internal`).
+fn sessions(asns: &[u32], feed: FeedKind) -> Vec<CollectorSession> {
+    let dataset = if feed == FeedKind::Internal { DataSource::Cdn } else { DataSource::Ris };
+    asns.iter()
+        .map(|&n| CollectorSession {
+            dataset,
+            collector: 0,
+            peer_asn: Asn::new(n),
+            peer_ip: format!("198.51.100.{}", n % 250).parse().expect("an address"),
+            feed,
+        })
+        .collect()
+}
+
+/// A checked simulator on a hand world: every AS takes host routes from
+/// customers and not from peers, except those in `lenient` (from both).
+fn hand_checked<'a>(
+    topology: &'a Topology,
+    sessions: Vec<CollectorSession>,
+    lenient: &[u32],
+) -> Checked<'a> {
+    let mut deployment = CollectorDeployment::default();
+    for session in sessions {
+        deployment.add_session(session);
+    }
+    let mut sim = BgpSimulator::new(topology, deployment, 1);
+    for info in topology.ases() {
+        let peers = lenient.contains(&info.asn.value());
+        sim.set_behavior(
+            info.asn,
+            SessionBehavior { host_routes_from_customers: true, host_routes_from_peers: peers },
+        );
+    }
+    Checked::new(sim, topology, None)
+}
+
+/// The path each session peer in `elems` was last shown, as ASNs.
+fn paths(elems: &[BgpElem]) -> BTreeMap<(DataSource, u32), Vec<u32>> {
+    let mut out = BTreeMap::new();
+    for e in elems.iter().filter(|e| e.is_announce()) {
+        let path = e.as_path.iter_asns().map(Asn::value).collect();
+        out.insert((e.dataset, e.peer_asn.value()), path);
+    }
+    out
+}
+
+fn announce(origin: u32, prefix: &str, communities: Vec<Community>) -> Announcement {
+    Announcement::simple(
+        Asn::new(origin),
+        prefix.parse().expect("a prefix"),
+        CommunitySet::from_classic(communities),
+    )
+}
+
+/// Snippet-1 style: customer routes climb, cross one peering and descend,
+/// and a provider-learned route never reaches a peer.
+///
+/// ```text
+///   10 ===== 50
+///  /  \        \
+/// 20   30 ~~~~ 60      (30 and 60 peer)
+///  |
+/// 40
+/// ```
+#[test]
+fn hand_graph_paths_are_valley_free() {
+    use Relationship::{Customer, Peer};
+    let topology = hand_world(
+        &[10, 20, 30, 40, 50, 60],
+        vec![],
+        &[
+            (10, 20, Customer),
+            (10, 30, Customer),
+            (20, 40, Customer),
+            (10, 50, Peer),
+            (50, 60, Customer),
+            (30, 60, Peer),
+        ],
+        vec![],
+    );
+    let mut checked = hand_checked(&topology, sessions(&[10, 20, 30, 50, 60], FeedKind::Full), &[]);
+    let elems =
+        checked.step(SimTime::from_unix(100), &Op::Announce(announce(40, "40.0.0.0/16", vec![])));
+    let expected: BTreeMap<(DataSource, u32), Vec<u32>> = [
+        (20, vec![20, 40]),
+        (10, vec![10, 20, 40]),
+        (30, vec![30, 10, 20, 40]),
+        (50, vec![50, 10, 20, 40]),
+        // Not [60, 30, 10, 20, 40]: 30 learned it from a provider.
+        (60, vec![60, 50, 10, 20, 40]),
+    ]
+    .into_iter()
+    .map(|(peer, path)| ((DataSource::Ris, peer), path))
+    .collect();
+    assert_eq!(paths(&elems), expected);
+
+    // 30's own prefix: 60 prefers its peer 30 to its provider 50.
+    let elems =
+        checked.step(SimTime::from_unix(200), &Op::Announce(announce(30, "30.0.0.0/16", vec![])));
+    let shown = paths(&elems);
+    assert_eq!(shown[&(DataSource::Ris, 60)], vec![60, 30]);
+    assert_eq!(shown[&(DataSource::Ris, 50)], vec![50, 10, 30]);
+    assert_eq!(shown[&(DataSource::Ris, 20)], vec![20, 10, 30]);
+
+    // Withdrawn: every session withdraws, nobody holds anything.
+    let elems = checked
+        .step(SimTime::from_unix(300), &Op::Withdraw(Asn::new(40), "40.0.0.0/16".parse().unwrap()));
+    assert_eq!(elems.len(), 5);
+    assert!(elems.iter().all(|e| !e.is_announce()));
+}
+
+/// A customer route beats a shorter one from a peer; NO_EXPORT stops at
+/// the first hop, where only an internal session sees it.
+///
+/// ```text
+/// 10 ~~~~ 30     (10 and 30 peer; 30 is 20's customer, 20 is 10's)
+///   \    /
+///    20
+/// ```
+#[test]
+fn hand_graph_prefers_customers_and_honours_no_export() {
+    use Relationship::{Customer, Peer};
+    let topology = hand_world(
+        &[10, 20, 30],
+        vec![],
+        &[(10, 20, Customer), (20, 30, Customer), (10, 30, Peer)],
+        vec![],
+    );
+    let mut all = sessions(&[10, 20], FeedKind::Full);
+    all.extend(sessions(&[10, 20], FeedKind::Internal));
+    let mut checked = hand_checked(&topology, all, &[]);
+    let elems =
+        checked.step(SimTime::from_unix(100), &Op::Announce(announce(30, "30.0.0.0/16", vec![])));
+    let shown = paths(&elems);
+    assert_eq!(shown[&(DataSource::Ris, 10)], vec![10, 20, 30], "customer over peer");
+    assert_eq!(shown[&(DataSource::Cdn, 10)], vec![10, 20, 30]);
+
+    let quiet = announce(30, "30.1.0.0/24", vec![Community::NO_EXPORT]);
+    let elems = checked.step(SimTime::from_unix(200), &Op::Announce(quiet));
+    // 20 and 10 hold it from 30 directly; neither passes it on, and only
+    // the internal sessions show it.
+    assert_eq!(
+        paths(&elems),
+        BTreeMap::from([
+            ((DataSource::Cdn, 10), vec![10, 30]),
+            ((DataSource::Cdn, 20), vec![20, 30])
+        ])
+    );
+}
+
+/// One RTBH user, three blackholing providers: 201 accepts and passes
+/// the route on, 202 accepts and suppresses it (RFC 7999), 203 accepts
+/// and strips its trigger. 100 hears it from 201 and 203 alike and takes
+/// 203's: on a tie in preference and length the higher neighbor wins.
+///
+/// ```text
+///        100
+///      /  |  \
+///   201  202  203
+///      \  |  /
+///        30
+/// ```
+#[test]
+fn rtbh_providers_accept_suppress_and_strip() {
+    use Relationship::Customer;
+    let trigger = |n: u16| Community::from_parts(n, 666);
+    let topology = hand_world(
+        &[30, 100, 201, 202, 203],
+        vec![
+            (201, offering(trigger(201), false, false)),
+            (202, offering(trigger(202), true, false)),
+            (203, offering(trigger(203), false, true)),
+        ],
+        &[
+            (100, 201, Customer),
+            (100, 202, Customer),
+            (100, 203, Customer),
+            (201, 30, Customer),
+            (202, 30, Customer),
+            (203, 30, Customer),
+        ],
+        vec![],
+    );
+    let mut all = sessions(&[100, 201, 202, 203], FeedKind::Full);
+    all.extend(sessions(&[100, 202], FeedKind::Internal));
+    let mut checked = hand_checked(&topology, all, &[]);
+    let bundle = vec![trigger(201), trigger(202), trigger(203)];
+    let host: Ipv4Prefix = "30.0.1.1/32".parse().unwrap();
+    let elems = checked
+        .step(SimTime::from_unix(100), &Op::Announce(announce(30, "30.0.1.1/32", bundle.clone())));
+    assert_eq!(checked.sim.blackholing_ases_for(&host), [201, 202, 203].map(Asn::new));
+    let shown = paths(&elems);
+    assert_eq!(shown[&(DataSource::Ris, 100)], vec![100, 203, 30]);
+    assert_eq!(shown[&(DataSource::Ris, 202)], vec![202, 30], "a suppressing provider's own feed");
+    assert_eq!(shown[&(DataSource::Cdn, 202)], vec![202, 30]);
+    let at_100 = elems.iter().find(|e| e.peer_asn == Asn::new(100) && e.dataset == DataSource::Ris);
+    let communities = &at_100.expect("100 shows the host route").communities;
+    assert!(!communities.contains(trigger(203)), "203 strips its own trigger");
+    assert!(communities.contains(trigger(201)) && communities.contains(trigger(202)));
+
+    // Only 202 is asked: it blackholes and nobody upstream hears of it.
+    let only = Announcement {
+        scope: AnnounceScope::Neighbors(vec![Asn::new(202)]),
+        ..announce(30, "30.0.1.1/32", vec![trigger(202)])
+    };
+    let elems = checked.step(SimTime::from_unix(200), &Op::Announce(only));
+    assert_eq!(checked.sim.blackholing_ases_for(&host), vec![Asn::new(202)]);
+    let withdrawn: BTreeSet<u32> =
+        elems.iter().filter(|e| !e.is_announce()).map(|e| e.peer_asn.value()).collect();
+    assert_eq!(withdrawn, BTreeSet::from([100, 201, 203]));
+}
+
+/// A blackholing route server, with and without its ASN in the path:
+/// members only, IRR-authenticated triggers, host routes to members that
+/// accept them from peers, and the PCH view at each member's LAN address.
+#[test]
+fn route_server_with_and_without_path_insertion() {
+    for in_path in [true, false] {
+        use Relationship::RouteServer;
+        let mut rs_offering = offering(Community::BLACKHOLE, false, false);
+        rs_offering.auth = BlackholeAuth::IrrRegistered;
+        rs_offering.blackhole_ip = Some("185.1.0.66".parse().unwrap());
+        let ixp = Ixp {
+            id: IxpId(0),
+            name: "HAND-IX".into(),
+            route_server_asn: Asn::new(60),
+            route_server_in_path: in_path,
+            peering_lan: "185.1.0.0/24".parse().unwrap(),
+            members: [41, 42, 43].map(Asn::new).to_vec(),
+            country: "DE",
+        };
+        let topology = hand_world(
+            &[41, 42, 43, 44, 60],
+            vec![(60, rs_offering)],
+            &[
+                (41, 60, RouteServer),
+                (42, 60, RouteServer),
+                (43, 60, RouteServer),
+                (44, 60, RouteServer),
+            ],
+            vec![ixp],
+        );
+        let mut all = sessions(&[42, 43, 44], FeedKind::Full);
+        all.push(CollectorSession {
+            dataset: DataSource::Pch,
+            collector: 0,
+            peer_asn: Asn::new(60),
+            peer_ip: "185.1.0.1".parse().unwrap(),
+            feed: FeedKind::RouteServerView(IxpId(0)),
+        });
+        // 42 takes host routes from the route server, 43 does not.
+        let mut checked = hand_checked(&topology, all, &[42]);
+        let request = Announcement {
+            scope: AnnounceScope::Neighbors(vec![Asn::new(60)]),
+            ..announce(41, "41.0.0.7/32", vec![Community::BLACKHOLE])
+        };
+        let via = |member: u32| match in_path {
+            true => vec![60, member],
+            false => vec![member],
+        };
+        let elems = checked.step(SimTime::from_unix(100), &Op::Announce(request.clone()));
+        let host: Ipv4Prefix = "41.0.0.7/32".parse().unwrap();
+        assert_eq!(
+            checked.sim.blackholing_ases_for(&host),
+            [42, 60].map(Asn::new),
+            "in path: {in_path}"
+        );
+        let mut expected_42 = vec![42];
+        expected_42.extend(via(41));
+        assert_eq!(
+            paths(&elems),
+            BTreeMap::from([
+                ((DataSource::Ris, 42), expected_42),
+                ((DataSource::Pch, 41), via(41))
+            ])
+        );
+        let pch = elems.iter().find(|e| e.dataset == DataSource::Pch).expect("a PCH view");
+        assert_eq!(
+            pch.peer_ip,
+            "185.1.0.2".parse::<std::net::IpAddr>().unwrap(),
+            "41's LAN address"
+        );
+        assert_eq!(pch.next_hop, Some("185.1.0.66".parse().unwrap()));
+
+        // Unregistered, the request fails the IRR filter and the route
+        // server drops it; an untagged /32 it never redistributes.
+        let unregistered = Announcement { irr_registered: false, ..request.clone() };
+        let elems = checked.step(SimTime::from_unix(200), &Op::Announce(unregistered));
+        assert!(elems.iter().all(|e| !e.is_announce()) && elems.len() == 2);
+        let untagged = Announcement { communities: CommunitySet::new(), ..request.clone() };
+        assert!(checked.step(SimTime::from_unix(300), &Op::Announce(untagged)).is_empty());
+        // 44 is no member: the route server ignores what it sends.
+        let outsider = Announcement {
+            scope: AnnounceScope::Neighbors(vec![Asn::new(60)]),
+            ..announce(44, "44.0.0.0/24", vec![])
+        };
+        assert!(checked.step(SimTime::from_unix(400), &Op::Announce(outsider)).is_empty());
+    }
+}
+
+// ---- random operation sequences -----------------------------------------
+
+/// One step of a random operation sequence, drawn as raw numbers and
+/// decoded against the topology: `(user, host route?, kind, scope mask,
+/// prepend, IRR-registered?)`.
+type RawOp = (usize, bool, u8, u8, usize, bool);
+
+fn raw_op() -> impl Strategy<Value = RawOp> {
+    (0usize..3, any::<bool>(), 0u8..6, any::<u8>(), 1usize..4, (0u8..5).prop_map(|d| d != 0))
+}
+
+/// The users of a world: its first three stubs with address space and a
+/// capable provider, or — when one of them has a route server among its
+/// capable providers — two of those and the first that has one.
+fn users(topology: &Topology) -> Vec<&bh_topology::AsInfo> {
+    let capable = |i: &&bh_topology::AsInfo| {
+        i.tier == Tier::Stub
+            && !i.prefixes.is_empty()
+            && !capable_providers(topology, i.asn).is_empty()
+    };
+    let at_ixp = |i: &&bh_topology::AsInfo| {
+        capable_providers(topology, i.asn)
+            .iter()
+            .any(|p| topology.ixp_by_route_server(p.announce_to).is_some())
+    };
+    let mut users: Vec<_> = topology.ases().filter(capable).take(3).collect();
+    if !users.iter().any(at_ixp) {
+        if let Some(member) = topology.ases().filter(capable).find(at_ixp) {
+            users[2] = member;
+        }
+    }
+    users
+}
+
+/// Decode a raw draw with user `by` as the origin of the drawn user's
+/// prefix (`by == user` is the owner's own operation). Three users and
+/// two overlapping prefixes each (a /24 of the user's space and the
+/// first host route inside it) keep the sequence colliding with itself:
+/// re-announcements with other communities, scope or prepending, and
+/// withdrawals of what is — or is not — currently announced.
+/// Communities and scope are `by`'s, so a foreign origin tags with its
+/// own providers' triggers, as a hijacker would.
+fn decode_op_by(
+    topology: &Topology,
+    by: usize,
+    (user, host, kind, mask, prepend, irr_registered): RawOp,
+) -> Op {
+    let users = users(topology);
     let space = users[user % users.len()].prefixes[0];
     let info = users[by % users.len()];
     let prefix = match host {
@@ -159,19 +617,11 @@ fn decode_op_by(topology: &Topology, by: usize, (user, host, kind, mask): RawOp)
         false => Ipv4Prefix::new(space.nth_addr(0).expect("space has a network"), 24)
             .expect("a /24 inside the allocation"),
     };
-    let triggers: Vec<Community> = capable_providers(topology, info.asn)
-        .iter()
-        .flat_map(|p| p.communities.first().copied())
-        .collect();
-    let communities = match kind {
-        0 => return Op::Withdraw(info.asn, prefix),
-        1 => Vec::new(),
-        2 => triggers, // bundled
-        3 => triggers[..1].to_vec(),
-        _ => triggers.into_iter().chain([Community::NO_EXPORT]).collect(),
-    };
+    let providers = capable_providers(topology, info.asn);
+    let triggers: Vec<Community> =
+        providers.iter().flat_map(|p| p.communities.first().copied()).collect();
     let neighbors = topology.neighbors(info.asn);
-    let scope = match mask {
+    let mut scope = match mask {
         0..=127 => AnnounceScope::AllNeighbors,
         _ => AnnounceScope::Neighbors(
             neighbors
@@ -182,82 +632,70 @@ fn decode_op_by(topology: &Topology, by: usize, (user, host, kind, mask): RawOp)
                 .collect(),
         ),
     };
+    let communities = match kind {
+        0 => return Op::Withdraw(info.asn, prefix),
+        1 => Vec::new(),
+        2 => triggers, // bundled
+        3 => triggers[..1].to_vec(),
+        4 => triggers.into_iter().chain([Community::NO_EXPORT]).collect(),
+        _ => {
+            // Targeted at one capable provider — a route server included.
+            let provider = &providers[mask as usize % providers.len()];
+            scope = AnnounceScope::Neighbors(vec![provider.announce_to]);
+            provider.communities[..1].to_vec()
+        }
+    };
     Op::Announce(Announcement {
         scope,
+        irr_registered,
+        prepend,
         ..Announcement::simple(info.asn, prefix, CommunitySet::from_classic(communities))
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6, // each case runs four full Tiny scenarios
-    })]
-
-    /// Engine and FIFO reference are bit-identical on random Tiny
-    /// scenarios, bare and under an ROV deployment.
-    #[test]
-    fn engines_agree_on_tiny_scenarios(seed in 0u64..500) {
-        let engine = run_tiny(seed, None, Side::Engine);
-        let reference = run_tiny(seed, None, Side::Reference);
-        assert_identical(&reference, &engine);
-        prop_assert!(!engine.elems.is_empty(), "scenario produced no elems");
-
-        let rov = rov_table(&tiny_env().0);
-        let engine = run_tiny(seed, Some(&rov), Side::Engine);
-        let reference = run_tiny(seed, Some(&rov), Side::Reference);
-        assert_identical(&reference, &engine);
-    }
+/// The draw aims triggers at a route server too: a Tiny user has one
+/// among its capable providers.
+#[test]
+fn the_draw_reaches_a_route_server() {
+    let topology = &tiny_env().0;
+    let aimed_at = |user: usize, mask: u8| match decode_op_by(
+        topology,
+        user,
+        (user, true, 5, mask, 1, true),
+    ) {
+        Op::Announce(Announcement { scope: AnnounceScope::Neighbors(to), .. }) => to[0],
+        op => panic!("kind 5 is a targeted announcement, not {op:?}"),
+    };
+    let route_servers = (0..3)
+        .flat_map(|user| (0..=u8::MAX).map(move |mask| aimed_at(user, mask)))
+        .filter(|asn| topology.ixp_by_route_server(*asn).is_some())
+        .count();
+    assert!(route_servers > 0, "no trigger is aimed at a route server");
 }
 
-/// An engine and a FIFO reference on the Tiny world under a bare (0), an
-/// ROV (1) or an OTC+leaker (2) table.
-fn tiny_pair(table: usize) -> [BgpSimulator<'static>; 2] {
+fn tiny_checked(which: usize) -> Checked<'static> {
     let (topology, collector_config) = tiny_env();
-    let policies = match table {
-        0 => None,
-        1 => Some(rov_table(topology)),
-        _ => Some(otc_leaker_table(topology)),
-    };
-    [Side::Engine, Side::Reference].map(|side| {
-        simulator(side, topology, deploy(topology, collector_config), 7, policies.as_ref())
-    })
-}
-
-/// What a simulator shows after one operation: its result, the elems it
-/// drained and who blackholes the prefix.
-type Seen = (Result<Option<AnnounceOutcome>, PropagationError>, Vec<BgpElem>, Vec<Asn>);
-
-fn apply(sim: &mut BgpSimulator<'_>, time: SimTime, op: &Op) -> Seen {
-    let (outcome, prefix) = match op {
-        Op::Announce(a) => (sim.try_announce(time, a).map(Some), a.prefix),
-        Op::Withdraw(origin, prefix) => {
-            (sim.try_withdraw(time, *origin, *prefix).map(|()| None), *prefix)
-        }
-    };
-    (outcome, sim.drain_elems(), sim.blackholing_ases_for(&prefix))
+    Checked::on(topology, deploy(topology, collector_config), 7, table(topology, which).as_ref())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48 })]
 
-    /// Engine and FIFO reference agree after *every* operation of a
-    /// random sequence on one simulator pair — announce, re-announce
-    /// with changed communities or scope, withdraw, over two overlapping
-    /// prefixes per user — under a bare, an ROV and an OTC+leaker table:
-    /// same drained elems, same `AnnounceOutcome`, same blackholing set.
+    /// Engine and solver agree after *every* operation of a random
+    /// sequence — announce, re-announce with changed communities, scope,
+    /// prepending or IRR registration, a trigger aimed at one provider or
+    /// route server, withdraw — over two overlapping prefixes per user,
+    /// under a bare, an ROV and an OTC+leaker table.
     #[test]
     fn engines_agree_on_operation_sequences(
-        table in 0usize..3,
-        ops in proptest::collection::vec((0usize..3, any::<bool>(), 0u8..5, any::<u8>()), 4..16),
+        which in 0usize..3,
+        ops in proptest::collection::vec(raw_op(), 4..16),
     ) {
-        let mut pair = tiny_pair(table);
+        let mut checked = tiny_checked(which);
         let mut elems = 0;
         for (step, raw) in ops.into_iter().enumerate() {
-            let time = SimTime::from_unix(1_000 + step as u64);
-            let op = decode_op(&tiny_env().0, raw);
-            let [engine, reference] = pair.each_mut().map(|sim| apply(sim, time, &op));
-            elems += engine.1.len();
-            prop_assert_eq!((step, engine), (step, reference));
+            let op = decode_op_by(&tiny_env().0, raw.0, raw);
+            elems += checked.step(SimTime::from_unix(1_000 + step as u64), &op).len();
         }
         prop_assert!(elems > 0, "sequence produced no elems");
     }
@@ -265,29 +703,24 @@ proptest! {
     /// The withdrawal the engine still propagates: any of the three users
     /// may originate any user's /24 or host route, so a prefix can have
     /// several origins, and withdrawing one that leaves another must
-    /// propagate (at least one work item per neighbor it was sent to)
-    /// while the last origin's withdrawal jumps (none). Engine and FIFO
-    /// reference — which propagates every withdrawal — agree after every
-    /// step under a bare, an ROV and an OTC+leaker table.
+    /// propagate (at least one work item when it was sent anywhere)
+    /// while the last origin's withdrawal jumps (none). Engine and solver
+    /// agree after every step under a bare, an ROV and an OTC+leaker
+    /// table.
     #[test]
     fn engines_agree_on_multi_origin_sequences(
-        table in 0usize..3,
-        ops in proptest::collection::vec(
-            (0usize..3, (0usize..3, any::<bool>(), 0u8..5, any::<u8>())),
-            16..48,
-        ),
+        which in 0usize..3,
+        ops in proptest::collection::vec((0usize..3, raw_op()), 16..48),
     ) {
         let topology = &tiny_env().0;
-        let mut pair = tiny_pair(table);
+        let mut checked = tiny_checked(which);
         // The test's own model: prefix -> origin -> sent to any neighbor.
         let mut origins: BTreeMap<Ipv4Prefix, BTreeMap<Asn, bool>> = BTreeMap::new();
         for (step, (by, raw)) in ops.into_iter().enumerate() {
-            let time = SimTime::from_unix(1_000 + step as u64);
             let op = decode_op_by(topology, by, raw);
-            let work_before = pair[0].run_stats().work_items;
-            let [engine, reference] = pair.each_mut().map(|sim| apply(sim, time, &op));
-            let work = pair[0].run_stats().work_items - work_before;
-            prop_assert_eq!((step, &engine), (step, &reference));
+            let work_before = checked.sim.run_stats().work_items;
+            checked.step(SimTime::from_unix(1_000 + step as u64), &op);
+            let work = checked.sim.run_stats().work_items - work_before;
             match op {
                 Op::Announce(a) => {
                     let sent = match &a.scope {
@@ -314,49 +747,144 @@ proptest! {
     }
 }
 
-/// One Small-scale topology shared across the expensive cases below.
-fn small_env() -> &'static (Topology, CollectorConfig) {
-    static ENV: OnceLock<(Topology, CollectorConfig)> = OnceLock::new();
-    ENV.get_or_init(|| {
-        let topology = TopologyBuilder::new(StudyScale::Small.topology_config(42)).build();
-        (topology, StudyScale::Small.collector_config(42 ^ 0x3434))
-    })
+/// `raw`'s operation on a world whose ASNs went through the
+/// order-preserving `relabel`.
+fn relabelled_op(op: &Op, relabel: impl Fn(Asn) -> Asn) -> Op {
+    match op {
+        Op::Withdraw(origin, prefix) => Op::Withdraw(relabel(*origin), *prefix),
+        Op::Announce(a) => Op::Announce(Announcement {
+            origin: relabel(a.origin),
+            scope: match &a.scope {
+                AnnounceScope::AllNeighbors => AnnounceScope::AllNeighbors,
+                AnnounceScope::Neighbors(list) => {
+                    AnnounceScope::Neighbors(list.iter().map(|n| relabel(*n)).collect())
+                }
+            },
+            ..a.clone()
+        }),
+    }
 }
 
-fn run_small(policies: Option<&PolicyTable>, side: Side) -> ScenarioOutput {
+/// `topology` with every ASN `a` renamed `relabel(a)`; offerings,
+/// prefixes and communities unchanged.
+fn relabelled(topology: &Topology, relabel: impl Fn(Asn) -> Asn) -> Topology {
+    let ases = topology
+        .ases()
+        .map(|info| (relabel(info.asn), AsInfo { asn: relabel(info.asn), ..info.clone() }))
+        .collect();
+    let edges = topology
+        .ases()
+        .flat_map(|info| {
+            let me = info.asn;
+            topology
+                .neighbors(me)
+                .iter()
+                .filter(move |(n, _)| me < *n)
+                .map(move |&(n, rel)| (me, n, rel))
+        })
+        .map(|(a, b, rel)| (relabel(a), relabel(b), rel))
+        .collect();
+    let ixps = topology
+        .ixps()
+        .iter()
+        .map(|ixp| Ixp {
+            route_server_asn: relabel(ixp.route_server_asn),
+            members: ixp.members.iter().map(|m| relabel(*m)).collect(),
+            ..ixp.clone()
+        })
+        .collect();
+    Topology::assemble(ases, edges, ixps)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16 })]
+
+    /// R6, ASN relabel: move every ASN of the Tiny world into the 32-bit
+    /// range, order preserved, and run the same sequence on both worlds.
+    /// Each is checked against its solver, and the relabelled run's elems
+    /// and blackholing ASes are the original's, relabelled.
+    #[test]
+    fn relabelled_world_gives_relabelled_results(
+        which in 0usize..3,
+        ops in proptest::collection::vec((0usize..3, raw_op()), 4..24),
+    ) {
+        let relabel = |a: Asn| Asn::new(a.value() * 3 + 70_000);
+        let (topology, collector_config) = tiny_env();
+        let moved = relabelled(topology, relabel);
+        let mut original = tiny_checked(which);
+        let mut renamed =
+            Checked::on(&moved, deploy(&moved, collector_config), 7, table(&moved, which).as_ref());
+        for (step, (by, raw)) in ops.into_iter().enumerate() {
+            let time = SimTime::from_unix(1_000 + step as u64);
+            let op = decode_op_by(topology, by, raw);
+            let expected: Vec<BgpElem> = original
+                .step(time, &op)
+                .into_iter()
+                .map(|e| BgpElem {
+                    peer_asn: relabel(e.peer_asn),
+                    as_path: AsPath::from_sequence(
+                        e.as_path.iter_asns().map(relabel).collect::<Vec<_>>(),
+                    ),
+                    ..e
+                })
+                .collect();
+            prop_assert_eq!(renamed.step(time, &relabelled_op(&op, relabel)), expected);
+            let prefix = match &op {
+                Op::Announce(a) => a.prefix,
+                Op::Withdraw(_, prefix) => *prefix,
+            };
+            let blackholing: Vec<Asn> =
+                original.sim.blackholing_ases_for(&prefix).into_iter().map(relabel).collect();
+            prop_assert_eq!(renamed.sim.blackholing_ases_for(&prefix), blackholing);
+        }
+    }
+}
+
+/// A fixed 60-step sequence on the Small world under `which` table.
+fn small_sequence(which: usize) -> Checked<'static> {
     let (topology, collector_config) = small_env();
-    run_scenario(side, topology, deploy(topology, collector_config), policies, 42)
+    let policies = table(topology, which);
+    let mut checked =
+        Checked::on(topology, deploy(topology, collector_config), 42, policies.as_ref());
+    let mut elems = 0;
+    for step in 0..60usize {
+        let raw = (
+            step % 3,
+            step % 4 < 2,
+            (step * 5 % 6) as u8,
+            (step * 73 % 256) as u8,
+            1 + step % 3,
+            step % 5 != 4,
+        );
+        let op = decode_op_by(topology, step / 3 % 3, raw);
+        elems += checked.step(SimTime::from_unix(1_000 + step as u64), &op).len();
+    }
+    assert!(elems > 0, "the sequence produced no elems");
+    checked
 }
 
 #[test]
 fn engines_agree_at_small_scale() {
-    let engine = run_small(None, Side::Engine);
-    let reference = run_small(None, Side::Reference);
-    assert_identical(&reference, &engine);
-    assert!(!engine.elems.is_empty());
+    small_sequence(0);
 }
 
 #[test]
 fn engines_agree_at_small_scale_with_rov() {
-    let (topology, _) = small_env();
-    let rov = rov_table(topology);
-    assert!(rov.deployed_count() > 0, "ROV table deployed nowhere");
-    let engine = run_small(Some(&rov), Side::Engine);
-    let reference = run_small(Some(&rov), Side::Reference);
-    assert_identical(&reference, &engine);
+    assert!(rov_table(&small_env().0).deployed_count() > 0, "ROV table deployed nowhere");
+    let checked = small_sequence(1);
     // The policy actually bit: ROV rejected imports.
-    let rov_rejects = engine.run_stats.import_rejects_for(RejectReason::RovInvalid);
+    let rov_rejects = checked.sim.run_stats().import_rejects_for(RejectReason::RovInvalid);
     assert!(rov_rejects > 0, "ROV never rejected anything");
 }
 
 #[test]
 fn engines_agree_at_small_scale_with_otc_and_leaker() {
-    let (topology, _) = small_env();
-    let table = otc_leaker_table(topology);
-    assert!(table.deployed_count() >= 2, "need OTC deployers and a leaker");
-    let engine = run_small(Some(&table), Side::Engine);
-    let reference = run_small(Some(&table), Side::Reference);
-    assert_identical(&reference, &engine);
+    assert!(
+        otc_leaker_table(&small_env().0).deployed_count() >= 2,
+        "need OTC deployers and a leaker"
+    );
+    let checked = small_sequence(2);
+    assert!(checked.sim.run_stats().exports_forced > 0, "the leaker never leaked");
 }
 
 /// The first stub origin with address space: where the scale tests flood from.
@@ -376,22 +904,22 @@ fn flood(sim: &mut BgpSimulator<'_>, origin: Asn, prefix: Ipv4Prefix) -> Vec<Bgp
     sim.drain_elems()
 }
 
-/// The oracle exercised at scale: one full flood of a CAIDA-shaped
-/// 15k-AS topology through the engine and the FIFO reference. Release
-/// only (a debug flood is ~50x slower); the CI `massive-smoke` job runs
-/// this file with `--release`.
+/// The solver at scale: one full flood of a CAIDA-shaped 15k-AS
+/// topology, announce then withdrawal. Release only (a debug flood is
+/// ~50x slower); the CI `massive-smoke` job runs this file with
+/// `--release`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run with `cargo test --release`")]
 fn engines_agree_at_15k_ases() {
     let topology = TopologyBuilder::new(TopologyConfig::massive_scaled(7, 15_000)).build();
     let collector_config = CollectorConfig { seed: 7, ..Default::default() };
     let (origin, prefix) = stub_origin(&topology);
-    let [engine, reference] = [Side::Engine, Side::Reference].map(|side| {
-        let deployment = deploy(&topology, &collector_config);
-        flood(&mut simulator(side, &topology, deployment, 7, None), origin, prefix)
-    });
-    assert_eq!(engine, reference, "engine and FIFO reference must emit identically");
-    assert!(!engine.is_empty(), "flood produced no collector elements");
+    let mut checked = Checked::on(&topology, deploy(&topology, &collector_config), 7, None);
+    let announcement = Announcement::simple(origin, prefix, CommunitySet::new());
+    let shown = checked.step(SimTime::from_unix(1_000), &Op::Announce(announcement));
+    assert!(!shown.is_empty(), "flood produced no collector elements");
+    let withdrawn = checked.step(SimTime::from_unix(2_000), &Op::Withdraw(origin, prefix));
+    assert_eq!(withdrawn.len(), shown.len());
 }
 
 /// The property that pins ingest-then-advertise-once: a single-prefix
@@ -430,19 +958,19 @@ fn debug_digest<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
     digest
 }
 
-/// Golden pin of the simulator's state store, recorded before the
-/// per-AS state moved from ASN-keyed maps to one index-addressed node
-/// table: the engine and the FIFO reference share that store, so only
-/// values recorded from the old implementation catch a slip in it. An
-/// 8-origin announce + withdraw rotation shaped like the `sim_flood`
-/// benchmark's on its world (`massive_scaled(42, 7000)`): even slots
-/// announce an untagged /24 of a stub's space, odd slots a /32 inside
-/// it tagged with a direct provider's trigger. One line per origin:
-/// elems of the cycle, their digest, the announce outcome, who
-/// blackholes after the announce, and the cycle's work items. The work
-/// items alone were re-recorded when a withdrawal of a prefix's last
-/// origin stopped propagating (it now costs none); every other field is
-/// still the one recorded from the old store.
+/// Golden pin of the simulator's state store and emission order,
+/// recorded before the per-AS state moved from ASN-keyed maps to one
+/// index-addressed node table. The solver comparisons sort the elems,
+/// so this pin is what holds their order. An 8-origin announce +
+/// withdraw rotation shaped like the `sim_flood` benchmark's on its
+/// world (`massive_scaled(42, 7000)`): even slots announce an untagged
+/// /24 of a stub's space, odd slots a /32 inside it tagged with a direct
+/// provider's trigger. One line per origin: elems of the cycle, their
+/// digest, the announce outcome, who blackholes after the announce, and
+/// the cycle's work items. The work items alone were re-recorded when a
+/// withdrawal of a prefix's last origin stopped propagating (it now
+/// costs none); every other field is still the one recorded from the
+/// old store.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: run with `cargo test --release`")]
 fn simulator_golden_pin() {

@@ -21,7 +21,8 @@
 //! before it advertises once (see [`BgpSimulator`]'s `run_phases`). A
 //! withdrawal that removes a prefix's last origin is not propagated: the
 //! simulator drops the prefix everywhere and flushes (see
-//! [`BgpSimulator::withdraw`]).
+//! [`BgpSimulator::withdraw`]). A doc-hidden FIFO reference mode
+//! ([`BgpSimulator::fifo_reference`]) exists for the property tests only.
 //!
 //! # State layout
 //!
@@ -39,7 +40,7 @@
 //! work item and is dropped, as it always was — it is nobody's neighbor.
 //! A last-origin withdrawal delivers nothing, so it counts nothing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::IpAddr;
 
 use rand::rngs::StdRng;
@@ -366,6 +367,8 @@ pub struct BgpSimulator<'a> {
     /// Customer-cone depth ranks of `topology` (the schedule key of the
     /// three propagation phases) and the dense index `nodes` follows.
     ranks: PropagationRanks,
+    /// Set only by [`BgpSimulator::fifo_reference`].
+    fifo: bool,
     /// Nodes whose visible state may have changed since the last flush
     /// (sorted and deduplicated there). Emissions are reconstructed from
     /// final state at flush time, so transient adverts never reach the
@@ -430,9 +433,29 @@ impl<'a> BgpSimulator<'a> {
             policies: None,
             stats: RunStats::default(),
             ranks,
+            fifo: false,
             dirty: Vec::new(),
             scratch_neighbors: Vec::new(),
         }
+    }
+
+    /// The reference the engine's schedule is property-tested against
+    /// (`tests/tests/phased_propagation.rs`): the same per-item import
+    /// and advertisement rules driven by one FIFO queue, every work item
+    /// ingested and re-advertised on its own. Slower, and never the
+    /// product path. It propagates *every* withdrawal, the last origin's
+    /// of a prefix included, on purpose: that makes it the oracle of the
+    /// engine's jump to the empty fixpoint (see
+    /// [`BgpSimulator::withdraw`]). It shares the rules with the engine,
+    /// so it checks only the schedule; the rules are checked against the
+    /// Gao-Rexford solver of `tests/gao_rexford.rs`.
+    #[doc(hidden)]
+    pub fn fifo_reference(
+        topology: &'a Topology,
+        deployment: CollectorDeployment,
+        seed: u64,
+    ) -> Self {
+        BgpSimulator { fifo: true, ..Self::new(topology, deployment, seed) }
     }
 
     /// Install (compile) a policy table. An empty table uninstalls:
@@ -604,7 +627,8 @@ impl<'a> BgpSimulator<'a> {
     /// included — so every node's state for it is dropped at once and
     /// the flush withdraws what the collectors were shown. That costs no
     /// work items and is not a run. A withdrawal that leaves another
-    /// origin (a MOAS prefix) propagates.
+    /// origin (a MOAS prefix) propagates, and so does every withdrawal
+    /// in the [FIFO reference](BgpSimulator::fifo_reference).
     pub fn withdraw(&mut self, time: SimTime, origin: Asn, prefix: Ipv4Prefix) {
         let _ = self.withdraw_impl(time, origin, prefix);
     }
@@ -633,9 +657,11 @@ impl<'a> BgpSimulator<'a> {
         };
         if origins.is_empty() {
             self.origin_adverts.remove(&prefix);
-            self.clear_prefix(prefix);
-            self.flush_emissions(time, prefix);
-            return Ok(());
+            if !self.fifo {
+                self.clear_prefix(prefix);
+                self.flush_emissions(time, prefix);
+                return Ok(());
+            }
         }
         let mut seeds = Seeds::default();
         for n in adverts {
@@ -669,9 +695,13 @@ impl<'a> BgpSimulator<'a> {
     ) -> Result<(), PropagationError> {
         let run = Run { prefix, allocation_owner: self.origin_index.origin_of(&prefix) };
         let mut steps = 0;
-        let result = self
-            .spend(&mut steps, seeds.dropped)
-            .and_then(|()| self.run_phases(&run, seeds.works, &mut steps, outcome));
+        let result = self.spend(&mut steps, seeds.dropped).and_then(|()| {
+            if self.fifo {
+                self.run_fifo(&run, seeds.works, &mut steps, outcome)
+            } else {
+                self.run_phases(&run, seeds.works, &mut steps, outcome)
+            }
+        });
         self.stats.peak_run_steps = self.stats.peak_run_steps.max(steps);
         if result.is_err() {
             self.stats.convergence_failures += 1;
@@ -750,6 +780,25 @@ impl<'a> BgpSimulator<'a> {
             Some(Relationship::Provider) => 2 * top + 2 - rank,
             _ => top + 1,
         }
+    }
+
+    /// The FIFO reference: every work item is a group of its own.
+    fn run_fifo(
+        &mut self,
+        run: &Run,
+        seeds: Vec<Work>,
+        steps: &mut u64,
+        outcome: &mut AnnounceOutcome,
+    ) -> Result<(), PropagationError> {
+        let mut queue: VecDeque<Work> = seeds.into();
+        let mut out = Vec::new();
+        while let Some(work) = queue.pop_front() {
+            self.spend(steps, 1)?;
+            let dropped = self.process_group(run, [work], outcome, &mut out);
+            self.spend(steps, dropped)?;
+            queue.extend(out.drain(..));
+        }
+        Ok(())
     }
 
     /// Count `n` more work items against the run's [`step_cap`](Self::step_cap).
@@ -1074,9 +1123,8 @@ fn after_change(ctx: &SimCtx<'_>, node: &mut Node<'_>, me: NodeId, fx: &mut Effe
 /// exported route is built once — prepended, and without the trigger
 /// where `me` strips it — and cloned per neighbor it may go to.
 ///
-/// A neighbor listed under two relationships has one advertisement slot,
-/// which each of its positions overwrites: it gets the verdict for the
-/// relationship listed last, though [`Node::rel_to`] imports under the first.
+/// A neighbor listed under two relationships is advertised to once, under
+/// the one listed first — the relationship [`Node::rel_to`] imports under.
 fn advertise(
     ctx: &SimCtx<'_>,
     offering: Option<&BlackholeOffering>,
@@ -1099,10 +1147,9 @@ fn advertise(
     // route it exports.
     let strip = offering.filter(|o| o.strips_community && best.is_some_and(|b| b.is_blackhole));
     let mut exported: Option<RouteEntry> = None;
-    let mut slot = 0;
     for (pos, &(n, to_rel)) in neighbors.iter().enumerate() {
-        if pos == 0 || neighbors[pos - 1].0 != n {
-            slot = pos;
+        if pos > 0 && neighbors[pos - 1].0 == n {
+            continue; // listed again under a second relationship
         }
         let advert = match exportable {
             // never to the route's origin (loop detection covers the sender)
@@ -1133,14 +1180,14 @@ fn advertise(
             _ => None,
         };
 
-        if advert.as_ref() == ps.advertised.get(slot).and_then(Option::as_ref) {
+        if advert.as_ref() == ps.advertised.get(pos).and_then(Option::as_ref) {
             continue;
         }
         if ps.advertised.is_empty() {
             ps.advertised.resize(neighbors.len(), None);
         }
         fx.out.push(Work { to: n, from: me, route: advert.clone() });
-        ps.advertised[slot] = advert;
+        ps.advertised[pos] = advert;
     }
 }
 
@@ -2160,30 +2207,36 @@ mod tests {
             irr_registered: true,
             prepend: 1,
         };
-        let d = deployment_with(vec![
-            session(DataSource::Ris, f.t1a, FeedKind::Full),
-            session(DataSource::Ris, f.p2, FeedKind::Full),
-            session(DataSource::Cdn, f.p1, FeedKind::Internal),
-        ]);
-        let mut sim = BgpSimulator::new(&f.topology, d, 1);
-        pin_behaviors(&mut sim, &f);
-        let outcome = sim.try_announce(SimTime::from_unix(100), &request).unwrap();
-        assert_eq!(outcome.accepted_by, vec![f.p2]);
-        assert_eq!(sim.blackholing_ases_for(&host), vec![f.p2]);
-        let announced = sim.drain_elems();
-        assert!(announced.iter().all(BgpElem::is_announce));
-        let (before, peak) = (sim.run_stats().work_items, sim.run_stats().peak_run_steps);
-        sim.try_withdraw(SimTime::from_unix(200), f.user, host).unwrap();
-        assert!(sim.blackholing_ases_for(&host).is_empty());
-        assert!(sim.nodes.iter().all(|node| !node.prefixes.contains_key(&host)));
-        assert_eq!(sim.run_stats().work_items, before, "the jump delivers nothing");
-        assert_eq!(sim.run_stats().peak_run_steps, peak, "the jump is not a run");
-        // One withdrawal per session the announcement reached.
-        let withdrawn = sim.drain_elems();
-        let peers = |elems: &[BgpElem]| -> Vec<_> {
-            elems.iter().map(|e| (e.dataset, e.collector, e.peer_asn, e.peer_ip)).collect()
+        // Announce, then withdraw the only origin: the elems of each
+        // call and the work items of the withdrawal.
+        let run = |fifo: bool| {
+            let d = deployment_with(vec![
+                session(DataSource::Ris, f.t1a, FeedKind::Full),
+                session(DataSource::Ris, f.p2, FeedKind::Full),
+                session(DataSource::Cdn, f.p1, FeedKind::Internal),
+            ]);
+            let mut sim = match fifo {
+                false => BgpSimulator::new(&f.topology, d, 1),
+                true => BgpSimulator::fifo_reference(&f.topology, d, 1),
+            };
+            pin_behaviors(&mut sim, &f);
+            let outcome = sim.try_announce(SimTime::from_unix(100), &request).unwrap();
+            assert_eq!(outcome.accepted_by, vec![f.p2]);
+            assert_eq!(sim.blackholing_ases_for(&host), vec![f.p2]);
+            let announced = sim.drain_elems();
+            let (before, peak) = (sim.run_stats().work_items, sim.run_stats().peak_run_steps);
+            sim.try_withdraw(SimTime::from_unix(200), f.user, host).unwrap();
+            assert!(sim.blackholing_ases_for(&host).is_empty());
+            assert!(sim.nodes.iter().all(|node| !node.prefixes.contains_key(&host)));
+            let work = sim.run_stats().work_items - before;
+            (announced, sim.drain_elems(), work, sim.run_stats().peak_run_steps == peak)
         };
-        assert_eq!(peers(&withdrawn), peers(&announced));
-        assert!(withdrawn.iter().all(|e| e.elem_type == ElemType::Withdraw && e.prefix == host));
+        let engine = run(false);
+        let reference = run(true);
+        assert!(!engine.1.is_empty() && engine.1.iter().all(|e| e.elem_type == ElemType::Withdraw));
+        assert_eq!((&engine.0, &engine.1), (&reference.0, &reference.1));
+        assert_eq!(engine.2, 0, "the jump delivers nothing");
+        assert!(engine.3, "the jump is not a run");
+        assert!(reference.2 > 0, "the reference propagates the withdrawal");
     }
 }

@@ -1,14 +1,14 @@
 //! BGP's stable state, solved the slow obvious way, as the reference the
-//! simulator is checked against — so the propagation suite compares
-//! `bh_routing::BgpSimulator` with the rules it documents instead of
-//! with another schedule of its own code.
+//! simulator's rules are checked against — the propagation suite's other
+//! reference, `BgpSimulator::fifo_reference`, shares the engine's rules
+//! and checks only its schedule.
 //!
 //! [`GaoRexford::solve`] takes the live announcements of one prefix and
 //! returns every AS's Adj-RIB-In (the route it holds from each
-//! neighbor) and what every collector session shows. It starts from
-//! nothing each time: one sweep visits every AS in ascending ASN order
-//! and rebuilds its Adj-RIB-In from what each neighbor offers it now,
-//! and sweeps repeat until nothing changes. State is `BTreeMap`s keyed
+//! neighbor), what each neighbor offers it, and what every collector
+//! session shows. It starts from nothing each time: one sweep visits
+//! every AS in ascending ASN order and rebuilds its Adj-RIB-In from what
+//! each neighbor offers it now, and sweeps repeat until nothing changes. State is `BTreeMap`s keyed
 //! by ASN and paths are plain `Vec<Asn>`: no interning, no dense index,
 //! no ranks, no work queue, and none of `bh_routing::policy` or
 //! `PolicyEngine`. Every rule is transcribed from its statement —
@@ -27,14 +27,15 @@
 //!   session to accept host routes. Local preference is by relationship:
 //!   customer 200, peer and route server 100, provider 50.
 //! * **Best route**: highest local preference, then the shorter path
-//!   (prepending collapsed), then the lower origin ASN, then the *higher*
-//!   neighbor ASN — the tie-break `PrefixState::best` documents.
+//!   (prepending collapsed), then the lowest sender ASN.
 //! * **Export**: nothing under NO_EXPORT, nothing from a provider that
-//!   accepted the blackhole and honours RFC 7999, nothing to the route's
-//!   origin; customer routes go everywhere, others to customers only; a
-//!   stripping provider removes its triggers from a blackhole route; an
-//!   only-to-customers AS marks what it sends to customers and peers; a
-//!   leaker sends everything.
+//!   accepted the blackhole and honours RFC 7999, nothing back to the
+//!   neighbor the route came from; customer routes go everywhere, others
+//!   to customers only; a stripping provider removes its triggers from a
+//!   blackhole route; an only-to-customers AS marks what it sends to
+//!   customers and peers; a leaker sends everything. A neighbor listed
+//!   under two relationships is treated under the first listed, for
+//!   import and export alike.
 //! * **Route servers** take routes from members only, drop a triggered
 //!   route that fails their length or authentication check and an
 //!   untagged one more specific than /24, flag what they accept as a
@@ -48,7 +49,9 @@
 //!   contribution at the member's LAN address.
 //!
 //! [`elems_between`] turns two solutions' views into the elems a step
-//! must emit; [`fold`] turns an elem stream back into views.
+//! must emit, [`GaoRexford::outcome`] two solutions' offers into the
+//! providers an announcement's trigger fired or failed at, and [`fold`]
+//! an elem stream back into views.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -61,8 +64,8 @@ use bh_bgp_types::community::CommunitySet;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_routing::{
-    AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorDeployment, DataSource, ElemType,
-    FeedKind, SessionBehavior,
+    AnnounceOutcome, AnnounceScope, Announcement, BgpElem, BgpSimulator, CollectorDeployment,
+    DataSource, ElemType, FeedKind, RejectReason, SessionBehavior,
 };
 use bh_topology::{
     AsPolicy, BlackholeAuth, BlackholeOffering, Ixp, PolicyTable, Relationship, Roa, Topology,
@@ -82,8 +85,6 @@ pub struct Route {
     pub otc: bool,
     /// The origin's IRR registration, for IRR-authenticated triggers.
     pub irr_registered: bool,
-    /// The announcing AS.
-    pub origin: Asn,
     /// How the holder relates to the neighbor it holds the route from.
     pub rel: Relationship,
     pub local_pref: u32,
@@ -96,12 +97,18 @@ fn hops(path: &[Asn]) -> usize {
     distinct.len()
 }
 
-/// An AS's best route: highest local preference, then the shorter path,
-/// then the lower origin ASN, then the higher neighbor ASN.
-fn best(rib: &BTreeMap<Asn, Route>) -> Option<&Route> {
+impl Route {
+    fn origin(&self) -> Asn {
+        *self.path.last().expect("a route has an origin")
+    }
+}
+
+/// An AS's best route and the neighbor it came from: highest local
+/// preference, then the shorter path, then the lowest sender ASN.
+fn best(rib: &BTreeMap<Asn, Route>) -> Option<(Asn, &Route)> {
     rib.iter()
-        .min_by_key(|(from, r)| (Reverse(r.local_pref), hops(&r.path), r.origin, Reverse(**from)))
-        .map(|(_, r)| r)
+        .min_by_key(|(from, r)| (Reverse(r.local_pref), hops(&r.path), **from))
+        .map(|(from, r)| (*from, r))
 }
 
 /// What a collector session shows, keyed as its elems are: (dataset,
@@ -132,6 +139,9 @@ pub type Views = BTreeMap<ViewKey, Shown>;
 pub struct Solution {
     /// Adj-RIB-In per AS that holds anything: neighbor → route.
     pub ribs: BTreeMap<Asn, BTreeMap<Asn, Route>>,
+    /// What each neighbor offers each AS, before import: (receiver,
+    /// sender) → route.
+    pub offers: BTreeMap<(Asn, Asn), Route>,
     /// Every collector session's view.
     pub views: Views,
 }
@@ -210,36 +220,31 @@ impl<'a> GaoRexford<'a> {
                 blackhole: false,
                 otc: false,
                 irr_registered: a.irr_registered,
-                origin: a.origin,
                 rel: Relationship::Peer, // set on import
                 local_pref: 0,
             };
-            let scope: BTreeSet<Asn> = match &a.scope {
-                AnnounceScope::AllNeighbors => {
-                    self.topology.neighbors(a.origin).iter().map(|(n, _)| *n).collect()
-                }
-                AnnounceScope::Neighbors(list) => list.iter().copied().collect(),
-            };
-            for to in scope {
+            for to in self.scope(a) {
                 seeds.entry(to).or_default().insert(a.origin, route.clone());
             }
         }
         let owner = self.allocation_owner(&prefix);
+        // An origin's announcement is what it sends a neighbor in its
+        // scope; anything else a neighbor sends follows from its own state.
+        let offer = |ribs: &BTreeMap<Asn, BTreeMap<Asn, Route>>, from: Asn, to: Asn| match seeds
+            .get(&to)
+            .and_then(|s| s.get(&from))
+        {
+            Some(seed) => Some(seed.clone()),
+            None => self.export(ribs, from, to),
+        };
         let mut ribs: BTreeMap<Asn, BTreeMap<Asn, Route>> = BTreeMap::new();
         for _ in 0..100 {
             let mut changed = false;
             for me in self.topology.ases().map(|i| i.asn) {
                 let mut rib = BTreeMap::new();
                 for (n, rel) in self.neighbors(me) {
-                    // An origin's announcement is what it sends a
-                    // neighbor in its scope; anything else a neighbor
-                    // sends follows from its own state.
-                    let offered = match seeds.get(&me).and_then(|s| s.get(&n)) {
-                        Some(seed) => Some(seed.clone()),
-                        None => self.export(&ribs, n, me),
-                    };
                     if let Some(route) =
-                        offered.and_then(|r| self.import(me, n, rel, r, &prefix, owner))
+                        offer(&ribs, n, me).and_then(|r| self.import(me, n, rel, r, &prefix, owner))
                     {
                         rib.insert(n, route);
                     }
@@ -251,11 +256,78 @@ impl<'a> GaoRexford<'a> {
                 }
             }
             if !changed {
+                let mut offers = BTreeMap::new();
+                for me in self.topology.ases().map(|i| i.asn) {
+                    for (n, _) in self.neighbors(me) {
+                        if let Some(route) = offer(&ribs, n, me) {
+                            offers.insert((me, n), route);
+                        }
+                    }
+                }
                 let views = self.views(&ribs);
-                return Some(Solution { ribs, views });
+                return Some(Solution { ribs, offers, views });
             }
         }
         None
+    }
+
+    /// The neighbors an announcement is sent to.
+    fn scope(&self, a: &Announcement) -> BTreeSet<Asn> {
+        match &a.scope {
+            AnnounceScope::AllNeighbors => {
+                self.topology.neighbors(a.origin).iter().map(|(n, _)| *n).collect()
+            }
+            AnnounceScope::Neighbors(list) => list.iter().copied().collect(),
+        }
+    }
+
+    /// What announcing `a` reports, given the solutions of its prefix
+    /// before and after: the ASes where a trigger fired, and those where
+    /// one was carried and failed (with the first failure's reason, by
+    /// ascending sender). Only a route an AS is offered anew is judged —
+    /// the origin re-sends to its whole scope, every other offer counts
+    /// where it differs from the one before — and only once it passes
+    /// loop detection, route-server membership and the policy filters.
+    pub fn outcome(
+        &self,
+        a: &Announcement,
+        before: &Solution,
+        after: &Solution,
+    ) -> AnnounceOutcome {
+        let owner = self.allocation_owner(&a.prefix);
+        let scope = self.scope(a);
+        let mut outcome = AnnounceOutcome::default();
+        for (&(me, from), route) in &after.offers {
+            let resent = from == a.origin && scope.contains(&me);
+            if !resent && before.offers.get(&(me, from)) == Some(route) {
+                continue;
+            }
+            if route.path.contains(&me) {
+                continue;
+            }
+            match self.route_servers.get(&me) {
+                Some((_, members)) if !members.contains(&from) => continue,
+                Some(_) => {}
+                None => {
+                    let rel = self.neighbors(me).into_iter().find(|(n, _)| *n == from);
+                    if let (Some(policy), Some((_, rel))) = (self.policies.get(&me), rel) {
+                        if self.policy_rejects(policy, rel, route, &a.prefix) {
+                            continue;
+                        }
+                    }
+                }
+            }
+            match self.trigger(me, route, from, &a.prefix, owner) {
+                Ok(Some(_)) if !outcome.accepted_by.contains(&me) => outcome.accepted_by.push(me),
+                Err(reason) if !outcome.rejected_by.iter().any(|(asn, _)| *asn == me) => {
+                    outcome.rejected_by.push((me, reason))
+                }
+                _ => {}
+            }
+        }
+        outcome.accepted_by.sort_unstable();
+        outcome.rejected_by.sort_unstable_by_key(|(asn, _)| *asn);
+        outcome
     }
 
     /// Each distinct neighbor of `me` with the relationship `me` has to
@@ -307,7 +379,7 @@ impl<'a> GaoRexford<'a> {
         sender: Asn,
         prefix: &Ipv4Prefix,
         owner: Option<Asn>,
-    ) -> Result<Option<&'a BlackholeOffering>, ()> {
+    ) -> Result<Option<&'a BlackholeOffering>, RejectReason> {
         let Some(o) = self.offering(me) else { return Ok(None) };
         let classic = route.communities.iter().any(|c| o.communities.contains(&c));
         let large =
@@ -316,7 +388,10 @@ impl<'a> GaoRexford<'a> {
             return Ok(None);
         }
         let length = prefix.length();
-        let origin = *route.path.last().expect("a route has an origin");
+        if length < o.min_accepted_length || length > 32 {
+            return Err(RejectReason::LengthRejected);
+        }
+        let origin = route.origin();
         let authenticated = match o.auth {
             BlackholeAuth::OriginOrCone => owner.is_some_and(|owner| {
                 owner == origin || owner == sender || self.in_cone(sender, owner)
@@ -324,9 +399,9 @@ impl<'a> GaoRexford<'a> {
             BlackholeAuth::Rpki => owner == Some(origin),
             BlackholeAuth::IrrRegistered => route.irr_registered,
         };
-        match (length >= o.min_accepted_length && length <= 32) && authenticated {
+        match authenticated {
             true => Ok(Some(o)),
-            false => Err(()),
+            false => Err(RejectReason::AuthFailed),
         }
     }
 
@@ -336,6 +411,19 @@ impl<'a> GaoRexford<'a> {
         let covering: Vec<&Roa> = self.roas.iter().filter(|r| r.prefix.contains(prefix)).collect();
         !covering.is_empty()
             && !covering.iter().any(|r| r.origin == origin && prefix.length() <= r.max_length)
+    }
+
+    /// Whether `policy`'s ROV or only-to-customers filter drops `route`
+    /// arriving from a neighbor `me` relates to as `rel`.
+    fn policy_rejects(
+        &self,
+        policy: &AsPolicy,
+        rel: Relationship,
+        route: &Route,
+        prefix: &Ipv4Prefix,
+    ) -> bool {
+        (policy.rov && self.rpki_invalid(prefix, route.origin()))
+            || (policy.only_to_customers && rel != Relationship::Provider && route.otc)
     }
 
     /// The route `me` holds from neighbor `from` (its relationship to it:
@@ -357,7 +445,7 @@ impl<'a> GaoRexford<'a> {
                 return None;
             }
             match self.trigger(me, &route, from, prefix, owner) {
-                Err(()) => return None,
+                Err(_) => return None,
                 Ok(Some(o)) => {
                     route.blackhole = true;
                     route.next_hop = o.blackhole_ip.map(IpAddr::V4);
@@ -370,10 +458,7 @@ impl<'a> GaoRexford<'a> {
             return Some(route);
         }
         if let Some(policy) = self.policies.get(&me) {
-            if policy.rov && self.rpki_invalid(prefix, route.origin) {
-                return None;
-            }
-            if policy.only_to_customers && rel != Relationship::Provider && route.otc {
+            if self.policy_rejects(policy, rel, &route, prefix) {
                 return None;
             }
             if policy.only_to_customers && rel != Relationship::Customer {
@@ -426,17 +511,15 @@ impl<'a> GaoRexford<'a> {
             }
             return Some(out);
         }
-        let best = best(rib)?;
+        let (sender, best) = best(rib)?;
         let offering = self.offering(from);
         if best.communities.has_no_export()
             || (best.blackhole && offering.is_some_and(|o| o.honors_no_export))
-            || to == best.origin
+            || to == sender
         {
             return None;
         }
-        // The verdict for a neighbor listed under two relationships is
-        // the one for the last listed (`bh_routing::sim`'s `advertise`).
-        let to_rel = self.topology.neighbors(from).iter().rev().find(|(n, _)| *n == to)?.1;
+        let to_rel = self.neighbors(from).into_iter().find(|(n, _)| *n == to)?.1;
         let mut allowed = best.rel == Relationship::Customer || to_rel == Relationship::Customer;
         let mut out = best.clone();
         out.path.insert(0, from);
@@ -492,7 +575,7 @@ impl<'a> GaoRexford<'a> {
                 }
                 continue;
             }
-            let Some(best) = best(rib) else { continue };
+            let Some((_, best)) = best(rib) else { continue };
             let public = !best.communities.has_no_export();
             let visible = match session.feed {
                 FeedKind::RouteServerView(_) => None,

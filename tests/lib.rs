@@ -3,8 +3,8 @@
 //! The actual tests live in `tests/`; this small library holds the
 //! hand-built Fig. 3 scenario used by several of them and the naive
 //! transcriptions the implementation is checked against: the paper's
-//! method ([`oracle`]) and BGP's stable state under the simulator's
-//! documented rules ([`gao_rexford`]).
+//! method ([`oracle`]) and BGP's stable state under the Gao-Rexford and
+//! blackholing rules ([`gao_rexford`]).
 
 pub mod gao_rexford;
 pub mod oracle;

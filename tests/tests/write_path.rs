@@ -191,7 +191,9 @@ fn assert_lines(got: &[String], expected: &[&str]) {
 /// Golden pin of the write path, recorded from the writer that framed
 /// each record out of a separate header, body and message buffer. The
 /// Small archives (the benchmark's world, a shorter run) are
-/// release-only.
+/// release-only; their bytes and digest were re-recorded when a neighbor
+/// listed under two relationships got the export verdict of the first
+/// listed instead of the last (the elem count did not move).
 #[test]
 fn write_path_golden_pin() {
     let blocks: Vec<String> = attribute_catalogue()
@@ -230,7 +232,7 @@ fn write_path_golden_pin() {
     if !cfg!(debug_assertions) {
         assert_lines(
             &[archives_line(StudyScale::Small, 42)],
-            &["archives=57 elems=180344 bytes=15279790 digest=010f9aa7ab4c9b77"],
+            &["archives=57 elems=180344 bytes=15279786 digest=4db2657d027cdc02"],
         );
     }
 }

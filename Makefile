@@ -47,16 +47,19 @@ reproduce:
 
 # The gate: a broken claim fails the run, a stale EXPERIMENTS.md fails
 # the diff (two steps, not a pipe, so /bin/sh sees both exit codes). The
-# run's wall seconds (the build before it excluded) are printed and kept
-# in target/reproduce-wall.txt, which CI adds to the run summary: a
-# report, not a gate.
+# run's wall seconds (the build before it excluded) and the peak RSS it
+# prints on stderr are printed and kept in target/reproduce-wall.txt,
+# which CI adds to the run summary: a report, not a gate.
 reproduce-check:
 	$(CARGO) build --release -p bh-examples --example reproduce
 	@start=$$(date +%s.%N); \
-	$(CARGO) run --release -p bh-examples --example reproduce > target/EXPERIMENTS.md; \
+	$(CARGO) run --release -p bh-examples --example reproduce > target/EXPERIMENTS.md \
+		2> target/reproduce-stderr.txt; \
 	status=$$?; \
+	grep -v '^reproduce: .* peak RSS$$' target/reproduce-stderr.txt >&2; \
 	awk -v start=$$start -v end=$$(date +%s.%N) \
 		'BEGIN { printf "reproduce: %.1f s wall\n", end - start }' | tee target/reproduce-wall.txt; \
+	grep '^reproduce: .* peak RSS$$' target/reproduce-stderr.txt | tee -a target/reproduce-wall.txt; \
 	exit $$status
 	diff target/EXPERIMENTS.md EXPERIMENTS.md
 

@@ -404,9 +404,9 @@ impl AttrCache {
 /// [`UpdateView::parse`] reads the header, the withdrawn-routes and
 /// attribute lengths and every NLRI before it returns, so the prefix
 /// iterators cannot fail. The attribute block is decoded on demand by
-/// [`UpdateView::attributes`], through an [`AttrCache`] or not. Every
-/// consumer materializes from here: [`decode_update_message`] into a
-/// [`BgpUpdate`], the MRT elem path straight into elems.
+/// [`UpdateView::attributes`], through an [`AttrCache`] or not. The MRT
+/// readers fill their reused update record from here; no [`BgpUpdate`]
+/// is built on the way.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateView<'a> {
     withdrawn: &'a [u8],
@@ -474,14 +474,6 @@ impl<'a> UpdateView<'a> {
     /// The withdrawn prefixes, in wire order (repeats included).
     pub fn withdrawn(&self) -> Nlri<'a> {
         Nlri(self.withdrawn)
-    }
-
-    /// Materialize as a [`BgpUpdate`] carrying `attrs`.
-    pub fn to_update(&self, attrs: PathAttributes) -> BgpUpdate {
-        let mut update = BgpUpdate::new(attrs);
-        self.announced().for_each(|p| update.announce_v4(p));
-        self.withdrawn().for_each(|p| update.withdraw_v4(p));
-        update
     }
 }
 
@@ -564,31 +556,25 @@ pub fn encode_update_into(buf: &mut Vec<u8>, update: &BgpUpdate) {
     buf[start + 16..start + 18].copy_from_slice(&(len as u16).to_be_bytes());
 }
 
-/// Decode a full BGP UPDATE message (header + body) back into a
-/// [`BgpUpdate`]. Returns `Ok(None)` for non-UPDATE messages (KEEPALIVEs
-/// inside archives are legal and skipped).
-pub fn decode_update_message(buf: Bytes) -> Result<Option<BgpUpdate>, CodecError> {
-    decode_update_message_cached(buf, None)
-}
-
-/// [`decode_update_message`] with an optional [`AttrCache`] memoizing the
-/// attribute-block decode. `decode_update_message(b)` is exactly
-/// `decode_update_message_cached(b, None)`; passing a cache changes only
-/// *sharing* (equal blocks yield Arc-shared `PathAttributes`), never the
-/// decoded values.
-pub fn decode_update_message_cached(
-    buf: Bytes,
-    cache: Option<&mut AttrCache>,
-) -> Result<Option<BgpUpdate>, CodecError> {
-    let Some(view) = UpdateView::parse(&buf)? else { return Ok(None) };
-    let attrs = view.attributes(cache, |raw| buf.slice_ref(raw))?;
-    Ok(Some(view.to_update(attrs.unwrap_or_default())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::community::{Community, CommunitySet};
+
+    /// Read a message back the way the MRT readers do — the view, its
+    /// attribute block (`cache`d or not) and its prefixes — as a
+    /// [`BgpUpdate`] to compare with what was encoded.
+    fn read_back(
+        msg: &Bytes,
+        cache: Option<&mut AttrCache>,
+    ) -> Result<Option<BgpUpdate>, CodecError> {
+        let Some(view) = UpdateView::parse(msg)? else { return Ok(None) };
+        let attrs = view.attributes(cache, |raw| msg.slice_ref(raw))?;
+        let mut update = BgpUpdate::new(attrs.unwrap_or_default());
+        view.announced().for_each(|p| update.announce_v4(p));
+        view.withdrawn().for_each(|p| update.withdraw_v4(p));
+        Ok(Some(update))
+    }
 
     fn sample_attrs() -> PathAttributes {
         let mut communities = CommunitySet::from_classic(vec![
@@ -696,7 +682,7 @@ mod tests {
         encode_update_into(&mut buf, &update);
         assert_eq!(buf[..5], [0xAB; 5]);
         let msg = Bytes::from(buf[5..].to_vec());
-        assert_eq!(decode_update_message(msg).unwrap(), Some(update));
+        assert_eq!(read_back(&msg, None).unwrap(), Some(update));
 
         let mut buf = vec![0xAB; 3];
         encode_attributes_into(&mut buf, &sample_attrs());
@@ -745,7 +731,7 @@ mod tests {
         update.announce_v4("192.0.2.0/24".parse().unwrap());
         update.withdraw_v4("198.51.100.0/24".parse().unwrap());
         let encoded = encode_update_message(&update).freeze();
-        let decoded = decode_update_message(encoded).unwrap().unwrap();
+        let decoded = read_back(&encoded, None).unwrap().unwrap();
         assert_eq!(decoded, update);
     }
 
@@ -754,13 +740,13 @@ mod tests {
         let mut update = BgpUpdate::new(PathAttributes::default());
         update.withdraw_v4("130.149.1.1/32".parse().unwrap());
         let encoded = encode_update_message(&update).freeze();
-        let decoded = decode_update_message(encoded).unwrap().unwrap();
+        let decoded = read_back(&encoded, None).unwrap().unwrap();
         assert_eq!(decoded.withdrawn_v4().count(), 1);
         assert_eq!(decoded.announced_v4().count(), 0);
     }
 
     /// A maximum-size UPDATE whose NLRI mix distinct /16s with repeats:
-    /// the view yields them all in wire order, the materialized update
+    /// the view yields them all in wire order, the read-back update
     /// keeps the first of each in that order.
     #[test]
     fn maximum_size_update_with_repeated_nlri() {
@@ -793,7 +779,7 @@ mod tests {
         }
         // Five is coprime with 1024: every /16 of the cycle shows up.
         assert_eq!(first_seen.len(), 1024 + usize::from(pad > 0));
-        let update = decode_update_message(msg).unwrap().unwrap();
+        let update = read_back(&msg, None).unwrap().unwrap();
         assert_eq!(update.announced_v4().copied().collect::<Vec<_>>(), first_seen);
         assert_eq!(update.attrs, sample_attrs());
     }
@@ -805,11 +791,9 @@ mod tests {
         let encoded = encode_update_message(&update).freeze();
 
         let mut cache = AttrCache::new();
-        let first =
-            decode_update_message_cached(encoded.clone(), Some(&mut cache)).unwrap().unwrap();
-        let second =
-            decode_update_message_cached(encoded.clone(), Some(&mut cache)).unwrap().unwrap();
-        let uncached = decode_update_message(encoded).unwrap().unwrap();
+        let first = read_back(&encoded, Some(&mut cache)).unwrap().unwrap();
+        let second = read_back(&encoded, Some(&mut cache)).unwrap().unwrap();
+        let uncached = read_back(&encoded, None).unwrap().unwrap();
 
         assert_eq!(first, uncached, "cache must not change decoded values");
         assert_eq!(second, uncached);
@@ -851,7 +835,7 @@ mod tests {
         msg.put_slice(&[0xFF; 16]);
         msg.put_u16(BGP_HEADER_LEN as u16);
         msg.put_u8(msg_type::KEEPALIVE);
-        assert_eq!(decode_update_message(msg.freeze()).unwrap(), None);
+        assert_eq!(read_back(&msg.freeze(), None).unwrap(), None);
     }
 
     #[test]
@@ -860,7 +844,7 @@ mod tests {
         update.withdraw_v4("10.0.0.0/8".parse().unwrap());
         let mut encoded = encode_update_message(&update);
         encoded[0] = 0x00;
-        assert!(decode_update_message(encoded.freeze()).is_err());
+        assert!(read_back(&encoded.freeze(), None).is_err());
     }
 
     #[test]
@@ -870,7 +854,7 @@ mod tests {
         let encoded = encode_update_message(&update).freeze();
         for cut in [1, BGP_HEADER_LEN - 1, BGP_HEADER_LEN + 1, encoded.len() - 1] {
             let slice = encoded.slice(..cut);
-            assert!(decode_update_message(slice).is_err(), "cut at {cut}");
+            assert!(read_back(&slice, None).is_err(), "cut at {cut}");
         }
     }
 }

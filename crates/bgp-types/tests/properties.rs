@@ -151,8 +151,11 @@ proptest! {
             update.withdraw_v4(*p);
         }
         let encoded = wire::encode_update_message(&update).freeze();
-        let decoded = wire::decode_update_message(encoded).unwrap().unwrap();
-        prop_assert_eq!(update, decoded);
+        let view = wire::UpdateView::parse(&encoded).unwrap().expect("an UPDATE");
+        let attrs = view.attributes(None, |_| unreachable!("no cache, no key")).unwrap();
+        prop_assert_eq!(attrs.as_ref(), Some(&update.attrs));
+        prop_assert!(view.announced().eq(update.announced_v4().copied()));
+        prop_assert!(view.withdrawn().eq(update.withdrawn_v4().copied()));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use bh_bgp_types::time::SimTime;
 use bh_bgp_types::wire::AttrCache;
 
 use crate::read::{parse_body, BodyView, ReadMode, MAX_RECORD_LEN};
-use crate::record::{MrtError, MrtRecord, UpdateRecord};
+use crate::record::{MrtError, UpdateRecord};
 
 /// Length of the MRT common header.
 const HEADER_LEN: usize = 12;
@@ -293,19 +293,9 @@ impl<W: Window> Framer<W> {
         }
     }
 
-    /// Frame and decode the next record, whatever its type.
-    pub(crate) fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        self.frame(|frame, window, cache| {
-            let body = parse_body(frame.ty, frame.subtype, frame.body)?
-                .materialize(cache, |raw| window.share(raw))?;
-            Ok(Some(MrtRecord { timestamp: frame.timestamp, body }))
-        })
-    }
-
     /// Frame records until the next BGP4MP UPDATE and decode it into
-    /// `into`. Every other record is decoded and counted as
-    /// [`next_record`](Self::next_record) would, then dropped; the UPDATE
-    /// is checked whole before `into` is touched.
+    /// `into`. Every other record is checked and counted, then dropped;
+    /// the UPDATE is checked whole before `into` is touched.
     pub(crate) fn next_update(&mut self, into: &mut UpdateRecord) -> Result<Option<()>, MrtError> {
         self.frame(|frame, window, cache| {
             let BodyView::Message(envelope, Some(update)) =
@@ -345,6 +335,11 @@ mod tests {
         Framer::new(Tail::default(), ReadMode::Strict, false)
     }
 
+    /// Frame one record, whatever its type: `Some` when one was whole.
+    fn step(f: &mut Framer<Tail>) -> Result<Option<()>, MrtError> {
+        f.frame(|frame, _, _| parse_body(frame.ty, frame.subtype, frame.body).map(|_| Some(())))
+    }
+
     #[test]
     fn a_whole_chunk_is_framed_where_it_lies() {
         let chunk = Bytes::from([record(20, 1), record(30, 2)].concat());
@@ -353,10 +348,10 @@ mod tests {
         assert_eq!(f.window.pending().as_ptr(), chunk.as_ptr(), "adopted, not copied");
         let part = &f.window.pending()[HEADER_LEN..HEADER_LEN + 4];
         assert_eq!(f.window.share(part).as_ptr(), chunk[HEADER_LEN..].as_ptr());
-        assert!(f.next_record().unwrap().is_some());
+        assert!(step(&mut f).unwrap().is_some());
         assert_eq!(f.window.pending().as_ptr(), chunk[32..].as_ptr());
-        assert!(f.next_record().unwrap().is_some());
-        assert!(f.next_record().unwrap().is_none());
+        assert!(step(&mut f).unwrap().is_some());
+        assert!(step(&mut f).unwrap().is_none());
         assert_eq!(f.window.len(), 0);
     }
 
@@ -369,15 +364,15 @@ mod tests {
         f.window.extend(first);
         f.window.extend(second.clone());
         assert_eq!(f.window.len(), a.len() + b.len() + c.len());
-        assert!(f.next_record().unwrap().is_some(), "a, in place");
-        assert!(f.next_record().unwrap().is_some(), "b, stitched");
+        assert!(step(&mut f).unwrap().is_some(), "a, in place");
+        assert!(step(&mut f).unwrap().is_some(), "b, stitched");
         // The side buffer took b's bytes alone; c waits in the second
         // chunk, to be framed there.
         assert!(f.window.torn.is_empty());
         let rest = f.window.queue.front().expect("c is queued");
         assert_eq!((rest.as_ptr(), rest.len()), (second[b.len() - 5..].as_ptr(), c.len()));
-        assert!(f.next_record().unwrap().is_some(), "c, in place");
-        assert!(f.next_record().unwrap().is_none());
+        assert!(step(&mut f).unwrap().is_some(), "c, in place");
+        assert!(step(&mut f).unwrap().is_none());
         assert_eq!((f.records_read, f.bytes_consumed), (3, (a.len() + b.len() + c.len()) as u64));
     }
 
@@ -386,11 +381,11 @@ mod tests {
         let rec = record(300, 9);
         let mut f = framer();
         for (at, byte) in rec.iter().enumerate() {
-            assert!(f.next_record().unwrap().is_none(), "pending at {at}");
+            assert!(step(&mut f).unwrap().is_none(), "pending at {at}");
             f.window.extend(Bytes::from(vec![*byte]));
         }
         assert_eq!(f.window.len(), rec.len());
-        assert!(f.next_record().unwrap().is_some());
+        assert!(step(&mut f).unwrap().is_some());
         assert_eq!(f.window.len(), 0);
     }
 
@@ -400,8 +395,8 @@ mod tests {
         header[8..12].copy_from_slice(&(MAX_RECORD_LEN + 1).to_be_bytes());
         let mut f = framer();
         f.window.extend(Bytes::from(header[..7].to_vec()));
-        assert!(f.next_record().unwrap().is_none());
+        assert!(step(&mut f).unwrap().is_none());
         f.window.extend(Bytes::from(header[7..].to_vec()));
-        assert!(matches!(f.next_record(), Err(MrtError::OversizedRecord(_))));
+        assert!(matches!(step(&mut f), Err(MrtError::OversizedRecord(_))));
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! Scope notes (explicit, smoltcp-style): IPv4 AFI end-to-end (the study is
 //! 96.6 % IPv4 and evaluates IPv4 only); `MESSAGE` (2-byte-AS) records are
-//! *read* but not written; unknown record types are surfaced as
-//! [`MrtRecordBody::Unknown`] so tolerant consumers can skip them, matching
-//! how real pipelines must handle archive noise.
+//! *read* but not written; state changes, `TABLE_DUMP_V2` records, other
+//! BGP messages and unknown record types are checked, counted and passed
+//! over, matching how real pipelines must handle archive noise.
 //!
 //! Reading is incremental and framing-safe: records are length-prefixed,
 //! torn/corrupt records produce typed errors that callers may either
@@ -24,11 +24,10 @@
 //! ends its stream. One crate-private core frames and decodes; the two
 //! public readers only differ in where its bytes come from —
 //! [`MrtBytesReader`] (a complete in-memory archive, sliced without
-//! copying) and [`TailingReader`] (an archive still growing). Each reads
-//! a record two ways over the same checks:
-//! [`MessageStream::next_record`] builds an [`MrtRecord`],
-//! [`MessageStream::next_update`] fills a reused [`UpdateRecord`] — the
-//! elem path, which builds no per-record message.
+//! copying) and [`TailingReader`] (an archive still growing). Both read
+//! one way, BGPStream's: [`MessageStream::next_update`] fills a reused
+//! [`UpdateRecord`] with the next UPDATE, and no per-record message is
+//! built.
 
 mod frame;
 pub mod read;
@@ -39,8 +38,7 @@ pub mod write;
 pub use bh_bgp_types::wire::AttrCache;
 pub use read::{MessageStream, MrtBytesReader, ReadMode};
 pub use record::{
-    Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtRecord, MrtRecordBody, PeerEntry,
-    PeerIndexTable, RibEntry, RibPeerEntry, UpdateRecord,
+    BgpState, MrtError, PeerEntry, PeerIndexTable, RibEntry, RibPeerEntry, UpdateRecord,
 };
 pub use tail::TailingReader;
 pub use write::MrtWriter;
@@ -118,30 +116,19 @@ mod round_trip_tests {
                 .unwrap();
         }
 
-        let records: Vec<MrtRecord> = MrtBytesReader::new(buf).collect::<Result<_, _>>().unwrap();
-        assert_eq!(records.len(), 4);
-        assert!(matches!(records[0].body, MrtRecordBody::PeerIndexTable(_)));
-        match &records[1].body {
-            MrtRecordBody::RibIpv4(rib) => {
-                assert_eq!(rib.prefix, "130.149.0.0/16".parse().unwrap());
-                assert_eq!(rib.entries.len(), 1);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        match &records[2].body {
-            MrtRecordBody::Message(m) => {
-                assert_eq!(m.peer_asn, Asn::new(6939));
-                assert_eq!(m.update.as_ref().unwrap(), &sample_update());
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        match &records[3].body {
-            MrtRecordBody::StateChange(sc) => {
-                assert_eq!(sc.old_state, BgpState::Established);
-                assert_eq!(sc.new_state, BgpState::Idle);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert_eq!(records[2].timestamp, SimTime::from_unix(1100));
+        // The UPDATE reads back; the other three records are checked,
+        // counted and passed over.
+        let mut reader = MrtBytesReader::new(buf);
+        let mut update = UpdateRecord::default();
+        assert!(reader.next_update(&mut update).unwrap());
+        assert_eq!(update.timestamp, SimTime::from_unix(1100));
+        assert_eq!(update.peer_asn, Asn::new(6939));
+        assert_eq!(update.peer_ip, "198.32.176.20".parse::<IpAddr>().unwrap());
+        let sample = sample_update();
+        assert_eq!(update.attrs.as_ref(), Some(&sample.attrs));
+        assert!(update.announced.as_slice().iter().eq(sample.announced_v4()));
+        assert!(update.withdrawn.is_empty());
+        assert!(!reader.next_update(&mut update).unwrap());
+        assert_eq!((reader.records_read(), reader.records_skipped()), (4, 0));
     }
 }

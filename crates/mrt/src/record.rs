@@ -1,4 +1,6 @@
-//! MRT record model (RFC 6396).
+//! MRT record types (RFC 6396): the type codes, the errors, the values
+//! `MrtWriter` takes for the records it writes, and the [`UpdateRecord`]
+//! a reader fills.
 
 use std::fmt;
 use std::io;
@@ -9,7 +11,7 @@ use bh_bgp_types::attrs::PathAttributes;
 use bh_bgp_types::error::CodecError;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_bgp_types::update::{BgpUpdate, PrefixList};
+use bh_bgp_types::update::PrefixList;
 
 /// MRT record types used here.
 pub mod mrt_type {
@@ -126,44 +128,6 @@ impl BgpState {
     }
 }
 
-/// A BGP4MP MESSAGE(_AS4) record: one BGP message as seen on a collector
-/// session, with addressing metadata.
-///
-/// `peer_ip`/`peer_asn` identify the BGP peer that sent the message to the
-/// collector — the paper's "peer-ip attribute" used to detect IXP
-/// blackholing when the peer IP falls inside an IXP peering LAN (§4.2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bgp4mpMessage {
-    /// ASN of the sending peer.
-    pub peer_asn: Asn,
-    /// ASN of the collector side.
-    pub local_asn: Asn,
-    /// IP of the sending peer.
-    pub peer_ip: IpAddr,
-    /// IP of the collector side.
-    pub local_ip: IpAddr,
-    /// The decoded UPDATE, or `None` when the record wrapped a non-UPDATE
-    /// message (e.g. a KEEPALIVE captured into the archive).
-    pub update: Option<BgpUpdate>,
-}
-
-/// A BGP4MP STATE_CHANGE(_AS4) record: collector session FSM transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bgp4mpStateChange {
-    /// ASN of the peer.
-    pub peer_asn: Asn,
-    /// ASN of the collector side.
-    pub local_asn: Asn,
-    /// IP of the peer.
-    pub peer_ip: IpAddr,
-    /// IP of the collector side.
-    pub local_ip: IpAddr,
-    /// State before the transition.
-    pub old_state: BgpState,
-    /// State after the transition.
-    pub new_state: BgpState,
-}
-
 /// One peer of a TABLE_DUMP_V2 PEER_INDEX_TABLE.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerEntry {
@@ -233,44 +197,6 @@ pub struct RibPeerEntry {
     pub originated: SimTime,
     /// The path attributes.
     pub attrs: PathAttributes,
-}
-
-/// The decoded body of an MRT record.
-///
-/// The `Message` variant dominates the enum's size, but records are
-/// transient parse outputs on the hot decode path — boxing it would cost
-/// an allocation per record for no retained-memory benefit.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MrtRecordBody {
-    /// BGP4MP MESSAGE / MESSAGE_AS4.
-    Message(Bgp4mpMessage),
-    /// BGP4MP STATE_CHANGE / STATE_CHANGE_AS4.
-    StateChange(Bgp4mpStateChange),
-    /// TABLE_DUMP_V2 PEER_INDEX_TABLE.
-    PeerIndexTable(PeerIndexTable),
-    /// TABLE_DUMP_V2 RIB_IPV4_UNICAST.
-    RibIpv4(RibEntry),
-    /// Any record type/subtype this crate does not interpret; payload kept
-    /// so tolerant pipelines can account for skipped bytes.
-    Unknown {
-        /// MRT type field.
-        mrt_type: u16,
-        /// MRT subtype field.
-        subtype: u16,
-        /// Raw payload length.
-        length: usize,
-    },
-}
-
-/// A full MRT record: timestamped body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MrtRecord {
-    /// Record timestamp (seconds; `_ET` microseconds are read and folded
-    /// away — second granularity is what the study's analyses use).
-    pub timestamp: SimTime,
-    /// Decoded body.
-    pub body: MrtRecordBody,
 }
 
 /// One BGP4MP UPDATE record as the elem path consumes it, filled by

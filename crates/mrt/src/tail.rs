@@ -7,8 +7,9 @@
 //! pattern — a partial trailing record — means "the writer has not
 //! finished this record *yet*". [`TailingReader`] makes that distinction
 //! explicit: bytes are appended with [`TailingReader::extend`] as the
-//! archive grows, a partial trailing record yields `Ok(None)` ("no more
-//! messages *for now*") and is re-framed on the next call once more
+//! archive grows, a partial trailing record makes
+//! [`next_update`](MessageStream::next_update) return `Ok(false)` ("no
+//! more updates *for now*") and is re-framed on the next call once more
 //! bytes arrived, and only after [`TailingReader::close`] does a
 //! leftover partial record become the truncation error it would be in a
 //! finished archive. Bytes appended after `close` are dropped, and the
@@ -30,7 +31,7 @@ use bytes::Bytes;
 
 use crate::frame::{Framer, Tail};
 use crate::read::{MessageStream, ReadMode};
-use crate::record::{MrtError, MrtRecord, UpdateRecord};
+use crate::record::{MrtError, UpdateRecord};
 
 /// An incremental MRT reader over an archive that is still growing.
 ///
@@ -105,13 +106,11 @@ impl TailingReader {
         self.framer.window.len()
     }
 
-    /// Decode the next complete record. `Ok(None)` means "no complete
-    /// record buffered": end of stream if [`close`](Self::close) was
-    /// called and everything framed cleanly, otherwise "pending — call
-    /// again after [`extend`](Self::extend)".
-    pub fn try_next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        self.surface_refusal()?;
-        self.framer.next_record()
+    /// [`next_update`](MessageStream::next_update) into a fresh record.
+    #[doc(hidden)]
+    pub fn try_next_record(&mut self) -> Result<Option<UpdateRecord>, MrtError> {
+        let mut update = UpdateRecord::default();
+        Ok(self.next_update(&mut update)?.then_some(update))
     }
 
     /// End the stream on a pending [`MrtError::ExtendedAfterClose`].
@@ -124,10 +123,6 @@ impl TailingReader {
 }
 
 impl MessageStream for TailingReader {
-    fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        self.try_next_record()
-    }
-
     fn next_update(&mut self, into: &mut UpdateRecord) -> Result<bool, MrtError> {
         self.surface_refusal()?;
         Ok(self.framer.next_update(into)?.is_some())
@@ -173,13 +168,19 @@ mod tests {
         buf
     }
 
+    /// The next UPDATE's timestamp, `None` when none is complete.
+    fn next(r: &mut TailingReader) -> Result<Option<SimTime>, MrtError> {
+        let mut into = UpdateRecord::default();
+        Ok(r.next_update(&mut into)?.then_some(into.timestamp))
+    }
+
     #[test]
     fn empty_reader_is_pending_until_closed() {
         let mut r = TailingReader::new();
-        assert!(r.try_next_record().unwrap().is_none());
+        assert!(next(&mut r).unwrap().is_none());
         assert!(!r.is_closed());
         r.close();
-        assert!(r.try_next_record().unwrap().is_none(), "clean EOF after close");
+        assert!(next(&mut r).unwrap().is_none(), "clean EOF after close");
     }
 
     #[test]
@@ -189,13 +190,12 @@ mod tests {
         // Grow the archive in three fragments that tear the record at a
         // header boundary and mid-body.
         r.extend(&rec[..7]);
-        assert!(r.try_next_record().unwrap().is_none(), "partial header pends");
+        assert!(next(&mut r).unwrap().is_none(), "partial header pends");
         r.extend(&rec[7..rec.len() - 3]);
-        assert!(r.try_next_record().unwrap().is_none(), "partial body pends");
+        assert!(next(&mut r).unwrap().is_none(), "partial body pends");
         assert_eq!(r.records_read(), 0);
         r.extend(&rec[rec.len() - 3..]);
-        let got = r.try_next_record().unwrap().expect("record completes");
-        assert_eq!(got.timestamp, SimTime::from_unix(5));
+        assert_eq!(next(&mut r).unwrap(), Some(SimTime::from_unix(5)), "record completes");
         assert_eq!(r.records_read(), 1);
         assert_eq!(r.bytes_consumed(), rec.len() as u64);
         assert_eq!(r.bytes_pending(), 0);
@@ -206,11 +206,11 @@ mod tests {
         let rec = update_record(5);
         let mut r = TailingReader::new();
         r.extend(&rec[..rec.len() - 3]);
-        assert!(r.try_next_record().unwrap().is_none());
+        assert!(next(&mut r).unwrap().is_none());
         r.close();
-        assert!(matches!(r.try_next_record(), Err(MrtError::Codec(_))));
+        assert!(matches!(next(&mut r), Err(MrtError::Codec(_))));
         // The failure latches: the stream is dead, not retried.
-        assert!(r.try_next_record().unwrap().is_none());
+        assert!(next(&mut r).unwrap().is_none());
     }
 
     #[test]
@@ -221,14 +221,14 @@ mod tests {
             let rec = update_record(t);
             let cut = rec.len() / 2;
             r.extend(&rec[..cut]);
-            while let Some((time, _)) = r.next_message().unwrap() {
+            while let Some(time) = next(&mut r).unwrap() {
                 assert_eq!(time, SimTime::from_unix(seen));
                 seen += 1;
             }
             r.extend(&rec[cut..]);
         }
         r.close();
-        while r.next_message().unwrap().is_some() {
+        while next(&mut r).unwrap().is_some() {
             seen += 1;
         }
         assert_eq!(seen, 20);
@@ -248,10 +248,10 @@ mod tests {
         let mut r = TailingReader::tolerant();
         r.extend(noisy);
         r.extend(&rec[..5]);
-        assert!(r.next_message().unwrap().is_none(), "corrupt skipped, tail pends");
+        assert!(next(&mut r).unwrap().is_none(), "corrupt skipped, tail pends");
         assert_eq!(r.records_skipped(), 1);
         r.extend(&rec[5..]);
-        assert!(r.next_message().unwrap().is_some());
+        assert!(next(&mut r).unwrap().is_some());
         assert_eq!(r.records_read(), 1);
     }
 
@@ -264,22 +264,18 @@ mod tests {
         r.extend(&rec[..]);
         r.extend(&rec[..]);
         assert_eq!(r.bytes_pending(), rec.len(), "the late bytes were dropped");
-        assert!(
-            matches!(r.try_next_record(), Err(MrtError::ExtendedAfterClose(n)) if n == rec.len())
-        );
-        assert!(r.try_next_record().unwrap().is_none(), "the error surfaces once");
+        assert!(matches!(next(&mut r), Err(MrtError::ExtendedAfterClose(n)) if n == rec.len()));
+        assert!(next(&mut r).unwrap().is_none(), "the error surfaces once");
         assert_eq!(r.records_read(), 0);
 
-        // The elem path sees it too; a stream that already ended on an
-        // error stays ended.
+        // A stream that already ended on an error stays ended.
         let mut r = TailingReader::new();
         r.close();
         r.extend(&rec[..]);
-        let mut into = UpdateRecord::default();
-        assert!(matches!(r.next_update(&mut into), Err(MrtError::ExtendedAfterClose(_))));
-        assert!(!r.next_update(&mut into).unwrap());
+        assert!(matches!(next(&mut r), Err(MrtError::ExtendedAfterClose(_))));
+        assert!(next(&mut r).unwrap().is_none());
         r.extend(&rec[..]);
-        assert!(!r.next_update(&mut into).unwrap());
+        assert!(next(&mut r).unwrap().is_none());
     }
 
     #[test]
@@ -291,6 +287,6 @@ mod tests {
         hdr.extend_from_slice(&crate::record::bgp4mp_subtype::MESSAGE_AS4.to_be_bytes());
         hdr.extend_from_slice(&(MAX_RECORD_LEN + 1).to_be_bytes());
         r.extend(hdr);
-        assert!(matches!(r.try_next_record(), Err(MrtError::OversizedRecord(_))));
+        assert!(matches!(next(&mut r), Err(MrtError::OversizedRecord(_))));
     }
 }

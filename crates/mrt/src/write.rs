@@ -238,8 +238,8 @@ mod tests {
     use bh_bgp_types::prefix::Ipv4Prefix;
 
     use super::*;
-    use crate::read::MrtBytesReader;
-    use crate::record::{MrtRecordBody, PeerEntry, RibPeerEntry};
+    use crate::read::{MessageStream, MrtBytesReader};
+    use crate::record::{PeerEntry, RibPeerEntry, UpdateRecord};
 
     /// An announcement of a /8 plus `n` distinct /24s under the default
     /// attributes (a 7-byte block): `23 + 7 + 2 + 4 n` message bytes.
@@ -293,10 +293,12 @@ mod tests {
         let header = MRT_HEADER_LEN + 20; // common header + IPv4 envelope
         assert_eq!(bytes.len(), header + BGP_MAX_MESSAGE_LEN);
         let mut reader = MrtBytesReader::new(bytes);
-        let record = reader.next_record().unwrap().expect("one record");
-        let MrtRecordBody::Message(msg) = record.body else { panic!("{record:?}") };
-        assert_eq!(msg.update, Some(update));
-        assert!(reader.next_record().unwrap().is_none());
+        let mut read = UpdateRecord::default();
+        assert!(reader.next_update(&mut read).unwrap(), "one record");
+        assert_eq!(read.attrs, Some(update.attrs.clone()));
+        assert!(read.announced.as_slice().iter().eq(update.announced_v4()));
+        assert!(read.withdrawn.is_empty());
+        assert!(!reader.next_update(&mut read).unwrap());
     }
 
     /// Counts and timestamps their fields cannot hold are refused before

@@ -2,21 +2,24 @@
 //! framing core, each driven the way its transport delivers bytes —
 //! `MrtBytesReader` over the whole archive, `TailingReader` under appends
 //! cut at arbitrary offsets. Properties that take a [`Feeder`] hold for
-//! both or the unification is broken — at record level
-//! ([`Feeder::decode`]) and at elem level ([`Feeder::elems`]). The
-//! [`raw`] builders write the records `MrtWriter` cannot.
+//! both or the unification is broken — at update level
+//! ([`Feeder::decode`], one [`Update`] per `next_update`) and at elem
+//! level ([`Feeder::elems`]). The [`raw`] builders write the records
+//! `MrtWriter` cannot.
 
 // Each test binary that includes this module uses a subset of it.
 #![allow(dead_code)]
 
+use std::net::IpAddr;
 use std::ops::Range;
 
 use proptest::prelude::*;
 
+use bh_bgp_types::asn::Asn;
+use bh_bgp_types::attrs::PathAttributes;
+use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_mrt::{
-    MessageStream, MrtBytesReader, MrtError, MrtRecord, MrtRecordBody, ReadMode, TailingReader,
-};
+use bh_mrt::{MessageStream, MrtBytesReader, MrtError, ReadMode, TailingReader, UpdateRecord};
 use bh_routing::{BgpElem, DataSource, ElemSource, ElemType, MrtElemSource};
 
 /// The labels [`Feeder::elems`] puts on every elem.
@@ -45,10 +48,27 @@ pub fn arb_feeder() -> impl Strategy<Value = Feeder> {
     })
 }
 
+/// One UPDATE as a reader filled it, comparable across feeders: (time,
+/// (peer ASN, peer IP), attributes, announced, withdrawn), the prefixes
+/// first-seen without repeats.
+pub type Update =
+    (SimTime, (Asn, IpAddr), Option<PathAttributes>, Vec<Ipv4Prefix>, Vec<Ipv4Prefix>);
+
+/// The comparable form of `record`.
+pub fn update_of(record: &UpdateRecord) -> Update {
+    (
+        record.timestamp,
+        (record.peer_asn, record.peer_ip),
+        record.attrs.clone(),
+        record.announced.as_slice().to_vec(),
+        record.withdrawn.as_slice().to_vec(),
+    )
+}
+
 /// What a reader made of an archive.
 #[derive(Debug)]
 pub struct Outcome {
-    pub records: Vec<MrtRecord>,
+    pub updates: Vec<Update>,
     pub error: Option<MrtError>,
     pub records_read: u64,
     pub records_skipped: u64,
@@ -57,22 +77,23 @@ pub struct Outcome {
 impl Outcome {
     /// Everything comparable across feeders (the error by its rendering:
     /// `MrtError` holds an `io::Error` and is not `PartialEq`).
-    pub fn summary(&self) -> (&[MrtRecord], Option<String>, u64, u64) {
+    pub fn summary(&self) -> (&[Update], Option<String>, u64, u64) {
         let error = self.error.as_ref().map(|e| format!("{e:?}"));
-        (&self.records, error, self.records_read, self.records_skipped)
+        (&self.updates, error, self.records_read, self.records_skipped)
     }
 }
 
 /// Drain `reader` until it has nothing more *for now*; an error is
 /// recorded, and must be final.
 fn pump(reader: &mut impl MessageStream, out: &mut Outcome) {
+    let mut record = UpdateRecord::default();
     loop {
-        match reader.next_record() {
-            Ok(Some(record)) => {
-                assert!(out.error.is_none(), "a record after {:?}", out.error);
-                out.records.push(record);
+        match reader.next_update(&mut record) {
+            Ok(true) => {
+                assert!(out.error.is_none(), "an update after {:?}", out.error);
+                out.updates.push(update_of(&record));
             }
-            Ok(None) => return,
+            Ok(false) => return,
             Err(e) => {
                 assert!(out.error.is_none(), "a second error after {:?}: {e:?}", out.error);
                 out.error = Some(e);
@@ -86,7 +107,7 @@ impl Feeder {
     pub fn decode(&self, mode: ReadMode, archive: &[u8]) -> Outcome {
         let tolerant = mode == ReadMode::Tolerant;
         let mut out =
-            Outcome { records: Vec::new(), error: None, records_read: 0, records_skipped: 0 };
+            Outcome { updates: Vec::new(), error: None, records_read: 0, records_skipped: 0 };
         let chunks = self.chunks.iter().cycle();
         let (read, skipped) = match self.transport {
             Transport::Bytes => {
@@ -114,7 +135,7 @@ impl Feeder {
                 }
                 reader.close();
                 pump(&mut reader, &mut out);
-                (MessageStream::records_read(&reader), MessageStream::records_skipped(&reader))
+                (reader.records_read(), reader.records_skipped())
             }
         };
         out.records_read = read;
@@ -184,7 +205,7 @@ impl ElemOutcome {
         }
     }
 
-    /// Everything comparable with a record-level [`Outcome`].
+    /// Everything comparable with an update-level [`Outcome`].
     pub fn summary(&self) -> (&[BgpElem], Option<String>, u64, u64) {
         let error = self.error.as_ref().map(|e| format!("{e:?}"));
         (&self.elems, error, self.records_read, self.records_skipped)
@@ -205,12 +226,12 @@ fn pump_elems<M: MessageStream>(source: &mut MrtElemSource<M>, out: &mut Vec<Bgp
 /// per announced prefix in first-seen order without repeats, then one per
 /// withdrawn prefix likewise; a withdrawal carries no attributes.
 pub fn expand_update(
-    time: bh_bgp_types::time::SimTime,
-    peer_asn: bh_bgp_types::asn::Asn,
-    peer_ip: std::net::IpAddr,
-    attrs: &bh_bgp_types::attrs::PathAttributes,
-    announced: &[bh_bgp_types::prefix::Ipv4Prefix],
-    withdrawn: &[bh_bgp_types::prefix::Ipv4Prefix],
+    time: SimTime,
+    peer_asn: Asn,
+    peer_ip: IpAddr,
+    attrs: &PathAttributes,
+    announced: &[Ipv4Prefix],
+    withdrawn: &[Ipv4Prefix],
 ) -> Vec<BgpElem> {
     let first_seen = |prefixes: &[_]| {
         let mut out = Vec::new();
@@ -239,24 +260,13 @@ pub fn expand_update(
     out
 }
 
-/// The elems decoded records stand for, expanded by [`expand_update`].
-pub fn expand_records(records: &[MrtRecord]) -> Vec<BgpElem> {
+/// The elems decoded updates stand for, expanded by [`expand_update`]
+/// (an empty attribute block announces under default attributes).
+pub fn expand_records(updates: &[Update]) -> Vec<BgpElem> {
     let mut out = Vec::new();
-    for record in records {
-        if let MrtRecordBody::Message(msg) = &record.body {
-            if let Some(update) = &msg.update {
-                let announced: Vec<_> = update.announced_v4().copied().collect();
-                let withdrawn: Vec<_> = update.withdrawn_v4().copied().collect();
-                out.extend(expand_update(
-                    record.timestamp,
-                    msg.peer_asn,
-                    msg.peer_ip,
-                    &update.attrs,
-                    &announced,
-                    &withdrawn,
-                ));
-            }
-        }
+    for (time, (peer_asn, peer_ip), attrs, announced, withdrawn) in updates {
+        let attrs = attrs.clone().unwrap_or_default();
+        out.extend(expand_update(*time, *peer_asn, *peer_ip, &attrs, announced, withdrawn));
     }
     out
 }
@@ -292,11 +302,12 @@ pub fn record_spans(bytes: &[u8]) -> Vec<(SimTime, Range<usize>)> {
 }
 
 /// Record bytes written field by field, for the shapes `MrtWriter` does
-/// not produce: 2-byte-AS `MESSAGE`, `BGP4MP_ET`, KEEPALIVEs, and
-/// UPDATEs whose NLRI repeat. Builders return the offsets of the length
-/// fields they wrote, relative to the bytes they return.
+/// not produce: 2-byte-AS `MESSAGE`, `BGP4MP_ET`, KEEPALIVEs, UPDATEs
+/// whose NLRI repeat, and `TABLE_DUMP_V2` peers with 2-byte ASNs. Builders
+/// return the offsets of the length fields they wrote, relative to the
+/// bytes they return.
 pub mod raw {
-    use std::net::Ipv4Addr;
+    use std::net::{IpAddr, Ipv4Addr};
 
     use bh_bgp_types::attrs::PathAttributes;
     use bh_bgp_types::prefix::Ipv4Prefix;
@@ -307,6 +318,9 @@ pub mod raw {
     pub const MESSAGE: u16 = 1;
     pub const MESSAGE_AS4: u16 = 4;
     pub const STATE_CHANGE_AS4: u16 = 5;
+    pub const TABLE_DUMP_V2: u16 = 13;
+    pub const PEER_INDEX_TABLE: u16 = 1;
+    pub const RIB_IPV4_UNICAST: u16 = 2;
 
     /// A length or count field: where it sits and how wide it is.
     #[derive(Debug, Clone, Copy)]
@@ -338,14 +352,11 @@ pub mod raw {
         announced: &[Ipv4Prefix],
         withdrawn: &[Ipv4Prefix],
     ) -> (Vec<u8>, Vec<Field>) {
-        // RFC 4271 §4.3: a length octet, then the prefix's leading octets.
         let nlri = |prefixes: &[Ipv4Prefix], base: usize, fields: &mut Vec<Field>| {
             let mut buf = Vec::new();
             for p in prefixes {
                 fields.push(Field { name: "nlri length", offset: base + buf.len(), width: 1 });
-                buf.push(p.length());
-                let octets = p.network_bits().to_be_bytes();
-                buf.extend_from_slice(&octets[..p.length().div_ceil(8) as usize]);
+                put_nlri(&mut buf, p);
             }
             buf
         };
@@ -370,6 +381,85 @@ pub mod raw {
         let (msg, mut header) = message(2, &body);
         header.extend(fields.into_iter().map(|f| f.shifted(19)));
         (msg, header)
+    }
+
+    /// RFC 4271 §4.3 NLRI: a length octet, then the prefix's leading
+    /// octets.
+    fn put_nlri(buf: &mut Vec<u8>, prefix: &Ipv4Prefix) {
+        buf.push(prefix.length());
+        let octets = prefix.network_bits().to_be_bytes();
+        buf.extend_from_slice(&octets[..prefix.length().div_ceil(8) as usize]);
+    }
+
+    /// A `PEER_INDEX_TABLE` body: a view name, then each peer with its
+    /// address as its BGP ID, and a 2-byte ASN where one fits.
+    pub fn peer_index_table(view: &str, peers: &[(u32, IpAddr)]) -> (Vec<u8>, Vec<Field>) {
+        let mut body = vec![10, 0, 0, 255]; // collector BGP ID
+        let mut fields = vec![Field { name: "view name length", offset: body.len(), width: 2 }];
+        body.extend_from_slice(&(view.len() as u16).to_be_bytes());
+        body.extend_from_slice(view.as_bytes());
+        fields.push(Field { name: "peer count", offset: body.len(), width: 2 });
+        body.extend_from_slice(&(peers.len() as u16).to_be_bytes());
+        for &(asn, ip) in peers {
+            let as4 = asn > u32::from(u16::MAX);
+            // Peer type: bit 0 = IPv6 address, bit 1 = 4-byte ASN.
+            body.push(u8::from(ip.is_ipv6()) | u8::from(as4) << 1);
+            match ip {
+                IpAddr::V4(v4) => {
+                    body.extend_from_slice(&v4.octets());
+                    body.extend_from_slice(&v4.octets());
+                }
+                IpAddr::V6(v6) => {
+                    body.extend_from_slice(&v6.octets()[12..]);
+                    body.extend_from_slice(&v6.octets());
+                }
+            }
+            if as4 {
+                body.extend_from_slice(&asn.to_be_bytes());
+            } else {
+                body.extend_from_slice(&(asn as u16).to_be_bytes());
+            }
+        }
+        (body, fields)
+    }
+
+    /// A `RIB_IPV4_UNICAST` body: `prefix`, then one entry under `attrs`
+    /// per peer index.
+    pub fn rib_ipv4_unicast(
+        prefix: &Ipv4Prefix,
+        peers: &[u16],
+        attrs: &PathAttributes,
+    ) -> (Vec<u8>, Vec<Field>) {
+        let mut body = 7u32.to_be_bytes().to_vec(); // sequence number
+        let mut fields = vec![Field { name: "rib prefix length", offset: body.len(), width: 1 }];
+        put_nlri(&mut body, prefix);
+        fields.push(Field { name: "rib entry count", offset: body.len(), width: 2 });
+        body.extend_from_slice(&(peers.len() as u16).to_be_bytes());
+        let block = encode_attributes(attrs).to_vec();
+        for peer in peers {
+            body.extend_from_slice(&peer.to_be_bytes());
+            body.extend_from_slice(&900u32.to_be_bytes()); // originated
+            fields.push(Field { name: "rib attribute length", offset: body.len(), width: 2 });
+            body.extend_from_slice(&(block.len() as u16).to_be_bytes());
+            if let Some(at) = as_path_segment_count(&block) {
+                let offset = body.len() + at;
+                fields.push(Field { name: "as_path segment count", offset, width: 1 });
+            }
+            body.extend_from_slice(&block);
+        }
+        (body, fields)
+    }
+
+    /// A `TABLE_DUMP_V2` record of `subtype` around a body and its
+    /// fields, every offset relative to the record.
+    pub fn table_dump_record(
+        time: u32,
+        subtype: u16,
+        (body, body_fields): (Vec<u8>, Vec<Field>),
+    ) -> (Vec<u8>, Vec<Field>) {
+        let (rec, mut fields) = record(time, TABLE_DUMP_V2, subtype, &body);
+        fields.extend(body_fields.into_iter().map(|f| f.shifted(12)));
+        (rec, fields)
     }
 
     /// Where the first AS_PATH segment's count byte sits in an attribute

@@ -4,14 +4,15 @@
 //! MRT / BGP wire: from one small valid archive the harness derives
 //! mutants — a cut at every offset, each length or count field set to 0,
 //! ±1 and its maximum, seeded bit flips — and drives each through both
-//! feeders ([`common::Feeder`]), strict and tolerant, at record and
+//! feeders ([`common::Feeder`]), strict and tolerant, at update and
 //! at elem level. Every mutant must decode without a panic; a strict
-//! reader returns at most one error and then only `Ok(None)`; a tolerant
+//! reader returns at most one error and then only `Ok(false)`; a tolerant
 //! one accounts for every record it framed (`records_read +
 //! records_skipped` equals an independent walk of the length fields,
-//! unless the framing itself broke); and the elem path yields every elem
-//! of a record or none of them — exactly the elems of the records the
-//! record path decoded, expanded outside the decoder.
+//! unless the framing itself broke) — records that are not UPDATEs are
+//! seen only there; and the elem path yields every elem of a record or
+//! none of them — exactly the elems of the updates `next_update` filled,
+//! expanded outside the decoder.
 //!
 //! The live line protocol (`bh_live::serve_connection`): an endless line,
 //! bytes that are not UTF-8, NUL / CR / empty lines, and the same cuts
@@ -48,7 +49,7 @@ use bh_core::{AnalyticsConfig, AnalyticsPipeline, ReferenceData, SessionBuilder}
 use bh_irr::BlackholeDictionary;
 use bh_live::wire::MAX_LINE_BYTES;
 use bh_live::{serve_connection, LiveFleet, LiveFleetConfig, QueryRunner};
-use bh_mrt::{MrtError, MrtRecordBody, ReadMode, TailingReader};
+use bh_mrt::{MessageStream, MrtError, ReadMode, TailingReader, UpdateRecord};
 use bh_routing::{deploy, CollectorConfig};
 use bh_topology::{TopologyBuilder, TopologyConfig};
 
@@ -59,8 +60,10 @@ fn prefix(s: &str) -> Ipv4Prefix {
 /// The seed archive, and every length or count field in it with its
 /// absolute offset: an UPDATE announcing three prefixes (one repeated)
 /// and withdrawing one, a withdraw-only UPDATE with an empty attribute
-/// block, a state change, a KEEPALIVE, an AS2 `MESSAGE` and a
-/// `BGP4MP_ET` UPDATE.
+/// block, a state change, a KEEPALIVE, an AS2 `MESSAGE`, a `BGP4MP_ET`
+/// UPDATE, a `PEER_INDEX_TABLE` (one IPv4 peer with a 2-byte ASN, one
+/// IPv6 peer with a 4-byte ASN) and a `RIB_IPV4_UNICAST` entry from both
+/// peers.
 fn seed_archive() -> (Vec<u8>, Vec<Field>) {
     let peer = Ipv4Addr::new(198, 51, 100, 44);
     let mut path = AsPath::from_sequence(vec![Asn::new(6939), Asn::new(3356)]);
@@ -105,6 +108,19 @@ fn seed_archive() -> (Vec<u8>, Vec<Field>) {
         raw::message_record(13, false, true, 6939, peer, raw::message(4, &[])),
         raw::message_record(14, false, false, 3356, peer, raw::update(&attrs, &[host], &[])),
         raw::message_record(15, true, true, 174, peer, raw::update(&attrs, &[host], &[host])),
+        raw::table_dump_record(
+            16,
+            raw::PEER_INDEX_TABLE,
+            raw::peer_index_table(
+                "rrc00",
+                &[(6939, peer.into()), (4_200_000_000, "2001:db8::44".parse().expect("v6"))],
+            ),
+        ),
+        raw::table_dump_record(
+            16,
+            raw::RIB_IPV4_UNICAST,
+            raw::rib_ipv4_unicast(&prefix("130.149.0.0/16"), &[0, 1], &attrs),
+        ),
     ];
     let (mut archive, mut fields) = (Vec::new(), Vec::new());
     for (bytes, record_fields) in records {
@@ -132,12 +148,12 @@ fn check(case: &str, bytes: &[u8]) {
             let at = format!("{case}, {:?}, {mode:?}", feeder.transport);
             // `Feeder` asserts that an error is final and single.
             let records = catch_unwind(AssertUnwindSafe(|| feeder.decode(mode, bytes)))
-                .unwrap_or_else(|_| panic!("{at}: the record path panicked"));
+                .unwrap_or_else(|_| panic!("{at}: the update path panicked"));
             let elems = catch_unwind(AssertUnwindSafe(|| feeder.elems(mode, bytes)))
                 .unwrap_or_else(|_| panic!("{at}: the elem path panicked"));
 
             let accounted = records.records_read + records.records_skipped;
-            assert_eq!(records.records_read, records.records.len() as u64, "{at}");
+            assert!(records.updates.len() as u64 <= records.records_read, "{at}");
             if mode == ReadMode::Tolerant || records.error.is_none() {
                 assert_eq!(accounted, framed, "{at}: a framed record went unaccounted");
             } else {
@@ -158,7 +174,7 @@ fn check(case: &str, bytes: &[u8]) {
                 ),
             }
 
-            let expected = expand_records(&records.records);
+            let expected = expand_records(&records.updates);
             assert_eq!(
                 elems.summary(),
                 (&expected[..], records.summary().1, records.records_read, records.records_skipped),
@@ -174,18 +190,21 @@ fn seed_archive_decodes_cleanly() {
     let clean = Feeder { transport: Transport::Bytes, chunks: vec![1] };
     let records = clean.decode(ReadMode::Strict, &archive);
     assert!(records.error.is_none(), "{:?}", records.error);
-    assert_eq!(records.records_read, 6);
+    assert_eq!((records.records_read, records.updates.len()), (8, 4));
     let elems = clean.elems(ReadMode::Strict, &archive).elems;
-    // 3 + 1, 2, 0, 0, 1, 1 + 1: repeats dropped, nothing from the
-    // state change or the KEEPALIVE.
+    // 3 + 1, 2, 0, 0, 1, 1 + 1, 0, 0: repeats dropped, nothing from the
+    // state change, the KEEPALIVE or the table dump.
     assert_eq!(elems.len(), 9);
     let names = |name| fields.iter().filter(|f| f.name == name).count();
-    assert_eq!(names("mrt length"), 6);
+    assert_eq!(names("mrt length"), 8);
     assert_eq!(names("bgp message length"), 5);
     assert_eq!(names("withdrawn length"), 4);
     assert_eq!(names("attribute length"), 4);
-    assert_eq!(names("as_path segment count"), 3);
+    assert_eq!(names("as_path segment count"), 5);
     assert_eq!(names("nlri length"), 10);
+    assert_eq!(names("view name length") + names("peer count"), 2);
+    assert_eq!(names("rib prefix length") + names("rib entry count"), 2);
+    assert_eq!(names("rib attribute length"), 2);
     check("seed", &archive);
 }
 
@@ -253,25 +272,25 @@ fn seeded_bit_flips() {
 fn a_megabyte_record_appended_byte_by_byte_decodes_in_linear_time() {
     let (big, _) = raw::record(1, 99, 0, &vec![0xA5; 1 << 20]);
     let (seed, _) = seed_archive();
-    let archive = [big, seed].concat();
+    let archive = [&big[..], &seed].concat();
     let started = Instant::now();
     let mut reader = TailingReader::new();
-    let mut records = Vec::new();
-    for byte in archive.chunks(1) {
+    let (mut record, mut updates) = (UpdateRecord::default(), 0);
+    for (at, byte) in archive.chunks(1).enumerate() {
         reader.extend(byte);
-        while let Some(record) = reader.try_next_record().expect("every prefix is pending") {
-            records.push(record);
+        while reader.next_update(&mut record).expect("every prefix is pending") {
+            updates += 1;
+        }
+        if at + 1 == big.len() {
+            assert_eq!(reader.records_read(), 1, "the big record is framed once whole");
         }
     }
     reader.close();
-    assert!(reader.try_next_record().expect("the archive is whole").is_none());
+    assert!(!reader.next_update(&mut record).expect("the archive is whole"));
     let elapsed = started.elapsed();
     assert!(elapsed < Duration::from_secs(5), "{elapsed:?} for a byte-at-a-time megabyte");
-    assert_eq!(records.len(), 7);
-    assert!(matches!(
-        records[0].body,
-        MrtRecordBody::Unknown { mrt_type: 99, length, .. } if length == 1 << 20
-    ));
+    assert_eq!((reader.records_read(), updates), (9, 4));
+    assert_eq!(reader.bytes_consumed(), archive.len() as u64);
     assert_eq!(reader.bytes_pending(), 0);
 }
 

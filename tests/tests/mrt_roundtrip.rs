@@ -1,25 +1,28 @@
-//! MRT codec round-trip properties: arbitrary update, withdrawal, and
-//! state-change records must survive `MrtWriter` → reader
-//! **byte-exactly** (decode to equal values, and re-encode to the exact
-//! same archive bytes), and tolerant-mode readers must account for
-//! every skipped record without misaligning the stream. *The reader* is
-//! an input: every property holds for whichever of the two feeders
-//! ([`common::Feeder`]) the case draws, under whatever chunking.
+//! MRT codec round-trip properties: arbitrary update and withdrawal
+//! records must survive `MrtWriter` → `next_update` **byte-exactly**
+//! (decode to equal values, and re-encode to the exact same archive
+//! bytes), state-change records between them are checked and counted
+//! (a strict read fails on a corrupted state code), and tolerant-mode
+//! readers must account for every skipped record without misaligning
+//! the stream. *The reader* is an input: every property holds for
+//! whichever of the two feeders ([`common::Feeder`]) the case draws,
+//! under whatever chunking.
 
 mod common;
 
 use proptest::prelude::*;
 
-use common::{arb_feeder, framed_records, Feeder, Transport};
+use common::{arb_feeder, framed_records, record_spans, Feeder, Transport, Update};
 
 use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::attrs::{Origin, PathAttributes};
 use bh_bgp_types::community::{Community, CommunitySet, LargeCommunity};
+use bh_bgp_types::error::CodecError;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_mrt::{BgpState, MrtError, MrtRecordBody, MrtWriter, ReadMode};
+use bh_mrt::{BgpState, MrtError, MrtWriter, ReadMode};
 
 /// One archive record in writable form.
 #[derive(Debug, Clone)]
@@ -35,32 +38,34 @@ const LOCAL_ASN: u32 = 64_512;
 fn write_all(records: &[Rec]) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut writer = MrtWriter::new(&mut buf);
-    for rec in records {
-        match rec {
-            Rec::Update { time, peer_asn, update } => writer
-                .write_update(
-                    *time,
-                    *peer_asn,
-                    PEER_IP.parse().unwrap(),
-                    Asn::new(LOCAL_ASN),
-                    LOCAL_IP.parse().unwrap(),
-                    update,
-                )
-                .expect("update writes"),
-            Rec::StateChange { time, peer_asn, old, new } => writer
-                .write_state_change(
-                    *time,
-                    *peer_asn,
-                    PEER_IP.parse().unwrap(),
-                    Asn::new(LOCAL_ASN),
-                    LOCAL_IP.parse().unwrap(),
-                    *old,
-                    *new,
-                )
-                .expect("state change writes"),
-        }
-    }
+    records.iter().for_each(|rec| write_into(&mut writer, rec));
     buf
+}
+
+fn write_into(writer: &mut MrtWriter<&mut Vec<u8>>, rec: &Rec) {
+    match rec {
+        Rec::Update { time, peer_asn, update } => writer
+            .write_update(
+                *time,
+                *peer_asn,
+                PEER_IP.parse().unwrap(),
+                Asn::new(LOCAL_ASN),
+                LOCAL_IP.parse().unwrap(),
+                update,
+            )
+            .expect("update writes"),
+        Rec::StateChange { time, peer_asn, old, new } => writer
+            .write_state_change(
+                *time,
+                *peer_asn,
+                PEER_IP.parse().unwrap(),
+                Asn::new(LOCAL_ASN),
+                LOCAL_IP.parse().unwrap(),
+                *old,
+                *new,
+            )
+            .expect("state change writes"),
+    }
 }
 
 type UpdateFields =
@@ -148,36 +153,35 @@ fn arb_records() -> impl Strategy<Value = Vec<Rec>> {
     })
 }
 
-/// Re-serialize decoded records through the writer.
-fn rewrite(records: &[(SimTime, MrtRecordBody)]) -> Vec<u8> {
+/// Re-serialize the records through the writer: each UPDATE from what
+/// was decoded, in order; each state change as drawn.
+fn rewrite(records: &[Rec], decoded: &[Update]) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut writer = MrtWriter::new(&mut buf);
-    for (time, body) in records {
-        match body {
-            MrtRecordBody::Message(msg) => writer
-                .write_update(
-                    *time,
-                    msg.peer_asn,
-                    msg.peer_ip,
-                    msg.local_asn,
-                    msg.local_ip,
-                    msg.update.as_ref().expect("writer only emits update messages"),
-                )
-                .expect("rewrite update"),
-            MrtRecordBody::StateChange(sc) => writer
-                .write_state_change(
-                    *time,
-                    sc.peer_asn,
-                    sc.peer_ip,
-                    sc.local_asn,
-                    sc.local_ip,
-                    sc.old_state,
-                    sc.new_state,
-                )
-                .expect("rewrite state change"),
-            other => panic!("unexpected record body: {other:?}"),
+    let mut decoded = decoded.iter();
+    for rec in records {
+        match rec {
+            Rec::Update { .. } => {
+                let (time, (peer_asn, peer_ip), attrs, announced, withdrawn) =
+                    decoded.next().expect("one decoded update per written one");
+                let mut update = BgpUpdate::new(attrs.clone().unwrap_or_default());
+                announced.iter().for_each(|&p| update.announce_v4(p));
+                withdrawn.iter().for_each(|&p| update.withdraw_v4(p));
+                writer
+                    .write_update(
+                        *time,
+                        *peer_asn,
+                        *peer_ip,
+                        Asn::new(LOCAL_ASN),
+                        LOCAL_IP.parse().unwrap(),
+                        &update,
+                    )
+                    .expect("rewrite update");
+            }
+            Rec::StateChange { .. } => write_into(&mut writer, rec),
         }
     }
+    assert!(decoded.next().is_none(), "an update nobody wrote");
     buf
 }
 
@@ -198,37 +202,51 @@ proptest! {
         let outcome = feeder.decode(ReadMode::Strict, &bytes);
         prop_assert!(outcome.error.is_none(), "own archives decode cleanly: {:?}", outcome.error);
         prop_assert_eq!(outcome.records_read, records.len() as u64);
-        let decoded: Vec<(SimTime, MrtRecordBody)> =
-            outcome.records.into_iter().map(|rec| (rec.timestamp, rec.body)).collect();
-        prop_assert_eq!(decoded.len(), records.len());
+        let written: Vec<_> = records
+            .iter()
+            .filter_map(|rec| match rec {
+                Rec::Update { time, peer_asn, update } => Some((time, peer_asn, update)),
+                Rec::StateChange { .. } => None,
+            })
+            .collect();
+        prop_assert_eq!(outcome.updates.len(), written.len());
 
         // Field-level equality against the inputs.
-        for (rec, (time, body)) in records.iter().zip(&decoded) {
-            match (rec, body) {
-                (Rec::Update { time: t, peer_asn, update }, MrtRecordBody::Message(msg)) => {
-                    prop_assert_eq!(t, time);
-                    prop_assert_eq!(*peer_asn, msg.peer_asn);
-                    prop_assert_eq!(Asn::new(LOCAL_ASN), msg.local_asn);
-                    prop_assert_eq!(
-                        update.as_ref(),
-                        msg.update.as_ref().expect("update survives")
-                    );
-                }
-                (
-                    Rec::StateChange { time: t, peer_asn, old, new },
-                    MrtRecordBody::StateChange(sc),
-                ) => {
-                    prop_assert_eq!(t, time);
-                    prop_assert_eq!(*peer_asn, sc.peer_asn);
-                    prop_assert_eq!(*old, sc.old_state);
-                    prop_assert_eq!(*new, sc.new_state);
-                }
-                (rec, body) => prop_assert!(false, "kind mismatch: {:?} vs {:?}", rec, body),
-            }
+        for ((t, peer_asn, update), decoded) in written.iter().zip(&outcome.updates) {
+            let (time, peer, attrs, announced, withdrawn) = decoded;
+            prop_assert_eq!(*t, time);
+            prop_assert_eq!(*peer, (**peer_asn, PEER_IP.parse().unwrap()));
+            prop_assert_eq!(&attrs.clone().unwrap_or_default(), &update.attrs);
+            prop_assert!(announced.iter().eq(update.announced_v4()));
+            prop_assert!(withdrawn.iter().eq(update.withdrawn_v4()));
         }
 
         // Byte-exactness: decoded → writer → identical archive.
-        prop_assert_eq!(rewrite(&decoded), bytes);
+        prop_assert_eq!(rewrite(&records, &outcome.updates), bytes);
+
+        // A state change is checked, not only counted: a new-state code
+        // of 0 (its last two bytes) fails a strict read there and is one
+        // skip to a tolerant one.
+        let spans = record_spans(&bytes);
+        let changes = records.iter().zip(&spans).filter(|(rec, _)| {
+            matches!(rec, Rec::StateChange { .. })
+        });
+        for (at, (_, (_, span))) in changes.enumerate().take(2) {
+            let mut mutant = bytes.clone();
+            mutant[span.end - 2..span.end].fill(0);
+            let strict = feeder.decode(ReadMode::Strict, &mutant);
+            let refused = matches!(
+                strict.error,
+                Some(MrtError::Codec(CodecError::BadValue { what: "new state", value: 0 }))
+            );
+            prop_assert!(refused, "state change {}: {:?}", at, strict.error);
+            let tolerant = feeder.decode(ReadMode::Tolerant, &mutant);
+            prop_assert_eq!(tolerant.updates, outcome.updates.clone());
+            prop_assert_eq!(
+                (tolerant.records_read, tolerant.records_skipped),
+                (records.len() as u64 - 1, 1)
+            );
+        }
     }
 
     /// A truncated tail in both modes: a cut landing *on* a record
@@ -264,7 +282,7 @@ proptest! {
 
         for mode in [ReadMode::Strict, ReadMode::Tolerant] {
             let outcome = feeder.decode(mode, torn);
-            let decoded = outcome.records.len() as u64;
+            let decoded = outcome.records_read;
             if clean_cut {
                 prop_assert!(outcome.error.is_none(), "a boundary cut is a clean (shorter) archive");
                 prop_assert_eq!(decoded, boundaries.len() as u64 - 1);
@@ -274,7 +292,11 @@ proptest! {
                 prop_assert!(decoded < intact as u64 + 1);
             }
             prop_assert!(decoded < records.len() as u64);
-            prop_assert_eq!(outcome.records_read, decoded);
+            let updates = records[..decoded as usize]
+                .iter()
+                .filter(|rec| matches!(rec, Rec::Update { .. }))
+                .count();
+            prop_assert_eq!(outcome.updates.len(), updates);
             prop_assert_eq!(outcome.records_skipped, 0);
             prop_assert_eq!(decoded, framed_records(torn)); // every framed record is accounted for
             prop_assert_eq!(outcome.summary(), reference().decode(mode, torn).summary());
@@ -283,11 +305,11 @@ proptest! {
 
     /// Corrupted-length records (length field inflated into the next
     /// record's bytes) are never *invisible*: in both modes the read
-    /// either surfaces an error, counts a skip, or decodes a record
-    /// stream observably different from the clean decode — corruption
-    /// can desynchronize framing (later records may resurface as
-    /// `Unknown` garbage), but it can never reproduce the original
-    /// stream while claiming a clean read.
+    /// either surfaces an error, counts a skip, or reads a stream
+    /// observably different from the clean one (other updates, or another
+    /// record count) — corruption can desynchronize framing (later bytes
+    /// may resurface as records of an unknown type), but it can never
+    /// reproduce the original stream while claiming a clean read.
     #[test]
     fn corrupted_length_field_never_reads_back_as_the_clean_stream(
         records in arb_records(),
@@ -300,7 +322,7 @@ proptest! {
         let bytes = write_all(&records);
         let clean = feeder.decode(ReadMode::Strict, &bytes);
         prop_assert!(clean.error.is_none(), "clean archive decodes");
-        let clean = clean.records;
+        let clean = (clean.updates, clean.records_read);
 
         // Inflate the first record's length field (bytes 8..12).
         let mut corrupted = bytes.clone();
@@ -310,15 +332,16 @@ proptest! {
         let framed = framed_records(&corrupted);
         for mode in [ReadMode::Strict, ReadMode::Tolerant] {
             let outcome = feeder.decode(mode, &corrupted);
+            let stream = (outcome.updates.clone(), outcome.records_read);
             prop_assert!(
-                outcome.error.is_some() || outcome.records_skipped > 0 || outcome.records != clean,
+                outcome.error.is_some() || outcome.records_skipped > 0 || stream != clean,
                 "corruption read back as the clean stream"
             );
             // However framing desynchronized, every record framed is
             // decoded or skipped; only a strict reader may stop short, at
             // the payload it refused.
             let accounted = outcome.records_read + outcome.records_skipped;
-            prop_assert_eq!(outcome.records_read, outcome.records.len() as u64);
+            prop_assert!(outcome.updates.len() as u64 <= outcome.records_read);
             if mode == ReadMode::Tolerant || outcome.error.is_none() {
                 prop_assert_eq!(accounted, framed);
             } else {
@@ -367,13 +390,13 @@ fn tolerant_mode_accounts_for_skips_between_valid_records() {
         let feeder = Feeder { transport, chunks };
         let tolerant = feeder.decode(ReadMode::Tolerant, &noisy);
         assert!(tolerant.error.is_none(), "tolerant reader survives noise: {:?}", tolerant.error);
-        assert_eq!(tolerant.records.len(), 2, "both valid records decode");
+        assert_eq!(tolerant.updates.len(), 2, "both valid records decode");
         assert_eq!(tolerant.records_read, 2);
         assert_eq!(tolerant.records_skipped, 3, "every corrupt record is counted");
 
         // Strict mode refuses at the first corrupt record.
         let strict = feeder.decode(ReadMode::Strict, &noisy);
-        assert!(strict.error.is_some() && strict.records.is_empty(), "{feeder:?}");
+        assert!(strict.error.is_some() && strict.updates.is_empty(), "{feeder:?}");
         assert_eq!(strict.records_skipped, 0);
     }
 }

@@ -314,9 +314,25 @@ impl Study {
 
 #[cfg(test)]
 mod tests {
+    use bh_core::ShardedSession;
     use bh_routing::SliceSource;
 
     use super::*;
+
+    /// A sharded run's summary and events, in a single session's order.
+    fn sharded_parts(
+        sharded: ShardedSession<Vec<BlackholeEvent>>,
+    ) -> (StreamSummary, Vec<BlackholeEvent>) {
+        let (summary, mut events) = sharded.finish_parts();
+        canonical_order(&mut events);
+        (summary, events)
+    }
+
+    /// A single session's result, split the same way.
+    fn parts(result: InferenceResult) -> (StreamSummary, Vec<BlackholeEvent>) {
+        let InferenceResult { events, census, stats, per_dataset } = result;
+        (StreamSummary { census, stats, per_dataset }, events)
+    }
 
     #[test]
     fn tiny_study_builds_and_infers() {
@@ -362,9 +378,9 @@ mod tests {
     fn sharded_infer_matches_batch() {
         let study = Study::build(StudyScale::Tiny, 11);
         let run = study.visibility_run(2, 4.0);
-        let mut sharded = study.session(&run.refdata).build_sharded(4);
+        let mut sharded = study.session(&run.refdata).build_sharded_with(4, Vec::new());
         sharded.ingest(&mut SliceSource::new(&run.output.elems));
-        assert_eq!(sharded.finish(), study.infer(&run.refdata, &run.output.elems));
+        assert_eq!(sharded_parts(sharded), parts(study.infer(&run.refdata, &run.output.elems)));
     }
 
     #[test]
@@ -388,10 +404,10 @@ mod tests {
         assert_eq!(session.finish(), expected);
 
         let mut stream = bh_workloads::fleet_of(&archives).start();
-        let mut sharded = study.session(&run.refdata).build_sharded(4);
+        let mut sharded = study.session(&run.refdata).build_sharded_with(4, Vec::new());
         sharded.ingest(&mut stream);
         assert!(stream.finish().is_clean());
-        assert_eq!(sharded.finish(), expected);
+        assert_eq!(sharded_parts(sharded), parts(expected));
     }
 
     #[test]

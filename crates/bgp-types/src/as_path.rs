@@ -247,11 +247,6 @@ impl AsPath {
         self.without_prepending().iter_asns().position(|a| a == asn)
     }
 
-    /// Detect whether any prepending is present.
-    pub fn has_prepending(&self) -> bool {
-        self.raw_len() != self.without_prepending().raw_len()
-    }
-
     /// The memoized content hash: a deterministic hash of the segments,
     /// computed once per allocation. `Hash` forwards to this, so hashing
     /// a long path after the first time costs one `u64` write.
@@ -423,8 +418,7 @@ mod tests {
         let p = path("3356 3356 3356 2914 64500 64500");
         let clean = p.without_prepending();
         assert_eq!(clean.to_string(), "3356 2914 64500");
-        assert!(p.has_prepending());
-        assert!(!clean.has_prepending());
+        assert_eq!(clean.hop_len(), clean.raw_len());
         assert_eq!(p.hop_len(), 3);
         assert_eq!(p.raw_len(), 6);
     }

@@ -106,23 +106,9 @@ impl Default for PathAttributes {
     }
 }
 
-impl PathAttributes {
-    /// A minimal attribute set: origin IGP, the given path and next hop.
-    pub fn basic(as_path: AsPath, next_hop: IpAddr) -> Self {
-        PathAttributes { as_path, next_hop: Some(next_hop), ..Default::default() }
-    }
-
-    /// Builder-style: attach a communities set.
-    pub fn with_communities(mut self, communities: CommunitySet) -> Self {
-        self.communities = communities;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::community::Community;
 
     #[test]
     fn origin_codes_round_trip() {
@@ -139,17 +125,5 @@ mod tests {
         assert!(attrs.communities.is_empty());
         assert_eq!(attrs.next_hop, None);
         assert!(!attrs.atomic_aggregate);
-    }
-
-    #[test]
-    fn builder_helpers() {
-        let path = AsPath::from_sequence(vec![Asn::new(1), Asn::new(2)]);
-        let nh: IpAddr = "10.0.0.1".parse().unwrap();
-        let communities = CommunitySet::from_classic(vec![Community::BLACKHOLE]);
-        let attrs = PathAttributes::basic(path.clone(), nh).with_communities(communities.clone());
-        assert_eq!(attrs.as_path, path);
-        assert_eq!(attrs.next_hop, Some(nh));
-        assert_eq!(attrs.communities, communities);
-        assert_eq!(attrs.origin, Origin::Igp);
     }
 }

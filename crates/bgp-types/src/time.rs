@@ -75,8 +75,7 @@ impl fmt::Display for SimDuration {
 pub struct SimTime(pub u64);
 
 impl SimTime {
-    /// The epoch (1970-01-01), also the paper's "initial starting time of
-    /// zero" for blackholings already present in the first RIB dump.
+    /// The epoch (1970-01-01).
     pub const ZERO: SimTime = SimTime(0);
 
     /// From a Unix timestamp in seconds.
@@ -90,11 +89,6 @@ impl SimTime {
         let days = days_from_civil(year, month, day);
         assert!(days >= 0, "SimTime cannot represent pre-1970 dates");
         SimTime(days as u64 * 86_400)
-    }
-
-    /// Build from date and time-of-day.
-    pub fn from_ymd_hms(year: i64, month: u32, day: u32, h: u64, m: u64, s: u64) -> Self {
-        SimTime(Self::from_ymd(year, month, day).0 + h * 3600 + m * 60 + s)
     }
 
     /// Unix seconds.
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn day_bucketing() {
-        let t = SimTime::from_ymd_hms(2016, 9, 20, 13, 45, 10);
+        let t = SimTime::from_ymd(2016, 9, 20) + SimDuration::secs(13 * 3600 + 45 * 60 + 10);
         assert_eq!(t.day_start(), SimTime::from_ymd(2016, 9, 20));
         assert_eq!(t.day_index(), SimTime::from_ymd(2016, 9, 20).unix() / 86_400);
     }
@@ -261,7 +255,8 @@ mod tests {
         assert_eq!(SimDuration::hours(16).to_string(), "16h00m00s");
         assert_eq!(SimDuration::days(2).to_string(), "2d00h00m00s");
         assert_eq!(
-            SimTime::from_ymd_hms(2016, 9, 20, 13, 45, 10).to_string(),
+            (SimTime::from_ymd(2016, 9, 20) + SimDuration::secs(13 * 3600 + 45 * 60 + 10))
+                .to_string(),
             "2016-09-20 13:45:10"
         );
     }

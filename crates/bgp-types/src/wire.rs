@@ -50,7 +50,7 @@ const ATTR_FLAG_TRANSITIVE: u8 = 0x40;
 const ATTR_FLAG_EXTENDED_LEN: u8 = 0x10;
 
 /// Encode one IPv4 NLRI element: length octet + minimal network bytes.
-pub fn encode_nlri<B: BufMut>(buf: &mut B, prefix: &Ipv4Prefix) {
+fn encode_nlri<B: BufMut>(buf: &mut B, prefix: &Ipv4Prefix) {
     buf.put_u8(prefix.length());
     let octets = prefix.network().octets();
     let nbytes = prefix.length().div_ceil(8) as usize;
@@ -152,7 +152,7 @@ pub fn encode_attributes(attrs: &PathAttributes) -> BytesMut {
 }
 
 /// [`encode_attributes`], appended to `buf` in place.
-pub fn encode_attributes_into(buf: &mut Vec<u8>, attrs: &PathAttributes) {
+fn encode_attributes_into(buf: &mut Vec<u8>, attrs: &PathAttributes) {
     let wk = ATTR_FLAG_TRANSITIVE; // well-known mandatory
     let opt = ATTR_FLAG_OPTIONAL | ATTR_FLAG_TRANSITIVE;
 

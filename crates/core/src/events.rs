@@ -52,8 +52,7 @@ pub struct BlackholeEvent {
     pub providers: BTreeSet<ProviderId>,
     /// All inferred blackholing users.
     pub users: BTreeSet<Asn>,
-    /// Event start: first observation (or [`SimTime::ZERO`] when the
-    /// blackholing was already present in the initial RIB dump).
+    /// Event start: the first tagged announcement observed.
     pub start: SimTime,
     /// Event end: all peers saw a withdrawal (explicit or implicit);
     /// `None` while still active at the end of the window.

@@ -14,8 +14,9 @@
 //!    state machines handle announcements, explicit withdrawals, and
 //!    *implicit* withdrawals (re-announcement without the tag);
 //!    observations are correlated across peers into prefix-level
-//!    [`events::BlackholeEvent`]s; RIB-dump initialization uses start
-//!    time zero; the 5-minute grouping of §9 collapses operators' ON/OFF
+//!    [`events::BlackholeEvent`]s that start at their first tagged
+//!    announcement (no RIB-dump initialization: see the §4.2 deviation
+//!    below); the 5-minute grouping of §9 collapses operators' ON/OFF
 //!    probing into [`events::BlackholePeriod`]s.
 //! 3. **Analytics** ([`analytics`], [`accumulate`]): Table 3
 //!    (per-dataset visibility), Table 4 (by provider type), Fig. 4
@@ -41,6 +42,20 @@
 //! or a constant-memory MRT archive reader — and
 //! [`shard::ShardedSession`] hash-partitions the stream by prefix across
 //! worker threads with a deterministic, bit-identical merge.
+//!
+//! ## Deviation from §4.2: no RIB-dump initialization
+//!
+//! The paper seeds its per-prefix state from RIB table dumps at
+//! "starting time zero", then replays the update files: a blackholing
+//! already in the table when the archives begin gets start time zero.
+//! That initialization exists for state from before an archive's first
+//! record, and no world here has any: every scenario, adversarial run
+//! and live replay starts from an empty simulator at its window start
+//! and reaches inference only as BGP4MP UPDATE archives. So a session
+//! reads UPDATE streams only, and every event starts at its first tagged
+//! announcement. `bh_mrt` still checks and counts `TABLE_DUMP_V2`
+//! records; RIB input would return as a RIB arm of
+//! `MessageStream::next_update`, not as a second ingest path.
 
 pub mod accumulate;
 pub mod analytics;

@@ -12,7 +12,6 @@
 //!   for bundled detections),
 //! * per-(prefix, peer) state with explicit *and* implicit withdrawals,
 //! * cross-peer correlation into prefix-level events,
-//! * initialization from a RIB dump with "starting time zero",
 //! * a community/prefix-length census feeding the extended-dictionary
 //!   inference (Fig. 2).
 //!
@@ -264,14 +263,10 @@ impl SessionBuilder {
     }
 
     /// Build a [`ShardedSession`] that hash-partitions the element
-    /// stream by prefix across `shards` worker threads.
-    pub fn build_sharded(self, shards: usize) -> ShardedSession {
-        ShardedSession::spawn(self, shards, Vec::new())
-    }
-
-    /// Build a sharded session whose workers stream their closed events
-    /// through a clone of `accumulator` as they go — inline analytics
-    /// with no per-shard event `Vec`. The per-shard accumulators are
+    /// stream by prefix across `shards` worker threads, each streaming
+    /// its closed events through a clone of `accumulator` as it goes —
+    /// inline analytics with no per-shard event `Vec` (or, with
+    /// `Vec::new()`, the events themselves). The per-shard accumulators are
     /// merged deterministically at the
     /// [`finish_parts`](ShardedSession::finish_parts) barrier.
     pub fn build_sharded_with<A>(self, shards: usize, accumulator: A) -> ShardedSession<A>
@@ -580,27 +575,10 @@ impl InferenceSession {
         &self.state.community_sets
     }
 
-    /// Initialize from a RIB dump: tagged prefixes present in the table
-    /// start with time zero ("we cannot accurately pinpoint the start
-    /// time … we use an initial starting time of zero").
-    pub fn initialize_from_rib(&mut self, state: &[BgpElem]) {
-        for elem in state {
-            self.push_rib(elem);
-        }
-    }
-
-    /// Push one RIB-dump entry (start time zero); the streaming sibling
-    /// of [`InferenceSession::initialize_from_rib`].
-    pub fn push_rib(&mut self, elem: &BgpElem) {
-        if elem.elem_type == ElemType::Announce {
-            self.process_announce(elem, SimTime::ZERO);
-        }
-    }
-
     /// Process one element in arrival order.
     pub fn push(&mut self, elem: &BgpElem) {
         match elem.elem_type {
-            ElemType::Announce => self.process_announce(elem, elem.time),
+            ElemType::Announce => self.process_announce(elem),
             ElemType::Withdraw => self.process_withdraw(elem),
         }
     }
@@ -688,7 +666,7 @@ impl InferenceSession {
         set_id
     }
 
-    fn process_announce(&mut self, elem: &BgpElem, start_time: SimTime) {
+    fn process_announce(&mut self, elem: &BgpElem) {
         self.state.stats.elems += 1;
         // Data cleaning (§3): bogons and <-/8 never considered.
         if !self.bogons.is_routable(&elem.prefix) {
@@ -740,7 +718,7 @@ impl InferenceSession {
         let oe = state
             .open
             .entry(elem.prefix)
-            .or_insert_with(|| OpenEvent { start: start_time, ..Default::default() });
+            .or_insert_with(|| OpenEvent { start: elem.time, ..Default::default() });
         oe.open_peers.insert(peer);
         oe.all_peers.insert(elem.peer_key());
         oe.datasets.insert(elem.dataset);
@@ -1155,18 +1133,6 @@ mod tests {
         let result = session.finish();
         assert_eq!(result.events[0].end, Some(SimTime::from_unix(150)));
         assert_eq!(result.stats.implicit_withdrawals, 1);
-    }
-
-    #[test]
-    fn rib_initialization_uses_time_zero() {
-        let s = setup();
-        let mut session = s.session();
-        let rib = vec![announce("9.9.9.9/32", 10_000, "100 64777 64999", vec![s.community], 100)];
-        session.initialize_from_rib(&rib);
-        session.push(&withdraw("9.9.9.9/32", 10_500, 100));
-        let result = session.finish();
-        assert_eq!(result.events[0].start, SimTime::ZERO);
-        assert_eq!(result.events[0].end, Some(SimTime::from_unix(10_500)));
     }
 
     #[test]

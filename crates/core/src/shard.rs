@@ -20,9 +20,9 @@
 //! goes (a clone of the prototype handed to
 //! [`SessionBuilder::build_sharded_with`]); the per-shard accumulators
 //! are folded together at the [`ShardedSession::finish_parts`] barrier
-//! in shard-index order. The default accumulator is the event list
-//! itself (`Vec<BlackholeEvent>`), which reproduces the classic
-//! `finish() -> InferenceResult` shape; an
+//! in shard-index order. The event list itself (`Vec<BlackholeEvent>`)
+//! is one accumulator — [`canonical_order`](crate::canonical_order)
+//! then sorts it as a single session's `finish()` does; an
 //! [`AnalyticsPipeline`](crate::AnalyticsPipeline) instead computes
 //! every paper figure inline, with no per-shard event `Vec` at all.
 //!
@@ -46,8 +46,7 @@ use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_routing::{BgpElem, ElemSource};
 
 use crate::accumulate::EventAccumulator;
-use crate::events::BlackholeEvent;
-use crate::session::{InferenceResult, SessionBuilder, StreamSummary};
+use crate::session::{SessionBuilder, StreamSummary};
 
 /// Elements buffered per shard before a batch crosses the channel.
 const BATCH: usize = 512;
@@ -57,31 +56,22 @@ const BATCH: usize = 512;
 /// (a fast archive decode otherwise queues most of the stream here).
 const QUEUE_BATCHES: usize = 4;
 
-enum ShardMsg {
-    /// Live stream elements, in per-prefix arrival order.
-    Elems(Vec<BgpElem>),
-    /// RIB-dump entries (start time zero).
-    Rib(Vec<BgpElem>),
-}
-
 /// A parallel inference session over `N` prefix-partitioned workers,
 /// each streaming its closed events through its own accumulator.
 ///
-/// Built via [`SessionBuilder::build_sharded`] (events collected, the
-/// classic [`finish`](ShardedSession::finish) shape) or
-/// [`SessionBuilder::build_sharded_with`] (any
-/// [`EventAccumulator`], e.g. an
+/// Built via [`SessionBuilder::build_sharded_with`] (any
+/// [`EventAccumulator`]: the event list itself, or an
 /// [`AnalyticsPipeline`](crate::AnalyticsPipeline) computing every
 /// figure inline). Exposes the same one-pass surface as
-/// [`InferenceSession`](crate::InferenceSession) (`push` / `push_rib` /
-/// `ingest`). Mid-stream draining and checkpointing remain
-/// single-session features — the sharded runner targets offline archive
-/// scans where only the final result matters.
-pub struct ShardedSession<A: EventAccumulator = Vec<BlackholeEvent>> {
-    senders: Vec<mpsc::SyncSender<ShardMsg>>,
+/// [`InferenceSession`](crate::InferenceSession) (`push` / `ingest`).
+/// Mid-stream draining and checkpointing remain single-session features
+/// — the sharded runner targets offline archive scans where only the
+/// final result matters.
+pub struct ShardedSession<A: EventAccumulator> {
+    /// Per shard: batches of elements, in per-prefix arrival order.
+    senders: Vec<mpsc::SyncSender<Vec<BgpElem>>>,
     workers: Vec<JoinHandle<(StreamSummary, A)>>,
     buffers: Vec<Vec<BgpElem>>,
-    pushed: u64,
 }
 
 impl<A> ShardedSession<A>
@@ -95,23 +85,14 @@ where
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(QUEUE_BATCHES);
+            let (tx, rx) = mpsc::sync_channel::<Vec<BgpElem>>(QUEUE_BATCHES);
             let worker_builder = builder.clone();
             let mut acc = accumulator.clone();
             workers.push(thread::spawn(move || {
                 let mut session = worker_builder.build();
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        ShardMsg::Elems(batch) => {
-                            for elem in &batch {
-                                session.push(elem);
-                            }
-                        }
-                        ShardMsg::Rib(batch) => {
-                            for elem in &batch {
-                                session.push_rib(elem);
-                            }
-                        }
+                while let Ok(batch) = rx.recv() {
+                    for elem in &batch {
+                        session.push(elem);
                     }
                     // Stream closed events into the accumulator batch by
                     // batch: the worker never holds an event Vec.
@@ -122,16 +103,11 @@ where
             }));
             senders.push(tx);
         }
-        ShardedSession { senders, workers, buffers: vec![Vec::new(); shards], pushed: 0 }
+        ShardedSession { senders, workers, buffers: vec![Vec::new(); shards] }
     }
 }
 
 impl<A: EventAccumulator> ShardedSession<A> {
-    /// Elements pushed so far (stream + RIB).
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
     /// Deterministic shard assignment: a fixed multiplicative hash of
     /// the prefix bits and length.
     fn shard_of(&self, prefix: &Ipv4Prefix) -> usize {
@@ -144,29 +120,9 @@ impl<A: EventAccumulator> ShardedSession<A> {
     pub fn push(&mut self, elem: &BgpElem) {
         let shard = self.shard_of(&elem.prefix);
         self.buffers[shard].push(elem.clone());
-        self.pushed += 1;
         if self.buffers[shard].len() >= BATCH {
             let batch = std::mem::take(&mut self.buffers[shard]);
-            let _ = self.senders[shard].send(ShardMsg::Elems(batch));
-        }
-    }
-
-    /// Initialize from a RIB dump (start time zero), sharded like the
-    /// live stream. Call before pushing updates, mirroring the paper's
-    /// "Initialization Based on BGP Table Dump".
-    pub fn initialize_from_rib(&mut self, state: &[BgpElem]) {
-        // Flush live buffers first so RIB entries cannot overtake
-        // elements already pushed to the same shard.
-        self.flush();
-        let mut batches: Vec<Vec<BgpElem>> = vec![Vec::new(); self.senders.len()];
-        for elem in state {
-            batches[self.shard_of(&elem.prefix)].push(elem.clone());
-        }
-        for (shard, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.pushed += batch.len() as u64;
-                let _ = self.senders[shard].send(ShardMsg::Rib(batch));
-            }
+            let _ = self.senders[shard].send(batch);
         }
     }
 
@@ -184,7 +140,7 @@ impl<A: EventAccumulator> ShardedSession<A> {
     fn flush(&mut self) {
         for (shard, buffer) in self.buffers.iter_mut().enumerate() {
             if !buffer.is_empty() {
-                let _ = self.senders[shard].send(ShardMsg::Elems(std::mem::take(buffer)));
+                let _ = self.senders[shard].send(std::mem::take(buffer));
             }
         }
     }
@@ -210,17 +166,6 @@ impl<A: EventAccumulator> ShardedSession<A> {
     }
 }
 
-impl ShardedSession<Vec<BlackholeEvent>> {
-    /// Finish into a full [`InferenceResult`] — bit-identical to a
-    /// single-threaded run over the same stream (a prefix never splits
-    /// across shards, so the canonical sort sees every tie in its
-    /// single-threaded order).
-    pub fn finish(self) -> InferenceResult {
-        let (summary, events) = self.finish_parts();
-        InferenceResult::new(summary, events)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -235,7 +180,16 @@ mod tests {
 
     use super::*;
     use crate::accumulate::{AnalyticsConfig, AnalyticsPipeline};
+    use crate::events::BlackholeEvent;
     use crate::refdata::ReferenceData;
+    use crate::session::InferenceResult;
+
+    /// A sharded session's events and summary as one result, in the
+    /// order a single session's `finish()` gives.
+    fn finish(sharded: ShardedSession<Vec<BlackholeEvent>>) -> InferenceResult {
+        let (summary, events) = sharded.finish_parts();
+        InferenceResult::new(summary, events)
+    }
 
     fn builder() -> (SessionBuilder, Community, Arc<ReferenceData>) {
         let t = TopologyBuilder::new(TopologyConfig::tiny(31)).build();
@@ -303,39 +257,13 @@ mod tests {
         let expected = single.finish();
 
         for shards in [1, 2, 4, 7] {
-            let mut sharded = b.clone().build_sharded(shards);
+            let mut sharded = b.clone().build_sharded_with(shards, Vec::new());
             assert_eq!(sharded.senders.len(), shards);
             for e in &elems {
                 sharded.push(e);
             }
-            assert_eq!(sharded.pushed(), elems.len() as u64);
-            assert_eq!(sharded.finish(), expected, "{shards} shards diverged");
+            assert_eq!(finish(sharded), expected, "{shards} shards diverged");
         }
-    }
-
-    #[test]
-    fn sharded_rib_initialization_matches_single_threaded() {
-        let (b, community, _) = builder();
-        let rib: Vec<BgpElem> = (0..9u64)
-            .map(|k| announce(&format!("9.9.9.{k}/32"), 5_000, vec![community], 7))
-            .collect();
-        let updates: Vec<BgpElem> =
-            (0..9u64).map(|k| withdraw(&format!("9.9.9.{k}/32"), 6_000 + k, 7)).collect();
-
-        let mut single = b.clone().build();
-        single.initialize_from_rib(&rib);
-        for e in &updates {
-            single.push(e);
-        }
-        let expected = single.finish();
-        assert!(expected.events.iter().all(|e| e.start == SimTime::ZERO));
-
-        let mut sharded = b.build_sharded(4);
-        sharded.initialize_from_rib(&rib);
-        for e in &updates {
-            sharded.push(e);
-        }
-        assert_eq!(sharded.finish(), expected);
     }
 
     #[test]
@@ -357,19 +285,19 @@ mod tests {
         single.ingest(&mut MergedSource::new(sources));
         let expected = single.finish();
 
-        let mut sharded = b.build_sharded(4);
+        let mut sharded = b.build_sharded_with(4, Vec::new());
         let sources: Vec<SliceSource<'_>> = streams.iter().map(SliceSource::from).collect();
         sharded.ingest(&mut MergedSource::new(sources));
-        assert_eq!(sharded.finish(), expected);
+        assert_eq!(finish(sharded), expected);
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
         let (b, community, _) = builder();
-        let mut sharded = b.build_sharded(0);
+        let mut sharded = b.build_sharded_with(0, Vec::new());
         assert_eq!(sharded.senders.len(), 1);
         sharded.push(&announce("9.9.9.9/32", 10, vec![community], 1));
-        assert_eq!(sharded.finish().events.len(), 1);
+        assert_eq!(finish(sharded).events.len(), 1);
     }
 
     #[test]

@@ -5,18 +5,21 @@
 //! dependency set has no MRT parser, so this crate implements the format
 //! from scratch:
 //!
-//! * **BGP4MP / BGP4MP_ET** `MESSAGE_AS4` and `STATE_CHANGE_AS4` records —
-//!   the "updates" files. Message payloads are genuine BGP wire bytes
-//!   encoded/decoded by [`bh_bgp_types::wire`].
-//! * **TABLE_DUMP_V2** `PEER_INDEX_TABLE` + `RIB_IPV4_UNICAST` records —
-//!   the "rib" snapshot files used to initialize inference ("Initialization
-//!   Based on BGP Table Dump", §4.2).
+//! * **BGP4MP / BGP4MP_ET** `MESSAGE_AS4` UPDATE records — the "updates"
+//!   files, the only records written and the only ones inference reads.
+//!   Message payloads are genuine BGP wire bytes encoded/decoded by
+//!   [`bh_bgp_types::wire`].
+//! * **Everything else is read-checked only.** `STATE_CHANGE(_AS4)`
+//!   records and the **TABLE_DUMP_V2** `PEER_INDEX_TABLE` +
+//!   `RIB_IPV4_UNICAST` records of "rib" snapshot files are checked,
+//!   counted and passed over, like other BGP messages and unknown record
+//!   types — how real pipelines must handle archive noise. No world here
+//!   has routing state from before its archives' first record, so the
+//!   paper's RIB initialization (§4.2) has nothing to seed.
 //!
 //! Scope notes (explicit, smoltcp-style): IPv4 AFI end-to-end (the study is
 //! 96.6 % IPv4 and evaluates IPv4 only); `MESSAGE` (2-byte-AS) records are
-//! *read* but not written; state changes, `TABLE_DUMP_V2` records, other
-//! BGP messages and unknown record types are checked, counted and passed
-//! over, matching how real pipelines must handle archive noise.
+//! *read* but not written.
 //!
 //! Reading is incremental and framing-safe: records are length-prefixed,
 //! torn/corrupt records produce typed errors that callers may either
@@ -37,9 +40,7 @@ pub mod write;
 
 pub use bh_bgp_types::wire::AttrCache;
 pub use read::{MessageStream, MrtBytesReader, ReadMode};
-pub use record::{
-    BgpState, MrtError, PeerEntry, PeerIndexTable, RibEntry, RibPeerEntry, UpdateRecord,
-};
+pub use record::{MrtError, UpdateRecord};
 pub use tail::TailingReader;
 pub use write::MrtWriter;
 
@@ -52,73 +53,94 @@ mod round_trip_tests {
     use bh_bgp_types::community::{Community, CommunitySet};
     use bh_bgp_types::time::SimTime;
     use bh_bgp_types::update::BgpUpdate;
+    use bh_bgp_types::wire::encode_attributes;
 
     use super::*;
+    use crate::record::{bgp4mp_subtype, mrt_type, td2_subtype};
 
     fn sample_update() -> BgpUpdate {
-        let attrs = PathAttributes::basic(
-            "6939 3356 64500".parse().unwrap(),
-            "203.0.113.66".parse::<IpAddr>().unwrap(),
-        )
-        .with_communities(CommunitySet::from_classic(vec![
-            Community::from_parts(3356, 9999),
-            Community::NO_EXPORT,
-        ]));
+        let attrs = PathAttributes {
+            as_path: "6939 3356 64500".parse().unwrap(),
+            next_hop: Some("203.0.113.66".parse().unwrap()),
+            communities: CommunitySet::from_classic(vec![
+                Community::from_parts(3356, 9999),
+                Community::NO_EXPORT,
+            ]),
+            ..Default::default()
+        };
         let mut update = BgpUpdate::new(attrs);
         update.announce_v4("130.149.1.1/32".parse().unwrap());
         update
     }
 
+    /// An MRT record of `ty` / `subtype` around `body`.
+    fn record(time: u32, ty: u16, subtype: u16, body: &[u8]) -> Vec<u8> {
+        let mut rec = time.to_be_bytes().to_vec();
+        rec.extend_from_slice(&ty.to_be_bytes());
+        rec.extend_from_slice(&subtype.to_be_bytes());
+        rec.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        rec.extend_from_slice(body);
+        rec
+    }
+
+    /// A `PEER_INDEX_TABLE` of two IPv4 peers with 4-byte ASNs, each
+    /// address its own BGP ID.
+    fn peer_index_table() -> Vec<u8> {
+        let mut body = vec![10, 0, 0, 255]; // collector BGP ID
+        body.extend_from_slice(&9u16.to_be_bytes());
+        body.extend_from_slice(b"test-view");
+        body.extend_from_slice(&2u16.to_be_bytes());
+        for (asn, ip) in [(6939u32, [198, 32, 176, 20]), (3257, [198, 32, 176, 21])] {
+            body.push(0b10); // IPv4 address, 4-byte ASN
+            body.extend_from_slice(&ip);
+            body.extend_from_slice(&ip);
+            body.extend_from_slice(&asn.to_be_bytes());
+        }
+        record(1000, mrt_type::TABLE_DUMP_V2, td2_subtype::PEER_INDEX_TABLE, &body)
+    }
+
+    /// A `RIB_IPV4_UNICAST` entry for 130.149.0.0/16 from peer 0.
+    fn rib_entry(attrs: &PathAttributes) -> Vec<u8> {
+        let block = encode_attributes(attrs);
+        let mut body = 0u32.to_be_bytes().to_vec(); // sequence number
+        body.extend_from_slice(&[16, 130, 149]); // the prefix as NLRI
+        body.extend_from_slice(&1u16.to_be_bytes());
+        body.extend_from_slice(&0u16.to_be_bytes()); // peer index
+        body.extend_from_slice(&900u32.to_be_bytes()); // originated
+        body.extend_from_slice(&(block.len() as u16).to_be_bytes());
+        body.extend_from_slice(&block);
+        record(1000, mrt_type::TABLE_DUMP_V2, td2_subtype::RIB_IPV4_UNICAST, &body)
+    }
+
+    /// A `STATE_CHANGE_AS4` from Established (6) to Idle (1).
+    fn state_change() -> Vec<u8> {
+        let mut body = 6939u32.to_be_bytes().to_vec();
+        body.extend_from_slice(&65_000u32.to_be_bytes());
+        body.extend_from_slice(&0u16.to_be_bytes()); // interface index
+        body.extend_from_slice(&1u16.to_be_bytes()); // AFI IPv4
+        body.extend_from_slice(&[198, 32, 176, 20, 198, 32, 176, 1]);
+        body.extend_from_slice(&[0, 6, 0, 1]);
+        record(1200, mrt_type::BGP4MP, bgp4mp_subtype::STATE_CHANGE_AS4, &body)
+    }
+
     #[test]
     fn full_archive_round_trip() {
-        let mut buf = Vec::new();
-        {
-            let mut writer = MrtWriter::new(&mut buf);
-            let peers = vec![
-                PeerEntry::new(Asn::new(6939), "198.32.176.20".parse().unwrap()),
-                PeerEntry::new(Asn::new(3257), "198.32.176.21".parse().unwrap()),
-            ];
-            let table = PeerIndexTable::new([10, 0, 0, 255], "test-view", peers);
-            writer.write_peer_index_table(SimTime::from_unix(1000), &table).unwrap();
-
-            let rib = RibEntry {
-                sequence: 0,
-                prefix: "130.149.0.0/16".parse().unwrap(),
-                entries: vec![RibPeerEntry {
-                    peer_index: 0,
-                    originated: SimTime::from_unix(900),
-                    attrs: sample_update().attrs.clone(),
-                }],
-            };
-            writer.write_rib_entry(SimTime::from_unix(1000), &rib).unwrap();
-
-            writer
-                .write_update(
-                    SimTime::from_unix(1100),
-                    Asn::new(6939),
-                    "198.32.176.20".parse().unwrap(),
-                    Asn::new(65_000),
-                    "198.32.176.1".parse().unwrap(),
-                    &sample_update(),
-                )
-                .unwrap();
-
-            writer
-                .write_state_change(
-                    SimTime::from_unix(1200),
-                    Asn::new(6939),
-                    "198.32.176.20".parse().unwrap(),
-                    Asn::new(65_000),
-                    "198.32.176.1".parse().unwrap(),
-                    BgpState::Established,
-                    BgpState::Idle,
-                )
-                .unwrap();
-        }
+        let mut buf = [peer_index_table(), rib_entry(&sample_update().attrs)].concat();
+        MrtWriter::new(&mut buf)
+            .write_update(
+                SimTime::from_unix(1100),
+                Asn::new(6939),
+                "198.32.176.20".parse().unwrap(),
+                Asn::new(65_000),
+                "198.32.176.1".parse().unwrap(),
+                &sample_update(),
+            )
+            .unwrap();
+        buf.extend_from_slice(&state_change());
 
         // The UPDATE reads back; the other three records are checked,
         // counted and passed over.
-        let mut reader = MrtBytesReader::new(buf);
+        let mut reader = MrtBytesReader::new(buf.clone());
         let mut update = UpdateRecord::default();
         assert!(reader.next_update(&mut update).unwrap());
         assert_eq!(update.timestamp, SimTime::from_unix(1100));
@@ -130,5 +152,10 @@ mod round_trip_tests {
         assert!(update.withdrawn.is_empty());
         assert!(!reader.next_update(&mut update).unwrap());
         assert_eq!((reader.records_read(), reader.records_skipped()), (4, 0));
+
+        let mut tolerant = MrtBytesReader::tolerant(buf);
+        assert!(tolerant.next_update(&mut update).unwrap());
+        assert!(!tolerant.next_update(&mut update).unwrap());
+        assert_eq!((tolerant.records_read(), tolerant.records_skipped()), (4, 0));
     }
 }

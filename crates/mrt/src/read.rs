@@ -15,7 +15,7 @@ use bh_bgp_types::error::CodecError;
 use bh_bgp_types::wire::{self, AttrCache, UpdateView};
 
 use crate::frame::Framer;
-use crate::record::{bgp4mp_subtype, mrt_type, td2_subtype, BgpState, MrtError, UpdateRecord};
+use crate::record::{bgp4mp_subtype, mrt_type, td2_subtype, MrtError, UpdateRecord};
 
 /// Upper bound on a single MRT record body; anything larger is treated as
 /// corruption rather than allocating unbounded memory (defensive parsing).
@@ -157,12 +157,13 @@ pub(crate) enum BodyView<'a> {
     Other,
 }
 
-/// Check that a state-change code names a [`BgpState`].
+/// Check that a state-change code names a BGP FSM state: RFC 6396
+/// §4.4.1 numbers them 1 (Idle) to 6 (Established).
 fn check_state(what: &'static str, code: [u8; 2]) -> Result<(), CodecError> {
     let code = u16::from_be_bytes(code);
-    match BgpState::from_code(code) {
-        Some(_) => Ok(()),
-        None => Err(CodecError::BadValue { what, value: code as u64 }),
+    match code {
+        1..=6 => Ok(()),
+        _ => Err(CodecError::BadValue { what, value: code as u64 }),
     }
 }
 
@@ -250,16 +251,16 @@ mod tests {
     use bh_bgp_types::update::BgpUpdate;
 
     use super::*;
-    use crate::record::BgpState;
     use crate::write::MrtWriter;
 
     fn one_update_archive() -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = MrtWriter::new(&mut buf);
-        let mut update = BgpUpdate::new(PathAttributes::basic(
-            "6939 64500".parse().unwrap(),
-            "10.0.0.9".parse().unwrap(),
-        ));
+        let mut update = BgpUpdate::new(PathAttributes {
+            as_path: "6939 64500".parse().unwrap(),
+            next_hop: Some("10.0.0.9".parse().unwrap()),
+            ..Default::default()
+        });
         update.announce_v4("130.149.1.1/32".parse().unwrap());
         w.write_update(
             SimTime::from_unix(5),
@@ -286,6 +287,16 @@ mod tests {
     /// A BGP4MP MESSAGE_AS4 record whose payload is `0xdeadbeef`.
     fn corrupt_record() -> Vec<u8> {
         record(1, mrt_type::BGP4MP, bgp4mp_subtype::MESSAGE_AS4, &[0xde, 0xad, 0xbe, 0xef])
+    }
+
+    /// A BGP4MP STATE_CHANGE_AS4 record from `old` to `new`, under the
+    /// envelope [`one_update_archive`] writes.
+    fn state_change(old: u16, new: u16) -> Vec<u8> {
+        let written = one_update_archive();
+        let mut body = written[12..12 + 20].to_vec(); // ASNs, ifindex, AFI, IPs
+        body.extend_from_slice(&old.to_be_bytes());
+        body.extend_from_slice(&new.to_be_bytes());
+        record(1, mrt_type::BGP4MP, bgp4mp_subtype::STATE_CHANGE_AS4, &body)
     }
 
     /// Every UPDATE `reader` yields.
@@ -447,7 +458,7 @@ mod tests {
             body.extend_from_slice(&new.to_be_bytes());
             record(99, mrt_type::BGP4MP_ET, bgp4mp_subtype::STATE_CHANGE_AS4, &body)
         };
-        let mut r = MrtBytesReader::new(state_change(BgpState::Idle.code()));
+        let mut r = MrtBytesReader::new(state_change(1));
         assert!(drain(&mut r).unwrap().is_empty());
         assert_eq!(r.records_read(), 1);
         let mut r = MrtBytesReader::new(state_change(7));
@@ -484,21 +495,7 @@ mod tests {
     #[test]
     fn next_update_passes_over_other_records() {
         // State change, then an update: next_update lands on the update.
-        let mut buf = Vec::new();
-        {
-            let mut w = MrtWriter::new(&mut buf);
-            w.write_state_change(
-                SimTime::from_unix(1),
-                Asn::new(6939),
-                "10.0.0.1".parse().unwrap(),
-                Asn::new(65000),
-                "10.0.0.2".parse().unwrap(),
-                BgpState::Idle,
-                BgpState::Established,
-            )
-            .unwrap();
-        }
-        buf.extend_from_slice(&one_update_archive());
+        let buf = [state_change(1, 6), one_update_archive()].concat();
         let mut r = MrtBytesReader::new(buf);
         let mut into = UpdateRecord::default();
         assert!(r.next_update(&mut into).unwrap());
@@ -507,6 +504,36 @@ mod tests {
         assert!(into.attrs.is_some());
         assert!(!r.next_update(&mut into).unwrap());
         assert_eq!(r.records_read(), 2);
+    }
+
+    /// RFC 6396 numbers the FSM states 1 to 6: a state change whose old
+    /// or new state is 0 or 7 fails a strict read, and a tolerant one
+    /// skips and counts it and reads on. Every code in range reads.
+    #[test]
+    fn state_codes_outside_one_to_six_are_refused() {
+        for (old, new) in (1..=6).flat_map(|old| (1..=6).map(move |new| (old, new))) {
+            let mut r = MrtBytesReader::new(state_change(old, new));
+            assert!(drain(&mut r).unwrap().is_empty());
+            assert_eq!((r.records_read(), r.records_skipped()), (1, 0), "{old} -> {new}");
+        }
+        for (old, new, what, value) in [
+            (0, 6, "old state", 0),
+            (7, 6, "old state", 7),
+            (1, 0, "new state", 0),
+            (1, 7, "new state", 7),
+        ] {
+            let archive = [state_change(old, new), one_update_archive()].concat();
+            let mut strict = MrtBytesReader::new(archive.clone());
+            let err = drain(&mut strict).unwrap_err();
+            let MrtError::Codec(CodecError::BadValue { what: w, value: v }) = err else {
+                panic!("{old} -> {new}: {err}");
+            };
+            assert_eq!((w, v), (what, value));
+            assert_eq!((strict.records_read(), strict.records_skipped()), (0, 0));
+            let mut tolerant = MrtBytesReader::tolerant(archive);
+            assert_eq!(drain(&mut tolerant).unwrap().len(), 1, "{old} -> {new}");
+            assert_eq!((tolerant.records_read(), tolerant.records_skipped()), (1, 1));
+        }
     }
 
     #[test]

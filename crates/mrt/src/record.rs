@@ -1,6 +1,5 @@
-//! MRT record types (RFC 6396): the type codes, the errors, the values
-//! `MrtWriter` takes for the records it writes, and the [`UpdateRecord`]
-//! a reader fills.
+//! MRT record types (RFC 6396): the type codes, the errors, and the
+//! [`UpdateRecord`] a reader fills.
 
 use std::fmt;
 use std::io;
@@ -9,7 +8,6 @@ use std::net::{IpAddr, Ipv4Addr};
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::attrs::PathAttributes;
 use bh_bgp_types::error::CodecError;
-use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::PrefixList;
 
@@ -84,121 +82,6 @@ impl From<CodecError> for MrtError {
     }
 }
 
-/// BGP FSM states carried by STATE_CHANGE records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BgpState {
-    /// Idle.
-    Idle,
-    /// Connect.
-    Connect,
-    /// Active.
-    Active,
-    /// OpenSent.
-    OpenSent,
-    /// OpenConfirm.
-    OpenConfirm,
-    /// Established.
-    Established,
-}
-
-impl BgpState {
-    /// Wire code (RFC 6396 §4.4.1, 1-based).
-    pub fn code(self) -> u16 {
-        match self {
-            BgpState::Idle => 1,
-            BgpState::Connect => 2,
-            BgpState::Active => 3,
-            BgpState::OpenSent => 4,
-            BgpState::OpenConfirm => 5,
-            BgpState::Established => 6,
-        }
-    }
-
-    /// Decode from the wire code.
-    pub fn from_code(code: u16) -> Option<BgpState> {
-        Some(match code {
-            1 => BgpState::Idle,
-            2 => BgpState::Connect,
-            3 => BgpState::Active,
-            4 => BgpState::OpenSent,
-            5 => BgpState::OpenConfirm,
-            6 => BgpState::Established,
-            _ => return None,
-        })
-    }
-}
-
-/// One peer of a TABLE_DUMP_V2 PEER_INDEX_TABLE.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerEntry {
-    /// Peer BGP identifier (router ID).
-    pub bgp_id: [u8; 4],
-    /// Peer IP address.
-    pub ip: IpAddr,
-    /// Peer ASN.
-    pub asn: Asn,
-}
-
-impl PeerEntry {
-    /// A peer entry with a router ID derived from its IPv4 address.
-    pub fn new(asn: Asn, ip: IpAddr) -> Self {
-        let bgp_id = match ip {
-            IpAddr::V4(v4) => v4.octets(),
-            IpAddr::V6(v6) => {
-                let o = v6.octets();
-                [o[12], o[13], o[14], o[15]]
-            }
-        };
-        PeerEntry { bgp_id, ip, asn }
-    }
-}
-
-/// TABLE_DUMP_V2 PEER_INDEX_TABLE: the peer directory that RIB entries
-/// reference by index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerIndexTable {
-    /// Collector BGP identifier.
-    pub collector_id: [u8; 4],
-    /// Optional view name (e.g. the collector name).
-    pub view_name: String,
-    /// Peer directory.
-    pub peers: Vec<PeerEntry>,
-}
-
-impl PeerIndexTable {
-    /// Build a table.
-    pub fn new(collector_id: [u8; 4], view_name: impl Into<String>, peers: Vec<PeerEntry>) -> Self {
-        PeerIndexTable { collector_id, view_name: view_name.into(), peers }
-    }
-
-    /// Look up a peer by index.
-    pub fn peer(&self, index: u16) -> Option<&PeerEntry> {
-        self.peers.get(index as usize)
-    }
-}
-
-/// One RIB_IPV4_UNICAST entry: the per-peer best paths for one prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RibEntry {
-    /// Sequence number within the dump.
-    pub sequence: u32,
-    /// The prefix.
-    pub prefix: Ipv4Prefix,
-    /// One entry per peer that had a path at dump time.
-    pub entries: Vec<RibPeerEntry>,
-}
-
-/// One peer's path in a [`RibEntry`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RibPeerEntry {
-    /// Index into the PEER_INDEX_TABLE.
-    pub peer_index: u16,
-    /// When the route was originated/learned.
-    pub originated: SimTime,
-    /// The path attributes.
-    pub attrs: PathAttributes,
-}
-
 /// One BGP4MP UPDATE record as the elem path consumes it, filled by
 /// [`MessageStream::next_update`](crate::MessageStream::next_update) into
 /// buffers reused from record to record.
@@ -235,41 +118,6 @@ impl Default for UpdateRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bgp_state_codes_round_trip() {
-        for s in [
-            BgpState::Idle,
-            BgpState::Connect,
-            BgpState::Active,
-            BgpState::OpenSent,
-            BgpState::OpenConfirm,
-            BgpState::Established,
-        ] {
-            assert_eq!(BgpState::from_code(s.code()), Some(s));
-        }
-        assert_eq!(BgpState::from_code(0), None);
-        assert_eq!(BgpState::from_code(7), None);
-    }
-
-    #[test]
-    fn peer_entry_derives_router_id() {
-        let p = PeerEntry::new(Asn::new(6939), "198.32.176.20".parse().unwrap());
-        assert_eq!(p.bgp_id, [198, 32, 176, 20]);
-        let p6 = PeerEntry::new(Asn::new(6939), "2001:db8::1".parse().unwrap());
-        assert_eq!(p6.bgp_id, [0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn peer_index_lookup() {
-        let table = PeerIndexTable::new(
-            [1, 2, 3, 4],
-            "v",
-            vec![PeerEntry::new(Asn::new(1), "10.0.0.1".parse().unwrap())],
-        );
-        assert!(table.peer(0).is_some());
-        assert!(table.peer(1).is_none());
-    }
 
     #[test]
     fn error_display() {

@@ -151,10 +151,11 @@ mod tests {
     fn update_record(t: u64) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = MrtWriter::new(&mut buf);
-        let mut update = BgpUpdate::new(PathAttributes::basic(
-            "6939 64500".parse().unwrap(),
-            "10.0.0.9".parse().unwrap(),
-        ));
+        let mut update = BgpUpdate::new(PathAttributes {
+            as_path: "6939 64500".parse().unwrap(),
+            next_hop: Some("10.0.0.9".parse().unwrap()),
+            ..Default::default()
+        });
         update.announce_v4("130.149.1.1/32".parse().unwrap());
         w.write_update(
             SimTime::from_unix(t),

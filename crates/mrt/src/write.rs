@@ -13,37 +13,29 @@ use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
 use bh_bgp_types::wire::{self, BGP_MAX_MESSAGE_LEN};
 
-use crate::read::MAX_RECORD_LEN;
-use crate::record::{
-    bgp4mp_subtype, mrt_type, td2_subtype, BgpState, MrtError, PeerIndexTable, RibEntry,
-};
+use crate::record::{bgp4mp_subtype, mrt_type, MrtError};
 
 /// Length of the MRT common header (timestamp, type, subtype, length).
 const MRT_HEADER_LEN: usize = 12;
 
 /// Streaming MRT writer over any [`Write`] sink.
 ///
-/// Emits `BGP4MP/MESSAGE_AS4`, `BGP4MP/STATE_CHANGE_AS4`, and
-/// `TABLE_DUMP_V2` records with correct length framing, so the output is a
+/// Emits `BGP4MP/MESSAGE_AS4` UPDATE records — the "updates" files the
+/// inference reads — with correct length framing, so the output is a
 /// structurally valid MRT archive.
 ///
 /// Every record is framed in place in one buffer the writer reuses —
 /// header, envelope and message, each length filled once what it counts
 /// is written — and reaches the sink in one `write_all`: a record the
-/// writer refuses (an UPDATE over [`BGP_MAX_MESSAGE_LEN`], a length or
-/// timestamp its field cannot hold) leaves the sink and the counters as
-/// they were.
+/// writer refuses (an UPDATE over [`BGP_MAX_MESSAGE_LEN`], a timestamp
+/// its field cannot hold) leaves the sink and the counters as they
+/// were.
 pub struct MrtWriter<W: Write> {
     sink: W,
     /// The record being framed, reused from record to record.
     record: Vec<u8>,
     records_written: u64,
     bytes_written: u64,
-}
-
-/// `value` in a length or count field of type `T`, or the error naming it.
-fn fits<T: TryFrom<usize>>(what: &'static str, value: usize) -> Result<T, MrtError> {
-    T::try_from(value).map_err(|_| CodecError::BadLength { what, value }.into())
 }
 
 /// `time` in a 4-byte seconds field.
@@ -110,31 +102,6 @@ impl<W: Write> MrtWriter<W> {
         self.sink
     }
 
-    /// Start a record in the buffer: the common header, its length left
-    /// for [`finish`](Self::finish) to fill.
-    fn begin(&mut self, timestamp: SimTime, mrt_ty: u16, subtype: u16) -> Result<(), MrtError> {
-        let time = seconds(timestamp)?;
-        self.record.clear();
-        self.record.put_u32(time);
-        self.record.put_u16(mrt_ty);
-        self.record.put_u16(subtype);
-        self.record.put_u32(0);
-        Ok(())
-    }
-
-    /// Fill the record's length and hand the whole record to the sink.
-    fn finish(&mut self) -> Result<(), MrtError> {
-        let len: u32 = fits("mrt record", self.record.len() - MRT_HEADER_LEN)?;
-        if len > MAX_RECORD_LEN {
-            return Err(MrtError::OversizedRecord(len));
-        }
-        self.record[8..MRT_HEADER_LEN].copy_from_slice(&len.to_be_bytes());
-        self.sink.write_all(&self.record)?;
-        self.records_written += 1;
-        self.bytes_written += self.record.len() as u64;
-        Ok(())
-    }
-
     /// Write one UPDATE as a `BGP4MP/MESSAGE_AS4` record. An UPDATE whose
     /// message would exceed [`BGP_MAX_MESSAGE_LEN`] — which readers refuse
     /// — is an error and writes nothing.
@@ -147,7 +114,12 @@ impl<W: Write> MrtWriter<W> {
         local_ip: IpAddr,
         update: &BgpUpdate,
     ) -> Result<(), MrtError> {
-        self.begin(timestamp, mrt_type::BGP4MP, bgp4mp_subtype::MESSAGE_AS4)?;
+        let time = seconds(timestamp)?;
+        self.record.clear();
+        self.record.put_u32(time);
+        self.record.put_u16(mrt_type::BGP4MP);
+        self.record.put_u16(bgp4mp_subtype::MESSAGE_AS4);
+        self.record.put_u32(0); // record length, filled below
         put_envelope(&mut self.record, peer_asn, peer_ip, local_asn, local_ip);
         let start = self.record.len();
         wire::encode_update_into(&mut self.record, update);
@@ -155,80 +127,14 @@ impl<W: Write> MrtWriter<W> {
         if len > BGP_MAX_MESSAGE_LEN {
             return Err(CodecError::BadLength { what: "update message", value: len }.into());
         }
-        self.finish()
-    }
-
-    /// Write a `BGP4MP/STATE_CHANGE_AS4` record.
-    #[allow(clippy::too_many_arguments)]
-    pub fn write_state_change(
-        &mut self,
-        timestamp: SimTime,
-        peer_asn: Asn,
-        peer_ip: IpAddr,
-        local_asn: Asn,
-        local_ip: IpAddr,
-        old_state: BgpState,
-        new_state: BgpState,
-    ) -> Result<(), MrtError> {
-        self.begin(timestamp, mrt_type::BGP4MP, bgp4mp_subtype::STATE_CHANGE_AS4)?;
-        put_envelope(&mut self.record, peer_asn, peer_ip, local_asn, local_ip);
-        self.record.put_u16(old_state.code());
-        self.record.put_u16(new_state.code());
-        self.finish()
-    }
-
-    /// Write a `TABLE_DUMP_V2/PEER_INDEX_TABLE` record. Must precede the
-    /// RIB entries that reference it.
-    pub fn write_peer_index_table(
-        &mut self,
-        timestamp: SimTime,
-        table: &PeerIndexTable,
-    ) -> Result<(), MrtError> {
-        let name = table.view_name.as_bytes();
-        let name_len: u16 = fits("view name", name.len())?;
-        let peers: u16 = fits("peer count", table.peers.len())?;
-        self.begin(timestamp, mrt_type::TABLE_DUMP_V2, td2_subtype::PEER_INDEX_TABLE)?;
-        let body = &mut self.record;
-        body.put_slice(&table.collector_id);
-        body.put_u16(name_len);
-        body.put_slice(name);
-        body.put_u16(peers);
-        for peer in &table.peers {
-            // Peer type: bit 0 = IPv6 address, bit 1 = 4-byte ASN (always).
-            match peer.ip {
-                IpAddr::V4(v4) => {
-                    body.put_u8(0b10);
-                    body.put_slice(&peer.bgp_id);
-                    body.put_slice(&v4.octets());
-                }
-                IpAddr::V6(v6) => {
-                    body.put_u8(0b11);
-                    body.put_slice(&peer.bgp_id);
-                    body.put_slice(&v6.octets());
-                }
-            }
-            body.put_u32(peer.asn.value());
-        }
-        self.finish()
-    }
-
-    /// Write one `TABLE_DUMP_V2/RIB_IPV4_UNICAST` record.
-    pub fn write_rib_entry(&mut self, timestamp: SimTime, rib: &RibEntry) -> Result<(), MrtError> {
-        let entries: u16 = fits("rib entry count", rib.entries.len())?;
-        self.begin(timestamp, mrt_type::TABLE_DUMP_V2, td2_subtype::RIB_IPV4_UNICAST)?;
-        self.record.put_u32(rib.sequence);
-        wire::encode_nlri(&mut self.record, &rib.prefix);
-        self.record.put_u16(entries);
-        for entry in &rib.entries {
-            self.record.put_u16(entry.peer_index);
-            self.record.put_u32(seconds(entry.originated)?);
-            let at = self.record.len();
-            self.record.put_u16(0); // attribute length, filled below
-            wire::encode_attributes_into(&mut self.record, &entry.attrs);
-            let len: u16 = fits("rib attribute length", self.record.len() - at - 2)?;
-            self.record[at..at + 2].copy_from_slice(&len.to_be_bytes());
-        }
-        self.finish()
+        let body = self.record.len() - MRT_HEADER_LEN;
+        let body = u32::try_from(body)
+            .map_err(|_| CodecError::BadLength { what: "mrt record", value: body })?;
+        self.record[8..MRT_HEADER_LEN].copy_from_slice(&body.to_be_bytes());
+        self.sink.write_all(&self.record)?;
+        self.records_written += 1;
+        self.bytes_written += self.record.len() as u64;
+        Ok(())
     }
 }
 
@@ -239,7 +145,7 @@ mod tests {
 
     use super::*;
     use crate::read::{MessageStream, MrtBytesReader};
-    use crate::record::{PeerEntry, RibPeerEntry, UpdateRecord};
+    use crate::record::UpdateRecord;
 
     /// An announcement of a /8 plus `n` distinct /24s under the default
     /// attributes (a 7-byte block): `23 + 7 + 2 + 4 n` message bytes.
@@ -301,8 +207,8 @@ mod tests {
         assert!(!reader.next_update(&mut read).unwrap());
     }
 
-    /// Counts and timestamps their fields cannot hold are refused before
-    /// anything reaches the sink.
+    /// A timestamp its field cannot hold is refused before anything
+    /// reaches the sink.
     #[test]
     fn unrepresentable_fields_are_refused() {
         let mut w = MrtWriter::new(Vec::new());
@@ -311,26 +217,6 @@ mod tests {
         let peer = "10.0.0.1".parse().unwrap();
         let err = w.write_update(late, Asn::new(1), peer, Asn::new(2), peer, &update).unwrap_err();
         assert!(matches!(err, MrtError::Codec(CodecError::BadValue { what: "mrt timestamp", .. })));
-
-        let table = PeerIndexTable::new([9; 4], "x".repeat(70_000), Vec::new());
-        let err = w.write_peer_index_table(SimTime::from_unix(1), &table).unwrap_err();
-        assert!(matches!(err, MrtError::Codec(CodecError::BadLength { what: "view name", .. })));
-
-        let entry =
-            RibPeerEntry { peer_index: 0, originated: late, attrs: PathAttributes::default() };
-        let rib =
-            RibEntry { sequence: 0, prefix: "10.0.0.0/8".parse().unwrap(), entries: vec![entry] };
-        assert!(w.write_rib_entry(SimTime::from_unix(1), &rib).is_err());
-
-        // 1 100 peers × a 16 kB attribute block: past the readers' bound.
-        let long = PathAttributes {
-            as_path: bh_bgp_types::as_path::AsPath::from_sequence(vec![Asn::new(7); 4_000]),
-            ..Default::default()
-        };
-        let entry = RibPeerEntry { peer_index: 0, originated: SimTime::from_unix(1), attrs: long };
-        let rib = RibEntry { entries: vec![entry; 1_100], ..rib };
-        let err = w.write_rib_entry(SimTime::from_unix(1), &rib).unwrap_err();
-        assert!(matches!(err, MrtError::OversizedRecord(len) if len > MAX_RECORD_LEN), "{err}");
         assert_eq!(w.records_written(), 0);
         assert!(w.into_inner().is_empty());
     }
@@ -357,22 +243,14 @@ mod tests {
 
     #[test]
     fn header_framing_is_correct() {
-        let mut buf = Vec::new();
-        let mut w = MrtWriter::new(&mut buf);
-        let table = PeerIndexTable::new(
-            [9, 9, 9, 9],
-            "x",
-            vec![PeerEntry::new(Asn::new(1), "10.0.0.1".parse().unwrap())],
-        );
-        w.write_peer_index_table(SimTime::from_unix(42), &table).unwrap();
+        let mut w = MrtWriter::new(Vec::new());
+        write(&mut w, &BgpUpdate::withdraw("10.0.0.0/8".parse().unwrap())).unwrap();
+        let buf = w.into_inner();
         // timestamp
-        assert_eq!(u32::from_be_bytes(buf[0..4].try_into().unwrap()), 42);
+        assert_eq!(u32::from_be_bytes(buf[0..4].try_into().unwrap()), 1);
         // type / subtype
-        assert_eq!(u16::from_be_bytes(buf[4..6].try_into().unwrap()), mrt_type::TABLE_DUMP_V2);
-        assert_eq!(
-            u16::from_be_bytes(buf[6..8].try_into().unwrap()),
-            td2_subtype::PEER_INDEX_TABLE
-        );
+        assert_eq!(u16::from_be_bytes(buf[4..6].try_into().unwrap()), mrt_type::BGP4MP);
+        assert_eq!(u16::from_be_bytes(buf[6..8].try_into().unwrap()), bgp4mp_subtype::MESSAGE_AS4);
         // length matches remaining bytes
         let len = u32::from_be_bytes(buf[8..12].try_into().unwrap()) as usize;
         assert_eq!(len, buf.len() - 12);

@@ -223,15 +223,6 @@ pub fn read_updates<R: Read>(
     src.take_error().map_or(Ok(out), Err)
 }
 
-/// Split elems by platform — the coarse shape real archives come in.
-pub fn split_by_dataset(elems: Vec<BgpElem>) -> BTreeMap<DataSource, Vec<BgpElem>> {
-    let mut out: BTreeMap<DataSource, Vec<BgpElem>> = BTreeMap::new();
-    for elem in elems {
-        out.entry(elem.dataset).or_default().push(elem);
-    }
-    out
-}
-
 /// Split elems by `(dataset, collector)` — one bucket per archive a
 /// real pipeline would download, preserving per-collector arrival
 /// order. The MRT wire format does not carry these labels, so an
@@ -276,6 +267,7 @@ pub fn archive_stamp(time: SimTime) -> String {
 #[cfg(test)]
 mod tests {
     use bh_bgp_types::community::{Community, CommunitySet};
+    use bh_bgp_types::time::SimDuration;
     use bh_mrt::TailingReader;
 
     use super::*;
@@ -438,18 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn split_partitions_by_platform() {
-        let mut elems = sample_elems();
-        elems[1].dataset = DataSource::Cdn;
-        let split = split_by_dataset(elems);
-        assert_eq!(split.len(), 2);
-        assert_eq!(split[&DataSource::Ris].len(), 1);
-        assert_eq!(split[&DataSource::Cdn].len(), 1);
-    }
-
-    #[test]
     fn archive_stamp_format() {
-        let t = SimTime::from_ymd_hms(2016, 9, 20, 13, 45, 0);
+        let t = SimTime::from_ymd(2016, 9, 20) + SimDuration::mins(13 * 60 + 45);
         assert_eq!(archive_stamp(t), "20160920.1345");
     }
 }

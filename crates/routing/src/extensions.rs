@@ -79,10 +79,6 @@ impl RunStats {
     pub fn import_rejects_for(&self, reason: RejectReason) -> u64 {
         self.import_rejects.get(&reason).copied().unwrap_or(0)
     }
-
-    pub fn total_import_rejects(&self) -> u64 {
-        self.import_rejects.values().sum()
-    }
 }
 
 /// RFC 6811 route-origin validation: is the route RPKI-Invalid? Under a
@@ -280,7 +276,7 @@ mod tests {
                 Err(reason) => {
                     assert_eq!(verdict, Err(reason), "{case}");
                     assert_eq!(stats.import_rejects_for(reason), 1, "{case}");
-                    assert_eq!(stats.total_import_rejects(), 1, "{case}");
+                    assert_eq!(stats.import_rejects.values().sum::<u64>(), 1, "{case}");
                 }
             }
         }
@@ -351,6 +347,6 @@ mod tests {
         assert_eq!(stats.import_rejects_for(RejectReason::LoopDetected), 2);
         assert_eq!(stats.import_rejects_for(RejectReason::RovInvalid), 1);
         assert_eq!(stats.trigger_rejects.get(&RejectReason::AuthFailed), Some(&1));
-        assert_eq!(stats.total_import_rejects(), 3);
+        assert_eq!(stats.import_rejects.values().sum::<u64>(), 3);
     }
 }

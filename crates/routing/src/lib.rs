@@ -41,9 +41,7 @@ pub mod sim;
 pub mod source;
 pub mod stats;
 
-pub use archive::{
-    merge_streams, read_updates, split_by_collector, split_by_dataset, write_updates, MrtElemSource,
-};
+pub use archive::{merge_streams, read_updates, split_by_collector, write_updates, MrtElemSource};
 pub use collector::{deploy, CollectorConfig, CollectorDeployment, CollectorSession, FeedKind};
 pub use elem::{BgpElem, DataSource, ElemType, PeerKey};
 pub use extensions::{PolicyEngine, RunStats};

@@ -13,7 +13,9 @@
 //!   helper.
 //!
 //! AS paths are taken as plain sequences (what the simulator and the MRT
-//! writer produce); RIB initialization is not part of the transcription.
+//! writer produce); like the session, the transcription has no RIB
+//! initialization (UPDATE streams only: the `bh_core` crate doc states
+//! the deviation from §4.2).
 
 use std::collections::{BTreeMap, BTreeSet};
 

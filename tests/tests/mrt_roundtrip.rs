@@ -1,7 +1,8 @@
 //! MRT codec round-trip properties: arbitrary update and withdrawal
 //! records must survive `MrtWriter` → `next_update` **byte-exactly**
 //! (decode to equal values, and re-encode to the exact same archive
-//! bytes), state-change records between them are checked and counted
+//! bytes), state-change records between them (built field by field by
+//! `common::raw`: the writer writes UPDATEs only) are checked and counted
 //! (a strict read fails on a corrupted state code), and tolerant-mode
 //! readers must account for every skipped record without misaligning
 //! the stream. *The reader* is an input: every property holds for
@@ -10,9 +11,11 @@
 
 mod common;
 
+use std::net::Ipv4Addr;
+
 use proptest::prelude::*;
 
-use common::{arb_feeder, framed_records, record_spans, Feeder, Transport, Update};
+use common::{arb_feeder, framed_records, raw, record_spans, Feeder, Transport, Update};
 
 use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
@@ -22,49 +25,57 @@ use bh_bgp_types::error::CodecError;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_mrt::{BgpState, MrtError, MrtWriter, ReadMode};
+use bh_mrt::{MrtError, MrtWriter, ReadMode};
 
 /// One archive record in writable form.
 #[derive(Debug, Clone)]
 enum Rec {
-    Update { time: SimTime, peer_asn: Asn, update: Box<BgpUpdate> },
-    StateChange { time: SimTime, peer_asn: Asn, old: BgpState, new: BgpState },
+    Update {
+        time: SimTime,
+        peer_asn: Asn,
+        update: Box<BgpUpdate>,
+    },
+    /// A `STATE_CHANGE_AS4` between two FSM state codes (1..=6).
+    StateChange {
+        time: u32,
+        peer_asn: u32,
+        old: u16,
+        new: u16,
+    },
 }
 
-const PEER_IP: &str = "198.51.100.44";
+/// The session every record is on; the raw builders write the same
+/// local side (AS 64 512 at 192.0.2.254).
+const PEER_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 44);
 const LOCAL_IP: &str = "192.0.2.254";
 const LOCAL_ASN: u32 = 64_512;
 
 fn write_all(records: &[Rec]) -> Vec<u8> {
     let mut buf = Vec::new();
-    let mut writer = MrtWriter::new(&mut buf);
-    records.iter().for_each(|rec| write_into(&mut writer, rec));
+    records.iter().for_each(|rec| write_into(&mut buf, rec));
     buf
 }
 
-fn write_into(writer: &mut MrtWriter<&mut Vec<u8>>, rec: &Rec) {
+/// Append `rec`: an UPDATE through `MrtWriter`, a state change from the
+/// raw builders.
+fn write_into(buf: &mut Vec<u8>, rec: &Rec) {
     match rec {
-        Rec::Update { time, peer_asn, update } => writer
+        Rec::Update { time, peer_asn, update } => MrtWriter::new(buf)
             .write_update(
                 *time,
                 *peer_asn,
-                PEER_IP.parse().unwrap(),
+                PEER_IP.into(),
                 Asn::new(LOCAL_ASN),
                 LOCAL_IP.parse().unwrap(),
                 update,
             )
             .expect("update writes"),
-        Rec::StateChange { time, peer_asn, old, new } => writer
-            .write_state_change(
-                *time,
-                *peer_asn,
-                PEER_IP.parse().unwrap(),
-                Asn::new(LOCAL_ASN),
-                LOCAL_IP.parse().unwrap(),
-                *old,
-                *new,
-            )
-            .expect("state change writes"),
+        Rec::StateChange { time, peer_asn, old, new } => {
+            let [o0, o1] = old.to_be_bytes();
+            let [n0, n1] = new.to_be_bytes();
+            let body = raw::bgp4mp_body(false, true, *peer_asn, PEER_IP, &[o0, o1, n0, n1]);
+            buf.extend(raw::record(*time, raw::BGP4MP, raw::STATE_CHANGE_AS4, &body).0);
+        }
     }
 }
 
@@ -119,19 +130,12 @@ fn mk_update(fields: UpdateFields) -> Rec {
 
 fn mk_state_change(fields: UpdateFields) -> Rec {
     let (t, peer, _, _, _, _, _, pick) = fields;
-    const STATES: [BgpState; 6] = [
-        BgpState::Idle,
-        BgpState::Connect,
-        BgpState::Active,
-        BgpState::OpenSent,
-        BgpState::OpenConfirm,
-        BgpState::Established,
-    ];
+    let pick = u16::from(pick);
     Rec::StateChange {
-        time: SimTime::from_unix(t),
-        peer_asn: Asn::new(peer),
-        old: STATES[pick as usize],
-        new: STATES[(pick as usize + 3) % STATES.len()],
+        time: u32::try_from(t).expect("drawn below 4e9"),
+        peer_asn: peer,
+        old: pick + 1,
+        new: (pick + 3) % 6 + 1,
     }
 }
 
@@ -157,7 +161,6 @@ fn arb_records() -> impl Strategy<Value = Vec<Rec>> {
 /// was decoded, in order; each state change as drawn.
 fn rewrite(records: &[Rec], decoded: &[Update]) -> Vec<u8> {
     let mut buf = Vec::new();
-    let mut writer = MrtWriter::new(&mut buf);
     let mut decoded = decoded.iter();
     for rec in records {
         match rec {
@@ -167,7 +170,7 @@ fn rewrite(records: &[Rec], decoded: &[Update]) -> Vec<u8> {
                 let mut update = BgpUpdate::new(attrs.clone().unwrap_or_default());
                 announced.iter().for_each(|&p| update.announce_v4(p));
                 withdrawn.iter().for_each(|&p| update.withdraw_v4(p));
-                writer
+                MrtWriter::new(&mut buf)
                     .write_update(
                         *time,
                         *peer_asn,
@@ -178,7 +181,7 @@ fn rewrite(records: &[Rec], decoded: &[Update]) -> Vec<u8> {
                     )
                     .expect("rewrite update");
             }
-            Rec::StateChange { .. } => write_into(&mut writer, rec),
+            Rec::StateChange { .. } => write_into(&mut buf, rec),
         }
     }
     assert!(decoded.next().is_none(), "an update nobody wrote");
@@ -215,7 +218,7 @@ proptest! {
         for ((t, peer_asn, update), decoded) in written.iter().zip(&outcome.updates) {
             let (time, peer, attrs, announced, withdrawn) = decoded;
             prop_assert_eq!(*t, time);
-            prop_assert_eq!(*peer, (**peer_asn, PEER_IP.parse().unwrap()));
+            prop_assert_eq!(*peer, (**peer_asn, PEER_IP.into()));
             prop_assert_eq!(&attrs.clone().unwrap_or_default(), &update.attrs);
             prop_assert!(announced.iter().eq(update.announced_v4()));
             prop_assert!(withdrawn.iter().eq(update.withdrawn_v4()));

@@ -2,13 +2,13 @@
 //! draining, checkpoint/resume, and source-agnostic ingestion must all
 //! be observationally identical to one-shot batch processing.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_core::{BlackholeEvent, InferenceResult};
-use bh_routing::archive::{split_by_dataset, write_updates};
-use bh_routing::{ElemSource, MrtElemSource, SliceSource};
+use bh_routing::archive::write_updates;
+use bh_routing::{BgpElem, DataSource, ElemSource, MrtElemSource, SliceSource};
 
 /// Canonical comparison key: the full event payload.
 fn sort_events(mut events: Vec<BlackholeEvent>) -> Vec<BlackholeEvent> {
@@ -60,39 +60,6 @@ fn drain_closed_plus_finish_equals_batch() {
 }
 
 #[test]
-fn rib_initialization_streams_like_batch() {
-    let study = Study::build(StudyScale::Tiny, 72);
-    let StudyRun { output, refdata, .. } = study.visibility_run(3, 8.0);
-
-    // Treat the first announcements as a RIB dump, the rest as updates.
-    let split = output.elems.len() / 3;
-    let (rib, updates) = output.elems.split_at(split);
-
-    let mut batch = study.session(&refdata).build();
-    batch.initialize_from_rib(rib);
-    batch.ingest(&mut SliceSource::new(updates));
-    let expected = batch.finish();
-
-    // Same, but with mid-stream draining between and after phases.
-    let mut streaming = study.session(&refdata).build();
-    for elem in rib {
-        streaming.push_rib(elem);
-    }
-    let mut events = streaming.drain_closed();
-    for elem in updates {
-        streaming.push(elem);
-    }
-    events.extend(streaming.drain_closed());
-    let tail = streaming.finish();
-    events.extend(tail.events.iter().cloned());
-
-    assert_eq!(sort_events(events), sort_events(expected.events.clone()));
-    assert_eq!(tail.stats, expected.stats);
-    // RIB-seeded events start at time zero.
-    assert!(expected.events.iter().any(|e| e.start == bh_bgp_types::time::SimTime::ZERO));
-}
-
-#[test]
 fn checkpoint_resume_mid_scenario_equals_one_shot() {
     let study = Study::build(StudyScale::Tiny, 73);
     let StudyRun { output, refdata, .. } = study.visibility_run(3, 6.0);
@@ -119,7 +86,11 @@ fn mrt_streaming_source_feeds_inference_identically() {
     // then stream each back through a constant-memory MRT source into
     // one session — platform by platform, no materialized Vec<BgpElem>.
     let mut per_platform: Vec<InferenceResult> = Vec::new();
-    for (dataset, elems) in split_by_dataset(output.elems.clone()) {
+    let mut per_dataset: BTreeMap<DataSource, Vec<BgpElem>> = BTreeMap::new();
+    for elem in &output.elems {
+        per_dataset.entry(elem.dataset).or_default().push(elem.clone());
+    }
+    for (dataset, elems) in per_dataset {
         let mut archive = Vec::new();
         write_updates(&mut archive, &elems).expect("mrt write");
         let mut source = MrtElemSource::from_bytes(archive, dataset, 0);

@@ -1,7 +1,8 @@
 //! The MRT write path, pinned and cross-checked. `write_path_golden_pin`
 //! holds the bytes `fleet_archives` writes, a catalogue of attribute
-//! blocks and one record of each `MrtWriter` kind to digests recorded
-//! from the writer that built every record out of separate buffers; the
+//! blocks and three UPDATE records (the only kind `MrtWriter` writes) to
+//! digests recorded from the writer that built every record out of
+//! separate buffers; the
 //! property holds every `write_update` record to the field-by-field
 //! builders of `common::raw` (framing, back-patched lengths, NLRI).
 
@@ -22,7 +23,7 @@ use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
 use bh_bgp_types::wire::encode_attributes;
-use bh_mrt::{BgpState, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibPeerEntry};
+use bh_mrt::MrtWriter;
 
 /// FNV-1a over bytes.
 fn digest(bytes: &[u8]) -> u64 {
@@ -116,8 +117,8 @@ fn attribute_catalogue() -> Vec<(&'static str, PathAttributes)> {
     ]
 }
 
-/// One record of each writer kind through one writer, IPv4 and IPv6
-/// peers: the name, length and digest of each.
+/// Three UPDATE records through one writer, IPv4 and IPv6 peers: the
+/// name, length and digest of each.
 fn record_lines() -> Vec<String> {
     let catalogue = attribute_catalogue();
     let attrs = |name: &str| catalogue.iter().find(|(n, _)| *n == name).unwrap().1.clone();
@@ -135,19 +136,6 @@ fn record_lines() -> Vec<String> {
     let mut v6_announce = BgpUpdate::new(attrs("scalars"));
     v6_announce.announce_v4("10.0.0.0/8".parse().unwrap());
     let withdraw = BgpUpdate::withdraw("0.0.0.0/0".parse().unwrap());
-    let table = PeerIndexTable::new(
-        [192, 0, 2, 254],
-        "rrc00",
-        vec![PeerEntry::new(peer, v4), PeerEntry::new(Asn::new(4_200_000_000), v6)],
-    );
-    let rib = RibEntry {
-        sequence: 7,
-        prefix: "130.149.0.0/16".parse().unwrap(),
-        entries: vec![
-            RibPeerEntry { peer_index: 0, originated: t, attrs: attrs("scalars") },
-            RibPeerEntry { peer_index: 1, originated: t, attrs: attrs("long path and set") },
-        ],
-    };
 
     let mut w = MrtWriter::new(Vec::new());
     let mut ends = Vec::new();
@@ -159,16 +147,6 @@ fn record_lines() -> Vec<String> {
     mark(&w, "update v6");
     w.write_update(t, peer, v4, local, local_v4, &withdraw).unwrap();
     mark(&w, "withdraw");
-    w.write_state_change(t, peer, v4, local, local_v4, BgpState::Active, BgpState::Established)
-        .unwrap();
-    mark(&w, "state change v4");
-    w.write_state_change(t, peer, v6, local, local_v6, BgpState::Established, BgpState::Idle)
-        .unwrap();
-    mark(&w, "state change v6");
-    w.write_peer_index_table(t, &table).unwrap();
-    mark(&w, "peer index table");
-    w.write_rib_entry(t, &rib).unwrap();
-    mark(&w, "rib entry");
     assert_eq!(w.records_written(), ends.len() as u64);
     let bytes = w.into_inner();
     let mut start = 0;
@@ -219,10 +197,6 @@ fn write_path_golden_pin() {
             "update v4 len=161 digest=f52b96b0bfa4856f",
             "update v6 len=133 digest=fd62f376bc43d34d",
             "withdraw len=56 digest=c6b7be2702ce6342",
-            "state change v4 len=36 digest=123507c672a7ec01",
-            "state change v6 len=60 digest=e8fd313e1ee319fb",
-            "peer index table len=63 digest=31c1f24145fdfd95",
-            "rib entry len=1322 digest=a70a15abb5631e47",
         ],
     );
     assert_lines(

@@ -73,12 +73,15 @@ benchmark-smoke:
 # Non-test lines per crate, then non-test `pub fn` lines per crate, then
 # non-test `pub struct|enum|trait|type` lines per crate, then settable
 # values per crate (the `pub` fields of structs whose name ends in
-# `Config` or `Policy`): every file under crates/*/src counted up to its
-# first `#[cfg(test)]`. The numbers a consolidation PR quotes before and
-# after ("~35k lines is the budget to shrink"; a public function or type
-# nothing calls is surface to shrink too; every settable value doubles
-# the configurations to cover); CI prints them into the run summary,
-# but they are not a gate.
+# `Config` or `Policy`), then panic sites per crate (non-comment lines
+# matching `panic!`, `.unwrap()`, `.expect(`, `assert` — `assert_eq!`
+# and `debug_assert*` included — or `unreachable!`): every file under
+# crates/*/src counted up to its first `#[cfg(test)]`. The numbers a
+# consolidation PR quotes before and after ("~35k lines is the budget to
+# shrink"; a public function or type nothing calls is surface to shrink
+# too; every settable value doubles the configurations to cover; a
+# library crate returns errors instead of panicking); CI prints them
+# into the run summary, but they are not a gate.
 loc:
 	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
 		FNR == 1 { in_tests = 0; in_cfg = 0; split(FILENAME, path, "/"); crate = path[2] } \
@@ -86,9 +89,11 @@ loc:
 		!in_tests { lines[crate]++; total++ } \
 		!in_tests && /^[[:space:]]*pub fn / { pub_fns[crate]++; pub_total++ } \
 		!in_tests && /^[[:space:]]*pub (struct|enum|trait|type) / { pub_types[crate]++; types_total++ } \
+		!in_tests && !/^[[:space:]]*\/\// && /panic!|\.unwrap\(\)|\.expect\(|assert|unreachable!/ \
+			{ panics[crate]++; panics_total++ } \
 		in_cfg && /^[[:space:]]*}/ { in_cfg = 0 } \
 		in_cfg && /^[[:space:]]*pub [a-z_][a-z0-9_]*:/ { settable[crate]++; settable_total++ } \
 		!in_tests && /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Policy)[^A-Za-z0-9_].*{$$/ { in_cfg = 1 } \
-		END { printf "%-10s %6s %6s %8s %8s\n", "crate", "lines", "pub fn", "pub type", "settable"; \
-		      for (c in lines) printf "%-10s %6d %6d %8d %8d\n", c, lines[c], pub_fns[c], pub_types[c], settable[c] | "sort"; \
-		      close("sort"); printf "%-10s %6d %6d %8d %8d\n", "total", total, pub_total, types_total, settable_total }'
+		END { printf "%-10s %6s %6s %8s %8s %6s\n", "crate", "lines", "pub fn", "pub type", "settable", "panics"; \
+		      for (c in lines) printf "%-10s %6d %6d %8d %8d %6d\n", c, lines[c], pub_fns[c], pub_types[c], settable[c], panics[c] | "sort"; \
+		      close("sort"); printf "%-10s %6d %6d %8d %8d %6d\n", "total", total, pub_total, types_total, settable_total, panics_total }'

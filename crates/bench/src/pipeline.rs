@@ -314,25 +314,7 @@ impl Study {
 
 #[cfg(test)]
 mod tests {
-    use bh_core::ShardedSession;
-    use bh_routing::SliceSource;
-
     use super::*;
-
-    /// A sharded run's summary and events, in a single session's order.
-    fn sharded_parts(
-        sharded: ShardedSession<Vec<BlackholeEvent>>,
-    ) -> (StreamSummary, Vec<BlackholeEvent>) {
-        let (summary, mut events) = sharded.finish_parts();
-        canonical_order(&mut events);
-        (summary, events)
-    }
-
-    /// A single session's result, split the same way.
-    fn parts(result: InferenceResult) -> (StreamSummary, Vec<BlackholeEvent>) {
-        let InferenceResult { events, census, stats, per_dataset } = result;
-        (StreamSummary { census, stats, per_dataset }, events)
-    }
 
     #[test]
     fn tiny_study_builds_and_infers() {
@@ -375,15 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_infer_matches_batch() {
-        let study = Study::build(StudyScale::Tiny, 11);
-        let run = study.visibility_run(2, 4.0);
-        let mut sharded = study.session(&run.refdata).build_sharded_with(4, Vec::new());
-        sharded.ingest(&mut SliceSource::new(&run.output.elems));
-        assert_eq!(sharded_parts(sharded), parts(study.infer(&run.refdata, &run.output.elems)));
-    }
-
-    #[test]
     fn fleet_ingestion_matches_merged_materialized() {
         let study = Study::build(StudyScale::Tiny, 19);
         let run = study.visibility_run(2, 4.0);
@@ -402,12 +375,6 @@ mod tests {
         session.ingest(&mut stream);
         assert!(stream.finish().is_clean());
         assert_eq!(session.finish(), expected);
-
-        let mut stream = bh_workloads::fleet_of(&archives).start();
-        let mut sharded = study.session(&run.refdata).build_sharded_with(4, Vec::new());
-        sharded.ingest(&mut stream);
-        assert!(stream.finish().is_clean());
-        assert_eq!(sharded_parts(sharded), parts(expected));
     }
 
     #[test]
@@ -428,13 +395,7 @@ mod tests {
         }
         let summary = session.finish_with(&mut pipeline);
         assert_eq!(summary.stats, result.stats);
-        assert_eq!(pipeline.finalize(), report);
-
-        let pipeline = study.analytics_pipeline(&run.refdata, run.analytics);
-        let mut sharded = study.session(&run.refdata).build_sharded_with(4, pipeline);
-        sharded.ingest(&mut SliceSource::new(&run.output.elems));
-        let (summary, merged) = sharded.finish_parts();
         assert_eq!(summary.per_dataset, result.per_dataset);
-        assert_eq!(merged.finalize(), report);
+        assert_eq!(pipeline.finalize(), report);
     }
 }

@@ -1,11 +1,10 @@
-//! Mergeable one-pass accumulators: the streaming analytics layer.
+//! One-pass accumulators: the streaming analytics layer.
 //!
 //! The paper derives every table and figure from a single longitudinal
 //! pass over years of BGP updates. This module makes the analytics layer
 //! match that shape: an [`EventAccumulator`] folds a stream of
 //! [`BlackholeEvent`]s (plus the session's per-dataset visibility) into
-//! its output, can be **merged** with a sibling accumulator fed a
-//! disjoint part of the stream, and **finalizes** into exactly what the
+//! its output and **finalizes** into exactly what the
 //! [`fold`](EventAccumulator::fold) over the materialized event list
 //! returns.
 //!
@@ -14,12 +13,9 @@
 //! * `observe` is **order-insensitive**: any permutation of the same
 //!   event multiset finalizes to the same output (the event list itself,
 //!   `Vec<BlackholeEvent>`, is the one exception: it keeps observation
-//!   order, and [`InferenceResult`] sorts it).
-//! * `merge` is **associative and commutative** (a property test in
-//!   `tests/tests/analytics_streaming.rs` asserts this), so per-shard
-//!   accumulators can be folded in any grouping at the
-//!   [`ShardedSession`](crate::ShardedSession) barrier.
-//! * `finalize` of a streamed/merged accumulator is **equal** to
+//!   order, and [`InferenceResult`] sorts it). A property test in
+//!   `tests/tests/analytics_streaming.rs` feeds permutations.
+//! * `finalize` of a streamed accumulator is **equal** to
 //!   [`fold`](EventAccumulator::fold) over the materialized event list.
 //!
 //! [`AnalyticsPipeline`] is the one accumulator behind every paper table
@@ -47,10 +43,10 @@ use crate::events::{
 use crate::refdata::ReferenceData;
 use crate::session::{DatasetVisibility, InferenceResult};
 
-/// A mergeable, one-pass fold over a stream of blackholing events.
+/// A one-pass fold over a stream of blackholing events.
 ///
 /// See the [module docs](self) for the order-insensitivity /
-/// merge-associativity / fold-equality contract.
+/// fold-equality contract.
 pub trait EventAccumulator {
     /// What `finalize` (and `fold`) produces.
     type Output;
@@ -68,12 +64,6 @@ pub trait EventAccumulator {
     /// the session maintains alongside the events). Most metrics derive
     /// from events alone; the default is a no-op.
     fn observe_visibility(&mut self, _per_dataset: &BTreeMap<DataSource, DatasetVisibility>) {}
-
-    /// Fold a sibling accumulator (fed a disjoint part of the stream)
-    /// into this one. Associative and commutative.
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized;
 
     /// Produce the metric.
     fn finalize(self) -> Self::Output
@@ -107,10 +97,6 @@ impl EventAccumulator for Vec<BlackholeEvent> {
         self.push(event);
     }
 
-    fn merge(&mut self, other: Self) {
-        self.extend(other);
-    }
-
     fn finalize(self) -> Vec<BlackholeEvent> {
         self
     }
@@ -135,11 +121,6 @@ impl<A: EventAccumulator, B: EventAccumulator> EventAccumulator for (A, B) {
     fn observe_visibility(&mut self, per_dataset: &BTreeMap<DataSource, DatasetVisibility>) {
         self.0.observe_visibility(per_dataset);
         self.1.observe_visibility(per_dataset);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
-        self.1.merge(other.1);
     }
 
     fn finalize(self) -> Self::Output {
@@ -222,11 +203,11 @@ struct Day {
 /// [`AnalyticsReport`] field from that state — Table 4, Fig. 5 and Fig. 6
 /// by grouping the provider and user maps.
 ///
-/// Feed it via [`EventAccumulator::observe`], via
+/// Feed it via [`EventAccumulator::observe`], or via
 /// [`InferenceSession::drain_closed_into`](crate::InferenceSession::drain_closed_into)
-/// mid-stream, or per shard through
-/// [`SessionBuilder::build_sharded_with`](crate::SessionBuilder::build_sharded_with);
-/// per-shard pipelines merge deterministically at the barrier.
+/// mid-stream and
+/// [`InferenceSession::finish_with`](crate::InferenceSession::finish_with)
+/// at the end.
 #[derive(Debug, Clone)]
 pub struct AnalyticsPipeline {
     refdata: Arc<ReferenceData>,
@@ -327,32 +308,6 @@ impl EventAccumulator for AnalyticsPipeline {
         for (dataset, vis) in per_dataset {
             self.per_dataset.entry(*dataset).or_default().merge(vis);
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.config, other.config, "merged pipelines must share one AnalyticsConfig");
-        self.observe_visibility(&other.per_dataset);
-        for (provider, prefixes) in other.providers {
-            self.providers.entry(provider).or_default().extend(prefixes);
-        }
-        for (user, facts) in other.users {
-            let mine = self.users.entry(user).or_default();
-            mine.prefixes.extend(facts.prefixes);
-            mine.provider_types.extend(facts.provider_types);
-        }
-        for (mine, theirs) in self.days.iter_mut().zip(other.days) {
-            mine.providers.extend(theirs.providers);
-            mine.users.extend(theirs.users);
-            mine.prefixes.extend(theirs.prefixes);
-        }
-        for (count, events) in other.providers_per_event {
-            *self.providers_per_event.entry(count).or_default() += events;
-        }
-        for (distance, events) in other.distances {
-            *self.distances.entry(distance).or_default() += events;
-        }
-        self.durations.extend(other.durations);
-        self.periods.merge(other.periods);
     }
 
     fn finalize(mut self) -> AnalyticsReport {

@@ -267,21 +267,12 @@ mod tests {
             event("3.3.3.3/32", vec![ProviderId::As(Asn::new(1))], vec![10], 2 * day, None),
         ];
         let batch = pipeline(0, 4 * day).fold(&events);
-        // Split the stream 1 / 2 and merge — in reversed merge order.
-        let mut a = pipeline(0, 4 * day);
-        a.observe(&events[0]);
-        let mut b = pipeline(0, 4 * day);
-        b.observe(&events[1]);
-        b.observe(&events[2]);
-        b.merge(a);
-        assert_eq!(b.finalize(), batch);
-    }
-
-    #[test]
-    #[should_panic(expected = "one AnalyticsConfig")]
-    fn pipelines_over_different_windows_do_not_merge() {
-        let mut a = pipeline(0, 86_400);
-        a.merge(pipeline(0, 2 * 86_400));
+        // Split the stream 1 / 2 and feed the second part first.
+        let mut acc = pipeline(0, 4 * day);
+        acc.observe(&events[1]);
+        acc.observe(&events[2]);
+        acc.observe(&events[0]);
+        assert_eq!(acc.finalize(), batch);
     }
 
     #[test]
@@ -292,7 +283,6 @@ mod tests {
             assert!(pipeline(start, end).finalize().daily.is_empty());
             let mut a = pipeline(start, end);
             a.observe(&e);
-            a.merge(pipeline(start, end));
             assert!(a.finalize().daily.is_empty());
         }
     }
@@ -338,17 +328,16 @@ mod tests {
             event("1.1.1.1/32", vec![ProviderId::Ixp(IxpId(0))], vec![10, 11], 0, Some(1)),
             event("2.2.2.2/32", vec![ProviderId::As(Asn::new(9))], vec![10], 0, Some(1)),
         ];
-        let mut a = pipeline(0, 86_400);
-        a.observe(&events[1]);
-        let mut b = pipeline(0, 86_400);
-        b.observe(&events[0]);
-        a.merge(b);
-        let merged = a.finalize();
-        assert_eq!(merged, report(&events));
+        // Fed in reverse: the report does not depend on event order.
+        let mut acc = pipeline(0, 86_400);
+        acc.observe(&events[1]);
+        acc.observe(&events[0]);
+        let streamed = acc.finalize();
+        assert_eq!(streamed, report(&events));
         // User 10 blackholed through both an IXP and an unknown AS: it
         // counts in both rows, once each.
         for ty in [NetworkType::Ixp, NetworkType::Unknown] {
-            let row = merged.table4.iter().find(|row| row.network_type == ty).unwrap();
+            let row = streamed.table4.iter().find(|row| row.network_type == ty).unwrap();
             assert_eq!(row.users, if ty == NetworkType::Ixp { 2 } else { 1 }, "{ty:?}");
         }
     }

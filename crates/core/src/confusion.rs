@@ -21,8 +21,8 @@
 //! propagation round.
 //!
 //! [`ConfusionAccumulator`] implements [`EventAccumulator`], so scoring
-//! streams through the same one-pass machinery as every paper metric
-//! (and merges across shards); its `fold` is the batch form.
+//! streams through the same one-pass machinery as every paper metric;
+//! its `fold` is the batch form.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -175,11 +175,7 @@ impl fmt::Display for ConfusionReport {
 }
 
 /// Streams inferred events against a fixed label set, producing a
-/// [`ConfusionReport`].
-///
-/// Merge semantics: two accumulators built over the *same* labels and
-/// fed disjoint event streams merge by OR-ing per-label matches and
-/// summing the false-positive counts — the sharded-session contract.
+/// [`ConfusionReport`]; the order of the events does not matter.
 #[derive(Debug, Clone)]
 pub struct ConfusionAccumulator {
     scenario: String,
@@ -232,19 +228,6 @@ impl EventAccumulator for ConfusionAccumulator {
             Some(kind) => *self.fp_by_kind.entry(kind).or_insert(0) += 1,
             None => self.fp_unlabeled += 1,
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        debug_assert_eq!(self.labels.len(), other.labels.len(), "merge requires equal labels");
-        for (mine, theirs) in self.matched.iter_mut().zip(other.matched) {
-            *mine |= theirs;
-        }
-        self.detected_events += other.detected_events;
-        self.false_positives += other.false_positives;
-        for (kind, n) in other.fp_by_kind {
-            *self.fp_by_kind.entry(kind).or_insert(0) += n;
-        }
-        self.fp_unlabeled += other.fp_unlabeled;
     }
 
     fn finalize(self) -> ConfusionReport {
@@ -361,12 +344,11 @@ mod tests {
         ];
         let sequential = ConfusionAccumulator::new("m", labels.clone()).fold(&events);
 
-        let mut left = ConfusionAccumulator::new("m", labels.clone());
-        let mut right = ConfusionAccumulator::new("m", labels);
-        left.observe(&events[0]);
-        right.observe(&events[1]);
-        right.observe(&events[2]);
-        left.merge(right);
-        assert_eq!(left.finalize(), sequential);
+        // The second part (events 1 and 2) first, then the first.
+        let mut acc = ConfusionAccumulator::new("m", labels);
+        acc.observe(&events[1]);
+        acc.observe(&events[2]);
+        acc.observe(&events[0]);
+        assert_eq!(acc.finalize(), sequential);
     }
 }

@@ -131,14 +131,14 @@ impl BlackholePeriod {
     }
 }
 
-/// The §9 grouping as a mergeable accumulator (events must belong to one
+/// The §9 grouping as a one-pass accumulator (events must belong to one
 /// run of the engine; grouping is per prefix): per prefix it maintains a
 /// set of disjoint periods (pairwise separated by more than the
 /// timeout), coalescing each incoming event interval with every period
 /// it overlaps or comes within the timeout of. Gap-tolerant interval
 /// coalescing is associative and commutative, so events may arrive in
-/// any order — including split across shards and merged — and the
-/// finalized periods equal the sorted-sweep batch grouping exactly.
+/// any order and the finalized periods equal the sorted-sweep batch
+/// grouping exactly.
 #[derive(Debug, Clone)]
 pub struct PeriodAccumulator {
     timeout: SimDuration,
@@ -218,15 +218,6 @@ impl crate::accumulate::EventAccumulator for PeriodAccumulator {
             providers: event.providers,
             users: event.users,
         });
-    }
-
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.timeout, other.timeout, "period accumulators must share one timeout");
-        for (_, periods) in other.by_prefix {
-            for period in periods {
-                self.insert(period);
-            }
-        }
     }
 
     /// All periods, ordered by `(prefix, start)` — identical to a
@@ -324,19 +315,16 @@ mod tests {
         }
         assert_eq!(reversed.finalize(), batch);
 
-        // Split across two accumulators and merged (both merge orders).
-        for flip in [false, true] {
-            let mut a = PeriodAccumulator::new(SimDuration::mins(5));
-            let mut b = PeriodAccumulator::new(SimDuration::mins(5));
-            for (k, e) in events.iter().enumerate() {
-                if (k % 2 == 0) != flip {
-                    a.observe(e);
-                } else {
-                    b.observe(e);
-                }
+        // One parity class of the events, then the other (both ways
+        // round), into one accumulator.
+        for first in [0, 1] {
+            let mut acc = PeriodAccumulator::new(SimDuration::mins(5));
+            let (part_a, part_b): (Vec<_>, Vec<_>) =
+                events.iter().enumerate().partition(|(k, _)| k % 2 == first);
+            for (_, e) in part_a.into_iter().chain(part_b) {
+                acc.observe(e);
             }
-            a.merge(b);
-            assert_eq!(a.finalize(), batch);
+            assert_eq!(acc.finalize(), batch);
         }
     }
 

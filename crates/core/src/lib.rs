@@ -24,11 +24,10 @@
 //!    provider/user), Fig. 6 (per-country), Fig. 7(b) (providers per
 //!    event), Fig. 7(c) (AS-distance incl. the bundling "no-path"
 //!    share), Fig. 8 (durations and §9 grouped periods). All of them
-//!    come from one mergeable one-pass
-//!    [`accumulate::EventAccumulator`], the
+//!    come from one one-pass [`accumulate::EventAccumulator`], the
 //!    [`accumulate::AnalyticsPipeline`] (its `fold` is the batch form),
-//!    fed from `drain_closed_into` mid-stream or per shard with a
-//!    deterministic merge at the barrier.
+//!    fed from `drain_closed_into` mid-stream and `finish_with` at the
+//!    end.
 //! 4. **Reference data** ([`refdata`]): the *public* metadata the
 //!    methodology is allowed to consult (PeeringDB LANs and route
 //!    servers, PeeringDB/CAIDA classification, RIR countries, collector
@@ -39,9 +38,10 @@
 //! [`session::InferenceSession`] (dictionary/reference data behind
 //! `Arc`), elements arrive via `push` or from any
 //! [`bh_routing::ElemSource`] — the live simulator, an in-memory slice,
-//! or a constant-memory MRT archive reader — and
-//! [`shard::ShardedSession`] hash-partitions the stream by prefix across
-//! worker threads with a deterministic, bit-identical merge.
+//! or a constant-memory MRT archive reader. One session on the calling
+//! thread infers over the time-ordered merge of every collector's
+//! stream, as the paper's single pass does; all its state is keyed by
+//! prefix, and `bh-core` starts no threads.
 //!
 //! ## Deviation from §4.2: no RIB-dump initialization
 //!
@@ -63,7 +63,6 @@ pub mod confusion;
 pub mod events;
 pub mod refdata;
 pub mod session;
-pub mod shard;
 
 pub use accumulate::{AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator};
 pub use analytics::{DailyPoint, TypeRow, VisibilityRow};
@@ -77,4 +76,3 @@ pub use session::{
     canonical_order, DatasetVisibility, Detection, EngineConfig, EngineStats, InferenceResult,
     InferenceSession, SessionBuilder, SessionCheckpoint, StreamSummary,
 };
-pub use shard::ShardedSession;

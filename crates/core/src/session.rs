@@ -47,7 +47,6 @@ use bh_routing::{BgpElem, DataSource, ElemSource, ElemType, PeerKey};
 use crate::accumulate::EventAccumulator;
 use crate::events::{BlackholeEvent, DetectionDistance, ProviderId};
 use crate::refdata::ReferenceData;
-use crate::shard::ShardedSession;
 
 /// One provider detection extracted from a single announcement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,20 +86,6 @@ pub struct EngineStats {
     pub control_suppressed: u64,
 }
 
-impl EngineStats {
-    /// Fold another session's counters into this one (shard merging).
-    pub fn merge(&mut self, other: EngineStats) {
-        self.elems += other.elems;
-        self.tagged_announcements += other.tagged_announcements;
-        self.cleaned += other.cleaned;
-        self.ambiguous_unresolved += other.ambiguous_unresolved;
-        self.implicit_withdrawals += other.implicit_withdrawals;
-        self.explicit_withdrawals += other.explicit_withdrawals;
-        self.bundled_detections += other.bundled_detections;
-        self.control_suppressed += other.control_suppressed;
-    }
-}
-
 /// Per-dataset visibility accumulators (Table 3 inputs).
 ///
 /// Hash-backed sets: one membership insert runs per *tagged
@@ -118,7 +103,7 @@ pub struct DatasetVisibility {
 }
 
 impl DatasetVisibility {
-    /// Union another accumulator into this one (shard merging).
+    /// Union another accumulator into this one.
     pub fn merge(&mut self, other: &DatasetVisibility) {
         self.providers.extend(other.providers.iter().copied());
         self.users.extend(other.users.iter().copied());
@@ -191,10 +176,10 @@ fn detection_hops(distance_from_peer: usize) -> DetectionDistance {
     DetectionDistance::Hops(u8::try_from(distance_from_peer.saturating_add(1)).unwrap_or(u8::MAX))
 }
 
-/// Builds [`InferenceSession`]s (and their sharded parallel variant).
+/// Builds [`InferenceSession`]s.
 ///
 /// The dictionary and reference data travel behind [`Arc`]: one snapshot
-/// is shared by every session and shard worker, with no lifetime tie
+/// is shared by every session built from it, with no lifetime tie
 /// between the session and its inputs.
 #[derive(Clone)]
 pub struct SessionBuilder {
@@ -262,18 +247,42 @@ impl SessionBuilder {
         session
     }
 
-    /// Build a [`ShardedSession`] that hash-partitions the element
-    /// stream by prefix across `shards` worker threads, each streaming
-    /// its closed events through a clone of `accumulator` as it goes —
-    /// inline analytics with no per-shard event `Vec` (or, with
-    /// `Vec::new()`, the events themselves). The per-shard accumulators are
-    /// merged deterministically at the
-    /// [`finish_parts`](ShardedSession::finish_parts) barrier.
-    pub fn build_sharded_with<A>(self, shards: usize, accumulator: A) -> ShardedSession<A>
-    where
-        A: EventAccumulator + Clone + Send + 'static,
-    {
-        ShardedSession::spawn(self, shards, accumulator)
+    /// The frozen entry point of the benchmark's `fleet_scan`; see
+    /// `ShardedSession`.
+    #[doc(hidden)]
+    pub fn build_sharded_with<A>(self, _shards: usize, accumulator: A) -> ShardedSession<A> {
+        ShardedSession { session: self.build(), accumulator }
+    }
+}
+
+/// The benchmark adapter's frozen `build_sharded_with` / `ingest` /
+/// `finish_parts` surface over the one product path. The shard count is
+/// ignored: one [`InferenceSession`] runs on the calling thread and
+/// streams its closed events into the accumulator after every element.
+/// It goes when the adapter moves to one session (ROADMAP item 1(a)).
+#[doc(hidden)]
+pub struct ShardedSession<A> {
+    session: InferenceSession,
+    accumulator: A,
+}
+
+impl<A: EventAccumulator> ShardedSession<A> {
+    /// Push every element of `source`, draining closed events as it
+    /// goes; returns how many were processed.
+    pub fn ingest<S: ElemSource + ?Sized>(&mut self, source: &mut S) -> u64 {
+        let mut n = 0;
+        while let Some(elem) = source.next_elem() {
+            self.session.push(elem);
+            self.session.drain_closed_into(&mut self.accumulator);
+            n += 1;
+        }
+        n
+    }
+
+    /// [`InferenceSession::finish_with`], plus the accumulator.
+    pub fn finish_parts(mut self) -> (StreamSummary, A) {
+        let summary = self.session.finish_with(&mut self.accumulator);
+        (summary, self.accumulator)
     }
 }
 
@@ -475,7 +484,7 @@ impl SessionState {
     /// Replay the per-set census rows into the BTree-backed census and
     /// zero them. Only non-zero buckets replay (a zero-count replay would
     /// still register the set's communities), and replay is commutative,
-    /// so neither row order nor sharding can perturb the result.
+    /// so row order cannot perturb the result.
     fn flush_census(&mut self) {
         for (set, facts) in self.community_sets.iter().zip(&mut self.sets) {
             if facts.census.iter().all(|&count| count == 0) {
@@ -584,7 +593,10 @@ impl InferenceSession {
     }
 
     /// Drain every element of a source, in order; returns how many were
-    /// processed. Constant memory for streaming sources.
+    /// processed. Events that close on the way stay in the session until
+    /// [`drain_closed`](Self::drain_closed),
+    /// [`drain_closed_into`](Self::drain_closed_into) or `finish`; to keep
+    /// memory flat on a long stream, push and drain instead.
     pub fn ingest<S: ElemSource + ?Sized>(&mut self, source: &mut S) -> u64 {
         let mut n = 0;
         while let Some(elem) = source.next_elem() {
@@ -771,27 +783,6 @@ pub struct StreamSummary {
     pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
 }
 
-impl StreamSummary {
-    /// An empty summary (the merge identity).
-    pub fn empty() -> Self {
-        StreamSummary {
-            census: CommunityPrefixCensus::new(),
-            stats: EngineStats::default(),
-            per_dataset: BTreeMap::new(),
-        }
-    }
-
-    /// Fold another summary in: census/stats/visibility all merge
-    /// commutatively (the shard barrier's summary half).
-    pub fn merge(&mut self, other: StreamSummary) {
-        self.census.merge(&other.census);
-        self.stats.merge(other.stats);
-        for (dataset, vis) in &other.per_dataset {
-            self.per_dataset.entry(*dataset).or_default().merge(vis);
-        }
-    }
-}
-
 /// Everything a session produced, materialized: the batch reference the
 /// tests and the benchmark compare the streamed paths against (no
 /// `Study` run builds one).
@@ -808,10 +799,9 @@ pub struct InferenceResult {
 }
 
 /// Put events in the canonical `(start, prefix)` order — the order a
-/// single-threaded batch run produces, and the one every materialized
+/// batch run produces, and the one every materialized
 /// event list is compared in. The sort is stable: equal keys can only
-/// come from one prefix, hence one session or shard, which observed
-/// them in single-threaded closure order.
+/// come from one prefix, whose session observed them in closure order.
 pub fn canonical_order(events: &mut [BlackholeEvent]) {
     events.sort_by_key(|e| (e.start, e.prefix));
 }

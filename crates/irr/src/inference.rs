@@ -53,20 +53,6 @@ impl CommunityPrefixCensus {
         self.total_observations += count;
     }
 
-    /// Merge another census into this one.
-    pub fn merge(&mut self, other: &CommunityPrefixCensus) {
-        for (c, hist) in &other.counts {
-            let entry = self.counts.entry(*c).or_insert([0u64; 33]);
-            for (i, v) in hist.iter().enumerate() {
-                entry[i] += v;
-            }
-        }
-        for (c, set) in &other.cooccur {
-            self.cooccur.entry(*c).or_default().extend(set.iter().copied());
-        }
-        self.total_observations += other.total_observations;
-    }
-
     /// Number of distinct communities observed.
     pub fn community_count(&self) -> usize {
         self.counts.len()
@@ -358,20 +344,5 @@ mod tests {
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].prefix_length, 32);
         assert!((series[0].fraction - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_cooccurrence() {
-        let a_c = Community::from_parts(1, 1);
-        let b_c = Community::from_parts(2, 2);
-        let mut a = CommunityPrefixCensus::new();
-        a.record(&[a_c], 32);
-        let mut b = CommunityPrefixCensus::new();
-        b.record(&[a_c, b_c], 24);
-        a.merge(&b);
-        assert_eq!(a.occurrences(a_c), 2);
-        assert_eq!(a.occurrences(b_c), 1);
-        assert!(a.cooccurs(a_c, b_c));
-        assert_eq!(a.total_observations(), 2);
     }
 }

@@ -6,11 +6,9 @@
 //! Time is an argument: whoever drives the daemon passes `now` to every
 //! call that stamps or publishes something (`LiveNode` passes its
 //! replay time, a deployment would pass wall time).
-//! The daemon is single-threaded by design: a single
+//! The daemon is single-threaded, like all inference here: a single
 //! [`InferenceSession`] closes events in deterministic stream order,
-//! which is what makes sequence numbers stable across a kill/resume —
-//! the sharded session cannot drain or checkpoint mid-stream, so the
-//! live path trades its parallelism for exactly-once event semantics.
+//! which is what makes sequence numbers stable across a kill/resume.
 
 use std::sync::{Arc, RwLock};
 

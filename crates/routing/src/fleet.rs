@@ -20,7 +20,7 @@
 //! fleet.add(MrtElemSource::from_reader(tolerant, DataSource::RouteViews, 1));
 //! let mut stream = fleet.start();
 //! while let Some(elem) = stream.next_elem() {
-//!     /* feed an InferenceSession / ShardedSession */
+//!     /* push into an InferenceSession, draining closed events */
 //! }
 //! let report = stream.finish();
 //! assert!(report.is_clean());
@@ -117,8 +117,8 @@ impl CollectorFleet {
 
 /// The merged, globally time-ordered stream of a fleet.
 ///
-/// An ordinary [`ElemSource`]: feed it to
-/// `InferenceSession::ingest` / `ShardedSession::ingest` directly.
+/// An ordinary [`ElemSource`]: feed it to `InferenceSession::ingest`,
+/// or push its elems into a session one at a time.
 /// After the stream ends (or mid-stream, to abort), call
 /// [`FleetSource::finish`] for the per-archive [`FleetReport`].
 pub struct FleetSource {

@@ -8,15 +8,15 @@
 //! updates archive per `(platform, collector)` — the shape real
 //! pipelines download from RIS/Route Views/PCH — then re-ingests the
 //! whole archive set through a `CollectorFleet`: one zero-copy decoder
-//! per archive, a k-way timestamp merge on the consumer's thread, and a
-//! sharded inference session with inline analytics. No `Vec<BgpElem>` of
-//! the stream ever exists on the fleet path, and the result is
-//! bit-identical to the materialized baseline.
+//! per archive, a k-way timestamp merge and one inference session with
+//! inline analytics, all on the calling thread. No `Vec<BgpElem>` of the
+//! stream ever exists on the fleet path, and the result is bit-identical
+//! to the materialized baseline.
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_core::EventAccumulator;
 use bh_examples::section;
-use bh_routing::{merge_streams, split_by_collector, SliceSource};
+use bh_routing::{merge_streams, split_by_collector, ElemSource};
 use bh_workloads::fleet_of;
 
 fn main() {
@@ -35,17 +35,23 @@ fn main() {
         println!("  {:<40} {:>7} elems", archive.name, archive.elems);
     }
 
-    section("2. fleet → k-way merge → sharded session + inline analytics");
-    let pipeline = study.analytics_pipeline(&refdata, analytics);
-    let mut sharded = study.session(&refdata).build_sharded_with(4, pipeline);
+    section("2. fleet → k-way merge → one session + inline analytics");
+    let mut pipeline = study.analytics_pipeline(&refdata, analytics);
+    let mut session = study.session(&refdata).build();
     let mut stream = fleet_of(&archives).start();
-    let ingested = sharded.ingest(&mut stream);
+    let mut ingested = 0u64;
+    while let Some(elem) = stream.next_elem() {
+        session.push(elem);
+        // Closed events stream into the pipeline as they close.
+        session.drain_closed_into(&mut pipeline);
+        ingested += 1;
+    }
     let report = stream.finish();
     assert!(report.is_clean(), "fleet error: {:?}", report.first_error());
-    let (summary, merged_pipeline) = sharded.finish_parts();
-    let fleet_report = merged_pipeline.finalize();
+    let summary = session.finish_with(&mut pipeline);
+    let fleet_report = pipeline.finalize();
     println!(
-        "{} archives decoded {} records into {} elems, ingested by 4 shards",
+        "{} archives decoded {} records into {} elems",
         report.archives.len(),
         report.archives.iter().map(|a| a.records_read).sum::<u64>(),
         ingested
@@ -59,12 +65,11 @@ fn main() {
 
     section("3. golden check vs the materialized baseline");
     let merged = merge_streams(split_by_collector(&output.elems).into_values().collect());
-    let pipeline = study.analytics_pipeline(&refdata, analytics);
-    let mut baseline = study.session(&refdata).build_sharded_with(4, pipeline);
-    baseline.ingest(&mut SliceSource::new(&merged));
-    let (batch_summary, batch_pipeline) = baseline.finish_parts();
+    let batch = study.infer(&refdata, &merged);
+    let mut batch_pipeline = study.analytics_pipeline(&refdata, analytics);
+    batch_pipeline.observe_result(&batch);
     let batch_report = batch_pipeline.finalize();
-    assert_eq!(batch_summary.stats, summary.stats, "stats diverged");
+    assert_eq!(batch.stats, summary.stats, "stats diverged");
     assert_eq!(batch_report, fleet_report, "analytics diverged");
     println!("fleet AnalyticsReport == materialized AnalyticsReport ✓");
     println!(

@@ -1,9 +1,9 @@
 //! Multi-collector fleet ingestion: golden equivalence of the k-way
 //! merge against `merge_streams`, bit-identical inference over merged
 //! and fleet-ingested streams, checkpoint/resume taken mid-fleet, and
-//! the Small-scale end-to-end archive → fleet → sharded-analytics run.
+//! the Small-scale end-to-end archive → fleet → session → analytics run.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -12,7 +12,7 @@ use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::time::SimTime;
-use bh_core::EventAccumulator;
+use bh_core::{AnalyticsConfig, AnalyticsReport, EventAccumulator, ReferenceData, StreamSummary};
 use bh_routing::archive::write_updates;
 use bh_routing::{
     collect_source, merge_streams, split_by_collector, BgpElem, CollectorFleet, DataSource,
@@ -220,10 +220,31 @@ fn small_study() -> &'static Study {
     STUDY.get_or_init(|| Study::build(StudyScale::Small, 42))
 }
 
+/// One session over `source`, streaming closed events into the run's
+/// analytics pipeline after every element: the elems ingested, the
+/// summary and the report.
+fn session_report<S: ElemSource>(
+    study: &Study,
+    refdata: &Arc<ReferenceData>,
+    analytics: AnalyticsConfig,
+    source: &mut S,
+) -> (u64, StreamSummary, AnalyticsReport) {
+    let mut session = study.session(refdata).build();
+    let mut pipeline = study.analytics_pipeline(refdata, analytics);
+    let mut n = 0;
+    while let Some(elem) = source.next_elem() {
+        session.push(elem);
+        session.drain_closed_into(&mut pipeline);
+        n += 1;
+    }
+    let summary = session.finish_with(&mut pipeline);
+    (n, summary, pipeline.finalize())
+}
+
 /// The acceptance run: scenario → per-collector MRT archives (including
-/// the deployment's silent collectors) → `CollectorFleet` →
-/// `ShardedSession` with inline analytics produces the same
-/// `AnalyticsReport` as the materialized path.
+/// the deployment's silent collectors) → `CollectorFleet` → one session
+/// with inline analytics produces the same `AnalyticsReport` as the
+/// materialized path.
 #[test]
 fn small_scale_fleet_to_sharded_analytics_matches_materialized_path() {
     let study = small_study();
@@ -232,26 +253,20 @@ fn small_scale_fleet_to_sharded_analytics_matches_materialized_path() {
         fleet_archives_for(&study.deployment(), &output.elems).expect("archives serialize");
     assert!(archives.len() > 8, "expected a real fleet, got {}", archives.len());
 
-    // Materialized path: decode-merge into a Vec, sharded inference with
+    // Materialized path: decode-merge into a Vec, then inference with
     // inline analytics.
     let merged = merge_streams(split_by_collector(&output.elems).into_values().collect());
-    let pipeline = study.analytics_pipeline(&refdata, analytics);
-    let mut materialized = study.session(&refdata).build_sharded_with(4, pipeline);
-    materialized.ingest(&mut SliceSource::new(&merged));
-    let (batch_summary, batch_pipeline) = materialized.finish_parts();
-    let batch_report = batch_pipeline.finalize();
+    let (_, batch_summary, batch_report) =
+        session_report(study, &refdata, analytics, &mut SliceSource::new(&merged));
 
-    // Fleet path: archive readers → merge → sharded session, per-shard
-    // pipelines merged at the barrier. No stream-sized Vec anywhere.
-    let pipeline = study.analytics_pipeline(&refdata, analytics);
-    let mut sharded = study.session(&refdata).build_sharded_with(4, pipeline);
+    // Fleet path: archive readers → merge → session. No stream-sized Vec
+    // anywhere.
     let mut stream = fleet_of(&archives).start();
-    let ingested = sharded.ingest(&mut stream);
+    let (ingested, fleet_summary, fleet_report) =
+        session_report(study, &refdata, analytics, &mut stream);
     let report = stream.finish();
     assert!(report.is_clean(), "fleet error: {:?}", report.first_error());
     assert_eq!(ingested, output.elems.len() as u64, "every element must stream through");
-    let (fleet_summary, merged_pipeline) = sharded.finish_parts();
-    let fleet_report = merged_pipeline.finalize();
 
     assert_eq!(fleet_summary.stats, batch_summary.stats);
     assert_eq!(fleet_summary.census, batch_summary.census);

@@ -8,10 +8,7 @@ use proptest::prelude::*;
 
 use bh_bench::{Observed, Study, StudyRun, StudyScale};
 use bh_bgp_types::time::SimDuration;
-use bh_core::{
-    canonical_order, EventAccumulator, InferenceResult, PeriodAccumulator, StreamSummary,
-};
-use bh_routing::SliceSource;
+use bh_core::{EventAccumulator, PeriodAccumulator};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -75,7 +72,7 @@ proptest! {
     }
 }
 
-/// One Small-scale environment shared by every sharding case: building
+/// One Small-scale environment shared by every policy-table case: building
 /// the ~230-AS topology and corpus dominates the test's wall-clock, and
 /// the property varies the scenario, not the Internet.
 fn small_study() -> &'static Study {
@@ -87,35 +84,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 3, // each case simulates days of BGP at Small scale
     })]
-
-    /// The acceptance property of the sharded runner: hash-partitioning
-    /// a `StudyScale::Small` visibility run across N >= 4 worker threads
-    /// produces what the single-threaded session does, bit for bit — the
-    /// same events (in `canonical_order`, as `finish()` sorts them), the
-    /// same census, counters and per-dataset visibility.
-    #[test]
-    fn sharded_session_is_bit_identical_to_single_threaded(
-        days in 2u64..4,
-        rate in 2.0f64..6.0,
-        shards in 4usize..9,
-    ) {
-        let study = small_study();
-        let StudyRun { output, refdata, .. } = study.visibility_run(days, rate);
-        let result = study.infer(&refdata, &output.elems);
-        prop_assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
-
-        let mut session = study.session(&refdata).build_sharded_with(shards, Vec::new());
-        session.ingest(&mut SliceSource::new(&output.elems));
-        let (summary, mut events) = session.finish_parts();
-        canonical_order(&mut events);
-        prop_assert_eq!(&events, &result.events);
-        prop_assert_eq!(&summary.census, &result.census);
-        prop_assert_eq!(summary.stats, result.stats);
-        prop_assert_eq!(&summary.per_dataset, &result.per_dataset);
-        // And the whole-summary comparison, in case fields are added.
-        let InferenceResult { census, stats, per_dataset, .. } = result;
-        prop_assert_eq!(summary, StreamSummary { census, stats, per_dataset });
-    }
 
     /// The policy-extension no-op guarantee: installing an *empty*
     /// `PolicyTable` compiles to nothing, so a Small-scale run with it

@@ -9,7 +9,7 @@
 //! * **hold** — the measured number is inside the paper's band;
 //! * **expected-divergence** — outside the paper's band, inside the band
 //!   pinned around this reproduction's value, with a written reason (the
-//!   list of these is the open fidelity work, ROADMAP item 5);
+//!   list of these is the open fidelity work, ROADMAP item 9);
 //! * **not-measurable** — the substrate has no single number for it;
 //! * **broken** — anything else, including a recorded divergence that
 //!   starts holding, so the list stays current.

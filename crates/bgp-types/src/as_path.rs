@@ -159,7 +159,7 @@ impl AsPath {
     /// Number of *distinct consecutive* hops, i.e. length after removing
     /// prepending. This is the "AS-level path length" used in Fig. 9(b).
     pub fn hop_len(&self) -> usize {
-        self.without_prepending().raw_len()
+        self.deprepended().segments.iter().map(|s| s.asns().len()).sum()
     }
 
     /// The first (collector-peer-side) AS.
@@ -209,20 +209,33 @@ impl AsPath {
     /// carry no prepending (the common case) return a handle to the
     /// *same* allocation rather than a copy.
     pub fn without_prepending(&self) -> AsPath {
-        let cached = self.inner.deprepended.get_or_init(|| {
-            let segments = deprepend(&self.inner.segments);
-            if segments == self.inner.segments {
-                None
-            } else {
-                let inner = PathInner::from_segments(segments);
-                let _ = inner.deprepended.set(None); // collapse is idempotent
-                Some(Arc::new(inner))
-            }
-        });
-        match cached {
+        match self.deprepended_memo() {
             None => self.clone(),
             Some(inner) => AsPath { inner: Arc::clone(inner) },
         }
+    }
+
+    /// The memoized deprepended form, borrowed: this path's own storage
+    /// when it carries no prepending.
+    fn deprepended(&self) -> &PathInner {
+        self.deprepended_memo().map_or(&self.inner, |inner| inner)
+    }
+
+    /// Fill the deprepended memo on first use. A path without adjacent
+    /// repeats or empty segments — what `deprepend` would return
+    /// unchanged — is recognised without building the copy.
+    fn deprepended_memo(&self) -> Option<&Arc<PathInner>> {
+        self.inner
+            .deprepended
+            .get_or_init(|| {
+                if is_deprepended(&self.inner.segments) {
+                    return None;
+                }
+                let inner = PathInner::from_segments(deprepend(&self.inner.segments));
+                let _ = inner.deprepended.set(None); // collapse is idempotent
+                Some(Arc::new(inner))
+            })
+            .as_ref()
     }
 
     /// The AS immediately *before* `target` on the path (i.e. one hop
@@ -257,6 +270,30 @@ impl AsPath {
             hasher.finish()
         })
     }
+}
+
+/// Whether [`deprepend`] returns `input` unchanged: no segment is empty
+/// and no ASN of a sequence repeats the one before it (the previous
+/// sequence's last ASN included; a set breaks the chain).
+fn is_deprepended(input: &[AsPathSegment]) -> bool {
+    let mut last: Option<Asn> = None;
+    for seg in input {
+        match seg {
+            AsPathSegment::Sequence(v) => {
+                for &asn in v {
+                    if last == Some(asn) {
+                        return false;
+                    }
+                    last = Some(asn);
+                }
+            }
+            AsPathSegment::Set(_) => last = None,
+        }
+        if seg.asns().is_empty() {
+            return false;
+        }
+    }
+    true
 }
 
 /// Collapse consecutive duplicate ASNs across sequence segments.
@@ -439,6 +476,29 @@ mod tests {
         ]);
         let clean = p.without_prepending();
         assert_eq!(clean.asns(), vec![asn(1), asn(2), asn(1)]);
+    }
+
+    #[test]
+    fn the_no_copy_check_agrees_with_the_collapse() {
+        let seq = |v: &[u32]| AsPathSegment::Sequence(v.iter().copied().map(asn).collect());
+        let set = |v: &[u32]| AsPathSegment::Set(v.iter().copied().map(asn).collect());
+        let cases = [
+            vec![],
+            vec![seq(&[1, 2, 3])],
+            vec![seq(&[1, 1, 2])],
+            vec![seq(&[1, 2]), seq(&[2, 3])],
+            vec![seq(&[1, 2]), seq(&[3])],
+            vec![seq(&[1]), set(&[1]), seq(&[1])],
+            vec![seq(&[1]), set(&[2, 2])],
+            vec![seq(&[]), seq(&[1])],
+            vec![seq(&[1]), set(&[])],
+        ];
+        for segments in cases {
+            let unchanged = deprepend(&segments) == segments;
+            assert_eq!(is_deprepended(&segments), unchanged, "{segments:?}");
+            let p = AsPath::from_segments(segments);
+            assert_eq!(p.hop_len(), p.without_prepending().raw_len(), "{p:?}");
+        }
     }
 
     #[test]

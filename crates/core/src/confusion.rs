@@ -331,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sequential_observation() {
+    fn out_of_order_observation_matches_sequential_fold() {
         let labels = vec![
             label("10.0.0.1/32", 1_000, 2_000, LabelKind::Blackhole, true),
             label("10.0.0.2/32", 1_000, 2_000, LabelKind::Blackhole, true),

@@ -26,13 +26,23 @@
 //!
 //! # State layout
 //!
-//! Per-AS state is one `Vec` of nodes addressed by the topology's dense
-//! [`AsnIndex`] (the index [`PropagationRanks`] is keyed by: ascending
-//! ASN), neighbors resolved to `(index, relationship)` once. Work items,
+//! Per-AS configuration is one `Vec` of nodes addressed by the
+//! topology's dense [`AsnIndex`] (the index [`PropagationRanks`] is keyed
+//! by: ascending ASN), neighbors resolved to `(index, relationship)` once;
+//! a run only reads it. Routes live in one table per prefix, node index
+//! → that AS's state, looked up once per rank group. A state that
+//! empties leaves its table and a table that empties leaves the
+//! simulator, so the last origin's withdrawal drops the prefix with one
+//! `remove`, and the blackhole queries read one table. Work items,
 //! candidate sets and the dirty list are keyed by index, so every sort
 //! and scan — the emission flush included — runs in the ASN order it
-//! always did. A changed best route is exported once (prepended, its
-//! trigger stripped where the provider strips) and cloned per neighbor.
+//! always did. Only ASes with a collector session are marked dirty: the
+//! flush visits the ASes a collector can see, not every AS a run
+//! touched. A changed best route is exported once (prepended, its
+//! trigger stripped where the provider strips) and shared by reference
+//! count between the work items that carry it and the sender's record
+//! of what it advertised; a receiver copies only the route it imports,
+//! and a policy's leak mark copies on write.
 //!
 //! Two inputs name an AS without a node: [`BgpSimulator::set_behavior`]
 //! ignores it, and a delivery addressed to it (a targeted announcement,
@@ -42,6 +52,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::IpAddr;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,7 +194,8 @@ struct PrefixState {
     /// What we last advertised, one slot per position in the node's
     /// neighbor list — a neighbor listed under two relationships uses the
     /// slot of its first position. Empty until the first advertisement.
-    advertised: Vec<Option<RouteEntry>>,
+    /// A slot shares its route with the work item that carried it.
+    advertised: Vec<Option<Rc<RouteEntry>>>,
     /// The best route the last neighbor-advertisement pass ran against.
     /// Outbound adverts are a pure function of `best` (offering and
     /// policies are fixed for a run), so when best is unchanged the
@@ -239,13 +251,14 @@ impl PrefixState {
 
     /// No candidate and the last advertisement pass withdrew everything
     /// (or none ran): indistinguishable from a fresh state, so the entry
-    /// is dropped from its node's map.
+    /// is dropped from its prefix's table.
     fn is_empty(&self) -> bool {
         self.candidates.is_empty() && self.advert_basis.is_none()
     }
 }
 
-/// One AS of the topology, addressed by its [`NodeId`].
+/// One AS of the topology, addressed by its [`NodeId`]. Fixed during a
+/// run: the routes live in [`BgpSimulator`]'s per-prefix tables.
 struct Node<'a> {
     /// Propagation rank: the schedule key of the three phases.
     rank: u32,
@@ -256,7 +269,9 @@ struct Node<'a> {
     /// Neighbors with the relationship this AS has to each, in the
     /// topology's adjacency order (ascending ASN).
     neighbors: Vec<(NodeId, Relationship)>,
-    prefixes: FxHashMap<Ipv4Prefix, PrefixState>,
+    /// This AS has a collector session, so a change here may change
+    /// what a collector sees: only such nodes are marked dirty.
+    observed: bool,
 }
 
 impl Node<'_> {
@@ -265,10 +280,6 @@ impl Node<'_> {
     fn rel_to(&self, n: NodeId) -> Option<Relationship> {
         let i = self.neighbors.partition_point(|(m, _)| *m < n);
         self.neighbors.get(i).filter(|(m, _)| *m == n).map(|(_, rel)| *rel)
-    }
-
-    fn holds_blackhole(&self, prefix: &Ipv4Prefix) -> bool {
-        self.prefixes.get(prefix).is_some_and(PrefixState::holds_blackhole)
     }
 }
 
@@ -290,12 +301,14 @@ struct RouteServer {
 type EmitKey = (DataSource, u16, Asn, Ipv4Prefix, Asn);
 
 /// One delivery of the run's prefix from a sender to a receiver: an
-/// announcement of `route`, or a withdrawal when it is `None`.
+/// announcement of `route`, or a withdrawal when it is `None`. The route
+/// is the sender's export, shared with its other deliveries and its
+/// `advertised` slot; the receiver copies out only what it imports.
 #[derive(Debug, Clone)]
 struct Work {
     to: NodeId,
     from: NodeId,
-    route: Option<RouteEntry>,
+    route: Option<Rc<RouteEntry>>,
 }
 
 /// What is fixed for one announce or withdraw run: it propagates one
@@ -326,7 +339,7 @@ impl Seeds {
         stats: &mut RunStats,
         to: Asn,
         from: Asn,
-        route: Option<RouteEntry>,
+        route: Option<Rc<RouteEntry>>,
     ) {
         match (index.index_of(to), index.index_of(from)) {
             (Some(to), Some(from)) => {
@@ -347,8 +360,13 @@ pub struct BgpSimulator<'a> {
     topology: &'a Topology,
     origin_index: OriginIndex,
     deployment: CollectorDeployment,
-    /// Per-AS state, by [`NodeId`].
+    /// Per-AS configuration, by [`NodeId`].
     nodes: Vec<Node<'a>>,
+    /// Each prefix's route table: the state of every AS that holds one
+    /// for it, by [`NodeId`]. A run looks its prefix's table up once per
+    /// group; a state that empties leaves its table, and a table that
+    /// empties leaves the map, so a prefix no AS holds costs nothing.
+    routes: FxHashMap<Ipv4Prefix, FxHashMap<NodeId, PrefixState>>,
     /// The origins of each prefix, and which neighbors each one sent it
     /// to directly (for withdraws and scope changes), ascending ASN. A
     /// prefix is present while it has an origin, so whether a withdrawal
@@ -369,10 +387,11 @@ pub struct BgpSimulator<'a> {
     ranks: PropagationRanks,
     /// Set only by [`BgpSimulator::fifo_reference`].
     fifo: bool,
-    /// Nodes whose visible state may have changed since the last flush
+    /// Observed nodes whose state may have changed since the last flush
     /// (sorted and deduplicated there). Emissions are reconstructed from
     /// final state at flush time, so transient adverts never reach the
-    /// elem stream.
+    /// elem stream; a node without a collector session emits nothing, so
+    /// it is never listed.
     dirty: Vec<NodeId>,
     /// Reused seed-neighbor scratch buffer (no per-announce alloc).
     scratch_neighbors: Vec<Asn>,
@@ -417,7 +436,7 @@ impl<'a> BgpSimulator<'a> {
                     offering: info.blackhole_offering.as_ref(),
                     route_server,
                     neighbors,
-                    prefixes: FxHashMap::default(),
+                    observed: !deployment.sessions_at(info.asn).is_empty(),
                 }
             })
             .collect();
@@ -426,6 +445,7 @@ impl<'a> BgpSimulator<'a> {
             origin_index: topology.origin_index(),
             deployment,
             nodes,
+            routes: FxHashMap::default(),
             origin_adverts: FxHashMap::default(),
             emitted: FxHashMap::default(),
             elems: Vec::new(),
@@ -524,18 +544,22 @@ impl<'a> BgpSimulator<'a> {
     /// Does `asn` currently hold a blackhole-flagged route for `prefix`?
     /// (Ground-truth query for data-plane simulation.)
     pub fn is_blackholed_at(&self, asn: Asn, prefix: &Ipv4Prefix) -> bool {
-        self.node(asn).is_some_and(|node| node.holds_blackhole(prefix))
+        let table = self.routes.get(prefix);
+        let held = self.ranks.index().index_of(asn).and_then(|me| table?.get(&(me as NodeId)));
+        held.is_some_and(PrefixState::holds_blackhole)
     }
 
     /// All ASes currently holding a blackhole route for `prefix`, in
     /// ascending order.
     pub fn blackholing_ases_for(&self, prefix: &Ipv4Prefix) -> Vec<Asn> {
-        self.nodes
-            .iter()
-            .zip(self.ranks.index().asns())
-            .filter(|(node, _)| node.holds_blackhole(prefix))
-            .map(|(_, asn)| *asn)
-            .collect()
+        let Some(table) = self.routes.get(prefix) else {
+            return Vec::new();
+        };
+        let mut holders: Vec<NodeId> =
+            table.iter().filter(|(_, ps)| ps.holds_blackhole()).map(|(&me, _)| me).collect();
+        holders.sort_unstable();
+        let asns = self.ranks.index().asns();
+        holders.into_iter().map(|me| asns[me as usize]).collect()
     }
 
     /// Inject an announcement; returns blackhole acceptance outcomes.
@@ -574,7 +598,7 @@ impl<'a> BgpSimulator<'a> {
         let origin = announcement.origin;
         let mut path = AsPath::empty();
         path.prepend(origin, announcement.prepend.max(1));
-        let route = RouteEntry {
+        let route = Rc::new(RouteEntry {
             as_path: path,
             communities: announcement.communities.clone(),
             learned_from: origin,
@@ -584,7 +608,7 @@ impl<'a> BgpSimulator<'a> {
             irr_registered: announcement.irr_registered,
             next_hop: None,
             leak_marked: false,
-        };
+        });
 
         self.scratch_neighbors.clear();
         match &announcement.scope {
@@ -674,13 +698,13 @@ impl<'a> BgpSimulator<'a> {
     }
 
     /// Jump to the fixpoint of a prefix without an origin: drop its
-    /// state at every node that holds one, marking that node dirty.
+    /// table, marking the observed nodes that held a state dirty.
     fn clear_prefix(&mut self, prefix: Ipv4Prefix) {
-        for (me, node) in self.nodes.iter_mut().enumerate() {
-            if node.prefixes.remove(&prefix).is_some() {
-                self.dirty.push(me as NodeId);
-            }
-        }
+        let Some(table) = self.routes.remove(&prefix) else {
+            return;
+        };
+        let nodes = &self.nodes;
+        self.dirty.extend(table.into_keys().filter(|&me| nodes[me as usize].observed));
     }
 
     // ---- engine ---------------------------------------------------------
@@ -829,21 +853,30 @@ impl<'a> BgpSimulator<'a> {
             run,
         };
         let mut fx = Effects { out, stats: &mut self.stats, outcome, dropped: 0 };
+        let table = self.routes.entry(run.prefix).or_default();
         let mut works = works.into_iter().peekable();
         while let Some(me) = works.peek().map(|w| w.to) {
-            let node = &mut self.nodes[me as usize];
+            let node = &self.nodes[me as usize];
+            let ps = table.entry(me).or_default();
             let mut changed = false;
             while let Some(work) = works.next_if(|w| w.to == me) {
-                changed |= ingest(&ctx, node, me, &mut fx, work);
+                changed |= ingest(&ctx, node, me, ps, &mut fx, work);
             }
-            if !changed {
-                continue;
+            if changed {
+                if node.observed {
+                    self.dirty.push(me);
+                }
+                match &node.route_server {
+                    Some(rs) => rs_redistribute(&ctx, rs, ps, me, &mut fx),
+                    None => after_change(&ctx, node, ps, me, &mut fx),
+                }
             }
-            self.dirty.push(me);
-            match &node.route_server {
-                Some(rs) => rs_redistribute(&ctx, rs, &mut node.prefixes, me, &mut fx),
-                None => after_change(&ctx, node, me, &mut fx),
+            if ps.is_empty() {
+                table.remove(&me);
             }
+        }
+        if table.is_empty() {
+            self.routes.remove(&run.prefix);
         }
         fx.dropped
     }
@@ -865,10 +898,11 @@ impl<'a> BgpSimulator<'a> {
         dirty.sort_unstable();
         dirty.dedup();
         let asns = self.ranks.index().asns();
+        let table = self.routes.get(&prefix);
         for &me in &dirty {
             let node = &self.nodes[me as usize];
             let me_asn = asns[me as usize];
-            let ps = node.prefixes.get(&prefix);
+            let ps = table.and_then(|table| table.get(&me));
             if let Some(rs) = &node.route_server {
                 // Route-server node: refresh the PCH per-member views,
                 // attributing each route to the member that sent it,
@@ -989,13 +1023,14 @@ struct Effects<'a> {
     dropped: u64,
 }
 
-/// Apply one work item to node `me`'s candidate set — import filters,
-/// outcome and stat recording included — without advertising anything.
-/// Returns whether the candidate set changed.
+/// Apply one work item to node `me`'s candidate set `ps` — import
+/// filters, outcome and stat recording included — without advertising
+/// anything. Returns whether the candidate set changed.
 fn ingest(
     ctx: &SimCtx<'_>,
-    node: &mut Node<'_>,
+    node: &Node<'_>,
     me: NodeId,
+    ps: &mut PrefixState,
     fx: &mut Effects<'_>,
     work: Work,
 ) -> bool {
@@ -1022,28 +1057,28 @@ fn ingest(
             match &node.route_server {
                 // only members speak to the route server
                 Some(rs) if !rs.members.contains(&from) => return false,
-                Some(_) => import_at_route_server(ctx, node, me, from, route, fx),
-                None => import_at_router(ctx, node, me, from, rel, route, fx),
+                Some(_) => import_at_route_server(ctx, node, me, from, &route, fx),
+                None => import_at_router(ctx, node, me, from, rel, &route, fx),
             }
         }
     };
-    let prefix = ctx.run.prefix;
     match candidate {
-        Some(route) => node.prefixes.entry(prefix).or_default().insert(from, route),
+        Some(route) => ps.insert(from, route),
         // No (longer a) candidate from this neighbor.
-        None => node.prefixes.get_mut(&prefix).is_some_and(|ps| ps.remove(from)),
+        None => ps.remove(from),
     }
 }
 
 /// Import at an ordinary AS: the candidate `me` holds from `from` after
-/// this announcement, `None` when an ingress filter rejects it.
+/// this announcement, `None` when an ingress filter rejects it. Only an
+/// accepted route is copied.
 fn import_at_router(
     ctx: &SimCtx<'_>,
     node: &Node<'_>,
     me: NodeId,
     from: NodeId,
     rel: Relationship,
-    mut route: RouteEntry,
+    route: &RouteEntry,
     fx: &mut Effects<'_>,
 ) -> Option<RouteEntry> {
     let (me, from) = (ctx.asns[me as usize], ctx.asns[from as usize]);
@@ -1051,8 +1086,9 @@ fn import_at_router(
     // The per-AS policy filters run before the Gao-Rexford import —
     // they model the ingress filters (ROV, OTC) a router applies ahead
     // of route acceptance.
+    let mut leak_marked = route.leak_marked;
     if let Some(engine) = ctx.policies {
-        engine.import(fx.stats, me, rel, prefix, &route.as_path, &mut route.leak_marked).ok()?;
+        engine.import(fx.stats, me, rel, prefix, &route.as_path, &mut leak_marked).ok()?;
     }
 
     let auth_ctx = AuthContext {
@@ -1073,55 +1109,59 @@ fn import_at_router(
         }
     }
 
-    match import.decision {
+    let is_blackhole = match import.decision {
         ImportDecision::Reject(reason) => {
             fx.stats.record_import_reject(reason);
             return None;
         }
         ImportDecision::Blackhole => {
-            route.is_blackhole = true;
             if !fx.outcome.accepted_by.contains(&me) {
                 fx.outcome.accepted_by.push(me);
             }
+            true
         }
+        // A blackhole route redistributed by a route server keeps its
+        // drop semantics at members (next-hop is the null interface).
+        // Anywhere else the flag must not travel: a transit AS holding
+        // a propagated /32 merely routes toward the provider that
+        // discards.
         ImportDecision::Regular => {
-            // A blackhole route redistributed by a route server keeps
-            // its drop semantics at members (next-hop is the null
-            // interface). Anywhere else the flag must not travel: a
-            // transit AS holding a propagated /32 merely routes toward
-            // the provider that discards.
-            route.is_blackhole =
-                route.is_blackhole && rel == Relationship::RouteServer && route.next_hop.is_some();
+            route.is_blackhole && rel == Relationship::RouteServer && route.next_hop.is_some()
         }
-    }
-    route.learned_rel = rel;
-    route.local_pref = local_pref_for(rel);
-    Some(route)
+    };
+    Some(RouteEntry {
+        learned_rel: rel,
+        local_pref: local_pref_for(rel),
+        is_blackhole,
+        leak_marked,
+        ..route.clone()
+    })
 }
 
-/// After a candidate change at `me`: recompute best, update neighbor
-/// advertisements when it moved, and drop the prefix's state once it is
-/// empty.
-fn after_change(ctx: &SimCtx<'_>, node: &mut Node<'_>, me: NodeId, fx: &mut Effects<'_>) {
-    let prefix = ctx.run.prefix;
-    let Some(ps) = node.prefixes.get_mut(&prefix) else {
-        return;
-    };
-    let best = ps.best().cloned();
+/// After a candidate change at `me`: recompute best, and update neighbor
+/// advertisements when it moved.
+fn after_change(
+    ctx: &SimCtx<'_>,
+    node: &Node<'_>,
+    ps: &mut PrefixState,
+    me: NodeId,
+    fx: &mut Effects<'_>,
+) {
+    let best = ps.best();
     // Adverts are a pure function of best: nothing to redo when it held.
-    if ps.advert_basis != best {
-        advertise(ctx, node.offering, &node.neighbors, ps, me, best.as_ref(), fx);
-        ps.advert_basis = best;
+    if ps.advert_basis.as_ref() == best {
+        return;
     }
-    if ps.is_empty() {
-        node.prefixes.remove(&prefix);
-    }
+    let best = best.cloned();
+    advertise(ctx, node.offering, &node.neighbors, ps, me, best.as_ref(), fx);
+    ps.advert_basis = best;
 }
 
 /// Bring every neighbor's advertisement from `me` in line with `best`,
 /// queueing an announce or withdraw for each one that changed. The
 /// exported route is built once — prepended, and without the trigger
-/// where `me` strips it — and cloned per neighbor it may go to.
+/// where `me` strips it — and shared by every neighbor it may go to; a
+/// policy that marks it for one neighbor marks a copy.
 ///
 /// A neighbor listed under two relationships is advertised to once, under
 /// the one listed first — the relationship [`Node::rel_to`] imports under.
@@ -1146,7 +1186,7 @@ fn advertise(
     // A provider that strips its trigger does so on every blackhole
     // route it exports.
     let strip = offering.filter(|o| o.strips_community && best.is_some_and(|b| b.is_blackhole));
-    let mut exported: Option<RouteEntry> = None;
+    let mut exported: Option<Rc<RouteEntry>> = None;
     for (pos, &(n, to_rel)) in neighbors.iter().enumerate() {
         if pos > 0 && neighbors[pos - 1].0 == n {
             continue; // listed again under a second relationship
@@ -1155,14 +1195,12 @@ fn advertise(
             // never to the route's origin (loop detection covers the sender)
             Some(best) if ctx.asns[n as usize] != best.learned_from => {
                 let mut shared = || {
-                    exported
-                        .get_or_insert_with(|| {
-                            let mut out = best.clone();
-                            out.as_path.prepend(me_asn, 1);
-                            strip_triggers(&mut out, strip);
-                            out
-                        })
-                        .clone()
+                    Rc::clone(exported.get_or_insert_with(|| {
+                        let mut out = best.clone();
+                        out.as_path.prepend(me_asn, 1);
+                        strip_triggers(&mut out, strip);
+                        Rc::new(out)
+                    }))
                 };
                 // Valley-free verdict, then the per-AS export policy
                 // (OTC marking / leaker override).
@@ -1171,9 +1209,13 @@ fn advertise(
                     None => default_allowed.then(shared),
                     Some(engine) => {
                         let mut out = shared();
-                        engine
-                            .export(fx.stats, me_asn, to_rel, &mut out.leak_marked, default_allowed)
-                            .then_some(out)
+                        let mut marked = out.leak_marked;
+                        let allowed =
+                            engine.export(fx.stats, me_asn, to_rel, &mut marked, default_allowed);
+                        if marked != out.leak_marked {
+                            Rc::make_mut(&mut out).leak_marked = marked;
+                        }
+                        allowed.then_some(out)
                     }
                 }
             }
@@ -1258,51 +1300,58 @@ fn emit_diff(
 
 /// Import at a route server: the candidate it holds from member `from`
 /// after this announcement, `None` when its import filter rejects it.
+/// Only an accepted route is copied.
 fn import_at_route_server(
     ctx: &SimCtx<'_>,
     node: &Node<'_>,
     me: NodeId,
     from: NodeId,
-    mut route: RouteEntry,
+    route: &RouteEntry,
     fx: &mut Effects<'_>,
 ) -> Option<RouteEntry> {
     let (me, from) = (ctx.asns[me as usize], ctx.asns[from as usize]);
     let prefix = ctx.run.prefix;
-    if let Some(o) = triggered_offering(node.offering, &route.communities) {
-        // Route servers filter on IRR registration: misconfigured
-        // users' blackhole requests are not redistributed (§10).
-        let auth_ctx = AuthContext {
-            topology: ctx.topology,
-            origin: route.as_path.origin().unwrap_or(from),
-            sender: from,
-            allocation_owner: ctx.run.allocation_owner,
-            irr_registered: route.irr_registered,
-        };
-        let rejection = if !o.accepts_length(prefix.length()) {
-            Some(RejectReason::LengthRejected)
-        } else if !auth_ok(o.auth, &auth_ctx) {
-            Some(RejectReason::AuthFailed)
-        } else {
-            None
-        };
-        if let Some(reason) = rejection {
-            if !fx.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
-                fx.outcome.rejected_by.push((me, reason));
+    let (is_blackhole, next_hop) =
+        if let Some(o) = triggered_offering(node.offering, &route.communities) {
+            // Route servers filter on IRR registration: misconfigured
+            // users' blackhole requests are not redistributed (§10).
+            let auth_ctx = AuthContext {
+                topology: ctx.topology,
+                origin: route.as_path.origin().unwrap_or(from),
+                sender: from,
+                allocation_owner: ctx.run.allocation_owner,
+                irr_registered: route.irr_registered,
+            };
+            let rejection = if !o.accepts_length(prefix.length()) {
+                Some(RejectReason::LengthRejected)
+            } else if !auth_ok(o.auth, &auth_ctx) {
+                Some(RejectReason::AuthFailed)
+            } else {
+                None
+            };
+            if let Some(reason) = rejection {
+                if !fx.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
+                    fx.outcome.rejected_by.push((me, reason));
+                }
+                return None;
             }
+            if !fx.outcome.accepted_by.contains(&me) {
+                fx.outcome.accepted_by.push(me);
+            }
+            (true, o.blackhole_ip.map(IpAddr::V4))
+        } else if prefix.is_more_specific_than(24) {
+            // Untagged host routes are not redistributed by route servers.
             return None;
-        }
-        route.is_blackhole = true;
-        route.next_hop = o.blackhole_ip.map(IpAddr::V4);
-        if !fx.outcome.accepted_by.contains(&me) {
-            fx.outcome.accepted_by.push(me);
-        }
-    } else if prefix.is_more_specific_than(24) {
-        // Untagged host routes are not redistributed by route servers.
-        return None;
-    }
-    route.learned_rel = Relationship::RouteServer;
-    route.local_pref = local_pref_for(Relationship::RouteServer);
-    Some(route)
+        } else {
+            (route.is_blackhole, route.next_hop)
+        };
+    Some(RouteEntry {
+        learned_rel: Relationship::RouteServer,
+        local_pref: local_pref_for(Relationship::RouteServer),
+        is_blackhole,
+        next_hop,
+        ..route.clone()
+    })
 }
 
 /// Re-advertise the route server's choice to every member after any
@@ -1324,21 +1373,19 @@ fn import_at_route_server(
 fn rs_redistribute(
     ctx: &SimCtx<'_>,
     rs: &RouteServer,
-    prefixes: &mut FxHashMap<Ipv4Prefix, PrefixState>,
+    ps: &PrefixState,
     me: NodeId,
     fx: &mut Effects<'_>,
 ) {
-    let prefix = ctx.run.prefix;
     let in_path = ctx.topology.ixps()[rs.ixp].route_server_in_path;
-    let candidates = prefixes.get(&prefix).map_or(&[][..], |ps| &ps.candidates);
-    // Prepared once each, cloned per member.
-    let exported = best_two(candidates).map(|choice| {
+    // Prepared once each, shared by the members it goes to.
+    let exported = best_two(&ps.candidates).map(|choice| {
         choice.map(|(contributor, route)| {
             let mut out = route.clone();
             if in_path {
                 out.as_path.prepend(ctx.asns[me as usize], 1);
             }
-            (contributor, out)
+            (contributor, Rc::new(out))
         })
     });
     for &member in &rs.members {
@@ -1346,9 +1393,6 @@ fn rs_redistribute(
         fx.out.push(Work { to: member, from: me, route });
     }
     fx.dropped += rs.foreign_members;
-    if prefixes.get(&prefix).is_some_and(PrefixState::is_empty) {
-        prefixes.remove(&prefix);
-    }
 }
 
 /// The two best contributions to a route server, best first, by (AS-path
@@ -2195,6 +2239,79 @@ mod tests {
         assert!(stats.peak_run_steps < sim.step_cap());
     }
 
+    /// The per-prefix tables hold live state only: no table is empty,
+    /// none belongs to a prefix without an origin, and the two blackhole
+    /// queries over `prefix` agree.
+    fn assert_tables_hold_live_state(sim: &BgpSimulator<'_>, prefix: Ipv4Prefix, step: &str) {
+        for (p, table) in &sim.routes {
+            assert!(!table.is_empty(), "{step}: {p} keeps an empty table");
+            assert!(sim.origin_adverts.contains_key(p), "{step}: {p} has a table but no origin");
+        }
+        let scanned: Vec<Asn> = (sim.ranks.index().asns().iter().copied())
+            .filter(|&asn| sim.is_blackholed_at(asn, &prefix))
+            .collect();
+        assert_eq!(sim.blackholing_ases_for(&prefix), scanned, "{step}: blackholing ASes");
+    }
+
+    #[test]
+    fn route_tables_hold_only_live_state() {
+        let f = fixture();
+        let d = deployment_with(vec![
+            session(DataSource::Ris, f.t1a, FeedKind::Full),
+            session(DataSource::Ris, f.p2, FeedKind::Full),
+        ]);
+        let mut sim = BgpSimulator::new(&f.topology, d, 1);
+        pin_behaviors(&mut sim, &f);
+        let at = SimTime::from_unix(100);
+
+        // One origin: a tagged host route P2 blackholes, then withdrawn.
+        let host: Ipv4Prefix = "30.0.1.1/32".parse().unwrap();
+        let tagged = Announcement::simple(f.user, host, bh_communities(f.p2));
+        assert_eq!(sim.announce(at, &tagged).accepted_by, vec![f.p2]);
+        assert_tables_hold_live_state(&sim, host, "single origin announced");
+        assert!(sim.routes.contains_key(&host));
+        sim.withdraw(at, f.user, host);
+        assert_tables_hold_live_state(&sim, host, "single origin withdrawn");
+        assert!(sim.routes.is_empty());
+
+        // Two origins, withdrawn one at a time: the first withdrawal
+        // propagates, the second drops the table.
+        let space: Ipv4Prefix = "30.0.0.0/16".parse().unwrap();
+        for origin in [f.user, f.peer_as] {
+            sim.announce(at, &Announcement::simple(origin, space, CommunitySet::new()));
+            assert_tables_hold_live_state(&sim, space, "MOAS announced");
+        }
+        sim.withdraw(at, f.user, space);
+        assert_tables_hold_live_state(&sim, space, "one of two origins withdrawn");
+        assert!(sim.routes.contains_key(&space), "peer_as still originates {space}");
+        sim.withdraw(at, f.peer_as, space);
+        assert_tables_hold_live_state(&sim, space, "both origins withdrawn");
+        assert!(sim.routes.is_empty());
+
+        // A tagged host route every provider rejects: the run leaves no
+        // table behind although the prefix keeps its origin.
+        for provider in [f.p1, f.p2] {
+            sim.set_behavior(
+                provider,
+                SessionBehavior { host_routes_from_customers: false, ..SessionBehavior::default() },
+            );
+        }
+        let mut communities = bh_communities(f.p1);
+        communities.merge(&bh_communities(f.p2));
+        let rejected = Announcement {
+            scope: AnnounceScope::Neighbors(vec![f.p1, f.p2]),
+            ..Announcement::simple(f.user, "54.0.1.1/32".parse().unwrap(), communities)
+        };
+        let outcome = sim.announce(at, &rejected);
+        assert!(outcome.accepted_by.is_empty());
+        assert_eq!(outcome.rejected_by.len(), 2, "{outcome:?}");
+        assert_tables_hold_live_state(&sim, rejected.prefix, "rejected everywhere");
+        assert!(sim.routes.is_empty(), "a route nobody holds leaves no table");
+        sim.withdraw(at, f.user, rejected.prefix);
+        assert_tables_hold_live_state(&sim, rejected.prefix, "rejected and withdrawn");
+        assert!(sim.routes.is_empty() && sim.origin_adverts.is_empty());
+    }
+
     #[test]
     fn last_origin_withdrawal_jumps_to_the_empty_fixpoint() {
         let f = fixture();
@@ -2227,7 +2344,7 @@ mod tests {
             let (before, peak) = (sim.run_stats().work_items, sim.run_stats().peak_run_steps);
             sim.try_withdraw(SimTime::from_unix(200), f.user, host).unwrap();
             assert!(sim.blackholing_ases_for(&host).is_empty());
-            assert!(sim.nodes.iter().all(|node| !node.prefixes.contains_key(&host)));
+            assert!(!sim.routes.contains_key(&host));
             let work = sim.run_stats().work_items - before;
             (announced, sim.drain_elems(), work, sim.run_stats().peak_run_steps == peak)
         };

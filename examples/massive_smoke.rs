@@ -5,16 +5,17 @@
 //! community), each announced and withdrawn. The announce and the
 //! withdrawal are reported apart, with the work items and wall time of
 //! each: the withdrawal removes the prefix's only origin, so it costs
-//! no work items. CI runs this under a hard timeout so the scale path
-//! cannot silently rot; `MASSIVE_AS_COUNT` shrinks it for quick local
-//! runs.
+//! no work items, and it must withdraw everything: as many elems as the
+//! announce drained, every one a withdrawal. CI runs this under a hard
+//! timeout so the scale path cannot silently rot; `MASSIVE_AS_COUNT`
+//! shrinks it for quick local runs.
 
 use std::time::Instant;
 
 use bh_bgp_types::community::CommunitySet;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_routing::{deploy, Announcement, BgpSimulator, CollectorConfig};
+use bh_routing::{deploy, Announcement, BgpSimulator, CollectorConfig, ElemType};
 use bh_topology::{Tier, TopologyBuilder, TopologyConfig};
 use bh_workloads::capable_providers;
 
@@ -56,27 +57,34 @@ fn main() {
                 &Announcement::simple(origin, prefix, communities),
             )
             .expect("announce converges");
-        let elems = sim.drain_elems().len();
+        let announced = sim.drain_elems().len();
         let blackholing = sim.blackholing_ases_for(&prefix).len();
         println!(
-            "announce of {prefix} from {origin}: {elems} elems, {blackholing} ASes blackholing, \
+            "announce of {prefix} from {origin}: {announced} elems, {blackholing} ASes blackholing, \
              {} work items, {:.1} ms",
             sim.run_stats().work_items - work,
             t.elapsed().as_secs_f64() * 1e3
         );
         assert_eq!(tagged, !outcome.accepted_by.is_empty(), "blackhole acceptance of {prefix}");
         assert_eq!(tagged, blackholing > 0, "blackholing of {prefix}");
-        assert!(elems > 0, "announce produced no collector elements");
+        assert!(announced > 0, "announce produced no collector elements");
 
         let (work, t) = (sim.run_stats().work_items, Instant::now());
         sim.try_withdraw(SimTime::from_unix(2_000), origin, prefix).expect("withdraw converges");
-        let elems = sim.drain_elems().len();
+        let withdrawn = sim.drain_elems();
         println!(
-            "withdrawal of {prefix}: {elems} elems, {} work items, {:.1} ms",
+            "withdrawal of {prefix}: {} elems, {} work items, {:.1} ms",
+            withdrawn.len(),
             sim.run_stats().work_items - work,
             t.elapsed().as_secs_f64() * 1e3
         );
-        assert!(elems > 0, "withdrawal produced no collector elements");
+        // Each session view the announce set is withdrawn once: fewer
+        // elems means a holder kept the route.
+        assert_eq!(withdrawn.len(), announced, "the withdrawal of {prefix} missed a session view");
+        assert!(
+            withdrawn.iter().all(|e| e.elem_type == ElemType::Withdraw),
+            "the withdrawal of {prefix} announced something"
+        );
         assert!(
             sim.blackholing_ases_for(&prefix).is_empty(),
             "somebody still blackholes {prefix} after the withdraw"

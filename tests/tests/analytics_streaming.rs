@@ -28,7 +28,7 @@ fn small_study() -> &'static Study {
 /// report equals the naive recomputation, and the streamed
 /// single-session report is field-for-field equal to it.
 #[test]
-fn streamed_and_sharded_reports_equal_batch_functions() {
+fn streamed_report_equals_batch_and_naive_recomputation() {
     let study = small_study();
     let StudyRun { output, refdata, analytics } = study.visibility_run(4, 6.0);
     let result = study.infer(&refdata, &output.elems);
@@ -140,7 +140,7 @@ proptest! {
     /// drawn permutation all finalize to the report of the events in
     /// order — a report the paper's definitions reproduce.
     #[test]
-    fn every_accumulator_is_merge_associative(
+    fn every_accumulator_is_event_order_insensitive(
         events in arb_events(),
         split_a in 0usize..40,
         split_b in 0usize..40,

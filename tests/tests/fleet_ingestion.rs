@@ -246,7 +246,7 @@ fn session_report<S: ElemSource>(
 /// with inline analytics produces the same `AnalyticsReport` as the
 /// materialized path.
 #[test]
-fn small_scale_fleet_to_sharded_analytics_matches_materialized_path() {
+fn small_scale_fleet_to_session_analytics_matches_materialized_path() {
     let study = small_study();
     let StudyRun { output, refdata, analytics, .. } = study.visibility_run(3, 5.0);
     let archives =

@@ -12,7 +12,8 @@
 //!   fixed (ROADMAP item 9).
 //! * **The schedule**: on random operation sequences on the Tiny world
 //!   (single- and multi-origin, bare / ROV / OTC + leaker tables, and an
-//!   order-preserving ASN relabel of it), a Small sequence under each
+//!   order-preserving ASN relabel of it), on Tiny worlds of five other
+//!   seeds (multi-origin, drawn table), a Small sequence under each
 //!   table and a release-only 15k-AS flood, the rank-phased engine must
 //!   match the FIFO reference (`BgpSimulator::fifo_reference`) exactly:
 //!   results, elems in order, blackholing ASes. The solver cannot take
@@ -99,6 +100,17 @@ fn tiny_env() -> &'static (Topology, CollectorConfig) {
     ENV.get_or_init(|| {
         (TopologyBuilder::new(TopologyConfig::tiny(55)).build(), CollectorConfig::tiny(6))
     })
+}
+
+/// The seeds of the Tiny worlds `engines_agree_on_other_tiny_worlds`
+/// draws from.
+const TINY_SEEDS: [u64; 5] = [1, 7, 11, 42, 91];
+
+/// The Tiny world of `TINY_SEEDS[i]`, built once.
+fn tiny_world(i: usize) -> &'static Topology {
+    static WORLDS: [OnceLock<Topology>; TINY_SEEDS.len()] =
+        [const { OnceLock::new() }; TINY_SEEDS.len()];
+    WORLDS[i].get_or_init(|| TopologyBuilder::new(TopologyConfig::tiny(TINY_SEEDS[i])).build())
 }
 
 /// One Small-scale topology shared across the expensive cases below.
@@ -1155,6 +1167,31 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// Generator breadth: the multi-origin sequences above on a Tiny
+    /// world of a drawn seed instead of Tiny(55) alone — another graph,
+    /// other users, other route servers — engine against FIFO reference
+    /// after every step under a bare, an ROV and an OTC+leaker table.
+    #[test]
+    fn engines_agree_on_other_tiny_worlds(
+        world in 0..TINY_SEEDS.len(),
+        which in 0usize..3,
+        ops in proptest::collection::vec((0usize..3, raw_op()), 8..32),
+    ) {
+        let topology = tiny_world(world);
+        let collector_config = &tiny_env().1;
+        let mut pair = Pair::on(topology, collector_config, 7, table(topology, which).as_ref());
+        let mut elems = 0;
+        for (step, (by, raw)) in ops.into_iter().enumerate() {
+            let op = decode_op_by(topology, by, raw);
+            elems += pair.step(SimTime::from_unix(1_000 + step as u64), &op).1.len();
+        }
+        prop_assert!(elems > 0, "Tiny({}): the sequence produced no elems", TINY_SEEDS[world]);
     }
 }
 
